@@ -16,17 +16,24 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .datagen import DatasetError, filter_by_domain, generate, read_jsonl, split_chronological, write_jsonl
+from .datagen import (
+    DatasetError,
+    domain_datasets,
+    domain_rows,
+    filter_by_domain,  # noqa: F401 - not called here, but perfbench/layers.py traces it by this name
+    generate,
+    read_jsonl,
+    split_chronological,
+    write_jsonl,
+)
 from .evals import MetricError, report_from_scores, score_adapted, score_backbone
 from .experiments import EXPERIMENT_KINDS, ExperimentError, expand_domain_selectors, run_experiment
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
-from .trainer import TrainerError, finetune_all, parse_domain_key, pretrain
+from .trainer import TrainerError, finetune_all, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,6 +144,7 @@ def _restore_backbone(args, cfg: RunConfig, ckpt_path: Path):
     arrays, digest = load_checkpoint(ckpt_path)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=cfg.get_int("model.seed"))
     model.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
+    model.set_trainable(False)
     return model, arrays, digest
 
 
@@ -147,12 +155,7 @@ def cmd_finetune(args) -> int:
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, cfg)
     model, _, _ = _restore_backbone(args, cfg, ckpt)
-    selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
-    datasets = {}
-    for key, sel in selectors.items():
-        recs = filter_by_domain(train, sel)
-        if recs:
-            datasets[key] = recs
+    datasets = domain_datasets(train, expand_domain_selectors(cfg.get_list("train.finetune_domains"), train))
     if not datasets:
         raise DatasetError("no records match train.finetune_domains")
     result = finetune_all(model, datasets, cfg.feature_space(), cfg.train_config(), cfg.iak_config())
@@ -183,17 +186,14 @@ def cmd_eval(args) -> int:
     enc_test = encode_records(test, space)
     seed = cfg.get_int("train.seed")
     batch = cfg.get_int("eval.batch_size")
-    reports = []
     p_ctr, p_ctcvr = score_backbone(model, enc_test, batch)
-    reports.append(report_from_scores(p_ctr, p_ctcvr, enc_test, "test", "zero_shot", seed))
+    reports = [report_from_scores(p_ctr, p_ctcvr, enc_test, "test", "zero_shot", seed)]
     for key in sorted(adapters):
-        sel = parse_domain_key(key)
-        idx = [j for j, r in enumerate(test) if all(r.domain_ids.get(t) == i for t, i in sel.items())]
-        if not idx:
+        idx = domain_rows(test, adapters[key].domain_key)
+        if not idx.size:
             continue
-        sub = enc_test.take(np.asarray(idx, dtype=np.int64))
-        zp_ctr, zp_ctcvr = score_backbone(model, sub, batch)
-        reports.append(report_from_scores(zp_ctr, zp_ctcvr, sub, f"test:{key}", "zero_shot", seed))
+        sub = enc_test.take(idx)
+        reports.append(report_from_scores(p_ctr[idx], p_ctcvr[idx], sub, f"test:{key}", "zero_shot", seed))
         ap_ctr, ap_ctcvr = score_adapted(model, adapters[key], sub, batch)
         reports.append(report_from_scores(ap_ctr, ap_ctcvr, sub, f"test:{key}", f"iak:{key}", seed))
     outdir = _make_outdir(args, "eval", seed)

@@ -61,10 +61,13 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "train.finetune_window_days": ("0", "use only the last N days for fine-tuning; 0 = all"),
     "train.finetune_domains": ("period=*", "comma list of domain keys; topic=* expands over ids in data"),
     "train.mixing": ("", "weighted cross-domain stream, e.g. scene=0:0.7,scene=1:0.3"),
-    "train.joint": ("true", "joint multi-domain batches vs one-by-one"),
     "train.lr_norms": ("uniform", "rate softmax W: uniform | previous (last-step grad magnitudes)"),
     # router
-    "router.lazy_activation": ("false", "skip non-selected adapters at inference"),
+    "router.lazy_activation": (
+        "false",
+        "evaluate only the selected adapter per request; outputs are bitwise identical either way "
+        "(the key stays while the serving benchmark reads it to measure the eager path)",
+    ),
     # evaluation / experiments
     "eval.seeds": ("0,1,2,3,4", "run seeds for experiment repetitions"),
     "eval.windows": ("1,3,5,7", "fine-tune window lengths (days) for window_sweep"),
@@ -251,7 +254,6 @@ class RunConfig:
             seed=self.get_int("train.seed"),
             finetune_window_days=self.get_int("train.finetune_window_days"),
             mixing=self.get_weight_map("train.mixing"),
-            joint=self.get_bool("train.joint"),
             lr_norms=self.get("train.lr_norms"),
         )
 

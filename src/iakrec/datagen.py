@@ -329,8 +329,52 @@ def read_jsonl(path: str | Path) -> list[InteractionRecord]:
     return records
 
 
+def domain_key(selector: dict[str, int]) -> str:
+    """Canonical text form of a domain selector: `topic=id` parts sorted by
+    topic and joined by commas, e.g. `period=2,scene=1`."""
+    return ",".join(f"{t}={i}" for t, i in sorted(selector.items()))
+
+
+def parse_domain_key(key: str) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for part in key.split(","):
+        topic, _, value = part.partition("=")
+        if not value:
+            raise DatasetError(f"bad domain key part {part!r}")
+        out[topic.strip()] = int(value)
+    return out
+
+
+def in_domain(domain_ids: dict[str, int], selector: dict[str, int]) -> bool:
+    """True when every topic of the selector carries the selector's id. A
+    plain loop: it runs once per record per selector, and all() over a
+    generator costs twice as much."""
+    for topic, i in selector.items():
+        if domain_ids.get(topic) != i:
+            return False
+    return True
+
+
 def filter_by_domain(dataset: list[InteractionRecord], selector: dict[str, int]) -> list[InteractionRecord]:
-    return [r for r in dataset if all(r.domain_ids.get(t) == i for t, i in selector.items())]
+    return [r for r in dataset if in_domain(r.domain_ids, selector)]
+
+
+def domain_rows(dataset: list[InteractionRecord], selector: dict[str, int]) -> np.ndarray:
+    """Positions of the records a selector matches."""
+    return np.array([j for j, r in enumerate(dataset) if in_domain(r.domain_ids, selector)], dtype=np.int64)
+
+
+def domain_datasets(
+    dataset: list[InteractionRecord], selectors: dict[str, dict[str, int]]
+) -> dict[str, list[InteractionRecord]]:
+    """Each selector's records, keyed like `selectors`; selectors that match
+    no record are left out."""
+    out = {}
+    for key, selector in selectors.items():
+        records = filter_by_domain(dataset, selector)
+        if records:
+            out[key] = records
+    return out
 
 
 def window_by_days(dataset: list[InteractionRecord], window_days: int) -> list[InteractionRecord]:

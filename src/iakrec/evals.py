@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iak import IAKAdapter
+from .autodiff import Tensor
+from .iak import IAKAdapter, backbone_cache, head_logits, iak_forward
 from .models import EncodedBatch, MultiTaskModel
 
 DEFAULT_BINS = 10
@@ -162,16 +163,15 @@ class EvalReport:
     seed: int
 
 
+def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pred = model.predict_from_logits(head_logits(logits))
+    return pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
+
+
 def score_backbone(model: MultiTaskModel, encoded: EncodedBatch, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-shot probabilities over a dataset, (p_ctr, p_ctcvr)."""
-    p_ctr = np.empty(len(encoded))
-    p_ctcvr = np.empty(len(encoded))
-    for start in range(0, len(encoded), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(encoded)))
-        pred = model.predict(encoded.take(idx))
-        p_ctr[idx] = pred.p_ctr.data[:, 0]
-        p_ctcvr[idx] = pred.p_ctcvr.data[:, 0]
-    return p_ctr, p_ctcvr
+    """Zero-shot probabilities of a frozen backbone over a dataset,
+    (p_ctr, p_ctcvr)."""
+    return _probabilities(model, backbone_cache(model, encoded, batch_size)[1])
 
 
 def score_adapted(
@@ -180,17 +180,15 @@ def score_adapted(
     encoded: EncodedBatch,
     batch_size: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backbone + adapter probabilities in deterministic mean mode."""
-    from .iak import adapted_prediction
-
-    p_ctr = np.empty(len(encoded))
-    p_ctcvr = np.empty(len(encoded))
+    """Frozen backbone + adapter probabilities in deterministic mean mode.
+    The correction runs over the same chunks as the backbone pass, so every
+    row equals a single adapted forward over its chunk bit for bit."""
+    rep, logits = backbone_cache(backbone, encoded, batch_size)
     for start in range(0, len(encoded), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(encoded)))
-        pred, _ = adapted_prediction(backbone, adapter, encoded.take(idx), mode="mean")
-        p_ctr[idx] = pred.p_ctr.data[:, 0]
-        p_ctcvr[idx] = pred.p_ctcvr.data[:, 0]
-    return p_ctr, p_ctcvr
+        rows = slice(start, start + batch_size)
+        corrected = iak_forward(Tensor(rep[rows]), head_logits(logits[rows]), adapter, "mean")
+        logits[rows] = np.concatenate([l.data for l in corrected], axis=1)
+    return _probabilities(backbone, logits)
 
 
 def report_from_scores(

@@ -3,11 +3,14 @@ suite, each emitting one deterministic CSV.
 
 Kinds:
     window_sweep     fine-tune on the last {1,3,5,7,...} days, AUC per window
-    overlap          isolated vs weighted cross-domain fine-tuning
     de_sweep         encoder dimension grid
     beta_sweep       regularizer grid, with the encoder MI diagnostic
-    baseline_compare zero-shot vs adapted AUC for each model kind
+    overlap          isolated vs weighted cross-domain fine-tuning
+    baseline_compare zero-shot vs adapted AUC for each model kind, with the
+                     score-label KL diagnostic
 
+The three sweeps share one runner, driven by their rows in `SWEEPS`: each
+grid value replaces one fine-tuning setting and becomes one condition.
 Every row is (condition, seed, domain); summary rows carry seed="mean".
 Pretrained backbones are cached on disk keyed by a config digest plus seed,
 so repeated runs and different sweeps over the same base setup reuse them.
@@ -16,6 +19,7 @@ so repeated runs and different sweeps over the same base setup reuse them.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +27,15 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .datagen import InteractionRecord, filter_by_domain, generate, split_chronological
+from .datagen import (
+    InteractionRecord,
+    domain_datasets,
+    domain_key,
+    domain_rows,
+    generate,
+    parse_domain_key,
+    split_chronological,
+)
 from .evals import (
     encoder_mi,
     report_from_scores,
@@ -31,10 +43,9 @@ from .evals import (
     score_backbone,
     score_label_decile_kl,
 )
-from .models import FeatureSpace, MultiTaskModel, build_model, encode_records
-from .trainer import TrainConfig, domain_key, finetune_all, parse_domain_key, pretrain
+from .models import EncodedBatch, FeatureSpace, MultiTaskModel, build_model, encode_records
+from .trainer import finetune_all, pretrain
 
-EXPERIMENT_KINDS = ("window_sweep", "overlap", "de_sweep", "beta_sweep", "baseline_compare")
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
 
 # config sections whose keys shape the pretrained backbone
@@ -81,12 +92,11 @@ class ExperimentContext:
         model_cfg = replace(self.cfg.model_config(), kind=kind)
         model = build_model(model_cfg, self.space(), seed=seed)
         if path.exists():
-            arrays, _ = load_checkpoint(path)
-            model.restore(arrays)
-            return model
-        train_cfg = replace(self.cfg.train_config(), seed=seed)
-        pretrain(model, train_records, train_cfg)
-        save_checkpoint(path, model.named_parameters(), digest)
+            model.restore(load_checkpoint(path)[0])
+        else:
+            pretrain(model, train_records, replace(self.cfg.train_config(), seed=seed))
+            save_checkpoint(path, model.named_parameters(), digest)
+        model.set_trainable(False)
         return model
 
 
@@ -107,95 +117,76 @@ def expand_domain_selectors(spec: list[str], records: list[InteractionRecord]) -
     return out
 
 
-def _domain_rows(records: list[InteractionRecord], selector: dict[str, int]) -> np.ndarray:
-    return np.array(
-        [j for j, r in enumerate(records) if all(r.domain_ids.get(t) == i for t, i in selector.items())],
-        dtype=np.int64,
-    )
+@dataclass(frozen=True)
+class Sweep:
+    """A grid over one fine-tuning setting."""
+
+    grid_key: str  # eval.* key holding the grid
+    read: Callable[[RunConfig, str], list]  # RunConfig list accessor for the grid
+    section: str  # "train" or "iak": the config the grid value replaces a field of
+    field: str
+    label: str  # condition name, formatted with the grid value
+    with_mi: bool = False  # add the encoder MI diagnostic
 
 
-def _shifted_condition_rows(
+SWEEPS = {
+    "window_sweep": Sweep("eval.windows", RunConfig.get_int_list, "train", "finetune_window_days", "window={}"),
+    "de_sweep": Sweep("eval.de_grid", RunConfig.get_int_list, "iak", "d_e", "d_e={}"),
+    "beta_sweep": Sweep("eval.betas", RunConfig.get_float_list, "iak", "beta", "beta={:g}", with_mi=True),
+}
+
+
+def _adapted_rows(
     ctx: ExperimentContext,
     condition: str,
     seed: int,
     backbone: MultiTaskModel,
     adapters: dict,
     test_records: list[InteractionRecord],
-    selectors: dict[str, dict[str, int]],
+    enc_test: EncodedBatch,
+    *,
     with_mi: bool = False,
+    with_kl: bool = False,
 ) -> list[Row]:
-    space = ctx.space()
-    enc_test = encode_records(test_records, space)
+    """One row per adapter whose domain has test records."""
     rows = []
     for key in sorted(adapters):
-        idx = _domain_rows(test_records, selectors[key])
+        idx = domain_rows(test_records, adapters[key].domain_key)
         if idx.size == 0:
             continue
         sub = enc_test.take(idx)
         p_ctr, p_ctcvr = score_adapted(backbone, adapters[key], sub, ctx.cfg.get_int("eval.batch_size"))
         rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", condition, seed)
-        mi = None
+        row = Row(condition, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
         if with_mi:
-            mi = encoder_mi(backbone, adapters[key], sub, bins=ctx.cfg.get_int("eval.mi_bins"), seed=seed)
-        rows.append(Row(condition, str(seed), key, rep.ctr_auc, rep.ctcvr_auc, encoder_mi=mi))
+            row.encoder_mi = encoder_mi(backbone, adapters[key], sub, bins=ctx.cfg.get_int("eval.mi_bins"), seed=seed)
+        if with_kl:
+            row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
+        rows.append(row)
     return rows
 
 
-def _finetune(ctx, backbone, train_records, selectors, seed, *, iak_overrides=None, train_overrides=None):
-    datasets = {}
-    for key, sel in selectors.items():
-        recs = filter_by_domain(train_records, sel)
-        if recs:
-            datasets[key] = recs
-    iak_cfg = ctx.cfg.iak_config()
-    if iak_overrides:
-        iak_cfg = replace(iak_cfg, **iak_overrides)
-    train_cfg = replace(ctx.cfg.train_config(), seed=seed)
-    if train_overrides:
-        train_cfg = replace(train_cfg, **train_overrides)
-    result = finetune_all(backbone, datasets, ctx.space(), train_cfg, iak_cfg)
-    return result.adapters
+def _finetune(ctx, backbone, train_records, selectors, seed, *, iak=None, train=None):
+    """Adapters for the selectors with training records; `iak` and `train`
+    replace fields of the configured IAK and training settings."""
+    iak_cfg = replace(ctx.cfg.iak_config(), **(iak or {}))
+    train_cfg = replace(ctx.cfg.train_config(), seed=seed, **(train or {}))
+    datasets = domain_datasets(train_records, selectors)
+    return finetune_all(backbone, datasets, ctx.space(), train_cfg, iak_cfg).adapters
 
 
-def _run_window_sweep(ctx: ExperimentContext) -> list[Row]:
+def _run_sweep(ctx: ExperimentContext, sweep: Sweep) -> list[Row]:
     train, test = ctx.dataset()
+    enc_test = encode_records(test, ctx.space())
     selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
     kind = ctx.cfg.get("model.kind")
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
-        for w in ctx.cfg.get_int_list("eval.windows"):
-            adapters = _finetune(ctx, backbone, train, selectors, seed,
-                                 train_overrides={"finetune_window_days": w})
-            rows.extend(_shifted_condition_rows(ctx, f"window={w}", seed, backbone, adapters, test, selectors))
-    return rows
-
-
-def _run_de_sweep(ctx: ExperimentContext) -> list[Row]:
-    train, test = ctx.dataset()
-    selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
-    kind = ctx.cfg.get("model.kind")
-    rows = []
-    for seed in ctx.cfg.get_int_list("eval.seeds"):
-        backbone = ctx.pretrained(kind, seed, train)
-        for d_e in ctx.cfg.get_int_list("eval.de_grid"):
-            adapters = _finetune(ctx, backbone, train, selectors, seed, iak_overrides={"d_e": d_e})
-            rows.extend(_shifted_condition_rows(ctx, f"d_e={d_e}", seed, backbone, adapters, test, selectors))
-    return rows
-
-
-def _run_beta_sweep(ctx: ExperimentContext) -> list[Row]:
-    train, test = ctx.dataset()
-    selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
-    kind = ctx.cfg.get("model.kind")
-    rows = []
-    for seed in ctx.cfg.get_int_list("eval.seeds"):
-        backbone = ctx.pretrained(kind, seed, train)
-        for beta in ctx.cfg.get_float_list("eval.betas"):
-            adapters = _finetune(ctx, backbone, train, selectors, seed, iak_overrides={"beta": beta})
-            rows.extend(
-                _shifted_condition_rows(ctx, f"beta={beta:g}", seed, backbone, adapters, test, selectors, with_mi=True)
-            )
+        for value in sweep.read(ctx.cfg, sweep.grid_key):
+            adapters = _finetune(ctx, backbone, train, selectors, seed, **{sweep.section: {sweep.field: value}})
+            rows.extend(_adapted_rows(ctx, sweep.label.format(value), seed, backbone, adapters, test, enc_test,
+                                      with_mi=sweep.with_mi))
     return rows
 
 
@@ -207,64 +198,45 @@ def _run_overlap(ctx: ExperimentContext) -> list[Row]:
     if primary not in weights:
         raise ExperimentError("overlap weights must include the primary domain")
     train, test = ctx.dataset()
+    enc_test = encode_records(test, ctx.space())
     selectors = {key: parse_domain_key(key) for key in sorted(weights)}
     kind = ctx.cfg.get("model.kind")
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
         iso = _finetune(ctx, backbone, train, {primary: selectors[primary]}, seed)
-        rows.extend(
-            _shifted_condition_rows(ctx, "isolated", seed, backbone, iso, test, {primary: selectors[primary]})
-        )
-        mixed = _finetune(ctx, backbone, train, selectors, seed, train_overrides={"mixing": weights})
-        rows.extend(
-            _shifted_condition_rows(
-                ctx, "mixed", seed, backbone, {primary: mixed[primary]}, test, {primary: selectors[primary]}
-            )
-        )
+        rows.extend(_adapted_rows(ctx, "isolated", seed, backbone, iso, test, enc_test))
+        mixed = _finetune(ctx, backbone, train, selectors, seed, train={"mixing": weights})
+        rows.extend(_adapted_rows(ctx, "mixed", seed, backbone, {primary: mixed[primary]}, test, enc_test))
     return rows
 
 
 def _run_baseline_compare(ctx: ExperimentContext) -> list[Row]:
     train, test = ctx.dataset()
+    enc_test = encode_records(test, ctx.space())
     selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
-    space = ctx.space()
-    enc_test = encode_records(test, space)
     rows = []
     for kind in ctx.cfg.get_list("eval.baseline_kinds"):
         for seed in ctx.cfg.get_int_list("eval.seeds"):
             backbone = ctx.pretrained(kind, seed, train)
+            p_ctr, p_ctcvr = score_backbone(backbone, enc_test, ctx.cfg.get_int("eval.batch_size"))
             for key in sorted(selectors):
-                idx = _domain_rows(test, selectors[key])
+                idx = domain_rows(test, selectors[key])
                 if idx.size == 0:
                     continue
                 sub = enc_test.take(idx)
-                p_ctr, p_ctcvr = score_backbone(backbone, sub, ctx.cfg.get_int("eval.batch_size"))
-                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", "zs", seed)
-                kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
+                rep = report_from_scores(p_ctr[idx], p_ctcvr[idx], sub, "test", "zs", seed)
+                kl = score_label_decile_kl(p_ctr[idx], sub.click, sub.item)
                 rows.append(
                     Row(f"kind={kind}:zero_shot", str(seed), key, rep.ctr_auc, rep.ctcvr_auc, score_label_kl=kl)
                 )
             adapters = _finetune(ctx, backbone, train, selectors, seed)
-            for key in sorted(adapters):
-                idx = _domain_rows(test, selectors[key])
-                if idx.size == 0:
-                    continue
-                sub = enc_test.take(idx)
-                p_ctr, p_ctcvr = score_adapted(backbone, adapters[key], sub, ctx.cfg.get_int("eval.batch_size"))
-                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", "iak", seed)
-                kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
-                rows.append(Row(f"kind={kind}:iak", str(seed), key, rep.ctr_auc, rep.ctcvr_auc, score_label_kl=kl))
+            rows.extend(_adapted_rows(ctx, f"kind={kind}:iak", seed, backbone, adapters, test, enc_test, with_kl=True))
     return rows
 
 
-_RUNNERS = {
-    "window_sweep": _run_window_sweep,
-    "overlap": _run_overlap,
-    "de_sweep": _run_de_sweep,
-    "beta_sweep": _run_beta_sweep,
-    "baseline_compare": _run_baseline_compare,
-}
+_RUNNERS = {"overlap": _run_overlap, "baseline_compare": _run_baseline_compare}
+EXPERIMENT_KINDS = (*SWEEPS, *_RUNNERS)
 
 
 def _mean_rows(rows: list[Row]) -> list[Row]:
@@ -311,10 +283,10 @@ def write_rows(kind: str, rows: list[Row], path: Path) -> None:
 
 def run_experiment(kind: str, cfg: RunConfig, outdir: Path, workdir: Path) -> Path:
     """Dispatch one experiment kind; returns the CSV path it wrote."""
-    if kind not in _RUNNERS:
+    if kind not in EXPERIMENT_KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
     ctx = ExperimentContext(cfg, Path(workdir))
-    rows = _RUNNERS[kind](ctx)
+    rows = _run_sweep(ctx, SWEEPS[kind]) if kind in SWEEPS else _RUNNERS[kind](ctx)
     rows = rows + _mean_rows(rows)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -322,7 +294,3 @@ def run_experiment(kind: str, cfg: RunConfig, outdir: Path, workdir: Path) -> Pa
     write_rows(kind, rows, path)
     return path
 
-
-def read_rows(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))

@@ -10,13 +10,14 @@ initial state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdagradDecayState, Parameter, Tensor
-from .models import EncodedBatch, ModelOutput, MultiTaskModel, Prediction, bce_loss
+from .datagen import domain_key
+from .models import EncodedBatch, Linear, ModelOutput, MultiTaskModel, Prediction, bce_loss
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -95,24 +96,6 @@ def kl_to_standard_normal(vl: VariationalLinear) -> Tensor:
     return ad.add(parts[0], parts[1])
 
 
-class _DenseLayer:
-    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator, zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((in_dim, out_dim))
-            b = np.zeros(out_dim)
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim))
-            b = np.zeros(out_dim)
-        self.w = Parameter(w, name=f"{name}.w")
-        self.b = Parameter(b, name=f"{name}.b")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
-
-
 class IAKAdapter:
     """Encoder-decoder adapter bound to one domain selector. The encoder is
     variational; the decoder is an ordinary MLP whose final layer starts at
@@ -123,28 +106,26 @@ class IAKAdapter:
         rep_dim: int,
         n_tasks: int,
         config: IAKConfig,
-        domain_key: dict[str, int],
+        selector: dict[str, int],
         seed: int,
     ):
         config.validate()
         self.config = config
         self.rep_dim = rep_dim
         self.n_tasks = n_tasks
-        self.domain_key = dict(sorted(domain_key.items()))
+        self.domain_key = dict(sorted(selector.items()))
         self.seed = seed
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
         self.sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
-        name = f"adapter/{self.key_str()}"
+        name = f"adapter/{domain_key(self.domain_key)}"
         self.encoder = [VariationalLinear(rep_dim, config.d_e, f"{name}/enc0", init_rng)]
         dims = [config.d_e, *config.decoder_hidden]
         self.decoder_hidden = [
-            _DenseLayer(d_in, d_out, f"{name}/dec{i}", init_rng)
+            Linear(d_in, d_out, f"{name}/dec{i}", init_rng)
             for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
         ]
-        self.decoder_out = _DenseLayer(dims[-1], n_tasks, f"{name}/dec_out", init_rng, zero_init=True)
-
-    def key_str(self) -> str:
-        return ",".join(f"{t}={i}" for t, i in self.domain_key.items())
+        # scale 0 draws an all-zero layer, so fine-tuning starts at the backbone
+        self.decoder_out = Linear(dims[-1], n_tasks, f"{name}/dec_out", init_rng, scale=0.0)
 
     def parameters(self) -> list[Parameter]:
         out = [p for vl in self.encoder for p in vl.parameters()]
@@ -240,10 +221,17 @@ def ib_loss(
     return loss
 
 
+def head_logits(logits: np.ndarray) -> list[Tensor]:
+    """(B, n_heads) logits as the per-head (B, 1) tensors the heads emit."""
+    return [Tensor(logits[:, i : i + 1]) for i in range(logits.shape[1])]
+
+
 def backbone_cache(backbone: MultiTaskModel, batch: EncodedBatch, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Representation and pre-sigmoid head logits of a frozen backbone over a
-    dataset. Fine-tuning only ever reads these, so computing them once per
-    domain avoids re-running the backbone every epoch."""
+    dataset, computed `chunk` rows at a time. This is the one backbone pass
+    behind fine-tuning and scoring: fine-tuning only ever reads these, so
+    computing them once per domain avoids re-running the backbone every
+    epoch."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))
@@ -272,40 +260,10 @@ def adapter_step_cached(
     (loss, gradient L2 norm)."""
     params = adapter.parameters()
     ad.zero_grads(params)
-    rep_t = Tensor(rep)
-    logits_t = [Tensor(base_logits[:, i : i + 1]) for i in range(backbone.n_heads)]
-    corrected = iak_forward(rep_t, logits_t, adapter, adapter.config.sample_mode, adapter.sample_rng)
+    corrected = iak_forward(Tensor(rep), head_logits(base_logits), adapter, adapter.config.sample_mode, adapter.sample_rng)
     pred = backbone.predict_from_logits(corrected)
     loss = ib_loss(pred, click, purchase, adapter, beta, weights)
     ad.backward(loss)
     gnorm = ad.grad_l2_norm(params)
     ad.adagrad_decay_step(params, opt_state, lr)
     return float(loss.data), gnorm
-
-
-def finetune_step(
-    backbone: MultiTaskModel,
-    adapter: IAKAdapter,
-    batch: EncodedBatch,
-    opt_state: AdagradDecayState,
-    lr: float,
-    beta: float,
-    allow_mixed: bool = False,
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> tuple[float, float]:
-    """One optimizer step on the adapter only; the backbone must be frozen.
-    Returns (loss, gradient L2 norm)."""
-    if not backbone.frozen:
-        raise AdapterError("backbone must be frozen before fine-tuning")
-    if not allow_mixed:
-        for topic, want in adapter.domain_key.items():
-            got = getattr(batch, topic)
-            if np.any(got != want):
-                raise AdapterError(
-                    f"batch contains records outside {adapter.key_str()} (topic {topic}); "
-                    "enable mixing to train on cross-domain batches"
-                )
-    rep, base = backbone_cache(backbone, batch)
-    return adapter_step_cached(
-        backbone, adapter, rep, base, batch.click, batch.purchase, opt_state, lr, beta, weights
-    )

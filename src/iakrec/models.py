@@ -10,7 +10,7 @@ adapters consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class EncodedBatch:
             click=self.click[idx],
             purchase=self.purchase[idx],
         )
-
-    def domain_key_of(self, row: int) -> dict[str, int]:
-        return {
-            "scene": int(self.scene[row]),
-            "region": int(self.region[row]),
-            "period": int(self.period[row]),
-        }
 
 
 def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> EncodedBatch:

@@ -1,11 +1,14 @@
 """Parallel inference over deployed adapters with indicator-based domain
 activation, plus a line-oriented JSON scoring loop.
 
-Every request is scored by the shared frozen backbone once; adapters are all
-evaluated in deterministic mean mode and the response is exactly the output
-of the adapter whose selector matches the request's domain ids. Requests
-from domains with no adapter fall back to the zero-shot backbone, visibly
-(`served_by = "zero_shot"`).
+Adapters run in deterministic mean mode, and the response is exactly the
+output of the most specific adapter whose selector matches the request's
+domain ids. Requests from domains with no adapter fall back to the zero-shot
+backbone, visibly (`served_by = "zero_shot"`). In the default eager mode
+every deployed adapter is evaluated on every request, and each evaluation
+runs the shared frozen backbone again: one backbone forward per adapter, plus
+one more for a zero-shot request. Lazy activation evaluates only the
+selected adapter (or the backbone alone); the outputs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from typing import IO
 
 import numpy as np
 
+from .datagen import in_domain, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
 from .models import EncodedBatch, FeatureSpace, MultiTaskModel
 
 ZERO_SHOT = "zero_shot"
+_INT64 = np.iinfo(np.int64)
 
 
 class RequestError(ValueError):
@@ -43,15 +48,24 @@ class ScoreResponse:
     latency_micros: int
 
 
+def _request_id(value) -> int:
+    """An id that fits the int64 columns it is encoded into. int() raises
+    OverflowError for an infinite float and ValueError for NaN."""
+    out = int(value)
+    if not _INT64.min <= out <= _INT64.max:
+        raise OverflowError("id does not fit in int64")
+    return out
+
+
 def request_from_json(obj) -> ScoreRequest:
     if not isinstance(obj, dict):
         raise RequestError("request must be a JSON object")
     try:
-        user_id = int(obj["user_id"])
-        item_id = int(obj["item_id"])
-        domain_ids = {str(k): int(v) for k, v in obj["domain_ids"].items()}
-        feature_ids = [int(v) for v in obj["feature_ids"]]
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        user_id = _request_id(obj["user_id"])
+        item_id = _request_id(obj["item_id"])
+        domain_ids = {str(k): _request_id(v) for k, v in obj["domain_ids"].items()}
+        feature_ids = [_request_id(v) for v in obj["feature_ids"]]
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise RequestError(f"bad request fields: {e}") from e
     return ScoreRequest(user_id, item_id, domain_ids, feature_ids)
 
@@ -99,11 +113,7 @@ class DomainRouter:
     def _select(self, domain_ids: dict[str, int]) -> str | None:
         """Most-specific matching adapter; ties break on the sorted key so
         selection is deterministic."""
-        matches = [
-            key
-            for key, a in self.adapters.items()
-            if all(domain_ids.get(t) == i for t, i in a.domain_key.items())
-        ]
+        matches = [key for key, a in self.adapters.items() if in_domain(domain_ids, a.domain_key)]
         if not matches:
             return None
         matches.sort(key=lambda k: (-len(self.adapters[k].domain_key), k))
@@ -132,10 +142,6 @@ class DomainRouter:
         return ScoreResponse(p_ctr=p_ctr, p_ctcvr=p_ctcvr, served_by=served, latency_micros=int(latency))
 
 
-def route_score(router: DomainRouter, request: ScoreRequest) -> ScoreResponse:
-    return router.score(request)
-
-
 def serve(router: DomainRouter, rfile: IO[str], wfile: IO[str]) -> int:
     """One JSON request per line in, one JSON response per line out,
     order-preserving. Malformed lines get an error response carrying the
@@ -148,7 +154,9 @@ def serve(router: DomainRouter, rfile: IO[str], wfile: IO[str]) -> int:
                 raise RequestError("empty line")
             obj = json.loads(line)
             request = request_from_json(obj)
-        except (json.JSONDecodeError, RequestError) as e:
+        # ValueError also covers RequestError, bad JSON and integers too long
+        # to convert; RecursionError is JSON nested too deep to decode
+        except (ValueError, RecursionError) as e:
             msg = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
             wfile.write(json.dumps({"error": f"malformed request: {msg}", "line": lineno}) + "\n")
             wfile.flush()
@@ -177,9 +185,6 @@ def adapters_from_arrays(
 ) -> dict[str, IAKAdapter]:
     """Rebuild the adapter set stored in a checkpoint: adapter parameters are
     namespaced `adapter/<domain key>/...`."""
-    from .iak import IAKConfig  # local import keeps module load order simple
-    from .trainer import parse_domain_key
-
     keys = sorted({name.split("/")[1] for name in arrays if name.startswith("adapter/")})
     adapters = {}
     for key in keys:

@@ -5,16 +5,16 @@ rates and optional weighted cross-domain mixing."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdagradDecayState
-from .datagen import InteractionRecord, window_by_days
+from .datagen import InteractionRecord, filter_by_domain, parse_domain_key, window_by_days
 from .iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from .models import EncodedBatch, FeatureSpace, MultiTaskModel, encode_records, task_bce
+from .models import FeatureSpace, MultiTaskModel, encode_records, task_bce
 
 GRAD_NORM_FLOOR = 1e-8
 SATURATION_LEVEL = 0.99  # max softmax share above this with >1 active domain
@@ -34,7 +34,6 @@ class TrainConfig:
     seed: int = 0
     finetune_window_days: int = 0  # 0 = use the whole span
     mixing: dict[str, float] = field(default_factory=dict)
-    joint: bool = True  # False trains domains one-by-one
     # "uniform" keeps adapters bit-independent of each other's labels;
     # "previous" feeds last-step gradient magnitudes into the rate softmax,
     # which couples domains through their shares
@@ -53,20 +52,6 @@ class TrainConfig:
             total = sum(self.mixing.values())
             if abs(total - 1.0) > 1e-9:
                 raise TrainerError(f"mixing weights must sum to 1, got {total}")
-
-
-def domain_key(selector: dict[str, int]) -> str:
-    return ",".join(f"{t}={i}" for t, i in sorted(selector.items()))
-
-
-def parse_domain_key(key: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for part in key.split(","):
-        topic, _, value = part.partition("=")
-        if not value:
-            raise TrainerError(f"bad domain key part {part!r}")
-        out[topic.strip()] = int(value)
-    return out
 
 
 def model_digest(params: dict[str, np.ndarray]) -> str:
@@ -184,22 +169,19 @@ def mix_domains(
         yield pools[k][queues[k].pop()]
 
 
-def _finetune_sequential(
+def _finetune_stream(
     backbone: MultiTaskModel,
+    key: str,
     adapter: IAKAdapter,
     stream: list[InteractionRecord],
     space: FeatureSpace,
     config: TrainConfig,
     iak_config: IAKConfig,
     rng: np.random.Generator,
-    allow_mixed: bool,
     start_step: int,
 ) -> list[FinetuneRow]:
+    """Train one adapter on a record stream, in order, at the base rate."""
     encoded = encode_records(stream, space)
-    if not allow_mixed:
-        for topic, want in adapter.domain_key.items():
-            if np.any(getattr(encoded, topic) != want):
-                raise TrainerError(f"stream contains records outside {adapter.key_str()}")
     rep, base = backbone_cache(backbone, encoded)
     opt = AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
     rows = []
@@ -210,7 +192,7 @@ def _finetune_sequential(
             opt, config.base_lr, iak_config.beta, weights=backbone.config.loss_weights,
         )
         step += 1
-        rows.append(FinetuneRow(step, adapter.key_str(), len(idx), loss, gnorm, config.base_lr, 0))
+        rows.append(FinetuneRow(step, key, len(idx), loss, gnorm, config.base_lr, 0))
     return rows
 
 
@@ -223,15 +205,17 @@ def finetune_all(
 ) -> FinetuneResult:
     """Fine-tune one adapter per domain on a frozen backbone.
 
-    Joint mode shuffles all domains into shared batches and scales each
-    adapter's optimizer step by its dynamic learning rate. With
-    lr_norms="uniform" (default) the rate softmax sees only batch sample
-    counts, so each adapter stays bit-independent of other domains' labels;
-    "previous" feeds last-step gradient magnitudes in, which couples the
-    shares (the softmax can then saturate; saturation is flagged in the
-    curve rows). Sequential mode trains adapters one-by-one at the base
-    rate. A mixing map reroutes the highest-weighted (primary) domain's
-    stream through weighted cross-domain sampling."""
+    Every domain dataset must hold only records of its key's domain. The
+    domains are shuffled into shared batches and each adapter's optimizer
+    step is scaled by its dynamic learning rate; a single domain therefore
+    trains at the base rate. With lr_norms="uniform" (default) the rate
+    softmax sees only batch sample counts, so each adapter stays
+    bit-independent of other domains' labels; "previous" feeds last-step
+    gradient magnitudes in, which couples the shares (the softmax can then
+    saturate; saturation is flagged in the curve rows). A mixing map
+    reroutes the highest-weighted (primary) domain's stream through
+    weighted cross-domain sampling, trained in stream order at the base
+    rate."""
     config.validate()
     iak_config.validate()
     if not domain_datasets:
@@ -239,6 +223,8 @@ def finetune_all(
     for key, recs in domain_datasets.items():
         if not recs:
             raise TrainerError(f"domain dataset {key!r} is empty")
+        if len(filter_by_domain(recs, parse_domain_key(key))) != len(recs):
+            raise TrainerError(f"domain dataset {key!r} holds records of other domains; mix domains with `mixing`")
     backbone.set_trainable(False)
 
     windowed = {
@@ -264,18 +250,10 @@ def finetune_all(
 
     plain_keys = [k for k in windowed if k != mixing_primary]
 
-    if config.joint and len(plain_keys) > 1:
+    if plain_keys:
         curve.extend(
             _finetune_joint(backbone, {k: windowed[k] for k in plain_keys}, adapters, space, config, iak_config, shared_rng)
         )
-    else:
-        for key in plain_keys:
-            curve.extend(
-                _finetune_sequential(
-                    backbone, adapters[key], windowed[key], space, config, iak_config,
-                    shared_rng, allow_mixed=False, start_step=len(curve),
-                )
-            )
 
     if mixing_primary is not None:
         aux = {k: v for k, v in windowed.items() if k != mixing_primary and k in config.mixing}
@@ -285,15 +263,10 @@ def finetune_all(
         stream_gen = mix_domains(windowed[mixing_primary], aux, config.mixing, shared_rng, mixing_primary)
         n_slots = config.epochs * len(windowed[mixing_primary])
         stream = [next(stream_gen) for _ in range(n_slots)]
-        one_pass = TrainConfig(
-            batch_size=config.batch_size, epochs=1, base_lr=config.base_lr,
-            adagrad_decay=config.adagrad_decay, adagrad_epsilon=config.adagrad_epsilon,
-            seed=config.seed,
-        )
         curve.extend(
-            _finetune_sequential(
-                backbone, adapters[mixing_primary], stream, space, one_pass, iak_config,
-                shared_rng, allow_mixed=True, start_step=len(curve),
+            _finetune_stream(  # the stream already spans every epoch
+                backbone, mixing_primary, adapters[mixing_primary], stream, space,
+                replace(config, epochs=1), iak_config, shared_rng, start_step=len(curve),
             )
         )
 

@@ -13,9 +13,14 @@ from iakrec.evals import (
     item_decile_click_distribution,
     kl_empirical,
     report_from_scores,
+    score_adapted,
+    score_backbone,
     score_label_decile_kl,
     sym_kl,
 )
+from iakrec.iak import IAKAdapter, IAKConfig
+from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec.router import DomainRouter, ScoreRequest, encode_request
 
 
 def brute_force_auc(scores, labels):
@@ -204,3 +209,51 @@ def test_report_from_scores():
     assert rep.ctcvr_auc is None  # no purchase positives
     assert rep.n_pos_ctr == 2 and rep.n_neg_ctr == 8
     assert rep.seed == 3
+
+
+class TestScoring:
+    """The batch scorers agree bit for bit with the router on single rows."""
+
+    SPACE = FeatureSpace(n_users=30, n_items=20, n_scenes=2, n_regions=2, n_periods=3)
+
+    def _router(self, kind):
+        backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), self.SPACE, seed=0)
+        adapters = {}
+        for period, nudge in ((0, 0.05), (1, -0.08)):
+            adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)),
+                                 {"period": period}, seed=period + 1)
+            adapter.decoder_out.w.data[:] = nudge
+            adapter.decoder_out.b.data[:] = nudge
+            adapters[f"period={period}"] = adapter
+        return DomainRouter(backbone, adapters)
+
+    @staticmethod
+    def _requests():
+        rng = np.random.default_rng(0)
+        return [
+            ScoreRequest(
+                user_id=int(rng.integers(-1, 35)), item_id=int(rng.integers(0, 25)),
+                domain_ids={"scene": int(rng.integers(0, 2)), "region": int(rng.integers(0, 2)), "period": p},
+                feature_ids=[int(x) for x in rng.integers(0, 8, size=4)],
+            )
+            for p in (0, 1, 2) for _ in range(8)
+        ]
+
+    @pytest.mark.parametrize("kind", ["base", "esmm", "mmoe", "shared_bottom"])
+    def test_scores_match_router_on_single_rows(self, kind):
+        router = self._router(kind)
+        zero_shot = DomainRouter(router.backbone, {})
+        served = set()
+        for req in self._requests():
+            enc = encode_request(req, self.SPACE)
+            resp = router.score(req)
+            served.add(resp.served_by)
+            if resp.served_by == "zero_shot":
+                p_ctr, p_ctcvr = score_backbone(router.backbone, enc, 1)
+            else:
+                p_ctr, p_ctcvr = score_adapted(router.backbone, router.adapters[resp.served_by], enc, 1)
+            assert (p_ctr[0], p_ctcvr[0]) == (resp.p_ctr, resp.p_ctcvr)
+            base = zero_shot.score(req)
+            p_ctr, p_ctcvr = score_backbone(router.backbone, enc, 1)
+            assert (p_ctr[0], p_ctcvr[0]) == (base.p_ctr, base.p_ctcvr)
+        assert served == {"period=0", "period=1", "zero_shot"}

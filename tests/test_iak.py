@@ -14,13 +14,14 @@ from iakrec.iak import (
     INIT_SIGMA,
     VariationalLinear,
     adapted_prediction,
-    finetune_step,
+    adapter_step_cached,
+    backbone_cache,
     iak_forward,
     ib_loss,
     kl_to_standard_normal,
 )
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
-from iakrec.trainer import model_digest
+from iakrec.trainer import TrainConfig, TrainerError, finetune_all, model_digest
 from iakrec.datagen import InteractionRecord
 
 from gradcheck import central_differences, max_rel_err
@@ -51,9 +52,9 @@ def _vl_with(mu, sigma):
     return vl
 
 
-def _batch(n=8, seed=0, period=1):
+def _records(n=8, seed=0, period=1):
     rng = np.random.default_rng(seed)
-    records = [
+    return [
         InteractionRecord(
             timestamp=i,
             user_id=int(rng.integers(0, 20)),
@@ -65,7 +66,17 @@ def _batch(n=8, seed=0, period=1):
         )
         for i in range(n)
     ]
-    return encode_records(records, SPACE)
+
+
+def _step(backbone, adapter, batch, state, lr, beta):
+    """One adapter step the way fine-tuning takes it: a cached backbone pass,
+    then an adapter-only update."""
+    rep, base = backbone_cache(backbone, batch)
+    return adapter_step_cached(backbone, adapter, rep, base, batch.click, batch.purchase, state, lr, beta)
+
+
+def _batch(n=8, seed=0, period=1):
+    return encode_records(_records(n, seed, period), SPACE)
 
 
 def _backbone(seed=0):
@@ -266,23 +277,24 @@ class TestFinetuneStep:
         batch = _batch()
         digest_before = model_digest(backbone.named_parameters())
         state = ad.AdagradDecayState()
-        finetune_step(backbone, adapter, batch, state, lr=0.01, beta=1e-3)
+        _step(backbone, adapter, batch, state, lr=0.01, beta=1e-3)
         assert model_digest(backbone.named_parameters()) == digest_before
 
     def test_rejects_unfrozen_backbone(self):
         backbone = _backbone()
         backbone.set_trainable(True)
-        adapter = _adapter(backbone)
         with pytest.raises(AdapterError):
-            finetune_step(backbone, adapter, _batch(), ad.AdagradDecayState(), 0.01, 1e-3)
+            backbone_cache(backbone, _batch())
 
     def test_rejects_cross_domain_batch_unless_mixed(self):
         backbone = _backbone()
-        adapter = _adapter(backbone, period=2)
-        batch = _batch(period=1)
-        with pytest.raises(AdapterError, match="mixing"):
-            finetune_step(backbone, adapter, batch, ad.AdagradDecayState(), 0.01, 1e-3)
-        finetune_step(backbone, adapter, batch, ad.AdagradDecayState(), 0.01, 1e-3, allow_mixed=True)
+        config = TrainConfig(batch_size=4, seed=0)
+        with pytest.raises(TrainerError, match="mixing"):
+            finetune_all(backbone, {"period=2": _records(period=1)}, SPACE, config, IAKConfig(d_e=4))
+        datasets = {"period=2": _records(period=2), "period=1": _records(period=1)}
+        mixed = TrainConfig(batch_size=4, seed=0, mixing={"period=2": 0.6, "period=1": 0.4})
+        res = finetune_all(backbone, datasets, SPACE, mixed, IAKConfig(d_e=4))
+        assert any(row.domain == "period=2" for row in res.curve)
 
     def test_loss_decreases_on_separable_toy_domain(self):
         backbone = _backbone(seed=11)
@@ -299,13 +311,13 @@ class TestFinetuneStep:
         ]
         enc = encode_records(records, SPACE)
         # label by a deterministic function of the backbone's own representation
-        rep = backbone.forward_full(enc).representation.data
-        enc.click = (rep[:, 0] > np.median(rep[:, 0])).astype(np.float64)
+        rep, base = backbone_cache(backbone, enc)
+        click = (rep[:, 0] > np.median(rep[:, 0])).astype(np.float64)
         state = ad.AdagradDecayState()
         first = None
         loss = None
         for step in range(200):
-            loss, _ = finetune_step(backbone, adapter, enc, state, lr=0.05, beta=1e-4)
+            loss, _ = adapter_step_cached(backbone, adapter, rep, base, click, enc.purchase, state, lr=0.05, beta=1e-4)
             if first is None:
                 first = loss
         assert loss < first
@@ -317,7 +329,7 @@ class TestFinetuneStep:
             state = ad.AdagradDecayState()
             batch = _batch(seed=7)
             for _ in range(5):
-                finetune_step(backbone, adapter, batch, state, lr=0.02, beta=1e-3)
+                _step(backbone, adapter, batch, state, lr=0.02, beta=1e-3)
             return model_digest(adapter.named_parameters())
 
         assert run() == run()

@@ -1,8 +1,11 @@
+import functools
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
@@ -14,7 +17,6 @@ from iakrec.router import (
     adapters_from_arrays,
     encode_request,
     request_from_json,
-    route_score,
     serve,
 )
 
@@ -55,7 +57,7 @@ def _request(period=1, scene=0, region=1, user=3, item=4):
 class TestRouteScore:
     def test_selected_equals_standalone_adapter_bit_exact(self, router):
         req = _request(period=1)
-        resp = route_score(router, req)
+        resp = router.score(req)
         assert resp.served_by == "period=1"
         batch = encode_request(req, SPACE)
         pred, _ = adapted_prediction(router.backbone, router.adapters["period=1"], batch, mode="mean")
@@ -64,15 +66,15 @@ class TestRouteScore:
 
     def test_non_selected_adapter_perturbation_is_invisible(self, router):
         req = _request(period=0)
-        before = route_score(router, req)
+        before = router.score(req)
         for p in router.adapters["period=1"].parameters():
             p.data += 3.0
-        after = route_score(router, req)
+        after = router.score(req)
         assert (before.p_ctr, before.p_ctcvr) == (after.p_ctr, after.p_ctcvr)
 
     def test_unknown_domain_falls_back_to_zero_shot(self, router):
         req = _request(period=2)
-        resp = route_score(router, req)
+        resp = router.score(req)
         assert resp.served_by == "zero_shot"
         pred = router.backbone.predict(encode_request(req, SPACE))
         assert resp.p_ctr == float(pred.p_ctr.data[0, 0])
@@ -86,8 +88,8 @@ class TestRouteScore:
         eager = DomainRouter(backbone, dict(adapters))
         lazy = DomainRouter(backbone, dict(adapters), lazy_activation=True)
         for period in (0, 1, 2):
-            a = route_score(eager, _request(period=period))
-            b = route_score(lazy, _request(period=period))
+            a = eager.score(_request(period=period))
+            b = lazy.score(_request(period=period))
             assert (a.p_ctr, a.p_ctcvr, a.served_by) == (b.p_ctr, b.p_ctcvr, b.served_by)
 
     def test_most_specific_key_wins(self):
@@ -99,9 +101,9 @@ class TestRouteScore:
         )
         narrow.decoder_out.w.data[:] = -0.3
         router = DomainRouter(backbone, {"period=1": broad, "period=1,scene=0": narrow})
-        resp = route_score(router, _request(period=1, scene=0))
+        resp = router.score(_request(period=1, scene=0))
         assert resp.served_by == "period=1,scene=0"
-        resp2 = route_score(router, _request(period=1, scene=1))
+        resp2 = router.score(_request(period=1, scene=1))
         assert resp2.served_by == "period=1"
 
     def test_dimension_mismatch_rejected(self):
@@ -112,8 +114,8 @@ class TestRouteScore:
 
     def test_statelessness_under_permutation(self, router):
         reqs = [_request(period=p, user=u) for p in (0, 1, 2) for u in (1, 2, 3)]
-        fwd = [route_score(router, r) for r in reqs]
-        rev = [route_score(router, r) for r in reversed(reqs)]
+        fwd = [router.score(r) for r in reqs]
+        rev = [router.score(r) for r in reversed(reqs)]
         for a, b in zip(fwd, reversed(rev)):
             assert (a.p_ctr, a.p_ctcvr, a.served_by) == (b.p_ctr, b.p_ctcvr, b.served_by)
 
@@ -139,6 +141,33 @@ class TestRequestParsing:
 
 
 class TestServe:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"user_id": 1, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [1e400]}',
+            '{"user_id": 1, "item_id": -1e400, "domain_ids": {"period": 0}, "feature_ids": [1]}',
+            '{"user_id": NaN, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [1]}',
+            '{"user_id": 12345678901234567890, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [1]}',
+            '{"user_id": 1, "item_id": 1, "domain_ids": {"period": 98765432109876543210}, "feature_ids": [1]}',
+            '{"user_id": 1, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [-9223372036854775809]}',
+            '{"user_id": ' + "9" * 5000 + ', "item_id": 1, "domain_ids": {}, "feature_ids": []}',
+            "[" * 100_000,
+        ],
+    )
+    def test_unrepresentable_line_gets_an_error_and_the_loop_continues(self, router, line):
+        good = json.dumps({"user_id": 1, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [1]})
+        out = io.StringIO()
+        assert serve(router, io.StringIO(line + "\n" + good + "\n"), out) == 0
+        first, second = (json.loads(l) for l in out.getvalue().splitlines())
+        assert first["line"] == 1 and first["error"].startswith("malformed request")
+        assert second["served_by"] == "period=0"
+
+    def test_int64_bounds_are_accepted(self, router):
+        for v in (2**63 - 1, -(2**63)):
+            req = request_from_json({"user_id": v, "item_id": v, "domain_ids": {"period": v}, "feature_ids": [v]})
+            assert router.score(req).served_by == "zero_shot"
+
+
     def test_empty_stream_clean_exit(self, router):
         out = io.StringIO()
         assert serve(router, io.StringIO(""), out) == 0
@@ -154,7 +183,7 @@ class TestServe:
         assert serve(router, io.StringIO("\n".join(lines) + "\n"), out) == 0
         responses = [json.loads(l) for l in out.getvalue().splitlines()]
         assert len(responses) == 3
-        expected = [route_score(router, request_from_json(json.loads(l))) for l in lines]
+        expected = [router.score(request_from_json(json.loads(l))) for l in lines]
         for resp, exp in zip(responses, expected):
             assert resp["p_ctr"] == exp.p_ctr
             assert resp["p_ctcvr"] == exp.p_ctcvr
@@ -187,7 +216,7 @@ class TestServe:
         serve(router, io.StringIO(stream), out)
         responses = [json.loads(l) for l in out.getvalue().splitlines()]
         for r, resp in zip(reqs, responses):
-            offline = route_score(router, request_from_json(r))
+            offline = router.score(request_from_json(r))
             assert resp["p_ctr"] == offline.p_ctr
             assert resp["p_ctcvr"] == offline.p_ctcvr
             assert resp["served_by"] == offline.served_by
@@ -208,6 +237,47 @@ class TestCheckpointRoundTrip:
                                         IAKConfig(d_e=4, decoder_hidden=(6,)))
         clone = DomainRouter(fresh_backbone, adapters)
         for period in (0, 1, 2):
-            a = route_score(router, _request(period=period))
-            b = route_score(clone, _request(period=period))
+            a = router.score(_request(period=period))
+            b = clone.score(_request(period=period))
             assert (a.p_ctr, a.p_ctcvr, a.served_by) == (b.p_ctr, b.p_ctcvr, b.served_by)
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_router():
+    backbone = _backbone()
+    return DomainRouter(backbone, {"period=0": _adapter(backbone, 0, seed=1, nudge=0.05)})
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_ids = st.integers() | st.floats() | st.text(max_size=4) | _json
+_request_like = st.fixed_dictionaries(
+    {
+        "user_id": _ids,
+        "item_id": _ids,
+        "domain_ids": st.dictionaries(st.sampled_from(["scene", "region", "period"]) | st.text(max_size=4), _ids,
+                                      max_size=3),
+        "feature_ids": st.lists(_ids, max_size=5),
+    }
+)
+_lines = st.one_of(
+    st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=60),
+    _json.map(json.dumps),
+    _request_like.map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_lines)
+def test_any_line_yields_exactly_one_json_line_and_the_loop_continues(line):
+    router = _shared_router()
+    good = json.dumps({"user_id": 1, "item_id": 1, "domain_ids": {"period": 0}, "feature_ids": [1]})
+    out = io.StringIO()
+    assert serve(router, io.StringIO(line + "\n" + good + "\n"), out) == 0
+    responses = [json.loads(l) for l in out.getvalue().splitlines()]
+    assert len(responses) == 2
+    assert "p_ctr" in responses[0] or responses[0]["line"] == 1
+    assert responses[1]["served_by"] == "period=0"

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from iakrec.datagen import GeneratorConfig, filter_by_domain, generate, make_domains
-from iakrec.iak import IAKConfig
-from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec import autodiff as ad
+from iakrec.datagen import (
+    DatasetError,
+    GeneratorConfig,
+    domain_key,
+    filter_by_domain,
+    generate,
+    make_domains,
+    parse_domain_key,
+)
+from iakrec.iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
+from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import (
     TrainConfig,
     TrainerError,
-    domain_key,
+    _batch_indices,
     dynamic_lr,
     finetune_all,
     mix_domains,
     model_digest,
-    parse_domain_key,
     pretrain,
 )
 
@@ -45,7 +53,7 @@ class TestDomainKeys:
         assert domain_key({"scene": 1, "period": 2}) == "period=2,scene=1"
 
     def test_bad_key_rejected(self):
-        with pytest.raises(TrainerError):
+        with pytest.raises(DatasetError):
             parse_domain_key("period")
 
 
@@ -193,21 +201,34 @@ class TestFinetuneAll:
                     r2.purchase = 0
                     flipped.append(r2)
                 ds["scene=1"] = flipped
-            res = finetune_all(m, ds, SPACE, TrainConfig(batch_size=256, seed=3, joint=True), IAKConfig(d_e=6))
+            res = finetune_all(m, ds, SPACE, TrainConfig(batch_size=256, seed=3), IAKConfig(d_e=6))
             return model_digest(res.adapters["scene=0"].named_parameters())
 
         assert run(False) == run(True)
 
     def test_sequential_equals_singleton_joint(self):
+        # one domain through the joint loop is plain sequential training at
+        # the base rate: the same steps as a hand-written loop
         data = _dataset()
         model = _backbone()
-        domains = {"scene=0": filter_by_domain(data, {"scene": 0})}
-        r1 = finetune_all(model, domains, SPACE, TrainConfig(batch_size=256, seed=4, joint=True), IAKConfig(d_e=6))
-        r2 = finetune_all(model, domains, SPACE, TrainConfig(batch_size=256, seed=4, joint=False), IAKConfig(d_e=6))
-        assert model_digest(r1.adapters["scene=0"].named_parameters()) == model_digest(
-            r2.adapters["scene=0"].named_parameters()
-        )
-        assert all(row.lr_effective == 0.005 for row in r1.curve)
+        records = filter_by_domain(data, {"scene": 0})
+        config, iak_config = TrainConfig(batch_size=256, epochs=2, seed=4), IAKConfig(d_e=6)
+        res = finetune_all(model, {"scene=0": records}, SPACE, config, iak_config)
+
+        adapter_seed, order_seed = np.random.SeedSequence([config.seed, 0xF17E]).spawn(2)
+        adapter = IAKAdapter(model.rep_dim, model.n_heads, iak_config, {"scene": 0},
+                             seed=int(adapter_seed.generate_state(1)[0]))
+        enc = encode_records(records, SPACE)
+        rep, base = backbone_cache(model, enc)
+        opt = ad.AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
+        losses = []
+        for idx in _batch_indices(len(enc), config.batch_size, config.epochs, np.random.default_rng(order_seed)):
+            loss, _ = adapter_step_cached(model, adapter, rep[idx], base[idx], enc.click[idx], enc.purchase[idx],
+                                          opt, config.base_lr, iak_config.beta, weights=model.config.loss_weights)
+            losses.append(loss)
+        assert model_digest(res.adapters["scene=0"].named_parameters()) == model_digest(adapter.named_parameters())
+        assert [row.loss for row in res.curve] == losses
+        assert all(row.lr_effective == 0.005 and row.lr_saturated == 0 for row in res.curve)
 
     def test_masked_domain_receives_no_update(self):
         data = _dataset()
