@@ -21,14 +21,15 @@ from .config import ConfigError, RunConfig, load_run_config
 from .datagen import (
     DatasetError,
     domain_datasets,
-    domain_rows,
     filter_by_domain,  # noqa: F401 - not called here, but perfbench/layers.py traces it by this name
     generate,
     read_jsonl,
     split_chronological,
     write_jsonl,
 )
-from .evals import MetricError, report_from_scores, score_adapted, score_backbone
+from .evals import MetricError, SplitPass, report_from_scores
+# not called here, but perfbench/layers.py traces them by these names
+from .evals import score_adapted, score_backbone  # noqa: F401
 from .experiments import EXPERIMENT_KINDS, ExperimentError, expand_domain_selectors, run_experiment
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
@@ -182,19 +183,14 @@ def cmd_eval(args) -> int:
         raise DatasetError("test split is empty; check datagen.split_ratio")
     model, arrays, _ = _restore_backbone(args, cfg, ckpt)
     adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
-    space = cfg.feature_space()
-    enc_test = encode_records(test, space)
+    enc_test = encode_records(test, cfg.feature_space())
     seed = cfg.get_int("train.seed")
-    batch = cfg.get_int("eval.batch_size")
-    p_ctr, p_ctcvr = score_backbone(model, enc_test, batch)
+    split = SplitPass(model, test, enc_test)
+    p_ctr, p_ctcvr = split.zero_shot()
     reports = [report_from_scores(p_ctr, p_ctcvr, enc_test, "test", "zero_shot", seed)]
-    for key in sorted(adapters):
-        idx = domain_rows(test, adapters[key].domain_key)
-        if not idx.size:
-            continue
-        sub = enc_test.take(idx)
+    for key, idx, sub in split.slices({key: a.domain_key for key, a in adapters.items()}):
         reports.append(report_from_scores(p_ctr[idx], p_ctcvr[idx], sub, f"test:{key}", "zero_shot", seed))
-        ap_ctr, ap_ctcvr = score_adapted(model, adapters[key], sub, batch)
+        ap_ctr, ap_ctcvr = split.adapted(adapters[key], idx)
         reports.append(report_from_scores(ap_ctr, ap_ctcvr, sub, f"test:{key}", f"iak:{key}", seed))
     outdir = _make_outdir(args, "eval", seed)
     cfg.echo(outdir / "effective.cfg")

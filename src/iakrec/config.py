@@ -77,7 +77,6 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "eval.overlap_primary": ("", "primary domain key for the overlap experiment"),
     "eval.overlap_weights": ("", "mixing weights for the overlap experiment"),
     "eval.baseline_kinds": ("shared_bottom,esmm,mmoe,base", "model kinds for baseline_compare"),
-    "eval.batch_size": ("4096", "scoring batch size"),
 }
 
 

@@ -21,6 +21,8 @@ SECONDS_PER_DAY = 86400
 # octile edges of the standard normal, used to bucket latent values into
 # categorical feature ids
 _OCTILE_EDGES = np.array([-1.15035, -0.67449, -0.31864, 0.0, 0.31864, 0.67449, 1.15035])
+# plain ints: reading np.iinfo's bounds costs more than the conversion they check
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class DatasetError(ValueError):
@@ -298,7 +300,17 @@ def write_jsonl(dataset: list[InteractionRecord], path: str | Path) -> None:
             f.write("\n")
 
 
+def int64_id(value) -> int:
+    """An id that fits the int64 columns it is encoded into. int() raises
+    OverflowError for infinity, ValueError for NaN or text, TypeError for null."""
+    out = int(value)
+    if not _INT64_MIN <= out <= _INT64_MAX:
+        raise OverflowError("id does not fit in int64")
+    return out
+
+
 def read_jsonl(path: str | Path) -> list[InteractionRecord]:
+    """Records of a JSONL dataset; a bad line raises DatasetError at `path:line`."""
     records: list[InteractionRecord] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -307,23 +319,28 @@ def read_jsonl(path: str | Path) -> list[InteractionRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+            # ValueError also covers integers too long to convert; RecursionError
+            # is JSON nested too deep to decode
+            except (ValueError, RecursionError) as e:
+                raise DatasetError(f"{path}:{lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
+            if not isinstance(obj, dict):
+                raise DatasetError(f"{path}:{lineno}: a record must be a JSON object")
             missing = [key for key in _RECORD_KEYS if key not in obj]
             if missing:
                 raise DatasetError(f"{path}:{lineno}: missing keys {missing}")
-            rec = InteractionRecord(
-                timestamp=int(obj["timestamp"]),
-                user_id=int(obj["user_id"]),
-                item_id=int(obj["item_id"]),
-                domain_ids={str(k): int(v) for k, v in obj["domain_ids"].items()},
-                feature_ids=[int(v) for v in obj["feature_ids"]],
-                click=int(obj["click"]),
-                purchase=int(obj["purchase"]),
-            )
             try:
+                rec = InteractionRecord(
+                    timestamp=int(obj["timestamp"]),
+                    user_id=int64_id(obj["user_id"]),
+                    item_id=int64_id(obj["item_id"]),
+                    domain_ids={str(k): int64_id(v) for k, v in obj["domain_ids"].items()},
+                    feature_ids=[int64_id(v) for v in obj["feature_ids"]],
+                    click=int(obj["click"]),
+                    purchase=int(obj["purchase"]),
+                )
                 rec.validate()
-            except DatasetError as e:
+            # DatasetError from validate() is a ValueError too
+            except (TypeError, ValueError, AttributeError, OverflowError) as e:
                 raise DatasetError(f"{path}:{lineno}: {e}") from e
             records.append(rec)
     return records

@@ -4,15 +4,21 @@ AUC uses the rank statistic with average ranks for ties. Mutual information
 and KL are plug-in estimators over binned samples: crude, but sufficient for
 the directional comparisons they back, which always compare matched seeds
 rather than absolute values.
+
+A scored split runs the frozen backbone once (`SplitPass`): its zero-shot
+slices, every adapter's rows and the encoder MI diagnostic read that pass,
+however many adapters or grid values are scored against it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .datagen import InteractionRecord, domain_rows
 from .iak import IAKAdapter, backbone_cache, head_logits, iak_forward
 from .models import EncodedBatch, MultiTaskModel
 
@@ -168,6 +174,19 @@ def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarra
     return pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
 
 
+def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarray, logits: np.ndarray,
+                   batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Adapted probabilities in deterministic mean mode from `backbone_cache`
+    rows. The correction runs `batch_size` rows at a time, so every row
+    equals a single adapted forward over its chunk bit for bit."""
+    corrected = np.empty_like(logits)
+    for start in range(0, len(rep), batch_size):
+        rows = slice(start, start + batch_size)
+        heads = iak_forward(Tensor(rep[rows]), head_logits(logits[rows]), adapter, "mean")
+        corrected[rows] = np.concatenate([l.data for l in heads], axis=1)
+    return _probabilities(backbone, corrected)
+
+
 def score_backbone(model: MultiTaskModel, encoded: EncodedBatch, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Zero-shot probabilities of a frozen backbone over a dataset,
     (p_ctr, p_ctcvr)."""
@@ -180,15 +199,32 @@ def score_adapted(
     encoded: EncodedBatch,
     batch_size: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen backbone + adapter probabilities in deterministic mean mode.
-    The correction runs over the same chunks as the backbone pass, so every
-    row equals a single adapted forward over its chunk bit for bit."""
-    rep, logits = backbone_cache(backbone, encoded, batch_size)
-    for start in range(0, len(encoded), batch_size):
-        rows = slice(start, start + batch_size)
-        corrected = iak_forward(Tensor(rep[rows]), head_logits(logits[rows]), adapter, "mean")
-        logits[rows] = np.concatenate([l.data for l in corrected], axis=1)
-    return _probabilities(backbone, logits)
+    """Frozen backbone + adapter probabilities over a dataset: one
+    `backbone_cache` pass, corrected over the same `batch_size` chunks."""
+    return adapted_scores(backbone, adapter, *backbone_cache(backbone, encoded, batch_size), batch_size)
+
+
+class SplitPass:
+    """One frozen-backbone pass over a scored split: the representation and
+    head logits of every row, which each zero-shot or adapted slice reads."""
+
+    def __init__(self, backbone: MultiTaskModel, records: list[InteractionRecord], encoded: EncodedBatch):
+        self.backbone, self.records, self.encoded = backbone, records, encoded
+        self.rep, self.logits = backbone_cache(backbone, encoded)
+
+    def zero_shot(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        return _probabilities(self.backbone, self.logits[idx])
+
+    def adapted(self, adapter: IAKAdapter, idx) -> tuple[np.ndarray, np.ndarray]:
+        return adapted_scores(self.backbone, adapter, self.rep[idx], self.logits[idx])
+
+    def slices(self, selectors: dict[str, dict[str, int]]) -> Iterator[tuple[str, np.ndarray, EncodedBatch]]:
+        """(key, row positions, encoded rows) of each selector in key order,
+        skipping selectors that match no row of the split."""
+        for key in sorted(selectors):
+            idx = domain_rows(self.records, selectors[key])
+            if idx.size:
+                yield key, idx, self.encoded.take(idx)
 
 
 def report_from_scores(
@@ -236,18 +272,16 @@ def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random
 
 
 def encoder_mi(
-    backbone: MultiTaskModel,
     adapter: IAKAdapter,
-    encoded: EncodedBatch,
+    rep: np.ndarray,
     bins: int = DEFAULT_BINS,
     seed: int = 0,
     max_records: int = 4096,
 ) -> float:
     """Binned MI between the encoder's input (scalar projection of the
-    backbone representation) and its stochastic output."""
-    idx = np.arange(min(len(encoded), max_records))
-    out = backbone.forward_full(encoded.take(idx))
-    rep = out.representation.data
+    backbone representation rows `rep`, the first `max_records` of them) and
+    its stochastic output."""
+    rep = rep[:max_records]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x317]))
     enc = encoder_channel_outputs(adapter, rep, rng)
     return binned_mi(rep, enc, bins)

@@ -14,6 +14,7 @@ grid value replaces one fine-tuning setting and becomes one condition.
 Every row is (condition, seed, domain); summary rows carry seed="mean".
 Pretrained backbones are cached on disk keyed by a config digest plus seed,
 so repeated runs and different sweeps over the same base setup reuse them.
+Each backbone scores the test split once, for every grid value and condition.
 """
 
 from __future__ import annotations
@@ -31,19 +32,12 @@ from .datagen import (
     InteractionRecord,
     domain_datasets,
     domain_key,
-    domain_rows,
     generate,
     parse_domain_key,
     split_chronological,
 )
-from .evals import (
-    encoder_mi,
-    report_from_scores,
-    score_adapted,
-    score_backbone,
-    score_label_decile_kl,
-)
-from .models import EncodedBatch, FeatureSpace, MultiTaskModel, build_model, encode_records
+from .evals import SplitPass, encoder_mi, report_from_scores, score_label_decile_kl
+from .models import FeatureSpace, MultiTaskModel, build_model, encode_records
 from .trainer import finetune_all, pretrain
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
@@ -140,26 +134,20 @@ def _adapted_rows(
     ctx: ExperimentContext,
     condition: str,
     seed: int,
-    backbone: MultiTaskModel,
+    split: SplitPass,
     adapters: dict,
-    test_records: list[InteractionRecord],
-    enc_test: EncodedBatch,
     *,
     with_mi: bool = False,
     with_kl: bool = False,
 ) -> list[Row]:
     """One row per adapter whose domain has test records."""
     rows = []
-    for key in sorted(adapters):
-        idx = domain_rows(test_records, adapters[key].domain_key)
-        if idx.size == 0:
-            continue
-        sub = enc_test.take(idx)
-        p_ctr, p_ctcvr = score_adapted(backbone, adapters[key], sub, ctx.cfg.get_int("eval.batch_size"))
+    for key, idx, sub in split.slices({key: a.domain_key for key, a in adapters.items()}):
+        p_ctr, p_ctcvr = split.adapted(adapters[key], idx)
         rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", condition, seed)
         row = Row(condition, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
         if with_mi:
-            row.encoder_mi = encoder_mi(backbone, adapters[key], sub, bins=ctx.cfg.get_int("eval.mi_bins"), seed=seed)
+            row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=ctx.cfg.get_int("eval.mi_bins"), seed=seed)
         if with_kl:
             row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
         rows.append(row)
@@ -183,10 +171,10 @@ def _run_sweep(ctx: ExperimentContext, sweep: Sweep) -> list[Row]:
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
+        split = SplitPass(backbone, test, enc_test)
         for value in sweep.read(ctx.cfg, sweep.grid_key):
             adapters = _finetune(ctx, backbone, train, selectors, seed, **{sweep.section: {sweep.field: value}})
-            rows.extend(_adapted_rows(ctx, sweep.label.format(value), seed, backbone, adapters, test, enc_test,
-                                      with_mi=sweep.with_mi))
+            rows.extend(_adapted_rows(ctx, sweep.label.format(value), seed, split, adapters, with_mi=sweep.with_mi))
     return rows
 
 
@@ -204,10 +192,11 @@ def _run_overlap(ctx: ExperimentContext) -> list[Row]:
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
+        split = SplitPass(backbone, test, enc_test)
         iso = _finetune(ctx, backbone, train, {primary: selectors[primary]}, seed)
-        rows.extend(_adapted_rows(ctx, "isolated", seed, backbone, iso, test, enc_test))
+        rows.extend(_adapted_rows(ctx, "isolated", seed, split, iso))
         mixed = _finetune(ctx, backbone, train, selectors, seed, train={"mixing": weights})
-        rows.extend(_adapted_rows(ctx, "mixed", seed, backbone, {primary: mixed[primary]}, test, enc_test))
+        rows.extend(_adapted_rows(ctx, "mixed", seed, split, {primary: mixed[primary]}))
     return rows
 
 
@@ -219,19 +208,16 @@ def _run_baseline_compare(ctx: ExperimentContext) -> list[Row]:
     for kind in ctx.cfg.get_list("eval.baseline_kinds"):
         for seed in ctx.cfg.get_int_list("eval.seeds"):
             backbone = ctx.pretrained(kind, seed, train)
-            p_ctr, p_ctcvr = score_backbone(backbone, enc_test, ctx.cfg.get_int("eval.batch_size"))
-            for key in sorted(selectors):
-                idx = domain_rows(test, selectors[key])
-                if idx.size == 0:
-                    continue
-                sub = enc_test.take(idx)
-                rep = report_from_scores(p_ctr[idx], p_ctcvr[idx], sub, "test", "zs", seed)
-                kl = score_label_decile_kl(p_ctr[idx], sub.click, sub.item)
+            split = SplitPass(backbone, test, enc_test)
+            for key, idx, sub in split.slices(selectors):
+                p_ctr, p_ctcvr = split.zero_shot(idx)
+                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", "zs", seed)
+                kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
                 rows.append(
                     Row(f"kind={kind}:zero_shot", str(seed), key, rep.ctr_auc, rep.ctcvr_auc, score_label_kl=kl)
                 )
             adapters = _finetune(ctx, backbone, train, selectors, seed)
-            rows.extend(_adapted_rows(ctx, f"kind={kind}:iak", seed, backbone, adapters, test, enc_test, with_kl=True))
+            rows.extend(_adapted_rows(ctx, f"kind={kind}:iak", seed, split, adapters, with_kl=True))
     return rows
 
 

@@ -20,12 +20,11 @@ from typing import IO
 
 import numpy as np
 
-from .datagen import in_domain, parse_domain_key
+from .datagen import in_domain, int64_id, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
 from .models import EncodedBatch, FeatureSpace, MultiTaskModel
 
 ZERO_SHOT = "zero_shot"
-_INT64 = np.iinfo(np.int64)
 
 
 class RequestError(ValueError):
@@ -48,23 +47,14 @@ class ScoreResponse:
     latency_micros: int
 
 
-def _request_id(value) -> int:
-    """An id that fits the int64 columns it is encoded into. int() raises
-    OverflowError for an infinite float and ValueError for NaN."""
-    out = int(value)
-    if not _INT64.min <= out <= _INT64.max:
-        raise OverflowError("id does not fit in int64")
-    return out
-
-
 def request_from_json(obj) -> ScoreRequest:
     if not isinstance(obj, dict):
         raise RequestError("request must be a JSON object")
     try:
-        user_id = _request_id(obj["user_id"])
-        item_id = _request_id(obj["item_id"])
-        domain_ids = {str(k): _request_id(v) for k, v in obj["domain_ids"].items()}
-        feature_ids = [_request_id(v) for v in obj["feature_ids"]]
+        user_id = int64_id(obj["user_id"])
+        item_id = int64_id(obj["item_id"])
+        domain_ids = {str(k): int64_id(v) for k, v in obj["domain_ids"].items()}
+        feature_ids = [int64_id(v) for v in obj["feature_ids"]]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise RequestError(f"bad request fields: {e}") from e
     return ScoreRequest(user_id, item_id, domain_ids, feature_ids)

@@ -169,33 +169,6 @@ def mix_domains(
         yield pools[k][queues[k].pop()]
 
 
-def _finetune_stream(
-    backbone: MultiTaskModel,
-    key: str,
-    adapter: IAKAdapter,
-    stream: list[InteractionRecord],
-    space: FeatureSpace,
-    config: TrainConfig,
-    iak_config: IAKConfig,
-    rng: np.random.Generator,
-    start_step: int,
-) -> list[FinetuneRow]:
-    """Train one adapter on a record stream, in order, at the base rate."""
-    encoded = encode_records(stream, space)
-    rep, base = backbone_cache(backbone, encoded)
-    opt = AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
-    rows = []
-    step = start_step
-    for idx in _batch_indices(len(encoded), config.batch_size, config.epochs, rng):
-        loss, gnorm = adapter_step_cached(
-            backbone, adapter, rep[idx], base[idx], encoded.click[idx], encoded.purchase[idx],
-            opt, config.base_lr, iak_config.beta, weights=backbone.config.loss_weights,
-        )
-        step += 1
-        rows.append(FinetuneRow(step, key, len(idx), loss, gnorm, config.base_lr, 0))
-    return rows
-
-
 def finetune_all(
     backbone: MultiTaskModel,
     domain_datasets: dict[str, list[InteractionRecord]],
@@ -214,8 +187,8 @@ def finetune_all(
     gradient magnitudes in, which couples the shares (the softmax can then
     saturate; saturation is flagged in the curve rows). A mixing map
     reroutes the highest-weighted (primary) domain's stream through
-    weighted cross-domain sampling, trained in stream order at the base
-    rate."""
+    weighted cross-domain sampling; that stream is then shuffled into
+    batches like any one-domain dataset and trained at the base rate."""
     config.validate()
     iak_config.validate()
     if not domain_datasets:
@@ -264,8 +237,8 @@ def finetune_all(
         n_slots = config.epochs * len(windowed[mixing_primary])
         stream = [next(stream_gen) for _ in range(n_slots)]
         curve.extend(
-            _finetune_stream(  # the stream already spans every epoch
-                backbone, mixing_primary, adapters[mixing_primary], stream, space,
+            _finetune_joint(  # the stream already spans every epoch
+                backbone, {mixing_primary: stream}, adapters, space,
                 replace(config, epochs=1), iak_config, shared_rng, start_step=len(curve),
             )
         )
@@ -281,7 +254,10 @@ def _finetune_joint(
     config: TrainConfig,
     iak_config: IAKConfig,
     rng: np.random.Generator,
+    start_step: int = 0,
 ) -> list[FinetuneRow]:
+    """Train `datasets`' adapters on shared shuffled batches at their dynamic
+    rates (exactly the base rate on one key), counting steps on from `start_step`."""
     keys = sorted(datasets)
     encoded = {k: encode_records(datasets[k], space) for k in keys}
     cached = {k: backbone_cache(backbone, encoded[k]) for k in keys}
@@ -293,7 +269,7 @@ def _finetune_joint(
     ])
     prev_norms = np.ones(len(keys))
     rows: list[FinetuneRow] = []
-    step = 0
+    step = start_step
     weights = backbone.config.loss_weights
     for sel in _batch_indices(len(tagged), config.batch_size, config.epochs, rng):
         batch_tags = tagged[sel]

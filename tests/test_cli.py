@@ -2,12 +2,16 @@
 4 missing path, 5 data or schema violation. Each case runs `main(argv)` in
 its own working directory."""
 
+import csv
+import json
+
 import pytest
 
 from iakrec.checkpoint import save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import RunConfig
-from iakrec.models import build_model
+from iakrec.datagen import read_jsonl, split_chronological
+from iakrec.models import MODEL_KINDS, build_model
 
 TINY_CFG = """\
 datagen.n_users = 30
@@ -70,3 +74,36 @@ def test_truncated_checkpoint_exits_5(workdir, keep):
     path.write_bytes(path.read_bytes()[:keep])
     assert _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "backbone.ckpt") == EXIT_SCHEMA
     assert not any(p.name.startswith("eval-") for p in workdir.iterdir())
+
+
+def test_bad_field_type_in_dataset_exits_5(workdir):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    path = workdir / "data" / "dataset.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), domain_ids=3))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _run(workdir, "pretrain", "--data", "data/dataset.jsonl") == EXIT_SCHEMA
+    assert not any(p.name.startswith("pretrain-") for p in workdir.iterdir())
+
+
+@pytest.mark.parametrize("domains, n_adapters", [("period=0", 1), ("period=*,scene=*", 5)])
+def test_eval_forwards_each_test_row_once(workdir, monkeypatch, domains, n_adapters):
+    """One backbone pass over the test split, whatever the adapter count."""
+    data = "data/dataset.jsonl"
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    assert _run(workdir, "pretrain", "--data", data, "--outdir", "pre") == EXIT_OK
+    assert _run(workdir, "finetune", "--data", data, "--backbone", "pre/backbone.ckpt", "--outdir", "ft",
+                "--set", f"train.finetune_domains={domains}") == EXIT_OK
+    cls = MODEL_KINDS[RunConfig().get("model.kind")]
+    forward, rows = cls.forward_full, []
+
+    def counted(self, batch):
+        rows.append(len(batch))
+        return forward(self, batch)
+
+    monkeypatch.setattr(cls, "forward_full", counted)
+    assert _run(workdir, "eval", "--data", data, "--checkpoint", "ft/finetuned.ckpt", "--outdir", "ev") == EXIT_OK
+    _, test = split_chronological(read_jsonl(workdir / data), RunConfig().get_ratio("datagen.split_ratio"))
+    assert sum(rows) == len(test)
+    with open(workdir / "ev" / "report.csv", newline="", encoding="utf-8") as f:
+        assert sum(r["model"].startswith("iak:") for r in csv.DictReader(f)) == n_adapters

@@ -200,6 +200,29 @@ class TestJsonl:
         with pytest.raises(DatasetError, match=":2:"):
             read_jsonl(p)
 
+    GOOD = {"timestamp": 1, "user_id": 1, "item_id": 1,
+            "domain_ids": {"scene": 0, "region": 0, "period": 0},
+            "feature_ids": [1], "click": 1, "purchase": 0}
+
+    @pytest.mark.parametrize("line", [
+        "5",
+        json.dumps(dict(GOOD, domain_ids=3)),
+        json.dumps(dict(GOOD, feature_ids=5)),
+        json.dumps(GOOD).replace('"timestamp": 1', '"timestamp": 1e400'),
+        json.dumps(dict(GOOD, user_id="x")),
+        json.dumps(dict(GOOD, user_id=2**70)),
+        json.dumps(dict(GOOD, item_id=None)),
+        json.dumps(dict(GOOD, feature_ids=[1, 2**63])),
+        json.dumps(GOOD).replace('"user_id": 1', '"user_id": ' + "9" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["not_object", "domain_ids_int", "feature_ids_int", "timestamp_inf", "user_id_str",
+            "user_id_past_int64", "item_id_null", "feature_id_past_int64", "user_id_too_long", "nested_too_deep"])
+    def test_bad_field_types_report_line(self, tmp_path, line):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
+        with pytest.raises(DatasetError, match=":2:"):
+            read_jsonl(p)
+
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"timestamp": 1,\n')

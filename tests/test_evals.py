@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iakrec.config import RunConfig
+from iakrec.datagen import generate
 from iakrec.evals import (
     MetricError,
+    SplitPass,
     auc,
     binned_mi,
     histogram2d,
@@ -19,7 +22,7 @@ from iakrec.evals import (
     sym_kl,
 )
 from iakrec.iak import IAKAdapter, IAKConfig
-from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.router import DomainRouter, ScoreRequest, encode_request
 
 
@@ -257,3 +260,37 @@ class TestScoring:
             p_ctr, p_ctcvr = score_backbone(router.backbone, enc, 1)
             assert (p_ctr[0], p_ctcvr[0]) == (base.p_ctr, base.p_ctcvr)
         assert served == {"period=0", "period=1", "zero_shot"}
+
+
+class TestSplitPass:
+    """Slices of one full-split pass score like a backbone pass over each
+    slice alone. The split is longer than the 4096-row chunk, so the two
+    sides run the backbone over different chunks."""
+
+    CFG = RunConfig({"datagen.n_users": "80", "datagen.n_items": "40", "datagen.n_days": "2",
+                     "datagen.records_per_day": "3000", "datagen.period_shifts": "0.5,-0.5,0.8"})
+
+    @pytest.mark.parametrize("kind", ["base", "esmm", "mmoe", "shared_bottom"])
+    def test_slices_match_per_slice_scoring(self, kind):
+        records = generate(self.CFG.generator_config())
+        space = self.CFG.feature_space()
+        encoded = encode_records(records, space)
+        backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), space, seed=0)
+        backbone.set_trainable(False)
+        adapters = {}
+        for period in (0, 1, 2):
+            adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)),
+                                 {"period": period}, seed=period + 1)
+            adapter.decoder_out.w.data[:] = 0.1 * (period - 1)
+            adapter.decoder_out.b.data[:] = 0.05 * (period + 1)
+            adapters[f"period={period}"] = adapter
+        split = SplitPass(backbone, records, encoded)
+        assert len(encoded) > 4096
+        slices = list(split.slices({key: a.domain_key for key, a in adapters.items()}))
+        assert [key for key, _, _ in slices] == sorted(adapters)
+        for key, idx, sub in slices:
+            for got, want in ((split.adapted(adapters[key], idx), score_adapted(backbone, adapters[key], sub)),
+                              (split.zero_shot(idx), score_backbone(backbone, sub))):
+                for g, w, labels in zip(got, want, (sub.click, sub.purchase)):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+                    assert auc(g, labels) == auc(w, labels)

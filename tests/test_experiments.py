@@ -3,8 +3,10 @@ import itertools
 
 import pytest
 
+from iakrec import experiments
 from iakrec.config import RunConfig
-from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, run_experiment
+from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentContext, run_experiment
+from iakrec.models import MODEL_KINDS
 
 TINY = {
     "datagen.n_users": "60",
@@ -88,3 +90,33 @@ def test_diagnostic_columns(reports):
             assert r[col["ctr_auc"]] != ""
             assert (r[col["encoder_mi"]] != "") == (kind == "beta_sweep")
             assert (r[col["score_label_kl"]] != "") == (kind == "baseline_compare")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
+    """Outside pretraining and fine-tuning, the backbone runs once over the
+    test split per (model kind, seed), whatever the grid or the domains."""
+    training, scored = [], []
+
+    def flagged(fn):
+        def run(*args, **kwargs):
+            training.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                training.pop()
+        return run
+
+    for name in ("pretrain", "finetune_all"):
+        monkeypatch.setattr(experiments, name, flagged(getattr(experiments, name)))
+    for cls in MODEL_KINDS.values():
+        def counted(self, batch, forward=cls.forward_full):
+            if not training:
+                scored.append(len(batch))
+            return forward(self, batch)
+        monkeypatch.setattr(cls, "forward_full", counted)
+    cfg = RunConfig(TINY)
+    run_experiment(kind, cfg, tmp_path / "run", tmp_path)
+    _, test = ExperimentContext(cfg, tmp_path).dataset()
+    backbones = len(cfg.get_list("eval.baseline_kinds")) if kind == "baseline_compare" else 1
+    assert scored == [len(test)] * backbones * len(SEEDS)
