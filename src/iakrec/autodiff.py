@@ -1,13 +1,20 @@
-"""Minimal dense-tensor reverse-mode autodiff engine.
+"""Minimal reverse-mode autodiff engine over float64 numpy arrays.
 
 Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
 gradients. float64 throughout; any NaN/Inf produced by an op is an error.
+
+Gradients are dense arrays, except where `gather_rows` looks up rows of a
+`Parameter` (an embedding table): there backward records the touched rows
+and their gradient rows, and the optimizer updates only those rows. A step
+therefore costs the rows a batch touches, not the size of the table.
+`Parameter.grad` still reads as a dense array, built on read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import EllipsisType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +41,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self._bind(_as_array(data), requires_grad)
+
+    def _bind(self, data: np.ndarray, requires_grad: bool) -> None:
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -82,20 +92,62 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor. Frozen parameters keep an all-zero gradient."""
+    """Named trainable tensor. Frozen parameters keep an all-zero gradient.
 
-    __slots__ = ("name", "trainable")
+    The gradient is held as an optional dense array plus the `(rows, values)`
+    pairs that `gather_rows` records, so a lookup into a large table never
+    allocates a table-sized array."""
+
+    __slots__ = ("name", "trainable", "_dense_grad", "_row_grads")
 
     def __init__(self, data, name: str, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
         self.trainable = trainable
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Dense gradient, built on read: the recorded row gradients are
+        folded into it (zeros when nothing was recorded). Once read, the
+        gradient is dense, and the optimizer touches every row this step."""
+        if self._dense_grad is None:
+            self._dense_grad = np.zeros_like(self.data)
+        for rows, values in self._row_grads:
+            np.add.at(self._dense_grad, rows, values)
+        self._row_grads = []
+        return self._dense_grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._dense_grad = value
+        self._row_grads = []
+
+    def add_row_grad(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Accumulate `values[i]` into the gradient of row `rows[i]`."""
+        self._row_grads.append((rows, values))
+
+    def touched_grad(self) -> tuple[np.ndarray | EllipsisType, np.ndarray] | None:
+        """(rows, their gradient) for the optimizer, or None when no gradient
+        was recorded. A dense gradient touches every row (`...`); row
+        gradients alone are summed over their unique, sorted rows."""
+        if self._dense_grad is not None:
+            return ..., self.grad
+        if not self._row_grads:
+            return None
+        rows = np.concatenate([r for r, _ in self._row_grads])
+        values = np.concatenate([v for _, v in self._row_grads])
+        unique, inverse = np.unique(rows, return_inverse=True)
+        # segment sum as one flat bincount: entry (i, j) lands in bin
+        # inverse[i] * width + j, summed in recording order
+        width = values.shape[1]
+        bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+        summed = np.bincount(bins, weights=values.reshape(-1), minlength=unique.size * width)
+        return unique, summed.reshape(unique.size, width)
 
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = trainable
         self.requires_grad = trainable
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
@@ -106,10 +158,12 @@ def _wrap(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None], op: str) -> Tensor:
-    """Build an op output node; prunes the graph when no parent needs grad."""
+    """Build an op output node; prunes the graph when no parent needs grad.
+    The finiteness check here is the only one an op output gets."""
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values in output of {op}")
-    out = Tensor(data)
+    out = Tensor.__new__(Tensor)
+    out._bind(data, False)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -316,23 +370,40 @@ def reduce_mean(a) -> Tensor:
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Row lookup table[idx]; gradient scatter-adds into the selected rows."""
+    """Row lookup into a 2-d table. 1-d indices give `table[idx]`; (B, k)
+    indices give the mean of each example's k rows, one node for a pooled
+    lookup. Backward into a Parameter records the touched rows and their
+    gradient rows; into any other tensor it scatter-adds a dense gradient."""
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows table must be 2-d")
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be 1-d")
+    if idx.ndim not in (1, 2) or (idx.ndim == 2 and idx.shape[1] == 0):
+        raise ShapeError("gather_rows indices must be 1-d, or 2-d with at least one column")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError("gather_rows index out of range")
+    if idx.ndim == 1:
+        data = table.data[idx]
+    else:
+        # numpy sums the slot axis in slot order, so this equals adding the
+        # k looked-up rows one by one and scaling by 1/k
+        data = table.data[idx].sum(axis=1) * (1.0 / idx.shape[1])
 
     def backward(out: Tensor) -> None:
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            _accum(table, g)
+        if not table.requires_grad:
+            return
+        g = out.grad
+        if idx.ndim == 2:
+            g = np.repeat(g * (1.0 / idx.shape[1]), idx.shape[1], axis=0)
+        rows = idx.reshape(-1)
+        if isinstance(table, Parameter):
+            table.add_row_grad(rows, g)
+        else:
+            dense = np.zeros_like(table.data)
+            np.add.at(dense, rows, g)
+            _accum(table, dense)
 
-    return _make(table.data[idx], (table,), backward, "gather_rows")
+    return _make(data, (table,), backward, "gather_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +451,9 @@ def backward(loss: Tensor) -> ComputationRecord:
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
+    """Clear every gradient; nothing is allocated until one is recorded."""
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +463,15 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 
 @dataclass
 class AdagradDecayState:
-    """Per-parameter squared-gradient accumulators with exponential decay."""
+    """Per-parameter squared-gradient accumulators with exponential decay,
+    each parameter's step count, and the step at which each row (index on
+    the leading axis) was last updated."""
 
     decay: float = 0.9999
     epsilon: float = 1e-8
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
+    steps: dict[str, int] = field(default_factory=dict)
+    last_step: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.decay <= 1.0:
@@ -405,24 +481,42 @@ class AdagradDecayState:
 
 
 def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr: float) -> None:
-    """acc <- decay*acc + g^2;  p <- p - lr*g/(sqrt(acc)+eps). Frozen
-    parameters are left untouched."""
+    """Decayed Adagrad over the rows a gradient touches. At a parameter's
+    step t, for every touched row r:
+
+        acc[r] <- decay**(t - last[r]) * acc[r] + g[r]^2
+        p[r]   <- p[r] - lr * g[r] / (sqrt(acc[r]) + eps);   last[r] <- t
+
+    A row left untouched has g = 0, so the dense rule (acc <- decay*acc + g^2
+    on every row, every step) only decays its accumulator and leaves the row
+    where it is; the power catches those k = t - last[r] decays up on the
+    row's next touch (decayed per-coordinate Adagrad, Duchi et al., JMLR
+    2011). A dense gradient touches every row at every step, so k = 1, and
+    decay**1 == decay exactly: dense parameters follow the dense rule bit
+    for bit. Rows are updated in place. Frozen parameters are left
+    untouched."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     for p in params:
         if not p.trainable:
             continue
-        g = p.grad
-        if g is None:
+        touched = p.touched_grad()
+        t = state.steps.get(p.name, 0) + 1
+        state.steps[p.name] = t
+        if touched is None:
             continue
+        rows, g = touched
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for {p.name}")
         acc = state.accumulators.get(p.name)
         if acc is None:
-            acc = np.zeros_like(p.data)
-        acc = state.decay * acc + g * g
-        state.accumulators[p.name] = acc
-        p.data = p.data - lr * g / (np.sqrt(acc) + state.epsilon)
+            acc = state.accumulators[p.name] = np.zeros_like(p.data)
+            state.last_step[p.name] = np.zeros(p.data.shape[:1], dtype=np.int64)
+        last = state.last_step[p.name]
+        decay = state.decay ** (t - last[rows])
+        acc[rows] = decay.reshape(decay.shape + (1,) * (acc.ndim - 1)) * acc[rows] + g * g
+        last[rows] = t
+        p.data[rows] = p.data[rows] - lr * g / (np.sqrt(acc[rows]) + state.epsilon)
 
 
 def grad_l2_norm(params: Iterable[Parameter]) -> float:

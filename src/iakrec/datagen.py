@@ -301,12 +301,34 @@ def write_jsonl(dataset: list[InteractionRecord], path: str | Path) -> None:
 
 
 def int64_id(value) -> int:
-    """An id that fits the int64 columns it is encoded into. int() raises
-    OverflowError for infinity, ValueError for NaN or text, TypeError for null."""
-    out = int(value)
-    if not _INT64_MIN <= out <= _INT64_MAX:
+    """An id that fits the int64 columns it is encoded into. Only a JSON
+    integer or a float with a zero fraction is an id: bools, text, null and
+    non-integral or non-finite numbers raise TypeError, and ids outside int64
+    raise OverflowError."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:  # bool is an int subclass, not an int
+        raise TypeError(f"an id must be an integer, got {type(value).__name__} {value!r:.40}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
         raise OverflowError("id does not fit in int64")
-    return out
+    return value
+
+
+def id_fields(obj: dict) -> tuple[int, int, dict[str, int], list[int]]:
+    """(user_id, item_id, domain_ids, feature_ids) of a record or request
+    object, each checked by `int64_id`; `domain_ids` must be an object and
+    `feature_ids` an array. Raises KeyError, TypeError or OverflowError."""
+    domain_ids, feature_ids = obj["domain_ids"], obj["feature_ids"]
+    if not isinstance(domain_ids, dict):
+        raise TypeError("domain_ids must be an object")
+    if not isinstance(feature_ids, list):
+        raise TypeError("feature_ids must be an array")
+    return (
+        int64_id(obj["user_id"]),
+        int64_id(obj["item_id"]),
+        {str(k): int64_id(v) for k, v in domain_ids.items()},
+        [int64_id(v) for v in feature_ids],
+    )
 
 
 def read_jsonl(path: str | Path) -> list[InteractionRecord]:
@@ -329,18 +351,19 @@ def read_jsonl(path: str | Path) -> list[InteractionRecord]:
             if missing:
                 raise DatasetError(f"{path}:{lineno}: missing keys {missing}")
             try:
+                user_id, item_id, domain_ids, feature_ids = id_fields(obj)
                 rec = InteractionRecord(
                     timestamp=int(obj["timestamp"]),
-                    user_id=int64_id(obj["user_id"]),
-                    item_id=int64_id(obj["item_id"]),
-                    domain_ids={str(k): int64_id(v) for k, v in obj["domain_ids"].items()},
-                    feature_ids=[int64_id(v) for v in obj["feature_ids"]],
+                    user_id=user_id,
+                    item_id=item_id,
+                    domain_ids=domain_ids,
+                    feature_ids=feature_ids,
                     click=int(obj["click"]),
                     purchase=int(obj["purchase"]),
                 )
                 rec.validate()
             # DatasetError from validate() is a ValueError too
-            except (TypeError, ValueError, AttributeError, OverflowError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise DatasetError(f"{path}:{lineno}: {e}") from e
             records.append(rec)
     return records

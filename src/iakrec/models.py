@@ -123,6 +123,7 @@ class EmbeddingTable:
         self.rows = Parameter(rng.normal(0.0, 0.1, size=(vocab_size + 1, dim)), name=f"{name}.rows")
 
     def lookup(self, raw_ids: np.ndarray) -> Tensor:
+        """Rows of 1-d ids; the mean row of each example's ids when 2-d."""
         return ad.gather_rows(self.rows, _safe_rows(raw_ids, self.vocab_size))
 
 
@@ -230,13 +231,9 @@ class EmbeddingBundle:
         ]
         for c, table in enumerate(self.features):
             parts.append(table.lookup(batch.features[:, c]))
-        # recent clicked items pool through the item table; empty slots hit
-        # the out-of-vocab row
-        h = self.space.history_len
-        pooled = self.item.lookup(batch.history[:, 0])
-        for s in range(1, h):
-            pooled = ad.add(pooled, self.item.lookup(batch.history[:, s]))
-        parts.append(ad.mul(pooled, 1.0 / h))
+        # recent clicked items mean-pool through the item table in one lookup;
+        # empty slots hit the out-of-vocab row
+        parts.append(self.item.lookup(batch.history))
         return ad.concat(parts, axis=1)
 
     def parameters(self) -> list[Parameter]:

@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .datagen import in_domain, int64_id, parse_domain_key
+from .datagen import id_fields, in_domain, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
 from .models import EncodedBatch, FeatureSpace, MultiTaskModel
 
@@ -51,13 +51,9 @@ def request_from_json(obj) -> ScoreRequest:
     if not isinstance(obj, dict):
         raise RequestError("request must be a JSON object")
     try:
-        user_id = int64_id(obj["user_id"])
-        item_id = int64_id(obj["item_id"])
-        domain_ids = {str(k): int64_id(v) for k, v in obj["domain_ids"].items()}
-        feature_ids = [int64_id(v) for v in obj["feature_ids"]]
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        return ScoreRequest(*id_fields(obj))
+    except (KeyError, TypeError, OverflowError) as e:
         raise RequestError(f"bad request fields: {e}") from e
-    return ScoreRequest(user_id, item_id, domain_ids, feature_ids)
 
 
 def encode_request(request: ScoreRequest, space: FeatureSpace) -> EncodedBatch:

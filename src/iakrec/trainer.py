@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import AdagradDecayState
 from .datagen import InteractionRecord, filter_by_domain, parse_domain_key, window_by_days
 from .iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from .models import FeatureSpace, MultiTaskModel, encode_records, task_bce
+from .models import EncodedBatch, FeatureSpace, MultiTaskModel, encode_records, task_bce
 
 GRAD_NORM_FLOOR = 1e-8
 SATURATION_LEVEL = 0.99  # max softmax share above this with >1 active domain
@@ -83,22 +83,25 @@ def pretrain(
     encoded = encode_records(records, model.space)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E7]))
     opt = AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
+    curve = []
+    for step, idx in enumerate(_batch_indices(len(encoded), config.batch_size, config.epochs, rng), start=1):
+        curve.append((step, *pretrain_step(model, encoded.take(idx), opt, config.base_lr)))
+    return curve
+
+
+def pretrain_step(model: MultiTaskModel, batch: EncodedBatch, opt: AdagradDecayState, lr: float) -> tuple[float, float, float]:
+    """One optimizer step of every parameter on one batch. Returns (loss,
+    loss_ctr, loss_ctcvr)."""
     params = model.parameters()
     weights = model.config.loss_weights
-    curve = []
-    step = 0
-    for idx in _batch_indices(len(encoded), config.batch_size, config.epochs, rng):
-        batch = encoded.take(idx)
-        ad.zero_grads(params)
-        pred = model.forward_full(batch).prediction
-        l_ctr = task_bce(pred.p_ctr, batch.click)
-        l_ctcvr = task_bce(pred.p_ctcvr, batch.purchase)
-        loss = ad.add(ad.mul(l_ctr, weights[0]), ad.mul(l_ctcvr, weights[1]))
-        ad.backward(loss)
-        ad.adagrad_decay_step(params, opt, config.base_lr)
-        step += 1
-        curve.append((step, float(loss.data), float(l_ctr.data), float(l_ctcvr.data)))
-    return curve
+    ad.zero_grads(params)
+    pred = model.forward_full(batch).prediction
+    l_ctr = task_bce(pred.p_ctr, batch.click)
+    l_ctcvr = task_bce(pred.p_ctcvr, batch.purchase)
+    loss = ad.add(ad.mul(l_ctr, weights[0]), ad.mul(l_ctcvr, weights[1]))
+    ad.backward(loss)
+    ad.adagrad_decay_step(params, opt, lr)
+    return float(loss.data), float(l_ctr.data), float(l_ctcvr.data)
 
 
 def dynamic_lr(n_b: np.ndarray, grad_norms: np.ndarray, lam: float) -> np.ndarray:

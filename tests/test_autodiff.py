@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -95,7 +98,8 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize(
     "op",
-    ["softmax", "concat", "slice", "gather", "softplus", "square", "mean_mul"],
+    ["softmax", "concat", "slice", "gather", "gather_pooled", "gather_nonleaf", "gather_and_dense",
+     "softplus", "square", "mean_mul"],
 )
 def test_individual_op_gradients(op):
     rng = np.random.default_rng(hash(op) % 2**31)
@@ -110,6 +114,15 @@ def test_individual_op_gradients(op):
             return ad.reduce_sum(ad.square(ad.slice_cols(w, 1, 3)))
         if op == "gather":
             return ad.reduce_sum(ad.square(ad.gather_rows(w, np.array([0, 2, 2, 1]))))
+        if op == "gather_pooled":
+            # repeated rows within and across examples; row 3 never looked up
+            pooled = ad.gather_rows(w, np.array([[0, 2, 2], [1, 0, 0], [2, 2, 2]]))
+            return ad.reduce_sum(ad.square(pooled))
+        if op == "gather_nonleaf":
+            return ad.reduce_sum(ad.square(ad.gather_rows(ad.mul(w, 2.0), np.array([[3, 1], [1, 1]]))))
+        if op == "gather_and_dense":
+            rows = ad.gather_rows(w, np.array([1, 1, 3]))
+            return ad.add(ad.reduce_sum(ad.square(rows)), ad.reduce_sum(ad.mul(w, ad.Tensor(rng2))))
         if op == "softplus":
             return ad.reduce_sum(ad.softplus(w))
         if op == "square":
@@ -128,6 +141,62 @@ def test_frozen_parameter_gets_zero_grad():
     ad.backward(loss)
     np.testing.assert_array_equal(w.grad, np.zeros(3))
     np.testing.assert_array_equal(v.grad, np.ones(3))
+
+
+def test_pooled_gather_is_the_slot_by_slot_mean():
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(50, 8))
+    idx = rng.integers(0, 50, size=(512, 5))
+    expected = table[idx[:, 0]]
+    for s in range(1, 5):
+        expected = expected + table[idx[:, s]]
+    assert ad.gather_rows(table, idx).data.tobytes() == (expected * (1.0 / 5)).tobytes()
+
+
+def test_gather_records_rows_and_reads_dense():
+    w = ad.Parameter(np.ones((5, 2)), "w")
+    ad.backward(ad.reduce_sum(ad.gather_rows(w, np.array([[4, 1], [4, 4]]))))
+    rows, g = w.touched_grad()
+    np.testing.assert_array_equal(rows, [1, 4])
+    np.testing.assert_array_equal(g, [[0.5, 0.5], [1.5, 1.5]])
+    np.testing.assert_array_equal(w.grad, [[0, 0], [0.5, 0.5], [0, 0], [0, 0], [1.5, 1.5]])
+
+
+def _nan_tensor():
+    t = ad.Tensor(np.ones((2, 2)))
+    t.data[0, 1] = np.nan  # past the constructor's own check
+    return t
+
+
+PRIMITIVES = {
+    "add": lambda x: ad.add(x, 1.0),
+    "sub": lambda x: ad.sub(1.0, x),
+    "mul": lambda x: ad.mul(x, 2.0),
+    "matmul": lambda x: ad.matmul(x, ad.Tensor(np.ones((2, 3)))),
+    "sigmoid": ad.sigmoid,
+    "leaky_relu": ad.leaky_relu,
+    "softmax": ad.softmax,
+    "log": ad.log,
+    "exp": ad.exp,
+    "softplus": ad.softplus,
+    "square": ad.square,
+    "clip": lambda x: ad.clip(x, -1.0, 1.0),
+    "concat": lambda x: ad.concat([x, x]),
+    "slice_cols": lambda x: ad.slice_cols(x, 1, 2),
+    "sum": ad.reduce_sum,
+    "mean": ad.reduce_mean,
+    "gather_rows": lambda x: ad.gather_rows(x, np.array([[0, 1], [1, 0]])),
+}
+
+
+def test_the_primitive_table_covers_every_op():
+    assert set(PRIMITIVES) == set(re.findall(r'backward, "(\w+)"\)', inspect.getsource(ad)))
+
+
+@pytest.mark.parametrize("op", sorted(PRIMITIVES))
+def test_every_primitive_rejects_a_non_finite_output(op):
+    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError, match=f"output of {op}$"):
+        PRIMITIVES[op](_nan_tensor())
 
 
 def test_computation_record_visits_each_node_once():
@@ -195,6 +264,71 @@ class TestAdagradDecay:
         w = ad.Parameter(np.array([1.0]), "w")
         with pytest.raises(ValueError):
             ad.adagrad_decay_step([w], ad.AdagradDecayState(), lr=0.0)
+
+
+class TestLazyDecay:
+    DECAY, LR, EPS = 0.9, 0.05, 1e-8
+
+    def test_untouched_row_keeps_its_bits_and_catches_up_its_decay(self):
+        rng = np.random.default_rng(11)
+        table = ad.Parameter(rng.normal(size=(6, 3)), "table")
+        initial = table.data.copy()
+        state = ad.AdagradDecayState(decay=self.DECAY, epsilon=self.EPS)
+        acc = np.zeros((6, 3))  # the dense rule's accumulator
+        k = 7
+        schedule = [[4, 0]] + [[0, 1, 1]] * k + [[4, 2, 4]]
+        for step, rows in enumerate(schedule):
+            weights = rng.normal(size=(len(rows), 3))
+            g = np.zeros((6, 3))
+            np.add.at(g, rows, weights)
+            acc = self.DECAY * acc + g * g
+            ad.zero_grads([table])
+            ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, np.array(rows)), ad.Tensor(weights))))
+            ad.adagrad_decay_step([table], state, lr=self.LR)
+            if step == 0:
+                row4 = table.data[4].tobytes()
+            elif step <= k:
+                assert table.data[4].tobytes() == row4
+        for never in (3, 5):
+            assert table.data[never].tobytes() == initial[never].tobytes()
+            assert state.last_step["table"][never] == 0
+        assert state.last_step["table"][4] == state.steps["table"] == k + 2
+        np.testing.assert_allclose(state.accumulators["table"][4], acc[4], rtol=1e-15, atol=0)
+
+    def test_mixed_row_and_dense_gradient_takes_the_dense_rule(self):
+        rng = np.random.default_rng(5)
+        w = ad.Parameter(rng.normal(size=(4, 2)), "w")
+        state = ad.AdagradDecayState(decay=self.DECAY, epsilon=self.EPS)
+        acc = np.zeros((4, 2))
+        for _ in range(5):
+            ad.zero_grads([w])
+            rows = ad.gather_rows(w, np.array([2, 2]))
+            ad.backward(ad.add(ad.reduce_sum(ad.square(rows)), ad.reduce_sum(ad.mul(w, 0.5))))
+            g = w.grad.copy()
+            acc = self.DECAY * acc + g * g
+            expected = w.data - self.LR * g / (np.sqrt(acc) + self.EPS)
+            ad.adagrad_decay_step([w], state, lr=self.LR)
+            assert w.data.tobytes() == expected.tobytes()
+
+    def test_dense_parameters_follow_the_dense_rule_bitwise(self):
+        # the `_train_toy` model, 50 steps, each checked against the dense rule
+        rng = np.random.default_rng(7)
+        w = ad.Parameter(rng.normal(size=(3, 1)), "w")
+        x = rng.normal(size=(20, 3))
+        y = ad.Tensor((x @ np.array([[1.0], [-2.0], [0.5]]) > 0).astype(float))
+        state = ad.AdagradDecayState()
+        acc = np.zeros((3, 1))
+        for _ in range(50):
+            ad.zero_grads([w])
+            p = ad.clip(ad.sigmoid(ad.matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
+            ll = ad.add(ad.mul(y, ad.log(p)), ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p))))
+            ad.backward(ad.mul(ad.reduce_mean(ll), -1.0))
+            g = w.grad.copy()
+            acc = state.decay * acc + g * g
+            expected = w.data - 0.05 * g / (np.sqrt(acc) + state.epsilon)
+            ad.adagrad_decay_step([w], state, lr=0.05)
+            assert w.data.tobytes() == expected.tobytes()
+            assert state.accumulators["w"].tobytes() == acc.tobytes()
 
 
 def _train_toy(seed):

@@ -215,13 +215,30 @@ class TestJsonl:
         json.dumps(dict(GOOD, feature_ids=[1, 2**63])),
         json.dumps(GOOD).replace('"user_id": 1', '"user_id": ' + "9" * 5000),
         "[" * 100_000 + "]" * 100_000,
+        json.dumps(dict(GOOD, user_id=1.5)),
+        json.dumps(dict(GOOD, user_id=True)),
+        json.dumps(dict(GOOD, item_id="7")),
+        json.dumps(dict(GOOD, feature_ids="37")),
+        json.dumps(dict(GOOD, feature_ids={"1": 2})),
+        json.dumps(dict(GOOD, feature_ids=[1, 2.5])),
+        json.dumps(dict(GOOD, domain_ids={"scene": "0", "region": 0, "period": 0})),
+        json.dumps(dict(GOOD, domain_ids={"scene": False, "region": 0, "period": 0})),
     ], ids=["not_object", "domain_ids_int", "feature_ids_int", "timestamp_inf", "user_id_str",
-            "user_id_past_int64", "item_id_null", "feature_id_past_int64", "user_id_too_long", "nested_too_deep"])
+            "user_id_past_int64", "item_id_null", "feature_id_past_int64", "user_id_too_long", "nested_too_deep",
+            "user_id_fraction", "user_id_bool", "item_id_digit_str", "feature_ids_str", "feature_ids_object",
+            "feature_id_fraction", "domain_id_digit_str", "domain_id_bool"])
     def test_bad_field_types_report_line(self, tmp_path, line):
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
         with pytest.raises(DatasetError, match=":2:"):
             read_jsonl(p)
+
+    def test_integral_float_ids_are_read_as_ints(self, tmp_path):
+        p = tmp_path / "floats.jsonl"
+        p.write_text(json.dumps(dict(self.GOOD, user_id=3.0, feature_ids=[2.0, -1])) + "\n")
+        (rec,) = read_jsonl(p)
+        assert rec.user_id == 3 and type(rec.user_id) is int
+        assert rec.feature_ids == [2, -1] and all(type(f) is int for f in rec.feature_ids)
 
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"

@@ -126,6 +126,12 @@ class TestRequestParsing:
         req = request_from_json(obj)
         assert req.user_id == 1 and req.domain_ids == {"scene": 0}
 
+    def test_integral_float_ids_are_accepted(self):
+        req = request_from_json(json.loads(
+            '{"user_id": 4.0, "item_id": -0.0, "domain_ids": {"period": 1.0}, "feature_ids": [2e0]}'))
+        assert (req.user_id, req.item_id, req.domain_ids, req.feature_ids) == (4, 0, {"period": 1}, [2])
+        assert all(type(v) is int for v in (req.user_id, req.item_id, req.domain_ids["period"], *req.feature_ids))
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -133,6 +139,14 @@ class TestRequestParsing:
             '{"user_id": "x", "item_id": 2, "domain_ids": {}, "feature_ids": []}',
             '{"user_id": 1, "item_id": 2, "domain_ids": 3, "feature_ids": []}',
             "[1,2,3]",
+            '{"user_id": 2.9, "item_id": 2, "domain_ids": {}, "feature_ids": []}',
+            '{"user_id": true, "item_id": 2, "domain_ids": {}, "feature_ids": []}',
+            '{"user_id": 1, "item_id": "2", "domain_ids": {}, "feature_ids": []}',
+            '{"user_id": 1, "item_id": 2, "domain_ids": {"period": "0"}, "feature_ids": []}',
+            '{"user_id": 1, "item_id": 2, "domain_ids": {"period": 0.5}, "feature_ids": []}',
+            '{"user_id": 1, "item_id": 2, "domain_ids": {}, "feature_ids": "37"}',
+            '{"user_id": 1, "item_id": 2, "domain_ids": {}, "feature_ids": {"1": 2}}',
+            '{"user_id": 1, "item_id": 2, "domain_ids": {}, "feature_ids": [false]}',
         ],
     )
     def test_malformed_rejected(self, payload):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from iakrec.datagen import (
     parse_domain_key,
 )
 from iakrec.iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
+from iakrec.models import EncodedBatch, FeatureSpace, ModelConfig, build_model, encode_records, task_bce
 from iakrec.trainer import (
     TrainConfig,
     TrainerError,
@@ -22,6 +24,7 @@ from iakrec.trainer import (
     mix_domains,
     model_digest,
     pretrain,
+    pretrain_step,
 )
 
 SPACE = FeatureSpace(n_users=120, n_items=60, n_scenes=2, n_regions=1, n_periods=2)
@@ -84,6 +87,70 @@ class TestPretrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainerError):
             pretrain(_backbone(), [], TrainConfig())
+
+
+def _random_batch(rng, space, n):
+    """Ids drawn past both ends of each vocabulary, so out-of-vocab rows and
+    empty history slots (-1) are looked up too."""
+    click = rng.integers(0, 2, n).astype(float)
+    return EncodedBatch(
+        user=rng.integers(-1, space.n_users + 1, n),
+        item=rng.integers(-1, space.n_items + 1, n),
+        scene=rng.integers(0, space.n_scenes, n),
+        region=rng.integers(0, space.n_regions, n),
+        period=rng.integers(0, space.n_periods, n),
+        features=rng.integers(-1, space.n_feature_buckets, (n, space.n_feature_cols)),
+        history=rng.integers(-1, space.n_items, (n, space.history_len)),
+        click=click,
+        purchase=click * rng.integers(0, 2, n),
+    )
+
+
+class TestLazyAdagrad:
+    def test_matches_the_dense_rule_over_200_steps(self):
+        space = FeatureSpace(n_users=80, n_items=40, n_scenes=2, n_regions=3, n_periods=3)
+        cfg = ModelConfig(kind="base", hidden_sizes=(12, 6))
+        lazy, dense = build_model(cfg, space, seed=4), build_model(cfg, space, seed=4)
+        decay, lr, eps = 0.95, 0.05, 1e-8
+        state = ad.AdagradDecayState(decay=decay, epsilon=eps)
+        acc = {p.name: np.zeros_like(p.data) for p in dense.parameters()}
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            batch = _random_batch(rng, space, 16)
+            pretrain_step(lazy, batch, state, lr)
+            # the dense rule: every row of every parameter, every step
+            ad.zero_grads(dense.parameters())
+            pred = dense.forward_full(batch).prediction
+            ad.backward(ad.add(ad.mul(task_bce(pred.p_ctr, batch.click), 1.0),
+                               ad.mul(task_bce(pred.p_ctcvr, batch.purchase), 1.0)))
+            for p in dense.parameters():
+                g = p.grad
+                acc[p.name] = decay * acc[p.name] + g * g
+                p.data = p.data - lr * g / (np.sqrt(acc[p.name]) + eps)
+        # rows left behind by the last steps, so the catch-up is exercised
+        assert np.sum(state.last_step["user_emb.rows"] < 200) > 20
+        for p, q in zip(lazy.parameters(), dense.parameters()):
+            assert np.max(np.abs(p.data - q.data)) / np.max(np.abs(q.data)) <= 1e-12, p.name
+            behind = state.steps[p.name] - state.last_step[p.name]
+            caught_up = state.accumulators[p.name] * (decay ** behind).reshape(-1, *[1] * (p.data.ndim - 1))
+            assert np.max(np.abs(caught_up - acc[p.name])) / np.max(acc[p.name]) <= 1e-12, p.name
+
+    def test_step_memory_is_independent_of_the_user_table(self):
+        space = FeatureSpace(n_users=200_000, n_items=500, n_scenes=2, n_regions=3, n_periods=3)
+        model = build_model(ModelConfig(kind="base"), space, seed=1)
+        state = ad.AdagradDecayState()
+        rng = np.random.default_rng(2)
+        pretrain_step(model, _random_batch(rng, space, 128), state, 0.05)  # allocates the optimizer state
+        # the graph's activations scale with the batch (about 2.4 MB at 128
+        # rows); the step must not add anything table-sized to them
+        batch = _random_batch(rng, space, 128)
+        tracemalloc.start()
+        try:
+            pretrain_step(model, batch, state, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.embeddings.user.rows.data.nbytes / 2
 
 
 class TestDynamicLR:
