@@ -65,7 +65,8 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     # router
     "router.lazy_activation": (
         "false",
-        "evaluate only the selected adapter per request; outputs are bitwise identical either way "
+        "apply only the selected adapter to the request's one backbone output, skipping the other "
+        "deployed adapters' MLPs; outputs are bitwise identical either way "
         "(the key stays while the serving benchmark reads it to measure the eager path)",
     ),
     # evaluation / experiments

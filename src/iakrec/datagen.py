@@ -301,16 +301,16 @@ def write_jsonl(dataset: list[InteractionRecord], path: str | Path) -> None:
 
 
 def int64_id(value) -> int:
-    """An id that fits the int64 columns it is encoded into. Only a JSON
-    integer or a float with a zero fraction is an id: bools, text, null and
-    non-integral or non-finite numbers raise TypeError, and ids outside int64
-    raise OverflowError."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
+    """An id (or a timestamp or label) that fits the int64 columns it is
+    encoded into. Only a JSON integer or a float with a zero fraction is one:
+    bools, text, null and non-integral or non-finite numbers raise TypeError,
+    and values outside int64 raise OverflowError."""
     if type(value) is not int:  # bool is an int subclass, not an int
-        raise TypeError(f"an id must be an integer, got {type(value).__name__} {value!r:.40}")
+        if type(value) is not float or not value.is_integer():
+            raise TypeError(f"expected an integer, got {type(value).__name__} {value!r:.40}")
+        value = int(value)
     if not _INT64_MIN <= value <= _INT64_MAX:
-        raise OverflowError("id does not fit in int64")
+        raise OverflowError("value does not fit in int64")
     return value
 
 
@@ -353,13 +353,13 @@ def read_jsonl(path: str | Path) -> list[InteractionRecord]:
             try:
                 user_id, item_id, domain_ids, feature_ids = id_fields(obj)
                 rec = InteractionRecord(
-                    timestamp=int(obj["timestamp"]),
+                    timestamp=int64_id(obj["timestamp"]),
                     user_id=user_id,
                     item_id=item_id,
                     domain_ids=domain_ids,
                     feature_ids=feature_ids,
-                    click=int(obj["click"]),
-                    purchase=int(obj["purchase"]),
+                    click=int64_id(obj["click"]),
+                    purchase=int64_id(obj["purchase"]),
                 )
                 rec.validate()
             # DatasetError from validate() is a ValueError too
@@ -375,13 +375,25 @@ def domain_key(selector: dict[str, int]) -> str:
     return ",".join(f"{t}={i}" for t, i in sorted(selector.items()))
 
 
+def domain_topic(name: str) -> str:
+    """A selector topic: one of TOPICS, else DatasetError."""
+    topic = name.strip()
+    if topic not in TOPICS:
+        raise DatasetError(f"unknown domain topic {name!r}; topics are {', '.join(TOPICS)}")
+    return topic
+
+
 def parse_domain_key(key: str) -> dict[str, int]:
+    """Selector of a `topic=id` key; a part without an integer id or with a
+    topic outside TOPICS raises DatasetError."""
     out: dict[str, int] = {}
     for part in key.split(","):
         topic, _, value = part.partition("=")
-        if not value:
-            raise DatasetError(f"bad domain key part {part!r}")
-        out[topic.strip()] = int(value)
+        try:
+            i = int(value)
+        except ValueError:
+            raise DatasetError(f"bad domain key part {part!r}: the id must be an integer") from None
+        out[domain_topic(topic)] = i
     return out
 
 

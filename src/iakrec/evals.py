@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .datagen import InteractionRecord, domain_rows
-from .iak import IAKAdapter, backbone_cache, head_logits, iak_forward
+from .iak import IAKAdapter, adapted_prediction, backbone_cache
 from .models import EncodedBatch, MultiTaskModel
 
 DEFAULT_BINS = 10
@@ -170,7 +170,7 @@ class EvalReport:
 
 
 def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred = model.predict_from_logits(head_logits(logits))
+    pred = model.predict_from_logits(Tensor(logits))
     return pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
 
 
@@ -179,12 +179,12 @@ def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarra
     """Adapted probabilities in deterministic mean mode from `backbone_cache`
     rows. The correction runs `batch_size` rows at a time, so every row
     equals a single adapted forward over its chunk bit for bit."""
-    corrected = np.empty_like(logits)
+    p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
     for start in range(0, len(rep), batch_size):
         rows = slice(start, start + batch_size)
-        heads = iak_forward(Tensor(rep[rows]), head_logits(logits[rows]), adapter, "mean")
-        corrected[rows] = np.concatenate([l.data for l in heads], axis=1)
-    return _probabilities(backbone, corrected)
+        pred = adapted_prediction(backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]), "mean")
+        p_ctr[rows], p_ctcvr[rows] = pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
+    return p_ctr, p_ctcvr
 
 
 def score_backbone(model: MultiTaskModel, encoded: EncodedBatch, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
@@ -259,16 +259,14 @@ def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
     tracks. Pure numpy; no gradients involved."""
-    x = rep
-    for vl in adapter.encoder:
-        sigma_w = np.logaddexp(0.0, vl.rho_w.data)
-        sigma_b = np.logaddexp(0.0, vl.rho_b.data)
-        b = len(x)
-        w = vl.mu_w.data + sigma_w * rng.standard_normal((b, *vl.mu_w.shape))
-        bias = vl.mu_b.data + sigma_b * rng.standard_normal((b, *vl.mu_b.shape))
-        pre = np.einsum("bi,bio->bo", x, w) + bias
-        x = np.where(pre >= 0.0, pre, 0.01 * pre)
-    return x
+    vl = adapter.encoder
+    sigma_w = np.logaddexp(0.0, vl.rho_w.data)
+    sigma_b = np.logaddexp(0.0, vl.rho_b.data)
+    b = len(rep)
+    w = vl.mu_w.data + sigma_w * rng.standard_normal((b, *vl.mu_w.shape))
+    bias = vl.mu_b.data + sigma_b * rng.standard_normal((b, *vl.mu_b.shape))
+    pre = np.einsum("bi,bio->bo", rep, w) + bias
+    return np.where(pre >= 0.0, pre, 0.01 * pre)
 
 
 def encoder_mi(

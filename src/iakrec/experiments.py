@@ -32,6 +32,7 @@ from .datagen import (
     InteractionRecord,
     domain_datasets,
     domain_key,
+    domain_topic,
     generate,
     parse_domain_key,
     split_chronological,
@@ -101,6 +102,7 @@ def expand_domain_selectors(spec: list[str], records: list[InteractionRecord]) -
     for entry in spec:
         topic, _, value = entry.partition("=")
         if value == "*":
+            topic = domain_topic(topic)
             ids = sorted({r.domain_ids[topic] for r in records})
             for i in ids:
                 sel = {topic: i}

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdagradDecayState, Parameter, Tensor
 from .datagen import domain_key
-from .models import EncodedBatch, Linear, ModelOutput, MultiTaskModel, Prediction, bce_loss
+from .models import EncodedBatch, Linear, MultiTaskModel, Prediction, bce_loss
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -118,7 +118,7 @@ class IAKAdapter:
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
         self.sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
         name = f"adapter/{domain_key(self.domain_key)}"
-        self.encoder = [VariationalLinear(rep_dim, config.d_e, f"{name}/enc0", init_rng)]
+        self.encoder = VariationalLinear(rep_dim, config.d_e, f"{name}/enc0", init_rng)
         dims = [config.d_e, *config.decoder_hidden]
         self.decoder_hidden = [
             Linear(d_in, d_out, f"{name}/dec{i}", init_rng)
@@ -128,7 +128,7 @@ class IAKAdapter:
         self.decoder_out = Linear(dims[-1], n_tasks, f"{name}/dec_out", init_rng, scale=0.0)
 
     def parameters(self) -> list[Parameter]:
-        out = [p for vl in self.encoder for p in vl.parameters()]
+        out = self.encoder.parameters()
         for layer in self.decoder_hidden:
             out.extend(layer.parameters())
         out.extend(self.decoder_out.parameters())
@@ -147,16 +147,13 @@ class IAKAdapter:
 
     @property
     def n_encoder_entries(self) -> int:
-        return sum(vl.n_entries for vl in self.encoder)
+        return self.encoder.n_entries
 
     def encode(self, representation: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
         """Compressed representation, (B, d_e). One weight sample serves the
         whole batch in stochastic mode."""
-        x = representation
-        for vl in self.encoder:
-            w, b = vl.sample_weights(rng if mode == "stochastic" else None, mode)
-            x = ad.leaky_relu(vl.apply(x, w, b))
-        return x
+        w, b = self.encoder.sample_weights(rng, mode)
+        return ad.leaky_relu(self.encoder.apply(representation, w, b))
 
     def correction(self, representation: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
         """Per-task logit corrections, (B, n_tasks)."""
@@ -166,41 +163,29 @@ class IAKAdapter:
         return self.decoder_out(x)
 
     def encoder_kl(self) -> Tensor:
-        total = kl_to_standard_normal(self.encoder[0])
-        for vl in self.encoder[1:]:
-            total = ad.add(total, kl_to_standard_normal(vl))
-        return total
-
-
-def iak_forward(
-    representation: Tensor,
-    base_logits: list[Tensor],
-    adapter: IAKAdapter,
-    mode: str,
-    rng: np.random.Generator | None = None,
-) -> list[Tensor]:
-    """Corrected logits: base plus the adapter's additive correction. A zero
-    correction reproduces the backbone bit-for-bit."""
-    if representation.shape[1] != adapter.rep_dim:
-        raise AdapterError(
-            f"representation width {representation.shape[1]} != adapter rep_dim {adapter.rep_dim}"
-        )
-    if len(base_logits) != adapter.n_tasks:
-        raise AdapterError("adapter task count does not match backbone heads")
-    corr = adapter.correction(representation, mode, rng)
-    return [ad.add(l, ad.slice_cols(corr, i, i + 1)) for i, l in enumerate(base_logits)]
+        return kl_to_standard_normal(self.encoder)
 
 
 def adapted_prediction(
     backbone: MultiTaskModel,
     adapter: IAKAdapter,
-    batch: EncodedBatch,
+    representation: Tensor,
+    base_logits: Tensor,
     mode: str,
     rng: np.random.Generator | None = None,
-) -> tuple[Prediction, ModelOutput]:
-    out = backbone.forward_full(batch)
-    logits = iak_forward(out.representation, out.logits, adapter, mode, rng)
-    return backbone.predict_from_logits(logits), out
+) -> Prediction:
+    """Prediction from a backbone output corrected by an adapter: the (B,
+    n_heads) base logits plus the adapter's additive correction. This is the
+    one adapter path of training, scoring and serving; a zero correction
+    reproduces the backbone bit-for-bit."""
+    if representation.shape[1] != adapter.rep_dim:
+        raise AdapterError(
+            f"representation width {representation.shape[1]} != adapter rep_dim {adapter.rep_dim}"
+        )
+    if base_logits.shape[1] != adapter.n_tasks:
+        raise AdapterError("adapter task count does not match backbone heads")
+    corr = adapter.correction(representation, mode, rng)
+    return backbone.predict_from_logits(ad.add(base_logits, corr))
 
 
 def ib_loss(
@@ -221,11 +206,6 @@ def ib_loss(
     return loss
 
 
-def head_logits(logits: np.ndarray) -> list[Tensor]:
-    """(B, n_heads) logits as the per-head (B, 1) tensors the heads emit."""
-    return [Tensor(logits[:, i : i + 1]) for i in range(logits.shape[1])]
-
-
 def backbone_cache(backbone: MultiTaskModel, batch: EncodedBatch, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Representation and pre-sigmoid head logits of a frozen backbone over a
     dataset, computed `chunk` rows at a time. This is the one backbone pass
@@ -240,7 +220,7 @@ def backbone_cache(backbone: MultiTaskModel, batch: EncodedBatch, chunk: int = 4
         idx = np.arange(start, min(start + chunk, len(batch)))
         out = backbone.forward_full(batch.take(idx))
         rep[idx] = out.representation.data
-        base[idx] = np.concatenate([l.data for l in out.logits], axis=1)
+        base[idx] = out.logits.data
     return rep, base
 
 
@@ -260,8 +240,8 @@ def adapter_step_cached(
     (loss, gradient L2 norm)."""
     params = adapter.parameters()
     ad.zero_grads(params)
-    corrected = iak_forward(Tensor(rep), head_logits(base_logits), adapter, adapter.config.sample_mode, adapter.sample_rng)
-    pred = backbone.predict_from_logits(corrected)
+    pred = adapted_prediction(backbone, adapter, Tensor(rep), Tensor(base_logits),
+                              adapter.config.sample_mode, adapter.sample_rng)
     loss = ib_loss(pred, click, purchase, adapter, beta, weights)
     ad.backward(loss)
     gnorm = ad.grad_l2_norm(params)

@@ -3,9 +3,9 @@ composite BaseRecommender used as the pretraining target.
 
 All model kinds share the identical embedding assembly (id embeddings plus a
 mean-pooled recent-item history vector), so comparisons isolate the head
-architecture. Every kind exposes per-task logits plus a representation vector
-(the concatenated task-tower penultimate activations) that downstream
-adapters consume.
+architecture. Every kind exposes one (B, n_heads) logits tensor plus a
+representation vector (the concatenated task-tower penultimate activations)
+that downstream adapters consume; only `predict_from_logits` splits heads.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class Prediction:
 
 @dataclass
 class ModelOutput:
-    logits: list[Tensor]  # one (B,1) pre-sigmoid tensor per head
+    logits: Tensor  # (B, n_heads) pre-sigmoid, one column per head
     representation: Tensor  # (B, rep_dim)
     prediction: Prediction
 
@@ -294,11 +294,12 @@ class MultiTaskModel:
     def forward_full(self, batch: EncodedBatch) -> ModelOutput:
         raise NotImplementedError
 
-    def predict_from_logits(self, logits: list[Tensor]) -> Prediction:
-        """Heads are (ctr, ctcvr) for every kind except ESMM, whose second
-        head is CVR and whose ctcvr is the exact product."""
-        p0 = ad.sigmoid(logits[0])
-        p1 = ad.sigmoid(logits[1])
+    def predict_from_logits(self, logits: Tensor) -> Prediction:
+        """Probabilities of (B, n_heads) logits. Heads are (ctr, ctcvr) for
+        every kind except ESMM, whose second head is CVR and whose ctcvr is
+        the exact product."""
+        p0 = ad.sigmoid(ad.slice_cols(logits, 0, 1))
+        p1 = ad.sigmoid(ad.slice_cols(logits, 1, 2))
         if self.kind == "esmm":
             return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=ad.mul(p0, p1))
         return Prediction(p_ctr=p0, p_ctcvr=p1)
@@ -326,7 +327,7 @@ class SharedBottom(MultiTaskModel):
     def forward_full(self, batch: EncodedBatch) -> ModelOutput:
         x = self.trunk(self.embeddings.assemble(batch))
         penults = [tower(x) for tower in self.towers]
-        logits = [head(p) for head, p in zip(self.heads, penults)]
+        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
         rep = ad.concat(penults, axis=1)
         return ModelOutput(logits, rep, self.predict_from_logits(logits))
 
@@ -354,7 +355,7 @@ class ESMM(MultiTaskModel):
     def forward_full(self, batch: EncodedBatch) -> ModelOutput:
         x = self.embeddings.assemble(batch)
         penults = [tower(x) for tower in self.towers]
-        logits = [head(p) for head, p in zip(self.heads, penults)]
+        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
         rep = ad.concat(penults, axis=1)
         return ModelOutput(logits, rep, self.predict_from_logits(logits))
 
@@ -406,7 +407,7 @@ class MMoE(MultiTaskModel):
         x = self.embeddings.assemble(batch)
         mixed = self.core(x)
         penults = [tower(m) for tower, m in zip(self.towers, mixed)]
-        logits = [head(p) for head, p in zip(self.heads, penults)]
+        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
         rep = ad.concat(penults, axis=1)
         return ModelOutput(logits, rep, self.predict_from_logits(logits))
 
@@ -432,8 +433,7 @@ class BaseRecommender(MultiTaskModel):
         mixed = self.core(x)
         penults = [tower(m) for tower, m in zip(self.towers, mixed)]
         rep = ad.concat(penults, axis=1)
-        stacked = self.stacked(rep)
-        logits = [ad.slice_cols(stacked, i, i + 1) for i in range(self.n_heads)]
+        logits = self.stacked(rep)
         return ModelOutput(logits, rep, self.predict_from_logits(logits))
 
 

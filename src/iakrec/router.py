@@ -4,11 +4,12 @@ activation, plus a line-oriented JSON scoring loop.
 Adapters run in deterministic mean mode, and the response is exactly the
 output of the most specific adapter whose selector matches the request's
 domain ids. Requests from domains with no adapter fall back to the zero-shot
-backbone, visibly (`served_by = "zero_shot"`). In the default eager mode
-every deployed adapter is evaluated on every request, and each evaluation
-runs the shared frozen backbone again: one backbone forward per adapter, plus
-one more for a zero-shot request. Lazy activation evaluates only the
-selected adapter (or the backbone alone); the outputs are bitwise identical.
+backbone, visibly (`served_by = "zero_shot"`). Every request runs the shared
+frozen backbone once. In the default eager mode every deployed adapter then
+corrects that one output; lazy activation applies only the selected adapter,
+so with K adapters deployed it saves K-1 small adapter MLPs per request (all
+K for a zero-shot request, which reads the backbone's own prediction). The
+outputs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -90,8 +91,6 @@ class DomainRouter:
         self.space = backbone.space
         self.lazy_activation = lazy_activation
         self.adapters = dict(sorted(adapters.items()))
-        if len(set(self.adapters)) != len(adapters):
-            raise RequestError("duplicate adapter domain keys")
         for key, a in self.adapters.items():
             if a.rep_dim != backbone.rep_dim or a.n_tasks != backbone.n_heads:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
@@ -107,25 +106,24 @@ class DomainRouter:
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         t0 = time.perf_counter_ns()
-        batch = encode_request(request, self.space)
+        out = self.backbone.forward_full(encode_request(request, self.space))
         selected = self._select(request.domain_ids)
         if self.lazy_activation:
             evaluated = [selected] if selected is not None else []
         else:
             evaluated = list(self.adapters)
-        results = {}
-        for key in evaluated:
-            pred, _ = adapted_prediction(self.backbone, self.adapters[key], batch, mode="mean")
-            results[key] = (float(pred.p_ctr.data[0, 0]), float(pred.p_ctcvr.data[0, 0]))
-        if selected is None:
-            pred = self.backbone.predict(batch)
-            p_ctr, p_ctcvr = float(pred.p_ctr.data[0, 0]), float(pred.p_ctcvr.data[0, 0])
-            served = ZERO_SHOT
-        else:
-            p_ctr, p_ctcvr = results[selected]
-            served = selected
+        results = {
+            key: adapted_prediction(self.backbone, self.adapters[key], out.representation, out.logits, mode="mean")
+            for key in evaluated
+        }
+        pred = out.prediction if selected is None else results[selected]
         latency = (time.perf_counter_ns() - t0) // 1000
-        return ScoreResponse(p_ctr=p_ctr, p_ctcvr=p_ctcvr, served_by=served, latency_micros=int(latency))
+        return ScoreResponse(
+            p_ctr=float(pred.p_ctr.data[0, 0]),
+            p_ctcvr=float(pred.p_ctcvr.data[0, 0]),
+            served_by=ZERO_SHOT if selected is None else selected,
+            latency_micros=int(latency),
+        )
 
 
 def serve(router: DomainRouter, rfile: IO[str], wfile: IO[str]) -> int:

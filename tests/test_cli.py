@@ -86,6 +86,28 @@ def test_bad_field_type_in_dataset_exits_5(workdir):
     assert not any(p.name.startswith("pretrain-") for p in workdir.iterdir())
 
 
+@pytest.mark.parametrize("entry, named", [
+    ("bogus=*", "'bogus'"),
+    ("bogus=1", "'bogus'"),
+    ("period=0,bogus=1", "'bogus'"),
+    ("period=abc", "'period=abc'"),
+    ("period=1.5", "'period=1.5'"),
+])
+def test_bad_finetune_domain_exits_5(workdir, capsys, entry, named):
+    """A non-integer id or a topic outside scene/region/period is a data
+    error that names the bad entry, not a traceback or a bare int() message."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    cfg = RunConfig({"datagen.n_users": "30", "datagen.n_items": "20", "model.hidden_sizes": "6,3"})
+    model = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
+    save_checkpoint(workdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
+    capsys.readouterr()
+    assert _run(workdir, "finetune", "--data", "data/dataset.jsonl", "--backbone", "backbone.ckpt",
+                "--set", f"train.finetune_domains={entry}") == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("iakrec: error:") and named in err
+    assert not any(p.name.startswith("finetune-") for p in workdir.iterdir())
+
+
 @pytest.mark.parametrize("domains, n_adapters", [("period=0", 1), ("period=*,scene=*", 5)])
 def test_eval_forwards_each_test_row_once(workdir, monkeypatch, domains, n_adapters):
     """One backbone pass over the test split, whatever the adapter count."""

@@ -233,6 +233,25 @@ class TestJsonl:
         with pytest.raises(DatasetError, match=":2:"):
             read_jsonl(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("purchase", 0.9), ("purchase", False), ("click", True), ("click", "1"), ("click", 0.5),
+        ("timestamp", 13.7), ("timestamp", "12"),
+    ])
+    def test_non_integer_timestamp_or_label_reports_line(self, tmp_path, field, value):
+        """Timestamps and labels follow the id rule: no truncated fractions,
+        bools or digit strings."""
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(self.GOOD) + "\n" + json.dumps(dict(self.GOOD, **{field: value})) + "\n")
+        with pytest.raises(DatasetError, match=":2:"):
+            read_jsonl(p)
+
+    def test_integral_float_timestamp_and_labels_are_read_as_ints(self, tmp_path):
+        p = tmp_path / "floats.jsonl"
+        p.write_text(json.dumps(dict(self.GOOD, timestamp=5.0, click=1.0, purchase=0.0)) + "\n")
+        (rec,) = read_jsonl(p)
+        assert (rec.timestamp, rec.click, rec.purchase) == (5, 1, 0)
+        assert all(type(v) is int for v in (rec.timestamp, rec.click, rec.purchase))
+
     def test_integral_float_ids_are_read_as_ints(self, tmp_path):
         p = tmp_path / "floats.jsonl"
         p.write_text(json.dumps(dict(self.GOOD, user_id=3.0, feature_ids=[2.0, -1])) + "\n")

@@ -16,7 +16,6 @@ from iakrec.iak import (
     adapted_prediction,
     adapter_step_cached,
     backbone_cache,
-    iak_forward,
     ib_loss,
     kl_to_standard_normal,
 )
@@ -73,6 +72,12 @@ def _step(backbone, adapter, batch, state, lr, beta):
     then an adapter-only update."""
     rep, base = backbone_cache(backbone, batch)
     return adapter_step_cached(backbone, adapter, rep, base, batch.click, batch.purchase, state, lr, beta)
+
+
+def _adapted(backbone, adapter, batch):
+    """Mean-mode adapted prediction of one backbone pass over `batch`."""
+    out = backbone.forward_full(batch)
+    return adapted_prediction(backbone, adapter, out.representation, out.logits, mode="mean")
 
 
 def _batch(n=8, seed=0, period=1):
@@ -166,7 +171,7 @@ class TestIAKForward:
         adapter = _adapter(backbone)
         batch = _batch()
         base = backbone.predict(batch)
-        pred, _ = adapted_prediction(backbone, adapter, batch, mode="mean")
+        pred = _adapted(backbone, adapter, batch)
         assert pred.p_ctr.data.tobytes() == base.p_ctr.data.tobytes()
         assert pred.p_ctcvr.data.tobytes() == base.p_ctcvr.data.tobytes()
 
@@ -177,10 +182,10 @@ class TestIAKForward:
         shared = {id(p) for p in a1.parameters()} & {id(p) for p in a2.parameters()}
         assert not shared
         batch = _batch()
-        before, _ = adapted_prediction(backbone, a1, batch, mode="mean")
+        before = _adapted(backbone, a1, batch)
         for p in a2.parameters():
             p.data += 1.0
-        after, _ = adapted_prediction(backbone, a1, batch, mode="mean")
+        after = _adapted(backbone, a1, batch)
         np.testing.assert_array_equal(before.p_ctr.data, after.p_ctr.data)
 
     def test_mean_mode_is_deterministic(self):
@@ -190,8 +195,8 @@ class TestIAKForward:
             if "dec_out" in p.name:
                 p.data[:] = 0.05
         batch = _batch()
-        a, _ = adapted_prediction(backbone, adapter, batch, mode="mean")
-        b, _ = adapted_prediction(backbone, adapter, batch, mode="mean")
+        a = _adapted(backbone, adapter, batch)
+        b = _adapted(backbone, adapter, batch)
         assert a.p_ctr.data.tobytes() == b.p_ctr.data.tobytes()
 
     def test_dimension_mismatch_rejected(self):
@@ -199,7 +204,14 @@ class TestIAKForward:
         adapter = _adapter(backbone)
         wrong_rep = ad.Tensor(np.zeros((4, backbone.rep_dim + 1)))
         with pytest.raises(AdapterError):
-            iak_forward(wrong_rep, [ad.Tensor(np.zeros((4, 1)))] * 2, adapter, "mean")
+            adapted_prediction(backbone, adapter, wrong_rep, ad.Tensor(np.zeros((4, 2))), "mean")
+
+    def test_head_count_mismatch_rejected(self):
+        backbone = _backbone()
+        adapter = _adapter(backbone)
+        rep = ad.Tensor(np.zeros((4, backbone.rep_dim)))
+        with pytest.raises(AdapterError):
+            adapted_prediction(backbone, adapter, rep, ad.Tensor(np.zeros((4, 3))), "mean")
 
 
 class TestIBLoss:
@@ -209,7 +221,7 @@ class TestIBLoss:
         batch = _batch()
         from iakrec.models import bce_loss
 
-        pred, _ = adapted_prediction(backbone, adapter, batch, mode="mean")
+        pred = _adapted(backbone, adapter, batch)
         plain = bce_loss(pred, batch.click, batch.purchase)
         combined = ib_loss(pred, batch.click, batch.purchase, adapter, beta=0.0)
         assert float(plain.data) == float(combined.data)
@@ -222,11 +234,11 @@ class TestIBLoss:
         pred = Prediction(p_ctr=ad.Tensor(click.reshape(-1, 1)), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
         backbone = _backbone()
         adapter = _adapter(backbone, d_e=2)
-        for vl in adapter.encoder:
-            vl.mu_w.data[:] = 0.0
-            vl.mu_b.data[:] = 0.0
-            vl.rho_w.data[:] = math.log(math.expm1(1.0))
-            vl.rho_b.data[:] = math.log(math.expm1(1.0))
+        vl = adapter.encoder
+        vl.mu_w.data[:] = 0.0
+        vl.mu_b.data[:] = 0.0
+        vl.rho_w.data[:] = math.log(math.expm1(1.0))
+        vl.rho_b.data[:] = math.log(math.expm1(1.0))
         loss = ib_loss(pred, click, purchase, adapter, beta=1.0)
         assert float(loss.data) <= 1e-11
 
@@ -239,11 +251,11 @@ class TestIBLoss:
         pred = Prediction(p_ctr=ad.Tensor([[0.5], [0.5]]), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
         backbone = _backbone()
         adapter = _adapter(backbone, d_e=3)
-        for vl in adapter.encoder:
-            vl.mu_w.data[:] = 1.0
-            vl.mu_b.data[:] = 1.0
-            vl.rho_w.data[:] = math.log(math.expm1(1.0))
-            vl.rho_b.data[:] = math.log(math.expm1(1.0))
+        vl = adapter.encoder
+        vl.mu_w.data[:] = 1.0
+        vl.mu_b.data[:] = 1.0
+        vl.rho_w.data[:] = math.log(math.expm1(1.0))
+        vl.rho_b.data[:] = math.log(math.expm1(1.0))
         loss = ib_loss(pred, click, purchase, adapter, beta=1.0, weights=(1.0, 0.0))
         assert float(loss.data) == pytest.approx(math.log(2) + 0.5, rel=1e-12)
 
@@ -253,14 +265,13 @@ class TestIBLoss:
         batch = _batch(5, seed=2)
         out = backbone.forward_full(batch)
         rep = out.representation.detach()
-        base_logits = [l.detach() for l in out.logits]
+        base_logits = out.logits.detach()
         params = adapter.parameters()
         eps_rng_seed = 77
 
         def loss_fn():
             rng = np.random.default_rng(eps_rng_seed)  # fixed eps across evals
-            logits = iak_forward(rep, base_logits, adapter, "stochastic", rng)
-            pred = backbone.predict_from_logits(logits)
+            pred = adapted_prediction(backbone, adapter, rep, base_logits, "stochastic", rng)
             return ib_loss(pred, batch.click, batch.purchase, adapter, beta=0.01)
 
         ad.zero_grads(params)

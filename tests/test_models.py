@@ -199,8 +199,7 @@ class TestBaseRecommender:
         model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=5)
         out = model.forward_full(_batch())
         expected = out.representation.data @ model.stacked.w.data + model.stacked.b.data
-        got = np.concatenate([l.data for l in out.logits], axis=1)
-        np.testing.assert_allclose(got, expected, atol=1e-15)
+        np.testing.assert_allclose(out.logits.data, expected, atol=1e-15)
 
 
 class TestSharedEmbeddings:

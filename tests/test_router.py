@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
-from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, build_model
 from iakrec.router import (
     DomainRouter,
     RequestError,
@@ -59,8 +59,9 @@ class TestRouteScore:
         req = _request(period=1)
         resp = router.score(req)
         assert resp.served_by == "period=1"
-        batch = encode_request(req, SPACE)
-        pred, _ = adapted_prediction(router.backbone, router.adapters["period=1"], batch, mode="mean")
+        out = router.backbone.forward_full(encode_request(req, SPACE))
+        pred = adapted_prediction(router.backbone, router.adapters["period=1"], out.representation, out.logits,
+                                  mode="mean")
         assert resp.p_ctr == float(pred.p_ctr.data[0, 0])
         assert resp.p_ctcvr == float(pred.p_ctcvr.data[0, 0])
 
@@ -118,6 +119,39 @@ class TestRouteScore:
         rev = [router.score(r) for r in reversed(reqs)]
         for a, b in zip(fwd, reversed(rev)):
             assert (a.p_ctr, a.p_ctcvr, a.served_by) == (b.p_ctr, b.p_ctcvr, b.served_by)
+
+
+class TestOneBackbonePass:
+    REQUESTS = {
+        "adapted": _request(period=1),
+        "zero_shot": _request(period=2),
+        "out_of_vocab": _request(period=0, user=10**6, item=-5),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_each_request_forwards_the_backbone_once_in_both_modes(self, monkeypatch, kind):
+        backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=0)
+        adapters = {f"period={p}": _adapter(backbone, p, seed=p + 1, nudge=0.05 * (p + 1)) for p in (0, 1)}
+        cls, calls = MODEL_KINDS[kind], []
+        forward = cls.forward_full
+
+        def counted(self, batch):
+            calls.append(len(batch))
+            return forward(self, batch)
+
+        monkeypatch.setattr(cls, "forward_full", counted)
+        responses = {}
+        for lazy in (False, True):
+            router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+            for name, req in self.REQUESTS.items():
+                calls.clear()
+                responses[lazy, name] = router.score(req)
+                assert calls == [1], (lazy, name)
+        for name in self.REQUESTS:
+            eager, lazy = responses[False, name], responses[True, name]
+            assert eager.served_by == lazy.served_by
+            assert (eager.p_ctr.hex(), eager.p_ctcvr.hex()) == (lazy.p_ctr.hex(), lazy.p_ctcvr.hex())
+        assert [responses[False, n].served_by for n in self.REQUESTS] == ["period=1", "zero_shot", "period=0"]
 
 
 class TestRequestParsing:
