@@ -136,13 +136,21 @@ class Parameter(Tensor):
             return None
         rows = np.concatenate([r for r, _ in self._row_grads])
         values = np.concatenate([v for _, v in self._row_grads])
-        unique, inverse = np.unique(rows, return_inverse=True)
-        # segment sum as one flat bincount: entry (i, j) lands in bin
-        # inverse[i] * width + j, summed in recording order
         width = values.shape[1]
-        bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
-        summed = np.bincount(bins, weights=values.reshape(-1), minlength=unique.size * width)
-        return unique, summed.reshape(unique.size, width)
+        n_rows = self.data.shape[0]
+        if n_rows <= rows.size:
+            # a table no longer than the lookup: bin by row id over the whole
+            # table instead of sorting; same bins, same order, same sums
+            touched = np.flatnonzero(np.bincount(rows, minlength=n_rows))
+            bin_of, n_bins = rows, n_rows
+        else:
+            touched, bin_of = np.unique(rows, return_inverse=True)
+            n_bins = touched.size
+        # segment sum as one flat bincount: entry (i, j) lands in bin
+        # bin_of[i] * width + j, summed in recording order
+        bins = (bin_of[:, None] * width + np.arange(width)).reshape(-1)
+        summed = np.bincount(bins, weights=values.reshape(-1), minlength=n_bins * width).reshape(n_bins, width)
+        return touched, summed if n_bins == touched.size else summed[touched]
 
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = trainable
@@ -369,6 +377,99 @@ def reduce_mean(a) -> Tensor:
     return _make(np.asarray(a.data.mean()), (a,), backward, "mean")
 
 
+# Segment primitives: `offsets` (K + 1 row offsets, 0 first and B last, never
+# decreasing) cut the leading axis into K segments, segment k being rows
+# offsets[k]:offsets[k + 1]. Each loops over the segments and makes, per
+# segment, the numpy call its plain counterpart makes on that segment alone,
+# so a segment's values and gradients equal the plain op's bit for bit.
+
+
+def _segments(offsets, n_rows: int | None) -> list[tuple[int, int]]:
+    off = np.asarray(offsets, dtype=np.int64)
+    if n_rows is None or off.ndim != 1 or off.size < 2:
+        raise ShapeError(f"segments need a tensor with rows and K + 1 >= 2 offsets, got {off.tolist()}")
+    segs = list(zip(off[:-1].tolist(), off[1:].tolist()))
+    if off[0] != 0 or off[-1] != n_rows or any(s > e for s, e in segs):
+        raise ShapeError(f"segment offsets must rise from 0 to {n_rows}, got {off.tolist()}")
+    return segs
+
+
+def segment_matmul(x, w, offsets) -> Tensor:
+    """Segment k of the (B, m) `x` times matrix k of the (K, m, n) `w`."""
+    x, w = _wrap(x), _wrap(w)
+    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"segment_matmul needs (B,m) and (K,m,n), got {x.shape} and {w.shape}")
+    segs = _segments(offsets, x.shape[0])
+    if len(segs) != w.shape[0]:
+        raise ShapeError(f"{len(segs)} segments for {w.shape[0]} matrices")
+    data = np.empty((x.shape[0], w.shape[2]))
+    for k, (s, e) in enumerate(segs):
+        data[s:e] = x.data[s:e] @ w.data[k]
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            for k, (s, e) in enumerate(segs):
+                gx[s:e] = g[s:e] @ w.data[k].T
+            _accum(x, gx)
+        if w.requires_grad:
+            _accum(w, np.stack([x.data[s:e].T @ g[s:e] for s, e in segs]))
+
+    return _make(data, (x, w), backward, "segment_matmul")
+
+
+def segment_add(x, b, offsets) -> Tensor:
+    """Segment k of the (B, n) `x` plus row k of the (K, n) `b`: a bias per
+    segment."""
+    x, b = _wrap(x), _wrap(b)
+    if x.data.ndim != 2 or b.data.ndim != 2 or x.shape[1] != b.shape[1]:
+        raise ShapeError(f"segment_add needs (B,n) and (K,n), got {x.shape} and {b.shape}")
+    segs = _segments(offsets, x.shape[0])
+    if len(segs) != b.shape[0]:
+        raise ShapeError(f"{len(segs)} segments for {b.shape[0]} bias rows")
+    data = np.empty_like(x.data)
+    for k, (s, e) in enumerate(segs):
+        data[s:e] = x.data[s:e] + b.data[k]
+
+    def backward(out: Tensor) -> None:
+        _accum(x, out.grad)
+        _accum(b, np.stack([out.grad[s:e].sum(axis=0) for s, e in segs]))
+
+    return _make(data, (x, b), backward, "segment_add")
+
+
+def segment_sum(a, offsets) -> Tensor:
+    """(K,) sums over every entry of each segment."""
+    a = _wrap(a)
+    segs = _segments(offsets, a.shape[0] if a.data.ndim else None)
+
+    def backward(out: Tensor) -> None:
+        g = np.empty_like(a.data)
+        for k, (s, e) in enumerate(segs):
+            g[s:e] = out.grad[k]
+        _accum(a, g)
+
+    return _make(np.array([a.data[s:e].sum() for s, e in segs]), (a,), backward, "segment_sum")
+
+
+def segment_mean(a, offsets) -> Tensor:
+    """(K,) means over the entries of each segment; an empty segment's mean
+    is 0."""
+    a = _wrap(a)
+    segs = _segments(offsets, a.shape[0] if a.data.ndim else None)
+
+    def backward(out: Tensor) -> None:
+        g = np.empty_like(a.data)
+        for k, (s, e) in enumerate(segs):
+            if e > s:
+                g[s:e] = out.grad[k] / a.data[s:e].size
+        _accum(a, g)
+
+    data = np.array([a.data[s:e].mean() if e > s else 0.0 for s, e in segs])
+    return _make(data, (a,), backward, "segment_mean")
+
+
 def gather_rows(table, indices) -> Tensor:
     """Row lookup into a 2-d table. 1-d indices give `table[idx]`; (B, k)
     indices give the mean of each example's k rows, one node for a pooled
@@ -514,14 +615,17 @@ def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr
             state.last_step[p.name] = np.zeros(p.data.shape[:1], dtype=np.int64)
         last = state.last_step[p.name]
         decay = state.decay ** (t - last[rows])
-        acc[rows] = decay.reshape(decay.shape + (1,) * (acc.ndim - 1)) * acc[rows] + g * g
         last[rows] = t
-        p.data[rows] = p.data[rows] - lr * g / (np.sqrt(acc[rows]) + state.epsilon)
+        adagrad_update(p.data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr, state.epsilon)
 
 
-def grad_l2_norm(params: Iterable[Parameter]) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
+def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float) -> None:
+    """The update rule itself, in place on `rows` (an index on the leading
+    axis) of `data` and its accumulator `acc`:
+
+        acc[rows] <- decay * acc[rows] + g^2
+        data[rows] <- data[rows] - lr * g / (sqrt(acc[rows]) + epsilon)
+
+    `decay` and `lr` are scalars or per-row arrays that broadcast against g."""
+    acc[rows] = decay * acc[rows] + g * g
+    data[rows] = data[rows] - lr * g / (np.sqrt(acc[rows]) + epsilon)

@@ -258,14 +258,15 @@ def report_from_scores(
 def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
-    tracks. Pure numpy; no gradients involved."""
+    tracks, scaled as `VariationalLinear.apply` scales it. Pure numpy; no
+    gradients involved."""
     vl = adapter.encoder
     sigma_w = np.logaddexp(0.0, vl.rho_w.data)
     sigma_b = np.logaddexp(0.0, vl.rho_b.data)
     b = len(rep)
     w = vl.mu_w.data + sigma_w * rng.standard_normal((b, *vl.mu_w.shape))
     bias = vl.mu_b.data + sigma_b * rng.standard_normal((b, *vl.mu_b.shape))
-    pre = np.einsum("bi,bio->bo", rep, w) + bias
+    pre = np.einsum("bi,bio->bo", rep, w) * vl.scale + bias
     return np.where(pre >= 0.0, pre, 0.01 * pre)
 
 

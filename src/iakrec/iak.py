@@ -5,12 +5,21 @@ through an encoder whose weights carry a Gaussian posterior against a
 standard-normal prior, and decodes additive per-task logit corrections. A
 zero decoder output reproduces the backbone exactly, which is also the
 initial state.
+
+Scoring and serving apply one adapter at a time (`adapted_prediction`).
+Fine-tuning trains the adapters of a joint batch together: an
+`AdapterBank` stacks their parameters, and one `adapter_step_cached` call
+builds one autodiff graph over the batch's rows grouped by adapter. Its
+segment primitives repeat, per adapter, the numpy calls of the one-adapter
+graph, so every adapter trains exactly as it would alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +61,9 @@ class VariationalLinear:
     def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
+        # keeps activations O(1) under the standard-normal prior on w
+        # regardless of input width
+        self.scale = 1.0 / math.sqrt(in_dim)
         self.mu_w = Parameter(rng.standard_normal((in_dim, out_dim)), name=f"{name}.mu_w")
         self.mu_b = Parameter(rng.standard_normal(out_dim), name=f"{name}.mu_b")
         self.rho_w = Parameter(np.full((in_dim, out_dim), _INIT_RHO), name=f"{name}.rho_w")
@@ -73,26 +85,35 @@ class VariationalLinear:
             raise AdapterError(f"unknown sample mode {mode!r}")
         if rng is None:
             raise AdapterError("stochastic sampling needs an rng")
-        eps_w = Tensor(rng.standard_normal(self.mu_w.shape))
-        eps_b = Tensor(rng.standard_normal(self.mu_b.shape))
-        w = ad.add(self.mu_w, ad.mul(ad.softplus(self.rho_w), eps_w))
-        b = ad.add(self.mu_b, ad.mul(ad.softplus(self.rho_b), eps_b))
-        return w, b
+        eps_w, eps_b = self.draw_noise(rng)
+        return _reparameterize(self.mu_w, self.rho_w, eps_w), _reparameterize(self.mu_b, self.rho_b, eps_b)
+
+    def draw_noise(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The standard-normal draws of one weight sample, weights then bias."""
+        return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
 
     def apply(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Affine map scaled by 1/sqrt(in_dim): keeps activations O(1) under
-        the standard-normal prior on w regardless of input width."""
-        return ad.add(ad.mul(ad.matmul(x, w), 1.0 / math.sqrt(self.in_dim)), b)
+        """Affine map with x @ w scaled by `scale`."""
+        return ad.add(ad.mul(ad.matmul(x, w), self.scale), b)
+
+
+def _reparameterize(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
+    return ad.add(mu, ad.mul(ad.softplus(rho), Tensor(eps)))
 
 
 def kl_to_standard_normal(vl: VariationalLinear) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0,1)) summed over all entries of a
     layer: sum 0.5*(mu^2 + sigma^2 - 1) - log sigma. Always >= 0."""
+    return _gaussian_kl(vl.mu_w, vl.mu_b, vl.rho_w, vl.rho_b, ad.reduce_sum)
+
+
+def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
+                 total: Callable[[Tensor], Tensor]) -> Tensor:
     parts = []
-    for mu, rho in ((vl.mu_w, vl.rho_w), (vl.mu_b, vl.rho_b)):
+    for mu, rho in ((mu_w, rho_w), (mu_b, rho_b)):
         sigma = ad.softplus(rho)
-        half = ad.mul(ad.reduce_sum(ad.sub(ad.add(ad.square(mu), ad.square(sigma)), 1.0)), 0.5)
-        parts.append(ad.sub(half, ad.reduce_sum(ad.log(sigma))))
+        half = ad.mul(total(ad.sub(ad.add(ad.square(mu), ad.square(sigma)), 1.0)), 0.5)
+        parts.append(ad.sub(half, total(ad.log(sigma))))
     return ad.add(parts[0], parts[1])
 
 
@@ -178,29 +199,33 @@ def adapted_prediction(
     n_heads) base logits plus the adapter's additive correction. This is the
     one adapter path of training, scoring and serving; a zero correction
     reproduces the backbone bit-for-bit."""
-    if representation.shape[1] != adapter.rep_dim:
-        raise AdapterError(
-            f"representation width {representation.shape[1]} != adapter rep_dim {adapter.rep_dim}"
-        )
-    if base_logits.shape[1] != adapter.n_tasks:
-        raise AdapterError("adapter task count does not match backbone heads")
+    _check_inputs(adapter, representation.shape, base_logits.shape)
     corr = adapter.correction(representation, mode, rng)
     return backbone.predict_from_logits(ad.add(base_logits, corr))
+
+
+def _check_inputs(adapter: IAKAdapter | AdapterBank, rep_shape: tuple[int, ...], logits_shape: tuple[int, ...]) -> None:
+    if rep_shape[1] != adapter.rep_dim:
+        raise AdapterError(f"representation width {rep_shape[1]} != adapter rep_dim {adapter.rep_dim}")
+    if logits_shape[1] != adapter.n_tasks:
+        raise AdapterError("adapter task count does not match backbone heads")
 
 
 def ib_loss(
     prediction: Prediction,
     click: np.ndarray,
     purchase: np.ndarray,
-    adapter: IAKAdapter,
+    adapter: IAKAdapter | AdapterBank,
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
+    mean: Callable[[Tensor], Tensor] = ad.reduce_mean,
 ) -> Tensor:
     """Task cross-entropy plus beta times the per-weight average KL of the
-    encoder posterior to its standard-normal prior."""
+    encoder posterior to its standard-normal prior. For a bank, `mean` is
+    the per-adapter segment mean and the loss is one entry per adapter."""
     if beta < 0:
         raise AdapterError("beta must be >= 0")
-    loss = bce_loss(prediction, click, purchase, weights)
+    loss = bce_loss(prediction, click, purchase, weights, mean)
     if beta > 0:
         loss = ad.add(loss, ad.mul(adapter.encoder_kl(), beta / adapter.n_encoder_entries))
     return loss
@@ -224,26 +249,118 @@ def backbone_cache(backbone: MultiTaskModel, batch: EncodedBatch, chunk: int = 4
     return rep, base
 
 
+class AdapterBank:
+    """The adapters of one joint fine-tune, stacked for one autodiff graph
+    per step. Parameter j of adapter k is slab k of the bank's (K, ...)
+    parameter j, and the adapter's own parameter is a view of that slab, so
+    a bank step trains the adapters in place and checkpoints keep their
+    `adapter/<key>/...` names. Every stacked parameter has its Adagrad
+    accumulator beside it; an adapter's slab of it moves only when that
+    adapter steps."""
+
+    def __init__(self, adapters: Sequence[IAKAdapter], decay: float, epsilon: float):
+        if not adapters:
+            raise AdapterError("an adapter bank needs at least one adapter")
+        first = adapters[0]
+        shape = (first.config, first.rep_dim, first.n_tasks)
+        if any((a.config, a.rep_dim, a.n_tasks) != shape for a in adapters):
+            raise AdapterError("banked adapters must share their config, input width and task count")
+        self.adapters = list(adapters)
+        self.config = first.config
+        self.rep_dim = first.rep_dim
+        self.n_tasks = first.n_tasks
+        self.n_encoder_entries = first.n_encoder_entries
+        self.scale = first.encoder.scale
+        self.params: list[Parameter] = []
+        for group in zip(*(a.parameters() for a in self.adapters)):
+            stacked = Parameter(np.stack([p.data for p in group]), name="bank/" + group[0].name.rsplit("/", 1)[1])
+            for k, p in enumerate(group):
+                p.data = stacked.data[k]
+            self.params.append(stacked)
+        self.opt_state = AdagradDecayState(decay=decay, epsilon=epsilon)
+        self.opt_state.accumulators = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._per_adapter = np.arange(len(self.adapters) + 1)  # one segment per slab
+
+    def draw_noise(self, adapters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked encoder noise: each listed adapter draws from its own
+        `sample_rng`, in bank order, exactly the draws of its own weight
+        sample; every other adapter gets zeros and draws nothing."""
+        eps_w = np.zeros(self.params[0].shape)
+        eps_b = np.zeros(self.params[1].shape)
+        for k in adapters:
+            adapter = self.adapters[k]
+            eps_w[k], eps_b[k] = adapter.encoder.draw_noise(adapter.sample_rng)
+        return eps_w, eps_b
+
+    def correction(self, representation: Tensor, offsets: np.ndarray,
+                   noise: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
+        """(B, n_tasks) corrections of rows grouped by adapter, rows
+        offsets[k]:offsets[k + 1] through adapter k. `noise` is the stacked
+        encoder noise of a stochastic step, None in mean mode."""
+        mu_w, mu_b, rho_w, rho_b, *decoder = self.params
+        w, b = mu_w, mu_b
+        if noise is not None:
+            w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
+        x = ad.segment_add(ad.mul(ad.segment_matmul(representation, w, offsets), self.scale), b, offsets)
+        x = ad.leaky_relu(x)
+        for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
+            x = ad.leaky_relu(ad.segment_add(ad.segment_matmul(x, w_l, offsets), b_l, offsets))
+        return ad.segment_add(ad.segment_matmul(x, decoder[-2], offsets), decoder[-1], offsets)
+
+    def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
+        """Step the listed adapters on the recorded gradients, adapter k at
+        rate lr[k], by the dense decayed-Adagrad rule each would follow
+        alone (`ad.adagrad_update`); every other slab and its accumulator
+        stay as they are. Returns the listed adapters' gradient L2 norms,
+        each the root of its parameters' squared sums added in order."""
+        state = self.opt_state
+        rows = stepped if len(stepped) < len(self.adapters) else slice(None)
+        rate = lr[stepped]
+        sq = np.zeros(len(stepped))
+        for j, p in enumerate(self.params):
+            g = p.grad[rows]
+            finite = np.isfinite(g).reshape(len(stepped), -1).all(axis=1)
+            if not finite.all():
+                bad = self.adapters[stepped[np.flatnonzero(~finite)[0]]]
+                raise ad.NonFiniteError(f"non-finite gradient for {bad.parameters()[j].name}")
+            sq += (g * g).reshape(len(stepped), -1).sum(axis=1)
+            ad.adagrad_update(p.data, state.accumulators[p.name], rows, g, state.decay,
+                              rate.reshape((-1,) + (1,) * (g.ndim - 1)), state.epsilon)
+        return np.sqrt(sq)
+
+    def encoder_kl(self) -> Tensor:
+        """(K,) encoder KL of every adapter."""
+        mu_w, mu_b, rho_w, rho_b = self.params[:4]
+        return _gaussian_kl(mu_w, mu_b, rho_w, rho_b, partial(ad.segment_sum, offsets=self._per_adapter))
+
+
 def adapter_step_cached(
     backbone: MultiTaskModel,
-    adapter: IAKAdapter,
+    bank: AdapterBank,
     rep: np.ndarray,
     base_logits: np.ndarray,
     click: np.ndarray,
     purchase: np.ndarray,
-    opt_state: AdagradDecayState,
-    lr: float,
+    offsets: np.ndarray,
+    lr: np.ndarray,
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
-) -> tuple[float, float]:
-    """One adapter-only optimizer step from cached backbone outputs. Returns
-    (loss, gradient L2 norm)."""
-    params = adapter.parameters()
-    ad.zero_grads(params)
-    pred = adapted_prediction(backbone, adapter, Tensor(rep), Tensor(base_logits),
-                              adapter.config.sample_mode, adapter.sample_rng)
-    loss = ib_loss(pred, click, purchase, adapter, beta, weights)
-    ad.backward(loss)
-    gnorm = ad.grad_l2_norm(params)
-    ad.adagrad_decay_step(params, opt_state, lr)
-    return float(loss.data), gnorm
+) -> dict[int, tuple[float, float]]:
+    """One optimizer step of a bank's adapters from cached backbone outputs,
+    through one autodiff graph. The rows are grouped by adapter: rows
+    offsets[k]:offsets[k + 1] are adapter k's, and adapter k steps at rate
+    lr[k]. An adapter with no rows or a zero rate draws no noise, does not
+    step, and its Adagrad state does not decay. Returns (loss, gradient L2
+    norm) by bank index for the adapters that stepped, in bank order."""
+    _check_inputs(bank, rep.shape, base_logits.shape)
+    if np.any(lr < 0):
+        raise AdapterError("learning rates must be >= 0")
+    stepped = np.flatnonzero((np.diff(offsets) > 0) & (lr > 0))
+    noise = bank.draw_noise(stepped) if bank.config.sample_mode == "stochastic" else None
+    ad.zero_grads(bank.params)
+    corr = bank.correction(Tensor(rep), offsets, noise)
+    pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
+    loss = ib_loss(pred, click, purchase, bank, beta, weights, partial(ad.segment_mean, offsets=offsets))
+    ad.backward(ad.reduce_sum(loss))
+    gnorms = bank.apply_gradients(stepped, lr)
+    return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

@@ -11,6 +11,7 @@ that downstream adapters consume; only `predict_from_logits` splits heads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -450,15 +451,17 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int) -> MultiTas
     return MODEL_KINDS[config.kind](config, space, seed)
 
 
-def task_bce(p: Tensor, labels: np.ndarray) -> Tensor:
+def task_bce(p: Tensor, labels: np.ndarray, mean: Callable[[Tensor], Tensor] = ad.reduce_mean) -> Tensor:
     """Mean binary cross-entropy of one task over a batch; probabilities are
-    clamped away from 0 and 1 before the log."""
+    clamped away from 0 and 1 before the log. `mean` reduces the (B, 1)
+    per-row terms: the batch mean, or a per-segment mean (`ad.segment_mean`)
+    that gives one loss per segment."""
     if not np.all((labels == 0) | (labels == 1)):
         raise ModelError("labels must be 0 or 1")
     y = Tensor(labels.reshape(-1, 1))
     p = ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ll = ad.add(ad.mul(y, ad.log(p)), ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p))))
-    return ad.mul(ad.reduce_mean(ll), -1.0)
+    return ad.mul(mean(ll), -1.0)
 
 
 def bce_loss(
@@ -466,8 +469,10 @@ def bce_loss(
     click: np.ndarray,
     purchase: np.ndarray,
     weights: tuple[float, float] = (1.0, 1.0),
+    mean: Callable[[Tensor], Tensor] = ad.reduce_mean,
 ) -> Tensor:
-    """Weighted sum of per-task binary cross-entropies, mean over the batch.
-    CTR trains against click, CTCVR against purchase."""
-    loss = ad.mul(task_bce(prediction.p_ctr, click), weights[0])
-    return ad.add(loss, ad.mul(task_bce(prediction.p_ctcvr, purchase), weights[1]))
+    """Weighted sum of per-task binary cross-entropies, mean over the batch
+    (or per segment, see `task_bce`). CTR trains against click, CTCVR
+    against purchase."""
+    loss = ad.mul(task_bce(prediction.p_ctr, click, mean), weights[0])
+    return ad.add(loss, ad.mul(task_bce(prediction.p_ctcvr, purchase, mean), weights[1]))

@@ -1,6 +1,10 @@
 """Two-phase training pipeline: pretrain a backbone on all domains, then
 fine-tune one adapter per target domain with batch-aware dynamic learning
-rates and optional weighted cross-domain mixing."""
+rates and optional weighted cross-domain mixing.
+
+Jointly fine-tuned adapters train as one `iak.AdapterBank`: each shared
+batch is grouped by domain and taken in one bank step, one autodiff graph
+for all of its adapters, each at its own dynamic rate."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdagradDecayState
 from .datagen import InteractionRecord, filter_by_domain, parse_domain_key, window_by_days
-from .iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
+from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from .models import EncodedBatch, FeatureSpace, MultiTaskModel, encode_records, task_bce
 
 GRAD_NORM_FLOOR = 1e-8
@@ -182,13 +186,15 @@ def finetune_all(
     """Fine-tune one adapter per domain on a frozen backbone.
 
     Every domain dataset must hold only records of its key's domain. The
-    domains are shuffled into shared batches and each adapter's optimizer
-    step is scaled by its dynamic learning rate; a single domain therefore
-    trains at the base rate. With lr_norms="uniform" (default) the rate
-    softmax sees only batch sample counts, so each adapter stays
-    bit-independent of other domains' labels; "previous" feeds last-step
-    gradient magnitudes in, which couples the shares (the softmax can then
-    saturate; saturation is flagged in the curve rows). A mixing map
+    domains are shuffled into shared batches, and their adapters form one
+    bank: each batch is one bank step, in which every adapter with rows in
+    the batch steps on its own rows at its dynamic learning rate, exactly
+    as it would alone; a single domain therefore trains at the base rate.
+    With lr_norms="uniform" (default) the rate softmax sees only batch
+    sample counts, so each adapter stays bit-independent of other domains'
+    labels; "previous" feeds last-step gradient magnitudes in, which couples
+    the shares (the softmax can then saturate; saturation is flagged in the
+    curve rows). A mixing map
     reroutes the highest-weighted (primary) domain's stream through
     weighted cross-domain sampling; that stream is then shuffled into
     batches like any one-domain dataset and trained at the base rate."""
@@ -260,40 +266,43 @@ def _finetune_joint(
     start_step: int = 0,
 ) -> list[FinetuneRow]:
     """Train `datasets`' adapters on shared shuffled batches at their dynamic
-    rates (exactly the base rate on one key), counting steps on from `start_step`."""
+    rates (exactly the base rate on one key), counting steps on from
+    `start_step`. The adapters form one bank; each batch is one bank step
+    over its rows grouped by domain."""
     keys = sorted(datasets)
-    encoded = {k: encode_records(datasets[k], space) for k in keys}
-    cached = {k: backbone_cache(backbone, encoded[k]) for k in keys}
-    opts = {k: AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon) for k in keys}
-    # the joint stream is the shuffled union of (domain, row) pairs
-    tagged = np.concatenate([
-        np.stack([np.full(len(encoded[k]), ki), np.arange(len(encoded[k]))], axis=1)
-        for ki, k in enumerate(keys)
-    ])
+    encoded = [encode_records(datasets[k], space) for k in keys]
+    cached = [backbone_cache(backbone, enc) for enc in encoded]
+    # the joint stream is the shuffled union of every domain's rows, held
+    # concatenated in key order; domain_of tags each row
+    rep = np.concatenate([r for r, _ in cached])
+    base = np.concatenate([b for _, b in cached])
+    click = np.concatenate([enc.click for enc in encoded])
+    purchase = np.concatenate([enc.purchase for enc in encoded])
+    domain_of = np.repeat(np.arange(len(keys)), [len(enc) for enc in encoded])
+    bank = AdapterBank([adapters[k] for k in keys], config.adagrad_decay, config.adagrad_epsilon)
     prev_norms = np.ones(len(keys))
     rows: list[FinetuneRow] = []
     step = start_step
     weights = backbone.config.loss_weights
-    for sel in _batch_indices(len(tagged), config.batch_size, config.epochs, rng):
-        batch_tags = tagged[sel]
-        n_b = np.array([np.sum(batch_tags[:, 0] == ki) for ki in range(len(keys))], dtype=np.float64)
+    for sel in _batch_indices(len(domain_of), config.batch_size, config.epochs, rng):
+        # group the batch by domain, each domain's rows kept in batch order
+        tags = domain_of[sel]
+        counts = np.bincount(tags, minlength=len(keys))
+        grouped = sel[np.argsort(tags, kind="stable")]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        n_b = counts.astype(np.float64)
         lr_hat = dynamic_lr(n_b, prev_norms, config.base_lr)
         shares = lr_hat / config.base_lr
         saturated = int(np.sum(n_b > 0) > 1 and shares.max() > SATURATION_LEVEL)
         step += 1
+        per_adapter = adapter_step_cached(
+            backbone, bank, rep[grouped], base[grouped], click[grouped], purchase[grouped],
+            offsets, lr_hat, iak_config.beta, weights=weights,
+        )
         new_norms = prev_norms.copy()
-        for ki, k in enumerate(keys):
-            if n_b[ki] == 0 or lr_hat[ki] == 0.0:
-                continue
-            idx = batch_tags[batch_tags[:, 0] == ki][:, 1]
-            rep, base = cached[k]
-            loss, gnorm = adapter_step_cached(
-                backbone, adapters[k], rep[idx], base[idx],
-                encoded[k].click[idx], encoded[k].purchase[idx],
-                opts[k], float(lr_hat[ki]), iak_config.beta, weights=weights,
-            )
+        for ki, (loss, gnorm) in per_adapter.items():
             new_norms[ki] = gnorm
-            rows.append(FinetuneRow(step, k, int(n_b[ki]), loss, gnorm, float(lr_hat[ki]), saturated))
+            rows.append(FinetuneRow(step, keys[ki], int(counts[ki]), loss, gnorm, float(lr_hat[ki]), saturated))
         if config.lr_norms == "previous":
             prev_norms = new_norms
     return rows

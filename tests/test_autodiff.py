@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iakrec import autodiff as ad
 from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -134,6 +136,107 @@ def test_individual_op_gradients(op):
     assert_grads_match(loss_fn, [w], ad.backward)
 
 
+# a segment of length 1 and an empty segment among longer ones
+SEGMENTS = [0, 2, 3, 3, 6]
+
+
+@pytest.mark.parametrize("op", ["matmul_x", "matmul_w", "add_x", "add_b", "sum", "sum_3d", "mean"])
+def test_segment_op_gradients(op):
+    rng = np.random.default_rng(len(op))
+    x = ad.Parameter(rng.normal(size=(6, 3)), "x")
+    w = ad.Parameter(rng.normal(size=(4, 3, 2)), "w")
+    b = ad.Parameter(rng.normal(size=(4, 3)), "b")
+    slabs = ad.Parameter(rng.normal(size=(4, 2, 3)), "slabs")
+    weights = ad.Tensor(rng.normal(size=4))
+
+    def loss_fn():
+        if op.startswith("matmul"):
+            return ad.reduce_sum(ad.square(ad.segment_matmul(x, w, SEGMENTS)))
+        if op.startswith("add"):
+            return ad.reduce_sum(ad.square(ad.segment_add(x, b, SEGMENTS)))
+        if op == "sum":
+            return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(x), SEGMENTS), weights))
+        if op == "sum_3d":
+            return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(slabs), [0, 1, 2, 3, 4]), weights))
+        return ad.reduce_sum(ad.mul(ad.segment_mean(ad.square(x), SEGMENTS), weights))
+
+    params = {"matmul_x": [x], "matmul_w": [w], "add_x": [x], "add_b": [b], "sum_3d": [slabs]}.get(op, [x])
+    ad.zero_grads([x, w, b, slabs])
+    assert_grads_match(loss_fn, params, ad.backward)
+
+
+def test_segment_ops_equal_their_plain_ops_bitwise():
+    # per segment, values and gradients are the plain op's on that segment alone
+    rng = np.random.default_rng(7)
+    xs, ws, bs = rng.normal(size=(6, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))
+    x, w, b = ad.Parameter(xs, "x"), ad.Parameter(ws, "w"), ad.Parameter(bs, "b")
+    h = ad.segment_add(ad.segment_matmul(x, w, SEGMENTS), b, SEGMENTS)
+    total = ad.add(ad.segment_mean(ad.square(h), SEGMENTS), ad.segment_sum(h, SEGMENTS))
+    ad.backward(ad.reduce_sum(total))
+    for k, (s, e) in enumerate(zip(SEGMENTS, SEGMENTS[1:])):
+        xk, wk, bk = ad.Parameter(xs[s:e], "xk"), ad.Parameter(ws[k], "wk"), ad.Parameter(bs[k], "bk")
+        hk = ad.add(ad.matmul(xk, wk), bk)
+        assert hk.data.tobytes() == h.data[s:e].tobytes()
+        if e == s:
+            assert total.data[k] == 0.0 and not w.grad[k].any() and not b.grad[k].any()
+            continue
+        tk = ad.add(ad.reduce_mean(ad.square(hk)), ad.reduce_sum(hk))
+        assert tk.data.tobytes() == total.data[k].tobytes()
+        ad.backward(tk)
+        assert xk.grad.tobytes() == x.grad[s:e].tobytes()
+        assert wk.grad.tobytes() == w.grad[k].tobytes()
+        assert bk.grad.tobytes() == b.grad[k].tobytes()
+
+
+@pytest.mark.parametrize("offsets", [[0, 4], [1, 6], [0, 4, 3, 6], [0, 6, 6, 7], [[0, 6]], [0]])
+def test_segment_offsets_are_checked(offsets):
+    with pytest.raises(ad.ShapeError):
+        ad.segment_mean(np.ones((6, 1)), offsets)
+
+
+def test_segment_shapes_are_checked():
+    with pytest.raises(ad.ShapeError):
+        ad.segment_matmul(np.ones((6, 3)), np.ones((2, 4, 2)), [0, 3, 6])
+    with pytest.raises(ad.ShapeError):
+        ad.segment_matmul(np.ones((6, 3)), np.ones((3, 3, 2)), [0, 3, 6])
+    with pytest.raises(ad.ShapeError):
+        ad.segment_add(np.ones((6, 3)), np.ones((2, 2)), [0, 3, 6])
+    with pytest.raises(ad.ShapeError):
+        ad.segment_sum(np.float64(1.0), [0, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_touched_grad_paths_agree_bitwise(data):
+    # a table no longer than the lookup bins by row id; a longer one sorts.
+    # Padding the same lookups' table past their length switches the path.
+    n_rows = data.draw(st.integers(1, 10), label="n_rows")
+    width = data.draw(st.integers(1, 4), label="width")
+    chunks = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3), label="chunks")
+    if sum(chunks) < n_rows:
+        chunks.append(n_rows)
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    recorded = [
+        (np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))),
+         np.array(data.draw(st.lists(st.lists(floats, min_size=width, max_size=width), min_size=n, max_size=n))))
+        for n in chunks
+    ]
+    touched = []
+    for table_rows in (n_rows, sum(chunks) + 1):
+        p = ad.Parameter(np.zeros((table_rows, width)), "table")
+        for rows, values in recorded:
+            p.add_row_grad(rows, values)
+        touched.append(p.touched_grad())
+    (rows_a, g_a), (rows_b, g_b) = touched
+    assert rows_a.tobytes() == rows_b.tobytes()
+    assert g_a.tobytes() == g_b.tobytes()
+    expected = np.zeros((n_rows, width))
+    for rows, values in recorded:
+        np.add.at(expected, rows, values)
+    np.testing.assert_array_equal(rows_a, np.unique(np.concatenate([r for r, _ in recorded])))
+    np.testing.assert_allclose(g_a, expected[rows_a], rtol=1e-12, atol=1e-6)
+
+
 def test_frozen_parameter_gets_zero_grad():
     w = ad.Parameter(np.ones(3), "w", trainable=False)
     v = ad.Parameter(np.ones(3), "v")
@@ -186,6 +289,10 @@ PRIMITIVES = {
     "sum": ad.reduce_sum,
     "mean": ad.reduce_mean,
     "gather_rows": lambda x: ad.gather_rows(x, np.array([[0, 1], [1, 0]])),
+    "segment_matmul": lambda x: ad.segment_matmul(x, np.ones((2, 2, 3)), [0, 1, 2]),
+    "segment_add": lambda x: ad.segment_add(x, np.ones((1, 2)), [0, 2]),
+    "segment_sum": lambda x: ad.segment_sum(x, [0, 2]),
+    "segment_mean": lambda x: ad.segment_mean(x, [0, 1, 2]),
 }
 
 

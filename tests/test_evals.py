@@ -12,6 +12,7 @@ from iakrec.evals import (
     SplitPass,
     auc,
     binned_mi,
+    encoder_channel_outputs,
     histogram2d,
     item_decile_click_distribution,
     kl_empirical,
@@ -21,6 +22,7 @@ from iakrec.evals import (
     score_label_decile_kl,
     sym_kl,
 )
+from iakrec.autodiff import Tensor
 from iakrec.iak import IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.router import DomainRouter, ScoreRequest, encode_request
@@ -193,6 +195,16 @@ class TestDiagnostics:
         matched = score_label_decile_kl(rate, labels, items)
         flat = score_label_decile_kl(np.full(4000, 0.5), labels, items)
         assert matched < flat
+
+    def test_noise_free_channel_is_the_mean_mode_encoder(self):
+        # softplus(-1000) is exactly 0: the channel's weight samples are mu,
+        # so its rows are the encoder the adapter runs, scale included
+        adapter = IAKAdapter(32, 2, IAKConfig(d_e=7), {"period": 0}, seed=3)
+        adapter.encoder.rho_w.data[:] = -1000.0
+        adapter.encoder.rho_b.data[:] = -1000.0
+        rep = np.random.default_rng(4).normal(size=(64, 32))
+        channel = encoder_channel_outputs(adapter, rep, np.random.default_rng(5))
+        np.testing.assert_allclose(channel, adapter.encode(Tensor(rep), "mean").data, rtol=1e-12, atol=1e-14)
 
 
 def test_report_from_scores():

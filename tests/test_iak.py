@@ -8,6 +8,7 @@ from scipy import integrate
 
 from iakrec import autodiff as ad
 from iakrec.iak import (
+    AdapterBank,
     AdapterError,
     IAKAdapter,
     IAKConfig,
@@ -23,6 +24,7 @@ from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import TrainConfig, TrainerError, finetune_all, model_digest
 from iakrec.datagen import InteractionRecord
 
+from adapter_reference import reference_step
 from gradcheck import central_differences, max_rel_err
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
@@ -67,11 +69,23 @@ def _records(n=8, seed=0, period=1):
     ]
 
 
-def _step(backbone, adapter, batch, state, lr, beta):
+def _bank(*adapters):
+    """A bank at the optimizer's default decay and epsilon."""
+    return AdapterBank(adapters, decay=ad.AdagradDecayState.decay, epsilon=ad.AdagradDecayState.epsilon)
+
+
+def _bank_step(backbone, bank, rep, base, click, purchase, lr, beta):
+    """A step of a one-adapter bank over all rows: (loss, gradient norm)."""
+    (out,) = adapter_step_cached(backbone, bank, rep, base, click, purchase,
+                                 np.array([0, len(rep)]), np.array([lr]), beta).values()
+    return out
+
+
+def _step(backbone, bank, batch, lr, beta):
     """One adapter step the way fine-tuning takes it: a cached backbone pass,
     then an adapter-only update."""
     rep, base = backbone_cache(backbone, batch)
-    return adapter_step_cached(backbone, adapter, rep, base, batch.click, batch.purchase, state, lr, beta)
+    return _bank_step(backbone, bank, rep, base, batch.click, batch.purchase, lr, beta)
 
 
 def _adapted(backbone, adapter, batch):
@@ -287,8 +301,7 @@ class TestFinetuneStep:
         adapter = _adapter(backbone, sample_mode="mean")
         batch = _batch()
         digest_before = model_digest(backbone.named_parameters())
-        state = ad.AdagradDecayState()
-        _step(backbone, adapter, batch, state, lr=0.01, beta=1e-3)
+        _step(backbone, _bank(adapter), batch, lr=0.01, beta=1e-3)
         assert model_digest(backbone.named_parameters()) == digest_before
 
     def test_rejects_unfrozen_backbone(self):
@@ -324,11 +337,11 @@ class TestFinetuneStep:
         # label by a deterministic function of the backbone's own representation
         rep, base = backbone_cache(backbone, enc)
         click = (rep[:, 0] > np.median(rep[:, 0])).astype(np.float64)
-        state = ad.AdagradDecayState()
+        bank = _bank(adapter)
         first = None
         loss = None
         for step in range(200):
-            loss, _ = adapter_step_cached(backbone, adapter, rep, base, click, enc.purchase, state, lr=0.05, beta=1e-4)
+            loss, _ = _bank_step(backbone, bank, rep, base, click, enc.purchase, lr=0.05, beta=1e-4)
             if first is None:
                 first = loss
         assert loss < first
@@ -337,13 +350,96 @@ class TestFinetuneStep:
         def run():
             backbone = _backbone(seed=5)
             adapter = _adapter(backbone, seed=6)
-            state = ad.AdagradDecayState()
+            bank = _bank(adapter)
             batch = _batch(seed=7)
             for _ in range(5):
-                _step(backbone, adapter, batch, state, lr=0.02, beta=1e-3)
+                _step(backbone, bank, batch, lr=0.02, beta=1e-3)
             return model_digest(adapter.named_parameters())
 
         assert run() == run()
+
+
+def _rng_state(adapter):
+    return adapter.sample_rng.bit_generator.state
+
+
+class TestAdapterBank:
+    def test_adapters_become_views_of_their_slabs(self):
+        backbone = _backbone()
+        adapters = [_adapter(backbone, seed=s, period=s) for s in range(3)]
+        before = [{n: v.tobytes() for n, v in a.named_parameters().items()} for a in adapters]
+        bank = _bank(*adapters)
+        for k, a in enumerate(adapters):
+            assert {n: v.tobytes() for n, v in a.named_parameters().items()} == before[k]
+            for p, stacked in zip(a.parameters(), bank.params):
+                assert np.shares_memory(p.data, stacked.data)
+                assert stacked.name == "bank/" + p.name.rsplit("/", 1)[1]
+
+    def test_mismatched_adapters_rejected(self):
+        backbone = _backbone()
+        with pytest.raises(AdapterError):
+            _bank(_adapter(backbone, d_e=4), _adapter(backbone, d_e=5))
+        with pytest.raises(AdapterError):
+            _bank()
+
+    def test_negative_rate_rejected(self):
+        backbone = _backbone()
+        batch = _batch()
+        rep, base = backbone_cache(backbone, batch)
+        with pytest.raises(AdapterError):
+            _bank_step(backbone, _bank(_adapter(backbone)), rep, base, batch.click, batch.purchase, -0.1, 0.0)
+
+    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
+    @pytest.mark.parametrize("decoder_hidden", [(), (6, 5)])
+    @pytest.mark.parametrize("beta", [0.0, 1e-2])
+    def test_one_adapter_bank_equals_reference_steps(self, sample_mode, decoder_hidden, beta):
+        backbone = _backbone(seed=2)
+        adapter = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden, sample_mode=sample_mode)
+        reference = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden, sample_mode=sample_mode)
+        bank = _bank(adapter)
+        state = ad.AdagradDecayState()
+        for step in range(6):
+            batch = _batch(n=9 + step, seed=step)
+            rep, base = backbone_cache(backbone, batch)
+            got = _bank_step(backbone, bank, rep, base, batch.click, batch.purchase, 0.05, beta)
+            want = reference_step(backbone, reference, rep, base, batch.click, batch.purchase, state, 0.05, beta)
+            assert got == want
+        assert model_digest(adapter.named_parameters()) == model_digest(reference.named_parameters())
+
+    def test_skipped_adapter_neither_steps_nor_decays(self):
+        # adapter 1 has rows but a zero rate at step 2, adapter 2 a rate but
+        # no rows; each must match a reference that did not step at all
+        backbone = _backbone(seed=3)
+        make = lambda k: _adapter(backbone, seed=10 + k, period=k)  # noqa: E731
+        adapters, references = [make(k) for k in range(3)], [make(k) for k in range(3)]
+        states = [ad.AdagradDecayState() for _ in range(3)]
+        bank = _bank(*adapters)
+        plan = [  # (rows per adapter, rate per adapter)
+            ([4, 3, 5], [0.02, 0.03, 0.04]),
+            ([4, 3, 0], [0.05, 0.0, 0.04]),
+            ([1, 6, 2], [0.02, 0.03, 0.04]),
+        ]
+        for step, (counts, rates) in enumerate(plan):
+            batch = _batch(n=sum(counts), seed=20 + step)
+            rep, base = backbone_cache(backbone, batch)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            rngs_before = [_rng_state(a) for a in adapters]
+            got = adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase,
+                                      offsets, np.array(rates), 1e-3)
+            want = {}
+            for k, (s, e) in enumerate(zip(offsets, offsets[1:])):
+                if e > s and rates[k] > 0:
+                    want[k] = reference_step(backbone, references[k], rep[s:e], base[s:e], batch.click[s:e],
+                                             batch.purchase[s:e], states[k], rates[k], 1e-3)
+                else:
+                    assert _rng_state(adapters[k]) == rngs_before[k]
+            assert got == want
+            for a, r in zip(adapters, references):
+                assert model_digest(a.named_parameters()) == model_digest(r.named_parameters())
+                assert _rng_state(a) == _rng_state(r)
+        for k, state in enumerate(states):
+            for p, stacked in zip(references[k].parameters(), bank.params):
+                assert bank.opt_state.accumulators[stacked.name][k].tobytes() == state.accumulators[p.name].tobytes()
 
 
 def test_iak_config_validation():

@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from iakrec import autodiff as ad
+from iakrec import trainer
 from iakrec.datagen import (
     DatasetError,
     GeneratorConfig,
@@ -13,7 +15,7 @@ from iakrec.datagen import (
     make_domains,
     parse_domain_key,
 )
-from iakrec.iak import IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
+from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import EncodedBatch, FeatureSpace, ModelConfig, build_model, encode_records, task_bce
 from iakrec.trainer import (
     TrainConfig,
@@ -26,6 +28,9 @@ from iakrec.trainer import (
     pretrain,
     pretrain_step,
 )
+
+import adapter_reference
+from adapter_reference import reference_joint
 
 SPACE = FeatureSpace(n_users=120, n_items=60, n_scenes=2, n_regions=1, n_periods=2)
 
@@ -287,11 +292,12 @@ class TestFinetuneAll:
                              seed=int(adapter_seed.generate_state(1)[0]))
         enc = encode_records(records, SPACE)
         rep, base = backbone_cache(model, enc)
-        opt = ad.AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
+        bank = AdapterBank([adapter], decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
         losses = []
         for idx in _batch_indices(len(enc), config.batch_size, config.epochs, np.random.default_rng(order_seed)):
-            loss, _ = adapter_step_cached(model, adapter, rep[idx], base[idx], enc.click[idx], enc.purchase[idx],
-                                          opt, config.base_lr, iak_config.beta, weights=model.config.loss_weights)
+            (loss, _), = adapter_step_cached(model, bank, rep[idx], base[idx], enc.click[idx], enc.purchase[idx],
+                                             np.array([0, len(idx)]), np.array([config.base_lr]), iak_config.beta,
+                                             weights=model.config.loss_weights).values()
             losses.append(loss)
         assert model_digest(res.adapters["scene=0"].named_parameters()) == model_digest(adapter.named_parameters())
         assert [row.loss for row in res.curve] == losses
@@ -364,3 +370,85 @@ class TestFinetuneAll:
     def test_lr_norms_value_validated(self):
         with pytest.raises(TrainerError):
             TrainConfig(lr_norms="sometimes").validate()
+
+
+SPACE5 = FeatureSpace(n_users=90, n_items=40, n_scenes=2, n_regions=1, n_periods=3)
+FIVE = ["period=0", "period=1", "period=2", "scene=0", "scene=1"]
+
+
+@pytest.fixture(scope="module")
+def five_domains():
+    domains = make_domains(
+        {"scene": [0.0, 0.8], "region": [0.0], "period": [0.0, 0.8, -0.5]},
+        {"scene": [0.0, 0.4], "region": [0.0], "period": [0.0, 0.4, 0.2]},
+        latent_dim=16,
+        seed=5,
+    )
+    data = generate(GeneratorConfig(n_users=90, n_items=40, n_days=3, domains=domains, seed=5, records_per_day=400))
+    out = {key: filter_by_domain(data, parse_domain_key(key)) for key in FIVE}
+    out["period=2"] = out["period=2"][:25]  # rare enough to be absent from most batches
+    return data, out
+
+
+class TestBankEqualsReference:
+    """`finetune_all` against the same run with every adapter stepped alone by
+    `adapter_reference.reference_step`: adapters and curve rows bit for bit."""
+
+    def _both(self, monkeypatch, data, datasets, kind, config, iak_config):
+        model = build_model(ModelConfig(kind=kind, hidden_sizes=(12, 6)), SPACE5, seed=1)
+        pretrain(model, data, TrainConfig(batch_size=512, seed=1))
+        bank = finetune_all(model, datasets, SPACE5, config, iak_config)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_finetune_joint", reference_joint)
+            ref = finetune_all(model, datasets, SPACE5, config, iak_config)
+        return bank, ref
+
+    def _assert_equal(self, bank, ref):
+        assert sorted(bank.adapters) == sorted(ref.adapters)
+        for key, adapter in bank.adapters.items():
+            got, want = adapter.named_parameters(), ref.adapters[key].named_parameters()
+            assert {n: v.tobytes() for n, v in got.items()} == {n: v.tobytes() for n, v in want.items()}
+        assert [dataclasses.astuple(r) for r in bank.curve] == [dataclasses.astuple(r) for r in ref.curve]
+
+    @pytest.mark.parametrize("kind", ["base", "shared_bottom", "mmoe", "esmm"])
+    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
+    def test_five_overlapping_domains_two_epochs(self, monkeypatch, five_domains, kind, sample_mode):
+        data, datasets = five_domains
+        config = TrainConfig(batch_size=96, epochs=2, seed=2, base_lr=0.05)
+        bank, ref = self._both(monkeypatch, data, datasets, kind, config, IAKConfig(d_e=5, sample_mode=sample_mode))
+        self._assert_equal(bank, ref)
+        steps = {r.step for r in bank.curve}
+        rare = {r.step for r in bank.curve if r.domain == "period=2"}
+        assert rare and rare < steps  # some batches hold the rare domain, some do not
+
+    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
+    def test_previous_norms(self, monkeypatch, five_domains, sample_mode):
+        data, datasets = five_domains
+        config = TrainConfig(batch_size=64, epochs=2, seed=4, base_lr=0.05, lr_norms="previous")
+        bank, ref = self._both(monkeypatch, data, datasets, "base", config,
+                               IAKConfig(d_e=5, beta=0.01, sample_mode=sample_mode))
+        self._assert_equal(bank, ref)
+
+    def test_zero_rate_domain_is_skipped(self, monkeypatch, five_domains):
+        # a domain with rows in the batch but a zero rate takes no step
+        data, datasets = five_domains
+
+        def starving(n_b, grad_norms, lam):
+            out = dynamic_lr(n_b, grad_norms, lam)
+            if n_b[1] % 2:
+                out[1] = 0.0
+            return out
+
+        for module in (trainer, adapter_reference):
+            monkeypatch.setattr(module, "dynamic_lr", starving)
+        config = TrainConfig(batch_size=64, seed=7, base_lr=0.05)
+        bank, ref = self._both(monkeypatch, data, datasets, "base", config, IAKConfig(d_e=5))
+        self._assert_equal(bank, ref)
+        skipped = {r.step for r in bank.curve} - {r.step for r in bank.curve if r.domain == FIVE[1]}
+        assert skipped
+
+    def test_mixing(self, monkeypatch, five_domains):
+        data, datasets = five_domains
+        config = TrainConfig(batch_size=64, seed=6, mixing={"scene=0": 0.6, "period=0": 0.4})
+        bank, ref = self._both(monkeypatch, data, datasets, "esmm", config, IAKConfig(d_e=5, decoder_hidden=()))
+        self._assert_equal(bank, ref)
