@@ -6,6 +6,14 @@ Every command takes one flat config file plus `--set key=value` overrides
 run directory under --workdir, together with the exact effective config.
 Exit codes: 0 success, 2 usage, 3 config error, 4 missing path, 5 data or
 schema violation, 1 anything else.
+
+A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
+with its columns in `dataset.jsonl.cols.npz`, and every command that reads a
+JSONL file loads that sidecar instead of parsing when it holds the sha256 of
+the file's current bytes and the current format version. Any edit to the
+JSONL invalidates it (mtime and size are never trusted); the next read parses
+the file and rewrites the sidecar if the directory is writable. Deleting a
+sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -21,12 +29,13 @@ from .config import ConfigError, RunConfig, load_run_config
 from .datagen import (
     DatasetError,
     domain_datasets,
-    filter_by_domain,  # noqa: F401 - not called here, but perfbench/layers.py traces it by this name
     generate,
-    read_jsonl,
+    read_dataset,
     split_chronological,
     write_jsonl,
 )
+# not called here, but perfbench/layers.py traces them by these names
+from .datagen import filter_by_domain, read_jsonl  # noqa: F401
 from .evals import MetricError, SplitPass, report_from_scores
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
@@ -106,20 +115,20 @@ def _resolve_input(args, path_str: str, what: str) -> Path:
 
 def _load_split(args, cfg: RunConfig):
     data_path = _resolve_input(args, args.data, "dataset")
-    records = read_jsonl(data_path)
-    if not records:
+    dataset = read_dataset(data_path)
+    if not dataset:
         raise DatasetError(f"dataset is empty: {data_path}")
-    return split_chronological(records, cfg.get_ratio("datagen.split_ratio"))
+    return split_chronological(dataset, cfg.get_ratio("datagen.split_ratio"))
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     if args.seed is not None:
         cfg.values["datagen.seed"] = str(args.seed)
-    records = generate(cfg.generator_config())
+    dataset = generate(cfg.generator_config())
     outdir = _make_outdir(args, "gen-data", cfg.get_int("datagen.seed"))
     cfg.echo(outdir / "effective.cfg")
-    write_jsonl(records, outdir / "dataset.jsonl")
+    write_jsonl(dataset, outdir / "dataset.jsonl")
     print(outdir / "dataset.jsonl")
     return EXIT_OK
 
@@ -237,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workdir", default=".", help="base directory for inputs and run outputs")
         p.add_argument("--outdir", help="explicit run directory name (must not exist)")
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset as JSONL")
+    gen_help = ("write a synthetic dataset as JSONL, with its column sidecar dataset.jsonl.cols.npz; "
+                "the sidecar is keyed by the JSONL's sha256, so any edit invalidates it, and deleting "
+                "it is always safe")
+    p = sub.add_parser("gen-data", help=gen_help, description=gen_help)
     common(p)
     p.add_argument("--seed", type=int, help="override datagen.seed")
     p.set_defaults(func=cmd_gen_data)

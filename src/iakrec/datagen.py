@@ -5,11 +5,26 @@ latent vector, and a record's click probability is a sigmoid of their inner
 product after the record's domains modulate the user side and tilt the item
 side. Purchases happen only on clicked impressions. Domain assignment: scene
 and period are drawn per record, region is fixed per user.
+
+A `Dataset` holds records as int64 numpy columns (timestamp, user, item,
+scene, region, period, an (N, F) features block padded with -1, click and
+purchase), in file order. Splits, windows and domain selections are row
+masks over it. `InteractionRecord` is the row form at the JSONL boundary:
+the parser validates records, and indexing or iterating a `Dataset` yields
+them. `read_dataset` parses a JSONL file at most once per content, keeping
+its columns in a digest-checked sidecar beside it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import math
+import operator
+import os
+import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +32,8 @@ import numpy as np
 
 TOPICS = ("scene", "region", "period")
 SECONDS_PER_DAY = 86400
+COLUMNS = ("timestamp", "user", "item", "scene", "region", "period", "features", "click", "purchase")
+SIDECAR_VERSION = 1
 
 # octile edges of the standard normal, used to bucket latent values into
 # categorical feature ids
@@ -49,6 +66,83 @@ class InteractionRecord:
         missing = [t for t in TOPICS if t not in self.domain_ids]
         if missing:
             raise DatasetError(f"domain_ids missing topics: {missing}")
+
+
+@dataclass(eq=False)
+class Dataset:
+    """Records as int64 columns, one row per record. `features` is (N, F)
+    with F the longest `feature_ids` of the source; shorter rows are padded
+    with -1, the empty slot of the encoding. Indexing with an integer gives
+    an `InteractionRecord` of plain ints, with a slice a `Dataset`."""
+
+    timestamp: np.ndarray
+    user: np.ndarray
+    item: np.ndarray
+    scene: np.ndarray
+    region: np.ndarray
+    period: np.ndarray
+    features: np.ndarray
+    click: np.ndarray
+    purchase: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: list[InteractionRecord]) -> Dataset:
+        width = max((len(r.feature_ids) for r in records), default=0)
+        features = np.full((len(records), width), -1, dtype=np.int64)
+        for j, r in enumerate(records):
+            features[j, : len(r.feature_ids)] = r.feature_ids
+
+        def col(values):
+            return np.array(values, dtype=np.int64)
+
+        return cls(
+            timestamp=col([r.timestamp for r in records]),
+            user=col([r.user_id for r in records]),
+            item=col([r.item_id for r in records]),
+            scene=col([r.domain_ids["scene"] for r in records]),
+            region=col([r.domain_ids["region"] for r in records]),
+            period=col([r.domain_ids["period"] for r in records]),
+            features=features,
+            click=col([r.click for r in records]),
+            purchase=col([r.purchase for r in records]),
+        )
+
+    @classmethod
+    def concat(cls, parts: list[Dataset]) -> Dataset:
+        return cls(**{c: np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS})
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {c: getattr(self, c) for c in COLUMNS}
+
+    def take(self, idx) -> Dataset:
+        """The rows at `idx`: positions, a boolean mask or a slice."""
+        return Dataset(**{c: a[idx] for c, a in self.columns().items()})
+
+    def domain(self, topic: str) -> np.ndarray:
+        """The id column of a topic in TOPICS."""
+        return getattr(self, domain_topic(topic))
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, key) -> InteractionRecord | Dataset:
+        if isinstance(key, slice):
+            return self.take(key)
+        j = operator.index(key)
+        return _record(*(a[j].tolist() for a in self.columns().values()))
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        return map(_record, *(a.tolist() for a in self.columns().values()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(np.array_equal(a, getattr(other, c)) for c, a in self.columns().items())
+
+
+def _record(timestamp, user, item, scene, region, period, features, click, purchase) -> InteractionRecord:
+    return InteractionRecord(timestamp, user, item, {"scene": scene, "region": region, "period": period},
+                             features, click, purchase)
 
 
 @dataclass
@@ -173,7 +267,7 @@ def _bucket(values: np.ndarray, scale: float) -> np.ndarray:
     return np.digitize(values / scale, _OCTILE_EDGES)
 
 
-def generate(config: GeneratorConfig) -> list[InteractionRecord]:
+def generate(config: GeneratorConfig) -> Dataset:
     """Deterministic for a fixed seed; per-domain-cell intercepts are
     calibrated so every cell's expected click rate equals the target."""
     config.validate()
@@ -239,28 +333,20 @@ def generate(config: GeneratorConfig) -> list[InteractionRecord]:
     feat2 = _bucket(items[i_idx, 1 % k], latent_scale)
     feat3 = (ts % SECONDS_PER_DAY) // (SECONDS_PER_DAY // 8)  # hour-of-day octant
 
-    scene_arr = np.asarray(scene_ids)[scene_pos]
-    region_arr = np.asarray(region_ids)[region_pos]
-    period_arr = np.asarray(period_ids)[period_pos]
-
-    records = [
-        InteractionRecord(
-            timestamp=int(ts[j]),
-            user_id=int(u_idx[j]),
-            item_id=int(i_idx[j]),
-            domain_ids={"scene": int(scene_arr[j]), "region": int(region_arr[j]), "period": int(period_arr[j])},
-            feature_ids=[int(feat0[j]), int(feat1[j]), int(feat2[j]), int(feat3[j])],
-            click=int(click[j]),
-            purchase=int(purchase[j]),
-        )
-        for j in range(n)
-    ]
-    return records
+    return Dataset(
+        timestamp=ts,
+        user=u_idx,
+        item=i_idx,
+        scene=np.asarray(scene_ids, dtype=np.int64)[scene_pos],
+        region=np.asarray(region_ids, dtype=np.int64)[region_pos],
+        period=np.asarray(period_ids, dtype=np.int64)[period_pos],
+        features=np.stack([feat0, feat1, feat2, feat3], axis=1),
+        click=click,
+        purchase=purchase,
+    )
 
 
-def split_chronological(
-    dataset: list[InteractionRecord], ratio: tuple[int, int]
-) -> tuple[list[InteractionRecord], list[InteractionRecord]]:
+def split_chronological(dataset: Dataset, ratio: tuple[int, int]) -> tuple[Dataset, Dataset]:
     """Cut the timeline at the ratio point: first a/(a+b) of the time span is
     train, the rest test. Records exactly at the cut go to train."""
     if not dataset:
@@ -268,36 +354,30 @@ def split_chronological(
     a, b = ratio
     if a < 0 or b < 0 or a + b == 0:
         raise DatasetError(f"invalid split ratio {a}:{b}")
-    stamps = [r.timestamp for r in dataset]
-    if any(s > t for s, t in zip(stamps, stamps[1:])):
+    ts = dataset.timestamp
+    if np.any(ts[1:] < ts[:-1]):
         raise DatasetError("dataset must be sorted by timestamp before splitting")
-    cut = stamps[0] + (stamps[-1] - stamps[0]) * a / (a + b)
-    train = [r for r in dataset if r.timestamp <= cut]
-    test = dataset[len(train):]
-    return train, test
+    first, last = int(ts[0]), int(ts[-1])
+    cut = first + (last - first) * a / (a + b)
+    # an integer timestamp t is <= cut exactly when t <= floor(cut), and
+    # comparing the int64 stamps with that Python int is exact
+    n_train = int(np.searchsorted(ts, math.floor(cut), side="right"))
+    return dataset[:n_train], dataset[n_train:]
 
 
-_RECORD_KEYS = ("timestamp", "user_id", "item_id", "domain_ids", "feature_ids", "click", "purchase")
-
-
-def write_jsonl(dataset: list[InteractionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in dataset:
-            f.write(
-                json.dumps(
-                    {
-                        "timestamp": r.timestamp,
-                        "user_id": r.user_id,
-                        "item_id": r.item_id,
-                        "domain_ids": r.domain_ids,
-                        "feature_ids": r.feature_ids,
-                        "click": r.click,
-                        "purchase": r.purchase,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-            f.write("\n")
+def write_jsonl(dataset: Dataset, path: str | Path) -> None:
+    """One JSON object per row, formatted straight from the columns, plus the
+    column sidecar of the bytes written (see `read_dataset`)."""
+    feature_text = [",".join(map(str, row)) for row in dataset.features.tolist()]
+    cols = [a.tolist() for a in (dataset.timestamp, dataset.user, dataset.item, dataset.scene, dataset.region,
+                                 dataset.period)]
+    raw = "".join(
+        f'{{"timestamp":{t},"user_id":{u},"item_id":{i},"domain_ids":{{"scene":{s},"region":{r},"period":{p}}},'
+        f'"feature_ids":[{f}],"click":{c},"purchase":{b}}}\n'
+        for t, u, i, s, r, p, f, c, b in zip(*cols, feature_text, dataset.click.tolist(), dataset.purchase.tolist())
+    ).encode("utf-8")
+    Path(path).write_bytes(raw)
+    _store_columns(dataset, path, hashlib.sha256(raw).hexdigest())
 
 
 def int64_id(value) -> int:
@@ -331,42 +411,113 @@ def id_fields(obj: dict) -> tuple[int, int, dict[str, int], list[int]]:
     )
 
 
-def read_jsonl(path: str | Path) -> list[InteractionRecord]:
-    """Records of a JSONL dataset; a bad line raises DatasetError at `path:line`."""
+_RECORD_KEYS = ("timestamp", "user_id", "item_id", "domain_ids", "feature_ids", "click", "purchase")
+
+
+def _parse_jsonl(lines: Iterable[str], path: str | Path) -> Dataset:
+    """The dataset of JSONL text lines; a bad line raises DatasetError at `path:line`."""
     records: list[InteractionRecord] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        # ValueError also covers integers too long to convert; RecursionError
+        # is JSON nested too deep to decode
+        except (ValueError, RecursionError) as e:
+            raise DatasetError(f"{path}:{lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{path}:{lineno}: a record must be a JSON object")
+        missing = [key for key in _RECORD_KEYS if key not in obj]
+        if missing:
+            raise DatasetError(f"{path}:{lineno}: missing keys {missing}")
+        try:
+            user_id, item_id, domain_ids, feature_ids = id_fields(obj)
+            rec = InteractionRecord(
+                timestamp=int64_id(obj["timestamp"]),
+                user_id=user_id,
+                item_id=item_id,
+                domain_ids=domain_ids,
+                feature_ids=feature_ids,
+                click=int64_id(obj["click"]),
+                purchase=int64_id(obj["purchase"]),
+            )
+            rec.validate()
+        # DatasetError from validate() is a ValueError too
+        except (TypeError, ValueError, OverflowError) as e:
+            raise DatasetError(f"{path}:{lineno}: {e}") from e
+        records.append(rec)
+    return Dataset.from_records(records)
+
+
+def read_jsonl(path: str | Path) -> Dataset:
+    """Parse a JSONL dataset, ignoring any sidecar; a bad line raises
+    DatasetError at `path:line`."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            # ValueError also covers integers too long to convert; RecursionError
-            # is JSON nested too deep to decode
-            except (ValueError, RecursionError) as e:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON ({getattr(e, 'msg', e)})") from e
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{path}:{lineno}: a record must be a JSON object")
-            missing = [key for key in _RECORD_KEYS if key not in obj]
-            if missing:
-                raise DatasetError(f"{path}:{lineno}: missing keys {missing}")
-            try:
-                user_id, item_id, domain_ids, feature_ids = id_fields(obj)
-                rec = InteractionRecord(
-                    timestamp=int64_id(obj["timestamp"]),
-                    user_id=user_id,
-                    item_id=item_id,
-                    domain_ids=domain_ids,
-                    feature_ids=feature_ids,
-                    click=int64_id(obj["click"]),
-                    purchase=int64_id(obj["purchase"]),
-                )
-                rec.validate()
-            # DatasetError from validate() is a ValueError too
-            except (TypeError, ValueError, OverflowError) as e:
-                raise DatasetError(f"{path}:{lineno}: {e}") from e
-            records.append(rec)
-    return records
+        return _parse_jsonl(f, path)
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """Where the columns of the JSONL file `path` are kept: `<path>.cols.npz`."""
+    return Path(f"{path}.cols.npz")
+
+
+def _store_columns(dataset: Dataset, path: str | Path, digest: str) -> None:
+    """Write the sidecar of `path` if the directory allows it: a temporary
+    file renamed into place, so a reader never sees a partial sidecar."""
+    side = sidecar_path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=side.parent, prefix=f".{side.name}.", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, version=np.int64(SIDECAR_VERSION), sha256=np.array(digest), **dataset.columns())
+        os.replace(tmp, side)
+    except BaseException as e:
+        os.unlink(tmp)
+        if not isinstance(e, OSError):
+            raise
+
+
+def _load_columns(side: Path, digest: str) -> Dataset | None:
+    """The sidecar's dataset if it holds this format version, this digest and
+    a full set of equal-length int64 columns; None for anything else."""
+    try:
+        with open(side, "rb") as f, np.load(f, allow_pickle=False) as z:
+            if sorted(z.files) != sorted((*COLUMNS, "version", "sha256")):
+                return None
+            if z["version"].tolist() != SIDECAR_VERSION or z["sha256"].tolist() != digest:
+                return None
+            cols = {c: z[c] for c in COLUMNS}
+    # the sidecar is only a cache: whatever makes it unreadable (missing,
+    # truncated, not a zip, a bad array header) sends the reader to the JSONL
+    except Exception:
+        return None
+    n = len(cols["timestamp"])
+    for c, a in cols.items():
+        if a.dtype != np.int64 or a.ndim != (2 if c == "features" else 1) or len(a) != n:
+            return None
+    return Dataset(**cols)
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """The dataset of a JSONL file, parsed at most once per content.
+
+    The file's sha256 keys its sidecar: when the sidecar holds that digest,
+    the current format version and every column, the columns load from it
+    and no line is parsed. Otherwise the JSONL is parsed with every check
+    of `read_jsonl` and the sidecar is rewritten where the directory allows
+    it. A sidecar that cannot be read or does not match is a miss, never an
+    error, so deleting it is always safe."""
+    raw = Path(path).read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    dataset = _load_columns(sidecar_path(path), digest)
+    if dataset is None:
+        dataset = _parse_jsonl(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), path)
+        _store_columns(dataset, path, digest)
+    return dataset
 
 
 def domain_key(selector: dict[str, int]) -> str:
@@ -399,7 +550,7 @@ def parse_domain_key(key: str) -> dict[str, int]:
 
 def in_domain(domain_ids: dict[str, int], selector: dict[str, int]) -> bool:
     """True when every topic of the selector carries the selector's id. A
-    plain loop: it runs once per record per selector, and all() over a
+    plain loop: it runs once per request per adapter, and all() over a
     generator costs twice as much."""
     for topic, i in selector.items():
         if domain_ids.get(topic) != i:
@@ -407,32 +558,37 @@ def in_domain(domain_ids: dict[str, int], selector: dict[str, int]) -> bool:
     return True
 
 
-def filter_by_domain(dataset: list[InteractionRecord], selector: dict[str, int]) -> list[InteractionRecord]:
-    return [r for r in dataset if in_domain(r.domain_ids, selector)]
+def domain_mask(dataset: Dataset, selector: dict[str, int]) -> np.ndarray:
+    """Boolean mask of the rows a selector matches."""
+    mask = np.ones(len(dataset), dtype=bool)
+    for topic, i in selector.items():
+        mask &= dataset.domain(topic) == i
+    return mask
 
 
-def domain_rows(dataset: list[InteractionRecord], selector: dict[str, int]) -> np.ndarray:
-    """Positions of the records a selector matches."""
-    return np.array([j for j, r in enumerate(dataset) if in_domain(r.domain_ids, selector)], dtype=np.int64)
+def filter_by_domain(dataset: Dataset, selector: dict[str, int]) -> Dataset:
+    return dataset.take(domain_mask(dataset, selector))
 
 
-def domain_datasets(
-    dataset: list[InteractionRecord], selectors: dict[str, dict[str, int]]
-) -> dict[str, list[InteractionRecord]]:
-    """Each selector's records, keyed like `selectors`; selectors that match
-    no record are left out."""
+def domain_rows(dataset: Dataset, selector: dict[str, int]) -> np.ndarray:
+    """Positions of the rows a selector matches."""
+    return np.flatnonzero(domain_mask(dataset, selector))
+
+
+def domain_datasets(dataset: Dataset, selectors: dict[str, dict[str, int]]) -> dict[str, Dataset]:
+    """Each selector's rows, keyed like `selectors`; selectors that match
+    no row are left out."""
     out = {}
     for key, selector in selectors.items():
-        records = filter_by_domain(dataset, selector)
-        if records:
-            out[key] = records
+        mask = domain_mask(dataset, selector)
+        if mask.any():
+            out[key] = dataset.take(mask)
     return out
 
 
-def window_by_days(dataset: list[InteractionRecord], window_days: int) -> list[InteractionRecord]:
-    """Keep only records from the last `window_days` whole days of the set."""
+def window_by_days(dataset: Dataset, window_days: int) -> Dataset:
+    """Keep only rows from the last `window_days` whole days of the set."""
     if window_days <= 0 or not dataset:
-        return list(dataset)
-    last_day = max(r.timestamp for r in dataset) // SECONDS_PER_DAY
-    first_kept = last_day - window_days + 1
-    return [r for r in dataset if r.timestamp // SECONDS_PER_DAY >= first_kept]
+        return dataset
+    day = dataset.timestamp // SECONDS_PER_DAY
+    return dataset.take(day >= int(day.max()) - window_days + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .datagen import InteractionRecord, domain_rows
+from .datagen import Dataset, domain_rows
 from .iak import IAKAdapter, adapted_prediction, backbone_cache
 from .models import EncodedBatch, MultiTaskModel
 
@@ -208,8 +208,8 @@ class SplitPass:
     """One frozen-backbone pass over a scored split: the representation and
     head logits of every row, which each zero-shot or adapted slice reads."""
 
-    def __init__(self, backbone: MultiTaskModel, records: list[InteractionRecord], encoded: EncodedBatch):
-        self.backbone, self.records, self.encoded = backbone, records, encoded
+    def __init__(self, backbone: MultiTaskModel, dataset: Dataset, encoded: EncodedBatch):
+        self.backbone, self.dataset, self.encoded = backbone, dataset, encoded
         self.rep, self.logits = backbone_cache(backbone, encoded)
 
     def zero_shot(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +222,7 @@ class SplitPass:
         """(key, row positions, encoded rows) of each selector in key order,
         skipping selectors that match no row of the split."""
         for key in sorted(selectors):
-            idx = domain_rows(self.records, selectors[key])
+            idx = domain_rows(self.dataset, selectors[key])
             if idx.size:
                 yield key, idx, self.encoded.take(idx)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .datagen import (
-    InteractionRecord,
+    Dataset,
     domain_datasets,
     domain_key,
     domain_topic,
@@ -73,14 +73,14 @@ class ExperimentContext:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def dataset(self) -> tuple[list[InteractionRecord], list[InteractionRecord]]:
+    def dataset(self) -> tuple[Dataset, Dataset]:
         data = generate(self.cfg.generator_config())
         return split_chronological(data, self.cfg.get_ratio("datagen.split_ratio"))
 
     def space(self) -> FeatureSpace:
         return self.cfg.feature_space()
 
-    def pretrained(self, kind: str, seed: int, train_records) -> MultiTaskModel:
+    def pretrained(self, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
         """Backbone for (kind, seed), pretrained once and cached on disk."""
         digest = self.cfg.digest(_BACKBONE_PREFIXES)
         path = self.cache_dir / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
@@ -89,13 +89,13 @@ class ExperimentContext:
         if path.exists():
             model.restore(load_checkpoint(path)[0])
         else:
-            pretrain(model, train_records, replace(self.cfg.train_config(), seed=seed))
+            pretrain(model, train, replace(self.cfg.train_config(), seed=seed))
             save_checkpoint(path, model.named_parameters(), digest)
         model.set_trainable(False)
         return model
 
 
-def expand_domain_selectors(spec: list[str], records: list[InteractionRecord]) -> dict[str, dict[str, int]]:
+def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict[str, int]]:
     """Expand entries like `period=*` over the ids present in the data;
     explicit keys pass through."""
     out: dict[str, dict[str, int]] = {}
@@ -103,8 +103,7 @@ def expand_domain_selectors(spec: list[str], records: list[InteractionRecord]) -
         topic, _, value = entry.partition("=")
         if value == "*":
             topic = domain_topic(topic)
-            ids = sorted({r.domain_ids[topic] for r in records})
-            for i in ids:
+            for i in np.unique(dataset.domain(topic)).tolist():
                 sel = {topic: i}
                 out[domain_key(sel)] = sel
         else:
@@ -156,12 +155,12 @@ def _adapted_rows(
     return rows
 
 
-def _finetune(ctx, backbone, train_records, selectors, seed, *, iak=None, train=None):
+def _finetune(ctx, backbone, train_set, selectors, seed, *, iak=None, train=None):
     """Adapters for the selectors with training records; `iak` and `train`
     replace fields of the configured IAK and training settings."""
     iak_cfg = replace(ctx.cfg.iak_config(), **(iak or {}))
     train_cfg = replace(ctx.cfg.train_config(), seed=seed, **(train or {}))
-    datasets = domain_datasets(train_records, selectors)
+    datasets = domain_datasets(train_set, selectors)
     return finetune_all(backbone, datasets, ctx.space(), train_cfg, iak_cfg).adapters
 
 

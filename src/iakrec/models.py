@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .datagen import InteractionRecord
+from .datagen import Dataset
 
 PROB_CLAMP = 1e-12
 
@@ -71,43 +71,40 @@ class EncodedBatch:
         )
 
 
-def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> EncodedBatch:
-    """Vectorize records in order. The history column holds each user's most
-    recent clicked item ids *before* the current record (no label leakage);
-    records must already be in chronological order."""
-    n = len(records)
-    f_cols = space.n_feature_cols
-    h_len = space.history_len
-    user = np.empty(n, dtype=np.int64)
-    item = np.empty(n, dtype=np.int64)
-    scene = np.empty(n, dtype=np.int64)
-    region = np.empty(n, dtype=np.int64)
-    period = np.empty(n, dtype=np.int64)
-    features = np.full((n, f_cols), -1, dtype=np.int64)
-    history = np.full((n, h_len), -1, dtype=np.int64)
-    click = np.empty(n, dtype=np.float64)
-    purchase = np.empty(n, dtype=np.float64)
+def encode_records(dataset: Dataset, space: FeatureSpace) -> EncodedBatch:
+    """Encode a dataset's rows in order. The history column holds each
+    user's most recent clicked item ids *before* the row (no label leakage),
+    over the rows given; they must already be in chronological order."""
+    n = len(dataset)
+    width = min(space.n_feature_cols, dataset.features.shape[1])
+    features = np.full((n, space.n_feature_cols), -1, dtype=np.int64)
+    features[:, :width] = dataset.features[:, :width]
+    return EncodedBatch(
+        dataset.user, dataset.item, dataset.scene, dataset.region, dataset.period, features,
+        _click_history(dataset.user, dataset.item, dataset.click, space.history_len),
+        dataset.click.astype(np.float64), dataset.purchase.astype(np.float64),
+    )
 
-    recent: dict[int, list[int]] = {}
-    for j, r in enumerate(records):
-        user[j] = r.user_id
-        item[j] = r.item_id
-        scene[j] = r.domain_ids.get("scene", -1)
-        region[j] = r.domain_ids.get("region", -1)
-        period[j] = r.domain_ids.get("period", -1)
-        for c, fid in enumerate(r.feature_ids[:f_cols]):
-            features[j, c] = fid
-        past = recent.get(r.user_id)
-        if past:
-            history[j, : len(past)] = past[::-1]
-        click[j] = r.click
-        purchase[j] = r.purchase
-        if r.click:
-            past = recent.setdefault(r.user_id, [])
-            past.append(r.item_id)
-            if len(past) > h_len:
-                del past[0]
-    return EncodedBatch(user, item, scene, region, period, features, history, click, purchase)
+
+def _click_history(user: np.ndarray, item: np.ndarray, click: np.ndarray, h_len: int) -> np.ndarray:
+    """(N, h_len): the items each row's user clicked in earlier rows, most
+    recent first, -1 in empty slots. Rows are grouped by user (stably, so in
+    order within a user); a running click count then locates each row's
+    last clicks among the group's clicked rows."""
+    n = len(user)
+    history = np.full((n, h_len), -1, dtype=np.int64)
+    if n == 0 or h_len == 0:
+        return history
+    order = np.argsort(user, kind="stable")
+    clicked = click[order] != 0
+    before = np.cumsum(clicked) - clicked  # clicked rows earlier in the grouped order
+    starts = np.flatnonzero(np.concatenate(([True], user[order][1:] != user[order][:-1])))
+    n_prev = before - np.repeat(before[starts], np.diff(np.append(starts, n)))  # the user's earlier clicks
+    clicked_items = item[order][clicked]
+    for k in range(h_len):
+        has = n_prev > k
+        history[order[has], k] = clicked_items[before[has] - 1 - k]
+    return history
 
 
 def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdagradDecayState
-from .datagen import InteractionRecord, filter_by_domain, parse_domain_key, window_by_days
+from .datagen import Dataset, domain_mask, parse_domain_key, window_by_days
 from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from .models import EncodedBatch, FeatureSpace, MultiTaskModel, encode_records, task_bce
 
@@ -75,16 +75,16 @@ def _batch_indices(n: int, batch_size: int, epochs: int, rng: np.random.Generato
 
 def pretrain(
     model: MultiTaskModel,
-    records: list[InteractionRecord],
+    dataset: Dataset,
     config: TrainConfig,
 ) -> list[tuple[int, float, float, float]]:
     """Train the model on the full multi-domain stream. Returns the training
     curve as (step, loss, loss_ctr, loss_ctcvr) rows; ceil(N/B) steps per
     epoch."""
     config.validate()
-    if not records:
+    if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")
-    encoded = encode_records(records, model.space)
+    encoded = encode_records(dataset, model.space)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E7]))
     opt = AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
     curve = []
@@ -149,15 +149,16 @@ class FinetuneResult:
 
 
 def mix_domains(
-    primary_dataset: list[InteractionRecord],
-    aux_datasets: dict[str, list[InteractionRecord]],
+    primary_dataset: Dataset,
+    aux_datasets: dict[str, Dataset],
     weights: dict[str, float],
     rng: np.random.Generator,
     primary_key: str,
-) -> Iterator[InteractionRecord]:
-    """Infinite record stream: each slot is filled from domain d with
+    n_slots: int,
+) -> Dataset:
+    """A stream of `n_slots` rows: each slot is filled from domain d with
     probability weights[d], drawing without replacement until a domain's
-    records run out, then reshuffling that domain for its next epoch."""
+    rows run out, then reshuffling that domain for its next epoch."""
     total = sum(weights.values())
     if abs(total - 1.0) > 1e-9:
         raise TrainerError(f"mixing weights must sum to 1, got {total}")
@@ -168,17 +169,20 @@ def mix_domains(
             raise TrainerError(f"mixing weight for unknown domain {key!r}")
     keys = sorted(weights)
     probs = np.array([weights[k] for k in keys])
-    queues: dict[str, list[int]] = {k: [] for k in keys}
-    while True:
-        k = keys[rng.choice(len(keys), p=probs)]
-        if not queues[k]:
-            queues[k] = list(rng.permutation(len(pools[k])))
-        yield pools[k][queues[k].pop()]
+    offsets = np.cumsum([0] + [len(pools[k]) for k in keys])
+    queues: list[list[int]] = [[] for _ in keys]
+    picks = np.empty(n_slots, dtype=np.int64)
+    for slot in range(n_slots):
+        ki = rng.choice(len(keys), p=probs)
+        if not queues[ki]:
+            queues[ki] = list(rng.permutation(len(pools[keys[ki]])))
+        picks[slot] = offsets[ki] + queues[ki].pop()
+    return Dataset.concat([pools[k] for k in keys]).take(picks)
 
 
 def finetune_all(
     backbone: MultiTaskModel,
-    domain_datasets: dict[str, list[InteractionRecord]],
+    domain_datasets: dict[str, Dataset],
     space: FeatureSpace,
     config: TrainConfig,
     iak_config: IAKConfig,
@@ -202,19 +206,19 @@ def finetune_all(
     iak_config.validate()
     if not domain_datasets:
         raise TrainerError("no domain datasets given")
-    for key, recs in domain_datasets.items():
-        if not recs:
+    for key, rows in domain_datasets.items():
+        if not rows:
             raise TrainerError(f"domain dataset {key!r} is empty")
-        if len(filter_by_domain(recs, parse_domain_key(key))) != len(recs):
+        if not domain_mask(rows, parse_domain_key(key)).all():
             raise TrainerError(f"domain dataset {key!r} holds records of other domains; mix domains with `mixing`")
     backbone.set_trainable(False)
 
     windowed = {
-        key: window_by_days(recs, config.finetune_window_days)
-        for key, recs in sorted(domain_datasets.items())
+        key: window_by_days(rows, config.finetune_window_days)
+        for key, rows in sorted(domain_datasets.items())
     }
-    for key, recs in windowed.items():
-        if not recs:
+    for key, rows in windowed.items():
+        if not rows:
             raise TrainerError(f"window of {config.finetune_window_days} days leaves {key!r} empty")
 
     seeds = np.random.SeedSequence([config.seed, 0xF17E]).spawn(len(windowed) + 1)
@@ -242,9 +246,8 @@ def finetune_all(
         missing = [k for k in config.mixing if k != mixing_primary and k not in windowed]
         if missing:
             raise TrainerError(f"mixing references domains without datasets: {missing}")
-        stream_gen = mix_domains(windowed[mixing_primary], aux, config.mixing, shared_rng, mixing_primary)
-        n_slots = config.epochs * len(windowed[mixing_primary])
-        stream = [next(stream_gen) for _ in range(n_slots)]
+        stream = mix_domains(windowed[mixing_primary], aux, config.mixing, shared_rng, mixing_primary,
+                             config.epochs * len(windowed[mixing_primary]))
         curve.extend(
             _finetune_joint(  # the stream already spans every epoch
                 backbone, {mixing_primary: stream}, adapters, space,
@@ -257,7 +260,7 @@ def finetune_all(
 
 def _finetune_joint(
     backbone: MultiTaskModel,
-    datasets: dict[str, list[InteractionRecord]],
+    datasets: dict[str, Dataset],
     adapters: dict[str, IAKAdapter],
     space: FeatureSpace,
     config: TrainConfig,

@@ -488,3 +488,16 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def test_first_gradient_is_fresh_and_negative_zero_becomes_positive():
+    """A node's first gradient is stored as g + 0.0 in its own buffer, bit
+    for bit what zeros + g gave: -0.0 turns into +0.0, and two parents fed
+    the same upstream gradient never share it."""
+    x = ad.Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    ad.backward(ad.reduce_sum(ad.mul(x, -0.0)))
+    assert np.array_equal(x.grad, [0.0, 0.0]) and not np.signbit(x.grad).any()
+    a, b = (ad.Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+    ad.backward(ad.reduce_sum(ad.add(a, b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, np.ones(3))

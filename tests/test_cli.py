@@ -4,13 +4,15 @@ its own working directory."""
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+from iakrec import datagen
 from iakrec.checkpoint import save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import RunConfig
-from iakrec.datagen import read_jsonl, split_chronological
+from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
 from iakrec.models import MODEL_KINDS, build_model
 
 TINY_CFG = """\
@@ -129,3 +131,87 @@ def test_eval_forwards_each_test_row_once(workdir, monkeypatch, domains, n_adapt
     assert sum(rows) == len(test)
     with open(workdir / "ev" / "report.csv", newline="", encoding="utf-8") as f:
         assert sum(r["model"].startswith("iak:") for r in csv.DictReader(f)) == n_adapters
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of JSONL parses so far: a list with one entry per parse."""
+    calls = []
+    parse = datagen._parse_jsonl
+
+    def counted(lines, path):
+        calls.append(path)
+        return parse(lines, path)
+
+    monkeypatch.setattr(datagen, "_parse_jsonl", counted)
+    return calls
+
+
+def _pipeline(workdir, tag):
+    data = "data/dataset.jsonl"
+    assert _run(workdir, "pretrain", "--data", data, "--outdir", f"{tag}-pre") == EXIT_OK
+    assert _run(workdir, "finetune", "--data", data, "--backbone", f"{tag}-pre/backbone.ckpt",
+                "--outdir", f"{tag}-ft") == EXIT_OK
+    assert _run(workdir, "eval", "--data", data, "--checkpoint", f"{tag}-ft/finetuned.ckpt",
+                "--outdir", f"{tag}-ev") == EXIT_OK
+    return [(workdir / f).read_bytes() for f in (f"{tag}-pre/backbone.ckpt", f"{tag}-pre/pretrain_curve.csv",
+                                                  f"{tag}-ft/finetuned.ckpt", f"{tag}-ft/finetune_curve.csv",
+                                                  f"{tag}-ev/report.csv")]
+
+
+def test_pipeline_parses_jsonl_once(workdir, parses):
+    """gen-data leaves the columns beside the JSONL, so no later command
+    parses it; without the sidecar the next command parses once and
+    writes it back."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    side = sidecar_path(workdir / "data" / "dataset.jsonl")
+    assert side.exists()
+    _pipeline(workdir, "a")
+    assert _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "a-ft/finetuned.ckpt",
+                "--outdir", "a-ev2") == EXIT_OK
+    assert parses == []
+    side.unlink()
+    assert _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "a-ft/finetuned.ckpt",
+                "--outdir", "a-ev3") == EXIT_OK
+    assert len(parses) == 1 and side.exists()
+    _pipeline(workdir, "b")
+    assert len(parses) == 1
+
+
+def test_pipeline_outputs_do_not_depend_on_the_sidecar(workdir, monkeypatch, parses):
+    """With the sidecar, without it, and in a directory where it cannot be
+    written, every output is the same; the unwritable run leaves no sidecar."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    side = sidecar_path(workdir / "data" / "dataset.jsonl")
+    cached = _pipeline(workdir, "cached")
+    assert parses == []
+    side.unlink()
+
+    mkstemp = datagen.tempfile.mkstemp
+
+    def data_dir_unwritable(*args, dir, **kwargs):
+        # what a read-only data directory does to the sidecar write, even
+        # when the tests run as root
+        if Path(dir) == side.parent:
+            raise PermissionError(13, "Permission denied", str(dir))
+        return mkstemp(*args, dir=dir, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(datagen.tempfile, "mkstemp", data_dir_unwritable)
+        assert _pipeline(workdir, "readonly") == cached
+    assert len(parses) == 3 and not side.exists()
+    assert _pipeline(workdir, "parsed") == cached
+    assert len(parses) == 4 and side.exists()
+
+
+def test_bad_line_exits_5_and_writes_no_sidecar(workdir, capsys):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    path = workdir / "data" / "dataset.jsonl"
+    sidecar_path(path).unlink()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"click":0', '"click":2').replace('"click":1', '"click":2')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _run(workdir, "pretrain", "--data", "data/dataset.jsonl") == EXIT_SCHEMA
+    assert f"{path}:3:" in capsys.readouterr().err
+    assert not sidecar_path(path).exists()

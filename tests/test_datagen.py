@@ -5,21 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iakrec import datagen
 from iakrec.datagen import (
+    Dataset,
     DatasetError,
     DomainSpec,
     GeneratorConfig,
     InteractionRecord,
     SECONDS_PER_DAY,
+    domain_datasets,
+    domain_rows,
     filter_by_domain,
     generate,
     make_domains,
+    read_dataset,
     read_jsonl,
+    sidecar_path,
     split_chronological,
     window_by_days,
     write_jsonl,
 )
 from iakrec.evals import item_decile_click_distribution, sym_kl
+from iakrec.models import FeatureSpace, encode_records
+
+import records_reference
 
 
 def _config(seed=0, period_shifts=(0.0, 0.0), period_tilts=None, **kw):
@@ -120,7 +129,7 @@ class TestDomainShiftMonotonicity:
 
 
 class TestSplit:
-    def _uniform_days(self, n_days, per_day=24):
+    def _uniform_days(self, n_days, per_day=24, repeat=1):
         recs = []
         for d in range(n_days):
             for h in range(per_day):
@@ -132,7 +141,7 @@ class TestSplit:
                         feature_ids=[0], click=0, purchase=0,
                     )
                 )
-        return recs
+        return Dataset.from_records(recs * repeat)
 
     def test_six_to_one_puts_last_day_in_test(self):
         recs = self._uniform_days(7)
@@ -143,22 +152,22 @@ class TestSplit:
 
     def test_ratio_one_to_zero_gives_empty_test(self):
         train, test = split_chronological(self._uniform_days(3), (1, 0))
-        assert test == []
+        assert len(test) == 0
         assert len(train) == 3 * 24
 
     def test_all_same_timestamp_goes_to_train(self):
-        recs = self._uniform_days(1, per_day=1) * 5
+        recs = self._uniform_days(1, per_day=1, repeat=5)
         train, test = split_chronological(recs, (6, 1))
-        assert len(train) == 5 and test == []
+        assert len(train) == 5 and len(test) == 0
 
     def test_partitions_are_disjoint_exhaustive_ordered(self):
         recs = self._uniform_days(5)
         train, test = split_chronological(recs, (3, 2))
-        assert train + test == recs
+        assert Dataset.concat([train, test]) == recs
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError):
-            split_chronological([], (6, 1))
+            split_chronological(Dataset.from_records([]), (6, 1))
 
     def test_unsorted_rejected(self):
         recs = self._uniform_days(2)[::-1]
@@ -188,7 +197,7 @@ class TestJsonl:
     def test_empty_file_reads_as_empty_dataset(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
-        assert read_jsonl(p) == []
+        assert len(read_jsonl(p)) == 0
 
     def test_conversion_invariant_enforced_with_line_number(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -275,8 +284,9 @@ class TestJsonl:
     @given(records=st.lists(record_strategy, max_size=40))
     def test_round_trip_preserves_content(self, records, tmp_path_factory):
         p = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
-        write_jsonl(records, p)
-        assert read_jsonl(p) == records
+        dataset = Dataset.from_records(records)
+        write_jsonl(dataset, p)
+        assert read_jsonl(p) == dataset
 
     def test_large_random_round_trip(self, tmp_path):
         data = generate(_config(seed=13))[:1000]
@@ -291,3 +301,230 @@ def test_window_by_days():
     days = {r.timestamp // SECONDS_PER_DAY for r in win}
     assert days == {4, 5}
     assert window_by_days(data, 0) == data
+
+
+class TestSidecar:
+    """`read_dataset` must give what a fresh parse gives, whatever state the
+    sidecar is in; only a matching sidecar saves the parse."""
+
+    @pytest.fixture
+    def data(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(generate(_config(seed=21, n_days=2, records_per_day=300)), path)
+        parses = []
+        parse = datagen._parse_jsonl
+
+        def counted(lines, p):
+            parses.append(p)
+            return parse(lines, p)
+
+        monkeypatch.setattr(datagen, "_parse_jsonl", counted)
+        return path, parses
+
+    def test_written_sidecar_is_a_hit(self, data):
+        path, parses = data
+        assert read_dataset(path) == read_jsonl(path)
+        assert len(parses) == 1  # read_jsonl's own parse
+
+    def test_edited_label_is_read_and_sidecar_rewritten(self, data):
+        path, parses = data
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = next(j for j, line in enumerate(lines) if '"click":0' in line)
+        lines[row] = lines[row].replace('"click":0', '"click":1')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = read_dataset(path)
+        assert got.click[row] == 1 and got == read_jsonl(path)
+        assert len(parses) == 2
+        assert read_dataset(path) == got and len(parses) == 2
+
+    def _tamper(self, side, how):
+        with np.load(side) as z:
+            cols = dict(z)
+        if how == "version":
+            cols["version"] = np.int64(datagen.SIDECAR_VERSION + 1)
+        elif how == "missing_column":
+            del cols["purchase"]
+        elif how == "wrong_dtype":
+            cols["click"] = cols["click"].astype(np.int32)
+        elif how == "short_column":
+            cols["item"] = cols["item"][:-1]
+        elif how == "digest":
+            cols["sha256"] = np.array("0" * 64)
+        with open(side, "wb") as f:
+            np.savez(f, **cols)
+
+    @pytest.mark.parametrize("how", ["truncated", "zero_bytes", "garbage", "directory", "version", "missing_column",
+                                     "wrong_dtype", "short_column", "digest"])
+    def test_bad_sidecar_is_a_miss(self, data, how):
+        path, parses = data
+        side = sidecar_path(path)
+        if how == "truncated":
+            side.write_bytes(side.read_bytes()[: side.stat().st_size // 2])
+        elif how == "zero_bytes":
+            side.write_bytes(b"")
+        elif how == "garbage":
+            side.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
+        elif how == "directory":
+            side.unlink()
+            side.mkdir()
+        else:
+            self._tamper(side, how)
+        got = read_dataset(path)
+        assert len(parses) == 1
+        assert got == read_jsonl(path)
+        if how != "directory":  # a directory in the way cannot be replaced
+            assert read_dataset(path) == got and len(parses) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(min_value=0), flip=st.integers(min_value=0))
+    def test_any_damaged_sidecar_is_a_miss(self, tmp_path_factory, cut, flip):
+        path = tmp_path_factory.mktemp("side") / "data.jsonl"
+        dataset = generate(_config(seed=22, n_days=2, records_per_day=50))
+        write_jsonl(dataset, path)
+        side = sidecar_path(path)
+        raw = bytearray(side.read_bytes())
+        raw[flip % len(raw)] ^= 0x5A
+        side.write_bytes(bytes(raw[: cut % (len(raw) + 1)]))
+        assert read_dataset(path) == dataset
+
+    def test_bad_line_writes_no_sidecar(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"timestamp": 1}\n')
+        with pytest.raises(DatasetError, match=":1:"):
+            read_dataset(path)
+        assert not sidecar_path(path).exists()
+
+    def test_unwritable_directory_reads_without_sidecar(self, data, monkeypatch):
+        path, parses = data
+        sidecar_path(path).unlink()
+
+        def unwritable(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(datagen.tempfile, "mkstemp", unwritable)
+        assert read_dataset(path) == read_jsonl(path)
+        assert not sidecar_path(path).exists()
+        assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failed_rename_leaves_no_temporary_file(self, data, monkeypatch):
+        path, _ = data
+        sidecar_path(path).unlink()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(datagen.os, "replace", refuse)
+        assert read_dataset(path) == read_jsonl(path)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["data.jsonl"]
+
+
+class TestDatasetRows:
+    def test_rows_are_plain_int_records(self):
+        data = generate(_config(seed=23, n_days=2, records_per_day=50))
+        rec = data[np.int64(3)]
+        assert rec == list(data)[3] == data[3 - len(data)]
+        assert rec.domain_ids == {"scene": int(data.scene[3]), "region": int(data.region[3]),
+                                  "period": int(data.period[3])}
+        assert all(type(v) is int for v in (rec.timestamp, rec.user_id, rec.item_id, *rec.domain_ids.values(),
+                                             *rec.feature_ids, rec.click, rec.purchase))
+        assert list(rec.domain_ids) == ["scene", "region", "period"]
+        assert json.loads(json.dumps(rec.feature_ids)) == data.features[3].tolist()
+        with pytest.raises(IndexError):
+            data[len(data)]
+
+    def test_from_records_pads_short_feature_rows(self):
+        recs = [InteractionRecord(0, 1, 2, {"scene": 0, "region": 0, "period": 0}, feats, 0, 0)
+                for feats in ([5], [], [1, 2, 3])]
+        data = Dataset.from_records(recs)
+        assert data.features.tolist() == [[5, -1, -1], [-1, -1, -1], [1, 2, 3]]
+        assert data.features.dtype == np.int64
+
+
+# --- column operations against the record-list reference ------------------
+
+EXTRA_TOPICS = {"device": st.integers(min_value=0, max_value=3), "city": st.integers(min_value=-2, max_value=2)}
+timestamps = st.one_of(
+    st.integers(min_value=0, max_value=6).map(lambda d: d * SECONDS_PER_DAY // 2),  # ties at a cut
+    st.integers(min_value=-4, max_value=4),  # ties, and cuts between negative stamps
+    st.integers(min_value=-SECONDS_PER_DAY, max_value=6 * SECONDS_PER_DAY),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+column_records = st.builds(
+    InteractionRecord,
+    timestamp=timestamps,
+    user_id=st.integers(min_value=0, max_value=3),  # few users, so many clicks each
+    item_id=st.integers(min_value=-1, max_value=40),
+    domain_ids=st.fixed_dictionaries({t: st.integers(min_value=0, max_value=2) for t in ("scene", "region", "period")},
+                                     optional=EXTRA_TOPICS),
+    feature_ids=st.lists(st.integers(min_value=-1, max_value=9), max_size=7),
+    click=st.integers(min_value=0, max_value=1),
+    purchase=st.integers(min_value=0, max_value=1),
+)
+selectors = st.dictionaries(st.sampled_from(("scene", "region", "period")), st.integers(min_value=0, max_value=3),
+                            max_size=3)
+
+
+def _rows(records, width):
+    """Comparable rows: the Dataset's columns, features padded to `width`."""
+    return [(r.timestamp, r.user_id, r.item_id, r.domain_ids["scene"], r.domain_ids["region"],
+             r.domain_ids["period"], tuple(r.feature_ids) + (-1,) * (width - len(r.feature_ids)), r.click,
+             r.purchase) for r in records]
+
+
+def _assert_same(dataset, records, width):
+    assert _rows(dataset, width) == _rows(records, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(column_records, max_size=40), sort=st.booleans(),
+       ratio=st.tuples(st.integers(min_value=-1, max_value=4), st.integers(min_value=-1, max_value=4)),
+       window=st.integers(min_value=-1, max_value=8), selector=selectors,
+       n_feature_cols=st.integers(min_value=0, max_value=6), history_len=st.integers(min_value=0, max_value=7))
+def test_column_ops_equal_record_reference(records, sort, ratio, window, selector, n_feature_cols, history_len):
+    if sort:
+        records = sorted(records, key=lambda r: r.timestamp)
+    data = Dataset.from_records(records)
+    width = data.features.shape[1]
+
+    try:
+        want = records_reference.split_chronological(records, ratio)
+    except DatasetError:
+        with pytest.raises(DatasetError):
+            split_chronological(data, ratio)
+    else:
+        for got_part, want_part in zip(split_chronological(data, ratio), want):
+            _assert_same(got_part, want_part, width)
+
+    _assert_same(window_by_days(data, window), records_reference.window_by_days(records, window), width)
+    _assert_same(filter_by_domain(data, selector), records_reference.filter_by_domain(records, selector), width)
+    got_rows, want_rows = domain_rows(data, selector), records_reference.domain_rows(records, selector)
+    assert got_rows.dtype == want_rows.dtype and np.array_equal(got_rows, want_rows)
+    split = domain_datasets(data, {"a": selector, "b": {"scene": 9}})
+    assert list(split) == (["a"] if len(want_rows) else [])
+
+    space = FeatureSpace(n_users=4, n_items=40, n_scenes=3, n_regions=3, n_periods=3,
+                         n_feature_cols=n_feature_cols, history_len=history_len)
+    got, want = encode_records(data, space), records_reference.encode_records(records, space)
+    for name in ("user", "item", "scene", "region", "period", "features", "history", "click", "purchase"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("stamps, ratio", [((-4, -2, 0), (1, 2)), ((-9, -7, -5, -2), (2, 3)), ((0, 5, 5, 10), (1, 1)),
+                                           ((2**62 + 1, 2**62 + 2), (1, 1)), ((-(2**63), 2**63 - 1), (1, 3)),
+                                           ((-(2**63), 2**63 - 1), (1, 0))])
+def test_cut_matches_the_reference(stamps, ratio):
+    """Stamps at or next to the cut: negative fractional cuts, ties and
+    int64 extremes, where float rounding of the cut matters."""
+    recs = [InteractionRecord(t, 0, 0, {"scene": 0, "region": 0, "period": 0}, [], 0, 0) for t in stamps]
+    for got, want in zip(split_chronological(Dataset.from_records(recs), ratio),
+                         records_reference.split_chronological(recs, ratio)):
+        _assert_same(got, want, 0)
+
+
+def test_unsorted_rows_rejected_like_the_reference():
+    recs = [InteractionRecord(t, 0, 0, {"scene": 0, "region": 0, "period": 0}, [], 0, 0) for t in (5, 3, 9)]
+    with pytest.raises(DatasetError, match="sorted"):
+        records_reference.split_chronological(recs, (1, 1))
+    with pytest.raises(DatasetError, match="sorted"):
+        split_chronological(Dataset.from_records(recs), (1, 1))

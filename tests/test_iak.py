@@ -22,7 +22,7 @@ from iakrec.iak import (
 )
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import TrainConfig, TrainerError, finetune_all, model_digest
-from iakrec.datagen import InteractionRecord
+from iakrec.datagen import Dataset, InteractionRecord
 
 from adapter_reference import reference_step
 from gradcheck import central_differences, max_rel_err
@@ -55,7 +55,7 @@ def _vl_with(mu, sigma):
 
 def _records(n=8, seed=0, period=1):
     rng = np.random.default_rng(seed)
-    return [
+    return Dataset.from_records([
         InteractionRecord(
             timestamp=i,
             user_id=int(rng.integers(0, 20)),
@@ -66,7 +66,7 @@ def _records(n=8, seed=0, period=1):
             purchase=0,
         )
         for i in range(n)
-    ]
+    ])
 
 
 def _bank(*adapters):
@@ -333,7 +333,7 @@ class TestFinetuneStep:
             )
             for i in range(64)
         ]
-        enc = encode_records(records, SPACE)
+        enc = encode_records(Dataset.from_records(records), SPACE)
         # label by a deterministic function of the backbone's own representation
         rep, base = backbone_cache(backbone, enc)
         click = (rep[:, 0] > np.median(rep[:, 0])).astype(np.float64)

@@ -15,7 +15,7 @@ from iakrec.models import (
     encode_records,
     task_bce,
 )
-from iakrec.datagen import InteractionRecord
+from iakrec.datagen import Dataset, InteractionRecord
 
 from gradcheck import central_differences, max_rel_err
 
@@ -45,7 +45,7 @@ def _batch(n=6, seed=0):
     for r in records:
         if r.click:
             r.purchase = int(rng.integers(0, 2))
-    return encode_records(records, SPACE)
+    return encode_records(Dataset.from_records(records), SPACE)
 
 
 @pytest.fixture(params=["shared_bottom", "esmm", "mmoe", "base"])
@@ -62,22 +62,22 @@ class TestEncoding:
             _record(ts=2, user=5, item=3, click=1),
             _record(ts=3, user=5, item=1),
         ]
-        enc = encode_records(records, SPACE)
+        enc = encode_records(Dataset.from_records(records), SPACE)
         assert list(enc.history[0]) == [-1] * 5  # nothing before the first
         assert list(enc.history[1][:1]) == [7]
         assert list(enc.history[2][:1]) == [7]  # non-click did not enter
         assert list(enc.history[3][:2]) == [3, 7]  # most recent first
 
     def test_extra_feature_columns_are_ignored(self, any_model):
-        a = encode_records([_record(feats=(1, 2, 3, 4, 7))], SPACE)
-        b = encode_records([_record(feats=(1, 2, 3, 4, 5))], SPACE)
+        a = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 7))]), SPACE)
+        b = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 5))]), SPACE)
         pa = any_model.predict(a)
         pb = any_model.predict(b)
         assert pa.p_ctr.data[0, 0] == pb.p_ctr.data[0, 0]
         assert pa.p_ctcvr.data[0, 0] == pb.p_ctcvr.data[0, 0]
 
     def test_out_of_vocab_ids_map_to_row_zero(self, any_model):
-        oov = encode_records([_record(user=9999, item=-3)], SPACE)
+        oov = encode_records(Dataset.from_records([_record(user=9999, item=-3)]), SPACE)
         pred = any_model.predict(oov)
         assert 0.0 < pred.p_ctr.data[0, 0] < 1.0  # never errors
 
@@ -190,7 +190,8 @@ class TestMMoE:
 class TestBaseRecommender:
     def test_all_zero_ids_is_deterministic_oov_path(self):
         model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=5)
-        enc = encode_records([_record(user=0, item=0, scene=0, region=0, period=0, feats=(0, 0, 0, 0))], SPACE)
+        rec = _record(user=0, item=0, scene=0, region=0, period=0, feats=(0, 0, 0, 0))
+        enc = encode_records(Dataset.from_records([rec]), SPACE)
         a = model.predict(enc)
         b = model.predict(enc)
         assert a.p_ctr.data[0, 0] == b.p_ctr.data[0, 0]

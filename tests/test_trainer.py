@@ -30,6 +30,7 @@ from iakrec.trainer import (
 )
 
 import adapter_reference
+import records_reference
 from adapter_reference import reference_joint
 
 SPACE = FeatureSpace(n_users=120, n_items=60, n_scenes=2, n_regions=1, n_periods=2)
@@ -203,34 +204,41 @@ class TestMixDomains:
 
     def test_pure_primary_is_identity_set(self):
         a, _ = self._pools()
-        gen = mix_domains(a, {}, {"scene=0": 1.0}, np.random.default_rng(0), "scene=0")
-        stream = [next(gen) for _ in range(len(a))]
+        stream = mix_domains(a, {}, {"scene=0": 1.0}, np.random.default_rng(0), "scene=0", len(a))
         assert sorted(r.timestamp for r in stream) == sorted(r.timestamp for r in a)
 
     def test_mixture_fraction_within_3_sigma(self):
         a, b = self._pools()
-        gen = mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.3}, np.random.default_rng(1), "scene=0")
         n = 10**5
-        from_b = sum(1 for _ in range(n) if next(gen).domain_ids["scene"] == 1)
+        stream = mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.3}, np.random.default_rng(1), "scene=0", n)
+        from_b = int(np.sum(stream.scene == 1))
         assert 0.29 <= from_b / n <= 0.31
 
     def test_same_seed_same_stream(self):
         a, b = self._pools()
         runs = []
         for _ in range(2):
-            gen = mix_domains(a, {"scene=1": b}, {"scene=0": 0.6, "scene=1": 0.4}, np.random.default_rng(7), "scene=0")
-            runs.append([(r.timestamp, r.user_id) for (r, _) in zip(gen, range(500))])
+            stream = mix_domains(a, {"scene=1": b}, {"scene=0": 0.6, "scene=1": 0.4}, np.random.default_rng(7), "scene=0",
+                                 500)
+            runs.append([(r.timestamp, r.user_id) for r in stream])
         assert runs[0] == runs[1]
+
+    def test_stream_equals_record_reference(self):
+        a, b = self._pools(n=50)
+        weights = {"scene=0": 0.6, "scene=1": 0.4}
+        got = mix_domains(a, {"scene=1": b}, weights, np.random.default_rng(3), "scene=0", 400)
+        ref = records_reference.mix_domains(list(a), {"scene=1": list(b)}, weights, np.random.default_rng(3), "scene=0")
+        assert list(got) == [next(ref) for _ in range(400)]
 
     def test_unknown_domain_weight_rejected(self):
         a, b = self._pools()
         with pytest.raises(TrainerError):
-            next(mix_domains(a, {"scene=1": b}, {"scene=9": 1.0}, np.random.default_rng(0), "scene=0"))
+            mix_domains(a, {"scene=1": b}, {"scene=9": 1.0}, np.random.default_rng(0), "scene=0", 1)
 
     def test_weights_must_sum_to_one(self):
         a, b = self._pools()
         with pytest.raises(TrainerError):
-            next(mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.7}, np.random.default_rng(0), "scene=0"))
+            mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.7}, np.random.default_rng(0), "scene=0", 1)
 
 
 class TestFinetuneAll:
@@ -262,17 +270,10 @@ class TestFinetuneAll:
         def run(flip_b):
             m = _backbone()
             m.restore(model.named_parameters())
-            ds = {k: [r for r in v] for k, v in domains.items()}
+            ds = dict(domains)
             if flip_b:
-                import copy
-
-                flipped = []
-                for r in ds["scene=1"]:
-                    r2 = copy.deepcopy(r)
-                    r2.click = 1 - r2.click
-                    r2.purchase = 0
-                    flipped.append(r2)
-                ds["scene=1"] = flipped
+                b = ds["scene=1"]
+                ds["scene=1"] = dataclasses.replace(b, click=1 - b.click, purchase=np.zeros_like(b.purchase))
             res = finetune_all(m, ds, SPACE, TrainConfig(batch_size=256, seed=3), IAKConfig(d_e=6))
             return model_digest(res.adapters["scene=0"].named_parameters())
 
