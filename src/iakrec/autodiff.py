@@ -62,6 +62,9 @@ class Tensor:
         """Same values, cut off from the recorded graph."""
         return Tensor(self.data)
 
+    def _grad_unset(self) -> bool:
+        return self.grad is None
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -121,6 +124,10 @@ class Parameter(Tensor):
     def grad(self, value: np.ndarray | None) -> None:
         self._dense_grad = value
         self._row_grads = []
+
+    def _grad_unset(self) -> bool:
+        """Nothing recorded yet, so `grad` would read as fresh zeros."""
+        return self._dense_grad is None and not self._row_grads
 
     def add_row_grad(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Accumulate `values[i]` into the gradient of row `rows[i]`."""
@@ -182,7 +189,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tenso
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t._grad_unset():
         # one pass into a fresh buffer, equal bit for bit to zeros + g: it
         # broadcasts like +=, never aliases g, and turns -0.0 into +0.0
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
@@ -474,40 +481,29 @@ def segment_mean(a, offsets) -> Tensor:
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Row lookup into a 2-d table. 1-d indices give `table[idx]`; (B, k)
-    indices give the mean of each example's k rows, one node for a pooled
-    lookup. Backward into a Parameter records the touched rows and their
-    gradient rows; into any other tensor it scatter-adds a dense gradient."""
+    """Row lookup into a 2-d table: 1-d indices give `table[idx]`. Backward
+    into a Parameter records the touched rows and their gradient rows; into
+    any other tensor it scatter-adds a dense gradient."""
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows table must be 2-d")
-    if idx.ndim not in (1, 2) or (idx.ndim == 2 and idx.shape[1] == 0):
-        raise ShapeError("gather_rows indices must be 1-d, or 2-d with at least one column")
+    if idx.ndim != 1:
+        raise ShapeError("gather_rows indices must be 1-d")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError("gather_rows index out of range")
-    if idx.ndim == 1:
-        data = table.data[idx]
-    else:
-        # numpy sums the slot axis in slot order, so this equals adding the
-        # k looked-up rows one by one and scaling by 1/k
-        data = table.data[idx].sum(axis=1) * (1.0 / idx.shape[1])
 
     def backward(out: Tensor) -> None:
         if not table.requires_grad:
             return
-        g = out.grad
-        if idx.ndim == 2:
-            g = np.repeat(g * (1.0 / idx.shape[1]), idx.shape[1], axis=0)
-        rows = idx.reshape(-1)
         if isinstance(table, Parameter):
-            table.add_row_grad(rows, g)
+            table.add_row_grad(idx, out.grad)
         else:
             dense = np.zeros_like(table.data)
-            np.add.at(dense, rows, g)
+            np.add.at(dense, idx, out.grad)
             _accum(table, dense)
 
-    return _make(data, (table,), backward, "gather_rows")
+    return _make(table.data[idx], (table,), backward, "gather_rows")
 
 
 # ---------------------------------------------------------------------------

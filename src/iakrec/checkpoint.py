@@ -12,17 +12,18 @@ Layout (all integers little-endian):
         data        prod(dims) x f64 little-endian
 
 Round-trips are bit-exact: raw float64 bytes are stored untouched. A save
-writes a temporary file beside the target and renames it into place, so an
-interrupted save never leaves a partial file under the target name.
+goes through `write_atomic`, so an interrupted save never leaves a partial
+file under the target name.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -34,31 +35,45 @@ class CheckpointError(ValueError):
     """Malformed or incompatible checkpoint file."""
 
 
-def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_digest: str = "") -> None:
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write `path` through `write(f)` into a new temporary file beside it,
+    then rename that into place: a reader never sees a partial file, and a
+    failed write removes the temporary file and re-raises. The file gets the
+    mode `open(path, "wb")` would give it, 0o666 less the umask."""
     path = Path(path)
-    digest = config_digest.encode("ascii")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # O_BINARY (Windows only) keeps the bytes untranslated, as mkstemp does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<H", len(digest)))
-            f.write(digest)
-            f.write(struct.pack("<I", len(params)))
-            for name, arr in params.items():
-                name_b = name.encode("utf-8")
-                # ascontiguousarray would promote 0-d arrays to 1-d; asarray keeps rank
-                arr = np.asarray(arr, dtype="<f8", order="C")
-                f.write(struct.pack("<H", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<Q", d))
-                f.write(arr.tobytes())
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_digest: str = "") -> None:
+    digest = config_digest.encode("ascii")
+
+    def write(f: BinaryIO) -> None:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<H", len(digest)))
+        f.write(digest)
+        f.write(struct.pack("<I", len(params)))
+        for name, arr in params.items():
+            name_b = name.encode("utf-8")
+            # ascontiguousarray would promote 0-d arrays to 1-d; asarray keeps rank
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            f.write(struct.pack("<H", len(name_b)))
+            f.write(name_b)
+            f.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                f.write(struct.pack("<Q", d))
+            f.write(arr.tobytes())
+
+    write_atomic(path, write)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:

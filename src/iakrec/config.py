@@ -50,7 +50,11 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "iak.d_e": ("50", "encoder output dimension"),
     "iak.beta": ("0.001", "weight of the encoder KL regularizer"),
     "iak.decoder_hidden": ("32", "decoder hidden widths"),
-    "iak.sample_mode": ("stochastic", "stochastic (training) | mean (inference)"),
+    "iak.sample_mode": (
+        "stochastic",
+        "how fine-tuning samples the encoder weights: stochastic (a fresh draw per step) | mean "
+        "(the posterior means); eval and serving always score with the means",
+    ),
     # training
     "train.batch_size": ("1024", "records per optimizer step"),
     "train.epochs": ("1", "passes over the training stream"),

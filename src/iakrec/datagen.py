@@ -22,13 +22,13 @@ import io
 import json
 import math
 import operator
-import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import write_atomic
 
 TOPICS = ("scene", "region", "period")
 SECONDS_PER_DAY = 86400
@@ -464,21 +464,12 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def _store_columns(dataset: Dataset, path: str | Path, digest: str) -> None:
-    """Write the sidecar of `path` if the directory allows it: a temporary
-    file renamed into place, so a reader never sees a partial sidecar."""
-    side = sidecar_path(path)
+    """Write the sidecar of `path` (atomically) if the directory allows it."""
+    arrays = {"version": np.int64(SIDECAR_VERSION), "sha256": np.array(digest), **dataset.columns()}
     try:
-        fd, tmp = tempfile.mkstemp(dir=side.parent, prefix=f".{side.name}.", suffix=".tmp")
+        write_atomic(sidecar_path(path), lambda f: np.savez(f, **arrays))
     except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, version=np.int64(SIDECAR_VERSION), sha256=np.array(digest), **dataset.columns())
-        os.replace(tmp, side)
-    except BaseException as e:
-        os.unlink(tmp)
-        if not isinstance(e, OSError):
-            raise
+        pass  # the sidecar is only a cache
 
 
 def _load_columns(side: Path, digest: str) -> Dataset | None:

@@ -147,10 +147,6 @@ def kl_empirical(p_hist, q_hist, smooth: float = KL_SMOOTH) -> float:
     return max(val, 0.0)
 
 
-def sym_kl(p_hist, q_hist, smooth: float = KL_SMOOTH) -> float:
-    return kl_empirical(p_hist, q_hist, smooth) + kl_empirical(q_hist, p_hist, smooth)
-
-
 # ---------------------------------------------------------------------------
 # model scoring
 # ---------------------------------------------------------------------------
@@ -284,28 +280,6 @@ def encoder_mi(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x317]))
     enc = encoder_channel_outputs(adapter, rep, rng)
     return binned_mi(rep, enc, bins)
-
-
-def item_decile_click_distribution(
-    item_ids: np.ndarray, clicks: np.ndarray, n_deciles: int = 10, decile_of: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of clicks over item deciles. Deciles rank items by their
-    global click counts; pass `decile_of` to reuse a reference ranking.
-    Returns (distribution, decile_of_item)."""
-    item_ids = np.asarray(item_ids)
-    clicks = np.asarray(clicks)
-    if decile_of is None:
-        n_items = int(item_ids.max()) + 1
-        counts = np.bincount(item_ids, weights=clicks, minlength=n_items)
-        order = np.argsort(counts, kind="mergesort")
-        decile_of = np.empty(n_items, dtype=np.int64)
-        for d, chunk in enumerate(np.array_split(order, n_deciles)):
-            decile_of[chunk] = d
-    dist = np.bincount(decile_of[item_ids], weights=clicks, minlength=n_deciles)
-    total = dist.sum()
-    if total == 0:
-        raise MetricError("no clicks to distribute")
-    return dist / total, decile_of
 
 
 def score_label_decile_kl(

@@ -1,9 +1,11 @@
 """Multi-task recommendation models: Shared Bottom, ESMM, MMoE, and the
 composite BaseRecommender used as the pretraining target.
 
-All model kinds share the identical embedding assembly (id embeddings plus a
-mean-pooled recent-item history vector), so comparisons isolate the head
-architecture. Every kind exposes one (B, n_heads) logits tensor plus a
+All model kinds share the identical embedding assembly (one embedding per
+id column of a row: user, item, scene, region, period and the feature
+columns), so comparisons isolate the head architecture. A recorded row and a
+served request carry the same columns, so they reach the model as the same
+input. Every kind exposes one (B, n_heads) logits tensor plus a
 representation vector (the concatenated task-tower penultimate activations)
 that downstream adapters consume; only `predict_from_logits` splits heads.
 """
@@ -37,7 +39,6 @@ class FeatureSpace:
     n_periods: int
     n_feature_buckets: int = 8
     n_feature_cols: int = 4
-    history_len: int = 5
 
 
 @dataclass
@@ -50,7 +51,6 @@ class EncodedBatch:
     region: np.ndarray
     period: np.ndarray
     features: np.ndarray  # (B, n_feature_cols)
-    history: np.ndarray  # (B, history_len), -1 = empty slot
     click: np.ndarray
     purchase: np.ndarray
 
@@ -65,46 +65,22 @@ class EncodedBatch:
             region=self.region[idx],
             period=self.period[idx],
             features=self.features[idx],
-            history=self.history[idx],
             click=self.click[idx],
             purchase=self.purchase[idx],
         )
 
 
 def encode_records(dataset: Dataset, space: FeatureSpace) -> EncodedBatch:
-    """Encode a dataset's rows in order. The history column holds each
-    user's most recent clicked item ids *before* the row (no label leakage),
-    over the rows given; they must already be in chronological order."""
+    """Encode a dataset's rows in order: the id columns as they are, the
+    feature columns cut or padded with -1 to `n_feature_cols`."""
     n = len(dataset)
     width = min(space.n_feature_cols, dataset.features.shape[1])
     features = np.full((n, space.n_feature_cols), -1, dtype=np.int64)
     features[:, :width] = dataset.features[:, :width]
     return EncodedBatch(
         dataset.user, dataset.item, dataset.scene, dataset.region, dataset.period, features,
-        _click_history(dataset.user, dataset.item, dataset.click, space.history_len),
         dataset.click.astype(np.float64), dataset.purchase.astype(np.float64),
     )
-
-
-def _click_history(user: np.ndarray, item: np.ndarray, click: np.ndarray, h_len: int) -> np.ndarray:
-    """(N, h_len): the items each row's user clicked in earlier rows, most
-    recent first, -1 in empty slots. Rows are grouped by user (stably, so in
-    order within a user); a running click count then locates each row's
-    last clicks among the group's clicked rows."""
-    n = len(user)
-    history = np.full((n, h_len), -1, dtype=np.int64)
-    if n == 0 or h_len == 0:
-        return history
-    order = np.argsort(user, kind="stable")
-    clicked = click[order] != 0
-    before = np.cumsum(clicked) - clicked  # clicked rows earlier in the grouped order
-    starts = np.flatnonzero(np.concatenate(([True], user[order][1:] != user[order][:-1])))
-    n_prev = before - np.repeat(before[starts], np.diff(np.append(starts, n)))  # the user's earlier clicks
-    clicked_items = item[order][clicked]
-    for k in range(h_len):
-        has = n_prev > k
-        history[order[has], k] = clicked_items[before[has] - 1 - k]
-    return history
 
 
 def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:
@@ -121,7 +97,7 @@ class EmbeddingTable:
         self.rows = Parameter(rng.normal(0.0, 0.1, size=(vocab_size + 1, dim)), name=f"{name}.rows")
 
     def lookup(self, raw_ids: np.ndarray) -> Tensor:
-        """Rows of 1-d ids; the mean row of each example's ids when 2-d."""
+        """One row per id."""
         return ad.gather_rows(self.rows, _safe_rows(raw_ids, self.vocab_size))
 
 
@@ -217,7 +193,7 @@ class EmbeddingBundle:
 
     @property
     def out_dim(self) -> int:
-        return (5 + self.space.n_feature_cols + 1) * self.dim
+        return (5 + self.space.n_feature_cols) * self.dim
 
     def assemble(self, batch: EncodedBatch) -> Tensor:
         parts = [
@@ -229,9 +205,6 @@ class EmbeddingBundle:
         ]
         for c, table in enumerate(self.features):
             parts.append(table.lookup(batch.features[:, c]))
-        # recent clicked items mean-pool through the item table in one lookup;
-        # empty slots hit the out-of-vocab row
-        parts.append(self.item.lookup(batch.history))
         return ad.concat(parts, axis=1)
 
     def parameters(self) -> list[Parameter]:

@@ -3,13 +3,16 @@ activation, plus a line-oriented JSON scoring loop.
 
 Adapters run in deterministic mean mode, and the response is exactly the
 output of the most specific adapter whose selector matches the request's
-domain ids. Requests from domains with no adapter fall back to the zero-shot
-backbone, visibly (`served_by = "zero_shot"`). Every request runs the shared
-frozen backbone once. In the default eager mode every deployed adapter then
-corrects that one output; lazy activation applies only the selected adapter,
-so with K adapters deployed it saves K-1 small adapter MLPs per request (all
-K for a zero-shot request, which reads the backbone's own prediction). The
-outputs are bitwise identical.
+domain ids. A request carries the id columns of a recorded row and is
+encoded as one, so it is scored as eval scores that row, up to the rounding
+of a one-row product against a chunked one. Requests from domains with no
+adapter fall back to the zero-shot backbone, visibly (`served_by =
+"zero_shot"`). Every request runs the shared frozen backbone once. In the
+default eager mode every deployed adapter then corrects that one output;
+lazy activation applies only the selected adapter, so with K adapters
+deployed it saves K-1 small adapter MLPs per request (all K for a zero-shot
+request, which reads the backbone's own prediction). The outputs are
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def request_from_json(obj) -> ScoreRequest:
 
 
 def encode_request(request: ScoreRequest, space: FeatureSpace) -> EncodedBatch:
-    """Single-row batch; requests carry no click history, so the pooled
-    history column stays on the out-of-vocab row."""
+    """Single-row batch of the request's ids, encoded as `encode_records`
+    encodes a recorded row with the same ids."""
     features = np.full((1, space.n_feature_cols), -1, dtype=np.int64)
     for c, fid in enumerate(request.feature_ids[: space.n_feature_cols]):
         features[0, c] = fid
@@ -70,7 +73,6 @@ def encode_request(request: ScoreRequest, space: FeatureSpace) -> EncodedBatch:
         region=np.array([request.domain_ids.get("region", -1)], dtype=np.int64),
         period=np.array([request.domain_ids.get("period", -1)], dtype=np.int64),
         features=features,
-        history=np.full((1, space.history_len), -1, dtype=np.int64),
         click=np.zeros(1),
         purchase=np.zeros(1),
     )

@@ -48,18 +48,15 @@ def window_by_days(dataset: list[InteractionRecord], window_days: int) -> list[I
 def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> EncodedBatch:
     n = len(records)
     f_cols = space.n_feature_cols
-    h_len = space.history_len
     user = np.empty(n, dtype=np.int64)
     item = np.empty(n, dtype=np.int64)
     scene = np.empty(n, dtype=np.int64)
     region = np.empty(n, dtype=np.int64)
     period = np.empty(n, dtype=np.int64)
     features = np.full((n, f_cols), -1, dtype=np.int64)
-    history = np.full((n, h_len), -1, dtype=np.int64)
     click = np.empty(n, dtype=np.float64)
     purchase = np.empty(n, dtype=np.float64)
 
-    recent: dict[int, list[int]] = {}
     for j, r in enumerate(records):
         user[j] = r.user_id
         item[j] = r.item_id
@@ -68,17 +65,9 @@ def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> Enc
         period[j] = r.domain_ids.get("period", -1)
         for c, fid in enumerate(r.feature_ids[:f_cols]):
             features[j, c] = fid
-        past = recent.get(r.user_id)
-        if past:
-            history[j, : len(past)] = past[::-1]
         click[j] = r.click
         purchase[j] = r.purchase
-        if r.click:
-            past = recent.setdefault(r.user_id, [])
-            past.append(r.item_id)
-            if len(past) > h_len:
-                del past[0]
-    return EncodedBatch(user, item, scene, region, period, features, history, click, purchase)
+    return EncodedBatch(user, item, scene, region, period, features, click, purchase)
 
 
 def mix_domains(primary_dataset, aux_datasets, weights, rng, primary_key):

@@ -100,7 +100,7 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize(
     "op",
-    ["softmax", "concat", "slice", "gather", "gather_pooled", "gather_nonleaf", "gather_and_dense",
+    ["softmax", "concat", "slice", "gather", "gather_nonleaf", "gather_and_dense",
      "softplus", "square", "mean_mul"],
 )
 def test_individual_op_gradients(op):
@@ -116,12 +116,8 @@ def test_individual_op_gradients(op):
             return ad.reduce_sum(ad.square(ad.slice_cols(w, 1, 3)))
         if op == "gather":
             return ad.reduce_sum(ad.square(ad.gather_rows(w, np.array([0, 2, 2, 1]))))
-        if op == "gather_pooled":
-            # repeated rows within and across examples; row 3 never looked up
-            pooled = ad.gather_rows(w, np.array([[0, 2, 2], [1, 0, 0], [2, 2, 2]]))
-            return ad.reduce_sum(ad.square(pooled))
         if op == "gather_nonleaf":
-            return ad.reduce_sum(ad.square(ad.gather_rows(ad.mul(w, 2.0), np.array([[3, 1], [1, 1]]))))
+            return ad.reduce_sum(ad.square(ad.gather_rows(ad.mul(w, 2.0), np.array([3, 1, 1]))))
         if op == "gather_and_dense":
             rows = ad.gather_rows(w, np.array([1, 1, 3]))
             return ad.add(ad.reduce_sum(ad.square(rows)), ad.reduce_sum(ad.mul(w, ad.Tensor(rng2))))
@@ -246,23 +242,38 @@ def test_frozen_parameter_gets_zero_grad():
     np.testing.assert_array_equal(v.grad, np.ones(3))
 
 
-def test_pooled_gather_is_the_slot_by_slot_mean():
-    rng = np.random.default_rng(3)
-    table = rng.normal(size=(50, 8))
-    idx = rng.integers(0, 50, size=(512, 5))
-    expected = table[idx[:, 0]]
-    for s in range(1, 5):
-        expected = expected + table[idx[:, s]]
-    assert ad.gather_rows(table, idx).data.tobytes() == (expected * (1.0 / 5)).tobytes()
+def test_parameter_first_dense_gradient_is_one_pass(monkeypatch):
+    """A Parameter's first dense gradient is stored as a plain tensor's is,
+    fresh and in one pass, with no zeros made to add it into; -0.0 reads
+    +0.0. A parameter with nothing recorded still reads zeros."""
+    w = ad.Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
+    x = ad.Tensor(np.array([[-0.0, 2.0], [-0.0, 4.0]]))
+    loss = ad.reduce_sum(ad.matmul(x, w))
+
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("zeros_like called")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros_like", no_zeros)
+        ad.backward(loss)
+    np.testing.assert_array_equal(w.grad, [[0.0, 0.0], [6.0, 6.0]])
+    assert not np.signbit(w.grad).any()
+    np.testing.assert_array_equal(ad.Parameter(np.ones(3), "idle").grad, np.zeros(3))
 
 
 def test_gather_records_rows_and_reads_dense():
     w = ad.Parameter(np.ones((5, 2)), "w")
-    ad.backward(ad.reduce_sum(ad.gather_rows(w, np.array([[4, 1], [4, 4]]))))
+    ad.backward(ad.reduce_sum(ad.gather_rows(w, np.array([4, 1, 4, 4]))))
     rows, g = w.touched_grad()
     np.testing.assert_array_equal(rows, [1, 4])
-    np.testing.assert_array_equal(g, [[0.5, 0.5], [1.5, 1.5]])
-    np.testing.assert_array_equal(w.grad, [[0, 0], [0.5, 0.5], [0, 0], [0, 0], [1.5, 1.5]])
+    np.testing.assert_array_equal(g, [[1, 1], [3, 3]])
+    np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [0, 0], [0, 0], [3, 3]])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (2, 0), ()])
+def test_gather_takes_only_1d_indices(shape):
+    with pytest.raises(ad.ShapeError, match="1-d"):
+        ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64))
 
 
 def _nan_tensor():
@@ -288,7 +299,7 @@ PRIMITIVES = {
     "slice_cols": lambda x: ad.slice_cols(x, 1, 2),
     "sum": ad.reduce_sum,
     "mean": ad.reduce_mean,
-    "gather_rows": lambda x: ad.gather_rows(x, np.array([[0, 1], [1, 0]])),
+    "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
     "segment_matmul": lambda x: ad.segment_matmul(x, np.ones((2, 2, 3)), [0, 1, 2]),
     "segment_add": lambda x: ad.segment_add(x, np.ones((1, 2)), [0, 2]),
     "segment_sum": lambda x: ad.segment_sum(x, [0, 2]),

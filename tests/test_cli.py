@@ -4,8 +4,11 @@ its own working directory."""
 
 import csv
 import json
+import os
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iakrec import datagen
@@ -187,17 +190,17 @@ def test_pipeline_outputs_do_not_depend_on_the_sidecar(workdir, monkeypatch, par
     assert parses == []
     side.unlink()
 
-    mkstemp = datagen.tempfile.mkstemp
+    os_open = os.open
 
-    def data_dir_unwritable(*args, dir, **kwargs):
+    def data_dir_unwritable(path, *args, **kwargs):
         # what a read-only data directory does to the sidecar write, even
         # when the tests run as root
-        if Path(dir) == side.parent:
-            raise PermissionError(13, "Permission denied", str(dir))
-        return mkstemp(*args, dir=dir, **kwargs)
+        if Path(path).parent == side.parent:
+            raise PermissionError(13, "Permission denied", str(path))
+        return os_open(path, *args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(datagen.tempfile, "mkstemp", data_dir_unwritable)
+        m.setattr(os, "open", data_dir_unwritable)
         assert _pipeline(workdir, "readonly") == cached
     assert len(parses) == 3 and not side.exists()
     assert _pipeline(workdir, "parsed") == cached
@@ -215,3 +218,19 @@ def test_bad_line_exits_5_and_writes_no_sidecar(workdir, capsys):
     assert _run(workdir, "pretrain", "--data", "data/dataset.jsonl") == EXIT_SCHEMA
     assert f"{path}:3:" in capsys.readouterr().err
     assert not sidecar_path(path).exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"])
+def test_sidecar_and_checkpoint_get_the_mode_of_a_plain_open(workdir, umask, mode):
+    """Other users of a shared data directory can read what gen-data and a
+    checkpoint save write, as far as the umask lets them."""
+    old = os.umask(umask)
+    try:
+        assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+        save_checkpoint(workdir / "model.ckpt", {"w": np.ones((2, 3))}, "digest")
+        with open(workdir / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    written = (sidecar_path(workdir / "data" / "dataset.jsonl"), workdir / "model.ckpt", workdir / "plain")
+    assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode] * 3

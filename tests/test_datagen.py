@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from iakrec.datagen import (
     window_by_days,
     write_jsonl,
 )
-from iakrec.evals import item_decile_click_distribution, sym_kl
+from iakrec.evals import kl_empirical
 from iakrec.models import FeatureSpace, encode_records
 
 import records_reference
@@ -109,6 +110,18 @@ def test_shift_vectors_must_be_finite():
         spec.validate(16)
 
 
+def _decile_click_distribution(item_ids, clicks, decile_of=None, n_deciles=10):
+    """Clicks over item deciles, items ranked by their click counts (or by
+    the reference ranking `decile_of`): (distribution, decile_of)."""
+    if decile_of is None:
+        counts = np.bincount(item_ids, weights=clicks, minlength=int(item_ids.max()) + 1)
+        decile_of = np.empty(len(counts), dtype=np.int64)
+        for d, chunk in enumerate(np.array_split(np.argsort(counts, kind="mergesort"), n_deciles)):
+            decile_of[chunk] = d
+    dist = np.bincount(decile_of[item_ids], weights=clicks, minlength=n_deciles)
+    return dist / dist.sum(), decile_of
+
+
 class TestDomainShiftMonotonicity:
     def test_symmetric_kl_grows_with_shift_magnitude(self):
         kls = []
@@ -119,12 +132,12 @@ class TestDomainShiftMonotonicity:
             )
             items = np.array([r.item_id for r in data])
             clicks = np.array([r.click for r in data])
-            global_dist, deciles = item_decile_click_distribution(items, clicks)
+            global_dist, deciles = _decile_click_distribution(items, clicks)
             sub = filter_by_domain(data, {"period": 1})
             sub_items = np.array([r.item_id for r in sub])
             sub_clicks = np.array([r.click for r in sub])
-            shifted_dist, _ = item_decile_click_distribution(sub_items, sub_clicks, decile_of=deciles)
-            kls.append(sym_kl(shifted_dist, global_dist))
+            shifted_dist, _ = _decile_click_distribution(sub_items, sub_clicks, decile_of=deciles)
+            kls.append(kl_empirical(shifted_dist, global_dist) + kl_empirical(global_dist, shifted_dist))
         assert kls[0] < kls[1] < kls[2]
 
 
@@ -401,7 +414,7 @@ class TestSidecar:
         def unwritable(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(datagen.tempfile, "mkstemp", unwritable)
+        monkeypatch.setattr(os, "open", unwritable)
         assert read_dataset(path) == read_jsonl(path)
         assert not sidecar_path(path).exists()
         assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
@@ -413,7 +426,7 @@ class TestSidecar:
         def refuse(src, dst):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(datagen.os, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         assert read_dataset(path) == read_jsonl(path)
         assert sorted(p.name for p in path.parent.iterdir()) == ["data.jsonl"]
 
@@ -452,7 +465,7 @@ timestamps = st.one_of(
 column_records = st.builds(
     InteractionRecord,
     timestamp=timestamps,
-    user_id=st.integers(min_value=0, max_value=3),  # few users, so many clicks each
+    user_id=st.integers(min_value=0, max_value=3),  # few users
     item_id=st.integers(min_value=-1, max_value=40),
     domain_ids=st.fixed_dictionaries({t: st.integers(min_value=0, max_value=2) for t in ("scene", "region", "period")},
                                      optional=EXTRA_TOPICS),
@@ -479,8 +492,8 @@ def _assert_same(dataset, records, width):
 @given(records=st.lists(column_records, max_size=40), sort=st.booleans(),
        ratio=st.tuples(st.integers(min_value=-1, max_value=4), st.integers(min_value=-1, max_value=4)),
        window=st.integers(min_value=-1, max_value=8), selector=selectors,
-       n_feature_cols=st.integers(min_value=0, max_value=6), history_len=st.integers(min_value=0, max_value=7))
-def test_column_ops_equal_record_reference(records, sort, ratio, window, selector, n_feature_cols, history_len):
+       n_feature_cols=st.integers(min_value=0, max_value=6))
+def test_column_ops_equal_record_reference(records, sort, ratio, window, selector, n_feature_cols):
     if sort:
         records = sorted(records, key=lambda r: r.timestamp)
     data = Dataset.from_records(records)
@@ -503,9 +516,9 @@ def test_column_ops_equal_record_reference(records, sort, ratio, window, selecto
     assert list(split) == (["a"] if len(want_rows) else [])
 
     space = FeatureSpace(n_users=4, n_items=40, n_scenes=3, n_regions=3, n_periods=3,
-                         n_feature_cols=n_feature_cols, history_len=history_len)
+                         n_feature_cols=n_feature_cols)
     got, want = encode_records(data, space), records_reference.encode_records(records, space)
-    for name in ("user", "item", "scene", "region", "period", "features", "history", "click", "purchase"):
+    for name in ("user", "item", "scene", "region", "period", "features", "click", "purchase"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iakrec.config import RunConfig
-from iakrec.datagen import generate
+from iakrec.datagen import generate, split_chronological
 from iakrec.evals import (
     MetricError,
     SplitPass,
@@ -14,18 +14,16 @@ from iakrec.evals import (
     binned_mi,
     encoder_channel_outputs,
     histogram2d,
-    item_decile_click_distribution,
     kl_empirical,
     report_from_scores,
     score_adapted,
     score_backbone,
     score_label_decile_kl,
-    sym_kl,
 )
 from iakrec.autodiff import Tensor
 from iakrec.iak import IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
-from iakrec.router import DomainRouter, ScoreRequest, encode_request
+from iakrec.router import ZERO_SHOT, DomainRouter, ScoreRequest, encode_request
 
 
 def brute_force_auc(scores, labels):
@@ -171,22 +169,8 @@ class TestKLEmpirical:
             return
         assert kl_empirical(p, q) >= 0.0
 
-    def test_sym_kl_symmetric(self):
-        p = np.array([0.7, 0.2, 0.1])
-        q = np.array([0.1, 0.3, 0.6])
-        assert sym_kl(p, q) == pytest.approx(sym_kl(q, p), abs=1e-15)
-
 
 class TestDiagnostics:
-    def test_decile_distribution_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        items = rng.integers(0, 50, size=5000)
-        clicks = rng.integers(0, 2, size=5000)
-        dist, deciles = item_decile_click_distribution(items, clicks)
-        assert dist.sum() == pytest.approx(1.0)
-        assert len(dist) == 10
-        assert deciles.max() == 9
-
     def test_score_label_kl_drops_when_scores_match_labels(self):
         rng = np.random.default_rng(1)
         items = rng.integers(0, 40, size=4000)
@@ -215,7 +199,6 @@ def test_report_from_scores():
         user=np.zeros(n, dtype=np.int64), item=np.zeros(n, dtype=np.int64),
         scene=np.zeros(n, dtype=np.int64), region=np.zeros(n, dtype=np.int64),
         period=np.zeros(n, dtype=np.int64), features=np.zeros((n, 4), dtype=np.int64),
-        history=np.full((n, 5), -1, dtype=np.int64),
         click=np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float),
         purchase=np.zeros(n),
     )
@@ -306,3 +289,37 @@ class TestSplitPass:
                 for g, w, labels in zip(got, want, (sub.click, sub.purchase)):
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
                     assert auc(g, labels) == auc(w, labels)
+
+
+def test_served_equals_evaluated_on_recorded_test_rows():
+    """A request built from a recorded test row's ids is served with the
+    probabilities eval gives that row, through the path the router took:
+    the split's zero-shot pass or the served adapter's slice. The only
+    difference is BLAS rounding between a 1-row product and a chunked one."""
+    cfg = RunConfig({"datagen.n_users": "40", "datagen.n_items": "30", "datagen.n_days": "3",
+                     "datagen.records_per_day": "600", "datagen.period_shifts": "0.5,-0.5,0.8"})
+    space = cfg.feature_space()
+    _, test = split_chronological(generate(cfg.generator_config()), cfg.get_ratio("datagen.split_ratio"))
+    backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), space, seed=0)
+    adapters = {}
+    for key, domain in (("period=0", {"period": 0}), ("period=1", {"period": 1}), ("period=1,scene=0",
+                                                                                 {"period": 1, "scene": 0})):
+        adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)), domain,
+                             seed=len(adapters) + 1)
+        adapter.decoder_out.w.data[:] = 0.1 * (len(adapters) - 1)
+        adapter.decoder_out.b.data[:] = 0.05 * (len(adapters) + 1)
+        adapters[key] = adapter
+    router = DomainRouter(backbone, adapters)
+    split = SplitPass(backbone, test, encode_records(test, space))
+    evaluated = {ZERO_SHOT: split.zero_shot()}
+    for key, idx, _ in split.slices({key: a.domain_key for key, a in adapters.items()}):
+        evaluated[key] = tuple(np.full(len(test), np.nan) for _ in range(2))
+        for full, part in zip(evaluated[key], split.adapted(adapters[key], idx)):
+            full[idx] = part
+    served = []
+    for i, row in enumerate(test):
+        resp = router.score(ScoreRequest(row.user_id, row.item_id, row.domain_ids, row.feature_ids))
+        p_ctr, p_ctcvr = evaluated[resp.served_by]
+        assert abs(resp.p_ctr - p_ctr[i]) <= 1e-12 and abs(resp.p_ctcvr - p_ctcvr[i]) <= 1e-12, (i, resp)
+        served.append(resp.served_by)
+    assert len(served) > 100 and set(served) == {ZERO_SHOT, *adapters}

@@ -55,19 +55,6 @@ def any_model(request):
 
 
 class TestEncoding:
-    def test_history_tracks_recent_clicked_items(self):
-        records = [
-            _record(ts=0, user=5, item=7, click=1),
-            _record(ts=1, user=5, item=9, click=0),
-            _record(ts=2, user=5, item=3, click=1),
-            _record(ts=3, user=5, item=1),
-        ]
-        enc = encode_records(Dataset.from_records(records), SPACE)
-        assert list(enc.history[0]) == [-1] * 5  # nothing before the first
-        assert list(enc.history[1][:1]) == [7]
-        assert list(enc.history[2][:1]) == [7]  # non-click did not enter
-        assert list(enc.history[3][:2]) == [3, 7]  # most recent first
-
     def test_extra_feature_columns_are_ignored(self, any_model):
         a = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 7))]), SPACE)
         b = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 5))]), SPACE)

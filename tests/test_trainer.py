@@ -96,8 +96,8 @@ class TestPretrain:
 
 
 def _random_batch(rng, space, n):
-    """Ids drawn past both ends of each vocabulary, so out-of-vocab rows and
-    empty history slots (-1) are looked up too."""
+    """Ids drawn past both ends of each vocabulary, so out-of-vocab rows are
+    looked up too."""
     click = rng.integers(0, 2, n).astype(float)
     return EncodedBatch(
         user=rng.integers(-1, space.n_users + 1, n),
@@ -106,7 +106,6 @@ def _random_batch(rng, space, n):
         region=rng.integers(0, space.n_regions, n),
         period=rng.integers(0, space.n_periods, n),
         features=rng.integers(-1, space.n_feature_buckets, (n, space.n_feature_cols)),
-        history=rng.integers(-1, space.n_items, (n, space.history_len)),
         click=click,
         purchase=click * rng.integers(0, 2, n),
     )
