@@ -150,12 +150,12 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _restore_backbone(args, cfg: RunConfig, ckpt_path: Path):
-    arrays, digest = load_checkpoint(ckpt_path)
+def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
+    arrays, _ = load_checkpoint(ckpt_path)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=cfg.get_int("model.seed"))
     model.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
     model.set_trainable(False)
-    return model, arrays, digest
+    return model, arrays
 
 
 def cmd_finetune(args) -> int:
@@ -164,7 +164,7 @@ def cmd_finetune(args) -> int:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, cfg)
-    model, _, _ = _restore_backbone(args, cfg, ckpt)
+    model, _ = _restore_backbone(cfg, ckpt)
     datasets = domain_datasets(train, expand_domain_selectors(cfg.get_list("train.finetune_domains"), train))
     if not datasets:
         raise DatasetError("no records match train.finetune_domains")
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     _, test = _load_split(args, cfg)
     if not test:
         raise DatasetError("test split is empty; check datagen.split_ratio")
-    model, arrays, _ = _restore_backbone(args, cfg, ckpt)
+    model, arrays = _restore_backbone(cfg, ckpt)
     adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
     enc_test = encode_records(test, cfg.feature_space())
     seed = cfg.get_int("train.seed")
@@ -220,7 +220,7 @@ def cmd_eval(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
-    model, arrays, _ = _restore_backbone(args, cfg, ckpt)
+    model, arrays = _restore_backbone(cfg, ckpt)
     adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
     router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))
     return serve(router, sys.stdin, sys.stdout)

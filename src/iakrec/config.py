@@ -50,11 +50,6 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "iak.d_e": ("50", "encoder output dimension"),
     "iak.beta": ("0.001", "weight of the encoder KL regularizer"),
     "iak.decoder_hidden": ("32", "decoder hidden widths"),
-    "iak.sample_mode": (
-        "stochastic",
-        "how fine-tuning samples the encoder weights: stochastic (a fresh draw per step) | mean "
-        "(the posterior means); eval and serving always score with the means",
-    ),
     # training
     "train.batch_size": ("1024", "records per optimizer step"),
     "train.epochs": ("1", "passes over the training stream"),
@@ -245,7 +240,6 @@ class RunConfig:
             d_e=self.get_int("iak.d_e"),
             beta=self.get_float("iak.beta"),
             decoder_hidden=tuple(self.get_int_list("iak.decoder_hidden")),
-            sample_mode=self.get("iak.sample_mode"),
         )
 
     def train_config(self) -> TrainConfig:

@@ -61,27 +61,6 @@ def auc(scores, labels) -> float | None:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass
-class Histogram2D:
-    """Joint counts over a product binning, with consistent marginals."""
-
-    edges_x: np.ndarray
-    edges_y: np.ndarray
-    joint: np.ndarray
-
-    @property
-    def marginal_x(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
-
-    @property
-    def marginal_y(self) -> np.ndarray:
-        return self.joint.sum(axis=0)
-
-    @property
-    def total(self) -> float:
-        return float(self.joint.sum())
-
-
 def _equal_freq_edges(v: np.ndarray, bins: int) -> np.ndarray:
     """Interior quantile edges; duplicates collapse so heavy ties simply
     yield fewer occupied bins."""
@@ -89,14 +68,15 @@ def _equal_freq_edges(v: np.ndarray, bins: int) -> np.ndarray:
     return np.unique(qs[1:-1])
 
 
-def histogram2d(x: np.ndarray, y: np.ndarray, bins: int = DEFAULT_BINS) -> Histogram2D:
+def histogram2d(x: np.ndarray, y: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Joint counts of (x, y) over the product of their equal-frequency bins."""
     ex = _equal_freq_edges(x, bins)
     ey = _equal_freq_edges(y, bins)
     bx = np.digitize(x, ex)
     by = np.digitize(y, ey)
     joint = np.zeros((len(ex) + 1, len(ey) + 1))
     np.add.at(joint, (bx, by), 1.0)
-    return Histogram2D(ex, ey, joint)
+    return joint
 
 
 def _mi_from_joint(joint: np.ndarray) -> float:
@@ -122,8 +102,8 @@ def binned_mi(samples_x, samples_y, bins: int = DEFAULT_BINS) -> float:
         raise MetricError("sample vectors must have equal length")
     xs = x if x.ndim == 1 else x.mean(axis=1)
     if y.ndim == 1:
-        return _mi_from_joint(histogram2d(xs, y, bins).joint)
-    return float(np.mean([_mi_from_joint(histogram2d(xs, y[:, j], bins).joint) for j in range(y.shape[1])]))
+        return _mi_from_joint(histogram2d(xs, y, bins))
+    return float(np.mean([_mi_from_joint(histogram2d(xs, y[:, j], bins)) for j in range(y.shape[1])]))
 
 
 def kl_empirical(p_hist, q_hist, smooth: float = KL_SMOOTH) -> float:
@@ -172,13 +152,13 @@ def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarra
 
 def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarray, logits: np.ndarray,
                    batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Adapted probabilities in deterministic mean mode from `backbone_cache`
-    rows. The correction runs `batch_size` rows at a time, so every row
-    equals a single adapted forward over its chunk bit for bit."""
+    """Adapted probabilities, with the encoder's posterior means, from
+    `backbone_cache` rows. The correction runs `batch_size` rows at a time,
+    so every row equals a single adapted forward over its chunk bit for bit."""
     p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
     for start in range(0, len(rep), batch_size):
         rows = slice(start, start + batch_size)
-        pred = adapted_prediction(backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]), "mean")
+        pred = adapted_prediction(backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]))
         p_ctr[rows], p_ctcvr[rows] = pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
     return p_ctr, p_ctcvr
 
@@ -254,8 +234,8 @@ def report_from_scores(
 def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
-    tracks, scaled as `VariationalLinear.apply` scales it. Pure numpy; no
-    gradients involved."""
+    tracks: the encoder stage of `iak.adapter_graph`, scale included. Pure
+    numpy; no gradients involved."""
     vl = adapter.encoder
     sigma_w = np.logaddexp(0.0, vl.rho_w.data)
     sigma_b = np.logaddexp(0.0, vl.rho_b.data)

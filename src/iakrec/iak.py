@@ -6,12 +6,16 @@ standard-normal prior, and decodes additive per-task logit corrections. A
 zero decoder output reproduces the backbone exactly, which is also the
 initial state.
 
-Scoring and serving apply one adapter at a time (`adapted_prediction`).
-Fine-tuning trains the adapters of a joint batch together: an
-`AdapterBank` stacks their parameters, and one `adapter_step_cached` call
-builds one autodiff graph over the batch's rows grouped by adapter. Its
-segment primitives repeat, per adapter, the numpy calls of the one-adapter
-graph, so every adapter trains exactly as it would alone.
+`adapter_graph` is the one adapter forward: encoder weights (the posterior
+means, or a reparameterised sample when a training step passes noise), the
+scaled affine map and leaky ReLU, then the decoder layers. It runs on one of
+two primitive sets. A lone `IAKAdapter` passes `ad.matmul`/`ad.add`: eval
+and serving score one adapter at a time with the means
+(`adapted_prediction`). An `AdapterBank` passes the segment primitives over
+its stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
+batch through one autodiff graph, rows grouped by adapter. The segment
+primitives repeat, per adapter, the numpy calls of the one-adapter graph, so
+every adapter trains exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .models import EncodedBatch, Linear, MultiTaskModel, Prediction, bce_loss
 INIT_SIGMA = 0.05
 _INIT_RHO = math.log(math.expm1(INIT_SIGMA))
 
+Noise = tuple[np.ndarray, np.ndarray]  # standard-normal draws of encoder weights, then bias
+
 
 class AdapterError(ValueError):
     pass
@@ -42,25 +48,20 @@ class IAKConfig:
     d_e: int = 50  # encoder output width
     beta: float = 1e-3
     decoder_hidden: tuple[int, ...] = (32,)
-    sample_mode: str = "stochastic"
 
     def validate(self) -> None:
         if self.d_e < 1:
             raise AdapterError("d_e must be >= 1")
         if self.beta < 0:
             raise AdapterError("beta must be >= 0")
-        if self.sample_mode not in ("stochastic", "mean"):
-            raise AdapterError(f"unknown sample_mode {self.sample_mode!r}")
 
 
 class VariationalLinear:
-    """Affine map whose weights carry a diagonal Gaussian posterior (mu,
-    sigma) against a standard-normal prior. sigma = softplus(rho) stays
-    positive for every rho."""
+    """The encoder's parameters: an affine map whose weights carry a
+    diagonal Gaussian posterior (mu, sigma) against a standard-normal prior.
+    sigma = softplus(rho) stays positive for every rho."""
 
     def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         # keeps activations O(1) under the standard-normal prior on w
         # regardless of input width
         self.scale = 1.0 / math.sqrt(in_dim)
@@ -76,39 +77,42 @@ class VariationalLinear:
     def n_entries(self) -> int:
         return self.mu_w.size + self.mu_b.size
 
-    def sample_weights(self, rng: np.random.Generator | None, mode: str) -> tuple[Tensor, Tensor]:
-        """Realize (w, b). Stochastic mode reparameterizes w = mu + sigma*eps
-        so gradients reach both mu and rho; mean mode returns mu exactly."""
-        if mode == "mean":
-            return self.mu_w, self.mu_b
-        if mode != "stochastic":
-            raise AdapterError(f"unknown sample mode {mode!r}")
-        if rng is None:
-            raise AdapterError("stochastic sampling needs an rng")
-        eps_w, eps_b = self.draw_noise(rng)
-        return _reparameterize(self.mu_w, self.rho_w, eps_w), _reparameterize(self.mu_b, self.rho_b, eps_b)
-
-    def draw_noise(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """The standard-normal draws of one weight sample, weights then bias."""
+    def draw_noise(self, rng: np.random.Generator) -> Noise:
+        """The standard-normal draws of one weight sample."""
         return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
 
-    def apply(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Affine map with x @ w scaled by `scale`."""
-        return ad.add(ad.mul(ad.matmul(x, w), self.scale), b)
+
+def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
+                  matmul: Callable[[Tensor, Tensor], Tensor] = ad.matmul,
+                  add: Callable[[Tensor, Tensor], Tensor] = ad.add) -> Tensor:
+    """The adapter forward: per-task logit corrections of the rows `x`.
+
+    `params` are the encoder's mu_w, mu_b, rho_w and rho_b followed by each
+    decoder layer's weight and bias. The encoder weights are the posterior
+    means, or w = mu + softplus(rho) * noise when `noise` (weights, bias)
+    is given, so gradients reach both mu and rho; one weight sample serves
+    every row. x @ w is scaled by the encoder's `scale`. `matmul` and `add`
+    are the affine primitives: plain for one adapter, segment primitives
+    for a bank."""
+    mu_w, mu_b, rho_w, rho_b, *decoder = params
+    w, b = mu_w, mu_b
+    if noise is not None:
+        w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
+    x = ad.leaky_relu(add(ad.mul(matmul(x, w), scale), b))
+    for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
+        x = ad.leaky_relu(add(matmul(x, w_l), b_l))
+    return add(matmul(x, decoder[-2]), decoder[-1])
 
 
 def _reparameterize(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
     return ad.add(mu, ad.mul(ad.softplus(rho), Tensor(eps)))
 
 
-def kl_to_standard_normal(vl: VariationalLinear) -> Tensor:
-    """Closed-form KL(N(mu, sigma^2) || N(0,1)) summed over all entries of a
-    layer: sum 0.5*(mu^2 + sigma^2 - 1) - log sigma. Always >= 0."""
-    return _gaussian_kl(vl.mu_w, vl.mu_b, vl.rho_w, vl.rho_b, ad.reduce_sum)
-
-
 def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
                  total: Callable[[Tensor], Tensor]) -> Tensor:
+    """Closed-form KL(N(mu, sigma^2) || N(0,1)) of an encoder's entries,
+    sigma = softplus(rho): `total` of 0.5*(mu^2 + sigma^2 - 1) - log sigma
+    over weights plus bias. Always >= 0."""
     parts = []
     for mu, rho in ((mu_w, rho_w), (mu_b, rho_b)):
         sigma = ad.softplus(rho)
@@ -170,21 +174,13 @@ class IAKAdapter:
     def n_encoder_entries(self) -> int:
         return self.encoder.n_entries
 
-    def encode(self, representation: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-        """Compressed representation, (B, d_e). One weight sample serves the
-        whole batch in stochastic mode."""
-        w, b = self.encoder.sample_weights(rng, mode)
-        return ad.leaky_relu(self.encoder.apply(representation, w, b))
-
-    def correction(self, representation: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-        """Per-task logit corrections, (B, n_tasks)."""
-        x = self.encode(representation, mode, rng)
-        for layer in self.decoder_hidden:
-            x = ad.leaky_relu(layer(x))
-        return self.decoder_out(x)
+    def correction(self, representation: Tensor, noise: Noise | None = None) -> Tensor:
+        """Per-task logit corrections, (B, n_tasks): the posterior means, or
+        one weight sample drawn as `noise` for the whole batch."""
+        return adapter_graph(representation, self.parameters(), self.encoder.scale, noise)
 
     def encoder_kl(self) -> Tensor:
-        return kl_to_standard_normal(self.encoder)
+        return _gaussian_kl(*self.encoder.parameters(), ad.reduce_sum)
 
 
 def adapted_prediction(
@@ -192,15 +188,15 @@ def adapted_prediction(
     adapter: IAKAdapter,
     representation: Tensor,
     base_logits: Tensor,
-    mode: str,
-    rng: np.random.Generator | None = None,
+    noise: Noise | None = None,
 ) -> Prediction:
     """Prediction from a backbone output corrected by an adapter: the (B,
-    n_heads) base logits plus the adapter's additive correction. This is the
-    one adapter path of training, scoring and serving; a zero correction
-    reproduces the backbone bit-for-bit."""
+    n_heads) base logits plus the adapter's additive correction, with the
+    encoder's posterior means unless `noise` gives a weight sample. Eval and
+    serving score through it; a zero correction reproduces the backbone
+    bit-for-bit."""
     _check_inputs(adapter, representation.shape, base_logits.shape)
-    corr = adapter.correction(representation, mode, rng)
+    corr = adapter.correction(representation, noise)
     return backbone.predict_from_logits(ad.add(base_logits, corr))
 
 
@@ -266,7 +262,6 @@ class AdapterBank:
         if any((a.config, a.rep_dim, a.n_tasks) != shape for a in adapters):
             raise AdapterError("banked adapters must share their config, input width and task count")
         self.adapters = list(adapters)
-        self.config = first.config
         self.rep_dim = first.rep_dim
         self.n_tasks = first.n_tasks
         self.n_encoder_entries = first.n_encoder_entries
@@ -281,7 +276,7 @@ class AdapterBank:
         self.opt_state.accumulators = {p.name: np.zeros_like(p.data) for p in self.params}
         self._per_adapter = np.arange(len(self.adapters) + 1)  # one segment per slab
 
-    def draw_noise(self, adapters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def draw_noise(self, adapters: np.ndarray) -> Noise:
         """Stacked encoder noise: each listed adapter draws from its own
         `sample_rng`, in bank order, exactly the draws of its own weight
         sample; every other adapter gets zeros and draws nothing."""
@@ -292,20 +287,12 @@ class AdapterBank:
             eps_w[k], eps_b[k] = adapter.encoder.draw_noise(adapter.sample_rng)
         return eps_w, eps_b
 
-    def correction(self, representation: Tensor, offsets: np.ndarray,
-                   noise: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
+    def correction(self, representation: Tensor, offsets: np.ndarray, noise: Noise) -> Tensor:
         """(B, n_tasks) corrections of rows grouped by adapter, rows
-        offsets[k]:offsets[k + 1] through adapter k. `noise` is the stacked
-        encoder noise of a stochastic step, None in mean mode."""
-        mu_w, mu_b, rho_w, rho_b, *decoder = self.params
-        w, b = mu_w, mu_b
-        if noise is not None:
-            w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
-        x = ad.segment_add(ad.mul(ad.segment_matmul(representation, w, offsets), self.scale), b, offsets)
-        x = ad.leaky_relu(x)
-        for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
-            x = ad.leaky_relu(ad.segment_add(ad.segment_matmul(x, w_l, offsets), b_l, offsets))
-        return ad.segment_add(ad.segment_matmul(x, decoder[-2], offsets), decoder[-1], offsets)
+        offsets[k]:offsets[k + 1] through adapter k, with the stacked
+        encoder noise of `draw_noise`."""
+        return adapter_graph(representation, self.params, self.scale, noise,
+                             partial(ad.segment_matmul, offsets=offsets), partial(ad.segment_add, offsets=offsets))
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
@@ -330,8 +317,7 @@ class AdapterBank:
 
     def encoder_kl(self) -> Tensor:
         """(K,) encoder KL of every adapter."""
-        mu_w, mu_b, rho_w, rho_b = self.params[:4]
-        return _gaussian_kl(mu_w, mu_b, rho_w, rho_b, partial(ad.segment_sum, offsets=self._per_adapter))
+        return _gaussian_kl(*self.params[:4], partial(ad.segment_sum, offsets=self._per_adapter))
 
 
 def adapter_step_cached(
@@ -356,7 +342,7 @@ def adapter_step_cached(
     if np.any(lr < 0):
         raise AdapterError("learning rates must be >= 0")
     stepped = np.flatnonzero((np.diff(offsets) > 0) & (lr > 0))
-    noise = bank.draw_noise(stepped) if bank.config.sample_mode == "stochastic" else None
+    noise = bank.draw_noise(stepped)
     ad.zero_grads(bank.params)
     corr = bank.correction(Tensor(rep), offsets, noise)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))

@@ -343,8 +343,7 @@ class _MoECore:
     def __call__(self, x: Tensor) -> list[Tensor]:
         expert_outs = [e(x) for e in self.experts]
         mixed = []
-        for gate in self.gates:
-            weights = ad.softmax(gate(x), axis=-1)
+        for weights in self.gate_weights(x):
             acc = ad.mul(ad.slice_cols(weights, 0, 1), expert_outs[0])
             for e in range(1, len(self.experts)):
                 acc = ad.add(acc, ad.mul(ad.slice_cols(weights, e, e + 1), expert_outs[e]))

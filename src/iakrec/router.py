@@ -1,7 +1,7 @@
 """Parallel inference over deployed adapters with indicator-based domain
 activation, plus a line-oriented JSON scoring loop.
 
-Adapters run in deterministic mean mode, and the response is exactly the
+Adapters score with their encoders' posterior means, and the response is exactly the
 output of the most specific adapter whose selector matches the request's
 domain ids. A request carries the id columns of a recorded row and is
 encoded as one, so it is scored as eval scores that row, up to the rounding
@@ -115,7 +115,7 @@ class DomainRouter:
         else:
             evaluated = list(self.adapters)
         results = {
-            key: adapted_prediction(self.backbone, self.adapters[key], out.representation, out.logits, mode="mean")
+            key: adapted_prediction(self.backbone, self.adapters[key], out.representation, out.logits)
             for key in evaluated
         }
         pred = out.prediction if selected is None else results[selected]

@@ -20,7 +20,7 @@ def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_sta
     params = adapter.parameters()
     ad.zero_grads(params)
     pred = adapted_prediction(backbone, adapter, Tensor(rep), Tensor(base_logits),
-                              adapter.config.sample_mode, adapter.sample_rng)
+                              adapter.encoder.draw_noise(adapter.sample_rng))
     loss = ib_loss(pred, click, purchase, adapter, beta, weights)
     ad.backward(loss)
     total = 0.0

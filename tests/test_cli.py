@@ -69,6 +69,46 @@ def test_missing_config_file_exits_4(workdir):
     assert main(["gen-data", "--config", str(workdir / "absent.cfg"), "--workdir", str(workdir)]) == EXIT_PATH
 
 
+def test_existing_outdir_exits_4(workdir):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    before = (workdir / "data" / "dataset.jsonl").read_bytes()
+    assert _run(workdir, "gen-data", "--outdir", "data", "--set", "datagen.seed=1") == EXIT_PATH
+    assert (workdir / "data" / "dataset.jsonl").read_bytes() == before  # reruns never overwrite
+
+
+def _backbone_checkpoint(workdir):
+    """An untrained backbone checkpoint at TINY_CFG's sizes, saved as backbone.ckpt."""
+    cfg = RunConfig({"datagen.n_users": "30", "datagen.n_items": "20", "model.hidden_sizes": "6,3"})
+    model = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
+    save_checkpoint(workdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
+
+
+def test_finetune_without_backbone_exits_4(workdir):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    assert _run(workdir, "finetune", "--data", "data/dataset.jsonl") == EXIT_PATH
+    assert not any(p.name.startswith("finetune-") for p in workdir.iterdir())
+
+
+def test_finetune_domains_matching_no_record_exit_5(workdir, capsys):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    _backbone_checkpoint(workdir)
+    capsys.readouterr()
+    assert _run(workdir, "finetune", "--data", "data/dataset.jsonl", "--backbone", "backbone.ckpt",
+                "--set", "train.finetune_domains=period=7") == EXIT_SCHEMA
+    assert "no records match train.finetune_domains" in capsys.readouterr().err
+    assert not any(p.name.startswith("finetune-") for p in workdir.iterdir())
+
+
+def test_eval_of_empty_test_split_exits_5(workdir, capsys):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    _backbone_checkpoint(workdir)
+    capsys.readouterr()
+    assert _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "backbone.ckpt",
+                "--set", "datagen.split_ratio=1:0") == EXIT_SCHEMA
+    assert "test split is empty" in capsys.readouterr().err
+    assert not any(p.name.startswith("eval-") for p in workdir.iterdir())
+
+
 @pytest.mark.parametrize("keep", [3, 20, -5])  # inside the magic, the header, the last array
 def test_truncated_checkpoint_exits_5(workdir, keep):
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
@@ -102,9 +142,7 @@ def test_bad_finetune_domain_exits_5(workdir, capsys, entry, named):
     """A non-integer id or a topic outside scene/region/period is a data
     error that names the bad entry, not a traceback or a bare int() message."""
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
-    cfg = RunConfig({"datagen.n_users": "30", "datagen.n_items": "20", "model.hidden_sizes": "6,3"})
-    model = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
-    save_checkpoint(workdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
+    _backbone_checkpoint(workdir)
     capsys.readouterr()
     assert _run(workdir, "finetune", "--data", "data/dataset.jsonl", "--backbone", "backbone.ckpt",
                 "--set", f"train.finetune_domains={entry}") == EXIT_SCHEMA

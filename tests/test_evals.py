@@ -134,10 +134,13 @@ class TestBinnedMI:
 class TestHistogram2D:
     def test_marginals_consistent(self):
         rng = np.random.default_rng(0)
-        h = histogram2d(rng.normal(size=1000), rng.normal(size=1000), bins=8)
-        assert h.total == 1000
-        np.testing.assert_allclose(h.marginal_x.sum(), 1000)
-        np.testing.assert_allclose(h.marginal_y.sum(), 1000)
+        x, y = rng.normal(size=1000), rng.normal(size=1000)
+        joint = histogram2d(x, y, bins=8)
+        assert joint.shape == (8, 8)
+        assert joint.sum() == 1000
+        # equal-frequency bins: every row and column holds an eighth of the samples
+        np.testing.assert_array_equal(joint.sum(axis=1), np.full(8, 125.0))
+        np.testing.assert_array_equal(joint.sum(axis=0), np.full(8, 125.0))
 
 
 class TestKLEmpirical:
@@ -180,15 +183,18 @@ class TestDiagnostics:
         flat = score_label_decile_kl(np.full(4000, 0.5), labels, items)
         assert matched < flat
 
-    def test_noise_free_channel_is_the_mean_mode_encoder(self):
-        # softplus(-1000) is exactly 0: the channel's weight samples are mu,
-        # so its rows are the encoder the adapter runs, scale included
-        adapter = IAKAdapter(32, 2, IAKConfig(d_e=7), {"period": 0}, seed=3)
-        adapter.encoder.rho_w.data[:] = -1000.0
-        adapter.encoder.rho_b.data[:] = -1000.0
+    def test_channel_is_the_encoder_stage_the_adapter_runs(self):
+        # an identity read-out makes the adapter's correction its encoder
+        # stage; fed each record's weight sample, it must give the channel's row
+        adapter = IAKAdapter(32, 7, IAKConfig(d_e=7, decoder_hidden=()), {"period": 0}, seed=3)
+        adapter.decoder_out.w.data[:] = np.eye(7)
         rep = np.random.default_rng(4).normal(size=(64, 32))
         channel = encoder_channel_outputs(adapter, rep, np.random.default_rng(5))
-        np.testing.assert_allclose(channel, adapter.encode(Tensor(rep), "mean").data, rtol=1e-12, atol=1e-14)
+        draws = np.random.default_rng(5)  # the channel's draws: every weight sample, then every bias sample
+        eps_w = draws.standard_normal((64, 32, 7))
+        eps_b = draws.standard_normal((64, 7))
+        ran = np.concatenate([adapter.correction(Tensor(rep[i:i + 1]), (eps_w[i], eps_b[i])).data for i in range(64)])
+        np.testing.assert_allclose(channel, ran, rtol=1e-12, atol=1e-14)
 
 
 def test_report_from_scores():

@@ -18,7 +18,6 @@ from iakrec.iak import (
     adapter_step_cached,
     backbone_cache,
     ib_loss,
-    kl_to_standard_normal,
 )
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import TrainConfig, TrainerError, finetune_all, model_digest
@@ -43,14 +42,16 @@ def gaussian_kl_quadrature(mu: float, sigma: float) -> float:
     return val
 
 
-def _vl_with(mu, sigma):
-    """1x1 variational layer pinned to exact (mu, sigma)."""
-    vl = VariationalLinear(1, 1, "vl", np.random.default_rng(0))
+def _kl_of(mu, sigma):
+    """Encoder KL of an adapter whose one encoder weight is pinned to exact
+    (mu, sigma)."""
+    adapter = IAKAdapter(1, 2, IAKConfig(d_e=1, decoder_hidden=()), {"period": 1}, seed=0)
+    vl = adapter.encoder
     vl.mu_w.data[:] = mu
     vl.rho_w.data[:] = math.log(math.expm1(sigma))
     vl.mu_b.data[:] = 0.0
     vl.rho_b.data[:] = math.log(math.expm1(1.0))  # bias entry at the prior
-    return vl
+    return float(adapter.encoder_kl().data)
 
 
 def _records(n=8, seed=0, period=1):
@@ -89,9 +90,9 @@ def _step(backbone, bank, batch, lr, beta):
 
 
 def _adapted(backbone, adapter, batch):
-    """Mean-mode adapted prediction of one backbone pass over `batch`."""
+    """Adapted prediction (posterior means) of one backbone pass over `batch`."""
     out = backbone.forward_full(batch)
-    return adapted_prediction(backbone, adapter, out.representation, out.logits, mode="mean")
+    return adapted_prediction(backbone, adapter, out.representation, out.logits)
 
 
 def _batch(n=8, seed=0, period=1):
@@ -104,30 +105,35 @@ def _backbone(seed=0):
     return model
 
 
-def _adapter(backbone, d_e=4, seed=0, period=1, decoder_hidden=(6,), sample_mode="stochastic"):
-    cfg = IAKConfig(d_e=d_e, beta=1e-3, decoder_hidden=decoder_hidden, sample_mode=sample_mode)
+def _adapter(backbone, d_e=4, seed=0, period=1, decoder_hidden=(6,)):
+    cfg = IAKConfig(d_e=d_e, beta=1e-3, decoder_hidden=decoder_hidden)
     return IAKAdapter(backbone.rep_dim, backbone.n_heads, cfg, {"period": period}, seed=seed)
 
 
-class TestSampleWeights:
-    def test_mean_mode_returns_mu_exactly(self):
-        vl = VariationalLinear(3, 2, "vl", np.random.default_rng(1))
-        w, b = vl.sample_weights(None, "mean")
-        assert w is vl.mu_w and b is vl.mu_b
-
+class TestEncoderSample:
     def test_sigma_to_zero_collapses_to_mu(self):
-        vl = VariationalLinear(3, 2, "vl", np.random.default_rng(1))
-        vl.rho_w.data[:] = -745.0  # softplus underflows to 0
-        vl.rho_b.data[:] = -745.0
-        w, b = vl.sample_weights(np.random.default_rng(2), "stochastic")
-        np.testing.assert_array_equal(w.data, vl.mu_w.data)
-        np.testing.assert_array_equal(b.data, vl.mu_b.data)
+        adapter = IAKAdapter(3, 2, IAKConfig(d_e=2, decoder_hidden=(4,)), {"period": 1}, seed=1)
+        adapter.decoder_out.w.data[:] = 0.3
+        adapter.encoder.rho_w.data[:] = -745.0  # softplus underflows to 0
+        adapter.encoder.rho_b.data[:] = -745.0
+        rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
+        sampled = adapter.correction(rep, adapter.encoder.draw_noise(np.random.default_rng(3)))
+        assert sampled.data.tobytes() == adapter.correction(rep).data.tobytes()
 
     def test_sample_mean_converges_to_mu(self):
-        vl = _vl_with(mu=0.7, sigma=0.9)
+        # one input of 1, a bias pinned at 10 and an identity read-out: the
+        # correction is the sampled weight plus 10, on the leaky ReLU's linear side
+        adapter = IAKAdapter(1, 1, IAKConfig(d_e=1, decoder_hidden=()), {"period": 1}, seed=0)
+        vl = adapter.encoder
+        vl.mu_w.data[:] = 0.7
+        vl.rho_w.data[:] = math.log(math.expm1(0.9))
+        vl.mu_b.data[:] = 10.0
+        vl.rho_b.data[:] = -745.0
+        adapter.decoder_out.w.data[:] = 1.0
+        rep = ad.Tensor(np.ones((1, 1)))
         rng = np.random.default_rng(3)
-        n = 10**5
-        draws = np.array([vl.sample_weights(rng, "stochastic")[0].data[0, 0] for _ in range(n)])
+        n = 2 * 10**4
+        draws = np.array([adapter.correction(rep, vl.draw_noise(rng)).data[0, 0] for _ in range(n)]) - 10.0
         assert abs(draws.mean() - 0.7) < 3 * 0.9 / math.sqrt(n)
 
     def test_initial_sigma_is_configured_value(self):
@@ -145,25 +151,19 @@ class TestSampleWeights:
 
 class TestKL:
     def test_posterior_equals_prior_gives_zero(self):
-        vl = _vl_with(mu=0.0, sigma=1.0)
-        assert float(kl_to_standard_normal(vl).data) == pytest.approx(0.0, abs=1e-12)
+        assert _kl_of(mu=0.0, sigma=1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_shift_gives_half(self):
-        vl = _vl_with(mu=1.0, sigma=1.0)
-        assert float(kl_to_standard_normal(vl).data) == pytest.approx(0.5, abs=1e-12)
+        assert _kl_of(mu=1.0, sigma=1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_sigma_two_closed_form(self):
-        vl = _vl_with(mu=0.0, sigma=2.0)
         expected = 0.5 * (4.0 - 1.0 - math.log(4.0))
-        assert float(kl_to_standard_normal(vl).data) == pytest.approx(expected, rel=1e-12)
+        assert _kl_of(mu=0.0, sigma=2.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.80685, abs=5e-6)
 
     @pytest.mark.parametrize("mu,sigma", [(1.0, 1.0), (0.0, 2.0), (-2.5, 0.3), (3.0, 4.0)])
     def test_closed_form_matches_quadrature(self, mu, sigma):
-        vl = _vl_with(mu, sigma)
-        assert float(kl_to_standard_normal(vl).data) == pytest.approx(
-            gaussian_kl_quadrature(mu, sigma), abs=1e-6
-        )
+        assert _kl_of(mu, sigma) == pytest.approx(gaussian_kl_quadrature(mu, sigma), abs=1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,12 +171,10 @@ class TestKL:
         sigma=st.floats(min_value=1e-3, max_value=10),
     )
     def test_kl_non_negative(self, mu, sigma):
-        vl = _vl_with(mu, sigma)
-        assert float(kl_to_standard_normal(vl).data) >= -1e-12
+        assert _kl_of(mu, sigma) >= -1e-12
 
     def test_kl_zero_iff_at_prior(self):
-        vl = _vl_with(mu=1e-3, sigma=1.0)
-        assert float(kl_to_standard_normal(vl).data) > 1e-12
+        assert _kl_of(mu=1e-3, sigma=1.0) > 1e-12
 
 
 class TestIAKForward:
@@ -218,14 +216,14 @@ class TestIAKForward:
         adapter = _adapter(backbone)
         wrong_rep = ad.Tensor(np.zeros((4, backbone.rep_dim + 1)))
         with pytest.raises(AdapterError):
-            adapted_prediction(backbone, adapter, wrong_rep, ad.Tensor(np.zeros((4, 2))), "mean")
+            adapted_prediction(backbone, adapter, wrong_rep, ad.Tensor(np.zeros((4, 2))))
 
     def test_head_count_mismatch_rejected(self):
         backbone = _backbone()
         adapter = _adapter(backbone)
         rep = ad.Tensor(np.zeros((4, backbone.rep_dim)))
         with pytest.raises(AdapterError):
-            adapted_prediction(backbone, adapter, rep, ad.Tensor(np.zeros((4, 3))), "mean")
+            adapted_prediction(backbone, adapter, rep, ad.Tensor(np.zeros((4, 3))))
 
 
 class TestIBLoss:
@@ -281,11 +279,10 @@ class TestIBLoss:
         rep = out.representation.detach()
         base_logits = out.logits.detach()
         params = adapter.parameters()
-        eps_rng_seed = 77
+        noise = adapter.encoder.draw_noise(np.random.default_rng(77))  # fixed eps across evals
 
         def loss_fn():
-            rng = np.random.default_rng(eps_rng_seed)  # fixed eps across evals
-            pred = adapted_prediction(backbone, adapter, rep, base_logits, "stochastic", rng)
+            pred = adapted_prediction(backbone, adapter, rep, base_logits, noise)
             return ib_loss(pred, batch.click, batch.purchase, adapter, beta=0.01)
 
         ad.zero_grads(params)
@@ -298,7 +295,7 @@ class TestIBLoss:
 class TestFinetuneStep:
     def test_backbone_untouched_and_zero_grad_noop(self):
         backbone = _backbone()
-        adapter = _adapter(backbone, sample_mode="mean")
+        adapter = _adapter(backbone)
         batch = _batch()
         digest_before = model_digest(backbone.named_parameters())
         _step(backbone, _bank(adapter), batch, lr=0.01, beta=1e-3)
@@ -322,7 +319,7 @@ class TestFinetuneStep:
 
     def test_loss_decreases_on_separable_toy_domain(self):
         backbone = _backbone(seed=11)
-        adapter = _adapter(backbone, d_e=8, seed=3, sample_mode="mean")
+        adapter = _adapter(backbone, d_e=8, seed=3)
         rng = np.random.default_rng(4)
         records = [
             InteractionRecord(
@@ -389,13 +386,12 @@ class TestAdapterBank:
         with pytest.raises(AdapterError):
             _bank_step(backbone, _bank(_adapter(backbone)), rep, base, batch.click, batch.purchase, -0.1, 0.0)
 
-    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
     @pytest.mark.parametrize("decoder_hidden", [(), (6, 5)])
     @pytest.mark.parametrize("beta", [0.0, 1e-2])
-    def test_one_adapter_bank_equals_reference_steps(self, sample_mode, decoder_hidden, beta):
+    def test_one_adapter_bank_equals_reference_steps(self, decoder_hidden, beta):
         backbone = _backbone(seed=2)
-        adapter = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden, sample_mode=sample_mode)
-        reference = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden, sample_mode=sample_mode)
+        adapter = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden)
+        reference = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden)
         bank = _bank(adapter)
         state = ad.AdagradDecayState()
         for step in range(6):
@@ -447,5 +443,3 @@ def test_iak_config_validation():
         IAKConfig(d_e=0).validate()
     with pytest.raises(AdapterError):
         IAKConfig(beta=-1.0).validate()
-    with pytest.raises(AdapterError):
-        IAKConfig(sample_mode="sometimes").validate()

@@ -60,8 +60,7 @@ class TestRouteScore:
         resp = router.score(req)
         assert resp.served_by == "period=1"
         out = router.backbone.forward_full(encode_request(req, SPACE))
-        pred = adapted_prediction(router.backbone, router.adapters["period=1"], out.representation, out.logits,
-                                  mode="mean")
+        pred = adapted_prediction(router.backbone, router.adapters["period=1"], out.representation, out.logits)
         assert resp.p_ctr == float(pred.p_ctr.data[0, 0])
         assert resp.p_ctcvr == float(pred.p_ctcvr.data[0, 0])
 

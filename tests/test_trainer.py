@@ -411,22 +411,20 @@ class TestBankEqualsReference:
         assert [dataclasses.astuple(r) for r in bank.curve] == [dataclasses.astuple(r) for r in ref.curve]
 
     @pytest.mark.parametrize("kind", ["base", "shared_bottom", "mmoe", "esmm"])
-    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
-    def test_five_overlapping_domains_two_epochs(self, monkeypatch, five_domains, kind, sample_mode):
+    def test_five_overlapping_domains_two_epochs(self, monkeypatch, five_domains, kind):
         data, datasets = five_domains
         config = TrainConfig(batch_size=96, epochs=2, seed=2, base_lr=0.05)
-        bank, ref = self._both(monkeypatch, data, datasets, kind, config, IAKConfig(d_e=5, sample_mode=sample_mode))
+        bank, ref = self._both(monkeypatch, data, datasets, kind, config, IAKConfig(d_e=5))
         self._assert_equal(bank, ref)
         steps = {r.step for r in bank.curve}
         rare = {r.step for r in bank.curve if r.domain == "period=2"}
         assert rare and rare < steps  # some batches hold the rare domain, some do not
 
-    @pytest.mark.parametrize("sample_mode", ["stochastic", "mean"])
-    def test_previous_norms(self, monkeypatch, five_domains, sample_mode):
+    def test_previous_norms(self, monkeypatch, five_domains):
         data, datasets = five_domains
         config = TrainConfig(batch_size=64, epochs=2, seed=4, base_lr=0.05, lr_norms="previous")
         bank, ref = self._both(monkeypatch, data, datasets, "base", config,
-                               IAKConfig(d_e=5, beta=0.01, sample_mode=sample_mode))
+                               IAKConfig(d_e=5, beta=0.01))
         self._assert_equal(bank, ref)
 
     def test_zero_rate_domain_is_skipped(self, monkeypatch, five_domains):
