@@ -50,7 +50,7 @@ def test_usage_error_exits_2(argv):
     assert e.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("key", ["no.such_key", "train.joint"])
+@pytest.mark.parametrize("key", ["no.such_key", "train.joint", "iak.sample_mode"])
 def test_unknown_config_key_exits_3(workdir, key):
     assert _run(workdir, "gen-data", "--set", f"{key}=true") == EXIT_CONFIG
     assert not any(p.is_dir() for p in workdir.iterdir())

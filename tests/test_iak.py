@@ -120,6 +120,26 @@ class TestEncoderSample:
         sampled = adapter.correction(rep, adapter.encoder.draw_noise(np.random.default_rng(3)))
         assert sampled.data.tobytes() == adapter.correction(rep).data.tobytes()
 
+    def test_means_correction_reads_mu_exactly(self):
+        # with no noise the graph reads mu_w and mu_b as they are and never rho:
+        # a NaN rho leaves the correction bitwise equal to the hand-built one
+        adapter = IAKAdapter(3, 2, IAKConfig(d_e=2, decoder_hidden=()), {"period": 1}, seed=1)
+        adapter.decoder_out.w.data[:] = np.eye(2)
+        adapter.encoder.rho_w.data[:] = np.nan
+        adapter.encoder.rho_b.data[:] = np.nan
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        enc = adapter.encoder
+        pre = (x @ enc.mu_w.data) * enc.scale + enc.mu_b.data
+        want = np.where(pre >= 0.0, pre, 0.01 * pre) @ np.eye(2) + adapter.decoder_out.b.data
+        assert adapter.correction(ad.Tensor(x)).data.tobytes() == want.tobytes()
+
+    def test_zero_noise_sample_is_the_means(self):
+        adapter = IAKAdapter(3, 2, IAKConfig(d_e=2, decoder_hidden=(4,)), {"period": 1}, seed=1)
+        adapter.decoder_out.w.data[:] = 0.3
+        rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
+        zeros = (np.zeros_like(adapter.encoder.mu_w.data), np.zeros_like(adapter.encoder.mu_b.data))
+        assert adapter.correction(rep, zeros).data.tobytes() == adapter.correction(rep).data.tobytes()
+
     def test_sample_mean_converges_to_mu(self):
         # one input of 1, a bias pinned at 10 and an identity read-out: the
         # correction is the sampled weight plus 10, on the leaky ReLU's linear side
@@ -210,6 +230,14 @@ class TestIAKForward:
         a = _adapted(backbone, adapter, batch)
         b = _adapted(backbone, adapter, batch)
         assert a.p_ctr.data.tobytes() == b.p_ctr.data.tobytes()
+
+    def test_means_prediction_draws_no_noise(self):
+        # eval and serving consume none of the sample stream fine-tuning draws from
+        backbone = _backbone()
+        adapter = _adapter(backbone)
+        before = _rng_state(adapter)
+        _adapted(backbone, adapter, _batch())
+        assert _rng_state(adapter) == before
 
     def test_dimension_mismatch_rejected(self):
         backbone = _backbone()
@@ -343,6 +371,17 @@ class TestFinetuneStep:
                 first = loss
         assert loss < first
 
+    def test_step_samples_the_encoder_weights(self):
+        # two adapters equal but for their sample streams step apart: the
+        # step draws a weight sample instead of using the means
+        backbone = _backbone(seed=5)
+        a, b = _adapter(backbone, seed=6), _adapter(backbone, seed=6)
+        b.sample_rng = np.random.default_rng(99)
+        batch = _batch(seed=7)
+        for adapter in (a, b):
+            _step(backbone, _bank(adapter), batch, lr=0.02, beta=1e-3)
+        assert model_digest(a.named_parameters()) != model_digest(b.named_parameters())
+
     def test_finetune_is_deterministic(self):
         def run():
             backbone = _backbone(seed=5)
@@ -401,6 +440,26 @@ class TestAdapterBank:
             want = reference_step(backbone, reference, rep, base, batch.click, batch.purchase, state, 0.05, beta)
             assert got == want
         assert model_digest(adapter.named_parameters()) == model_digest(reference.named_parameters())
+
+    @pytest.mark.parametrize("decoder_hidden", [(), (6, 5)])
+    def test_bank_correction_equals_each_adapters_own(self, decoder_hidden):
+        # one graph on two primitive sets: rows grouped by adapter through the
+        # bank equal each adapter's own correction with the same weight sample
+        backbone = _backbone(seed=3)
+        adapters = [_adapter(backbone, seed=10 + k, period=k, decoder_hidden=decoder_hidden) for k in range(3)]
+        rng = np.random.default_rng(5)
+        for a in adapters:
+            a.decoder_out.w.data[:] = rng.normal(size=a.decoder_out.w.shape)
+        want_noise = [a.encoder.draw_noise(np.random.default_rng(a.seed)) for a in adapters]
+        offsets = np.array([0, 4, 4, 11])  # adapter 1 has no rows
+        rep = rng.normal(size=(11, backbone.rep_dim))
+        want = [a.correction(ad.Tensor(rep[s:e]), n).data
+                for a, n, s, e in zip(adapters, want_noise, offsets, offsets[1:])]
+        bank = _bank(*adapters)
+        for a in adapters:
+            a.sample_rng = np.random.default_rng(a.seed)
+        got = bank.correction(ad.Tensor(rep), offsets, bank.draw_noise(np.arange(3))).data
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_skipped_adapter_neither_steps_nor_decays(self):
         # adapter 1 has rows but a zero rate at step 2, adapter 2 a rate but
