@@ -16,6 +16,11 @@ its stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
 batch through one autodiff graph, rows grouped by adapter. The segment
 primitives repeat, per adapter, the numpy calls of the one-adapter graph, so
 every adapter trains exactly as it would alone.
+
+The MI diagnostic keeps its own per-record numpy copy of the encoder stage
+(`evals.encoder_channel_outputs`), because it draws one weight sample per
+record; `test_channel_is_the_encoder_stage_the_adapter_runs` keeps the two in
+step.
 """
 
 from __future__ import annotations
