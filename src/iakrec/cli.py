@@ -4,7 +4,9 @@ evaluation into reproducible runs.
 Every command takes one flat config file plus `--set key=value` overrides
 (precedence: flag > file > default) and writes its artifacts into a fresh
 run directory under --workdir, together with the exact effective config.
-Exit codes: 0 success, 2 usage, 3 config error, 4 missing path, 5 data or
+Exit codes: 0 success, 2 usage, 3 config error (a config file that is not
+UTF-8 included), 4 path error (an input that is missing or cannot be read,
+a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation, 1 anything else.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
@@ -192,11 +194,10 @@ def cmd_eval(args) -> int:
         raise DatasetError("test split is empty; check datagen.split_ratio")
     model, arrays = _restore_backbone(cfg, ckpt)
     adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
-    enc_test = encode_records(test, cfg.feature_space())
     seed = cfg.get_int("train.seed")
-    split = SplitPass(model, test, enc_test)
+    split = SplitPass(model, encode_records(test, cfg.feature_space()))
     p_ctr, p_ctcvr = split.zero_shot()
-    reports = [report_from_scores(p_ctr, p_ctcvr, enc_test, "test", "zero_shot", seed)]
+    reports = [report_from_scores(p_ctr, p_ctcvr, split.dataset, "test", "zero_shot", seed)]
     for key, idx, sub in split.slices({key: a.domain_key for key, a in adapters.items()}):
         reports.append(report_from_scores(p_ctr[idx], p_ctcvr[idx], sub, f"test:{key}", "zero_shot", seed))
         ap_ctr, ap_ctcvr = split.adapted(adapters[key], idx)
@@ -223,7 +224,8 @@ def cmd_serve(args) -> int:
     model, arrays = _restore_backbone(cfg, ckpt)
     adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
     router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))
-    return serve(router, sys.stdin, sys.stdout)
+    # the bytes under a text stdin, so `serve` decodes each line on its own
+    return serve(router, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout)
 
 
 def cmd_experiment(args) -> int:
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"iakrec: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"iakrec: error: {e}", file=sys.stderr)
         return EXIT_PATH
     except _SCHEMA_ERRORS as e:

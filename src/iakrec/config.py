@@ -84,8 +84,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: not UTF-8 ({e.reason} at byte {e.start + 1})") from e
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

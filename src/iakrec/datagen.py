@@ -18,11 +18,10 @@ its columns in a digest-checked sidecar beside it.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -414,11 +413,16 @@ def id_fields(obj: dict) -> tuple[int, int, dict[str, int], list[int]]:
 _RECORD_KEYS = ("timestamp", "user_id", "item_id", "domain_ids", "feature_ids", "click", "purchase")
 
 
-def _parse_jsonl(lines: Iterable[str], path: str | Path) -> Dataset:
-    """The dataset of JSONL text lines; a bad line raises DatasetError at `path:line`."""
+def _parse_jsonl(raw: bytes, path: str | Path) -> Dataset:
+    """The dataset of a JSONL file's bytes; a bad line, one that is not UTF-8
+    included, raises DatasetError at `path:line`."""
     records: list[InteractionRecord] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    # bytes split only at \n, \r and \r\n, the line ends of a text-mode read
+    for lineno, data in enumerate(raw.splitlines(), start=1):
+        try:
+            line = data.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"{path}:{lineno}: not UTF-8 ({e.reason} at byte {e.start + 1} of the line)") from e
         if not line:
             continue
         try:
@@ -454,8 +458,7 @@ def _parse_jsonl(lines: Iterable[str], path: str | Path) -> Dataset:
 def read_jsonl(path: str | Path) -> Dataset:
     """Parse a JSONL dataset, ignoring any sidecar; a bad line raises
     DatasetError at `path:line`."""
-    with open(path, "r", encoding="utf-8") as f:
-        return _parse_jsonl(f, path)
+    return _parse_jsonl(Path(path).read_bytes(), path)
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -506,7 +509,7 @@ def read_dataset(path: str | Path) -> Dataset:
     digest = hashlib.sha256(raw).hexdigest()
     dataset = _load_columns(sidecar_path(path), digest)
     if dataset is None:
-        dataset = _parse_jsonl(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), path)
+        dataset = _parse_jsonl(raw, path)
         _store_columns(dataset, path, digest)
     return dataset
 

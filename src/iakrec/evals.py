@@ -5,7 +5,9 @@ and KL are plug-in estimators over binned samples: crude, but sufficient for
 the directional comparisons they back, which always compare matched seeds
 rather than absolute values.
 
-A scored split runs the frozen backbone once (`SplitPass`): its zero-shot
+A scored split is one `datagen.Dataset` fitted by `models.encode_records`,
+the row type the model reads; its label columns are the ones the reports
+count. The frozen backbone runs over it once (`SplitPass`): its zero-shot
 slices, every adapter's rows and the encoder MI diagnostic read that pass,
 however many adapters or grid values are scored against it.
 """
@@ -14,13 +16,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import Dataset, domain_rows
-from .iak import IAKAdapter, adapted_prediction, backbone_cache
-from .models import EncodedBatch, MultiTaskModel
+from .iak import IAKAdapter, adapted_prediction, backbone_cache, encoder_stage
+from .models import MultiTaskModel
 
 DEFAULT_BINS = 10
 KL_SMOOTH = 1e-9
@@ -163,30 +167,31 @@ def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarra
     return p_ctr, p_ctcvr
 
 
-def score_backbone(model: MultiTaskModel, encoded: EncodedBatch, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-shot probabilities of a frozen backbone over a dataset,
+def score_backbone(model: MultiTaskModel, dataset: Dataset, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-shot probabilities of a frozen backbone over a fitted dataset,
     (p_ctr, p_ctcvr)."""
-    return _probabilities(model, backbone_cache(model, encoded, batch_size)[1])
+    return _probabilities(model, backbone_cache(model, dataset, batch_size)[1])
 
 
 def score_adapted(
     backbone: MultiTaskModel,
     adapter: IAKAdapter,
-    encoded: EncodedBatch,
+    dataset: Dataset,
     batch_size: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen backbone + adapter probabilities over a dataset: one
+    """Frozen backbone + adapter probabilities over a fitted dataset: one
     `backbone_cache` pass, corrected over the same `batch_size` chunks."""
-    return adapted_scores(backbone, adapter, *backbone_cache(backbone, encoded, batch_size), batch_size)
+    return adapted_scores(backbone, adapter, *backbone_cache(backbone, dataset, batch_size), batch_size)
 
 
 class SplitPass:
-    """One frozen-backbone pass over a scored split: the representation and
-    head logits of every row, which each zero-shot or adapted slice reads."""
+    """One frozen-backbone pass over a scored split, a fitted dataset: the
+    representation and head logits of every row, which each zero-shot or
+    adapted slice reads."""
 
-    def __init__(self, backbone: MultiTaskModel, dataset: Dataset, encoded: EncodedBatch):
-        self.backbone, self.dataset, self.encoded = backbone, dataset, encoded
-        self.rep, self.logits = backbone_cache(backbone, encoded)
+    def __init__(self, backbone: MultiTaskModel, dataset: Dataset):
+        self.backbone, self.dataset = backbone, dataset
+        self.rep, self.logits = backbone_cache(backbone, dataset)
 
     def zero_shot(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         return _probabilities(self.backbone, self.logits[idx])
@@ -194,25 +199,24 @@ class SplitPass:
     def adapted(self, adapter: IAKAdapter, idx) -> tuple[np.ndarray, np.ndarray]:
         return adapted_scores(self.backbone, adapter, self.rep[idx], self.logits[idx])
 
-    def slices(self, selectors: dict[str, dict[str, int]]) -> Iterator[tuple[str, np.ndarray, EncodedBatch]]:
-        """(key, row positions, encoded rows) of each selector in key order,
-        skipping selectors that match no row of the split."""
+    def slices(self, selectors: dict[str, dict[str, int]]) -> Iterator[tuple[str, np.ndarray, Dataset]]:
+        """(key, row positions, rows) of each selector in key order, skipping
+        selectors that match no row of the split."""
         for key in sorted(selectors):
             idx = domain_rows(self.dataset, selectors[key])
             if idx.size:
-                yield key, idx, self.encoded.take(idx)
+                yield key, idx, self.dataset.take(idx)
 
 
 def report_from_scores(
     p_ctr: np.ndarray,
     p_ctcvr: np.ndarray,
-    encoded: EncodedBatch,
+    rows: Dataset,
     dataset_id: str,
     model_id: str,
     seed: int,
 ) -> EvalReport:
-    click = encoded.click.astype(np.int64)
-    purchase = encoded.purchase.astype(np.int64)
+    click, purchase = rows.click, rows.purchase
     return EvalReport(
         dataset_id=dataset_id,
         model_id=model_id,
@@ -234,16 +238,14 @@ def report_from_scores(
 def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
-    tracks: the encoder stage of `iak.adapter_graph`, scale included. Pure
-    numpy; no gradients involved."""
+    tracks. It is `iak.encoder_stage` on the segment primitives, one segment
+    and one weight sample per record."""
     vl = adapter.encoder
-    sigma_w = np.logaddexp(0.0, vl.rho_w.data)
-    sigma_b = np.logaddexp(0.0, vl.rho_b.data)
     b = len(rep)
-    w = vl.mu_w.data + sigma_w * rng.standard_normal((b, *vl.mu_w.shape))
-    bias = vl.mu_b.data + sigma_b * rng.standard_normal((b, *vl.mu_b.shape))
-    pre = np.einsum("bi,bio->bo", rep, w) * vl.scale + bias
-    return np.where(pre >= 0.0, pre, 0.01 * pre)
+    noise = rng.standard_normal((b, *vl.mu_w.shape)), rng.standard_normal((b, *vl.mu_b.shape))
+    per_record = np.arange(b + 1)
+    return encoder_stage(Tensor(rep), vl.parameters(), vl.scale, noise, partial(ad.segment_matmul, offsets=per_record),
+                         partial(ad.segment_add, offsets=per_record)).data
 
 
 def encoder_mi(

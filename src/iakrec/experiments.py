@@ -166,13 +166,13 @@ def _finetune(ctx, backbone, train_set, selectors, seed, *, iak=None, train=None
 
 def _run_sweep(ctx: ExperimentContext, sweep: Sweep) -> list[Row]:
     train, test = ctx.dataset()
-    enc_test = encode_records(test, ctx.space())
+    test = encode_records(test, ctx.space())
     selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
     kind = ctx.cfg.get("model.kind")
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
-        split = SplitPass(backbone, test, enc_test)
+        split = SplitPass(backbone, test)
         for value in sweep.read(ctx.cfg, sweep.grid_key):
             adapters = _finetune(ctx, backbone, train, selectors, seed, **{sweep.section: {sweep.field: value}})
             rows.extend(_adapted_rows(ctx, sweep.label.format(value), seed, split, adapters, with_mi=sweep.with_mi))
@@ -187,13 +187,13 @@ def _run_overlap(ctx: ExperimentContext) -> list[Row]:
     if primary not in weights:
         raise ExperimentError("overlap weights must include the primary domain")
     train, test = ctx.dataset()
-    enc_test = encode_records(test, ctx.space())
+    test = encode_records(test, ctx.space())
     selectors = {key: parse_domain_key(key) for key in sorted(weights)}
     kind = ctx.cfg.get("model.kind")
     rows = []
     for seed in ctx.cfg.get_int_list("eval.seeds"):
         backbone = ctx.pretrained(kind, seed, train)
-        split = SplitPass(backbone, test, enc_test)
+        split = SplitPass(backbone, test)
         iso = _finetune(ctx, backbone, train, {primary: selectors[primary]}, seed)
         rows.extend(_adapted_rows(ctx, "isolated", seed, split, iso))
         mixed = _finetune(ctx, backbone, train, selectors, seed, train={"mixing": weights})
@@ -203,13 +203,13 @@ def _run_overlap(ctx: ExperimentContext) -> list[Row]:
 
 def _run_baseline_compare(ctx: ExperimentContext) -> list[Row]:
     train, test = ctx.dataset()
-    enc_test = encode_records(test, ctx.space())
+    test = encode_records(test, ctx.space())
     selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
     rows = []
     for kind in ctx.cfg.get_list("eval.baseline_kinds"):
         for seed in ctx.cfg.get_int_list("eval.seeds"):
             backbone = ctx.pretrained(kind, seed, train)
-            split = SplitPass(backbone, test, enc_test)
+            split = SplitPass(backbone, test)
             for key, idx, sub in split.slices(selectors):
                 p_ctr, p_ctcvr = split.zero_shot(idx)
                 rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", "zs", seed)

@@ -15,12 +15,13 @@ and serving score one adapter at a time with the means
 its stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
 batch through one autodiff graph, rows grouped by adapter. The segment
 primitives repeat, per adapter, the numpy calls of the one-adapter graph, so
-every adapter trains exactly as it would alone.
+every adapter trains exactly as it would alone. Its first stage,
+`encoder_stage`, is also the channel of the MI diagnostic
+(`evals.encoder_channel_outputs`), which runs it on the segment primitives
+with one weight sample per record.
 
-The MI diagnostic keeps its own per-record numpy copy of the encoder stage
-(`evals.encoder_channel_outputs`), because it draws one weight sample per
-record; `test_channel_is_the_encoder_stage_the_adapter_runs` keeps the two in
-step.
+`backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
+(see `models.encode_records`), the one row type the model reads.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdagradDecayState, Parameter, Tensor
-from .datagen import domain_key
-from .models import EncodedBatch, Linear, MultiTaskModel, Prediction, bce_loss
+from .datagen import Dataset, domain_key
+from .models import Linear, MultiTaskModel, Prediction, bce_loss
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -87,23 +88,33 @@ class VariationalLinear:
         return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
 
 
-def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
-                  matmul: Callable[[Tensor, Tensor], Tensor] = ad.matmul,
-                  add: Callable[[Tensor, Tensor], Tensor] = ad.add) -> Tensor:
-    """The adapter forward: per-task logit corrections of the rows `x`.
+Affine = Callable[[Tensor, Tensor], Tensor]
 
-    `params` are the encoder's mu_w, mu_b, rho_w and rho_b followed by each
-    decoder layer's weight and bias. The encoder weights are the posterior
-    means, or w = mu + softplus(rho) * noise when `noise` (weights, bias)
-    is given, so gradients reach both mu and rho; one weight sample serves
-    every row. x @ w is scaled by the encoder's `scale`. `matmul` and `add`
-    are the affine primitives: plain for one adapter, segment primitives
-    for a bank."""
-    mu_w, mu_b, rho_w, rho_b, *decoder = params
+
+def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
+                  matmul: Affine = ad.matmul, add: Affine = ad.add) -> Tensor:
+    """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
+    + b. `params` are mu_w, mu_b, rho_w and rho_b. The weights are the
+    posterior means, or w = mu + softplus(rho) * noise when `noise` (weights,
+    bias) is given, so gradients reach both mu and rho. `matmul` and `add`
+    are the affine primitives, plain or segment ones (see `adapter_graph`)."""
+    mu_w, mu_b, rho_w, rho_b = params
     w, b = mu_w, mu_b
     if noise is not None:
         w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
-    x = ad.leaky_relu(add(ad.mul(matmul(x, w), scale), b))
+    return ad.leaky_relu(add(ad.mul(matmul(x, w), scale), b))
+
+
+def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
+                  matmul: Affine = ad.matmul, add: Affine = ad.add) -> Tensor:
+    """The adapter forward: per-task logit corrections of the rows `x`.
+
+    `params` are the encoder's four (see `encoder_stage`) followed by each
+    decoder layer's weight and bias; one weight sample `noise` serves every
+    row. `matmul` and `add` are the affine primitives: plain for one
+    adapter, segment primitives for a bank."""
+    x = encoder_stage(x, params[:4], scale, noise, matmul, add)
+    decoder = params[4:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
         x = ad.leaky_relu(add(matmul(x, w_l), b_l))
     return add(matmul(x, decoder[-2]), decoder[-1])
@@ -232,21 +243,21 @@ def ib_loss(
     return loss
 
 
-def backbone_cache(backbone: MultiTaskModel, batch: EncodedBatch, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def backbone_cache(backbone: MultiTaskModel, batch: Dataset, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Representation and pre-sigmoid head logits of a frozen backbone over a
-    dataset, computed `chunk` rows at a time. This is the one backbone pass
-    behind fine-tuning and scoring: fine-tuning only ever reads these, so
-    computing them once per domain avoids re-running the backbone every
-    epoch."""
+    fitted dataset, computed `chunk` rows at a time. This is the one
+    backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
+    these, so computing them once per domain avoids re-running the backbone
+    every epoch."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))
     base = np.empty((len(batch), backbone.n_heads))
     for start in range(0, len(batch), chunk):
-        idx = np.arange(start, min(start + chunk, len(batch)))
-        out = backbone.forward_full(batch.take(idx))
-        rep[idx] = out.representation.data
-        base[idx] = out.logits.data
+        rows = slice(start, start + chunk)
+        out = backbone.forward_full(batch[rows])
+        rep[rows] = out.representation.data
+        base[rows] = out.logits.data
     return rep, base
 
 

@@ -3,8 +3,9 @@ composite BaseRecommender used as the pretraining target.
 
 All model kinds share the identical embedding assembly (one embedding per
 id column of a row: user, item, scene, region, period and the feature
-columns), so comparisons isolate the head architecture. A recorded row and a
-served request carry the same columns, so they reach the model as the same
+columns), so comparisons isolate the head architecture. The model reads one
+row type, a `datagen.Dataset` fitted by `encode_records`: training batches,
+scored splits and a served request (a one-row dataset) reach it as the same
 input. Every kind exposes one (B, n_heads) logits tensor plus a
 representation vector (the concatenated task-tower penultimate activations)
 that downstream adapters consume; only `predict_from_logits` splits heads.
@@ -12,7 +13,7 @@ that downstream adapters consume; only `predict_from_logits` splits heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,46 +42,14 @@ class FeatureSpace:
     n_feature_cols: int = 4
 
 
-@dataclass
-class EncodedBatch:
-    """Raw id arrays for a slice of records; embedding lookups offset them."""
-
-    user: np.ndarray
-    item: np.ndarray
-    scene: np.ndarray
-    region: np.ndarray
-    period: np.ndarray
-    features: np.ndarray  # (B, n_feature_cols)
-    click: np.ndarray
-    purchase: np.ndarray
-
-    def __len__(self) -> int:
-        return self.user.shape[0]
-
-    def take(self, idx: np.ndarray) -> "EncodedBatch":
-        return EncodedBatch(
-            user=self.user[idx],
-            item=self.item[idx],
-            scene=self.scene[idx],
-            region=self.region[idx],
-            period=self.period[idx],
-            features=self.features[idx],
-            click=self.click[idx],
-            purchase=self.purchase[idx],
-        )
-
-
-def encode_records(dataset: Dataset, space: FeatureSpace) -> EncodedBatch:
-    """Encode a dataset's rows in order: the id columns as they are, the
-    feature columns cut or padded with -1 to `n_feature_cols`."""
-    n = len(dataset)
+def encode_records(dataset: Dataset, space: FeatureSpace) -> Dataset:
+    """The dataset fitted to a model of `space`: the same rows and columns,
+    with the features block cut or padded with -1 to `n_feature_cols`. The
+    model reads only fitted datasets."""
     width = min(space.n_feature_cols, dataset.features.shape[1])
-    features = np.full((n, space.n_feature_cols), -1, dtype=np.int64)
+    features = np.full((len(dataset), space.n_feature_cols), -1, dtype=np.int64)
     features[:, :width] = dataset.features[:, :width]
-    return EncodedBatch(
-        dataset.user, dataset.item, dataset.scene, dataset.region, dataset.period, features,
-        dataset.click.astype(np.float64), dataset.purchase.astype(np.float64),
-    )
+    return replace(dataset, features=features)
 
 
 def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:
@@ -195,7 +164,7 @@ class EmbeddingBundle:
     def out_dim(self) -> int:
         return (5 + self.space.n_feature_cols) * self.dim
 
-    def assemble(self, batch: EncodedBatch) -> Tensor:
+    def assemble(self, batch: Dataset) -> Tensor:
         parts = [
             self.user.lookup(batch.user),
             self.item.lookup(batch.item),
@@ -262,7 +231,7 @@ class MultiTaskModel:
                 )
             p.data = arrays[p.name].astype(np.float64).copy()
 
-    def forward_full(self, batch: EncodedBatch) -> ModelOutput:
+    def forward_full(self, batch: Dataset) -> ModelOutput:
         raise NotImplementedError
 
     def predict_from_logits(self, logits: Tensor) -> Prediction:
@@ -275,7 +244,7 @@ class MultiTaskModel:
             return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=ad.mul(p0, p1))
         return Prediction(p_ctr=p0, p_ctcvr=p1)
 
-    def predict(self, batch: EncodedBatch) -> Prediction:
+    def predict(self, batch: Dataset) -> Prediction:
         return self.forward_full(batch).prediction
 
 
@@ -295,7 +264,7 @@ class SharedBottom(MultiTaskModel):
         ]
         self._register(self.trunk, *self.towers, *self.heads)
 
-    def forward_full(self, batch: EncodedBatch) -> ModelOutput:
+    def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.trunk(self.embeddings.assemble(batch))
         penults = [tower(x) for tower in self.towers]
         logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
@@ -323,7 +292,7 @@ class ESMM(MultiTaskModel):
         ]
         self._register(*self.towers, *self.heads)
 
-    def forward_full(self, batch: EncodedBatch) -> ModelOutput:
+    def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.embeddings.assemble(batch)
         penults = [tower(x) for tower in self.towers]
         logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
@@ -373,7 +342,7 @@ class MMoE(MultiTaskModel):
         ]
         self._register(self.core, *self.towers, *self.heads)
 
-    def forward_full(self, batch: EncodedBatch) -> ModelOutput:
+    def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.embeddings.assemble(batch)
         mixed = self.core(x)
         penults = [tower(m) for tower, m in zip(self.towers, mixed)]
@@ -398,7 +367,7 @@ class BaseRecommender(MultiTaskModel):
         self.stacked = Linear(2 * hs[-1], self.n_heads, "stacked_logits", self.rng, scale=np.sqrt(1.0 / (2 * hs[-1])))
         self._register(self.core, *self.towers, self.stacked)
 
-    def forward_full(self, batch: EncodedBatch) -> ModelOutput:
+    def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.embeddings.assemble(batch)
         mixed = self.core(x)
         penults = [tower(m) for tower, m in zip(self.towers, mixed)]

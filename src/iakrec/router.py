@@ -3,10 +3,11 @@ activation, plus a line-oriented JSON scoring loop.
 
 Adapters score with their encoders' posterior means, and the response is exactly the
 output of the most specific adapter whose selector matches the request's
-domain ids. A request carries the id columns of a recorded row and is
-encoded as one, so it is scored as eval scores that row, up to the rounding
-of a one-row product against a chunked one. Requests from domains with no
-adapter fall back to the zero-shot backbone, visibly (`served_by =
+domain ids. A request carries the id columns of a recorded row and becomes
+a one-row `datagen.Dataset` fitted by `models.encode_records`, the row type
+the model reads, so it is scored as eval scores that row, up to the
+rounding of a one-row product against a chunked one. Requests from domains
+with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). Every request runs the shared frozen backbone once. In the
 default eager mode every deployed adapter then corrects that one output;
 lazy activation applies only the selected adapter, so with K adapters
@@ -20,13 +21,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
-from .datagen import id_fields, in_domain, parse_domain_key
+from .datagen import Dataset, id_fields, in_domain, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
-from .models import EncodedBatch, FeatureSpace, MultiTaskModel
+from .models import FeatureSpace, MultiTaskModel, encode_records
 
 ZERO_SHOT = "zero_shot"
 
@@ -60,22 +61,19 @@ def request_from_json(obj) -> ScoreRequest:
         raise RequestError(f"bad request fields: {e}") from e
 
 
-def encode_request(request: ScoreRequest, space: FeatureSpace) -> EncodedBatch:
-    """Single-row batch of the request's ids, encoded as `encode_records`
-    encodes a recorded row with the same ids."""
-    features = np.full((1, space.n_feature_cols), -1, dtype=np.int64)
-    for c, fid in enumerate(request.feature_ids[: space.n_feature_cols]):
-        features[0, c] = fid
-    return EncodedBatch(
-        user=np.array([request.user_id], dtype=np.int64),
-        item=np.array([request.item_id], dtype=np.int64),
-        scene=np.array([request.domain_ids.get("scene", -1)], dtype=np.int64),
-        region=np.array([request.domain_ids.get("region", -1)], dtype=np.int64),
-        period=np.array([request.domain_ids.get("period", -1)], dtype=np.int64),
-        features=features,
-        click=np.zeros(1),
-        purchase=np.zeros(1),
-    )
+def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
+    """The request as a fitted one-row dataset: the row a recorded impression
+    with the same ids gives, at timestamp 0 with labels 0. A topic the
+    request leaves out reads as id -1, the out-of-vocab row."""
+    def col(value: int) -> np.ndarray:
+        return np.array([value], dtype=np.int64)
+
+    domain = request.domain_ids
+    return encode_records(Dataset(
+        timestamp=col(0), user=col(request.user_id), item=col(request.item_id), scene=col(domain.get("scene", -1)),
+        region=col(domain.get("region", -1)), period=col(domain.get("period", -1)),
+        features=np.array([request.feature_ids], dtype=np.int64), click=col(0), purchase=col(0),
+    ), space)
 
 
 class DomainRouter:
@@ -128,20 +126,22 @@ class DomainRouter:
         )
 
 
-def serve(router: DomainRouter, rfile: IO[str], wfile: IO[str]) -> int:
+def serve(router: DomainRouter, rfile: Iterable[str | bytes], wfile: IO[str]) -> int:
     """One JSON request per line in, one JSON response per line out,
-    order-preserving. Malformed lines get an error response carrying the
-    offending line number and the loop continues. Returns 0 on end of
-    stream."""
+    order-preserving. Lines are text, or bytes decoded as UTF-8 one line at
+    a time. Malformed lines (not UTF-8 included) get an error response
+    carrying the offending line number and the loop continues. Returns 0 on
+    end of stream."""
     for lineno, raw in enumerate(rfile, start=1):
-        line = raw.strip()
         try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
             if not line:
                 raise RequestError("empty line")
             obj = json.loads(line)
             request = request_from_json(obj)
-        # ValueError also covers RequestError, bad JSON and integers too long
-        # to convert; RecursionError is JSON nested too deep to decode
+        # ValueError also covers RequestError, bad JSON, bytes that are not
+        # UTF-8 and integers too long to convert; RecursionError is JSON
+        # nested too deep to decode
         except (ValueError, RecursionError) as e:
             msg = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
             wfile.write(json.dumps({"error": f"malformed request: {msg}", "line": lineno}) + "\n")

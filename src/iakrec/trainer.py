@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import AdagradDecayState
 from .datagen import Dataset, domain_mask, parse_domain_key, window_by_days
 from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from .models import EncodedBatch, FeatureSpace, MultiTaskModel, encode_records, task_bce
+from .models import FeatureSpace, MultiTaskModel, encode_records, task_bce
 
 GRAD_NORM_FLOOR = 1e-8
 SATURATION_LEVEL = 0.99  # max softmax share above this with >1 active domain
@@ -93,7 +93,7 @@ def pretrain(
     return curve
 
 
-def pretrain_step(model: MultiTaskModel, batch: EncodedBatch, opt: AdagradDecayState, lr: float) -> tuple[float, float, float]:
+def pretrain_step(model: MultiTaskModel, batch: Dataset, opt: AdagradDecayState, lr: float) -> tuple[float, float, float]:
     """One optimizer step of every parameter on one batch. Returns (loss,
     loss_ctr, loss_ctcvr)."""
     params = model.parameters()

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from iakrec.datagen import SECONDS_PER_DAY, DatasetError, InteractionRecord, in_domain
-from iakrec.models import EncodedBatch, FeatureSpace
+from iakrec.datagen import SECONDS_PER_DAY, Dataset, DatasetError, InteractionRecord, in_domain
+from iakrec.models import FeatureSpace
 
 
 def split_chronological(
@@ -45,19 +45,21 @@ def window_by_days(dataset: list[InteractionRecord], window_days: int) -> list[I
     return [r for r in dataset if r.timestamp // SECONDS_PER_DAY >= first_kept]
 
 
-def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> EncodedBatch:
+def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> Dataset:
     n = len(records)
     f_cols = space.n_feature_cols
+    timestamp = np.empty(n, dtype=np.int64)
     user = np.empty(n, dtype=np.int64)
     item = np.empty(n, dtype=np.int64)
     scene = np.empty(n, dtype=np.int64)
     region = np.empty(n, dtype=np.int64)
     period = np.empty(n, dtype=np.int64)
     features = np.full((n, f_cols), -1, dtype=np.int64)
-    click = np.empty(n, dtype=np.float64)
-    purchase = np.empty(n, dtype=np.float64)
+    click = np.empty(n, dtype=np.int64)
+    purchase = np.empty(n, dtype=np.int64)
 
     for j, r in enumerate(records):
+        timestamp[j] = r.timestamp
         user[j] = r.user_id
         item[j] = r.item_id
         scene[j] = r.domain_ids.get("scene", -1)
@@ -67,7 +69,7 @@ def encode_records(records: list[InteractionRecord], space: FeatureSpace) -> Enc
             features[j, c] = fid
         click[j] = r.click
         purchase[j] = r.purchase
-    return EncodedBatch(user, item, scene, region, period, features, click, purchase)
+    return Dataset(timestamp, user, item, scene, region, period, features, click, purchase)
 
 
 def mix_domains(primary_dataset, aux_datasets, weights, rng, primary_key):

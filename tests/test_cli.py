@@ -1,11 +1,13 @@
 """The exit-code contract of `iakrec`: 0 success, 2 usage, 3 config error,
-4 missing path, 5 data or schema violation. Each case runs `main(argv)` in
-its own working directory."""
+4 path error (an input that is missing or cannot be read), 5 data or schema
+violation. Each case runs `main(argv)` in its own working directory."""
 
 import csv
+import io
 import json
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +258,61 @@ def test_bad_line_exits_5_and_writes_no_sidecar(workdir, capsys):
     assert _run(workdir, "pretrain", "--data", "data/dataset.jsonl") == EXIT_SCHEMA
     assert f"{path}:3:" in capsys.readouterr().err
     assert not sidecar_path(path).exists()
+
+
+def test_non_utf8_line_exits_5_at_its_line(workdir, capsys):
+    """A byte that is not UTF-8 is a bad record like any other: a one-line
+    error at path:line, exit 5 and no sidecar."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    path = workdir / "data" / "dataset.jsonl"
+    sidecar_path(path).unlink()
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b'"click"', b'"cl\xffick"')
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert _run(workdir, "pretrain", "--data", "data/dataset.jsonl") == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"{path}:5: not UTF-8" in err and err.count("\n") == 1
+    assert not sidecar_path(path).exists()
+
+
+@pytest.mark.parametrize("case, code", [("data", EXIT_PATH), ("checkpoint", EXIT_PATH), ("backbone", EXIT_PATH),
+                                        ("config", EXIT_PATH), ("config-not-utf8", EXIT_CONFIG)])
+def test_input_that_cannot_be_read_exits_with_one_line(workdir, capsys, case, code):
+    """A directory given for an input file exits 4 and a config file that is
+    not UTF-8 exits 3, each with a one-line message and no run directory."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    _backbone_checkpoint(workdir)
+    (workdir / "adir").mkdir()
+    (workdir / "latin1.cfg").write_bytes(TINY_CFG.encode("utf-8") + b"# caf\xe9\n")
+    config = {"config": "adir", "config-not-utf8": "latin1.cfg"}.get(case, "run.cfg")
+    args = {
+        "data": ["pretrain", "--data", "adir"],
+        "checkpoint": ["eval", "--data", "data/dataset.jsonl", "--checkpoint", "adir"],
+        "backbone": ["finetune", "--data", "data/dataset.jsonl", "--backbone", "adir"],
+    }.get(case, ["gen-data"])
+    before = set(workdir.iterdir())
+    capsys.readouterr()
+    assert main([args[0], "--config", str(workdir / config), "--workdir", str(workdir), *args[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("iakrec: ") and err.count("\n") == 1
+    assert set(workdir.iterdir()) == before
+
+
+def test_serve_answers_a_non_utf8_line_and_keeps_serving(workdir, monkeypatch, capsys):
+    """Under strict stdin decoding, a request line that is not UTF-8 gets a
+    per-line error, and the lines before and after it are still scored."""
+    _backbone_checkpoint(workdir)
+    good = b'{"user_id": 1, "item_id": 2, "domain_ids": {"scene": 0, "region": 0, "period": 0}, "feature_ids": [1]}\n'
+    stdin = io.TextIOWrapper(io.BytesIO(good + b'{"user_id": "\xff"}\n' + good), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    capsys.readouterr()
+    assert _run(workdir, "serve", "--checkpoint", "backbone.ckpt") == EXIT_OK
+    first, bad, last = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert bad["line"] == 2 and bad["error"].startswith("malformed request: ") and len(bad) == 2
+    for resp in (first, last):
+        assert resp["served_by"] == "zero_shot"
+    assert (first["p_ctr"], first["p_ctcvr"]) == (last["p_ctr"], last["p_ctcvr"])
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"])

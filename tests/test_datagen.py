@@ -518,8 +518,8 @@ def test_column_ops_equal_record_reference(records, sort, ratio, window, selecto
     space = FeatureSpace(n_users=4, n_items=40, n_scenes=3, n_regions=3, n_periods=3,
                          n_feature_cols=n_feature_cols)
     got, want = encode_records(data, space), records_reference.encode_records(records, space)
-    for name in ("user", "item", "scene", "region", "period", "features", "click", "purchase"):
-        g, w = getattr(got, name), getattr(want, name)
+    for name, g in got.columns().items():
+        w = getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
 
 

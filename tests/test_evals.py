@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iakrec.config import RunConfig
-from iakrec.datagen import generate, split_chronological
+from iakrec.datagen import Dataset, generate, split_chronological
 from iakrec.evals import (
     MetricError,
     SplitPass,
@@ -198,17 +198,13 @@ class TestDiagnostics:
 
 
 def test_report_from_scores():
-    from iakrec.models import EncodedBatch
-
     n = 10
-    enc = EncodedBatch(
-        user=np.zeros(n, dtype=np.int64), item=np.zeros(n, dtype=np.int64),
-        scene=np.zeros(n, dtype=np.int64), region=np.zeros(n, dtype=np.int64),
-        period=np.zeros(n, dtype=np.int64), features=np.zeros((n, 4), dtype=np.int64),
-        click=np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float),
-        purchase=np.zeros(n),
+    zeros = np.zeros(n, dtype=np.int64)
+    rows = Dataset(
+        timestamp=zeros, user=zeros, item=zeros, scene=zeros, region=zeros, period=zeros,
+        features=np.zeros((n, 4), dtype=np.int64), click=np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0]), purchase=zeros,
     )
-    rep = report_from_scores(np.linspace(0, 1, n)[::-1], np.linspace(0, 1, n), enc, "ds", "m", seed=3)
+    rep = report_from_scores(np.linspace(0, 1, n)[::-1], np.linspace(0, 1, n), rows, "ds", "m", seed=3)
     assert rep.ctr_auc == 1.0
     assert rep.ctcvr_auc is None  # no purchase positives
     assert rep.n_pos_ctr == 2 and rep.n_neg_ctr == 8
@@ -275,7 +271,7 @@ class TestSplitPass:
     def test_slices_match_per_slice_scoring(self, kind):
         records = generate(self.CFG.generator_config())
         space = self.CFG.feature_space()
-        encoded = encode_records(records, space)
+        fitted = encode_records(records, space)
         backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), space, seed=0)
         backbone.set_trainable(False)
         adapters = {}
@@ -285,8 +281,8 @@ class TestSplitPass:
             adapter.decoder_out.w.data[:] = 0.1 * (period - 1)
             adapter.decoder_out.b.data[:] = 0.05 * (period + 1)
             adapters[f"period={period}"] = adapter
-        split = SplitPass(backbone, records, encoded)
-        assert len(encoded) > 4096
+        split = SplitPass(backbone, fitted)
+        assert len(fitted) > 4096
         slices = list(split.slices({key: a.domain_key for key, a in adapters.items()}))
         assert [key for key, _, _ in slices] == sorted(adapters)
         for key, idx, sub in slices:
@@ -316,7 +312,7 @@ def test_served_equals_evaluated_on_recorded_test_rows():
         adapter.decoder_out.b.data[:] = 0.05 * (len(adapters) + 1)
         adapters[key] = adapter
     router = DomainRouter(backbone, adapters)
-    split = SplitPass(backbone, test, encode_records(test, space))
+    split = SplitPass(backbone, encode_records(test, space))
     evaluated = {ZERO_SHOT: split.zero_shot()}
     for key, idx, _ in split.slices({key: a.domain_key for key, a in adapters.items()}):
         evaluated[key] = tuple(np.full(len(test), np.nan) for _ in range(2))

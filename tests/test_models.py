@@ -5,7 +5,6 @@ import pytest
 
 from iakrec import autodiff as ad
 from iakrec.models import (
-    EncodedBatch,
     FeatureSpace,
     ModelConfig,
     ModelError,

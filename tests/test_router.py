@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
+from iakrec.config import RunConfig
+from iakrec.datagen import generate
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
-from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, build_model
+from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.router import (
     DomainRouter,
     RequestError,
@@ -52,6 +54,23 @@ def _request(period=1, scene=0, region=1, user=3, item=4):
         domain_ids={"scene": scene, "region": region, "period": period},
         feature_ids=[1, 2, 3, 4],
     )
+
+
+@pytest.mark.parametrize("n_feature_cols", [2, 4, 6], ids=["cut", "same", "padded"])
+def test_request_is_the_fitted_row_of_its_recorded_impression(n_feature_cols):
+    """A request carrying a recorded row's ids reaches the model as that row
+    of the fitted dataset, on every id and feature column."""
+    cfg = RunConfig({"datagen.n_users": "20", "datagen.n_items": "15", "datagen.n_days": "2",
+                     "datagen.records_per_day": "40"})
+    data = generate(cfg.generator_config())
+    space = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=2, n_periods=3, n_feature_cols=n_feature_cols)
+    fitted = encode_records(data, space)
+    for i, row in enumerate(data):
+        enc = encode_request(ScoreRequest(row.user_id, row.item_id, row.domain_ids, row.feature_ids), space)
+        for name in ("user", "item", "scene", "region", "period", "features"):
+            got, want = getattr(enc, name), getattr(fitted, name)[i:i + 1]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (i, name)
+        assert (enc.timestamp.tolist(), enc.click.tolist(), enc.purchase.tolist()) == ([0], [0], [0])
 
 
 class TestRouteScore:

@@ -7,6 +7,7 @@ import pytest
 from iakrec import autodiff as ad
 from iakrec import trainer
 from iakrec.datagen import (
+    Dataset,
     DatasetError,
     GeneratorConfig,
     domain_key,
@@ -16,7 +17,7 @@ from iakrec.datagen import (
     parse_domain_key,
 )
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from iakrec.models import EncodedBatch, FeatureSpace, ModelConfig, build_model, encode_records, task_bce
+from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records, task_bce
 from iakrec.trainer import (
     TrainConfig,
     TrainerError,
@@ -98,8 +99,9 @@ class TestPretrain:
 def _random_batch(rng, space, n):
     """Ids drawn past both ends of each vocabulary, so out-of-vocab rows are
     looked up too."""
-    click = rng.integers(0, 2, n).astype(float)
-    return EncodedBatch(
+    click = rng.integers(0, 2, n)
+    return Dataset(
+        timestamp=np.zeros(n, dtype=np.int64),
         user=rng.integers(-1, space.n_users + 1, n),
         item=rng.integers(-1, space.n_items + 1, n),
         scene=rng.integers(0, space.n_scenes, n),
