@@ -16,6 +16,13 @@ the file's current bytes and the current format version. Any edit to the
 JSONL invalidates it (mtime and size are never trusted); the next read parses
 the file and rewrites the sidecar if the directory is writable. Deleting a
 sidecar is always safe.
+
+`eval`, `finetune` and `serve` start from the saved arrays: the model (and
+each stored adapter) is built without drawing an init, its parameters left
+zero, and `restore` copies each checkpoint array into it once. A restored
+model therefore does not depend on `model.seed`. A checkpoint that is missing
+a parameter, has a wrong shape or holds NaN or Inf is a data error (exit 5)
+naming the parameter, raised before `serve` reads its first request.
 """
 
 from __future__ import annotations
@@ -154,7 +161,7 @@ def cmd_pretrain(args) -> int:
 
 def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
     arrays, _ = load_checkpoint(ckpt_path)
-    model = build_model(cfg.model_config(), cfg.feature_space(), seed=cfg.get_int("model.seed"))
+    model = build_model(cfg.model_config(), cfg.feature_space(), seed=None)
     model.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
     model.set_trainable(False)
     return model, arrays

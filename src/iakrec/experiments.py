@@ -85,10 +85,11 @@ class ExperimentContext:
         digest = self.cfg.digest(_BACKBONE_PREFIXES)
         path = self.cache_dir / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
         model_cfg = replace(self.cfg.model_config(), kind=kind)
-        model = build_model(model_cfg, self.space(), seed=seed)
         if path.exists():
+            model = build_model(model_cfg, self.space(), seed=None)
             model.restore(load_checkpoint(path)[0])
         else:
+            model = build_model(model_cfg, self.space(), seed=seed)
             pretrain(model, train, replace(self.cfg.train_config(), seed=seed))
             save_checkpoint(path, model.named_parameters(), digest)
         model.set_trainable(False)

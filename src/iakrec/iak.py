@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdagradDecayState, Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import Linear, MultiTaskModel, Prediction, bce_loss
+from .models import Linear, MultiTaskModel, Prediction, bce_loss, init_generator, restore_parameters
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -148,7 +148,7 @@ class IAKAdapter:
         n_tasks: int,
         config: IAKConfig,
         selector: dict[str, int],
-        seed: int,
+        seed: int | None,
     ):
         config.validate()
         self.config = config
@@ -156,8 +156,10 @@ class IAKAdapter:
         self.n_tasks = n_tasks
         self.domain_key = dict(sorted(selector.items()))
         self.seed = seed
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
-        self.sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
+        # seed=None builds an adapter for `restore` to fill: it draws no init
+        # and, scoring with its posterior means only, has no sample stream
+        init_rng = init_generator(seed, 0xADA7)
+        self.sample_rng = None if seed is None else np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
         name = f"adapter/{domain_key(self.domain_key)}"
         self.encoder = VariationalLinear(rep_dim, config.d_e, f"{name}/enc0", init_rng)
         dims = [config.d_e, *config.decoder_hidden]
@@ -179,12 +181,9 @@ class IAKAdapter:
         return {p.name: p.data for p in self.parameters()}
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise AdapterError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise AdapterError(f"shape mismatch for {p.name!r}")
-            p.data = arrays[p.name].astype(np.float64).copy()
+        """Set every parameter from `arrays`, one copy per array; a bad array
+        is an `AdapterError` (see `models.restore_parameters`)."""
+        restore_parameters(self.parameters(), arrays, AdapterError)
 
     @property
     def n_encoder_entries(self) -> int:

@@ -52,6 +52,43 @@ def encode_records(dataset: Dataset, space: FeatureSpace) -> Dataset:
     return replace(dataset, features=features)
 
 
+class ZeroInit:
+    """The init generator of a model or adapter that `restore` will fill:
+    every draw is zeros (`np.zeros` is calloc: pages never written are never
+    allocated), so building one draws no random numbers."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size) -> np.ndarray:
+        return np.zeros(size)
+
+    @staticmethod
+    def standard_normal(size) -> np.ndarray:
+        return np.zeros(size)
+
+
+def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroInit:
+    """The parameter-init generator of `seed`, or `ZeroInit` when seed is None
+    (a build that a checkpoint restore fills)."""
+    if seed is None:
+        return ZeroInit()
+    return np.random.default_rng(np.random.SeedSequence([seed, salt]))
+
+
+def restore_parameters(params: list[Parameter], arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
+    """Set each parameter to its checkpoint array, copied once as float64. A
+    missing name, a wrong shape or a NaN or Inf entry raises `error` naming
+    the parameter (the check a `Parameter` makes when it is built)."""
+    for p in params:
+        arr = arrays.get(p.name)
+        if arr is None:
+            raise error(f"checkpoint missing parameter {p.name!r}")
+        if arr.shape != p.data.shape:
+            raise error(f"shape mismatch for {p.name!r}: checkpoint {arr.shape}, model {p.data.shape}")
+        if not np.isfinite(arr).all():
+            raise error(f"checkpoint parameter {p.name!r} holds NaN or Inf")
+        p.data = np.array(arr, dtype=np.float64)
+
+
 def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:
     """Map raw ids into table rows: row 0 is the shared out-of-vocab slot."""
     return np.where((raw >= 0) & (raw < vocab), raw + 1, 0)
@@ -186,12 +223,12 @@ class MultiTaskModel:
 
     kind = "abstract"
 
-    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int):
+    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         config.validate()
         self.config = config
         self.space = space
         self.seed = seed
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0DE]))
+        self.rng = init_generator(seed, 0xB0DE)
         self.embeddings = EmbeddingBundle(space, config.embed_dim, self.rng)
         self._params: list[Parameter] = list(self.embeddings.parameters())
 
@@ -222,14 +259,10 @@ class MultiTaskModel:
         return 2
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self._params:
-            if p.name not in arrays:
-                raise ModelError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ModelError(
-                    f"shape mismatch for {p.name!r}: checkpoint {arrays[p.name].shape}, model {p.data.shape}"
-                )
-            p.data = arrays[p.name].astype(np.float64).copy()
+        """Set every parameter from `arrays` (extra names are ignored), one
+        copy per array. A model built with seed=None drew no init for this to
+        overwrite. A bad array is a `ModelError` (see `restore_parameters`)."""
+        restore_parameters(self._params, arrays, ModelError)
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
         raise NotImplementedError
@@ -251,7 +284,7 @@ class MultiTaskModel:
 class SharedBottom(MultiTaskModel):
     kind = "shared_bottom"
 
-    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int):
+    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.trunk = MLP([self.embeddings.out_dim, *hs], "trunk", self.rng)
@@ -279,7 +312,7 @@ class ESMM(MultiTaskModel):
 
     kind = "esmm"
 
-    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int):
+    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.towers = [
@@ -331,7 +364,7 @@ class _MoECore:
 class MMoE(MultiTaskModel):
     kind = "mmoe"
 
-    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int):
+    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.core = _MoECore(self.embeddings.out_dim, config, self.rng)
@@ -359,7 +392,7 @@ class BaseRecommender(MultiTaskModel):
 
     kind = "base"
 
-    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int):
+    def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.core = _MoECore(self.embeddings.out_dim, config, self.rng)
@@ -384,7 +417,11 @@ MODEL_KINDS = {
 }
 
 
-def build_model(config: ModelConfig, space: FeatureSpace, seed: int) -> MultiTaskModel:
+def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> MultiTaskModel:
+    """A model of `config.kind` over `space`. A seed draws its init (the same
+    draws for the same seed); seed=None draws nothing and leaves every
+    parameter zero for `restore` to fill, so a restored model does not depend
+    on any seed."""
     config.validate()
     return MODEL_KINDS[config.kind](config, space, seed)
 

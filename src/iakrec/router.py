@@ -170,11 +170,12 @@ def adapters_from_arrays(
     iak_config,
 ) -> dict[str, IAKAdapter]:
     """Rebuild the adapter set stored in a checkpoint: adapter parameters are
-    namespaced `adapter/<domain key>/...`."""
+    namespaced `adapter/<domain key>/...`. Each adapter is built without init
+    draws (seed=None) and restored from its arrays."""
     keys = sorted({name.split("/")[1] for name in arrays if name.startswith("adapter/")})
     adapters = {}
     for key in keys:
-        adapter = IAKAdapter(rep_dim, n_tasks, iak_config, parse_domain_key(key), seed=0)
+        adapter = IAKAdapter(rep_dim, n_tasks, iak_config, parse_domain_key(key), seed=None)
         adapter.restore({n: a for n, a in arrays.items() if n.startswith(f"adapter/{key}/")})
         adapters[key] = adapter
     return adapters

@@ -15,10 +15,12 @@ import pytest
 
 from iakrec import datagen
 from iakrec.checkpoint import save_checkpoint
-from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, main
+from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _restore_backbone, main
 from iakrec.config import RunConfig
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
+from iakrec.iak import IAKAdapter
 from iakrec.models import MODEL_KINDS, build_model
+from iakrec.router import adapters_from_arrays
 
 TINY_CFG = """\
 datagen.n_users = 30
@@ -329,3 +331,123 @@ def test_sidecar_and_checkpoint_get_the_mode_of_a_plain_open(workdir, umask, mod
         os.umask(old)
     written = (sidecar_path(workdir / "data" / "dataset.jsonl"), workdir / "model.ckpt", workdir / "plain")
     assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode] * 3
+
+
+TINY_SIZES = {"datagen.n_users": "30", "datagen.n_items": "20", "model.hidden_sizes": "6,3"}
+REQUEST = b'{"user_id": 1, "item_id": 2, "domain_ids": {"scene": 0, "region": 0, "period": 0}, "feature_ids": [1]}\n'
+
+
+def _checkpoint_arrays(cfg, seed=0):
+    """The arrays of an untrained backbone and one adapter (period=0) at
+    `cfg`'s sizes; the adapter's decoder is nudged off zero so that it
+    changes the scores."""
+    model = build_model(cfg.model_config(), cfg.feature_space(), seed=seed)
+    adapter = IAKAdapter(model.rep_dim, model.n_heads, cfg.iak_config(), {"period": 0}, seed=seed)
+    adapter.decoder_out.w.data[:] = 0.1
+    return {**model.named_parameters(), **adapter.named_parameters()}
+
+
+@pytest.fixture
+def forbid_init_draws(monkeypatch):
+    """Call it to make every generator made from then on raise on any use,
+    so a random init drawn after that fails the test. (numpy's `Generator`
+    type is immutable, so its `normal` cannot be patched; its factory can.)"""
+
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"a generator's {name} was used during a restore")
+
+    return lambda: monkeypatch.setattr(np.random, "default_rng", NoDraws)
+
+
+def test_forbidden_init_draws_trip_a_seeded_build(forbid_init_draws):
+    cfg = RunConfig(TINY_SIZES)
+    forbid_init_draws()
+    with pytest.raises(AssertionError, match="normal"):
+        build_model(cfg.model_config(), cfg.feature_space(), seed=0)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, kind, forbid_init_draws):
+    """Every backbone and adapter parameter restored by `eval`, `finetune`
+    and `serve` is bitwise its checkpoint array, held in its own copy, and
+    the restore draws no init."""
+    cfg = RunConfig({**TINY_SIZES, "model.kind": kind})
+    arrays = _checkpoint_arrays(cfg, seed=3)
+    save_checkpoint(tmp_path / "m.ckpt", arrays, cfg.digest())
+    forbid_init_draws()
+    model, loaded = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    adapters = adapters_from_arrays(loaded, model.rep_dim, model.n_heads, cfg.iak_config())
+    restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
+    assert model.frozen and sorted(restored) == sorted(arrays)
+    for name, data in restored.items():
+        assert data.dtype == np.float64 and data.tobytes() == arrays[name].tobytes(), name
+        assert not np.shares_memory(data, loaded[name]), name
+
+
+def test_eval_does_not_depend_on_model_seed(workdir):
+    """A restored model is the checkpoint alone: eval under two init seeds
+    writes the same report."""
+    data = "data/dataset.jsonl"
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    assert _run(workdir, "pretrain", "--data", data, "--outdir", "pre") == EXIT_OK
+    assert _run(workdir, "finetune", "--data", data, "--backbone", "pre/backbone.ckpt", "--outdir", "ft") == EXIT_OK
+    reports = []
+    for seed in (0, 7):
+        assert _run(workdir, "eval", "--data", data, "--checkpoint", "ft/finetuned.ckpt", "--outdir", f"ev{seed}",
+                    "--set", f"model.seed={seed}") == EXIT_OK
+        reports.append((workdir / f"ev{seed}" / "report.csv").read_bytes())
+    assert reports[0] == reports[1] and reports[0].count(b"iak:") > 0
+
+
+def _damage(arrays, name, how):
+    if how == "missing":
+        del arrays[name]
+    elif how == "shape":
+        arrays[name] = arrays[name][..., :-1]
+    else:
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[how]
+
+
+@pytest.mark.parametrize("command, name, how", [
+    ("eval", "stacked_logits.w", "nan"),
+    ("eval", "user_emb.rows", "inf"),
+    ("eval", "adapter/period=0/dec_out.w", "nan"),
+    ("eval", "adapter/period=0/enc0.rho_b", "-inf"),
+    ("eval", "stacked_logits.b", "missing"),
+    ("eval", "tower_ctr.l0.w", "shape"),
+    ("eval", "adapter/period=0/enc0.mu_w", "shape"),
+    ("serve", "stacked_logits.w", "nan"),
+    ("serve", "user_emb.rows", "inf"),
+    ("serve", "adapter/period=0/dec0.w", "nan"),
+    ("serve", "adapter/period=0/dec_out.b", "missing"),
+    ("finetune", "user_emb.rows", "nan"),
+    ("finetune", "stacked_logits.b", "shape"),
+])
+def test_damaged_checkpoint_exits_5_naming_the_parameter(workdir, monkeypatch, capsys, command, name, how):
+    """A checkpoint array that is missing, of the wrong shape, or holds NaN
+    or Inf is a one-line data error (exit 5) that names the parameter, with
+    no run directory; `serve` reads no request."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    cfg = RunConfig(TINY_SIZES)
+    arrays = _checkpoint_arrays(cfg)
+    _damage(arrays, name, how)
+    save_checkpoint(workdir / "model.ckpt", arrays, cfg.digest())
+    stdin = io.TextIOWrapper(io.BytesIO(REQUEST))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    args = {
+        "eval": ["--data", "data/dataset.jsonl", "--checkpoint", "model.ckpt"],
+        "serve": ["--checkpoint", "model.ckpt"],
+        "finetune": ["--data", "data/dataset.jsonl", "--backbone", "model.ckpt"],
+    }[command]
+    before = set(workdir.iterdir())
+    capsys.readouterr()
+    assert _run(workdir, command, *args) == EXIT_SCHEMA
+    out, err = capsys.readouterr()
+    assert err.startswith("iakrec: error:") and repr(name) in err and err.count("\n") == 1
+    assert out == "" and stdin.buffer.tell() == 0
+    assert set(workdir.iterdir()) == before

@@ -251,3 +251,23 @@ def test_checkpoint_restore_round_trip(tmp_path):
     np.testing.assert_array_equal(
         model.predict(batch).p_ctr.data, clone.predict(batch).p_ctr.data
     )
+
+
+def test_seeded_build_draws_its_init():
+    """A seed draws the init it always drew: the user table is the first
+    draw of the model's own generator, bit for bit."""
+    model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=6)
+    rng = np.random.default_rng(np.random.SeedSequence([6, 0xB0DE]))
+    want = rng.normal(0.0, 0.1, size=(SPACE.n_users + 1, model.config.embed_dim))
+    assert model.embeddings.user.rows.data.tobytes() == want.tobytes()
+
+
+def test_unseeded_build_is_zero_until_restored(any_model):
+    """seed=None leaves every parameter zero; restoring a seeded model's
+    arrays into it gives that model's predictions bit for bit."""
+    blank = build_model(any_model.config, SPACE, seed=None)
+    assert all(not p.data.any() for p in blank.parameters())
+    blank.restore(any_model.named_parameters())
+    batch = _batch()
+    assert blank.predict(batch).p_ctr.data.tobytes() == any_model.predict(batch).p_ctr.data.tobytes()
+    assert blank.predict(batch).p_ctcvr.data.tobytes() == any_model.predict(batch).p_ctcvr.data.tobytes()
