@@ -77,8 +77,10 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_dige
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
-    """Returns (named parameter arrays, stored config digest). Any malformed
-    or truncated file raises CheckpointError."""
+    """Returns (named parameter arrays, stored config digest). The arrays are
+    read-only views of the file's bytes, possibly unaligned: `restore` makes
+    the one writable float64 copy. Any malformed or truncated file raises
+    CheckpointError."""
     blob = Path(path).read_bytes()
     try:
         return _parse(blob, path)
@@ -113,7 +115,7 @@ def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], str]:
         dims = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()
         off += 8 * ndim
         count = math.prod(dims)
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         off += 8 * count
         params[name] = data.reshape(dims)
     if off != len(blob):

@@ -35,20 +35,13 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .datagen import (
-    DatasetError,
-    domain_datasets,
-    generate,
-    read_dataset,
-    split_chronological,
-    write_jsonl,
-)
+from .datagen import DatasetError, generate, read_dataset, split_chronological, write_jsonl
 # not called here, but perfbench/layers.py traces them by these names
 from .datagen import filter_by_domain, read_jsonl  # noqa: F401
 from .evals import MetricError, SplitPass, report_from_scores
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
-from .experiments import EXPERIMENT_KINDS, ExperimentError, expand_domain_selectors, run_experiment
+from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, finetune_datasets, write_rows
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
@@ -174,9 +167,7 @@ def cmd_finetune(args) -> int:
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, cfg)
     model, _ = _restore_backbone(cfg, ckpt)
-    datasets = domain_datasets(train, expand_domain_selectors(cfg.get_list("train.finetune_domains"), train))
-    if not datasets:
-        raise DatasetError("no records match train.finetune_domains")
+    datasets = finetune_datasets(cfg, train)
     result = finetune_all(model, datasets, cfg.feature_space(), cfg.train_config(), cfg.iak_config())
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
@@ -237,10 +228,10 @@ def cmd_serve(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_cfg(args)
+    rows = experiment_rows(args.kind, cfg, Path(args.workdir))
     outdir = _make_outdir(args, f"experiment-{args.kind}", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
-    path = run_experiment(args.kind, cfg, outdir, Path(args.workdir))
-    print(path)
+    print(write_rows(args.kind, rows, outdir))
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ is echoed into every output directory.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from pathlib import Path
 
 from .datagen import GeneratorConfig, make_domains
@@ -175,16 +176,12 @@ class RunConfig:
         return out
 
     # canonical form --------------------------------------------------------
-    def canonical(self) -> str:
-        return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values)) + "\n"
+    def canonical(self, keys: Iterable[str] | None = None) -> str:
+        """`key = value` lines, sorted: every key, or only `keys`."""
+        return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values if keys is None else keys))
 
-    def digest(self, prefixes: tuple[str, ...] = ()) -> str:
-        if prefixes:
-            lines = [f"{k} = {self.values[k]}" for k in sorted(self.values) if k.startswith(prefixes)]
-            blob = "\n".join(lines) + "\n"
-        else:
-            blob = self.canonical()
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    def digest(self, keys: Iterable[str] | None = None) -> str:
+        return hashlib.sha256(self.canonical(keys).encode("utf-8")).hexdigest()
 
     def echo(self, path: str | Path) -> None:
         Path(path).write_text(

@@ -9,12 +9,17 @@ Kinds:
     baseline_compare zero-shot vs adapted AUC for each model kind, with the
                      score-label KL diagnostic
 
-The three sweeps share one runner, driven by their rows in `SWEEPS`: each
-grid value replaces one fine-tuning setting and becomes one condition.
+Each kind is one entry of `KINDS`: its conditions, the backbones it
+pretrains, the domains it reports and its diagnostic. A condition is a label
+plus the `--set` overrides it fine-tunes under, or None for the zero-shot
+backbone. One runner serves every kind: for each (model kind, seed) it scores
+the test split once with the backbone, then fine-tunes each condition the way
+`iakrec finetune` does, so any row can be rerun as `iakrec finetune --set ...
+--set train.seed=<seed>` on the cached backbone, followed by `iakrec eval`.
 Every row is (condition, seed, domain); summary rows carry seed="mean".
-Pretrained backbones are cached on disk keyed by a config digest plus seed,
-so repeated runs and different sweeps over the same base setup reuse them.
-Each backbone scores the test split once, for every grid value and condition.
+Pretrained backbones are cached on disk keyed by the digest of the settings
+pretraining reads plus the model kind and seed, so repeated runs and
+different kinds over the same base setup reuse them.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import DEFAULTS, RunConfig
 from .datagen import (
     Dataset,
+    DatasetError,
     domain_datasets,
     domain_key,
     domain_topic,
@@ -43,8 +49,13 @@ from .trainer import finetune_all, pretrain
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
 
-# config sections whose keys shape the pretrained backbone
-_BACKBONE_PREFIXES = ("datagen.", "model.", "train.batch_size", "train.epochs", "train.lr", "train.adagrad")
+# the keys pretraining reads; the model kind is in the cache file name and the
+# seed is the `eval.seeds` entry
+_BACKBONE_KEYS = (
+    *(k for k in DEFAULTS if k.startswith("datagen.")),
+    "model.hidden_sizes", "model.n_experts", "model.embed_dim", "model.loss_weights",
+    "train.batch_size", "train.epochs", "train.lr", "train.adagrad_decay", "train.adagrad_epsilon",
+)
 
 
 class ExperimentError(ValueError):
@@ -82,7 +93,7 @@ class ExperimentContext:
 
     def pretrained(self, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
         """Backbone for (kind, seed), pretrained once and cached on disk."""
-        digest = self.cfg.digest(_BACKBONE_PREFIXES)
+        digest = self.cfg.digest(_BACKBONE_KEYS)
         path = self.cache_dir / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
         model_cfg = replace(self.cfg.model_config(), kind=kind)
         if path.exists():
@@ -113,118 +124,98 @@ def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict
     return out
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """A grid over one fine-tuning setting."""
-
-    grid_key: str  # eval.* key holding the grid
-    read: Callable[[RunConfig, str], list]  # RunConfig list accessor for the grid
-    section: str  # "train" or "iak": the config the grid value replaces a field of
-    field: str
-    label: str  # condition name, formatted with the grid value
-    with_mi: bool = False  # add the encoder MI diagnostic
+def finetune_datasets(cfg: RunConfig, train: Dataset) -> dict[str, Dataset]:
+    """The training rows of each `train.finetune_domains` selector that has
+    any: what `iakrec finetune` trains one adapter on each of."""
+    datasets = domain_datasets(train, expand_domain_selectors(cfg.get_list("train.finetune_domains"), train))
+    if not datasets:
+        raise DatasetError("no records match train.finetune_domains")
+    return datasets
 
 
-SWEEPS = {
-    "window_sweep": Sweep("eval.windows", RunConfig.get_int_list, "train", "finetune_window_days", "window={}"),
-    "de_sweep": Sweep("eval.de_grid", RunConfig.get_int_list, "iak", "d_e", "d_e={}"),
-    "beta_sweep": Sweep("eval.betas", RunConfig.get_float_list, "iak", "beta", "beta={:g}", with_mi=True),
-}
+# (label, --set overrides to fine-tune under, or None for the zero-shot backbone)
+Condition = tuple[str, dict[str, str] | None]
 
 
-def _adapted_rows(
-    ctx: ExperimentContext,
-    condition: str,
-    seed: int,
-    split: SplitPass,
-    adapters: dict,
-    *,
-    with_mi: bool = False,
-    with_kl: bool = False,
-) -> list[Row]:
-    """One row per adapter whose domain has test records."""
-    rows = []
-    for key, idx, sub in split.slices({key: a.domain_key for key, a in adapters.items()}):
-        p_ctr, p_ctcvr = split.adapted(adapters[key], idx)
-        rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", condition, seed)
-        row = Row(condition, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
-        if with_mi:
-            row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=ctx.cfg.get_int("eval.mi_bins"), seed=seed)
-        if with_kl:
-            row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
-        rows.append(row)
-    return rows
+def _grid(key: str, read: Callable[[RunConfig, str], list], setting: str, label: str):
+    """One condition per value of the grid at `key`, read with its typed
+    accessor: `setting` set to that value."""
+    return lambda cfg: [(label.format(v), {setting: str(v)}) for v in read(cfg, key)]
 
 
-def _finetune(ctx, backbone, train_set, selectors, seed, *, iak=None, train=None):
-    """Adapters for the selectors with training records; `iak` and `train`
-    replace fields of the configured IAK and training settings."""
-    iak_cfg = replace(ctx.cfg.iak_config(), **(iak or {}))
-    train_cfg = replace(ctx.cfg.train_config(), seed=seed, **(train or {}))
-    datasets = domain_datasets(train_set, selectors)
-    return finetune_all(backbone, datasets, ctx.space(), train_cfg, iak_cfg).adapters
+def _canonical(key: str) -> str:
+    return domain_key(parse_domain_key(key))
 
 
-def _run_sweep(ctx: ExperimentContext, sweep: Sweep) -> list[Row]:
-    train, test = ctx.dataset()
-    test = encode_records(test, ctx.space())
-    selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
-    kind = ctx.cfg.get("model.kind")
-    rows = []
-    for seed in ctx.cfg.get_int_list("eval.seeds"):
-        backbone = ctx.pretrained(kind, seed, train)
-        split = SplitPass(backbone, test)
-        for value in sweep.read(ctx.cfg, sweep.grid_key):
-            adapters = _finetune(ctx, backbone, train, selectors, seed, **{sweep.section: {sweep.field: value}})
-            rows.extend(_adapted_rows(ctx, sweep.label.format(value), seed, split, adapters, with_mi=sweep.with_mi))
-    return rows
-
-
-def _run_overlap(ctx: ExperimentContext) -> list[Row]:
-    primary = ctx.cfg.get("eval.overlap_primary")
-    weights = ctx.cfg.get_weight_map("eval.overlap_weights")
+def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
+    primary = cfg.get("eval.overlap_primary")
+    weights = cfg.get_weight_map("eval.overlap_weights")
     if not primary or not weights:
         raise ExperimentError("overlap needs eval.overlap_primary and eval.overlap_weights")
     if primary not in weights:
         raise ExperimentError("overlap weights must include the primary domain")
-    train, test = ctx.dataset()
-    test = encode_records(test, ctx.space())
-    selectors = {key: parse_domain_key(key) for key in sorted(weights)}
-    kind = ctx.cfg.get("model.kind")
-    rows = []
-    for seed in ctx.cfg.get_int_list("eval.seeds"):
-        backbone = ctx.pretrained(kind, seed, train)
-        split = SplitPass(backbone, test)
-        iso = _finetune(ctx, backbone, train, {primary: selectors[primary]}, seed)
-        rows.extend(_adapted_rows(ctx, "isolated", seed, split, iso))
-        mixed = _finetune(ctx, backbone, train, selectors, seed, train={"mixing": weights})
-        rows.extend(_adapted_rows(ctx, "mixed", seed, split, {primary: mixed[primary]}))
-    return rows
+    # `train.mixing` keys are matched as written against the datasets' canonical keys
+    mixing = ",".join(f"{_canonical(key)}:{w!r}" for key, w in weights.items())
+    mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": mixing}
+    return [("isolated", {"train.finetune_domains": primary}), ("mixed", mixed)]
 
 
-def _run_baseline_compare(ctx: ExperimentContext) -> list[Row]:
+@dataclass(frozen=True)
+class Kind:
+    conditions: Callable[[RunConfig], list[Condition]]
+    compare_kinds: bool = False  # pretrain each of eval.baseline_kinds, labelled `kind=<k>:`; else model.kind
+    report: Callable[[RunConfig], str] | None = None  # the one domain to report; else every fine-tuned one
+    with_mi: bool = False  # encoder MI diagnostic
+    with_kl: bool = False  # score-label KL diagnostic
+
+
+KINDS = {
+    "window_sweep": Kind(_grid("eval.windows", RunConfig.get_int_list, "train.finetune_window_days", "window={}")),
+    "de_sweep": Kind(_grid("eval.de_grid", RunConfig.get_int_list, "iak.d_e", "d_e={}")),
+    "beta_sweep": Kind(_grid("eval.betas", RunConfig.get_float_list, "iak.beta", "beta={:g}"), with_mi=True),
+    "overlap": Kind(_overlap_conditions, report=lambda cfg: _canonical(cfg.get("eval.overlap_primary"))),
+    "baseline_compare": Kind(lambda cfg: [("zero_shot", None), ("iak", {})], compare_kinds=True, with_kl=True),
+}
+EXPERIMENT_KINDS = tuple(KINDS)
+
+
+def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
+    """Every row of one experiment kind, summary rows last."""
+    if kind not in KINDS:
+        raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    spec = KINDS[kind]
+    conditions = spec.conditions(cfg)  # a bad grid fails here, before any pretraining
+    ctx = ExperimentContext(cfg, Path(workdir))
     train, test = ctx.dataset()
     test = encode_records(test, ctx.space())
-    selectors = expand_domain_selectors(ctx.cfg.get_list("train.finetune_domains"), train)
+    model_kinds = cfg.get_list("eval.baseline_kinds") if spec.compare_kinds else [cfg.get("model.kind")]
+    report = spec.report(cfg) if spec.report else None
     rows = []
-    for kind in ctx.cfg.get_list("eval.baseline_kinds"):
-        for seed in ctx.cfg.get_int_list("eval.seeds"):
-            backbone = ctx.pretrained(kind, seed, train)
+    for model_kind in model_kinds:
+        prefix = f"kind={model_kind}:" if spec.compare_kinds else ""
+        for seed in cfg.get_int_list("eval.seeds"):
+            backbone = ctx.pretrained(model_kind, seed, train)
             split = SplitPass(backbone, test)
-            for key, idx, sub in split.slices(selectors):
-                p_ctr, p_ctcvr = split.zero_shot(idx)
-                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", "zs", seed)
-                kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
-                rows.append(
-                    Row(f"kind={kind}:zero_shot", str(seed), key, rep.ctr_auc, rep.ctcvr_auc, score_label_kl=kl)
-                )
-            adapters = _finetune(ctx, backbone, train, selectors, seed)
-            rows.extend(_adapted_rows(ctx, f"kind={kind}:iak", seed, split, adapters, with_kl=True))
-    return rows
-
-
-_RUNNERS = {"overlap": _run_overlap, "baseline_compare": _run_baseline_compare}
-EXPERIMENT_KINDS = (*SWEEPS, *_RUNNERS)
+            for label, overrides in conditions:
+                if overrides is None:
+                    adapters = None
+                    domains = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
+                else:
+                    run = RunConfig(cfg.values, {**overrides, "model.kind": model_kind, "train.seed": str(seed)})
+                    datasets = finetune_datasets(run, train)
+                    adapters = finetune_all(backbone, datasets, ctx.space(), run.train_config(), run.iak_config()).adapters
+                    domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
+                for key, idx, sub in split.slices(domains):
+                    p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
+                    rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
+                    row = Row(prefix + label, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
+                    if spec.with_mi:
+                        bins = cfg.get_int("eval.mi_bins")
+                        row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=bins, seed=seed)
+                    if spec.with_kl:
+                        row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
+                    rows.append(row)
+    return rows + _mean_rows(rows)
 
 
 def _mean_rows(rows: list[Row]) -> list[Row]:
@@ -258,7 +249,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_rows(kind: str, rows: list[Row], path: Path) -> None:
+def write_rows(kind: str, rows: list[Row], outdir: Path) -> Path:
+    """Write `<outdir>/<kind>.csv`; returns its path."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{kind}.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
@@ -267,18 +262,9 @@ def write_rows(kind: str, rows: list[Row], path: Path) -> None:
                 (kind, r.condition, r.seed, r.domain, _fmt(r.ctr_auc), _fmt(r.ctcvr_auc),
                  _fmt(r.encoder_mi), _fmt(r.score_label_kl))
             )
+    return path
 
 
 def run_experiment(kind: str, cfg: RunConfig, outdir: Path, workdir: Path) -> Path:
-    """Dispatch one experiment kind; returns the CSV path it wrote."""
-    if kind not in EXPERIMENT_KINDS:
-        raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
-    ctx = ExperimentContext(cfg, Path(workdir))
-    rows = _run_sweep(ctx, SWEEPS[kind]) if kind in SWEEPS else _RUNNERS[kind](ctx)
-    rows = rows + _mean_rows(rows)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{kind}.csv"
-    write_rows(kind, rows, path)
-    return path
-
+    """Run one experiment kind; returns the CSV path it wrote."""
+    return write_rows(kind, experiment_rows(kind, cfg, workdir), outdir)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from iakrec.iak import IAKAdapter, IAKConfig
+from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec.router import adapters_from_arrays
 
 
 def _params():
@@ -38,3 +41,27 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp(tmp_path):
         save_checkpoint(path, {**_params(), "z": Unsaveable()}, "new")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
+    """A loaded array is a read-only view of the file's bytes; a restored
+    backbone or adapter parameter owns writable, aligned float64 data."""
+    space = FeatureSpace(n_users=9, n_items=7, n_scenes=2, n_regions=2, n_periods=3)
+    model_cfg, iak_cfg = ModelConfig(kind="base", hidden_sizes=(6, 3)), IAKConfig(d_e=3, decoder_hidden=(4,))
+    model = build_model(model_cfg, space, seed=0)
+    adapter = IAKAdapter(model.rep_dim, model.n_heads, iak_cfg, {"period": 1}, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {**model.named_parameters(), **adapter.named_parameters()}, "odd")  # odd offsets
+    arrays, _ = load_checkpoint(path)
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    clone = build_model(model_cfg, space, seed=None)
+    clone.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
+    (restored,) = adapters_from_arrays(arrays, clone.rep_dim, clone.n_heads, iak_cfg).values()
+    params = clone.parameters() + restored.parameters()
+    assert len(params) == len(arrays)
+    for p in params:
+        flags = p.data.flags
+        assert p.data.dtype == np.float64 and flags.owndata and flags.writeable and flags.aligned, p.name
+        assert p.data.tobytes() == arrays[p.name].tobytes()

@@ -1,10 +1,12 @@
 import csv
 import itertools
+from pathlib import Path
 
 import pytest
 
 from iakrec import experiments
-from iakrec.config import RunConfig
+from iakrec.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from iakrec.config import ConfigError, RunConfig
 from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentContext, run_experiment
 from iakrec.models import MODEL_KINDS
 
@@ -120,3 +122,88 @@ def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
     _, test = ExperimentContext(cfg, tmp_path).dataset()
     backbones = len(cfg.get_list("eval.baseline_kinds")) if kind == "baseline_compare" else 1
     assert scored == [len(test)] * backbones * len(SEEDS)
+
+
+@pytest.mark.parametrize("kind, key", [("window_sweep", "eval.windows"), ("de_sweep", "eval.de_grid"),
+                                       ("beta_sweep", "eval.betas")])
+def test_bad_grid_fails_before_pretraining(kind, key, tmp_path):
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(kind, RunConfig({**TINY, key: "1,x"}), tmp_path / "run", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_backbone_cache_keys_on_what_pretraining_reads(tmp_path):
+    """A setting only fine-tuning reads reuses the cached backbone; one that
+    pretraining reads writes a new one."""
+
+    def cached_after(key, value):
+        ctx = ExperimentContext(RunConfig({**TINY, key: value}), tmp_path)
+        ctx.pretrained("base", 0, ctx.dataset()[0])
+        return sorted(p.name for p in ctx.cache_dir.iterdir())
+
+    names = cached_after("eval.seeds", "0")
+    assert len(names) == 1
+    for key, value in [("train.lr_norms", "previous"), ("model.seed", "7"), ("iak.beta", "0.5")]:
+        assert cached_after(key, value) == names, key
+    for key, value in [("train.lr", "0.01"), ("model.hidden_sizes", "6,3")]:
+        after = cached_after(key, value)
+        assert len(after) == len(names) + 1 and set(names) < set(after), key
+        names = after
+
+
+def _cli(tmp_path, capsys, values):
+    """`main` for one command on a config file holding `values`; returns the
+    command's exit code and its stdout and stderr lines."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+
+    def run(command, *args):
+        code = main([command, "--config", str(cfg), "--workdir", str(tmp_path), *args])
+        out, err = capsys.readouterr()
+        return code, out.splitlines(), err.splitlines()
+
+    return run
+
+
+def test_experiment_command_exit_codes(tmp_path, capsys):
+    run = _cli(tmp_path, capsys, {k: v for k, v in TINY.items() if k != "eval.overlap_primary"})
+    code, out, _ = run("experiment", "--kind", "de_sweep", "--set", "eval.seeds=0")
+    assert code == EXIT_OK
+    (path,) = map(Path, out)
+    assert path.name == "de_sweep.csv" and path.parent.name.startswith("experiment-de_sweep-")
+    assert (path.parent / "effective.cfg").exists()
+    before = set(tmp_path.iterdir())
+    code, out, err = run("experiment", "--kind", "overlap")
+    assert (code, out) == (EXIT_SCHEMA, [])
+    assert err == ["iakrec: error: overlap needs eval.overlap_primary and eval.overlap_weights"]
+    assert set(tmp_path.iterdir()) == before  # no run directory
+    with pytest.raises(SystemExit) as e:
+        run("experiment", "--kind", "no_such_kind")
+    assert e.value.code == EXIT_USAGE
+
+
+def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
+    """A de_sweep row is `finetune --set iak.d_e=... --set train.seed=...` on
+    the cached backbone, then `eval`, to the last digit."""
+    run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0", "eval.de_grid": "2"})
+
+    def output(*args):
+        code, out, _ = run(*args)
+        assert code == EXIT_OK
+        (path,) = out
+        return path
+
+    sweep = _rows(Path(output("experiment", "--kind", "de_sweep")).read_bytes())
+    data = output("gen-data")
+    (backbone,) = (tmp_path / "cache").glob("backbone-base-*-s0.ckpt")
+    d_e = ("--set", "iak.d_e=2", "--set", "train.seed=0")
+    finetuned = output("finetune", "--data", data, "--backbone", str(backbone), *d_e)
+    report = _rows(Path(output("eval", "--data", data, "--checkpoint", finetuned, *d_e)).read_bytes())
+    expected = {r[3]: (r[4], r[5]) for r in sweep[1:] if r[1:3] == ["d_e=2", "0"]}
+    adapted = {r[1].removeprefix("iak:"): (r[2], r[3]) for r in report[1:] if r[1].startswith("iak:")}
+    assert len(expected) == 3 and adapted == expected
+
+
+def test_overlap_reads_a_domain_key_however_it_is_spelled(tmp_path, reports):
+    odd = {**TINY, "eval.overlap_primary": "period=00", "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
+    assert run_experiment("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]
