@@ -30,7 +30,7 @@ class NonFiniteError(FloatingPointError):
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("tensor data contains NaN or Inf")
     return arr
 
@@ -149,8 +149,9 @@ def _wrap(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None], op: str) -> Tensor:
     """Build an op output node; prunes the graph when no parent needs grad.
-    The finiteness check here is the only one an op output gets."""
-    if not np.all(np.isfinite(data)):
+    The finiteness check here is the only one an op output gets; the array
+    method skips the Python-level dispatch of `np.all`."""
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values in output of {op}")
     out = Tensor.__new__(Tensor)
     out._bind(data, False)
@@ -581,7 +582,7 @@ def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr
         if touched is None:
             continue
         rows, g = touched
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for {p.name}")
         acc = state.accumulators.get(p.name)
         if acc is None:

@@ -12,7 +12,7 @@ import hashlib
 from collections.abc import Iterable
 from pathlib import Path
 
-from .datagen import GeneratorConfig, make_domains
+from .datagen import DatasetError, GeneratorConfig, domain_key, make_domains, parse_domain_key
 from .iak import IAKConfig
 from .models import FeatureSpace, ModelConfig
 from .trainer import TrainConfig
@@ -164,13 +164,22 @@ class RunConfig:
             raise ConfigError(f"{key}: expected integer ratio, got {v!r}") from e
 
     def get_weight_map(self, key: str) -> dict[str, float]:
+        """`domain:weight` entries keyed by canonical domain key, the spelling
+        datasets and adapters carry, so `period=00` reads as `period=0`. Two
+        entries naming one domain are an error."""
         out: dict[str, float] = {}
         for part in self.get_list(key):
             domain, sep, weight = part.rpartition(":")
             if not sep:
                 raise ConfigError(f"{key}: expected domain:weight entries, got {part!r}")
             try:
-                out[domain.strip()] = float(weight)
+                canonical = domain_key(parse_domain_key(domain.strip()))
+            except DatasetError as e:
+                raise ConfigError(f"{key}: {e}") from e
+            if canonical in out:
+                raise ConfigError(f"{key}: domain {canonical!r} is weighted twice")
+            try:
+                out[canonical] = float(weight)
             except ValueError as e:
                 raise ConfigError(f"{key}: bad weight in {part!r}") from e
         return out

@@ -158,7 +158,7 @@ class DomainSpec:
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (latent_dim,):
                 raise DatasetError(f"{name} of {self.topic}={self.id} must have shape ({latent_dim},)")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DatasetError(f"{name} of {self.topic}={self.id} contains non-finite values")
 
 

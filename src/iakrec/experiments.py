@@ -152,11 +152,9 @@ def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
     weights = cfg.get_weight_map("eval.overlap_weights")
     if not primary or not weights:
         raise ExperimentError("overlap needs eval.overlap_primary and eval.overlap_weights")
-    if primary not in weights:
+    if _canonical(primary) not in weights:
         raise ExperimentError("overlap weights must include the primary domain")
-    # `train.mixing` keys are matched as written against the datasets' canonical keys
-    mixing = ",".join(f"{_canonical(key)}:{w!r}" for key, w in weights.items())
-    mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": mixing}
+    mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": cfg.get("eval.overlap_weights")}
     return [("isolated", {"train.finetune_domains": primary}), ("mixed", mixed)]
 
 

@@ -180,6 +180,10 @@ class IAKAdapter:
     def named_parameters(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
+    def set_trainable(self, trainable: bool) -> None:
+        for p in self.parameters():
+            p.set_trainable(trainable)
+
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from `arrays`, one copy per array; a bad array
         is an `AdapterError` (see `models.restore_parameters`)."""

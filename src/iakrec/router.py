@@ -8,7 +8,9 @@ a one-row `datagen.Dataset` fitted by `models.encode_records`, the row type
 the model reads, so it is scored as eval scores that row, up to the
 rounding of a one-row product against a chunked one. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
-"zero_shot"`). Every request runs the shared frozen backbone once. In the
+"zero_shot"`). The router freezes the backbone and every adapter it
+deploys, so scoring records no autodiff graph: each op computes its value
+and links no parents. Every request runs the backbone once. In the
 default eager mode every deployed adapter then corrects that one output;
 lazy activation applies only the selected adapter, so with K adapters
 deployed it saves K-1 small adapter MLPs per request (all K for a zero-shot
@@ -78,7 +80,9 @@ def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
 
 class DomainRouter:
     """Frozen backbone plus the set of per-domain adapters, immutable after
-    construction. Scoring is read-only and safe to share."""
+    construction. The router freezes the backbone and each adapter it is
+    given, so a score records no graph. Scoring is read-only and safe to
+    share."""
 
     def __init__(
         self,
@@ -94,6 +98,8 @@ class DomainRouter:
         for key, a in self.adapters.items():
             if a.rep_dim != backbone.rep_dim or a.n_tasks != backbone.n_heads:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
+        for a in self.adapters.values():
+            a.set_trainable(False)
 
     def _select(self, domain_ids: dict[str, int]) -> str | None:
         """Most-specific matching adapter; ties break on the sorted key so

@@ -276,9 +276,9 @@ def test_gather_takes_only_1d_indices(shape):
         ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64))
 
 
-def _nan_tensor():
+def _bad_tensor(bad):
     t = ad.Tensor(np.ones((2, 2)))
-    t.data[0, 1] = np.nan  # past the constructor's own check
+    t.data[0, 1] = bad  # past the constructor's own check
     return t
 
 
@@ -311,10 +311,37 @@ def test_the_primitive_table_covers_every_op():
     assert set(PRIMITIVES) == set(re.findall(r'backward, "(\w+)"\)', inspect.getsource(ad)))
 
 
+# (op, input value) pairs whose output is finite: the op saturates there
+SATURATES = {("sigmoid", np.inf), ("sigmoid", -np.inf), ("clip", np.inf), ("clip", -np.inf),
+             ("exp", -np.inf), ("softplus", -np.inf), ("softmax", -np.inf)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("op", sorted(PRIMITIVES))
-def test_every_primitive_rejects_a_non_finite_output(op):
-    with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError, match=f"output of {op}$"):
-        PRIMITIVES[op](_nan_tensor())
+def test_every_primitive_rejects_a_non_finite_output(op, bad):
+    """An input holding NaN, +inf or -inf makes every op whose output then
+    holds a non-finite value raise; where the op saturates, its finite
+    output passes."""
+    with np.errstate(all="ignore"):
+        if (op, bad) in SATURATES:
+            assert np.isfinite(PRIMITIVES[op](_bad_tensor(bad)).data).all()
+        elif (op, bad) == ("log", -np.inf):
+            with pytest.raises(ad.NonFiniteError, match="log of non-positive value"):
+                PRIMITIVES[op](_bad_tensor(bad))
+        else:
+            with pytest.raises(ad.NonFiniteError, match=f"output of {op}$"):
+                PRIMITIVES[op](_bad_tensor(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_tensor_rejects_a_non_finite_scalar_and_accepts_an_empty_array(bad):
+    with pytest.raises(ad.NonFiniteError, match="tensor data contains NaN or Inf"):
+        ad.Tensor(bad)
+    with pytest.raises(ad.NonFiniteError, match="tensor data contains NaN or Inf"):
+        ad.Tensor(np.array([[1.0, bad]]))
+    empty = ad.Tensor(np.empty((0, 3)))
+    assert empty.shape == (0, 3)
+    assert ad.add(empty, 1.0).shape == (0, 3)
 
 
 def test_computation_record_visits_each_node_once():

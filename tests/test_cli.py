@@ -155,6 +155,31 @@ def test_bad_finetune_domain_exits_5(workdir, capsys, entry, named):
     assert not any(p.name.startswith("finetune-") for p in workdir.iterdir())
 
 
+def test_mixing_keys_read_however_they_are_spelled(workdir, capsys):
+    """`train.mixing` names domains as `train.finetune_domains` does:
+    `period=00` is `period=0`. Two keys naming one domain, or a key that
+    names none, are a config error."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    _backbone_checkpoint(workdir)
+
+    def finetune(outdir, domains, mixing):
+        return _run(workdir, "finetune", "--data", "data/dataset.jsonl", "--backbone", "backbone.ckpt",
+                    "--outdir", outdir, "--set", f"train.finetune_domains={domains}",
+                    "--set", f"train.mixing={mixing}")
+
+    assert finetune("canonical", "period=0,period=1", "period=0:0.7,period=1:0.3") == EXIT_OK
+    assert finetune("odd", "period=00,period=1", "period=00:0.7,period=1:0.3") == EXIT_OK
+    curves = [(workdir / d / "finetune_curve.csv").read_bytes() for d in ("canonical", "odd")]
+    assert curves[0] == curves[1]
+    for mixing, named in (("period=0:0.4,period=00:0.3,period=1:0.3", "'period=0' is weighted twice"),
+                          ("bogus=0:0.7,period=1:0.3", "'bogus'")):
+        capsys.readouterr()
+        assert finetune("bad", "period=0,period=1", mixing) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("iakrec: config error: train.mixing:") and named in err
+        assert not (workdir / "bad").exists()
+
+
 @pytest.mark.parametrize("domains, n_adapters", [("period=0", 1), ("period=*,scene=*", 5)])
 def test_eval_forwards_each_test_row_once(workdir, monkeypatch, domains, n_adapters):
     """One backbone pass over the test split, whatever the adapter count."""

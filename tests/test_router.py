@@ -11,7 +11,7 @@ from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.config import RunConfig
 from iakrec.datagen import generate
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
-from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, build_model, encode_records
+from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records
 from iakrec.router import (
     DomainRouter,
     RequestError,
@@ -170,6 +170,53 @@ class TestOneBackbonePass:
             assert eager.served_by == lazy.served_by
             assert (eager.p_ctr.hex(), eager.p_ctcvr.hex()) == (lazy.p_ctr.hex(), lazy.p_ctcvr.hex())
         assert [responses[False, n].served_by for n in self.REQUESTS] == ["period=1", "zero_shot", "period=0"]
+
+
+class TestFrozenAdapters:
+    """The router freezes the adapters it deploys, so a score records no
+    autodiff graph, and it serves the values a trainable adapter gives."""
+
+    REQUESTS = TestOneBackbonePass.REQUESTS
+
+    def test_router_freezes_every_adapter_it_deploys(self, router):
+        for adapter in router.adapters.values():
+            assert all(p.trainable is False and p.requires_grad is False for p in adapter.parameters())
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_scoring_records_no_graph_and_serves_a_trainable_adapters_values(self, monkeypatch, kind):
+        backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=0)
+        adapters = {f"period={p}": _adapter(backbone, p, seed=p + 1, nudge=0.05 * (p + 1)) for p in (0, 1)}
+        twins = {}
+        for key, a in adapters.items():
+            twins[key] = IAKAdapter(a.rep_dim, a.n_tasks, a.config, a.domain_key, seed=None)
+            twins[key].restore(a.named_parameters())
+        built = []
+        predict_from_logits = MultiTaskModel.predict_from_logits
+
+        def recorded(self, logits):
+            built.append(predict_from_logits(self, logits))
+            return built[-1]
+
+        monkeypatch.setattr(MultiTaskModel, "predict_from_logits", recorded)
+        for lazy in (False, True):
+            router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+            for name, req in self.REQUESTS.items():
+                built.clear()
+                resp = router.score(req)
+                n_adapted = len(adapters) if not lazy else int(resp.served_by != "zero_shot")
+                assert len(built) == 1 + n_adapted, (lazy, name)
+                for pred in built:
+                    for t in (pred.p_ctr, pred.p_ctcvr, pred.p_cvr):
+                        assert t is None or (t._parents == () and not t.requires_grad), (lazy, name)
+
+                out = backbone.forward_full(encode_request(req, SPACE))
+                want = out.prediction
+                if resp.served_by != "zero_shot":
+                    want = adapted_prediction(backbone, twins[resp.served_by], out.representation, out.logits)
+                    assert want.p_ctr._parents != ()  # the twin still records its graph
+                assert (resp.p_ctr.hex(), resp.p_ctcvr.hex()) == (
+                    float(want.p_ctr.data[0, 0]).hex(), float(want.p_ctcvr.data[0, 0]).hex()), (lazy, name)
+        assert all(p.trainable for twin in twins.values() for p in twin.parameters())
 
 
 class TestRequestParsing:
