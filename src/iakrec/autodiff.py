@@ -155,10 +155,12 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tenso
         raise NonFiniteError(f"non-finite values in output of {op}")
     out = Tensor.__new__(Tensor)
     out._bind(data, False)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = lambda: backward(out)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = lambda: backward(out)
+            break
     return out
 
 
@@ -241,13 +243,68 @@ def sigmoid(a) -> Tensor:
     return _make(y, (a,), backward, "sigmoid")
 
 
+def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
+    """Leaky ReLU, branch-free: bit for bit `np.where(z >= 0, z, slope * z)`,
+    which holds for a slope in [0, 1] (a -0.0 slope would flip a zero's
+    sign)."""
+    if not 0.0 <= slope <= 1.0 or np.signbit(slope):
+        raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
+    return np.maximum(z, slope * z)
+
+
+def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
+    """The gradient `g` at leaky ReLU's output carried to its input `z`, g *
+    `np.where(z >= 0, 1.0, slope)` with the factor built branch-free, and
+    normalised (+ 0.0) as `_accum` normalises the input's gradient."""
+    gz = g * np.maximum((z >= 0.0).astype(np.float64), slope)
+    gz += 0.0
+    return gz
+
+
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
     a = _wrap(a)
 
     def backward(out: Tensor) -> None:
-        _accum(a, out.grad * np.where(a.data >= 0.0, 1.0, slope))
+        _accum(a, _leaky_grad(out.grad, a.data, slope))
 
-    return _make(np.where(a.data >= 0.0, a.data, slope * a.data), (a,), backward, "leaky_relu")
+    return _make(_leaky(a.data, slope), (a,), backward, "leaky_relu")
+
+
+def _dense_grads(g: np.ndarray, z: np.ndarray, slope: float | None, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients at the pre-activation `z` and at x @ w of a dense layer,
+    given the gradient `g` at its output. Each is normalised where `_accum`
+    normalises the node it stands for in the composed chain, so both equal
+    that chain's bit for bit."""
+    gz = g if slope is None else _leaky_grad(g, z, slope)
+    if scale is None:
+        return gz, gz
+    gh = gz * scale
+    gh += 0.0
+    return gz, gh
+
+
+def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> Tensor:
+    """A dense layer as one node: leaky ReLU of (x @ w) * scale + b, with
+    the (m, n) `w` and (n,) `b`. No `scale` skips the product and no `slope`
+    the activation. Values and gradients equal those of the composed
+    matmul, mul, add and leaky_relu bit for bit."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (B,m), (m,n) and (n,), got {x.shape}, {w.shape} and {b.shape}")
+    z = x.data @ w.data
+    if scale is not None:
+        z *= scale
+    z += b.data
+
+    def backward(out: Tensor) -> None:
+        gz, gh = _dense_grads(out.grad, z, slope, scale)
+        if x.requires_grad:
+            _accum(x, gh @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ gh)
+        _accum(b, gz.sum(axis=0))
+
+    return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "linear")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -366,8 +423,9 @@ def reduce_mean(a) -> Tensor:
 # Segment primitives: `offsets` (K + 1 row offsets, 0 first and B last, never
 # decreasing) cut the leading axis into K segments, segment k being rows
 # offsets[k]:offsets[k + 1]. Each loops over the segments and makes, per
-# segment, the numpy call its plain counterpart makes on that segment alone,
-# so a segment's values and gradients equal the plain op's bit for bit.
+# segment, the numpy calls its plain counterpart makes on that segment alone
+# (an elementwise step may run once over all rows: same bits), so a
+# segment's values and gradients equal the plain op's bit for bit.
 
 
 def _segments(offsets, n_rows: int | None) -> list[tuple[int, int]]:
@@ -380,49 +438,35 @@ def _segments(offsets, n_rows: int | None) -> list[tuple[int, int]]:
     return segs
 
 
-def segment_matmul(x, w, offsets) -> Tensor:
-    """Segment k of the (B, m) `x` times matrix k of the (K, m, n) `w`."""
-    x, w = _wrap(x), _wrap(w)
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"segment_matmul needs (B,m) and (K,m,n), got {x.shape} and {w.shape}")
+def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | None = None) -> Tensor:
+    """`linear` per segment: segment k of the (B, m) `x` through matrix k of
+    the (K, m, n) `w` and row k of the (K, n) `b`."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0], w.shape[2]):
+        raise ShapeError(f"segment_linear needs (B,m), (K,m,n) and (K,n), got {x.shape}, {w.shape} and {b.shape}")
     segs = _segments(offsets, x.shape[0])
     if len(segs) != w.shape[0]:
         raise ShapeError(f"{len(segs)} segments for {w.shape[0]} matrices")
-    data = np.empty((x.shape[0], w.shape[2]))
+    z = np.empty((x.shape[0], w.shape[2]))
     for k, (s, e) in enumerate(segs):
-        data[s:e] = x.data[s:e] @ w.data[k]
+        z[s:e] = x.data[s:e] @ w.data[k]
+    if scale is not None:
+        z *= scale
+    for k, (s, e) in enumerate(segs):
+        z[s:e] += b.data[k]
 
     def backward(out: Tensor) -> None:
-        g = out.grad
+        gz, gh = _dense_grads(out.grad, z, slope, scale)
         if x.requires_grad:
             gx = np.empty_like(x.data)
             for k, (s, e) in enumerate(segs):
-                gx[s:e] = g[s:e] @ w.data[k].T
+                gx[s:e] = gh[s:e] @ w.data[k].T
             _accum(x, gx)
         if w.requires_grad:
-            _accum(w, np.stack([x.data[s:e].T @ g[s:e] for s, e in segs]))
+            _accum(w, np.stack([x.data[s:e].T @ gh[s:e] for s, e in segs]))
+        _accum(b, np.stack([gz[s:e].sum(axis=0) for s, e in segs]))
 
-    return _make(data, (x, w), backward, "segment_matmul")
-
-
-def segment_add(x, b, offsets) -> Tensor:
-    """Segment k of the (B, n) `x` plus row k of the (K, n) `b`: a bias per
-    segment."""
-    x, b = _wrap(x), _wrap(b)
-    if x.data.ndim != 2 or b.data.ndim != 2 or x.shape[1] != b.shape[1]:
-        raise ShapeError(f"segment_add needs (B,n) and (K,n), got {x.shape} and {b.shape}")
-    segs = _segments(offsets, x.shape[0])
-    if len(segs) != b.shape[0]:
-        raise ShapeError(f"{len(segs)} segments for {b.shape[0]} bias rows")
-    data = np.empty_like(x.data)
-    for k, (s, e) in enumerate(segs):
-        data[s:e] = x.data[s:e] + b.data[k]
-
-    def backward(out: Tensor) -> None:
-        _accum(x, out.grad)
-        _accum(b, np.stack([out.grad[s:e].sum(axis=0) for s, e in segs]))
-
-    return _make(data, (x, b), backward, "segment_add")
+    return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 
 
 def segment_sum(a, offsets) -> Tensor:

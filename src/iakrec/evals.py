@@ -238,14 +238,13 @@ def report_from_scores(
 def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
-    tracks. It is `iak.encoder_stage` on the segment primitives, one segment
+    tracks. It is `iak.encoder_stage` on `ad.segment_linear`, one segment
     and one weight sample per record."""
     vl = adapter.encoder
     b = len(rep)
     noise = rng.standard_normal((b, *vl.mu_w.shape)), rng.standard_normal((b, *vl.mu_b.shape))
     per_record = np.arange(b + 1)
-    return encoder_stage(Tensor(rep), vl.parameters(), vl.scale, noise, partial(ad.segment_matmul, offsets=per_record),
-                         partial(ad.segment_add, offsets=per_record)).data
+    return encoder_stage(Tensor(rep), vl.parameters(), vl.scale, partial(ad.segment_linear, offsets=per_record), noise).data
 
 
 def encoder_mi(

@@ -8,17 +8,16 @@ initial state.
 
 `adapter_graph` is the one adapter forward: encoder weights (the posterior
 means, or a reparameterised sample when a training step passes noise), the
-scaled affine map and leaky ReLU, then the decoder layers. It runs on one of
-two primitive sets. A lone `IAKAdapter` passes `ad.matmul`/`ad.add`: eval
-and serving score one adapter at a time with the means
-(`adapted_prediction`). An `AdapterBank` passes the segment primitives over
-its stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
-batch through one autodiff graph, rows grouped by adapter. The segment
-primitives repeat, per adapter, the numpy calls of the one-adapter graph, so
-every adapter trains exactly as it would alone. Its first stage,
-`encoder_stage`, is also the channel of the MI diagnostic
-(`evals.encoder_channel_outputs`), which runs it on the segment primitives
-with one weight sample per record.
+scaled affine map and leaky ReLU, then the decoder layers. Every layer is one
+dense-layer primitive, in one of two forms. A lone `IAKAdapter` passes
+`ad.linear`: eval and serving score one adapter at a time with the means
+(`adapted_prediction`). An `AdapterBank` passes `ad.segment_linear` over its
+stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
+batch through one autodiff graph, rows grouped by adapter. The segment form
+repeats, per adapter, the numpy calls of the one-adapter graph, so every
+adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
+is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
+which runs it on `ad.segment_linear` with one weight sample per record.
 
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
 (see `models.encode_records`), the one row type the model reads.
@@ -36,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdagradDecayState, Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import Linear, MultiTaskModel, Prediction, bce_loss, init_generator, restore_parameters
+from .models import LEAKY_SLOPE, Linear, MultiTaskModel, Prediction, bce_loss, init_generator, restore_parameters
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -88,36 +87,33 @@ class VariationalLinear:
         return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
 
 
-Affine = Callable[[Tensor, Tensor], Tensor]
-
-
-def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
-                  matmul: Affine = ad.matmul, add: Affine = ad.add) -> Tensor:
+def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
+                  noise: Noise | None = None) -> Tensor:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
     + b. `params` are mu_w, mu_b, rho_w and rho_b. The weights are the
     posterior means, or w = mu + softplus(rho) * noise when `noise` (weights,
-    bias) is given, so gradients reach both mu and rho. `matmul` and `add`
-    are the affine primitives, plain or segment ones (see `adapter_graph`)."""
+    bias) is given, so gradients reach both mu and rho. `linear` is the
+    dense-layer primitive, plain or segment (see `adapter_graph`)."""
     mu_w, mu_b, rho_w, rho_b = params
     w, b = mu_w, mu_b
     if noise is not None:
         w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
-    return ad.leaky_relu(add(ad.mul(matmul(x, w), scale), b))
+    return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
-def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, noise: Noise | None = None,
-                  matmul: Affine = ad.matmul, add: Affine = ad.add) -> Tensor:
+def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
+                  noise: Noise | None = None) -> Tensor:
     """The adapter forward: per-task logit corrections of the rows `x`.
 
     `params` are the encoder's four (see `encoder_stage`) followed by each
     decoder layer's weight and bias; one weight sample `noise` serves every
-    row. `matmul` and `add` are the affine primitives: plain for one
-    adapter, segment primitives for a bank."""
-    x = encoder_stage(x, params[:4], scale, noise, matmul, add)
+    row. `linear` is the dense-layer primitive: `ad.linear` for one adapter,
+    `ad.segment_linear` bound to its offsets for a bank."""
+    x = encoder_stage(x, params[:4], scale, linear, noise)
     decoder = params[4:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
-        x = ad.leaky_relu(add(matmul(x, w_l), b_l))
-    return add(matmul(x, decoder[-2]), decoder[-1])
+        x = linear(x, w_l, b_l, slope=LEAKY_SLOPE)
+    return linear(x, decoder[-2], decoder[-1])
 
 
 def _reparameterize(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
@@ -196,7 +192,7 @@ class IAKAdapter:
     def correction(self, representation: Tensor, noise: Noise | None = None) -> Tensor:
         """Per-task logit corrections, (B, n_tasks): the posterior means, or
         one weight sample drawn as `noise` for the whole batch."""
-        return adapter_graph(representation, self.parameters(), self.encoder.scale, noise)
+        return adapter_graph(representation, self.parameters(), self.encoder.scale, ad.linear, noise)
 
     def encoder_kl(self) -> Tensor:
         return _gaussian_kl(*self.encoder.parameters(), ad.reduce_sum)
@@ -310,8 +306,7 @@ class AdapterBank:
         """(B, n_tasks) corrections of rows grouped by adapter, rows
         offsets[k]:offsets[k + 1] through adapter k, with the stacked
         encoder noise of `draw_noise`."""
-        return adapter_graph(representation, self.params, self.scale, noise,
-                             partial(ad.segment_matmul, offsets=offsets), partial(ad.segment_add, offsets=offsets))
+        return adapter_graph(representation, self.params, self.scale, partial(ad.segment_linear, offsets=offsets), noise)
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at

@@ -23,6 +23,8 @@ from .autodiff import Parameter, Tensor
 from .datagen import Dataset
 
 PROB_CLAMP = 1e-12
+# negative-side slope of every leaky ReLU, in the backbone and the adapters
+LEAKY_SLOPE = 0.01
 
 
 class ModelError(ValueError):
@@ -113,8 +115,9 @@ class Linear:
         self.w = Parameter(rng.normal(0.0, std, size=(in_dim, out_dim)), name=f"{name}.w")
         self.b = Parameter(np.zeros(out_dim), name=f"{name}.b")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+    def __call__(self, x: Tensor, slope: float | None = None) -> Tensor:
+        """x @ w + b, through a leaky ReLU of `slope` when one is given."""
+        return ad.linear(x, self.w, self.b, slope)
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
@@ -124,8 +127,7 @@ class MLP:
     """Stack of Linear + LeakyReLU; the final layer is linear when
     final_activation is off (logit heads)."""
 
-    def __init__(self, dims: list[int], name: str, rng: np.random.Generator, final_activation: bool = True, slope: float = 0.01):
-        self.slope = slope
+    def __init__(self, dims: list[int], name: str, rng: np.random.Generator, final_activation: bool = True):
         self.final_activation = final_activation
         self.layers = []
         for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
@@ -135,9 +137,7 @@ class MLP:
 
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if self.final_activation or i < len(self.layers) - 1:
-                x = ad.leaky_relu(x, self.slope)
+            x = layer(x, LEAKY_SLOPE if self.final_activation or i < len(self.layers) - 1 else None)
         return x
 
     def parameters(self) -> list[Parameter]:

@@ -1,0 +1,60 @@
+"""Reference dense layers: the chain of nodes `ad.linear` and
+`ad.segment_linear` fuse into one. A dense layer is matmul, then mul by
+the scale, then the bias add, then leaky_relu, each its own autodiff node;
+a segment layer does the matmul and the bias add per segment. The fused
+primitives must equal these bit for bit, values and gradients; tests
+compare against them and patch them in for the fused ones."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from iakrec import autodiff as ad
+
+
+def _segment_matmul(x, w, offsets) -> ad.Tensor:
+    x, w = ad._wrap(x), ad._wrap(w)
+    segs = ad._segments(offsets, x.shape[0])
+    data = np.empty((x.shape[0], w.shape[2]))
+    for k, (s, e) in enumerate(segs):
+        data[s:e] = x.data[s:e] @ w.data[k]
+
+    def backward(out):
+        gx = np.empty_like(x.data)
+        for k, (s, e) in enumerate(segs):
+            gx[s:e] = out.grad[s:e] @ w.data[k].T
+        ad._accum(x, gx)
+        ad._accum(w, np.stack([x.data[s:e].T @ out.grad[s:e] for s, e in segs]))
+
+    return ad._make(data, (x, w), backward, "reference_segment_matmul")
+
+
+def _segment_add(x, b, offsets) -> ad.Tensor:
+    x, b = ad._wrap(x), ad._wrap(b)
+    segs = ad._segments(offsets, x.shape[0])
+    data = np.empty_like(x.data)
+    for k, (s, e) in enumerate(segs):
+        data[s:e] = x.data[s:e] + b.data[k]
+
+    def backward(out):
+        ad._accum(x, out.grad)
+        ad._accum(b, np.stack([out.grad[s:e].sum(axis=0) for s, e in segs]))
+
+    return ad._make(data, (x, b), backward, "reference_segment_add")
+
+
+def _chain(x, w, b, slope, scale, matmul, add) -> ad.Tensor:
+    h = matmul(x, w)
+    if scale is not None:
+        h = ad.mul(h, scale)
+    h = add(h, b)
+    return h if slope is None else ad.leaky_relu(h, slope)
+
+
+def composed_linear(x, w, b, slope=None, scale=None) -> ad.Tensor:
+    return _chain(x, w, b, slope, scale, ad.matmul, ad.add)
+
+
+def composed_segment_linear(x, w, b, offsets, slope=None, scale=None) -> ad.Tensor:
+    return _chain(x, w, b, slope, scale, lambda x, w: _segment_matmul(x, w, offsets),
+                  lambda x, b: _segment_add(x, b, offsets))

@@ -10,6 +10,7 @@ from iakrec import autodiff as ad
 from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 from gradcheck import assert_grads_match
+from linear_reference import composed_linear, composed_segment_linear
 
 
 def test_sigmoid_at_zero():
@@ -19,6 +20,98 @@ def test_sigmoid_at_zero():
 def test_leaky_relu_negative_slope():
     out = ad.leaky_relu(ad.Tensor([-1.0]), slope=0.01)
     assert out.data[0] == pytest.approx(-0.01, abs=0)
+
+
+def test_leaky_relu_equals_the_where_form_bitwise():
+    # signed zeros, the kink, subnormals and the largest values of both signs
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    values = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                       2.2e-308, -2.2e-308, 1.5, -1.5, 1e300, -1e300, big, -big])
+    upstream = np.array([1.0, -1.0, 2.5, -3.0, 1e-320, -1e-320, 0.0, -tiny] * 2)
+    for slope in (0.0, 0.01, 0.2, 1.0):
+        x = ad.Tensor(values, requires_grad=True)
+        out = ad.leaky_relu(x, slope)
+        ad.backward(ad.reduce_sum(ad.mul(out, upstream)))
+        assert out.data.tobytes() == np.where(values >= 0.0, values, slope * values).tobytes()
+        g = np.add(upstream * np.where(values >= 0.0, 1.0, slope), 0.0)
+        assert x.grad.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.01, -0.0, 1.5, np.nan])
+def test_leaky_slope_outside_unit_interval_is_rejected(slope):
+    with pytest.raises(ValueError, match="slope"):
+        ad.leaky_relu(ad.Tensor([1.0]), slope)
+    with pytest.raises(ValueError, match="slope"):
+        ad.linear(np.ones((1, 2)), np.ones((2, 2)), np.ones(2), slope=slope)
+    with pytest.raises(ValueError, match="slope"):
+        ad.segment_linear(np.ones((1, 2)), np.ones((1, 2, 2)), np.ones((1, 2)), [0, 1], slope=slope)
+
+
+def _linear_case(seed):
+    """x, w, b and an upstream gradient for a (5, 3) -> 4 dense layer. Row 0
+    of x is zero and b[0] is 0, so z[0, 0] is exactly 0 (the kink); x holds
+    signed zeros, and the tiny upstream entries underflow to -0.0 once
+    scaled by the slope or the scale."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(5, 3))
+    x[0] = 0.0
+    x[1, 0] = -0.0
+    w = rng.normal(size=(3, 4))
+    b = rng.normal(size=4)
+    b[0] = 0.0
+    upstream = rng.normal(size=(5, 4))
+    upstream[2] = [-5e-324, -1e-322, 5e-324, -0.0]
+    return x, w, b, upstream
+
+
+def _run(layer, x, w, b, upstream, *args, **kwargs):
+    """Output and (x, w, b) gradients of `layer` under the loss
+    sum(layer(x, w, b) * upstream)."""
+    xt, wt, bt = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(b, "b")
+    out = layer(xt, wt, bt, *args, **kwargs)
+    ad.backward(ad.reduce_sum(ad.mul(out, upstream)))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in (xt, wt, bt)]
+
+
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
+def test_linear_equals_the_composed_chain_bitwise(slope, scale):
+    for seed in range(4):
+        x, w, b, upstream = _linear_case(seed)
+        fused = _run(ad.linear, x, w, b, upstream, slope=slope, scale=scale)
+        assert fused == _run(composed_linear, x, w, b, upstream, slope=slope, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
+def test_segment_linear_equals_the_composed_chain_bitwise(slope, scale):
+    x, _, _, upstream = _linear_case(3)
+    rng = np.random.default_rng(8)
+    w, b = rng.normal(size=(3, 3, 4)), rng.normal(size=(3, 4))
+    b[0, 0] = 0.0
+    offsets = [0, 2, 2, 5]
+    fused = _run(ad.segment_linear, x, w, b, upstream, offsets, slope=slope, scale=scale)
+    assert fused == _run(composed_segment_linear, x, w, b, upstream, offsets, slope=slope, scale=scale)
+
+
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
+def test_linear_gradients_match_finite_differences(slope, scale):
+    rng = np.random.default_rng(4)
+    x = ad.Parameter(rng.normal(size=(5, 3)), "x")
+    w = ad.Parameter(rng.normal(size=(3, 4)), "w")
+    b = ad.Parameter(rng.normal(size=4), "b")
+    upstream = ad.Tensor(rng.normal(size=(5, 4)))
+    ad.zero_grads([x, w, b])
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.linear(x, w, b, slope, scale), upstream)), [x, w, b],
+                       ad.backward)
+
+
+def test_linear_shapes_are_checked():
+    for w, b in (((3, 2), (2,)), ((2, 2), (3,)), ((2, 2), (1, 2)), ((1, 2, 2), (2,))):
+        with pytest.raises(ad.ShapeError, match="linear needs"):
+            ad.linear(np.ones((4, 2)), np.ones(w), np.ones(b))
 
 
 def test_softmax_equal_logits():
@@ -136,42 +229,42 @@ def test_individual_op_gradients(op):
 SEGMENTS = [0, 2, 3, 3, 6]
 
 
-@pytest.mark.parametrize("op", ["matmul_x", "matmul_w", "add_x", "add_b", "sum", "sum_3d", "mean"])
+@pytest.mark.parametrize("op", ["linear_x", "linear_w", "linear_b", "sum", "sum_3d", "mean"])
 def test_segment_op_gradients(op):
     rng = np.random.default_rng(len(op))
     x = ad.Parameter(rng.normal(size=(6, 3)), "x")
     w = ad.Parameter(rng.normal(size=(4, 3, 2)), "w")
-    b = ad.Parameter(rng.normal(size=(4, 3)), "b")
+    b = ad.Parameter(rng.normal(size=(4, 2)), "b")
     slabs = ad.Parameter(rng.normal(size=(4, 2, 3)), "slabs")
     weights = ad.Tensor(rng.normal(size=4))
 
     def loss_fn():
-        if op.startswith("matmul"):
-            return ad.reduce_sum(ad.square(ad.segment_matmul(x, w, SEGMENTS)))
-        if op.startswith("add"):
-            return ad.reduce_sum(ad.square(ad.segment_add(x, b, SEGMENTS)))
+        if op.startswith("linear"):
+            return ad.reduce_sum(ad.square(ad.segment_linear(x, w, b, SEGMENTS, slope=0.01, scale=0.2)))
         if op == "sum":
             return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(x), SEGMENTS), weights))
         if op == "sum_3d":
             return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(slabs), [0, 1, 2, 3, 4]), weights))
         return ad.reduce_sum(ad.mul(ad.segment_mean(ad.square(x), SEGMENTS), weights))
 
-    params = {"matmul_x": [x], "matmul_w": [w], "add_x": [x], "add_b": [b], "sum_3d": [slabs]}.get(op, [x])
+    params = {"linear_x": [x], "linear_w": [w], "linear_b": [b], "sum_3d": [slabs]}.get(op, [x])
     ad.zero_grads([x, w, b, slabs])
     assert_grads_match(loss_fn, params, ad.backward)
 
 
-def test_segment_ops_equal_their_plain_ops_bitwise():
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
+def test_segment_ops_equal_their_plain_ops_bitwise(slope, scale):
     # per segment, values and gradients are the plain op's on that segment alone
     rng = np.random.default_rng(7)
     xs, ws, bs = rng.normal(size=(6, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))
     x, w, b = ad.Parameter(xs, "x"), ad.Parameter(ws, "w"), ad.Parameter(bs, "b")
-    h = ad.segment_add(ad.segment_matmul(x, w, SEGMENTS), b, SEGMENTS)
+    h = ad.segment_linear(x, w, b, SEGMENTS, slope, scale)
     total = ad.add(ad.segment_mean(ad.square(h), SEGMENTS), ad.segment_sum(h, SEGMENTS))
     ad.backward(ad.reduce_sum(total))
     for k, (s, e) in enumerate(zip(SEGMENTS, SEGMENTS[1:])):
         xk, wk, bk = ad.Parameter(xs[s:e], "xk"), ad.Parameter(ws[k], "wk"), ad.Parameter(bs[k], "bk")
-        hk = ad.add(ad.matmul(xk, wk), bk)
+        hk = ad.linear(xk, wk, bk, slope, scale)
         assert hk.data.tobytes() == h.data[s:e].tobytes()
         if e == s:
             assert total.data[k] == 0.0 and not w.grad[k].any() and not b.grad[k].any()
@@ -192,11 +285,11 @@ def test_segment_offsets_are_checked(offsets):
 
 def test_segment_shapes_are_checked():
     with pytest.raises(ad.ShapeError):
-        ad.segment_matmul(np.ones((6, 3)), np.ones((2, 4, 2)), [0, 3, 6])
+        ad.segment_linear(np.ones((6, 3)), np.ones((2, 4, 2)), np.ones((2, 2)), [0, 3, 6])
     with pytest.raises(ad.ShapeError):
-        ad.segment_matmul(np.ones((6, 3)), np.ones((3, 3, 2)), [0, 3, 6])
+        ad.segment_linear(np.ones((6, 3)), np.ones((3, 3, 2)), np.ones((3, 2)), [0, 3, 6])
     with pytest.raises(ad.ShapeError):
-        ad.segment_add(np.ones((6, 3)), np.ones((2, 2)), [0, 3, 6])
+        ad.segment_linear(np.ones((6, 3)), np.ones((2, 3, 2)), np.ones((2, 3)), [0, 3, 6])
     with pytest.raises(ad.ShapeError):
         ad.segment_sum(np.float64(1.0), [0, 1])
 
@@ -300,8 +393,8 @@ PRIMITIVES = {
     "sum": ad.reduce_sum,
     "mean": ad.reduce_mean,
     "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
-    "segment_matmul": lambda x: ad.segment_matmul(x, np.ones((2, 2, 3)), [0, 1, 2]),
-    "segment_add": lambda x: ad.segment_add(x, np.ones((1, 2)), [0, 2]),
+    "linear": lambda x: ad.linear(x, np.ones((2, 3)), np.ones(3), slope=0.01, scale=0.5),
+    "segment_linear": lambda x: ad.segment_linear(x, np.ones((2, 2, 3)), np.ones((2, 3)), [0, 1, 2], 0.01, 0.5),
     "segment_sum": lambda x: ad.segment_sum(x, [0, 2]),
     "segment_mean": lambda x: ad.segment_mean(x, [0, 1, 2]),
 }
