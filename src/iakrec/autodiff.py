@@ -58,10 +58,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """Same values, cut off from the recorded graph."""
-        return Tensor(self.data)
-
     def _grad_unset(self) -> bool:
         return self.grad is None
 
@@ -329,15 +325,6 @@ def log(a) -> Tensor:
         _accum(a, out.grad / a.data)
 
     return _make(np.log(a.data), (a,), backward, "log")
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * out.data)
-
-    return _make(np.exp(a.data), (a,), backward, "exp")
 
 
 def softplus(a) -> Tensor:

@@ -17,6 +17,11 @@ JSONL invalidates it (mtime and size are never trusted); the next read parses
 the file and rewrites the sidecar if the directory is writable. Deleting a
 sidecar is always safe.
 
+`finetune` trains one adapter per `train.finetune_domains` selector on the
+train rows it selects (`period=*` expands to one selector per period in the
+data), and runs the frozen backbone once per selected row, however many
+selectors share it.
+
 `eval`, `finetune` and `serve` start from the saved arrays: the model (and
 each stored adapter) is built without drawing an init, its parameters left
 zero, and `restore` copies each checkpoint array into it once. A restored
@@ -41,7 +46,7 @@ from .datagen import filter_by_domain, read_jsonl  # noqa: F401
 from .evals import MetricError, SplitPass, report_from_scores
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
-from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, finetune_datasets, write_rows
+from .experiments import EXPERIMENT_KINDS, ExperimentError, expand_domain_selectors, experiment_rows, write_rows
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
@@ -167,8 +172,8 @@ def cmd_finetune(args) -> int:
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, cfg)
     model, _ = _restore_backbone(cfg, ckpt)
-    datasets = finetune_datasets(cfg, train)
-    result = finetune_all(model, datasets, cfg.feature_space(), cfg.train_config(), cfg.iak_config())
+    selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
+    result = finetune_all(model, train, selectors, cfg.train_config(), cfg.iak_config())
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
     params = dict(model.named_parameters())

@@ -9,10 +9,10 @@ and period are drawn per record, region is fixed per user.
 A `Dataset` holds records as int64 numpy columns (timestamp, user, item,
 scene, region, period, an (N, F) features block padded with -1, click and
 purchase), in file order. Splits, windows and domain selections are row
-masks over it. `InteractionRecord` is the row form at the JSONL boundary:
-the parser validates records, and indexing or iterating a `Dataset` yields
-them. `read_dataset` parses a JSONL file at most once per content, keeping
-its columns in a digest-checked sidecar beside it.
+masks or positions over it. `InteractionRecord` is the row form at the
+JSONL boundary: the parser validates records, and indexing or iterating a
+`Dataset` yields them. `read_dataset` parses a JSONL file at most once per
+content, keeping its columns in a digest-checked sidecar beside it.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class Dataset:
             click=col([r.click for r in records]),
             purchase=col([r.purchase for r in records]),
         )
-
-    @classmethod
-    def concat(cls, parts: list[Dataset]) -> Dataset:
-        return cls(**{c: np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS})
 
     def columns(self) -> dict[str, np.ndarray]:
         return {c: getattr(self, c) for c in COLUMNS}
@@ -569,20 +565,10 @@ def domain_rows(dataset: Dataset, selector: dict[str, int]) -> np.ndarray:
     return np.flatnonzero(domain_mask(dataset, selector))
 
 
-def domain_datasets(dataset: Dataset, selectors: dict[str, dict[str, int]]) -> dict[str, Dataset]:
-    """Each selector's rows, keyed like `selectors`; selectors that match
-    no row are left out."""
-    out = {}
-    for key, selector in selectors.items():
-        mask = domain_mask(dataset, selector)
-        if mask.any():
-            out[key] = dataset.take(mask)
-    return out
-
-
-def window_by_days(dataset: Dataset, window_days: int) -> Dataset:
-    """Keep only rows from the last `window_days` whole days of the set."""
-    if window_days <= 0 or not dataset:
-        return dataset
-    day = dataset.timestamp // SECONDS_PER_DAY
-    return dataset.take(day >= int(day.max()) - window_days + 1)
+def window_by_days(dataset: Dataset, rows: np.ndarray, window_days: int) -> np.ndarray:
+    """The positions among `rows` that fall in the last `window_days` whole
+    days of those rows; all of them for a window of 0 or less."""
+    if window_days <= 0 or not len(rows):
+        return rows
+    day = dataset.timestamp[rows] // SECONDS_PER_DAY
+    return rows[day >= int(day.max()) - window_days + 1]

@@ -33,16 +33,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig
-from .datagen import (
-    Dataset,
-    DatasetError,
-    domain_datasets,
-    domain_key,
-    domain_topic,
-    generate,
-    parse_domain_key,
-    split_chronological,
-)
+from .datagen import Dataset, domain_key, domain_topic, generate, parse_domain_key, split_chronological
 from .evals import SplitPass, encoder_mi, report_from_scores, score_label_decile_kl
 from .models import FeatureSpace, MultiTaskModel, build_model, encode_records
 from .trainer import finetune_all, pretrain
@@ -124,15 +115,6 @@ def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict
     return out
 
 
-def finetune_datasets(cfg: RunConfig, train: Dataset) -> dict[str, Dataset]:
-    """The training rows of each `train.finetune_domains` selector that has
-    any: what `iakrec finetune` trains one adapter on each of."""
-    datasets = domain_datasets(train, expand_domain_selectors(cfg.get_list("train.finetune_domains"), train))
-    if not datasets:
-        raise DatasetError("no records match train.finetune_domains")
-    return datasets
-
-
 # (label, --set overrides to fine-tune under, or None for the zero-shot backbone)
 Condition = tuple[str, dict[str, str] | None]
 
@@ -200,8 +182,8 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
                     domains = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
                 else:
                     run = RunConfig(cfg.values, {**overrides, "model.kind": model_kind, "train.seed": str(seed)})
-                    datasets = finetune_datasets(run, train)
-                    adapters = finetune_all(backbone, datasets, ctx.space(), run.train_config(), run.iak_config()).adapters
+                    selectors = expand_domain_selectors(run.get_list("train.finetune_domains"), train)
+                    adapters = finetune_all(backbone, train, selectors, run.train_config(), run.iak_config()).adapters
                     domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
                 for key, idx, sub in split.slices(domains):
                     p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
@@ -261,8 +243,3 @@ def write_rows(kind: str, rows: list[Row], outdir: Path) -> Path:
                  _fmt(r.encoder_mi), _fmt(r.score_label_kl))
             )
     return path
-
-
-def run_experiment(kind: str, cfg: RunConfig, outdir: Path, workdir: Path) -> Path:
-    """Run one experiment kind; returns the CSV path it wrote."""
-    return write_rows(kind, experiment_rows(kind, cfg, workdir), outdir)

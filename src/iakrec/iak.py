@@ -246,8 +246,9 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset, chunk: int = 4096) 
     """Representation and pre-sigmoid head logits of a frozen backbone over a
     fitted dataset, computed `chunk` rows at a time. This is the one
     backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
-    these, so computing them once per domain avoids re-running the backbone
-    every epoch."""
+    these, so computing them once per train row, over the union of every
+    domain's rows, avoids re-running the backbone every epoch or for a row
+    that two domains share."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))

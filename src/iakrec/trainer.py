@@ -2,9 +2,13 @@
 fine-tune one adapter per target domain with batch-aware dynamic learning
 rates and optional weighted cross-domain mixing.
 
-Jointly fine-tuned adapters train as one `iak.AdapterBank`: each shared
-batch is grouped by domain and taken in one bank step, one autodiff graph
-for all of its adapters, each at its own dynamic rate."""
+A fine-tune domain is a set of row positions in the train split. The frozen
+backbone runs once over the union of every domain's rows, so a row that two
+overlapping domains select (a period and a scene) is encoded and passed
+through the backbone once. Jointly fine-tuned adapters train as one
+`iak.AdapterBank`: each shared batch is grouped by domain and taken in one
+bank step, one autodiff graph for all of its adapters, each at its own
+dynamic rate."""
 
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdagradDecayState
-from .datagen import Dataset, domain_mask, parse_domain_key, window_by_days
+from .datagen import Dataset, domain_key, domain_rows, parse_domain_key, window_by_days
 from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from .models import FeatureSpace, MultiTaskModel, encode_records, task_bce
+from .models import MultiTaskModel, encode_records, task_bce
 
 GRAD_NORM_FLOOR = 1e-8
 SATURATION_LEVEL = 0.99  # max softmax share above this with >1 active domain
@@ -148,150 +152,130 @@ class FinetuneResult:
     curve: list[FinetuneRow]
 
 
+# representation, head logits, click and purchase of each cached row
+Cache = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def mix_domains(
-    primary_dataset: Dataset,
-    aux_datasets: dict[str, Dataset],
+    positions: dict[str, np.ndarray],
     weights: dict[str, float],
     rng: np.random.Generator,
-    primary_key: str,
     n_slots: int,
-) -> Dataset:
-    """A stream of `n_slots` rows: each slot is filled from domain d with
-    probability weights[d], drawing without replacement until a domain's
-    rows run out, then reshuffling that domain for its next epoch."""
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-9:
-        raise TrainerError(f"mixing weights must sum to 1, got {total}")
-    pools = {primary_key: primary_dataset}
-    pools.update(aux_datasets)
-    for key in weights:
-        if key not in pools:
-            raise TrainerError(f"mixing weight for unknown domain {key!r}")
+) -> np.ndarray:
+    """A stream of `n_slots` row positions: each slot is filled from domain d
+    with probability weights[d], drawing d's `positions` without replacement
+    until they run out, then reshuffling them for d's next epoch."""
     keys = sorted(weights)
     probs = np.array([weights[k] for k in keys])
-    offsets = np.cumsum([0] + [len(pools[k]) for k in keys])
     queues: list[list[int]] = [[] for _ in keys]
     picks = np.empty(n_slots, dtype=np.int64)
     for slot in range(n_slots):
         ki = rng.choice(len(keys), p=probs)
         if not queues[ki]:
-            queues[ki] = list(rng.permutation(len(pools[keys[ki]])))
-        picks[slot] = offsets[ki] + queues[ki].pop()
-    return Dataset.concat([pools[k] for k in keys]).take(picks)
+            pool = positions[keys[ki]]
+            queues[ki] = list(pool[rng.permutation(len(pool))])
+        picks[slot] = queues[ki].pop()
+    return picks
 
 
 def finetune_all(
     backbone: MultiTaskModel,
-    domain_datasets: dict[str, Dataset],
-    space: FeatureSpace,
+    train: Dataset,
+    selectors: dict[str, dict[str, int]],
     config: TrainConfig,
     iak_config: IAKConfig,
 ) -> FinetuneResult:
-    """Fine-tune one adapter per domain on a frozen backbone.
+    """Fine-tune one adapter per domain selector on a frozen backbone.
 
-    Every domain dataset must hold only records of its key's domain. The
-    domains are shuffled into shared batches, and their adapters form one
-    bank: each batch is one bank step, in which every adapter with rows in
-    the batch steps on its own rows at its dynamic learning rate, exactly
+    A domain is the set of `train` rows its selector matches, cut to the
+    last `finetune_window_days` days of those rows; a selector that matches
+    no row is left out, and each adapter is keyed by its selector's
+    `domain_key`. Domains may overlap (a row sits in one period and one
+    scene at once), but the backbone runs once over the union of the
+    selected rows, and every domain reads that cache by position.
+
+    The domains are shuffled into shared batches, and their adapters form
+    one bank: each batch is one bank step, in which every adapter with rows
+    in the batch steps on its own rows at its dynamic learning rate, exactly
     as it would alone; a single domain therefore trains at the base rate.
     With lr_norms="uniform" (default) the rate softmax sees only batch
     sample counts, so each adapter stays bit-independent of other domains'
     labels; "previous" feeds last-step gradient magnitudes in, which couples
     the shares (the softmax can then saturate; saturation is flagged in the
-    curve rows). A mixing map
+    curve rows). A mixing map, whose every key must be a selected domain,
     reroutes the highest-weighted (primary) domain's stream through
     weighted cross-domain sampling; that stream is then shuffled into
-    batches like any one-domain dataset and trained at the base rate."""
+    batches like any one-domain stream and trained at the base rate."""
     config.validate()
     iak_config.validate()
-    if not domain_datasets:
-        raise TrainerError("no domain datasets given")
-    for key, rows in domain_datasets.items():
-        if not rows:
-            raise TrainerError(f"domain dataset {key!r} is empty")
-        if not domain_mask(rows, parse_domain_key(key)).all():
-            raise TrainerError(f"domain dataset {key!r} holds records of other domains; mix domains with `mixing`")
+    selected = {}
+    for selector in selectors.values():
+        rows = domain_rows(train, selector)
+        if len(rows):
+            selected[domain_key(selector)] = window_by_days(train, rows, config.finetune_window_days)
+    if not selected:
+        raise TrainerError("no records match train.finetune_domains")
+    missing = sorted(set(config.mixing) - set(selected))
+    if missing:
+        raise TrainerError(f"mixing references domains without rows: {missing}")
     backbone.set_trainable(False)
 
-    windowed = {
-        key: window_by_days(rows, config.finetune_window_days)
-        for key, rows in sorted(domain_datasets.items())
-    }
-    for key, rows in windowed.items():
-        if not rows:
-            raise TrainerError(f"window of {config.finetune_window_days} days leaves {key!r} empty")
+    union = np.unique(np.concatenate(list(selected.values())))
+    encoded = encode_records(train.take(union), backbone.space)
+    cache = (*backbone_cache(backbone, encoded), encoded.click, encoded.purchase)
+    positions = {key: np.searchsorted(union, selected[key]) for key in sorted(selected)}
 
-    seeds = np.random.SeedSequence([config.seed, 0xF17E]).spawn(len(windowed) + 1)
+    seeds = np.random.SeedSequence([config.seed, 0xF17E]).spawn(len(positions) + 1)
     adapters = {
         key: IAKAdapter(backbone.rep_dim, backbone.n_heads, iak_config, parse_domain_key(key),
                         seed=int(s.generate_state(1)[0]))
-        for (key, s) in zip(windowed, seeds[:-1])
+        for (key, s) in zip(positions, seeds[:-1])
     }
     shared_rng = np.random.default_rng(seeds[-1])
-    curve: list[FinetuneRow] = []
 
     mixing_primary = max(config.mixing, key=lambda k: config.mixing[k]) if config.mixing else None
-    if mixing_primary is not None and mixing_primary not in adapters:
-        raise TrainerError(f"mixing primary {mixing_primary!r} has no dataset")
-
-    plain_keys = [k for k in windowed if k != mixing_primary]
-
-    if plain_keys:
-        curve.extend(
-            _finetune_joint(backbone, {k: windowed[k] for k in plain_keys}, adapters, space, config, iak_config, shared_rng)
-        )
-
+    plain = {k: v for k, v in positions.items() if k != mixing_primary}
+    curve = _finetune_joint(backbone, cache, plain, adapters, config, iak_config, shared_rng) if plain else []
     if mixing_primary is not None:
-        aux = {k: v for k, v in windowed.items() if k != mixing_primary and k in config.mixing}
-        missing = [k for k in config.mixing if k != mixing_primary and k not in windowed]
-        if missing:
-            raise TrainerError(f"mixing references domains without datasets: {missing}")
-        stream = mix_domains(windowed[mixing_primary], aux, config.mixing, shared_rng, mixing_primary,
-                             config.epochs * len(windowed[mixing_primary]))
-        curve.extend(
-            _finetune_joint(  # the stream already spans every epoch
-                backbone, {mixing_primary: stream}, adapters, space,
-                replace(config, epochs=1), iak_config, shared_rng, start_step=len(curve),
-            )
+        stream = mix_domains(positions, config.mixing, shared_rng, config.epochs * len(positions[mixing_primary]))
+        curve += _finetune_joint(  # the stream already spans every epoch
+            backbone, cache, {mixing_primary: stream}, adapters,
+            replace(config, epochs=1), iak_config, shared_rng, start_step=len(curve),
         )
-
     return FinetuneResult(adapters, curve)
 
 
 def _finetune_joint(
     backbone: MultiTaskModel,
-    datasets: dict[str, Dataset],
+    cache: Cache,
+    positions: dict[str, np.ndarray],
     adapters: dict[str, IAKAdapter],
-    space: FeatureSpace,
     config: TrainConfig,
     iak_config: IAKConfig,
     rng: np.random.Generator,
     start_step: int = 0,
 ) -> list[FinetuneRow]:
-    """Train `datasets`' adapters on shared shuffled batches at their dynamic
+    """Train `positions`' adapters on shared shuffled batches at their dynamic
     rates (exactly the base rate on one key), counting steps on from
-    `start_step`. The adapters form one bank; each batch is one bank step
-    over its rows grouped by domain."""
-    keys = sorted(datasets)
-    encoded = [encode_records(datasets[k], space) for k in keys]
-    cached = [backbone_cache(backbone, enc) for enc in encoded]
-    # the joint stream is the shuffled union of every domain's rows, held
-    # concatenated in key order; domain_of tags each row
-    rep = np.concatenate([r for r, _ in cached])
-    base = np.concatenate([b for _, b in cached])
-    click = np.concatenate([enc.click for enc in encoded])
-    purchase = np.concatenate([enc.purchase for enc in encoded])
-    domain_of = np.repeat(np.arange(len(keys)), [len(enc) for enc in encoded])
+    `start_step`. `positions[key]` are the `cache` rows of key's stream. The
+    adapters form one bank; each batch is one bank step over its rows
+    grouped by domain."""
+    keys = sorted(positions)
+    # the joint stream is every domain's positions in key order; domain_of
+    # tags each entry, so a row of two domains is in the stream twice
+    stream = np.concatenate([positions[k] for k in keys])
+    domain_of = np.repeat(np.arange(len(keys)), [len(positions[k]) for k in keys])
+    rep, base, click, purchase = cache
     bank = AdapterBank([adapters[k] for k in keys], config.adagrad_decay, config.adagrad_epsilon)
     prev_norms = np.ones(len(keys))
     rows: list[FinetuneRow] = []
     step = start_step
     weights = backbone.config.loss_weights
-    for sel in _batch_indices(len(domain_of), config.batch_size, config.epochs, rng):
+    for sel in _batch_indices(len(stream), config.batch_size, config.epochs, rng):
         # group the batch by domain, each domain's rows kept in batch order
         tags = domain_of[sel]
         counts = np.bincount(tags, minlength=len(keys))
-        grouped = sel[np.argsort(tags, kind="stable")]
+        grouped = stream[sel[np.argsort(tags, kind="stable")]]
         offsets = np.concatenate(([0], np.cumsum(counts)))
         n_b = counts.astype(np.float64)
         lr_hat = dynamic_lr(n_b, prev_norms, config.base_lr)

@@ -8,8 +8,7 @@ import numpy as np
 
 from iakrec import autodiff as ad
 from iakrec.autodiff import Tensor
-from iakrec.iak import adapted_prediction, backbone_cache, ib_loss
-from iakrec.models import encode_records
+from iakrec.iak import adapted_prediction, ib_loss
 from iakrec.trainer import SATURATION_LEVEL, FinetuneRow, _batch_indices, dynamic_lr
 
 
@@ -31,16 +30,17 @@ def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_sta
     return float(loss.data), gnorm
 
 
-def reference_joint(backbone, datasets, adapters, space, config, iak_config, rng, start_step=0) -> list[FinetuneRow]:
-    """Drop-in for `trainer._finetune_joint`: the same shuffled joint batches
-    and dynamic rates, but each domain's rows are masked out of the batch and
-    stepped through `reference_step` on their own."""
-    keys = sorted(datasets)
-    encoded = {k: encode_records(datasets[k], space) for k in keys}
-    cached = {k: backbone_cache(backbone, encoded[k]) for k in keys}
+def reference_joint(backbone, cache, positions, adapters, config, iak_config, rng, start_step=0) -> list[FinetuneRow]:
+    """Drop-in for `trainer._finetune_joint`: the same backbone cache, row
+    positions, shuffled joint batches and dynamic rates, but each domain's
+    rows are masked out of the batch and stepped through `reference_step` on
+    their own."""
+    keys = sorted(positions)
+    rep, base, click, purchase = cache
     opts = {k: ad.AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon) for k in keys}
+    # (domain, cache row) of every stream entry, domains in key order
     tagged = np.concatenate([
-        np.stack([np.full(len(encoded[k]), ki), np.arange(len(encoded[k]))], axis=1)
+        np.stack([np.full(len(positions[k]), ki), positions[k]], axis=1)
         for ki, k in enumerate(keys)
     ])
     prev_norms = np.ones(len(keys))
@@ -58,9 +58,8 @@ def reference_joint(backbone, datasets, adapters, space, config, iak_config, rng
             if n_b[ki] == 0 or lr_hat[ki] == 0.0:
                 continue
             idx = batch_tags[batch_tags[:, 0] == ki][:, 1]
-            rep, base = cached[k]
             loss, gnorm = reference_step(
-                backbone, adapters[k], rep[idx], base[idx], encoded[k].click[idx], encoded[k].purchase[idx],
+                backbone, adapters[k], rep[idx], base[idx], click[idx], purchase[idx],
                 opts[k], float(lr_hat[ki]), iak_config.beta, weights=weights,
             )
             new_norms[ki] = gnorm

@@ -218,7 +218,7 @@ def test_individual_op_gradients(op):
             return ad.reduce_sum(ad.softplus(w))
         if op == "square":
             return ad.reduce_mean(ad.square(w))
-        return ad.mul(ad.reduce_mean(ad.exp(ad.mul(w, 0.3))), 2.0)
+        return ad.mul(ad.reduce_mean(ad.sigmoid(ad.mul(w, 0.3))), 2.0)
 
     rng2 = rng.normal(size=(4, 3))
     ad.zero_grads([w])
@@ -384,7 +384,6 @@ PRIMITIVES = {
     "leaky_relu": ad.leaky_relu,
     "softmax": ad.softmax,
     "log": ad.log,
-    "exp": ad.exp,
     "softplus": ad.softplus,
     "square": ad.square,
     "clip": lambda x: ad.clip(x, -1.0, 1.0),
@@ -406,7 +405,7 @@ def test_the_primitive_table_covers_every_op():
 
 # (op, input value) pairs whose output is finite: the op saturates there
 SATURATES = {("sigmoid", np.inf), ("sigmoid", -np.inf), ("clip", np.inf), ("clip", -np.inf),
-             ("exp", -np.inf), ("softplus", -np.inf), ("softmax", -np.inf)}
+             ("softplus", -np.inf), ("softmax", -np.inf)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

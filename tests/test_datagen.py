@@ -14,7 +14,6 @@ from iakrec.datagen import (
     GeneratorConfig,
     InteractionRecord,
     SECONDS_PER_DAY,
-    domain_datasets,
     domain_rows,
     filter_by_domain,
     generate,
@@ -176,7 +175,7 @@ class TestSplit:
     def test_partitions_are_disjoint_exhaustive_ordered(self):
         recs = self._uniform_days(5)
         train, test = split_chronological(recs, (3, 2))
-        assert Dataset.concat([train, test]) == recs
+        assert train == recs[:len(train)] and test == recs[len(train):]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError):
@@ -310,10 +309,14 @@ class TestJsonl:
 
 def test_window_by_days():
     data = generate(_config(seed=14, n_days=6))
-    win = window_by_days(data, 2)
+    rows = np.arange(len(data))
+    win = data.take(window_by_days(data, rows, 2))
     days = {r.timestamp // SECONDS_PER_DAY for r in win}
     assert days == {4, 5}
-    assert window_by_days(data, 0) == data
+    assert np.array_equal(window_by_days(data, rows, 0), rows)
+    # a selection is windowed on its own last days
+    early = rows[data.timestamp < 3 * SECONDS_PER_DAY]
+    assert set(data.timestamp[window_by_days(data, early, 1)] // SECONDS_PER_DAY) == {2}
 
 
 class TestSidecar:
@@ -508,12 +511,13 @@ def test_column_ops_equal_record_reference(records, sort, ratio, window, selecto
         for got_part, want_part in zip(split_chronological(data, ratio), want):
             _assert_same(got_part, want_part, width)
 
-    _assert_same(window_by_days(data, window), records_reference.window_by_days(records, window), width)
     _assert_same(filter_by_domain(data, selector), records_reference.filter_by_domain(records, selector), width)
     got_rows, want_rows = domain_rows(data, selector), records_reference.domain_rows(records, selector)
     assert got_rows.dtype == want_rows.dtype and np.array_equal(got_rows, want_rows)
-    split = domain_datasets(data, {"a": selector, "b": {"scene": 9}})
-    assert list(split) == (["a"] if len(want_rows) else [])
+    _assert_same(data.take(window_by_days(data, np.arange(len(data)), window)),
+                 records_reference.window_by_days(records, window), width)
+    _assert_same(data.take(window_by_days(data, got_rows, window)),
+                 records_reference.window_by_days(records_reference.filter_by_domain(records, selector), window), width)
 
     space = FeatureSpace(n_users=4, n_items=40, n_scenes=3, n_regions=3, n_periods=3,
                          n_feature_cols=n_feature_cols)

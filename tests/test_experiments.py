@@ -7,7 +7,7 @@ import pytest
 from iakrec import experiments
 from iakrec.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
-from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentContext, run_experiment
+from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentContext, experiment_rows, write_rows
 from iakrec.models import MODEL_KINDS
 
 TINY = {
@@ -46,6 +46,11 @@ EXPECTED = {
 }
 
 
+def _run(kind, cfg, outdir, workdir):
+    """What `iakrec experiment` writes: the kind's CSV under `outdir`."""
+    return write_rows(kind, experiment_rows(kind, cfg, workdir), outdir)
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     """Each kind run twice in one workdir: the second run reloads the cached
@@ -53,7 +58,7 @@ def reports(tmp_path_factory):
     out = {}
     for kind in EXPERIMENT_KINDS:
         work = tmp_path_factory.mktemp(kind)
-        paths = [run_experiment(kind, RunConfig(TINY), work / f"run{i}", work) for i in range(2)]
+        paths = [_run(kind, RunConfig(TINY), work / f"run{i}", work) for i in range(2)]
         out[kind] = [p.read_bytes() for p in paths]
     return out
 
@@ -118,7 +123,7 @@ def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
             return forward(self, batch)
         monkeypatch.setattr(cls, "forward_full", counted)
     cfg = RunConfig(TINY)
-    run_experiment(kind, cfg, tmp_path / "run", tmp_path)
+    _run(kind, cfg, tmp_path / "run", tmp_path)
     _, test = ExperimentContext(cfg, tmp_path).dataset()
     backbones = len(cfg.get_list("eval.baseline_kinds")) if kind == "baseline_compare" else 1
     assert scored == [len(test)] * backbones * len(SEEDS)
@@ -128,7 +133,7 @@ def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
                                        ("beta_sweep", "eval.betas")])
 def test_bad_grid_fails_before_pretraining(kind, key, tmp_path):
     with pytest.raises(ConfigError, match=key):
-        run_experiment(kind, RunConfig({**TINY, key: "1,x"}), tmp_path / "run", tmp_path)
+        _run(kind, RunConfig({**TINY, key: "1,x"}), tmp_path / "run", tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -206,4 +211,4 @@ def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
 
 def test_overlap_reads_a_domain_key_however_it_is_spelled(tmp_path, reports):
     odd = {**TINY, "eval.overlap_primary": "period=00", "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
-    assert run_experiment("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]
+    assert _run("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]

@@ -21,7 +21,7 @@ from iakrec.iak import (
     ib_loss,
 )
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
-from iakrec.trainer import TrainConfig, TrainerError, finetune_all, model_digest
+from iakrec.trainer import TrainConfig, finetune_all, model_digest
 from iakrec.datagen import Dataset, InteractionRecord
 
 from adapter_reference import reference_step
@@ -310,8 +310,8 @@ class TestIBLoss:
         adapter = _adapter(backbone, d_e=3, decoder_hidden=(4,))
         batch = _batch(5, seed=2)
         out = backbone.forward_full(batch)
-        rep = out.representation.detach()
-        base_logits = out.logits.detach()
+        rep = ad.Tensor(out.representation.data)
+        base_logits = ad.Tensor(out.logits.data)
         params = adapter.parameters()
         noise = adapter.encoder.draw_noise(np.random.default_rng(77))  # fixed eps across evals
 
@@ -341,14 +341,12 @@ class TestFinetuneStep:
         with pytest.raises(AdapterError):
             backbone_cache(backbone, _batch())
 
-    def test_rejects_cross_domain_batch_unless_mixed(self):
+    def test_mixed_primary_trains_on_another_domains_rows(self):
         backbone = _backbone()
-        config = TrainConfig(batch_size=4, seed=0)
-        with pytest.raises(TrainerError, match="mixing"):
-            finetune_all(backbone, {"period=2": _records(period=1)}, SPACE, config, IAKConfig(d_e=4))
-        datasets = {"period=2": _records(period=2), "period=1": _records(period=1)}
+        train = Dataset.from_records([*_records(period=2), *_records(period=1)])
+        selectors = {"period=2": {"period": 2}, "period=1": {"period": 1}}
         mixed = TrainConfig(batch_size=4, seed=0, mixing={"period=2": 0.6, "period=1": 0.4})
-        res = finetune_all(backbone, datasets, SPACE, mixed, IAKConfig(d_e=4))
+        res = finetune_all(backbone, train, selectors, mixed, IAKConfig(d_e=4))
         assert any(row.domain == "period=2" for row in res.curve)
 
     def test_loss_decreases_on_separable_toy_domain(self):

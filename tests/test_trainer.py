@@ -11,11 +11,13 @@ from iakrec.datagen import (
     DatasetError,
     GeneratorConfig,
     domain_key,
+    domain_rows,
     filter_by_domain,
     generate,
     make_domains,
     parse_domain_key,
 )
+from iakrec.experiments import expand_domain_selectors
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records, task_bce
 from iakrec.trainer import (
@@ -199,83 +201,65 @@ class TestDynamicLR:
 class TestMixDomains:
     def _pools(self, n=400, seed=0):
         data = _dataset(seed=seed)
-        a = filter_by_domain(data, {"scene": 0})[:n]
-        b = filter_by_domain(data, {"scene": 1})[:n]
-        return a, b
+        return data, {"scene=0": domain_rows(data, {"scene": 0})[:n], "scene=1": domain_rows(data, {"scene": 1})[:n]}
 
     def test_pure_primary_is_identity_set(self):
-        a, _ = self._pools()
-        stream = mix_domains(a, {}, {"scene=0": 1.0}, np.random.default_rng(0), "scene=0", len(a))
-        assert sorted(r.timestamp for r in stream) == sorted(r.timestamp for r in a)
+        _, pools = self._pools()
+        stream = mix_domains(pools, {"scene=0": 1.0}, np.random.default_rng(0), len(pools["scene=0"]))
+        np.testing.assert_array_equal(np.sort(stream), pools["scene=0"])
 
     def test_mixture_fraction_within_3_sigma(self):
-        a, b = self._pools()
+        data, pools = self._pools()
         n = 10**5
-        stream = mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.3}, np.random.default_rng(1), "scene=0", n)
-        from_b = int(np.sum(stream.scene == 1))
+        stream = mix_domains(pools, {"scene=0": 0.7, "scene=1": 0.3}, np.random.default_rng(1), n)
+        from_b = int(np.sum(data.scene[stream] == 1))
         assert 0.29 <= from_b / n <= 0.31
 
     def test_same_seed_same_stream(self):
-        a, b = self._pools()
-        runs = []
-        for _ in range(2):
-            stream = mix_domains(a, {"scene=1": b}, {"scene=0": 0.6, "scene=1": 0.4}, np.random.default_rng(7), "scene=0",
-                                 500)
-            runs.append([(r.timestamp, r.user_id) for r in stream])
-        assert runs[0] == runs[1]
+        _, pools = self._pools()
+        runs = [mix_domains(pools, {"scene=0": 0.6, "scene=1": 0.4}, np.random.default_rng(7), 500) for _ in range(2)]
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_stream_equals_record_reference(self):
-        a, b = self._pools(n=50)
+        data, pools = self._pools(n=50)
         weights = {"scene=0": 0.6, "scene=1": 0.4}
-        got = mix_domains(a, {"scene=1": b}, weights, np.random.default_rng(3), "scene=0", 400)
-        ref = records_reference.mix_domains(list(a), {"scene=1": list(b)}, weights, np.random.default_rng(3), "scene=0")
+        got = data.take(mix_domains(pools, weights, np.random.default_rng(3), 400))
+        ref = records_reference.mix_domains(list(data.take(pools["scene=0"])), {"scene=1": list(data.take(pools["scene=1"]))},
+                                            weights, np.random.default_rng(3), "scene=0")
         assert list(got) == [next(ref) for _ in range(400)]
 
-    def test_unknown_domain_weight_rejected(self):
-        a, b = self._pools()
-        with pytest.raises(TrainerError):
-            mix_domains(a, {"scene=1": b}, {"scene=9": 1.0}, np.random.default_rng(0), "scene=0", 1)
 
-    def test_weights_must_sum_to_one(self):
-        a, b = self._pools()
-        with pytest.raises(TrainerError):
-            mix_domains(a, {"scene=1": b}, {"scene=0": 0.7, "scene=1": 0.7}, np.random.default_rng(0), "scene=0", 1)
+SCENES = {"scene=0": {"scene": 0}, "scene=1": {"scene": 1}}
 
 
 class TestFinetuneAll:
-    def _domains(self, data):
-        return {
-            "scene=0": filter_by_domain(data, {"scene": 0}),
-            "scene=1": filter_by_domain(data, {"scene": 1}),
-        }
-
     def test_backbone_frozen_throughout(self):
         data = _dataset()
         model = _backbone()
         pretrain(model, data, TrainConfig(batch_size=512, seed=0))
         digest = model_digest(model.named_parameters())
-        finetune_all(model, self._domains(data), SPACE, TrainConfig(batch_size=256, seed=1), IAKConfig(d_e=6))
+        finetune_all(model, data, SCENES, TrainConfig(batch_size=256, seed=1), IAKConfig(d_e=6))
         assert model_digest(model.named_parameters()) == digest
 
     def test_emits_one_adapter_per_domain(self):
         data = _dataset()
         model = _backbone()
-        res = finetune_all(model, self._domains(data), SPACE, TrainConfig(batch_size=256, seed=1), IAKConfig(d_e=6))
+        res = finetune_all(model, data, SCENES, TrainConfig(batch_size=256, seed=1), IAKConfig(d_e=6))
         assert sorted(res.adapters) == ["scene=0", "scene=1"]
 
     def test_adapter_independent_of_other_domains_data(self):
         data = _dataset()
         model = _backbone()
-        domains = self._domains(data)
 
         def run(flip_b):
             m = _backbone()
             m.restore(model.named_parameters())
-            ds = dict(domains)
+            train = data
             if flip_b:
-                b = ds["scene=1"]
-                ds["scene=1"] = dataclasses.replace(b, click=1 - b.click, purchase=np.zeros_like(b.purchase))
-            res = finetune_all(m, ds, SPACE, TrainConfig(batch_size=256, seed=3), IAKConfig(d_e=6))
+                b = data.scene == 1
+                train = dataclasses.replace(data, click=np.where(b, 1 - data.click, data.click),
+                                            purchase=np.where(b, 0, data.purchase))
+            res = finetune_all(m, train, SCENES, TrainConfig(batch_size=256, seed=3), IAKConfig(d_e=6))
             return model_digest(res.adapters["scene=0"].named_parameters())
 
         assert run(False) == run(True)
@@ -287,7 +271,7 @@ class TestFinetuneAll:
         model = _backbone()
         records = filter_by_domain(data, {"scene": 0})
         config, iak_config = TrainConfig(batch_size=256, epochs=2, seed=4), IAKConfig(d_e=6)
-        res = finetune_all(model, {"scene=0": records}, SPACE, config, iak_config)
+        res = finetune_all(model, data, {"scene=0": {"scene": 0}}, config, iak_config)
 
         adapter_seed, order_seed = np.random.SeedSequence([config.seed, 0xF17E]).spawn(2)
         adapter = IAKAdapter(model.rep_dim, model.n_heads, iak_config, {"scene": 0},
@@ -308,8 +292,7 @@ class TestFinetuneAll:
     def test_masked_domain_receives_no_update(self):
         data = _dataset()
         model = _backbone()
-        domains = self._domains(data)
-        res = finetune_all(model, domains, SPACE, TrainConfig(batch_size=64, seed=5), IAKConfig(d_e=6))
+        res = finetune_all(model, data, SCENES, TrainConfig(batch_size=64, seed=5), IAKConfig(d_e=6))
         by_step: dict[int, set] = {}
         for row in res.curve:
             by_step.setdefault(row.step, set()).add(row.domain)
@@ -322,7 +305,7 @@ class TestFinetuneAll:
         def run():
             model = _backbone(seed=9)
             pretrain(model, data, TrainConfig(batch_size=512, seed=9))
-            res = finetune_all(model, self._domains(data), SPACE, TrainConfig(batch_size=256, seed=9), IAKConfig(d_e=6))
+            res = finetune_all(model, data, SCENES, TrainConfig(batch_size=256, seed=9), IAKConfig(d_e=6))
             return model_digest(
                 {k: v for a in res.adapters.values() for k, v in a.named_parameters().items()}
             )
@@ -331,23 +314,52 @@ class TestFinetuneAll:
 
     def test_missing_domain_dataset_rejected(self):
         model = _backbone()
-        with pytest.raises(TrainerError):
-            finetune_all(model, {"scene=0": []}, SPACE, TrainConfig(), IAKConfig())
+        with pytest.raises(TrainerError, match="no records match train.finetune_domains"):
+            finetune_all(model, _dataset(), {"scene=7": {"scene": 7}}, TrainConfig(), IAKConfig())
+
+    def test_selector_without_rows_is_left_out(self):
+        data = _dataset()
+        res = finetune_all(_backbone(), data, {**SCENES, "scene=7": {"scene": 7}}, TrainConfig(batch_size=256, seed=1),
+                           IAKConfig(d_e=6))
+        assert sorted(res.adapters) == ["scene=0", "scene=1"]
+
+    def test_overlapping_selectors_pass_each_row_to_the_backbone_once(self, monkeypatch):
+        data = _dataset()
+        selectors = expand_domain_selectors(["period=*", "scene=*"], data)
+        # every row sits in one period and one scene
+        assert sum(len(domain_rows(data, s)) for s in selectors.values()) == 2 * len(data)
+        seen = []
+
+        def cache(backbone, batch):
+            seen.append(batch)
+            return backbone_cache(backbone, batch)
+
+        monkeypatch.setattr(trainer, "backbone_cache", cache)
+        res = finetune_all(_backbone(), data, selectors, TrainConfig(batch_size=256, seed=1), IAKConfig(d_e=6))
+        assert sorted(res.adapters) == ["period=0", "period=1", "scene=0", "scene=1"]
+        assert len(seen) == 1 and seen[0] == encode_records(data, SPACE)
+
+    def test_mixing_key_without_rows_fails_before_any_step(self, monkeypatch):
+        data = _dataset()
+        steps = []
+        monkeypatch.setattr(trainer, "adapter_step_cached", lambda *a, **k: steps.append(a))
+        cfg = TrainConfig(batch_size=256, seed=6, mixing={"period=0": 0.7, "period=2": 0.3})
+        with pytest.raises(TrainerError, match=r"mixing references domains without rows: \['period=2'\]"):
+            finetune_all(_backbone(), data, {"period=0": {"period": 0}, "period=1": {"period": 1}}, cfg, IAKConfig(d_e=6))
+        assert steps == []
 
     def test_window_larger_than_data_rejected(self):
         data = _dataset(n_days=2)
         model = _backbone()
-        domains = self._domains(data)
         cfg = TrainConfig(batch_size=256, finetune_window_days=1, seed=0)
-        res = finetune_all(model, domains, SPACE, cfg, IAKConfig(d_e=6))
+        res = finetune_all(model, data, SCENES, cfg, IAKConfig(d_e=6))
         assert res.adapters  # 1-day window on 2 days of data is fine
 
     def test_mixing_trains_primary_on_mixed_stream(self):
         data = _dataset()
         model = _backbone()
-        domains = self._domains(data)
         cfg = TrainConfig(batch_size=256, seed=6, mixing={"scene=0": 0.7, "scene=1": 0.3})
-        res = finetune_all(model, domains, SPACE, cfg, IAKConfig(d_e=6))
+        res = finetune_all(model, data, SCENES, cfg, IAKConfig(d_e=6))
         assert sorted(res.adapters) == ["scene=0", "scene=1"]
 
     def test_mixing_weights_validated(self):
@@ -360,9 +372,8 @@ class TestFinetuneAll:
         # magnitudes; rows still conserve the share sum per step
         data = _dataset()
         model = _backbone()
-        domains = self._domains(data)
         cfg = TrainConfig(batch_size=128, seed=8, lr_norms="previous")
-        res = finetune_all(model, domains, SPACE, cfg, IAKConfig(d_e=6))
+        res = finetune_all(model, data, SCENES, cfg, IAKConfig(d_e=6))
         by_step: dict[int, float] = {}
         for row in res.curve:
             by_step[row.step] = by_step.get(row.step, 0.0) + row.lr_effective / cfg.base_lr
@@ -387,22 +398,23 @@ def five_domains():
         seed=5,
     )
     data = generate(GeneratorConfig(n_users=90, n_items=40, n_days=3, domains=domains, seed=5, records_per_day=400))
-    out = {key: filter_by_domain(data, parse_domain_key(key)) for key in FIVE}
-    out["period=2"] = out["period=2"][:25]  # rare enough to be absent from most batches
-    return data, out
+    # period 2 keeps 25 rows: rare enough to be absent from most batches
+    dropped = domain_rows(data, {"period": 2})[25:]
+    return data, data.take(np.setdiff1d(np.arange(len(data)), dropped))
 
 
 class TestBankEqualsReference:
     """`finetune_all` against the same run with every adapter stepped alone by
     `adapter_reference.reference_step`: adapters and curve rows bit for bit."""
 
-    def _both(self, monkeypatch, data, datasets, kind, config, iak_config):
+    def _both(self, monkeypatch, data, train, kind, config, iak_config):
         model = build_model(ModelConfig(kind=kind, hidden_sizes=(12, 6)), SPACE5, seed=1)
         pretrain(model, data, TrainConfig(batch_size=512, seed=1))
-        bank = finetune_all(model, datasets, SPACE5, config, iak_config)
+        selectors = {key: parse_domain_key(key) for key in FIVE}
+        bank = finetune_all(model, train, selectors, config, iak_config)
         with monkeypatch.context() as m:
             m.setattr(trainer, "_finetune_joint", reference_joint)
-            ref = finetune_all(model, datasets, SPACE5, config, iak_config)
+            ref = finetune_all(model, train, selectors, config, iak_config)
         return bank, ref
 
     def _assert_equal(self, bank, ref):
@@ -414,24 +426,24 @@ class TestBankEqualsReference:
 
     @pytest.mark.parametrize("kind", ["base", "shared_bottom", "mmoe", "esmm"])
     def test_five_overlapping_domains_two_epochs(self, monkeypatch, five_domains, kind):
-        data, datasets = five_domains
+        data, train = five_domains
         config = TrainConfig(batch_size=96, epochs=2, seed=2, base_lr=0.05)
-        bank, ref = self._both(monkeypatch, data, datasets, kind, config, IAKConfig(d_e=5))
+        bank, ref = self._both(monkeypatch, data, train, kind, config, IAKConfig(d_e=5))
         self._assert_equal(bank, ref)
         steps = {r.step for r in bank.curve}
         rare = {r.step for r in bank.curve if r.domain == "period=2"}
         assert rare and rare < steps  # some batches hold the rare domain, some do not
 
     def test_previous_norms(self, monkeypatch, five_domains):
-        data, datasets = five_domains
+        data, train = five_domains
         config = TrainConfig(batch_size=64, epochs=2, seed=4, base_lr=0.05, lr_norms="previous")
-        bank, ref = self._both(monkeypatch, data, datasets, "base", config,
+        bank, ref = self._both(monkeypatch, data, train, "base", config,
                                IAKConfig(d_e=5, beta=0.01))
         self._assert_equal(bank, ref)
 
     def test_zero_rate_domain_is_skipped(self, monkeypatch, five_domains):
         # a domain with rows in the batch but a zero rate takes no step
-        data, datasets = five_domains
+        data, train = five_domains
 
         def starving(n_b, grad_norms, lam):
             out = dynamic_lr(n_b, grad_norms, lam)
@@ -442,13 +454,13 @@ class TestBankEqualsReference:
         for module in (trainer, adapter_reference):
             monkeypatch.setattr(module, "dynamic_lr", starving)
         config = TrainConfig(batch_size=64, seed=7, base_lr=0.05)
-        bank, ref = self._both(monkeypatch, data, datasets, "base", config, IAKConfig(d_e=5))
+        bank, ref = self._both(monkeypatch, data, train, "base", config, IAKConfig(d_e=5))
         self._assert_equal(bank, ref)
         skipped = {r.step for r in bank.curve} - {r.step for r in bank.curve if r.domain == FIVE[1]}
         assert skipped
 
     def test_mixing(self, monkeypatch, five_domains):
-        data, datasets = five_domains
+        data, train = five_domains
         config = TrainConfig(batch_size=64, seed=6, mixing={"scene=0": 0.6, "period=0": 0.4})
-        bank, ref = self._both(monkeypatch, data, datasets, "esmm", config, IAKConfig(d_e=5, decoder_hidden=()))
+        bank, ref = self._both(monkeypatch, data, train, "esmm", config, IAKConfig(d_e=5, decoder_hidden=()))
         self._assert_equal(bank, ref)
