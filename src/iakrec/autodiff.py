@@ -4,6 +4,13 @@ Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
 gradients. float64 throughout; any NaN/Inf produced by an op is an error.
 
+The ops are the ones the models and adapters run, and each is as coarse as
+its caller allows: a dense layer is one `linear` (or `segment_linear`)
+node, and each loss term is one node: the clipped cross-entropy
+`clipped_bce`, the Gaussian KL `gaussian_kl` and the reparameterised weight
+draw `weight_sample`. A fused op equals the chain of finer nodes it replaces
+bit for bit; those chains live with the tests as references.
+
 Gradients are dense arrays, except where `gather_rows` looks up rows of a
 `Parameter` (an embedding table): there backward records the touched rows
 and their gradient rows, and the optimizer updates only those rows. A step
@@ -196,16 +203,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(-out.grad, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
@@ -214,18 +211,6 @@ def mul(a, b) -> Tensor:
         _accum(b, _unbroadcast(out.grad * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), backward, "mul")
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k)@(k,n), got {a.shape} @ {b.shape}")
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
-
-    return _make(a.data @ b.data, (a, b), backward, "matmul")
 
 
 def sigmoid(a) -> Tensor:
@@ -255,15 +240,6 @@ def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
     gz = g * np.maximum((z >= 0.0).astype(np.float64), slope)
     gz += 0.0
     return gz
-
-
-def leaky_relu(a, slope: float = 0.01) -> Tensor:
-    a = _wrap(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, _leaky_grad(out.grad, a.data, slope))
-
-    return _make(_leaky(a.data, slope), (a,), backward, "leaky_relu")
 
 
 def _dense_grads(g: np.ndarray, z: np.ndarray, slope: float | None, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -316,47 +292,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(y, (a,), backward, "softmax")
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    if np.any(a.data <= 0.0):
-        raise NonFiniteError("log of non-positive value")
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad / a.data)
-
-    return _make(np.log(a.data), (a,), backward, "log")
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), computed without overflow; derivative is sigmoid(x)."""
-    a = _wrap(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * 0.5 * (1.0 + np.tanh(0.5 * a.data)))
-
-    return _make(np.logaddexp(0.0, a.data), (a,), backward, "softplus")
-
-
-def square(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * 2.0 * a.data)
-
-    return _make(a.data * a.data, (a,), backward, "square")
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only inside the interval."""
-    a = _wrap(a)
-
-    def backward(out: Tensor) -> None:
-        mask = (a.data >= lo) & (a.data <= hi)
-        _accum(a, out.grad * mask)
-
-    return _make(np.clip(a.data, lo, hi), (a,), backward, "clip")
-
-
 def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     parts = [_wrap(t) for t in tensors]
     if not parts:
@@ -395,16 +330,6 @@ def reduce_sum(a) -> Tensor:
         _accum(a, np.full_like(a.data, out.grad))
 
     return _make(np.asarray(a.data.sum()), (a,), backward, "sum")
-
-
-def reduce_mean(a) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size
-
-    def backward(out: Tensor) -> None:
-        _accum(a, np.full_like(a.data, out.grad / n))
-
-    return _make(np.asarray(a.data.mean()), (a,), backward, "mean")
 
 
 # Segment primitives: `offsets` (K + 1 row offsets, 0 first and B last, never
@@ -456,37 +381,6 @@ def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | 
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 
 
-def segment_sum(a, offsets) -> Tensor:
-    """(K,) sums over every entry of each segment."""
-    a = _wrap(a)
-    segs = _segments(offsets, a.shape[0] if a.data.ndim else None)
-
-    def backward(out: Tensor) -> None:
-        g = np.empty_like(a.data)
-        for k, (s, e) in enumerate(segs):
-            g[s:e] = out.grad[k]
-        _accum(a, g)
-
-    return _make(np.array([a.data[s:e].sum() for s, e in segs]), (a,), backward, "segment_sum")
-
-
-def segment_mean(a, offsets) -> Tensor:
-    """(K,) means over the entries of each segment; an empty segment's mean
-    is 0."""
-    a = _wrap(a)
-    segs = _segments(offsets, a.shape[0] if a.data.ndim else None)
-
-    def backward(out: Tensor) -> None:
-        g = np.empty_like(a.data)
-        for k, (s, e) in enumerate(segs):
-            if e > s:
-                g[s:e] = out.grad[k] / a.data[s:e].size
-        _accum(a, g)
-
-    data = np.array([a.data[s:e].mean() if e > s else 0.0 for s, e in segs])
-    return _make(data, (a,), backward, "segment_mean")
-
-
 def gather_rows(table, indices) -> Tensor:
     """Row lookup into a 2-d table: 1-d indices give `table[idx]`. Backward
     into a Parameter records the touched rows and their gradient rows; into
@@ -511,6 +405,111 @@ def gather_rows(table, indices) -> Tensor:
             _accum(table, dense)
 
     return _make(table.data[idx], (table,), backward, "gather_rows")
+
+
+# ---------------------------------------------------------------------------
+# loss terms
+# ---------------------------------------------------------------------------
+
+# Each loss term is one node in place of a chain of nodes. It makes the
+# chain's numpy calls in order and normalises (+ 0.0) a gradient wherever
+# `_accum` stores a chain node's first one, leaving out the chain's exact
+# copies of a normalised gradient (through an add or a sum). With `offsets`
+# (see `_segments`) a reduction is per segment of the leading axis.
+
+
+def _spread(g: np.ndarray, segs: list[tuple[int, int]] | None, ndim: int) -> np.ndarray:
+    """The gradient of a (per-segment) total at each entry it sums: `g`
+    itself, or segment k's g[k] on each of its rows, shaped to broadcast."""
+    if segs is None:
+        return g
+    return np.repeat(g, [e - s for s, e in segs]).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def clipped_bce(p, labels, lo: float, hi: float, offsets=None) -> Tensor:
+    """Binary cross-entropy of probabilities `p` against 0/1 `labels` (one
+    per entry of p), p clamped to [lo, hi] first: -mean(y log p + (1 - y)
+    log(1 - p)), or with `offsets` the (K,) per-segment means, an empty
+    segment reading 0. The gradient reaches p only inside [lo, hi]. Equals
+    the composed clip, log, mul, sub, add, mean and mul by -1."""
+    p = _wrap(p)
+    y = np.asarray(labels, dtype=np.float64).reshape(p.shape)
+    segs = None if offsets is None else _segments(offsets, p.shape[0] if p.data.ndim else None)
+    pc = np.clip(p.data, lo, hi)
+    not_y, not_p = 1.0 - y, 1.0 - pc
+    ll = y * np.log(pc) + not_y * np.log(not_p)
+    if segs is None:
+        mean = np.asarray(ll.mean())
+    else:
+        mean = np.array([ll[s:e].mean() if e > s else 0.0 for s, e in segs])
+
+    def backward(out: Tensor) -> None:
+        g = out.grad * -1.0 + 0.0
+        if segs is None:
+            g_ll = np.full_like(ll, g / ll.size + 0.0)
+        else:
+            g_ll = np.empty_like(ll)
+            for k, (s, e) in enumerate(segs):
+                if e > s:
+                    g_ll[s:e] = g[k] / ll[s:e].size + 0.0
+        g_q = (g_ll * not_y + 0.0) / not_p + 0.0
+        # the clamped p's gradient: log p's share first, then 1 - p's
+        # (x - y is x + (-y) exactly)
+        g_pc = (g_ll * y + 0.0) / pc + 0.0
+        g_pc -= g_q
+        _accum(p, g_pc * ((p.data >= lo) & (p.data <= hi)))
+
+    return _make(mean * -1.0, (p,), backward, "clipped_bce")
+
+
+def gaussian_kl(mu, rho, offsets=None) -> Tensor:
+    """KL(N(mu, sigma^2) || N(0, 1)) of independent Gaussian entries, sigma
+    = softplus(rho): the total of 0.5 * (mu^2 + sigma^2 - 1) - log sigma,
+    or with `offsets` the (K,) per-segment totals. Always >= 0. Equals the
+    composed softplus, square, add, sub, sum, mul, log and sub; a sigma that
+    underflows to 0 gives an infinite KL, which the output check rejects."""
+    mu, rho = _wrap(mu), _wrap(rho)
+    if mu.shape != rho.shape:
+        raise ShapeError(f"gaussian_kl needs mu and rho of one shape, got {mu.shape} and {rho.shape}")
+    segs = None if offsets is None else _segments(offsets, mu.shape[0] if mu.data.ndim else None)
+
+    def total(a: np.ndarray) -> np.ndarray:
+        return np.asarray(a.sum()) if segs is None else np.array([a[s:e].sum() for s, e in segs])
+
+    sigma = np.logaddexp(0.0, rho.data)
+    with np.errstate(divide="ignore"):
+        log_sigma = np.log(sigma)
+    kl = total(mu.data * mu.data + sigma * sigma - 1.0) * 0.5 - total(log_sigma)
+
+    def backward(out: Tensor) -> None:
+        g_sq = _spread(out.grad * 0.5 + 0.0, segs, mu.data.ndim)
+        g_log = _spread(-out.grad + 0.0, segs, mu.data.ndim)
+        _accum(mu, g_sq * 2.0 * mu.data)
+        # sigma's gradient: the square's share first, then the log's
+        g_sigma = g_sq * 2.0 * sigma + 0.0
+        g_sigma += g_log / sigma
+        _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
+
+    return _make(kl, (mu, rho), backward, "gaussian_kl")
+
+
+def weight_sample(mu, rho, eps) -> Tensor:
+    """A reparameterised draw mu + softplus(rho) * eps of Gaussian weights,
+    `eps` the standard-normal noise, which may broadcast mu and rho to
+    several draws; gradients reach mu and rho. Equals the composed softplus,
+    mul and add."""
+    mu, rho = _wrap(mu), _wrap(rho)
+    if mu.shape != rho.shape:
+        raise ShapeError(f"weight_sample needs mu and rho of one shape, got {mu.shape} and {rho.shape}")
+    eps = np.asarray(eps, dtype=np.float64)
+    sigma = np.logaddexp(0.0, rho.data)
+
+    def backward(out: Tensor) -> None:
+        _accum(mu, _unbroadcast(out.grad, mu.shape))
+        g_sigma = _unbroadcast(out.grad * eps, rho.shape) + 0.0
+        _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
+
+    return _make(mu.data + sigma * eps, (mu, rho), backward, "weight_sample")
 
 
 # ---------------------------------------------------------------------------

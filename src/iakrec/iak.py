@@ -7,9 +7,10 @@ zero decoder output reproduces the backbone exactly, which is also the
 initial state.
 
 `adapter_graph` is the one adapter forward: encoder weights (the posterior
-means, or a reparameterised sample when a training step passes noise), the
-scaled affine map and leaky ReLU, then the decoder layers. Every layer is one
-dense-layer primitive, in one of two forms. A lone `IAKAdapter` passes
+means, or a reparameterised sample, one `ad.weight_sample` node per weight
+and bias, when a training step passes noise), the scaled affine map and
+leaky ReLU, then the decoder layers. Every layer is one dense-layer
+primitive, in one of two forms. A lone `IAKAdapter` passes
 `ad.linear`: eval and serving score one adapter at a time with the means
 (`adapted_prediction`). An `AdapterBank` passes `ad.segment_linear` over its
 stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
@@ -97,7 +98,7 @@ def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Cal
     mu_w, mu_b, rho_w, rho_b = params
     w, b = mu_w, mu_b
     if noise is not None:
-        w, b = _reparameterize(mu_w, rho_w, noise[0]), _reparameterize(mu_b, rho_b, noise[1])
+        w, b = ad.weight_sample(mu_w, rho_w, noise[0]), ad.weight_sample(mu_b, rho_b, noise[1])
     return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
@@ -116,21 +117,13 @@ def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Cal
     return linear(x, decoder[-2], decoder[-1])
 
 
-def _reparameterize(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
-    return ad.add(mu, ad.mul(ad.softplus(rho), Tensor(eps)))
-
-
 def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
-                 total: Callable[[Tensor], Tensor]) -> Tensor:
+                 offsets: np.ndarray | None = None) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0,1)) of an encoder's entries,
-    sigma = softplus(rho): `total` of 0.5*(mu^2 + sigma^2 - 1) - log sigma
-    over weights plus bias. Always >= 0."""
-    parts = []
-    for mu, rho in ((mu_w, rho_w), (mu_b, rho_b)):
-        sigma = ad.softplus(rho)
-        half = ad.mul(total(ad.sub(ad.add(ad.square(mu), ad.square(sigma)), 1.0)), 0.5)
-        parts.append(ad.sub(half, total(ad.log(sigma))))
-    return ad.add(parts[0], parts[1])
+    sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
+    one over the bias, totalled over all entries or per segment. Always
+    >= 0."""
+    return ad.add(ad.gaussian_kl(mu_w, rho_w, offsets), ad.gaussian_kl(mu_b, rho_b, offsets))
 
 
 class IAKAdapter:
@@ -195,7 +188,7 @@ class IAKAdapter:
         return adapter_graph(representation, self.parameters(), self.encoder.scale, ad.linear, noise)
 
     def encoder_kl(self) -> Tensor:
-        return _gaussian_kl(*self.encoder.parameters(), ad.reduce_sum)
+        return _gaussian_kl(*self.encoder.parameters())
 
 
 def adapted_prediction(
@@ -229,14 +222,16 @@ def ib_loss(
     adapter: IAKAdapter | AdapterBank,
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
-    mean: Callable[[Tensor], Tensor] = ad.reduce_mean,
+    offsets: np.ndarray | None = None,
 ) -> Tensor:
     """Task cross-entropy plus beta times the per-weight average KL of the
-    encoder posterior to its standard-normal prior. For a bank, `mean` is
-    the per-adapter segment mean and the loss is one entry per adapter."""
+    encoder posterior to its standard-normal prior: one `ad.clipped_bce`
+    node per task and one `ad.gaussian_kl` node per encoder parameter pair.
+    For a bank, `offsets` group the rows by adapter, the cross-entropy is a
+    per-adapter mean and the loss is one entry per adapter."""
     if beta < 0:
         raise AdapterError("beta must be >= 0")
-    loss = bce_loss(prediction, click, purchase, weights, mean)
+    loss = bce_loss(prediction, click, purchase, weights, offsets)
     if beta > 0:
         loss = ad.add(loss, ad.mul(adapter.encoder_kl(), beta / adapter.n_encoder_entries))
     return loss
@@ -332,7 +327,7 @@ class AdapterBank:
 
     def encoder_kl(self) -> Tensor:
         """(K,) encoder KL of every adapter."""
-        return _gaussian_kl(*self.params[:4], partial(ad.segment_sum, offsets=self._per_adapter))
+        return _gaussian_kl(*self.params[:4], self._per_adapter)
 
 
 def adapter_step_cached(
@@ -361,7 +356,7 @@ def adapter_step_cached(
     ad.zero_grads(bank.params)
     corr = bank.correction(Tensor(rep), offsets, noise)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, beta, weights, partial(ad.segment_mean, offsets=offsets))
+    loss = ib_loss(pred, click, purchase, bank, beta, weights, offsets)
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

@@ -14,7 +14,6 @@ that downstream adapters consume; only `predict_from_logits` splits heads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -277,9 +276,6 @@ class MultiTaskModel:
             return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=ad.mul(p0, p1))
         return Prediction(p_ctr=p0, p_ctcvr=p1)
 
-    def predict(self, batch: Dataset) -> Prediction:
-        return self.forward_full(batch).prediction
-
 
 class SharedBottom(MultiTaskModel):
     kind = "shared_bottom"
@@ -426,17 +422,14 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     return MODEL_KINDS[config.kind](config, space, seed)
 
 
-def task_bce(p: Tensor, labels: np.ndarray, mean: Callable[[Tensor], Tensor] = ad.reduce_mean) -> Tensor:
-    """Mean binary cross-entropy of one task over a batch; probabilities are
-    clamped away from 0 and 1 before the log. `mean` reduces the (B, 1)
-    per-row terms: the batch mean, or a per-segment mean (`ad.segment_mean`)
-    that gives one loss per segment."""
+def task_bce(p: Tensor, labels: np.ndarray, offsets: np.ndarray | None = None) -> Tensor:
+    """Mean binary cross-entropy of one task over a batch, one
+    `ad.clipped_bce` node: probabilities are clamped away from 0 and 1
+    before the log. With `offsets` (K + 1 row offsets that cut the batch
+    into K segments) the mean is per segment, one loss per segment."""
     if not np.all((labels == 0) | (labels == 1)):
         raise ModelError("labels must be 0 or 1")
-    y = Tensor(labels.reshape(-1, 1))
-    p = ad.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    ll = ad.add(ad.mul(y, ad.log(p)), ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p))))
-    return ad.mul(mean(ll), -1.0)
+    return ad.clipped_bce(p, labels, PROB_CLAMP, 1.0 - PROB_CLAMP, offsets)
 
 
 def bce_loss(
@@ -444,10 +437,10 @@ def bce_loss(
     click: np.ndarray,
     purchase: np.ndarray,
     weights: tuple[float, float] = (1.0, 1.0),
-    mean: Callable[[Tensor], Tensor] = ad.reduce_mean,
+    offsets: np.ndarray | None = None,
 ) -> Tensor:
     """Weighted sum of per-task binary cross-entropies, mean over the batch
     (or per segment, see `task_bce`). CTR trains against click, CTCVR
     against purchase."""
-    loss = ad.mul(task_bce(prediction.p_ctr, click, mean), weights[0])
-    return ad.add(loss, ad.mul(task_bce(prediction.p_ctcvr, purchase, mean), weights[1]))
+    loss = ad.mul(task_bce(prediction.p_ctr, click, offsets), weights[0])
+    return ad.add(loss, ad.mul(task_bce(prediction.p_ctcvr, purchase, offsets), weights[1]))

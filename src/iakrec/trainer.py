@@ -240,7 +240,7 @@ def finetune_all(
         stream = mix_domains(positions, config.mixing, shared_rng, config.epochs * len(positions[mixing_primary]))
         curve += _finetune_joint(  # the stream already spans every epoch
             backbone, cache, {mixing_primary: stream}, adapters,
-            replace(config, epochs=1), iak_config, shared_rng, start_step=len(curve),
+            replace(config, epochs=1), iak_config, shared_rng, start_step=curve[-1].step if curve else 0,
         )
     return FinetuneResult(adapters, curve)
 

@@ -12,7 +12,28 @@ import numpy as np
 from iakrec import autodiff as ad
 
 
-def _segment_matmul(x, w, offsets) -> ad.Tensor:
+def matmul(a, b) -> ad.Tensor:
+    a, b = ad._wrap(a), ad._wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ad.ShapeError(f"matmul needs (m,k)@(k,n), got {a.shape} @ {b.shape}")
+
+    def backward(out):
+        ad._accum(a, out.grad @ b.data.T)
+        ad._accum(b, a.data.T @ out.grad)
+
+    return ad._make(a.data @ b.data, (a, b), backward, "matmul")
+
+
+def leaky_relu(a, slope: float = 0.01) -> ad.Tensor:
+    a = ad._wrap(a)
+
+    def backward(out):
+        ad._accum(a, ad._leaky_grad(out.grad, a.data, slope))
+
+    return ad._make(ad._leaky(a.data, slope), (a,), backward, "leaky_relu")
+
+
+def segment_matmul(x, w, offsets) -> ad.Tensor:
     x, w = ad._wrap(x), ad._wrap(w)
     segs = ad._segments(offsets, x.shape[0])
     data = np.empty((x.shape[0], w.shape[2]))
@@ -29,7 +50,7 @@ def _segment_matmul(x, w, offsets) -> ad.Tensor:
     return ad._make(data, (x, w), backward, "reference_segment_matmul")
 
 
-def _segment_add(x, b, offsets) -> ad.Tensor:
+def segment_add(x, b, offsets) -> ad.Tensor:
     x, b = ad._wrap(x), ad._wrap(b)
     segs = ad._segments(offsets, x.shape[0])
     data = np.empty_like(x.data)
@@ -48,13 +69,13 @@ def _chain(x, w, b, slope, scale, matmul, add) -> ad.Tensor:
     if scale is not None:
         h = ad.mul(h, scale)
     h = add(h, b)
-    return h if slope is None else ad.leaky_relu(h, slope)
+    return h if slope is None else leaky_relu(h, slope)
 
 
 def composed_linear(x, w, b, slope=None, scale=None) -> ad.Tensor:
-    return _chain(x, w, b, slope, scale, ad.matmul, ad.add)
+    return _chain(x, w, b, slope, scale, matmul, ad.add)
 
 
 def composed_segment_linear(x, w, b, offsets, slope=None, scale=None) -> ad.Tensor:
-    return _chain(x, w, b, slope, scale, lambda x, w: _segment_matmul(x, w, offsets),
-                  lambda x, b: _segment_add(x, b, offsets))
+    return _chain(x, w, b, slope, scale, lambda x, w: segment_matmul(x, w, offsets),
+                  lambda x, b: segment_add(x, b, offsets))

@@ -10,7 +10,10 @@ from iakrec import autodiff as ad
 from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 from gradcheck import assert_grads_match
-from linear_reference import composed_linear, composed_segment_linear
+import linear_reference
+import loss_reference
+from linear_reference import composed_linear, composed_segment_linear, leaky_relu, matmul, segment_add, segment_matmul
+from loss_reference import clip, log, reduce_mean, segment_mean, segment_sum, softplus, square, sub
 
 
 def test_sigmoid_at_zero():
@@ -18,7 +21,7 @@ def test_sigmoid_at_zero():
 
 
 def test_leaky_relu_negative_slope():
-    out = ad.leaky_relu(ad.Tensor([-1.0]), slope=0.01)
+    out = leaky_relu(ad.Tensor([-1.0]), slope=0.01)
     assert out.data[0] == pytest.approx(-0.01, abs=0)
 
 
@@ -31,7 +34,7 @@ def test_leaky_relu_equals_the_where_form_bitwise():
     upstream = np.array([1.0, -1.0, 2.5, -3.0, 1e-320, -1e-320, 0.0, -tiny] * 2)
     for slope in (0.0, 0.01, 0.2, 1.0):
         x = ad.Tensor(values, requires_grad=True)
-        out = ad.leaky_relu(x, slope)
+        out = leaky_relu(x, slope)
         ad.backward(ad.reduce_sum(ad.mul(out, upstream)))
         assert out.data.tobytes() == np.where(values >= 0.0, values, slope * values).tobytes()
         g = np.add(upstream * np.where(values >= 0.0, 1.0, slope), 0.0)
@@ -41,7 +44,7 @@ def test_leaky_relu_equals_the_where_form_bitwise():
 @pytest.mark.parametrize("slope", [-0.01, -0.0, 1.5, np.nan])
 def test_leaky_slope_outside_unit_interval_is_rejected(slope):
     with pytest.raises(ValueError, match="slope"):
-        ad.leaky_relu(ad.Tensor([1.0]), slope)
+        leaky_relu(ad.Tensor([1.0]), slope)
     with pytest.raises(ValueError, match="slope"):
         ad.linear(np.ones((1, 2)), np.ones((2, 2)), np.ones(2), slope=slope)
     with pytest.raises(ValueError, match="slope"):
@@ -141,14 +144,14 @@ def test_backward_requires_scalar_loss():
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ad.ShapeError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
 
 def test_non_finite_is_rejected():
     with pytest.raises(ad.NonFiniteError):
         ad.Tensor([np.nan])
     with pytest.raises(ad.NonFiniteError):
-        ad.log(ad.Tensor([0.0]))
+        log(ad.Tensor([0.0]))
 
 
 def test_grad_accumulates_over_reuse():
@@ -174,12 +177,12 @@ def _random_mlp_loss(rng):
     def loss_fn():
         h = x
         for i, (w, bias) in enumerate(layers):
-            h = ad.add(ad.matmul(h, w), bias)
+            h = ad.add(matmul(h, w), bias)
             if i < len(layers) - 1:
-                h = ad.leaky_relu(h)
-        p = ad.clip(ad.sigmoid(h), 1e-12, 1 - 1e-12)
-        ll = ad.add(ad.mul(y, ad.log(p)), ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p))))
-        return ad.mul(ad.reduce_mean(ll), -1.0)
+                h = leaky_relu(h)
+        p = clip(ad.sigmoid(h), 1e-12, 1 - 1e-12)
+        ll = ad.add(ad.mul(y, log(p)), ad.mul(sub(1.0, y), log(sub(1.0, p))))
+        return ad.mul(reduce_mean(ll), -1.0)
 
     return loss_fn, params
 
@@ -204,21 +207,21 @@ def test_individual_op_gradients(op):
         if op == "softmax":
             return ad.reduce_sum(ad.mul(ad.softmax(w), ad.Tensor(rng2)))
         if op == "concat":
-            return ad.reduce_sum(ad.square(ad.concat([w, ad.mul(w, 2.0)], axis=1)))
+            return ad.reduce_sum(square(ad.concat([w, ad.mul(w, 2.0)], axis=1)))
         if op == "slice":
-            return ad.reduce_sum(ad.square(ad.slice_cols(w, 1, 3)))
+            return ad.reduce_sum(square(ad.slice_cols(w, 1, 3)))
         if op == "gather":
-            return ad.reduce_sum(ad.square(ad.gather_rows(w, np.array([0, 2, 2, 1]))))
+            return ad.reduce_sum(square(ad.gather_rows(w, np.array([0, 2, 2, 1]))))
         if op == "gather_nonleaf":
-            return ad.reduce_sum(ad.square(ad.gather_rows(ad.mul(w, 2.0), np.array([3, 1, 1]))))
+            return ad.reduce_sum(square(ad.gather_rows(ad.mul(w, 2.0), np.array([3, 1, 1]))))
         if op == "gather_and_dense":
             rows = ad.gather_rows(w, np.array([1, 1, 3]))
-            return ad.add(ad.reduce_sum(ad.square(rows)), ad.reduce_sum(ad.mul(w, ad.Tensor(rng2))))
+            return ad.add(ad.reduce_sum(square(rows)), ad.reduce_sum(ad.mul(w, ad.Tensor(rng2))))
         if op == "softplus":
-            return ad.reduce_sum(ad.softplus(w))
+            return ad.reduce_sum(softplus(w))
         if op == "square":
-            return ad.reduce_mean(ad.square(w))
-        return ad.mul(ad.reduce_mean(ad.sigmoid(ad.mul(w, 0.3))), 2.0)
+            return reduce_mean(square(w))
+        return ad.mul(reduce_mean(ad.sigmoid(ad.mul(w, 0.3))), 2.0)
 
     rng2 = rng.normal(size=(4, 3))
     ad.zero_grads([w])
@@ -240,12 +243,12 @@ def test_segment_op_gradients(op):
 
     def loss_fn():
         if op.startswith("linear"):
-            return ad.reduce_sum(ad.square(ad.segment_linear(x, w, b, SEGMENTS, slope=0.01, scale=0.2)))
+            return ad.reduce_sum(square(ad.segment_linear(x, w, b, SEGMENTS, slope=0.01, scale=0.2)))
         if op == "sum":
-            return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(x), SEGMENTS), weights))
+            return ad.reduce_sum(ad.mul(segment_sum(square(x), SEGMENTS), weights))
         if op == "sum_3d":
-            return ad.reduce_sum(ad.mul(ad.segment_sum(ad.square(slabs), [0, 1, 2, 3, 4]), weights))
-        return ad.reduce_sum(ad.mul(ad.segment_mean(ad.square(x), SEGMENTS), weights))
+            return ad.reduce_sum(ad.mul(segment_sum(square(slabs), [0, 1, 2, 3, 4]), weights))
+        return ad.reduce_sum(ad.mul(segment_mean(square(x), SEGMENTS), weights))
 
     params = {"linear_x": [x], "linear_w": [w], "linear_b": [b], "sum_3d": [slabs]}.get(op, [x])
     ad.zero_grads([x, w, b, slabs])
@@ -260,7 +263,7 @@ def test_segment_ops_equal_their_plain_ops_bitwise(slope, scale):
     xs, ws, bs = rng.normal(size=(6, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))
     x, w, b = ad.Parameter(xs, "x"), ad.Parameter(ws, "w"), ad.Parameter(bs, "b")
     h = ad.segment_linear(x, w, b, SEGMENTS, slope, scale)
-    total = ad.add(ad.segment_mean(ad.square(h), SEGMENTS), ad.segment_sum(h, SEGMENTS))
+    total = ad.add(segment_mean(square(h), SEGMENTS), segment_sum(h, SEGMENTS))
     ad.backward(ad.reduce_sum(total))
     for k, (s, e) in enumerate(zip(SEGMENTS, SEGMENTS[1:])):
         xk, wk, bk = ad.Parameter(xs[s:e], "xk"), ad.Parameter(ws[k], "wk"), ad.Parameter(bs[k], "bk")
@@ -269,7 +272,7 @@ def test_segment_ops_equal_their_plain_ops_bitwise(slope, scale):
         if e == s:
             assert total.data[k] == 0.0 and not w.grad[k].any() and not b.grad[k].any()
             continue
-        tk = ad.add(ad.reduce_mean(ad.square(hk)), ad.reduce_sum(hk))
+        tk = ad.add(reduce_mean(square(hk)), ad.reduce_sum(hk))
         assert tk.data.tobytes() == total.data[k].tobytes()
         ad.backward(tk)
         assert xk.grad.tobytes() == x.grad[s:e].tobytes()
@@ -280,7 +283,7 @@ def test_segment_ops_equal_their_plain_ops_bitwise(slope, scale):
 @pytest.mark.parametrize("offsets", [[0, 4], [1, 6], [0, 4, 3, 6], [0, 6, 6, 7], [[0, 6]], [0]])
 def test_segment_offsets_are_checked(offsets):
     with pytest.raises(ad.ShapeError):
-        ad.segment_mean(np.ones((6, 1)), offsets)
+        segment_mean(np.ones((6, 1)), offsets)
 
 
 def test_segment_shapes_are_checked():
@@ -291,7 +294,7 @@ def test_segment_shapes_are_checked():
     with pytest.raises(ad.ShapeError):
         ad.segment_linear(np.ones((6, 3)), np.ones((2, 3, 2)), np.ones((2, 3)), [0, 3, 6])
     with pytest.raises(ad.ShapeError):
-        ad.segment_sum(np.float64(1.0), [0, 1])
+        segment_sum(np.float64(1.0), [0, 1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -341,7 +344,7 @@ def test_parameter_first_dense_gradient_is_one_pass(monkeypatch):
     +0.0. A parameter with nothing recorded still reads zeros."""
     w = ad.Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
     x = ad.Tensor(np.array([[-0.0, 2.0], [-0.0, 4.0]]))
-    loss = ad.reduce_sum(ad.matmul(x, w))
+    loss = ad.reduce_sum(matmul(x, w))
 
     def no_zeros(*args, **kwargs):
         raise AssertionError("zeros_like called")
@@ -377,35 +380,42 @@ def _bad_tensor(bad):
 
 PRIMITIVES = {
     "add": lambda x: ad.add(x, 1.0),
-    "sub": lambda x: ad.sub(1.0, x),
+    "sub": lambda x: sub(1.0, x),
     "mul": lambda x: ad.mul(x, 2.0),
-    "matmul": lambda x: ad.matmul(x, ad.Tensor(np.ones((2, 3)))),
+    "matmul": lambda x: matmul(x, ad.Tensor(np.ones((2, 3)))),
     "sigmoid": ad.sigmoid,
-    "leaky_relu": ad.leaky_relu,
+    "leaky_relu": leaky_relu,
     "softmax": ad.softmax,
-    "log": ad.log,
-    "softplus": ad.softplus,
-    "square": ad.square,
-    "clip": lambda x: ad.clip(x, -1.0, 1.0),
+    "log": log,
+    "softplus": softplus,
+    "square": square,
+    "clip": lambda x: clip(x, -1.0, 1.0),
     "concat": lambda x: ad.concat([x, x]),
     "slice_cols": lambda x: ad.slice_cols(x, 1, 2),
     "sum": ad.reduce_sum,
-    "mean": ad.reduce_mean,
+    "mean": reduce_mean,
     "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
     "linear": lambda x: ad.linear(x, np.ones((2, 3)), np.ones(3), slope=0.01, scale=0.5),
     "segment_linear": lambda x: ad.segment_linear(x, np.ones((2, 2, 3)), np.ones((2, 3)), [0, 1, 2], 0.01, 0.5),
-    "segment_sum": lambda x: ad.segment_sum(x, [0, 2]),
-    "segment_mean": lambda x: ad.segment_mean(x, [0, 1, 2]),
+    "segment_sum": lambda x: segment_sum(x, [0, 2]),
+    "segment_mean": lambda x: segment_mean(x, [0, 1, 2]),
+    "clipped_bce": lambda x: ad.clipped_bce(x, np.ones(4), 0.1, 0.9),
+    "gaussian_kl": lambda x: ad.gaussian_kl(x, np.zeros((2, 2))),
+    "weight_sample": lambda x: ad.weight_sample(x, np.zeros((2, 2)), np.ones((2, 2))),
+    "reference_segment_matmul": lambda x: segment_matmul(x, np.ones((2, 2, 3)), [0, 1, 2]),
+    "reference_segment_add": lambda x: segment_add(x, np.ones((2, 2)), [0, 1, 2]),
 }
 
 
 def test_the_primitive_table_covers_every_op():
-    assert set(PRIMITIVES) == set(re.findall(r'backward, "(\w+)"\)', inspect.getsource(ad)))
+    # the engine's ops and the reference ops the tests keep beside it
+    sources = "".join(inspect.getsource(m) for m in (ad, linear_reference, loss_reference))
+    assert set(PRIMITIVES) == set(re.findall(r'backward, "(\w+)"\)', sources))
 
 
 # (op, input value) pairs whose output is finite: the op saturates there
 SATURATES = {("sigmoid", np.inf), ("sigmoid", -np.inf), ("clip", np.inf), ("clip", -np.inf),
-             ("softplus", -np.inf), ("softmax", -np.inf)}
+             ("softplus", -np.inf), ("softmax", -np.inf), ("clipped_bce", np.inf), ("clipped_bce", -np.inf)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -540,7 +550,7 @@ class TestLazyDecay:
         for _ in range(5):
             ad.zero_grads([w])
             rows = ad.gather_rows(w, np.array([2, 2]))
-            ad.backward(ad.add(ad.reduce_sum(ad.square(rows)), ad.reduce_sum(ad.mul(w, 0.5))))
+            ad.backward(ad.add(ad.reduce_sum(square(rows)), ad.reduce_sum(ad.mul(w, 0.5))))
             g = w.grad.copy()
             acc = self.DECAY * acc + g * g
             expected = w.data - self.LR * g / (np.sqrt(acc) + self.EPS)
@@ -557,9 +567,9 @@ class TestLazyDecay:
         acc = np.zeros((3, 1))
         for _ in range(50):
             ad.zero_grads([w])
-            p = ad.clip(ad.sigmoid(ad.matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
-            ll = ad.add(ad.mul(y, ad.log(p)), ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, p))))
-            ad.backward(ad.mul(ad.reduce_mean(ll), -1.0))
+            p = clip(ad.sigmoid(matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
+            ll = ad.add(ad.mul(y, log(p)), ad.mul(sub(1.0, y), log(sub(1.0, p))))
+            ad.backward(ad.mul(reduce_mean(ll), -1.0))
             g = w.grad.copy()
             acc = state.decay * acc + g * g
             expected = w.data - 0.05 * g / (np.sqrt(acc) + state.epsilon)
@@ -576,10 +586,10 @@ def _train_toy(seed):
     state = ad.AdagradDecayState()
     for _ in range(25):
         ad.zero_grads([w])
-        p = ad.clip(ad.sigmoid(ad.matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
+        p = clip(ad.sigmoid(matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
         yd = ad.Tensor(y)
-        ll = ad.add(ad.mul(yd, ad.log(p)), ad.mul(ad.sub(1.0, yd), ad.log(ad.sub(1.0, p))))
-        ad.backward(ad.mul(ad.reduce_mean(ll), -1.0))
+        ll = ad.add(ad.mul(yd, log(p)), ad.mul(sub(1.0, yd), log(sub(1.0, p))))
+        ad.backward(ad.mul(reduce_mean(ll), -1.0))
         ad.adagrad_decay_step([w], state, lr=0.05)
     return w.data.tobytes()
 

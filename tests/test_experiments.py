@@ -7,8 +7,16 @@ import pytest
 from iakrec import experiments
 from iakrec.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
-from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentContext, experiment_rows, write_rows
-from iakrec.models import MODEL_KINDS
+from iakrec.experiments import (
+    CSV_HEADER,
+    EXPERIMENT_KINDS,
+    ExperimentContext,
+    expand_domain_selectors,
+    experiment_rows,
+    write_rows,
+)
+from iakrec.models import MODEL_KINDS, build_model
+from iakrec.trainer import finetune_all
 
 TINY = {
     "datagen.n_users": "60",
@@ -212,3 +220,20 @@ def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
 def test_overlap_reads_a_domain_key_however_it_is_spelled(tmp_path, reports):
     odd = {**TINY, "eval.overlap_primary": "period=00", "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
     assert _run("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]
+
+
+def test_mixed_stream_steps_follow_the_plain_stream(tmp_path):
+    """The mixing primary trains after the other domains' joint batches, and
+    its step numbers go on from their last step."""
+    cfg = RunConfig({**TINY, "train.finetune_domains": "period=*,scene=0",
+                     "train.mixing": "period=0:0.7,period=1:0.3"})
+    ctx = ExperimentContext(cfg, tmp_path)
+    train, _ = ctx.dataset()
+    backbone = build_model(cfg.model_config(), ctx.space(), seed=0)
+    selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
+    curve = finetune_all(backbone, train, selectors, cfg.train_config(), cfg.iak_config()).curve
+    plain = [row.step for row in curve if row.domain != "period=0"]
+    mixed = [row.step for row in curve if row.domain == "period=0"]
+    assert len(curve) > plain[-1]  # the joint batches hold several domains' rows per step
+    assert plain[0] == 1 and mixed[0] == plain[-1] + 1
+    assert mixed == list(range(mixed[0], mixed[0] + len(mixed)))

@@ -1,7 +1,8 @@
 """Every dense layer of the backbone and the adapters is one `ad.linear` or
-`ad.segment_linear` node. A training step through them must leave every
-parameter bit for bit where the composed matmul, mul, add and leaky_relu
-nodes leave it, and the pretrain graph must stay fused."""
+`ad.segment_linear` node, and every loss term is one `ad.clipped_bce`,
+`ad.gaussian_kl` or `ad.weight_sample` node. A training step through them
+must leave every parameter bit for bit where the composed chains of nodes
+leave it, and the pretrain and bank graphs must stay fused."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.datagen import Dataset
 from iakrec.trainer import pretrain_step
 
+from adapter_reference import reference_step
+from gradcheck import assert_grads_match
 from linear_reference import composed_linear, composed_segment_linear
+from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
 
@@ -22,6 +26,14 @@ def composed(monkeypatch):
     """Run every dense layer as its composed chain of nodes."""
     monkeypatch.setattr(ad, "linear", composed_linear)
     monkeypatch.setattr(ad, "segment_linear", composed_segment_linear)
+
+
+@pytest.fixture
+def composed_losses(monkeypatch):
+    """Run every loss term as its composed chain of nodes."""
+    monkeypatch.setattr(ad, "clipped_bce", composed_clipped_bce)
+    monkeypatch.setattr(ad, "gaussian_kl", composed_gaussian_kl)
+    monkeypatch.setattr(ad, "weight_sample", composed_weight_sample)
 
 
 def _batch(n, seed):
@@ -61,31 +73,223 @@ def test_pretrain_step_is_fused_and_equals_the_composed_layers(graph_sizes, requ
     fused = _pretrain_step()
     request.getfixturevalue("composed")
     assert _pretrain_step() == fused
-    # 90 nodes fused; the composed layers add a bias node per dense layer and
+    # 74 nodes fused; the composed layers add a bias node per dense layer and
     # an activation node per hidden layer
-    assert graph_sizes == [90, 109]
+    assert graph_sizes == [74, 93]
 
 
-def _bank_step():
-    """(losses and norms, bank parameter bytes) of one joint step of three
-    adapters, one of them without rows."""
+def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
+    fused = _pretrain_step()
+    request.getfixturevalue("composed_losses")
+    assert _pretrain_step() == fused
+    # each task's cross-entropy is one node in place of nine
+    assert graph_sizes == [74, 90]
+
+
+def _bank_step(beta, decoder_hidden=(6, 5), steps=2):
+    """(losses and norms of each step, bank parameter bytes) of joint steps
+    of four adapters: adapter 1 has no rows and adapter 2 a zero rate."""
     backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=2)
     backbone.set_trainable(False)
-    config = IAKConfig(d_e=4, beta=1e-3, decoder_hidden=(6, 5))
-    adapters = [IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": k}, seed=10 + k) for k in range(3)]
+    config = IAKConfig(d_e=4, beta=beta, decoder_hidden=decoder_hidden)
+    adapters = [IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": k}, seed=10 + k) for k in range(4)]
     rng = np.random.default_rng(3)
     for a in adapters:  # a non-zero read-out, so every layer gets a gradient
         a.decoder_out.w.data[:] = rng.normal(size=a.decoder_out.w.shape)
     bank = AdapterBank(adapters, decay=0.9999, epsilon=1e-8)
-    batch = _batch(12, 4)
-    rep, base = backbone_cache(backbone, batch)
-    out = adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase,
-                              np.array([0, 5, 5, 12]), np.array([0.05, 0.05, 0.02]), 1e-3)
-    return out, {p.name: p.data.tobytes() for p in bank.params}
+    outs = []
+    for step in range(steps):
+        batch = _batch(12, 4 + step)
+        rep, base = backbone_cache(backbone, batch)
+        outs.append(adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase,
+                                        np.array([0, 5, 5, 9, 12]), np.array([0.05, 0.05, 0.0, 0.02]), beta))
+    return outs, {p.name: p.data.tobytes() for p in bank.params}
 
 
 def test_bank_step_equals_the_composed_layers(graph_sizes, request):
-    fused = _bank_step()
+    fused = _bank_step(1e-3)
     request.getfixturevalue("composed")
-    assert _bank_step() == fused
-    assert graph_sizes[0] < graph_sizes[1]
+    assert _bank_step(1e-3) == fused
+    assert graph_sizes[0] < graph_sizes[-1]
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.0])
+def test_bank_step_equals_the_composed_losses(graph_sizes, request, beta):
+    fused = _bank_step(beta)
+    assert [sorted(out) for out in fused[0]] == [[0, 3]] * 2  # the rowless and the zero-rate adapter never step
+    request.getfixturevalue("composed_losses")
+    assert _bank_step(beta) == fused
+    # composed: 8 more nodes per cross-entropy, 2 per weight sample and, with
+    # a KL term, 18 more for its two chains and their sum
+    fused_nodes, composed_nodes = graph_sizes[0], graph_sizes[0] + 20 + (18 if beta else 0)
+    assert graph_sizes == [fused_nodes] * 2 + [composed_nodes] * 2
+
+
+def test_bank_step_graph_at_the_default_adapter_shape(graph_sizes, request):
+    """A bank step at the default decoder (one hidden layer) records 29 nodes
+    fused and 67 with the composed loss chains."""
+    _bank_step(1e-3, IAKConfig().decoder_hidden, steps=1)
+    request.getfixturevalue("composed_losses")
+    _bank_step(1e-3, IAKConfig().decoder_hidden, steps=1)
+    assert graph_sizes == [29, 67]
+
+
+def _lone_steps(beta):
+    """(loss and norm of each step, parameter bytes) of two steps of one
+    adapter trained alone through `ib_loss`."""
+    backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=2)
+    backbone.set_trainable(False)
+    adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, beta=beta, decoder_hidden=(6,)),
+                         {"period": 1}, seed=5)
+    adapter.decoder_out.w.data[:] = np.random.default_rng(6).normal(size=adapter.decoder_out.w.shape)
+    state = ad.AdagradDecayState()
+    outs = []
+    for step in range(2):
+        batch = _batch(9, 7 + step)
+        rep, base = backbone_cache(backbone, batch)
+        outs.append(reference_step(backbone, adapter, rep, base, batch.click, batch.purchase, state, 0.05, beta))
+    return outs, {n: v.tobytes() for n, v in adapter.named_parameters().items()}
+
+
+@pytest.mark.parametrize("beta", [1e-2, 0.0])
+def test_lone_adapter_step_equals_the_composed_losses(request, beta):
+    fused = _lone_steps(beta)
+    request.getfixturevalue("composed_losses")
+    assert _lone_steps(beta) == fused
+
+
+# -- the fused loss nodes, op by op -------------------------------------------
+
+LO, HI = 0.1, 0.9
+# a segment of length 1 and an empty segment among longer ones
+SEGMENTS = [0, 2, 3, 3, 6]
+# tiny upstream gradients underflow to -0.0 once scaled, which the chains'
+# first-gradient normalisation turns into +0.0
+UPSTREAMS = [1.0, -1.0, 5e-324, -5e-324, -1e-320, 0.0, 2.5e300]
+
+
+def _sweep(op, arrays, upstream, *args):
+    """Output and input gradients of `op` under sum(op(*arrays) * upstream),
+    as bytes."""
+    params = [ad.Parameter(a, f"x{i}") for i, a in enumerate(arrays)]
+    out = op(*params, *args)
+    ad.backward(ad.reduce_sum(ad.mul(out, upstream)))
+    return [np.asarray(out.data).tobytes()] + [p.grad.tobytes() for p in params]
+
+
+def _probabilities():
+    """(6, 1) probabilities: both clamp bounds, values past each, a signed
+    zero and two inside, with 0/1 labels."""
+    p = np.array([[LO], [0.05], [-0.0], [0.3], [HI], [0.97]])
+    return p, np.array([1, 0, 1, 0, 1, 1])
+
+
+@pytest.mark.parametrize("offsets", [None, SEGMENTS], ids=["plain", "segmented"])
+def test_clipped_bce_equals_the_composed_chain_bitwise(offsets):
+    p, y = _probabilities()
+    for u in UPSTREAMS:
+        upstream = u if offsets is None else np.array([u, -u, 1.0, 2.0])
+        fused = _sweep(ad.clipped_bce, [p], upstream, y, LO, HI, offsets)
+        assert fused == _sweep(composed_clipped_bce, [p], upstream, y, LO, HI, offsets)
+
+
+def _gaussian(seed, shape):
+    """mu and rho of `shape`: signed zeros, a sigma that is nearly 0 and one
+    that is large."""
+    rng = np.random.default_rng(seed)
+    mu, rho = rng.normal(size=shape), rng.normal(size=shape)
+    mu.flat[:2] = 0.0, -0.0
+    rho.flat[2:4] = -700.0, 40.0
+    return mu, rho
+
+
+@pytest.mark.parametrize("offsets", [None, [0, 1, 1, 3, 4]], ids=["plain", "segmented"])
+def test_gaussian_kl_equals_the_composed_chain_bitwise(offsets):
+    mu, rho = _gaussian(1, (4, 2, 3))
+    for u in UPSTREAMS[:-1]:
+        upstream = u if offsets is None else np.array([u, -u, 1.0, 3.0])
+        fused = _sweep(ad.gaussian_kl, [mu, rho], upstream, offsets)
+        assert fused == _sweep(composed_gaussian_kl, [mu, rho], upstream, offsets)
+
+
+@pytest.mark.parametrize("eps_shape", [(3, 2), (5, 3, 2)], ids=["plain", "broadcast"])
+def test_weight_sample_equals_the_composed_chain_bitwise(eps_shape):
+    mu, rho = _gaussian(2, (3, 2))
+    eps = np.random.default_rng(3).normal(size=eps_shape)
+    eps.flat[:2] = 0.0, -0.0
+    for u in UPSTREAMS:
+        fused = _sweep(ad.weight_sample, [mu, rho], u, eps)
+        assert fused == _sweep(composed_weight_sample, [mu, rho], u, eps)
+
+
+@pytest.mark.parametrize("offsets", [None, SEGMENTS], ids=["plain", "segmented"])
+def test_clipped_bce_gradients_match_finite_differences(offsets):
+    p_init, y = _probabilities()
+    p_init[[0, 4], 0] = 0.2, 0.8  # on a bound the clamp has a kink, so move those inside
+    p = ad.Parameter(p_init, "p")
+    weights = ad.Tensor([0.7, -1.3, 2.0, 0.4])
+
+    def loss_fn():
+        loss = ad.clipped_bce(p, y, LO, HI, offsets)
+        return loss if offsets is None else ad.reduce_sum(ad.mul(loss, weights))
+
+    ad.zero_grads([p])
+    assert_grads_match(loss_fn, [p], ad.backward)
+    # past either bound the clamp holds p still: no gradient
+    assert p.grad[[1, 2, 5], 0].tolist() == [0.0, 0.0, 0.0] and p.grad[[0, 3, 4], 0].all()
+
+
+def test_clipped_bce_of_an_empty_segment_is_zero():
+    p, y = _probabilities()
+    loss = ad.clipped_bce(ad.Parameter(p, "p"), y, LO, HI, SEGMENTS)
+    assert loss.data[2] == 0.0 and (loss.data[[0, 1, 3]] > 0).all()
+
+
+@pytest.mark.parametrize("offsets", [None, [0, 1, 1, 3, 4]], ids=["plain", "segmented"])
+def test_gaussian_kl_gradients_match_finite_differences(offsets):
+    rng = np.random.default_rng(4)
+    mu = ad.Parameter(rng.normal(size=(4, 2, 3)), "mu")
+    rho = ad.Parameter(rng.normal(size=(4, 2, 3)), "rho")
+    weights = ad.Tensor([0.5, 1.7, -0.8, 1.1])
+
+    def loss_fn():
+        kl = ad.gaussian_kl(mu, rho, offsets)
+        return kl if offsets is None else ad.reduce_sum(ad.mul(kl, weights))
+
+    ad.zero_grads([mu, rho])
+    assert_grads_match(loss_fn, [mu, rho], ad.backward)
+
+
+@pytest.mark.parametrize("eps_shape", [(3, 2), (5, 3, 2)], ids=["plain", "broadcast"])
+def test_weight_sample_gradients_match_finite_differences(eps_shape):
+    rng = np.random.default_rng(5)
+    mu, rho = ad.Parameter(rng.normal(size=(3, 2)), "mu"), ad.Parameter(rng.normal(size=(3, 2)), "rho")
+    eps = rng.normal(size=eps_shape)
+    upstream = ad.Tensor(rng.normal(size=eps_shape))
+    ad.zero_grads([mu, rho])
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.weight_sample(mu, rho, eps), upstream)), [mu, rho],
+                       ad.backward)
+
+
+def test_fused_loss_shapes_are_checked():
+    with pytest.raises(ValueError):
+        ad.clipped_bce(np.full((3, 1), 0.5), np.ones(2), LO, HI)
+    with pytest.raises(ad.ShapeError):
+        ad.clipped_bce(np.full((3, 1), 0.5), np.ones(3), LO, HI, [0, 2])
+    with pytest.raises(ad.ShapeError):
+        ad.gaussian_kl(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ad.ShapeError):
+        ad.weight_sample(np.ones((2, 3)), np.ones(3), np.ones((2, 3)))
+
+
+def test_an_underflowing_sigma_raises_in_the_lone_and_the_bank_kl():
+    # softplus(-750) is 0.0 in float64: log sigma, and so the KL, is infinite
+    adapters = [IAKAdapter(6, 2, IAKConfig(d_e=3), {"period": k}, seed=k) for k in range(2)]
+    adapters[0].encoder.rho_b.data[1] = -750.0
+    with pytest.raises(ad.NonFiniteError, match="output of gaussian_kl"):
+        adapters[0].encoder_kl()
+    assert np.isfinite(adapters[1].encoder_kl().data)
+    bank = AdapterBank(adapters[1:], decay=0.9999, epsilon=1e-8)
+    bank.params[2].data[0, 2, 1] = -750.0  # adapter 1's rho_w, through the bank's stacked slab
+    with pytest.raises(ad.NonFiniteError, match="output of gaussian_kl"):
+        bank.encoder_kl()

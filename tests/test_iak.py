@@ -14,7 +14,6 @@ from iakrec.iak import (
     IAKConfig,
     INIT_SIGMA,
     VariationalLinear,
-    _reparameterize,
     adapted_prediction,
     adapter_step_cached,
     backbone_cache,
@@ -150,7 +149,7 @@ class TestEncoderSample:
         vl.rho_w.data[:] = math.log(math.expm1(0.9))
         n = 10**5
         eps = np.random.default_rng(3).standard_normal((n, 1))
-        draws = _reparameterize(vl.mu_w, vl.rho_w, eps).data[:, 0]
+        draws = ad.weight_sample(vl.mu_w, vl.rho_w, eps).data[:, 0]
         assert abs(draws.mean() - 0.7) < 3 * 0.9 / math.sqrt(n)
         # the adapter graph draws those weights: one input of 1, a bias pinned
         # at 10 and an identity read-out make its correction the weight plus
@@ -208,7 +207,7 @@ class TestIAKForward:
         backbone = _backbone()
         adapter = _adapter(backbone)
         batch = _batch()
-        base = backbone.predict(batch)
+        base = backbone.forward_full(batch).prediction
         pred = _adapted(backbone, adapter, batch)
         assert pred.p_ctr.data.tobytes() == base.p_ctr.data.tobytes()
         assert pred.p_ctcvr.data.tobytes() == base.p_ctcvr.data.tobytes()

@@ -51,3 +51,48 @@ def test_the_check_sees_an_unused_import():
                      "from typing import Any, List\n\ndef f(x: Any) -> np.ndarray:\n    return x\n")
     assert _imported(tree) == {"os": 2, "np": 3, "Any": 4, "List": 4}
     assert set(_imported(tree)) - _used(tree) == {"os", "List"}
+
+
+def _public_functions(tree: ast.Module) -> dict[str, int]:
+    """Each public module-level function, with its line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _autodiff_uses(tree: ast.Module, own: bool) -> set[str]:
+    """The autodiff names a module reads: an attribute of the module bound by
+    `from . import autodiff as ad`, a name imported from `.autodiff`, and
+    every name read when the module is autodiff itself (`own`)."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "iakrec.autodiff"):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "iakrec"):
+            aliases.update(alias.asname or alias.name for alias in node.names if alias.name == "autodiff")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            used.add(node.attr)
+        elif own and isinstance(node, ast.Name):
+            used.add(node.id)
+    return used
+
+
+def test_every_autodiff_function_has_a_caller_in_src():
+    """An op that only the tests call lives in their reference modules
+    (`tests/linear_reference.py`, `tests/loss_reference.py`), not in the
+    engine."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set().union(*(_autodiff_uses(tree, own=stem == "autodiff") for stem, tree in trees.items()))
+    uncalled = [f"autodiff.py:{line} {name}" for name, line in _public_functions(trees["autodiff"]).items()
+                if name not in used]
+    assert uncalled == []
+
+
+def test_the_check_sees_an_uncalled_autodiff_function():
+    engine = ast.parse("def used(a):\n    return helper(a)\n\ndef helper(a):\n    return a\n\n"
+                       "def spare(a):\n    return a\n\ndef _private(a):\n    return a\n\nclass Tensor:\n    pass\n")
+    caller = ast.parse("from . import autodiff as ad\nfrom .autodiff import Tensor\n\n"
+                       "def f(x: Tensor):\n    return ad.used(x)\n\ndef g(ad2):\n    return ad2.spare(1)\n")
+    assert _public_functions(engine) == {"used": 1, "helper": 4, "spare": 7}
+    used = _autodiff_uses(engine, own=True) | _autodiff_uses(caller, own=False)
+    assert set(_public_functions(engine)) - used == {"spare"}

@@ -57,27 +57,27 @@ class TestEncoding:
     def test_extra_feature_columns_are_ignored(self, any_model):
         a = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 7))]), SPACE)
         b = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 5))]), SPACE)
-        pa = any_model.predict(a)
-        pb = any_model.predict(b)
+        pa = any_model.forward_full(a).prediction
+        pb = any_model.forward_full(b).prediction
         assert pa.p_ctr.data[0, 0] == pb.p_ctr.data[0, 0]
         assert pa.p_ctcvr.data[0, 0] == pb.p_ctcvr.data[0, 0]
 
     def test_out_of_vocab_ids_map_to_row_zero(self, any_model):
         oov = encode_records(Dataset.from_records([_record(user=9999, item=-3)]), SPACE)
-        pred = any_model.predict(oov)
+        pred = any_model.forward_full(oov).prediction
         assert 0.0 < pred.p_ctr.data[0, 0] < 1.0  # never errors
 
 
 class TestForwardContracts:
     def test_outputs_in_unit_interval(self, any_model):
-        pred = any_model.predict(_batch())
+        pred = any_model.forward_full(_batch()).prediction
         for p in (pred.p_ctr, pred.p_ctcvr):
             assert np.all((p.data > 0) & (p.data < 1))
 
     def test_purity_same_input_same_output(self, any_model):
         batch = _batch()
-        a = any_model.predict(batch)
-        b = any_model.predict(batch)
+        a = any_model.forward_full(batch).prediction
+        b = any_model.forward_full(batch).prediction
         np.testing.assert_array_equal(a.p_ctr.data, b.p_ctr.data)
         np.testing.assert_array_equal(a.p_ctcvr.data, b.p_ctcvr.data)
 
@@ -92,7 +92,7 @@ class TestForwardContracts:
             for layer in head.layers:
                 layer.w.data[:] = 0.0
                 layer.b.data[:] = 0.0
-        pred = model.predict(_batch())
+        pred = model.forward_full(_batch()).prediction
         np.testing.assert_array_equal(pred.p_ctr.data, np.full((6, 1), 0.5))
         np.testing.assert_array_equal(pred.p_ctcvr.data, np.full((6, 1), 0.5))
 
@@ -100,7 +100,7 @@ class TestForwardContracts:
 class TestESMM:
     def test_product_identity_is_exact(self):
         model = build_model(ModelConfig(kind="esmm", hidden_sizes=(12, 6)), SPACE, seed=1)
-        pred = model.predict(_batch())
+        pred = model.forward_full(_batch()).prediction
         np.testing.assert_array_equal(pred.p_ctcvr.data, pred.p_ctr.data * pred.p_cvr.data)
 
     def test_hand_product(self):
@@ -115,7 +115,7 @@ class TestESMM:
         # drive the cvr head's bias far positive so sigmoid saturates to 1.0
         model.heads[1].layers[-1].w.data[:] = 0.0
         model.heads[1].layers[-1].b.data[:] = 60.0
-        pred = model.predict(_batch())
+        pred = model.forward_full(_batch()).prediction
         np.testing.assert_array_equal(pred.p_ctcvr.data, pred.p_ctr.data)
 
     def test_ctcvr_loss_reaches_both_towers(self):
@@ -125,7 +125,7 @@ class TestESMM:
         probe = [model.towers[0].layers[0].w, model.towers[1].layers[0].w]
 
         def loss_fn():
-            pred = model.predict(batch)
+            pred = model.forward_full(batch).prediction
             return task_bce(pred.p_ctcvr, purchase)
 
         ad.zero_grads(model.parameters())
@@ -154,11 +154,11 @@ class TestMMoE:
         for pa, pb in zip(model.core.experts[0].parameters(), model.core.experts[1].parameters()):
             pb.data = pa.data.copy()
         batch = _batch()
-        base = model.predict(batch)
+        base = model.forward_full(batch).prediction
         for g in model.core.gates:
             g.w.data = model.rng.normal(size=g.w.data.shape)
             g.b.data = model.rng.normal(size=g.b.data.shape)
-        moved = model.predict(batch)
+        moved = model.forward_full(batch).prediction
         np.testing.assert_allclose(base.p_ctr.data, moved.p_ctr.data, atol=1e-12)
 
     def test_equal_gate_logits_average_experts(self):
@@ -178,8 +178,8 @@ class TestBaseRecommender:
         model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=5)
         rec = _record(user=0, item=0, scene=0, region=0, period=0, feats=(0, 0, 0, 0))
         enc = encode_records(Dataset.from_records([rec]), SPACE)
-        a = model.predict(enc)
-        b = model.predict(enc)
+        a = model.forward_full(enc).prediction
+        b = model.forward_full(enc).prediction
         assert a.p_ctr.data[0, 0] == b.p_ctr.data[0, 0]
 
     def test_representation_feeds_stacked_logits(self):
@@ -249,7 +249,7 @@ def test_checkpoint_restore_round_trip(tmp_path):
     clone.restore(arrays)
     batch = _batch()
     np.testing.assert_array_equal(
-        model.predict(batch).p_ctr.data, clone.predict(batch).p_ctr.data
+        model.forward_full(batch).prediction.p_ctr.data, clone.forward_full(batch).prediction.p_ctr.data
     )
 
 
@@ -269,5 +269,6 @@ def test_unseeded_build_is_zero_until_restored(any_model):
     assert all(not p.data.any() for p in blank.parameters())
     blank.restore(any_model.named_parameters())
     batch = _batch()
-    assert blank.predict(batch).p_ctr.data.tobytes() == any_model.predict(batch).p_ctr.data.tobytes()
-    assert blank.predict(batch).p_ctcvr.data.tobytes() == any_model.predict(batch).p_ctcvr.data.tobytes()
+    restored, original = blank.forward_full(batch).prediction, any_model.forward_full(batch).prediction
+    assert restored.p_ctr.data.tobytes() == original.p_ctr.data.tobytes()
+    assert restored.p_ctcvr.data.tobytes() == original.p_ctcvr.data.tobytes()

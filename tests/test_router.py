@@ -95,7 +95,7 @@ class TestRouteScore:
         req = _request(period=2)
         resp = router.score(req)
         assert resp.served_by == "zero_shot"
-        pred = router.backbone.predict(encode_request(req, SPACE))
+        pred = router.backbone.forward_full(encode_request(req, SPACE)).prediction
         assert resp.p_ctr == float(pred.p_ctr.data[0, 0])
 
     def test_lazy_activation_parity(self):
