@@ -2,11 +2,16 @@
 
 Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
-gradients. float64 throughout; any NaN/Inf produced by an op is an error.
+gradients. float64 throughout. An op whose output records a graph (some
+input requires a gradient) raises on a NaN/Inf in that output. A
+graph-free op, one over frozen parameters and plain data, is not checked:
+a frozen forward is checked once, on the scores it ends in (see
+`models.MultiTaskModel.predict_from_logits`).
 
 The ops are the ones the models and adapters run, and each is as coarse as
 its caller allows: a dense layer is one `linear` (or `segment_linear`)
-node, and each loss term is one node: the clipped cross-entropy
+node, the lookups into every embedding table are one `gather_rows` node,
+and each loss term is one node: the clipped cross-entropy
 `clipped_bce`, the Gaussian KL `gaussian_kl` and the reparameterised weight
 draw `weight_sample`. A fused op equals the chain of finer nodes it replaces
 bit for bit; those chains live with the tests as references.
@@ -20,7 +25,9 @@ therefore costs the rows a batch touches, not the size of the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import EllipsisType
 from typing import Callable, Iterable, Sequence
 
@@ -152,14 +159,15 @@ def _wrap(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None], op: str) -> Tensor:
     """Build an op output node; prunes the graph when no parent needs grad.
-    The finiteness check here is the only one an op output gets; the array
-    method skips the Python-level dispatch of `np.all`."""
-    if not np.isfinite(data).all():
-        raise NonFiniteError(f"non-finite values in output of {op}")
+    An output that records a graph is checked for NaN/Inf here, the only
+    check it gets (the array method skips the Python-level dispatch of
+    `np.all`); a graph-free output is returned unchecked."""
     out = Tensor.__new__(Tensor)
     out._bind(data, False)
     for p in parents:
         if p.requires_grad:
+            if not np.isfinite(data).all():
+                raise NonFiniteError(f"non-finite values in output of {op}")
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = lambda: backward(out)
@@ -228,31 +236,24 @@ def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     """Leaky ReLU, branch-free: bit for bit `np.where(z >= 0, z, slope * z)`,
     which holds for a slope in [0, 1] (a -0.0 slope would flip a zero's
     sign)."""
-    if not 0.0 <= slope <= 1.0 or np.signbit(slope):
+    if not 0.0 <= slope <= 1.0 or math.copysign(1.0, slope) < 0.0:
         raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
     return np.maximum(z, slope * z)
 
 
 def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
     """The gradient `g` at leaky ReLU's output carried to its input `z`, g *
-    `np.where(z >= 0, 1.0, slope)` with the factor built branch-free, and
-    normalised (+ 0.0) as `_accum` normalises the input's gradient."""
-    gz = g * np.maximum((z >= 0.0).astype(np.float64), slope)
-    gz += 0.0
-    return gz
+    `np.where(z >= 0, 1.0, slope)` with the factor built branch-free."""
+    return g * np.maximum((z >= 0.0).astype(np.float64), slope)
 
 
 def _dense_grads(g: np.ndarray, z: np.ndarray, slope: float | None, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Gradients at the pre-activation `z` and at x @ w of a dense layer,
-    given the gradient `g` at its output. Each is normalised where `_accum`
-    normalises the node it stands for in the composed chain, so both equal
-    that chain's bit for bit."""
+    given the gradient `g` at its output. A zero's sign may differ from the
+    composed chain's, which stores none: see the note on signed zeros above
+    the loss terms."""
     gz = g if slope is None else _leaky_grad(g, z, slope)
-    if scale is None:
-        return gz, gz
-    gh = gz * scale
-    gh += 0.0
-    return gz, gh
+    return gz, gz if scale is None else gz * scale
 
 
 def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> Tensor:
@@ -381,30 +382,41 @@ def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | 
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 
 
-def gather_rows(table, indices) -> Tensor:
-    """Row lookup into a 2-d table: 1-d indices give `table[idx]`. Backward
-    into a Parameter records the touched rows and their gradient rows; into
-    any other tensor it scatter-adds a dense gradient."""
-    table = _wrap(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    if table.data.ndim != 2:
+def gather_rows(tables, rows) -> Tensor:
+    """Row lookup into 2-d tables, as one node: with a list of T tables and
+    (B, T) `rows`, row rows[i, t] of table t, the T tables' rows side by
+    side in a (B, total width) output; a single table with 1-d indices
+    gives `table[idx]`. Backward into a Parameter records the touched rows
+    and their gradient rows; into any other tensor it scatter-adds a dense
+    gradient."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if not isinstance(tables, (list, tuple)):
+        if idx.ndim != 1:
+            raise ShapeError("gather_rows indices must be 1-d")
+        tables, idx = [tables], idx[:, None]
+    tables = [_wrap(t) for t in tables]
+    if idx.ndim != 2 or idx.shape[1] != len(tables):
+        raise ShapeError(f"gather_rows needs (B, {len(tables)}) rows for {len(tables)} tables, got {idx.shape}")
+    if any(t.data.ndim != 2 for t in tables):
         raise ShapeError("gather_rows table must be 2-d")
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be 1-d")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and ((idx < 0) | (idx >= [t.data.shape[0] for t in tables])).any():
         raise ShapeError("gather_rows index out of range")
+    cols = list(idx.T)
+    parts = [t.data.take(r, axis=0) for t, r in zip(tables, cols)]
+    ends = list(accumulate(part.shape[1] for part in parts))
 
     def backward(out: Tensor) -> None:
-        if not table.requires_grad:
-            return
-        if isinstance(table, Parameter):
-            table.add_row_grad(idx, out.grad)
-        else:
-            dense = np.zeros_like(table.data)
-            np.add.at(dense, idx, out.grad)
-            _accum(table, dense)
+        for t, r, s, e in zip(tables, cols, [0, *ends], ends):
+            if not t.requires_grad:
+                continue
+            if isinstance(t, Parameter):
+                t.add_row_grad(r, out.grad[:, s:e])
+            else:
+                dense = np.zeros_like(t.data)
+                np.add.at(dense, r, out.grad[:, s:e])
+                _accum(t, dense)
 
-    return _make(table.data[idx], (table,), backward, "gather_rows")
+    return _make(np.concatenate(parts, axis=1), tables, backward, "gather_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +424,13 @@ def gather_rows(table, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Each loss term is one node in place of a chain of nodes. It makes the
-# chain's numpy calls in order and normalises (+ 0.0) a gradient wherever
-# `_accum` stores a chain node's first one, leaving out the chain's exact
-# copies of a normalised gradient (through an add or a sum). With `offsets`
-# (see `_segments`) a reduction is per segment of the leading axis.
+# chain's numpy calls in order, leaving out the chain's exact copies of a
+# gradient (through an add or a sum) and the `+ 0.0` with which `_accum`
+# normalises each chain node's first gradient. Signed zeros: leaving that
+# out (here and in the dense layers) only flips the sign of a zero, no op
+# divides by a gradient, and `_accum` normalises what it stores, so the
+# stored gradients are the chain's bit for bit. With `offsets` (see
+# `_segments`) a reduction is per segment of the leading axis.
 
 
 def _spread(g: np.ndarray, segs: list[tuple[int, int]] | None, ndim: int) -> np.ndarray:
@@ -444,18 +459,18 @@ def clipped_bce(p, labels, lo: float, hi: float, offsets=None) -> Tensor:
         mean = np.array([ll[s:e].mean() if e > s else 0.0 for s, e in segs])
 
     def backward(out: Tensor) -> None:
-        g = out.grad * -1.0 + 0.0
+        g = out.grad * -1.0
         if segs is None:
-            g_ll = np.full_like(ll, g / ll.size + 0.0)
+            g_ll = np.full_like(ll, g / ll.size)
         else:
             g_ll = np.empty_like(ll)
             for k, (s, e) in enumerate(segs):
                 if e > s:
-                    g_ll[s:e] = g[k] / ll[s:e].size + 0.0
-        g_q = (g_ll * not_y + 0.0) / not_p + 0.0
+                    g_ll[s:e] = g[k] / ll[s:e].size
+        g_q = g_ll * not_y / not_p
         # the clamped p's gradient: log p's share first, then 1 - p's
         # (x - y is x + (-y) exactly)
-        g_pc = (g_ll * y + 0.0) / pc + 0.0
+        g_pc = g_ll * y / pc
         g_pc -= g_q
         _accum(p, g_pc * ((p.data >= lo) & (p.data <= hi)))
 
@@ -482,11 +497,11 @@ def gaussian_kl(mu, rho, offsets=None) -> Tensor:
     kl = total(mu.data * mu.data + sigma * sigma - 1.0) * 0.5 - total(log_sigma)
 
     def backward(out: Tensor) -> None:
-        g_sq = _spread(out.grad * 0.5 + 0.0, segs, mu.data.ndim)
-        g_log = _spread(-out.grad + 0.0, segs, mu.data.ndim)
+        g_sq = _spread(out.grad * 0.5, segs, mu.data.ndim)
+        g_log = _spread(-out.grad, segs, mu.data.ndim)
         _accum(mu, g_sq * 2.0 * mu.data)
         # sigma's gradient: the square's share first, then the log's
-        g_sigma = g_sq * 2.0 * sigma + 0.0
+        g_sigma = g_sq * 2.0 * sigma
         g_sigma += g_log / sigma
         _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
 
@@ -506,7 +521,7 @@ def weight_sample(mu, rho, eps) -> Tensor:
 
     def backward(out: Tensor) -> None:
         _accum(mu, _unbroadcast(out.grad, mu.shape))
-        g_sigma = _unbroadcast(out.grad * eps, rho.shape) + 0.0
+        g_sigma = _unbroadcast(out.grad * eps, rho.shape)
         _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
 
     return _make(mu.data + sigma * eps, (mu, rho), backward, "weight_sample")

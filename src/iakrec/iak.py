@@ -243,7 +243,8 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset, chunk: int = 4096) 
     backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
     these, so computing them once per train row, over the union of every
     domain's rows, avoids re-running the backbone every epoch or for a row
-    that two domains share."""
+    that two domains share. The pass records no graph: `predict_from_logits`
+    checks each chunk's logits, which a non-finite representation reaches."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))

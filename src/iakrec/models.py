@@ -103,10 +103,6 @@ class EmbeddingTable:
         self.dim = dim
         self.rows = Parameter(rng.normal(0.0, 0.1, size=(vocab_size + 1, dim)), name=f"{name}.rows")
 
-    def lookup(self, raw_ids: np.ndarray) -> Tensor:
-        """One row per id."""
-        return ad.gather_rows(self.rows, _safe_rows(raw_ids, self.vocab_size))
-
 
 class Linear:
     def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator, scale: float | None = None):
@@ -195,26 +191,24 @@ class EmbeddingBundle:
             EmbeddingTable(space.n_feature_buckets, dim, f"feat{c}_emb", rng)
             for c in range(space.n_feature_cols)
         ]
+        tables = [self.user, self.item, self.scene, self.region, self.period, *self.features]
+        self._rows = [t.rows for t in tables]
+        self._vocab = np.array([t.vocab_size for t in tables])
 
     @property
     def out_dim(self) -> int:
         return (5 + self.space.n_feature_cols) * self.dim
 
     def assemble(self, batch: Dataset) -> Tensor:
-        parts = [
-            self.user.lookup(batch.user),
-            self.item.lookup(batch.item),
-            self.scene.lookup(batch.scene),
-            self.region.lookup(batch.region),
-            self.period.lookup(batch.period),
-        ]
-        for c, table in enumerate(self.features):
-            parts.append(table.lookup(batch.features[:, c]))
-        return ad.concat(parts, axis=1)
+        """The embeddings of every id column of the rows, side by side (user,
+        item, scene, region, period, then each feature column): all ids mapped
+        to table rows at once, then one `ad.gather_rows` node over the
+        tables."""
+        ids = np.column_stack((batch.user, batch.item, batch.scene, batch.region, batch.period, batch.features))
+        return ad.gather_rows(self._rows, _safe_rows(ids, self._vocab))
 
     def parameters(self) -> list[Parameter]:
-        tables = [self.user, self.item, self.scene, self.region, self.period, *self.features]
-        return [t.rows for t in tables]
+        return list(self._rows)
 
 
 class MultiTaskModel:
@@ -269,7 +263,13 @@ class MultiTaskModel:
     def predict_from_logits(self, logits: Tensor) -> Prediction:
         """Probabilities of (B, n_heads) logits. Heads are (ctr, ctcvr) for
         every kind except ESMM, whose second head is CVR and whose ctcvr is
-        the exact product."""
+        the exact product.
+
+        Graph-free logits (a frozen forward: scoring, eval, `backbone_cache`)
+        were not checked op by op, so a NaN or Inf in them raises
+        `NonFiniteError` here, once per prediction."""
+        if not logits.requires_grad and not np.isfinite(logits.data).all():
+            raise ad.NonFiniteError("non-finite logits of a frozen forward")
         p0 = ad.sigmoid(ad.slice_cols(logits, 0, 1))
         p1 = ad.sigmoid(ad.slice_cols(logits, 1, 2))
         if self.kind == "esmm":

@@ -9,9 +9,14 @@ the model reads, so it is scored as eval scores that row, up to the
 rounding of a one-row product against a chunked one. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). The router freezes the backbone and every adapter it
-deploys, so scoring records no autodiff graph: each op computes its value
-and links no parents. Every request runs the backbone once. In the
-default eager mode every deployed adapter then corrects that one output;
+deploys, so scoring records no autodiff graph: each op computes its value,
+links no parents and is not checked for NaN/Inf on its own. Each
+prediction's logits are checked once instead
+(`MultiTaskModel.predict_from_logits`): a non-finite score raises
+`NonFiniteError`, and `serve` answers it as an error on that line.
+
+Every request runs the backbone once. In the default eager mode every
+deployed adapter then corrects that one output;
 lazy activation applies only the selected adapter, so with K adapters
 deployed it saves K-1 small adapter MLPs per request (all K for a zero-shot
 request, which reads the backbone's own prediction). The outputs are
@@ -27,6 +32,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .datagen import Dataset, id_fields, in_domain, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
 from .models import FeatureSpace, MultiTaskModel, encode_records
@@ -135,9 +141,9 @@ class DomainRouter:
 def serve(router: DomainRouter, rfile: Iterable[str | bytes], wfile: IO[str]) -> int:
     """One JSON request per line in, one JSON response per line out,
     order-preserving. Lines are text, or bytes decoded as UTF-8 one line at
-    a time. Malformed lines (not UTF-8 included) get an error response
-    carrying the offending line number and the loop continues. Returns 0 on
-    end of stream."""
+    a time. Malformed lines (not UTF-8 included), and requests whose score
+    is NaN or Inf, get an error response carrying the offending line number
+    and the loop continues. Returns 0 on end of stream."""
     for lineno, raw in enumerate(rfile, start=1):
         try:
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
@@ -150,21 +156,15 @@ def serve(router: DomainRouter, rfile: Iterable[str | bytes], wfile: IO[str]) ->
         # nested too deep to decode
         except (ValueError, RecursionError) as e:
             msg = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
-            wfile.write(json.dumps({"error": f"malformed request: {msg}", "line": lineno}) + "\n")
-            wfile.flush()
-            continue
-        resp = router.score(request)
-        wfile.write(
-            json.dumps(
-                {
-                    "p_ctr": resp.p_ctr,
-                    "p_ctcvr": resp.p_ctcvr,
-                    "served_by": resp.served_by,
-                    "latency_micros": resp.latency_micros,
-                }
-            )
-            + "\n"
-        )
+            reply = {"error": f"malformed request: {msg}", "line": lineno}
+        else:
+            try:
+                resp = router.score(request)
+                reply = {"p_ctr": resp.p_ctr, "p_ctcvr": resp.p_ctcvr, "served_by": resp.served_by,
+                         "latency_micros": resp.latency_micros}
+            except NonFiniteError as e:
+                reply = {"error": f"non-finite score: {e}", "line": lineno}
+        wfile.write(json.dumps(reply) + "\n")
         wfile.flush()
     return 0
 

@@ -1,15 +1,19 @@
-"""Reference dense layers: the chain of nodes `ad.linear` and
-`ad.segment_linear` fuse into one. A dense layer is matmul, then mul by
-the scale, then the bias add, then leaky_relu, each its own autodiff node;
-a segment layer does the matmul and the bias add per segment. The fused
-primitives must equal these bit for bit, values and gradients; tests
-compare against them and patch them in for the fused ones."""
+"""Reference dense layers and embedding lookups: the chains of nodes
+`ad.linear`, `ad.segment_linear` and the table-list `ad.gather_rows` fuse
+into one. A dense layer is matmul, then mul by the scale, then the bias
+add, then leaky_relu, each its own autodiff node; a segment layer does the
+matmul and the bias add per segment; a lookup over several tables is one
+single-table lookup per table, then concat. The fused primitives must
+equal these bit for bit, values and gradients; tests compare against them
+and patch them in for the fused ones."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from iakrec import autodiff as ad
+
+_gather_rows = ad.gather_rows  # the single-table lookup, kept when a test patches the fused one
 
 
 def matmul(a, b) -> ad.Tensor:
@@ -79,3 +83,10 @@ def composed_linear(x, w, b, slope=None, scale=None) -> ad.Tensor:
 def composed_segment_linear(x, w, b, offsets, slope=None, scale=None) -> ad.Tensor:
     return _chain(x, w, b, slope, scale, lambda x, w: segment_matmul(x, w, offsets),
                   lambda x, b: segment_add(x, b, offsets))
+
+
+def composed_gather_rows(tables, rows) -> ad.Tensor:
+    """Column t of the (B, T) `rows` looked up in table t, one node per
+    table, then concatenated."""
+    rows = np.asarray(rows)
+    return ad.concat([_gather_rows(t, rows[:, c]) for c, t in enumerate(tables)], axis=1)

@@ -51,6 +51,16 @@ def test_leaky_slope_outside_unit_interval_is_rejected(slope):
         ad.segment_linear(np.ones((1, 2)), np.ones((1, 2, 2)), np.ones((1, 2)), [0, 1], slope=slope)
 
 
+@pytest.mark.parametrize("slope", [-0.0, 0.0, 5e-324, 0.01, 1.0, np.nextafter(1.0, 2.0), 1.5, -0.01, -np.inf,
+                                   np.inf, np.nan, -np.nan, np.float64(-0.0), np.float64(1.0)])
+def test_leaky_accepts_exactly_the_slopes_in_the_unit_interval_without_a_sign_bit(slope):
+    if 0.0 <= slope <= 1.0 and not np.signbit(slope):
+        assert ad._leaky(np.array([-2.0, 3.0]), slope).tolist() == [-2.0 * slope, 3.0]
+    else:
+        with pytest.raises(ValueError, match="slope"):
+            ad._leaky(np.array([-2.0, 3.0]), slope)
+
+
 def _linear_case(seed):
     """x, w, b and an upstream gradient for a (5, 3) -> 4 dense layer. Row 0
     of x is zero and b[0] is 0, so z[0, 0] is exactly 0 (the kink); x holds
@@ -372,8 +382,10 @@ def test_gather_takes_only_1d_indices(shape):
         ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64))
 
 
-def _bad_tensor(bad):
-    t = ad.Tensor(np.ones((2, 2)))
+def _bad_tensor(bad, requires_grad=True):
+    """A (2, 2) input holding `bad`; by default it records a graph, so every
+    op's output is checked."""
+    t = ad.Tensor(np.ones((2, 2)), requires_grad=requires_grad)
     t.data[0, 1] = bad  # past the constructor's own check
     return t
 
@@ -433,6 +445,15 @@ def test_every_primitive_rejects_a_non_finite_output(op, bad):
         else:
             with pytest.raises(ad.NonFiniteError, match=f"output of {op}$"):
                 PRIMITIVES[op](_bad_tensor(bad))
+
+
+@pytest.mark.parametrize("op", sorted(PRIMITIVES))
+def test_a_graph_free_op_returns_a_non_finite_output_unchecked(op):
+    """An op whose inputs record no graph (a frozen forward) does not check
+    its output: the NaN passes through to where a score is checked."""
+    with np.errstate(all="ignore"):
+        out = PRIMITIVES[op](_bad_tensor(np.nan, requires_grad=False))
+    assert np.isnan(out.data).any() and not out.requires_grad and out._parents == ()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

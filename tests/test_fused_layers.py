@@ -1,21 +1,22 @@
 """Every dense layer of the backbone and the adapters is one `ad.linear` or
-`ad.segment_linear` node, and every loss term is one `ad.clipped_bce`,
-`ad.gaussian_kl` or `ad.weight_sample` node. A training step through them
-must leave every parameter bit for bit where the composed chains of nodes
-leave it, and the pretrain and bank graphs must stay fused."""
+`ad.segment_linear` node, every loss term is one `ad.clipped_bce`,
+`ad.gaussian_kl` or `ad.weight_sample` node, and the embedding assembly is
+one `ad.gather_rows` node. A training step through them must leave every
+parameter bit for bit where the composed chains of nodes leave it, and the
+pretrain and bank graphs must stay fused."""
 
 import numpy as np
 import pytest
 
 from iakrec import autodiff as ad
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
+from iakrec.models import FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
 from iakrec.datagen import Dataset
 from iakrec.trainer import pretrain_step
 
 from adapter_reference import reference_step
 from gradcheck import assert_grads_match
-from linear_reference import composed_linear, composed_segment_linear
+from linear_reference import composed_gather_rows, composed_linear, composed_segment_linear
 from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
@@ -26,6 +27,12 @@ def composed(monkeypatch):
     """Run every dense layer as its composed chain of nodes."""
     monkeypatch.setattr(ad, "linear", composed_linear)
     monkeypatch.setattr(ad, "segment_linear", composed_segment_linear)
+
+
+@pytest.fixture
+def composed_lookups(monkeypatch):
+    """Run the embedding assembly as one lookup node per table plus concat."""
+    monkeypatch.setattr(ad, "gather_rows", composed_gather_rows)
 
 
 @pytest.fixture
@@ -73,9 +80,9 @@ def test_pretrain_step_is_fused_and_equals_the_composed_layers(graph_sizes, requ
     fused = _pretrain_step()
     request.getfixturevalue("composed")
     assert _pretrain_step() == fused
-    # 74 nodes fused; the composed layers add a bias node per dense layer and
+    # 65 nodes fused; the composed layers add a bias node per dense layer and
     # an activation node per hidden layer
-    assert graph_sizes == [74, 93]
+    assert graph_sizes == [65, 84]
 
 
 def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
@@ -83,7 +90,15 @@ def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
     request.getfixturevalue("composed_losses")
     assert _pretrain_step() == fused
     # each task's cross-entropy is one node in place of nine
-    assert graph_sizes == [74, 90]
+    assert graph_sizes == [65, 81]
+
+
+def test_pretrain_step_equals_the_composed_lookups(graph_sizes, request):
+    fused = _pretrain_step()
+    request.getfixturevalue("composed_lookups")
+    assert _pretrain_step() == fused
+    # the embedding assembly is one node in place of nine lookups and a concat
+    assert graph_sizes == [65, 74]
 
 
 def _bank_step(beta, decoder_hidden=(6, 5), steps=2):
@@ -156,6 +171,45 @@ def test_lone_adapter_step_equals_the_composed_losses(request, beta):
     fused = _lone_steps(beta)
     request.getfixturevalue("composed_losses")
     assert _lone_steps(beta) == fused
+
+
+# -- the embedding lookup ----------------------------------------------------
+
+
+def _lookup_step(gather):
+    """Output bytes, gradients and post-step parameter bytes of one Adagrad
+    step through `gather` over three Parameter tables and a non-Parameter
+    one (a product of a Parameter). The rows come from raw ids holding an
+    out-of-vocab id, a -1 pad and a repeated id."""
+    rng = np.random.default_rng(8)
+    params = [ad.Parameter(rng.normal(size=(v + 1, d)), f"t{k}") for k, (v, d) in enumerate([(6, 3), (3, 2), (4, 3), (2, 2)])]
+    tables = [params[0], params[1], ad.mul(params[2], 2.0), params[3]]
+    raw = np.array([[0, 2, 1, -1], [6, -1, 3, 0], [2, 2, 9, 1], [5, 0, -1, -1]])
+    out = gather(tables, _safe_rows(raw, np.array([6, 3, 4, 2])))
+    ad.backward(ad.reduce_sum(ad.mul(out, rng.normal(size=out.shape))))
+    grads = [("dense" if rows is ... else rows.tobytes(), g.tobytes()) for rows, g in (p.touched_grad() for p in params)]
+    ad.adagrad_decay_step(params, ad.AdagradDecayState(), lr=0.05)
+    return out.data.tobytes(), grads, [p.data.tobytes() for p in params]
+
+
+def test_table_list_gather_rows_equals_per_table_lookups_and_concat_bitwise():
+    fused = _lookup_step(ad.gather_rows)
+    assert fused == _lookup_step(composed_gather_rows)
+    assert [rows == "dense" for rows, _ in fused[1]] == [False, False, True, False]
+
+
+def test_assemble_is_one_lookup_node_equal_to_a_lookup_per_id_column():
+    space = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3, n_feature_cols=6)
+    model = build_model(ModelConfig(), space, seed=1)
+    batch = encode_records(_batch(30, 2), space)  # user ids 20 and 21 are out of vocab; two -1 feature pads
+    emb = model.embeddings
+    columns = [batch.user, batch.item, batch.scene, batch.region, batch.period, *batch.features.T]
+    tables = [emb.user, emb.item, emb.scene, emb.region, emb.period, *emb.features]
+    per_column = ad.concat([ad.gather_rows(t.rows, _safe_rows(c, t.vocab_size)) for t, c in zip(tables, columns)])
+    out = emb.assemble(batch)
+    assert out.data.tobytes() == per_column.data.tobytes()
+    assert out._parents == tuple(emb.parameters())
+    assert (batch.user >= 20).any() and (batch.features[:, 4:] == -1).all()
 
 
 # -- the fused loss nodes, op by op -------------------------------------------

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iakrec.autodiff import NonFiniteError
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.config import RunConfig
 from iakrec.datagen import generate
+from iakrec.evals import SplitPass
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records
 from iakrec.router import (
@@ -333,6 +335,49 @@ class TestServe:
             assert resp["p_ctr"] == offline.p_ctr
             assert resp["p_ctcvr"] == offline.p_ctcvr
             assert resp["served_by"] == offline.served_by
+
+
+class TestNonFiniteScores:
+    """A frozen forward is not checked op by op but once per prediction, on
+    its logits: a NaN that gets past `restore` into a deployed model raises
+    there, and `serve` answers it as an error on its line."""
+
+    NON_FINITE = "non-finite score: non-finite logits of a frozen forward"
+
+    @staticmethod
+    def _lines(*requests):
+        return io.StringIO("".join(json.dumps({"user_id": u, "item_id": 1, "domain_ids": {"period": p},
+                                               "feature_ids": [1]}) + "\n" for u, p in requests))
+
+    def test_a_nan_in_a_deployed_adapter_raises_in_score_and_in_eval(self):
+        backbone = _backbone()
+        adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)),
+                             {"period": 1}, seed=None)
+        adapter.restore(_adapter(backbone, 1, seed=2, nudge=-0.08).named_parameters())
+        router = DomainRouter(backbone, {"period=1": adapter}, lazy_activation=True)
+        adapter.decoder_out.b.data[0] = np.nan  # past restore's check
+        with pytest.raises(NonFiniteError, match="non-finite logits"):
+            router.score(_request(period=1))
+        split = SplitPass(backbone, encode_request(_request(period=1), SPACE))
+        with pytest.raises(NonFiniteError, match="non-finite logits"):
+            split.adapted(adapter, slice(None))
+        assert np.isfinite(split.zero_shot()).all()
+        out = io.StringIO()
+        assert serve(router, self._lines((3, 1), (3, 0)), out) == 0
+        first, second = (json.loads(l) for l in out.getvalue().splitlines())
+        assert first == {"error": self.NON_FINITE, "line": 1}
+        assert second["served_by"] == "zero_shot"
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_serve_writes_an_error_for_a_non_finite_score_and_answers_the_next_line(self, lazy):
+        backbone = _backbone()
+        router = DomainRouter(backbone, {"period=0": _adapter(backbone, 0, seed=1, nudge=0.05)}, lazy_activation=lazy)
+        backbone.embeddings.user.rows.data[1 + 3] = np.nan  # user 3's row, past restore's check
+        out = io.StringIO()
+        assert serve(router, self._lines((3, 0), (2, 0), (3, 1)), out) == 0
+        first, second, third = (json.loads(l) for l in out.getvalue().splitlines())
+        assert first == {"error": self.NON_FINITE, "line": 1} and third == {"error": self.NON_FINITE, "line": 3}
+        assert second["served_by"] == "period=0" and np.isfinite([second["p_ctr"], second["p_ctcvr"]]).all()
 
 
 class TestCheckpointRoundTrip:
