@@ -160,7 +160,7 @@ def cmd_pretrain(args) -> int:
 def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
     arrays, _ = load_checkpoint(ckpt_path)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=None)
-    model.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
+    model.restore(arrays)
     model.set_trainable(False)
     return model, arrays
 

@@ -1,14 +1,14 @@
 """Multi-task recommendation models: Shared Bottom, ESMM, MMoE, and the
 composite BaseRecommender used as the pretraining target.
 
-All model kinds share the identical embedding assembly (one embedding per
-id column of a row: user, item, scene, region, period and the feature
-columns), so comparisons isolate the head architecture. The model reads one
-row type, a `datagen.Dataset` fitted by `encode_records`: training batches,
-scored splits and a served request (a one-row dataset) reach it as the same
-input. Every kind exposes one (B, n_heads) logits tensor plus a
-representation vector (the concatenated task-tower penultimate activations)
-that downstream adapters consume; only `predict_from_logits` splits heads.
+All model kinds share one scaffold, so comparisons isolate the core between
+the embeddings and the two task towers: the same embedding assembly in (one
+embedding per id column of a row: user, item, scene, region, period and the
+feature columns) and the same output tail out (`MultiTaskModel._output`),
+which turns the towers' activations into the representation that adapters
+consume and one (B, n_heads) logits tensor; only `predict_from_logits` splits
+heads. The model reads one row type, a `datagen.Dataset` fitted by
+`encode_records`: batches, scored splits and a served request alike.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .autodiff import Parameter, Tensor
 from .datagen import Dataset
 
 PROB_CLAMP = 1e-12
+# the two objectives every kind trains on; ESMM's second logits column is CVR
+TASKS = ("ctr", "ctcvr")
 # negative-side slope of every leaky ReLU, in the backbone and the adapters
 LEAKY_SLOPE = 0.01
 
@@ -95,15 +97,6 @@ def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:
     return np.where((raw >= 0) & (raw < vocab), raw + 1, 0)
 
 
-class EmbeddingTable:
-    """Dense embedding matrix with a dedicated out-of-vocab row 0."""
-
-    def __init__(self, vocab_size: int, dim: int, name: str, rng: np.random.Generator):
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.rows = Parameter(rng.normal(0.0, 0.1, size=(vocab_size + 1, dim)), name=f"{name}.rows")
-
-
 class Linear:
     def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator, scale: float | None = None):
         std = scale if scale is not None else np.sqrt(2.0 / in_dim)
@@ -119,20 +112,14 @@ class Linear:
 
 
 class MLP:
-    """Stack of Linear + LeakyReLU; the final layer is linear when
-    final_activation is off (logit heads)."""
+    """Stack of Linear + LeakyReLU, every layer activated."""
 
-    def __init__(self, dims: list[int], name: str, rng: np.random.Generator, final_activation: bool = True):
-        self.final_activation = final_activation
-        self.layers = []
-        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            last = i == len(dims) - 2
-            scale = None if (final_activation or not last) else np.sqrt(1.0 / d_in)
-            self.layers.append(Linear(d_in, d_out, f"{name}.l{i}", rng, scale=scale))
+    def __init__(self, dims: list[int], name: str, rng: np.random.Generator):
+        self.layers = [Linear(d_in, d_out, f"{name}.l{i}", rng) for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x, LEAKY_SLOPE if self.final_activation or i < len(self.layers) - 1 else None)
+        for layer in self.layers:
+            x = layer(x, LEAKY_SLOPE)
         return x
 
     def parameters(self) -> list[Parameter]:
@@ -144,7 +131,6 @@ class ModelConfig:
     kind: str = "base"
     hidden_sizes: tuple[int, ...] = (64, 32, 16)
     n_experts: int = 2
-    task_names: tuple[str, str] = ("ctr", "ctcvr")
     loss_weights: tuple[float, float] = (1.0, 1.0)
     embed_dim: int = 8
 
@@ -155,7 +141,7 @@ class ModelConfig:
             raise ModelError("n_experts must be >= 1")
         if not self.hidden_sizes or any(h <= 0 for h in self.hidden_sizes):
             raise ModelError("hidden sizes must be positive")
-        if len(self.task_names) != 2 or len(self.loss_weights) != 2:
+        if len(self.loss_weights) != 2:
             raise ModelError("exactly two tasks are supported (ctr, ctcvr)")
 
 
@@ -177,27 +163,21 @@ class ModelOutput:
 
 
 class EmbeddingBundle:
-    """The shared embedding assembly every model kind is built on."""
+    """The shared embedding assembly every model kind is built on: one table
+    per id column, each with a dedicated out-of-vocab row 0."""
 
     def __init__(self, space: FeatureSpace, dim: int, rng: np.random.Generator):
         self.space = space
         self.dim = dim
-        self.user = EmbeddingTable(space.n_users, dim, "user_emb", rng)
-        self.item = EmbeddingTable(space.n_items, dim, "item_emb", rng)
-        self.scene = EmbeddingTable(space.n_scenes, dim, "scene_emb", rng)
-        self.region = EmbeddingTable(space.n_regions, dim, "region_emb", rng)
-        self.period = EmbeddingTable(space.n_periods, dim, "period_emb", rng)
-        self.features = [
-            EmbeddingTable(space.n_feature_buckets, dim, f"feat{c}_emb", rng)
-            for c in range(space.n_feature_cols)
-        ]
-        tables = [self.user, self.item, self.scene, self.region, self.period, *self.features]
-        self._rows = [t.rows for t in tables]
-        self._vocab = np.array([t.vocab_size for t in tables])
+        names = ["user", "item", "scene", "region", "period", *(f"feat{c}" for c in range(space.n_feature_cols))]
+        vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
+        vocab += [space.n_feature_buckets] * space.n_feature_cols
+        self.rows = [Parameter(rng.normal(0.0, 0.1, size=(v + 1, dim)), f"{n}_emb.rows") for n, v in zip(names, vocab)]
+        self._vocab = np.array(vocab)
 
     @property
     def out_dim(self) -> int:
-        return (5 + self.space.n_feature_cols) * self.dim
+        return len(self.rows) * self.dim
 
     def assemble(self, batch: Dataset) -> Tensor:
         """The embeddings of every id column of the rows, side by side (user,
@@ -205,14 +185,14 @@ class EmbeddingBundle:
         to table rows at once, then one `ad.gather_rows` node over the
         tables."""
         ids = np.column_stack((batch.user, batch.item, batch.scene, batch.region, batch.period, batch.features))
-        return ad.gather_rows(self._rows, _safe_rows(ids, self._vocab))
+        return ad.gather_rows(self.rows, _safe_rows(ids, self._vocab))
 
     def parameters(self) -> list[Parameter]:
-        return list(self._rows)
+        return list(self.rows)
 
 
 class MultiTaskModel:
-    """Common scaffolding: embeddings in, two task heads out."""
+    """The scaffold of every kind: embeddings in, `_output` of its towers out."""
 
     kind = "abstract"
 
@@ -249,7 +229,7 @@ class MultiTaskModel:
 
     @property
     def n_heads(self) -> int:
-        return 2
+        return len(TASKS)
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from `arrays` (extra names are ignored), one
@@ -257,8 +237,25 @@ class MultiTaskModel:
         overwrite. A bad array is a `ModelError` (see `restore_parameters`)."""
         restore_parameters(self._params, arrays, ModelError)
 
+    def _heads(self, tasks: tuple[str, ...]) -> list[Linear]:
+        # one logit layer per task, named `.l0` as when each head was a
+        # one-layer MLP, so checkpoints and backbone caches written then load
+        d = self.config.hidden_sizes[-1]
+        return [Linear(d, 1, f"head_{t}.l0", self.rng, scale=np.sqrt(1.0 / d)) for t in tasks]
+
     def forward_full(self, batch: Dataset) -> ModelOutput:
         raise NotImplementedError
+
+    def _output(self, penults: list[Tensor]) -> ModelOutput:
+        """The output tail every kind shares: the tower activations side by
+        side are the representation, and `_logits` scores them."""
+        rep = ad.concat(penults, axis=1)
+        logits = self._logits(penults, rep)
+        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+
+    def _logits(self, penults: list[Tensor], rep: Tensor) -> Tensor:
+        """(B, n_heads) logits, each task's head on its own tower."""
+        return ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
 
     def predict_from_logits(self, logits: Tensor) -> Prediction:
         """Probabilities of (B, n_heads) logits. Heads are (ctr, ctcvr) for
@@ -284,21 +281,13 @@ class SharedBottom(MultiTaskModel):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.trunk = MLP([self.embeddings.out_dim, *hs], "trunk", self.rng)
-        self.towers = [
-            MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in config.task_names
-        ]
-        self.heads = [
-            MLP([hs[-1], 1], f"head_{t}", self.rng, final_activation=False)
-            for t in config.task_names
-        ]
+        self.towers = [MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in TASKS]
+        self.heads = self._heads(TASKS)
         self._register(self.trunk, *self.towers, *self.heads)
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.trunk(self.embeddings.assemble(batch))
-        penults = [tower(x) for tower in self.towers]
-        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
-        rep = ad.concat(penults, axis=1)
-        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+        return self._output([tower(x) for tower in self.towers])
 
 
 class ESMM(MultiTaskModel):
@@ -310,23 +299,14 @@ class ESMM(MultiTaskModel):
 
     def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
         super().__init__(config, space, seed)
-        hs = list(config.hidden_sizes)
-        self.towers = [
-            MLP([self.embeddings.out_dim, *hs], f"tower_{t}", self.rng)
-            for t in ("ctr", "cvr")
-        ]
-        self.heads = [
-            MLP([hs[-1], 1], f"head_{t}", self.rng, final_activation=False)
-            for t in ("ctr", "cvr")
-        ]
+        dims = [self.embeddings.out_dim, *config.hidden_sizes]
+        self.towers = [MLP(dims, f"tower_{t}", self.rng) for t in ("ctr", "cvr")]
+        self.heads = self._heads(("ctr", "cvr"))
         self._register(*self.towers, *self.heads)
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
         x = self.embeddings.assemble(batch)
-        penults = [tower(x) for tower in self.towers]
-        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
-        rep = ad.concat(penults, axis=1)
-        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+        return self._output([tower(x) for tower in self.towers])
 
 
 class _MoECore:
@@ -336,7 +316,7 @@ class _MoECore:
     def __init__(self, in_dim: int, config: ModelConfig, rng: np.random.Generator):
         hs = list(config.hidden_sizes)
         self.experts = [MLP([in_dim, *hs], f"expert{e}", rng) for e in range(config.n_experts)]
-        self.gates = [Linear(in_dim, config.n_experts, f"gate_{t}", rng) for t in config.task_names]
+        self.gates = [Linear(in_dim, config.n_experts, f"gate_{t}", rng) for t in TASKS]
 
     def __call__(self, x: Tensor) -> list[Tensor]:
         expert_outs = [e(x) for e in self.experts]
@@ -364,20 +344,13 @@ class MMoE(MultiTaskModel):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.core = _MoECore(self.embeddings.out_dim, config, self.rng)
-        self.towers = [MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in config.task_names]
-        self.heads = [
-            MLP([hs[-1], 1], f"head_{t}", self.rng, final_activation=False)
-            for t in config.task_names
-        ]
+        self.towers = [MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in TASKS]
+        self.heads = self._heads(TASKS)
         self._register(self.core, *self.towers, *self.heads)
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
-        x = self.embeddings.assemble(batch)
-        mixed = self.core(x)
-        penults = [tower(m) for tower, m in zip(self.towers, mixed)]
-        logits = ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
-        rep = ad.concat(penults, axis=1)
-        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+        mixed = self.core(self.embeddings.assemble(batch))
+        return self._output([tower(m) for tower, m in zip(self.towers, mixed)])
 
 
 class BaseRecommender(MultiTaskModel):
@@ -392,17 +365,17 @@ class BaseRecommender(MultiTaskModel):
         super().__init__(config, space, seed)
         hs = list(config.hidden_sizes)
         self.core = _MoECore(self.embeddings.out_dim, config, self.rng)
-        self.towers = [MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in config.task_names]
+        self.towers = [MLP([hs[-1], hs[-1]], f"tower_{t}", self.rng) for t in TASKS]
         self.stacked = Linear(2 * hs[-1], self.n_heads, "stacked_logits", self.rng, scale=np.sqrt(1.0 / (2 * hs[-1])))
         self._register(self.core, *self.towers, self.stacked)
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
-        x = self.embeddings.assemble(batch)
-        mixed = self.core(x)
-        penults = [tower(m) for tower, m in zip(self.towers, mixed)]
-        rep = ad.concat(penults, axis=1)
-        logits = self.stacked(rep)
-        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+        mixed = self.core(self.embeddings.assemble(batch))
+        return self._output([tower(m) for tower, m in zip(self.towers, mixed)])
+
+    def _logits(self, penults: list[Tensor], rep: Tensor) -> Tensor:
+        """The stacked layer scores every task from the whole representation."""
+        return self.stacked(rep)
 
 
 MODEL_KINDS = {

@@ -106,15 +106,13 @@ class DomainRouter:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
         for a in self.adapters.values():
             a.set_trainable(False)
+        # most specific first, ties in key order, so the first match is the one
+        self._by_specificity = sorted(self.adapters, key=lambda k: (-len(self.adapters[k].domain_key), k))
 
     def _select(self, domain_ids: dict[str, int]) -> str | None:
         """Most-specific matching adapter; ties break on the sorted key so
         selection is deterministic."""
-        matches = [key for key, a in self.adapters.items() if in_domain(domain_ids, a.domain_key)]
-        if not matches:
-            return None
-        matches.sort(key=lambda k: (-len(self.adapters[k].domain_key), k))
-        return matches[0]
+        return next((k for k in self._by_specificity if in_domain(domain_ids, self.adapters[k].domain_key)), None)
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         t0 = time.perf_counter_ns()
@@ -177,11 +175,13 @@ def adapters_from_arrays(
 ) -> dict[str, IAKAdapter]:
     """Rebuild the adapter set stored in a checkpoint: adapter parameters are
     namespaced `adapter/<domain key>/...`. Each adapter is built without init
-    draws (seed=None) and restored from its arrays."""
+    draws (seed=None), restored from its arrays and frozen, so scoring with
+    it records no graph."""
     keys = sorted({name.split("/")[1] for name in arrays if name.startswith("adapter/")})
     adapters = {}
     for key in keys:
         adapter = IAKAdapter(rep_dim, n_tasks, iak_config, parse_domain_key(key), seed=None)
         adapter.restore({n: a for n, a in arrays.items() if n.startswith(f"adapter/{key}/")})
+        adapter.set_trainable(False)
         adapters[key] = adapter
     return adapters

@@ -18,7 +18,8 @@ from iakrec.checkpoint import save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _restore_backbone, main
 from iakrec.config import RunConfig
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
-from iakrec.iak import IAKAdapter
+from iakrec.autodiff import Tensor
+from iakrec.iak import IAKAdapter, adapted_prediction
 from iakrec.models import MODEL_KINDS, build_model
 from iakrec.router import adapters_from_arrays
 
@@ -408,9 +409,23 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, kind, for
     adapters = adapters_from_arrays(loaded, model.rep_dim, model.n_heads, cfg.iak_config())
     restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
     assert model.frozen and sorted(restored) == sorted(arrays)
+    assert not any(p.trainable for p in adapters["period=0"].parameters())
     for name, data in restored.items():
         assert data.dtype == np.float64 and data.tobytes() == arrays[name].tobytes(), name
         assert not np.shares_memory(data, loaded[name]), name
+
+
+def test_restored_adapter_scores_record_no_graph(tmp_path):
+    """A restored adapter is frozen where it is built, so the adapted scores
+    of `eval` link no parents: no graph is recorded and no node checked."""
+    cfg = RunConfig(TINY_SIZES)
+    save_checkpoint(tmp_path / "m.ckpt", _checkpoint_arrays(cfg), cfg.digest())
+    model, arrays = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    (adapter,) = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config()).values()
+    rng = np.random.default_rng(0)
+    rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))
+    pred = adapted_prediction(model, adapter, rep, logits)
+    assert [p._parents for p in (pred.p_ctr, pred.p_ctcvr)] == [(), ()]
 
 
 def test_eval_does_not_depend_on_model_seed(workdir):

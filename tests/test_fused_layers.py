@@ -204,8 +204,9 @@ def test_assemble_is_one_lookup_node_equal_to_a_lookup_per_id_column():
     batch = encode_records(_batch(30, 2), space)  # user ids 20 and 21 are out of vocab; two -1 feature pads
     emb = model.embeddings
     columns = [batch.user, batch.item, batch.scene, batch.region, batch.period, *batch.features.T]
-    tables = [emb.user, emb.item, emb.scene, emb.region, emb.period, *emb.features]
-    per_column = ad.concat([ad.gather_rows(t.rows, _safe_rows(c, t.vocab_size)) for t, c in zip(tables, columns)])
+    vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
+    vocab += [space.n_feature_buckets] * space.n_feature_cols
+    per_column = ad.concat([ad.gather_rows(t, _safe_rows(c, v)) for t, c, v in zip(emb.rows, columns, vocab)])
     out = emb.assemble(batch)
     assert out.data.tobytes() == per_column.data.tobytes()
     assert out._parents == tuple(emb.parameters())

@@ -96,3 +96,28 @@ def test_the_check_sees_an_uncalled_autodiff_function():
     assert _public_functions(engine) == {"used": 1, "helper": 4, "spare": 7}
     used = _autodiff_uses(engine, own=True) | _autodiff_uses(caller, own=False)
     assert set(_public_functions(engine)) - used == {"spare"}
+
+
+def _strings_read(tree: ast.Module) -> set[str]:
+    """Each string literal of a module outside its `DEFAULTS` table, the
+    names by which it can read a config key."""
+    table = {id(n) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name) and target.id == "DEFAULTS" for n in ast.walk(node)}
+    return {n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in table}
+
+
+def test_every_config_key_has_a_reader():
+    """A key of `config.DEFAULTS` that no module names outside the table is
+    a knob that changes nothing."""
+    from iakrec.config import DEFAULTS
+
+    read = set().union(*(_strings_read(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES))
+    assert sorted(set(DEFAULTS) - read) == []
+
+
+def test_the_check_sees_a_dead_config_key():
+    toy = ast.parse('DEFAULTS: dict[str, tuple[str, str]] = {\n    "a.read": ("1", "a.dead"),\n'
+                    '    "a.dead": ("2", "never read"),\n}\n\ndef f(cfg):\n    return cfg.get_int("a.read")\n')
+    assert {"a.read", "a.dead"} - _strings_read(toy) == {"a.dead"}

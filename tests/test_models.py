@@ -89,9 +89,8 @@ class TestForwardContracts:
     def test_zeroed_head_gives_half(self):
         model = build_model(ModelConfig(kind="shared_bottom", hidden_sizes=(12, 6)), SPACE, seed=0)
         for head in model.heads:
-            for layer in head.layers:
-                layer.w.data[:] = 0.0
-                layer.b.data[:] = 0.0
+            head.w.data[:] = 0.0
+            head.b.data[:] = 0.0
         pred = model.forward_full(_batch()).prediction
         np.testing.assert_array_equal(pred.p_ctr.data, np.full((6, 1), 0.5))
         np.testing.assert_array_equal(pred.p_ctcvr.data, np.full((6, 1), 0.5))
@@ -113,8 +112,8 @@ class TestESMM:
     def test_saturated_cvr_makes_ctcvr_equal_ctr(self):
         model = build_model(ModelConfig(kind="esmm", hidden_sizes=(12, 6)), SPACE, seed=1)
         # drive the cvr head's bias far positive so sigmoid saturates to 1.0
-        model.heads[1].layers[-1].w.data[:] = 0.0
-        model.heads[1].layers[-1].b.data[:] = 60.0
+        model.heads[1].w.data[:] = 0.0
+        model.heads[1].b.data[:] = 60.0
         pred = model.forward_full(_batch()).prediction
         np.testing.assert_array_equal(pred.p_ctcvr.data, pred.p_ctr.data)
 
@@ -253,13 +252,44 @@ def test_checkpoint_restore_round_trip(tmp_path):
     )
 
 
+_EMBEDDINGS = [("user_emb.rows", (6, 3)), ("item_emb.rows", (5, 3)), ("scene_emb.rows", (3, 3)),
+               ("region_emb.rows", (3, 3)), ("period_emb.rows", (4, 3)), ("feat0_emb.rows", (4, 3)),
+               ("feat1_emb.rows", (4, 3))]
+_MOE = [("expert0.l0.w", (21, 4)), ("expert0.l0.b", (4,)), ("expert0.l1.w", (4, 2)), ("expert0.l1.b", (2,)),
+        ("expert1.l0.w", (21, 4)), ("expert1.l0.b", (4,)), ("expert1.l1.w", (4, 2)), ("expert1.l1.b", (2,)),
+        ("gate_ctr.w", (21, 2)), ("gate_ctr.b", (2,)), ("gate_ctcvr.w", (21, 2)), ("gate_ctcvr.b", (2,))]
+_TOWERS = [("tower_ctr.l0.w", (2, 2)), ("tower_ctr.l0.b", (2,)), ("tower_ctcvr.l0.w", (2, 2)), ("tower_ctcvr.l0.b", (2,))]
+_HEADS = [("head_ctr.l0.w", (2, 1)), ("head_ctr.l0.b", (1,)), ("head_ctcvr.l0.w", (2, 1)), ("head_ctcvr.l0.b", (1,))]
+PARAMETER_NAMES = {
+    "shared_bottom": _EMBEDDINGS + [("trunk.l0.w", (21, 4)), ("trunk.l0.b", (4,)), ("trunk.l1.w", (4, 2)),
+                                    ("trunk.l1.b", (2,))] + _TOWERS + _HEADS,
+    "esmm": _EMBEDDINGS + [("tower_ctr.l0.w", (21, 4)), ("tower_ctr.l0.b", (4,)), ("tower_ctr.l1.w", (4, 2)),
+                           ("tower_ctr.l1.b", (2,)), ("tower_cvr.l0.w", (21, 4)), ("tower_cvr.l0.b", (4,)),
+                           ("tower_cvr.l1.w", (4, 2)), ("tower_cvr.l1.b", (2,)), ("head_ctr.l0.w", (2, 1)),
+                           ("head_ctr.l0.b", (1,)), ("head_cvr.l0.w", (2, 1)), ("head_cvr.l0.b", (1,))],
+    "mmoe": _EMBEDDINGS + _MOE + _TOWERS + _HEADS,
+    "base": _EMBEDDINGS + _MOE + _TOWERS + [("stacked_logits.w", (4, 2)), ("stacked_logits.b", (2,))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETER_NAMES))
+def test_parameter_names_and_order_are_pinned(kind):
+    """The ordered (name, shape) list of each kind at a small config. A
+    checkpoint or an experiment's cached backbone stores its arrays by these
+    names, so one written by an earlier build loads only while they hold."""
+    space = FeatureSpace(n_users=5, n_items=4, n_scenes=2, n_regions=2, n_periods=3, n_feature_buckets=3,
+                         n_feature_cols=2)
+    model = build_model(ModelConfig(kind=kind, hidden_sizes=(4, 2), embed_dim=3), space, seed=0)
+    assert [(p.name, p.data.shape) for p in model.parameters()] == PARAMETER_NAMES[kind]
+
+
 def test_seeded_build_draws_its_init():
     """A seed draws the init it always drew: the user table is the first
     draw of the model's own generator, bit for bit."""
     model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=6)
     rng = np.random.default_rng(np.random.SeedSequence([6, 0xB0DE]))
     want = rng.normal(0.0, 0.1, size=(SPACE.n_users + 1, model.config.embed_dim))
-    assert model.embeddings.user.rows.data.tobytes() == want.tobytes()
+    assert model.embeddings.rows[0].data.tobytes() == want.tobytes()
 
 
 def test_unseeded_build_is_zero_until_restored(any_model):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from iakrec.autodiff import NonFiniteError
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.config import RunConfig
-from iakrec.datagen import generate
+from iakrec.datagen import generate, parse_domain_key
 from iakrec.evals import SplitPass
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records
@@ -126,6 +126,15 @@ class TestRouteScore:
         assert resp.served_by == "period=1,scene=0"
         resp2 = router.score(_request(period=1, scene=1))
         assert resp2.served_by == "period=1"
+
+    def test_equally_specific_matches_break_on_the_key(self):
+        backbone = _backbone(seed=6)
+        keys = ["period=1,scene=0", "period=1,region=1", "period=1"]
+        adapters = {k: IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)),
+                                  parse_domain_key(k), seed=i) for i, k in enumerate(keys)}
+        router = DomainRouter(backbone, adapters)
+        assert router.score(_request(period=1, scene=0, region=1)).served_by == "period=1,region=1"
+        assert router.score(_request(period=1, scene=0, region=0)).served_by == "period=1,scene=0"
 
     def test_dimension_mismatch_rejected(self):
         backbone = _backbone()
@@ -372,7 +381,7 @@ class TestNonFiniteScores:
     def test_serve_writes_an_error_for_a_non_finite_score_and_answers_the_next_line(self, lazy):
         backbone = _backbone()
         router = DomainRouter(backbone, {"period=0": _adapter(backbone, 0, seed=1, nudge=0.05)}, lazy_activation=lazy)
-        backbone.embeddings.user.rows.data[1 + 3] = np.nan  # user 3's row, past restore's check
+        backbone.embeddings.rows[0].data[1 + 3] = np.nan  # user 3's row, past restore's check
         out = io.StringIO()
         assert serve(router, self._lines((3, 0), (2, 0), (3, 1)), out) == 0
         first, second, third = (json.loads(l) for l in out.getvalue().splitlines())

@@ -159,7 +159,7 @@ class TestLazyAdagrad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < model.embeddings.user.rows.data.nbytes / 2
+        assert peak < model.embeddings.rows[0].data.nbytes / 2
 
 
 class TestDynamicLR:
