@@ -11,10 +11,12 @@ a frozen forward is checked once, on the scores it ends in (see
 The ops are the ones the models and adapters run, and each is as coarse as
 its caller allows: a dense layer is one `linear` (or `segment_linear`)
 node, the lookups into every embedding table are one `gather_rows` node,
-and each loss term is one node: the clipped cross-entropy
-`clipped_bce`, the Gaussian KL `gaussian_kl` and the reparameterised weight
-draw `weight_sample`. A fused op equals the chain of finer nodes it replaces
-bit for bit; those chains live with the tests as references.
+a mixture-of-experts gate (its softmax and the weighted sum of the experts)
+is one `gate_mix` node, and each loss term is one node: the clipped
+cross-entropy `clipped_bce`, the Gaussian KL `gaussian_kl` and the
+reparameterised weight draw `weight_sample`. A fused op equals the chain of
+finer nodes it replaces bit for bit; those chains live with the tests as
+references.
 
 Gradients are dense arrays, except where `gather_rows` looks up rows of a
 `Parameter` (an embedding table): there backward records the touched rows
@@ -223,8 +225,11 @@ def mul(a, b) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    # tanh form is overflow-free and exactly the logistic function
-    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    # tanh form is overflow-free and exactly the logistic function:
+    # 0.5 * (1 + tanh(a / 2)), the last two steps in place
+    y = np.tanh(0.5 * a.data)
+    y += 1.0
+    y *= 0.5
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad * out.data * (1.0 - out.data))
@@ -262,12 +267,13 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     the activation. Values and gradients equal those of the composed
     matmul, mul, add and leaky_relu bit for bit."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs (B,m), (m,n) and (n,), got {x.shape}, {w.shape} and {b.shape}")
-    z = x.data @ w.data
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear needs (B,m), (m,n) and (n,), got {xd.shape}, {wd.shape} and {bd.shape}")
+    z = xd @ wd
     if scale is not None:
         z *= scale
-    z += b.data
+    z += bd
 
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
@@ -280,17 +286,35 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "linear")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def gate_mix(gate_logits, experts: Sequence) -> Tensor:
+    """A mixture-of-experts gate as one node: the softmax over the (B, E)
+    `gate_logits`, then sum_e w[:, e:e+1] * experts[e] over the E (B, H)
+    expert outputs. Values and gradients equal those of the composed
+    softmax, slice_cols, mul and add bit for bit (a zero's sign may differ
+    inside, as in the loss terms below). The parents are the experts with
+    the gate logits before the last one, the order in which the composed
+    chain reaches them, so a reverse sweep adds the gradients of a shared
+    input in the chain's order."""
+    gate, parts = _wrap(gate_logits), [_wrap(e) for e in experts]
+    a = gate.data
+    if a.ndim != 2 or a.shape[1] != len(parts) or any(p.data.shape[0] != a.shape[0] for p in parts):
+        raise ShapeError(f"gate_mix needs (B, {len(parts)}) gate logits and (B, H) experts, got {gate.shape}")
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    mixed = w[:, 0:1] * parts[0].data
+    for k in range(1, len(parts)):
+        mixed = mixed + w[:, k : k + 1] * parts[k].data
 
     def backward(out: Tensor) -> None:
-        dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
-        _accum(a, out.data * (out.grad - dot))
+        g = out.grad
+        g_w = np.empty_like(w)
+        for k, p in enumerate(parts):
+            g_w[:, k : k + 1] = _unbroadcast(g * p.data, (g.shape[0], 1))
+            _accum(p, g * w[:, k : k + 1])
+        if gate.requires_grad:
+            _accum(gate, w * (g_w - (g_w * w).sum(axis=1, keepdims=True)))
 
-    return _make(y, (a,), backward, "softmax")
+    return _make(mixed, (*parts[:-1], gate, parts[-1]), backward, "gate_mix")
 
 
 def concat(tensors: Sequence, axis: int = 1) -> Tensor:
@@ -399,13 +423,16 @@ def gather_rows(tables, rows) -> Tensor:
         raise ShapeError(f"gather_rows needs (B, {len(tables)}) rows for {len(tables)} tables, got {idx.shape}")
     if any(t.data.ndim != 2 for t in tables):
         raise ShapeError("gather_rows table must be 2-d")
-    if idx.size and ((idx < 0) | (idx >= [t.data.shape[0] for t in tables])).any():
+    if idx.size and idx.min() < 0:  # `take` would wrap a negative row
         raise ShapeError("gather_rows index out of range")
     cols = list(idx.T)
-    parts = [t.data.take(r, axis=0) for t, r in zip(tables, cols)]
-    ends = list(accumulate(part.shape[1] for part in parts))
+    try:
+        parts = [t.data.take(r, axis=0) for t, r in zip(tables, cols)]
+    except IndexError:  # a row past its table's end
+        raise ShapeError("gather_rows index out of range") from None
 
     def backward(out: Tensor) -> None:
+        ends = list(accumulate(t.data.shape[1] for t in tables))
         for t, r, s, e in zip(tables, cols, [0, *ends], ends):
             if not t.requires_grad:
                 continue
@@ -477,12 +504,20 @@ def clipped_bce(p, labels, lo: float, hi: float, offsets=None) -> Tensor:
     return _make(mean * -1.0, (p,), backward, "clipped_bce")
 
 
-def gaussian_kl(mu, rho, offsets=None) -> Tensor:
+def softplus_parts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(rho) and 1 + tanh(rho / 2), twice softplus's derivative: what
+    `gaussian_kl` and `weight_sample` compute of their `rho`, computed once
+    when both nodes read the same one."""
+    return np.logaddexp(0.0, rho), 1.0 + np.tanh(0.5 * rho)
+
+
+def gaussian_kl(mu, rho, offsets=None, parts: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """KL(N(mu, sigma^2) || N(0, 1)) of independent Gaussian entries, sigma
     = softplus(rho): the total of 0.5 * (mu^2 + sigma^2 - 1) - log sigma,
     or with `offsets` the (K,) per-segment totals. Always >= 0. Equals the
     composed softplus, square, add, sub, sum, mul, log and sub; a sigma that
-    underflows to 0 gives an infinite KL, which the output check rejects."""
+    underflows to 0 gives an infinite KL, which the output check rejects.
+    `parts` is `softplus_parts(rho)` when the caller already has it."""
     mu, rho = _wrap(mu), _wrap(rho)
     if mu.shape != rho.shape:
         raise ShapeError(f"gaussian_kl needs mu and rho of one shape, got {mu.shape} and {rho.shape}")
@@ -491,7 +526,7 @@ def gaussian_kl(mu, rho, offsets=None) -> Tensor:
     def total(a: np.ndarray) -> np.ndarray:
         return np.asarray(a.sum()) if segs is None else np.array([a[s:e].sum() for s, e in segs])
 
-    sigma = np.logaddexp(0.0, rho.data)
+    sigma, lift = softplus_parts(rho.data) if parts is None else parts
     with np.errstate(divide="ignore"):
         log_sigma = np.log(sigma)
     kl = total(mu.data * mu.data + sigma * sigma - 1.0) * 0.5 - total(log_sigma)
@@ -503,26 +538,27 @@ def gaussian_kl(mu, rho, offsets=None) -> Tensor:
         # sigma's gradient: the square's share first, then the log's
         g_sigma = g_sq * 2.0 * sigma
         g_sigma += g_log / sigma
-        _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
+        _accum(rho, g_sigma * 0.5 * lift)
 
     return _make(kl, (mu, rho), backward, "gaussian_kl")
 
 
-def weight_sample(mu, rho, eps) -> Tensor:
+def weight_sample(mu, rho, eps, parts: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """A reparameterised draw mu + softplus(rho) * eps of Gaussian weights,
     `eps` the standard-normal noise, which may broadcast mu and rho to
     several draws; gradients reach mu and rho. Equals the composed softplus,
-    mul and add."""
+    mul and add. `parts` is `softplus_parts(rho)` when the caller already
+    has it."""
     mu, rho = _wrap(mu), _wrap(rho)
     if mu.shape != rho.shape:
         raise ShapeError(f"weight_sample needs mu and rho of one shape, got {mu.shape} and {rho.shape}")
     eps = np.asarray(eps, dtype=np.float64)
-    sigma = np.logaddexp(0.0, rho.data)
+    sigma, lift = softplus_parts(rho.data) if parts is None else parts
 
     def backward(out: Tensor) -> None:
         _accum(mu, _unbroadcast(out.grad, mu.shape))
         g_sigma = _unbroadcast(out.grad * eps, rho.shape)
-        _accum(rho, g_sigma * 0.5 * (1.0 + np.tanh(0.5 * rho.data)))
+        _accum(rho, g_sigma * 0.5 * lift)
 
     return _make(mu.data + sigma * eps, (mu, rho), backward, "weight_sample")
 

@@ -71,7 +71,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_dige
             f.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(arr.tobytes())
+            # the C-contiguous array's own buffer: the bytes of `tobytes`, uncopied
+            f.write(arr)
 
     write_atomic(path, write)
 

@@ -43,6 +43,8 @@ INIT_SIGMA = 0.05
 _INIT_RHO = math.log(math.expm1(INIT_SIGMA))
 
 Noise = tuple[np.ndarray, np.ndarray]  # standard-normal draws of encoder weights, then bias
+# `ad.softplus_parts` of the encoder's rho_w, then of its rho_b
+Softplus = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class AdapterError(ValueError):
@@ -89,28 +91,31 @@ class VariationalLinear:
 
 
 def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
-                  noise: Noise | None = None) -> Tensor:
+                  noise: Noise | None = None, softplus: Softplus | None = None) -> Tensor:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
     + b. `params` are mu_w, mu_b, rho_w and rho_b. The weights are the
     posterior means, or w = mu + softplus(rho) * noise when `noise` (weights,
-    bias) is given, so gradients reach both mu and rho. `linear` is the
-    dense-layer primitive, plain or segment (see `adapter_graph`)."""
+    bias) is given, so gradients reach both mu and rho; `softplus` holds
+    `ad.softplus_parts` of rho_w and rho_b when the caller shares them with
+    the KL term. `linear` is the dense-layer primitive, plain or segment
+    (see `adapter_graph`)."""
     mu_w, mu_b, rho_w, rho_b = params
     w, b = mu_w, mu_b
     if noise is not None:
-        w, b = ad.weight_sample(mu_w, rho_w, noise[0]), ad.weight_sample(mu_b, rho_b, noise[1])
+        sp_w, sp_b = (None, None) if softplus is None else softplus
+        w, b = ad.weight_sample(mu_w, rho_w, noise[0], sp_w), ad.weight_sample(mu_b, rho_b, noise[1], sp_b)
     return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
 def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
-                  noise: Noise | None = None) -> Tensor:
+                  noise: Noise | None = None, softplus: Softplus | None = None) -> Tensor:
     """The adapter forward: per-task logit corrections of the rows `x`.
 
     `params` are the encoder's four (see `encoder_stage`) followed by each
     decoder layer's weight and bias; one weight sample `noise` serves every
     row. `linear` is the dense-layer primitive: `ad.linear` for one adapter,
     `ad.segment_linear` bound to its offsets for a bank."""
-    x = encoder_stage(x, params[:4], scale, linear, noise)
+    x = encoder_stage(x, params[:4], scale, linear, noise, softplus)
     decoder = params[4:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
         x = linear(x, w_l, b_l, slope=LEAKY_SLOPE)
@@ -118,12 +123,13 @@ def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Cal
 
 
 def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
-                 offsets: np.ndarray | None = None) -> Tensor:
+                 offsets: np.ndarray | None = None, softplus: Softplus | None = None) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0,1)) of an encoder's entries,
     sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
     one over the bias, totalled over all entries or per segment. Always
     >= 0."""
-    return ad.add(ad.gaussian_kl(mu_w, rho_w, offsets), ad.gaussian_kl(mu_b, rho_b, offsets))
+    sp_w, sp_b = (None, None) if softplus is None else softplus
+    return ad.add(ad.gaussian_kl(mu_w, rho_w, offsets, sp_w), ad.gaussian_kl(mu_b, rho_b, offsets, sp_b))
 
 
 class IAKAdapter:
@@ -158,13 +164,13 @@ class IAKAdapter:
         ]
         # scale 0 draws an all-zero layer, so fine-tuning starts at the backbone
         self.decoder_out = Linear(dims[-1], n_tasks, f"{name}/dec_out", init_rng, scale=0.0)
+        # the parameters in `adapter_graph` order, built once: a bank or a
+        # restore replaces their arrays, never the parameters themselves
+        self._params = (*self.encoder.parameters(), *(p for layer in self.decoder_hidden for p in layer.parameters()),
+                        *self.decoder_out.parameters())
 
     def parameters(self) -> list[Parameter]:
-        out = self.encoder.parameters()
-        for layer in self.decoder_hidden:
-            out.extend(layer.parameters())
-        out.extend(self.decoder_out.parameters())
-        return out
+        return list(self._params)
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
@@ -185,10 +191,10 @@ class IAKAdapter:
     def correction(self, representation: Tensor, noise: Noise | None = None) -> Tensor:
         """Per-task logit corrections, (B, n_tasks): the posterior means, or
         one weight sample drawn as `noise` for the whole batch."""
-        return adapter_graph(representation, self.parameters(), self.encoder.scale, ad.linear, noise)
+        return adapter_graph(representation, self._params, self.encoder.scale, ad.linear, noise)
 
-    def encoder_kl(self) -> Tensor:
-        return _gaussian_kl(*self.encoder.parameters())
+    def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:
+        return _gaussian_kl(*self.encoder.parameters(), softplus=softplus)
 
 
 def adapted_prediction(
@@ -223,17 +229,20 @@ def ib_loss(
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
     offsets: np.ndarray | None = None,
+    softplus: Softplus | None = None,
 ) -> Tensor:
     """Task cross-entropy plus beta times the per-weight average KL of the
     encoder posterior to its standard-normal prior: one `ad.clipped_bce`
     node per task and one `ad.gaussian_kl` node per encoder parameter pair.
     For a bank, `offsets` group the rows by adapter, the cross-entropy is a
-    per-adapter mean and the loss is one entry per adapter."""
+    per-adapter mean and the loss is one entry per adapter. `softplus`, when
+    given, holds the `ad.softplus_parts` of the encoder's rho_w and rho_b
+    that the step's weight sample computed."""
     if beta < 0:
         raise AdapterError("beta must be >= 0")
     loss = bce_loss(prediction, click, purchase, weights, offsets)
     if beta > 0:
-        loss = ad.add(loss, ad.mul(adapter.encoder_kl(), beta / adapter.n_encoder_entries))
+        loss = ad.add(loss, ad.mul(adapter.encoder_kl(softplus), beta / adapter.n_encoder_entries))
     return loss
 
 
@@ -299,11 +308,14 @@ class AdapterBank:
             eps_w[k], eps_b[k] = adapter.encoder.draw_noise(adapter.sample_rng)
         return eps_w, eps_b
 
-    def correction(self, representation: Tensor, offsets: np.ndarray, noise: Noise) -> Tensor:
+    def correction(self, representation: Tensor, offsets: np.ndarray, noise: Noise,
+                   softplus: Softplus | None = None) -> Tensor:
         """(B, n_tasks) corrections of rows grouped by adapter, rows
         offsets[k]:offsets[k + 1] through adapter k, with the stacked
-        encoder noise of `draw_noise`."""
-        return adapter_graph(representation, self.params, self.scale, partial(ad.segment_linear, offsets=offsets), noise)
+        encoder noise of `draw_noise` (and the softplus parts its KL term
+        shares, see `encoder_stage`)."""
+        return adapter_graph(representation, self.params, self.scale, partial(ad.segment_linear, offsets=offsets),
+                             noise, softplus)
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
@@ -326,9 +338,9 @@ class AdapterBank:
                               rate.reshape((-1,) + (1,) * (g.ndim - 1)), state.epsilon)
         return np.sqrt(sq)
 
-    def encoder_kl(self) -> Tensor:
+    def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:
         """(K,) encoder KL of every adapter."""
-        return _gaussian_kl(*self.params[:4], self._per_adapter)
+        return _gaussian_kl(*self.params[:4], self._per_adapter, softplus)
 
 
 def adapter_step_cached(
@@ -354,10 +366,12 @@ def adapter_step_cached(
         raise AdapterError("learning rates must be >= 0")
     stepped = np.flatnonzero((np.diff(offsets) > 0) & (lr > 0))
     noise = bank.draw_noise(stepped)
+    # the weight sample and the KL term read one softplus of rho_w and rho_b
+    softplus = tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4])
     ad.zero_grads(bank.params)
-    corr = bank.correction(Tensor(rep), offsets, noise)
+    corr = bank.correction(Tensor(rep), offsets, noise, softplus)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, beta, weights, offsets)
+    loss = ib_loss(pred, click, purchase, bank, beta, weights, offsets, softplus)
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

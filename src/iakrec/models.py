@@ -4,16 +4,19 @@ composite BaseRecommender used as the pretraining target.
 All model kinds share one scaffold, so comparisons isolate the core between
 the embeddings and the two task towers: the same embedding assembly in (one
 embedding per id column of a row: user, item, scene, region, period and the
-feature columns) and the same output tail out (`MultiTaskModel._output`),
-which turns the towers' activations into the representation that adapters
-consume and one (B, n_heads) logits tensor; only `predict_from_logits` splits
-heads. The model reads one row type, a `datagen.Dataset` fitted by
-`encode_records`: batches, scored splits and a served request alike.
+feature columns, looked up as one node) and the same output tail out
+(`MultiTaskModel._output`), which turns the towers' activations into the
+representation that adapters consume and one (B, n_heads) logits tensor;
+only `predict_from_logits` splits heads, after one sigmoid over all of
+them. MMoE and the BaseRecommender mix their experts with one
+`ad.gate_mix` node per task. The model reads one row type, a
+`datagen.Dataset` fitted by `encode_records`: batches, scored splits and a
+served request alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,8 @@ def encode_records(dataset: Dataset, space: FeatureSpace) -> Dataset:
     width = min(space.n_feature_cols, dataset.features.shape[1])
     features = np.full((len(dataset), space.n_feature_cols), -1, dtype=np.int64)
     features[:, :width] = dataset.features[:, :width]
-    return replace(dataset, features=features)
+    # a Dataset instance holds its columns and nothing else
+    return Dataset(**{**vars(dataset), "features": features})
 
 
 class ZeroInit:
@@ -258,17 +262,18 @@ class MultiTaskModel:
         return ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
 
     def predict_from_logits(self, logits: Tensor) -> Prediction:
-        """Probabilities of (B, n_heads) logits. Heads are (ctr, ctcvr) for
-        every kind except ESMM, whose second head is CVR and whose ctcvr is
-        the exact product.
+        """Probabilities of (B, n_heads) logits: one sigmoid over every head,
+        then a (B, 1) column per head. Heads are (ctr, ctcvr) for every kind
+        except ESMM, whose second head is CVR and whose ctcvr is the exact
+        product.
 
         Graph-free logits (a frozen forward: scoring, eval, `backbone_cache`)
         were not checked op by op, so a NaN or Inf in them raises
         `NonFiniteError` here, once per prediction."""
         if not logits.requires_grad and not np.isfinite(logits.data).all():
             raise ad.NonFiniteError("non-finite logits of a frozen forward")
-        p0 = ad.sigmoid(ad.slice_cols(logits, 0, 1))
-        p1 = ad.sigmoid(ad.slice_cols(logits, 1, 2))
+        p = ad.sigmoid(logits)
+        p0, p1 = ad.slice_cols(p, 0, 1), ad.slice_cols(p, 1, 2)
         if self.kind == "esmm":
             return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=ad.mul(p0, p1))
         return Prediction(p_ctr=p0, p_ctcvr=p1)
@@ -310,8 +315,10 @@ class ESMM(MultiTaskModel):
 
 
 class _MoECore:
-    """Experts plus one softmax gate per task; shared by MMoE and the
-    BaseRecommender."""
+    """The mixture core shared by MMoE and the BaseRecommender: experts (each
+    an MLP), one gate layer per task scoring the experts, and per task one
+    `ad.gate_mix` node that softmaxes the gate's scores and mixes the
+    experts' outputs by them."""
 
     def __init__(self, in_dim: int, config: ModelConfig, rng: np.random.Generator):
         hs = list(config.hidden_sizes)
@@ -320,16 +327,7 @@ class _MoECore:
 
     def __call__(self, x: Tensor) -> list[Tensor]:
         expert_outs = [e(x) for e in self.experts]
-        mixed = []
-        for weights in self.gate_weights(x):
-            acc = ad.mul(ad.slice_cols(weights, 0, 1), expert_outs[0])
-            for e in range(1, len(self.experts)):
-                acc = ad.add(acc, ad.mul(ad.slice_cols(weights, e, e + 1), expert_outs[e]))
-            mixed.append(acc)
-        return mixed
-
-    def gate_weights(self, x: Tensor) -> list[Tensor]:
-        return [ad.softmax(g(x), axis=-1) for g in self.gates]
+        return [ad.gate_mix(g(x), expert_outs) for g in self.gates]
 
     def parameters(self) -> list[Parameter]:
         out = [p for e in self.experts for p in e.parameters()]

@@ -72,16 +72,14 @@ def request_from_json(obj) -> ScoreRequest:
 def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
     """The request as a fitted one-row dataset: the row a recorded impression
     with the same ids gives, at timestamp 0 with labels 0. A topic the
-    request leaves out reads as id -1, the out-of-vocab row."""
-    def col(value: int) -> np.ndarray:
-        return np.array([value], dtype=np.int64)
-
+    request leaves out reads as id -1, the out-of-vocab row. The ids are
+    one int64 array, and each column but the fitted features is a view of
+    it."""
     domain = request.domain_ids
-    return encode_records(Dataset(
-        timestamp=col(0), user=col(request.user_id), item=col(request.item_id), scene=col(domain.get("scene", -1)),
-        region=col(domain.get("region", -1)), period=col(domain.get("period", -1)),
-        features=np.array([request.feature_ids], dtype=np.int64), click=col(0), purchase=col(0),
-    ), space)
+    row = np.array([0, request.user_id, request.item_id, domain.get("scene", -1), domain.get("region", -1),
+                    domain.get("period", -1), 0, 0, *request.feature_ids], dtype=np.int64)
+    timestamp, user, item, scene, region, period, click, purchase = row[:8, None]
+    return encode_records(Dataset(timestamp, user, item, scene, region, period, row[None, 8:], click, purchase), space)
 
 
 class DomainRouter:

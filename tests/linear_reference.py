@@ -1,11 +1,13 @@
-"""Reference dense layers and embedding lookups: the chains of nodes
-`ad.linear`, `ad.segment_linear` and the table-list `ad.gather_rows` fuse
-into one. A dense layer is matmul, then mul by the scale, then the bias
-add, then leaky_relu, each its own autodiff node; a segment layer does the
-matmul and the bias add per segment; a lookup over several tables is one
-single-table lookup per table, then concat. The fused primitives must
-equal these bit for bit, values and gradients; tests compare against them
-and patch them in for the fused ones."""
+"""Reference dense layers, embedding lookups and gates: the chains of nodes
+`ad.linear`, `ad.segment_linear`, the table-list `ad.gather_rows` and
+`ad.gate_mix` fuse into one. A dense layer is matmul, then mul by the
+scale, then the bias add, then leaky_relu, each its own autodiff node; a
+segment layer does the matmul and the bias add per segment; a lookup over
+several tables is one single-table lookup per table, then concat; a gate is
+a softmax, then per expert a slice of its weights and a mul, summed by
+adds. The fused primitives must equal these bit for bit, values and
+gradients; tests compare against them and patch them in for the fused
+ones."""
 
 from __future__ import annotations
 
@@ -90,3 +92,32 @@ def composed_gather_rows(tables, rows) -> ad.Tensor:
     table, then concatenated."""
     rows = np.asarray(rows)
     return ad.concat([_gather_rows(t, rows[:, c]) for c, t in enumerate(tables)], axis=1)
+
+
+def softmax(a, axis: int = -1) -> ad.Tensor:
+    a = ad._wrap(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(out):
+        dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
+        ad._accum(a, out.data * (out.grad - dot))
+
+    return ad._make(y, (a,), backward, "softmax")
+
+
+def composed_gate_mix(gate_logits, experts) -> ad.Tensor:
+    """The softmax of the gate logits, then sum_e of weight column e times
+    expert e: a slice_cols and a mul per expert, added left to right."""
+    weights = softmax(gate_logits, axis=-1)
+    acc = ad.mul(ad.slice_cols(weights, 0, 1), experts[0])
+    for e in range(1, len(experts)):
+        acc = ad.add(acc, ad.mul(ad.slice_cols(weights, e, e + 1), experts[e]))
+    return acc
+
+
+def gate_weights(core, x) -> list[ad.Tensor]:
+    """Each task's gate weights over the experts of a `models._MoECore` for
+    the rows `x`: the softmax of its gate layer."""
+    return [softmax(g(x), axis=-1) for g in core.gates]

@@ -118,15 +118,17 @@ def composed_clipped_bce(p, labels, lo, hi, offsets=None) -> Tensor:
     return ad.mul(reduce_mean(ll) if offsets is None else segment_mean(ll, offsets), -1.0)
 
 
-def composed_gaussian_kl(mu, rho, offsets=None) -> Tensor:
+def composed_gaussian_kl(mu, rho, offsets=None, parts=None) -> Tensor:
     """`ad.gaussian_kl` as ten nodes: softplus, two squares, add, sub, total,
-    mul, log, total and sub."""
+    mul, log, total and sub. The chain computes its own softplus, so shared
+    `parts` are not read."""
     total = ad.reduce_sum if offsets is None else partial(segment_sum, offsets=offsets)
     sigma = softplus(rho)
     half = ad.mul(total(sub(ad.add(square(mu), square(sigma)), 1.0)), 0.5)
     return sub(half, total(log(sigma)))
 
 
-def composed_weight_sample(mu, rho, eps) -> Tensor:
-    """`ad.weight_sample` as three nodes: softplus, mul and add."""
+def composed_weight_sample(mu, rho, eps, parts=None) -> Tensor:
+    """`ad.weight_sample` as three nodes: softplus, mul and add. The chain
+    computes its own softplus, so shared `parts` are not read."""
     return ad.add(mu, ad.mul(softplus(rho), Tensor(eps)))

@@ -12,7 +12,8 @@ from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gradcheck import assert_grads_match
 import linear_reference
 import loss_reference
-from linear_reference import composed_linear, composed_segment_linear, leaky_relu, matmul, segment_add, segment_matmul
+from linear_reference import (composed_linear, composed_segment_linear, leaky_relu, matmul, segment_add, segment_matmul,
+                              softmax)
 from loss_reference import clip, log, reduce_mean, segment_mean, segment_sum, softplus, square, sub
 
 
@@ -128,7 +129,7 @@ def test_linear_shapes_are_checked():
 
 
 def test_softmax_equal_logits():
-    out = ad.softmax(ad.Tensor([[3.0, 3.0]]))
+    out = softmax(ad.Tensor([[3.0, 3.0]]))
     np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
 
@@ -215,7 +216,7 @@ def test_individual_op_gradients(op):
 
     def loss_fn():
         if op == "softmax":
-            return ad.reduce_sum(ad.mul(ad.softmax(w), ad.Tensor(rng2)))
+            return ad.reduce_sum(ad.mul(softmax(w), ad.Tensor(rng2)))
         if op == "concat":
             return ad.reduce_sum(square(ad.concat([w, ad.mul(w, 2.0)], axis=1)))
         if op == "slice":
@@ -382,6 +383,15 @@ def test_gather_takes_only_1d_indices(shape):
         ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("row", [-1, 4, -5, 2**40])
+def test_gather_rejects_a_row_outside_its_table(row):
+    with pytest.raises(ad.ShapeError, match="index out of range"):
+        ad.gather_rows(np.ones((4, 2)), np.array([0, row, 3]))
+    with pytest.raises(ad.ShapeError, match="index out of range"):
+        ad.gather_rows([np.ones((9, 2)), np.ones((4, 3))], np.array([[8, 3], [1, row]]))
+    assert ad.gather_rows([np.ones((9, 2)), np.ones((4, 3))], np.empty((0, 2), dtype=np.int64)).shape == (0, 5)
+
+
 def _bad_tensor(bad, requires_grad=True):
     """A (2, 2) input holding `bad`; by default it records a graph, so every
     op's output is checked."""
@@ -397,7 +407,8 @@ PRIMITIVES = {
     "matmul": lambda x: matmul(x, ad.Tensor(np.ones((2, 3)))),
     "sigmoid": ad.sigmoid,
     "leaky_relu": leaky_relu,
-    "softmax": ad.softmax,
+    "softmax": softmax,
+    "gate_mix": lambda x: ad.gate_mix(x, [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.full((2, 3), 2.0))]),
     "log": log,
     "softplus": softplus,
     "square": square,
@@ -427,7 +438,8 @@ def test_the_primitive_table_covers_every_op():
 
 # (op, input value) pairs whose output is finite: the op saturates there
 SATURATES = {("sigmoid", np.inf), ("sigmoid", -np.inf), ("clip", np.inf), ("clip", -np.inf),
-             ("softplus", -np.inf), ("softmax", -np.inf), ("clipped_bce", np.inf), ("clipped_bce", -np.inf)}
+             ("softplus", -np.inf), ("softmax", -np.inf), ("gate_mix", -np.inf), ("clipped_bce", np.inf),
+             ("clipped_bce", -np.inf)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

@@ -1,9 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from iakrec.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, save_checkpoint
 from iakrec.iak import IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, build_model
 from iakrec.router import adapters_from_arrays
@@ -26,6 +27,23 @@ def test_truncation_at_every_offset_raises_checkpoint_error(tmp_path):
     arrays, digest = load_checkpoint(path)
     assert digest == "digest"
     assert all(arrays[k].tobytes() == np.asarray(v).tobytes() for k, v in _params().items())
+
+
+def test_each_payload_is_the_bytes_tobytes_gives(tmp_path):
+    """The file is the layout of the module docstring, each array's data the
+    `tobytes` of its little-endian C-order float64 form: a 0-d array, an
+    empty one, a transposed (not C-contiguous) one, float32 and big-endian
+    inputs."""
+    rng = np.random.default_rng(1)
+    params = {"scalar": np.array(2.5), "empty": np.empty((0, 3)), "t": rng.normal(size=(3, 4)).T,
+              "f32": rng.normal(size=5).astype(np.float32), "be": rng.normal(size=(2, 2)).astype(">f8")}
+    save_checkpoint(tmp_path / "m.ckpt", params, "dg")
+    want = MAGIC + struct.pack("<IH", VERSION, 2) + b"dg" + struct.pack("<I", len(params))
+    for name, arr in params.items():
+        arr = np.asarray(arr, dtype="<f8", order="C")
+        want += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+        want += struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes()
+    assert (tmp_path / "m.ckpt").read_bytes() == want
 
 
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp(tmp_path):

@@ -1,9 +1,10 @@
 """Every dense layer of the backbone and the adapters is one `ad.linear` or
 `ad.segment_linear` node, every loss term is one `ad.clipped_bce`,
-`ad.gaussian_kl` or `ad.weight_sample` node, and the embedding assembly is
-one `ad.gather_rows` node. A training step through them must leave every
+`ad.gaussian_kl` or `ad.weight_sample` node, the embedding assembly is one
+`ad.gather_rows` node, and each task's mixture-of-experts gate is one
+`ad.gate_mix` node. A training step through them must leave every
 parameter bit for bit where the composed chains of nodes leave it, and the
-pretrain and bank graphs must stay fused."""
+pretrain, bank and serving graphs must stay fused."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from iakrec import autodiff as ad
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
 from iakrec.datagen import Dataset
+from iakrec.router import DomainRouter, ScoreRequest
 from iakrec.trainer import pretrain_step
 
 from adapter_reference import reference_step
 from gradcheck import assert_grads_match
-from linear_reference import composed_gather_rows, composed_linear, composed_segment_linear
+from linear_reference import composed_gate_mix, composed_gather_rows, composed_linear, composed_segment_linear
 from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
@@ -33,6 +35,12 @@ def composed(monkeypatch):
 def composed_lookups(monkeypatch):
     """Run the embedding assembly as one lookup node per table plus concat."""
     monkeypatch.setattr(ad, "gather_rows", composed_gather_rows)
+
+
+@pytest.fixture
+def composed_gate(monkeypatch):
+    """Run each task's gate as its softmax, slice, mul and add nodes."""
+    monkeypatch.setattr(ad, "gate_mix", composed_gate_mix)
 
 
 @pytest.fixture
@@ -68,10 +76,10 @@ def graph_sizes(monkeypatch):
     return sizes
 
 
-def _pretrain_step():
-    """(losses, parameter bytes) after one step of the default
-    BaseRecommender."""
-    model = build_model(ModelConfig(), SPACE, seed=1)
+def _pretrain_step(kind="base", n_experts=2):
+    """(losses, parameter bytes) after one step of a default-sized model, by
+    default the BaseRecommender."""
+    model = build_model(ModelConfig(kind=kind, n_experts=n_experts), SPACE, seed=1)
     losses = pretrain_step(model, _batch(64, 1), ad.AdagradDecayState(), 0.05)
     return losses, {n: v.tobytes() for n, v in model.named_parameters().items()}
 
@@ -80,9 +88,9 @@ def test_pretrain_step_is_fused_and_equals_the_composed_layers(graph_sizes, requ
     fused = _pretrain_step()
     request.getfixturevalue("composed")
     assert _pretrain_step() == fused
-    # 65 nodes fused; the composed layers add a bias node per dense layer and
+    # 54 nodes fused; the composed layers add a bias node per dense layer and
     # an activation node per hidden layer
-    assert graph_sizes == [65, 84]
+    assert graph_sizes == [54, 73]
 
 
 def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
@@ -90,7 +98,7 @@ def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
     request.getfixturevalue("composed_losses")
     assert _pretrain_step() == fused
     # each task's cross-entropy is one node in place of nine
-    assert graph_sizes == [65, 81]
+    assert graph_sizes == [54, 70]
 
 
 def test_pretrain_step_equals_the_composed_lookups(graph_sizes, request):
@@ -98,7 +106,18 @@ def test_pretrain_step_equals_the_composed_lookups(graph_sizes, request):
     request.getfixturevalue("composed_lookups")
     assert _pretrain_step() == fused
     # the embedding assembly is one node in place of nine lookups and a concat
-    assert graph_sizes == [65, 74]
+    assert graph_sizes == [54, 63]
+
+
+@pytest.mark.parametrize("n_experts", [2, 3])
+@pytest.mark.parametrize("kind", ["base", "mmoe"])
+def test_pretrain_step_equals_the_composed_gate(graph_sizes, request, kind, n_experts):
+    fused = _pretrain_step(kind, n_experts)
+    request.getfixturevalue("composed_gate")
+    assert _pretrain_step(kind, n_experts) == fused
+    # per task one node in place of a softmax and a slice and a mul per
+    # expert, with an add per expert past the first
+    assert graph_sizes[1] - graph_sizes[0] == 2 * (3 * n_experts - 1)
 
 
 def _bank_step(beta, decoder_hidden=(6, 5), steps=2):
@@ -141,12 +160,37 @@ def test_bank_step_equals_the_composed_losses(graph_sizes, request, beta):
 
 
 def test_bank_step_graph_at_the_default_adapter_shape(graph_sizes, request):
-    """A bank step at the default decoder (one hidden layer) records 29 nodes
-    fused and 67 with the composed loss chains."""
+    """A bank step at the default decoder (one hidden layer) records 28 nodes
+    fused and 66 with the composed loss chains."""
     _bank_step(1e-3, IAKConfig().decoder_hidden, steps=1)
     request.getfixturevalue("composed_losses")
     _bank_step(1e-3, IAKConfig().decoder_hidden, steps=1)
-    assert graph_sizes == [29, 67]
+    assert graph_sizes == [28, 66]
+
+
+def test_eager_score_graph_at_the_default_shapes(monkeypatch):
+    """One eager `router.score` of the default backbone through 5 default
+    adapters makes 53 nodes: 18 for the backbone and 7 per adapter (its
+    three layers, the logit add, and a sigmoid and two column slices for
+    its prediction)."""
+    backbone = build_model(ModelConfig(), SPACE, seed=1)
+    selectors = [{"period": k} for k in range(3)] + [{"scene": k} for k in range(2)]
+    adapters = {f"a{k}": IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(), sel, seed=k)
+                for k, sel in enumerate(selectors)}
+    router = DomainRouter(backbone, adapters)
+    request = ScoreRequest(user_id=3, item_id=4, domain_ids={"scene": 1, "region": 0, "period": 2},
+                           feature_ids=[1, 2, 3, 4])
+    made = []
+    make = ad._make
+
+    def counted(*args):
+        made.append(args[-1])
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    router.score(request)
+    assert len(made) == 53
+    assert made.count("gate_mix") == 2 and made.count("sigmoid") == 6
 
 
 def _lone_steps(beta):
@@ -324,6 +368,78 @@ def test_weight_sample_gradients_match_finite_differences(eps_shape):
     ad.zero_grads([mu, rho])
     assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.weight_sample(mu, rho, eps), upstream)), [mu, rho],
                        ad.backward)
+
+
+# -- the gate ----------------------------------------------------------------
+
+
+def _gate_case(n_experts):
+    """(5, E) gate logits and E (5, 4) expert outputs: a row of tied logits,
+    a row where one expert takes all the weight (the others' weights
+    underflow to 0) and signed zeros in the experts."""
+    rng = np.random.default_rng(n_experts)
+    logits = rng.normal(size=(5, n_experts))
+    logits[0] = 0.0
+    logits[1, 0] = 800.0
+    experts = [rng.normal(size=(5, 4)) for _ in range(n_experts)]
+    for e in experts:
+        e[2, :2] = 0.0, -0.0
+        e[3, 0] = 0.0
+    return logits, experts
+
+
+def _gate(mix):
+    return lambda gate, *experts: mix(gate, experts)
+
+
+@pytest.mark.parametrize("n_experts", [2, 3])
+def test_gate_mix_equals_the_composed_chain_bitwise(n_experts):
+    logits, experts = _gate_case(n_experts)
+    entrywise = np.resize(np.array(UPSTREAMS[:-1] + [-2.0]), (5, 4))
+    for u in [*UPSTREAMS, entrywise]:
+        fused = _sweep(_gate(ad.gate_mix), [logits, *experts], u)
+        assert fused == _sweep(_gate(composed_gate_mix), [logits, *experts], u)
+
+
+@pytest.mark.parametrize("n_experts", [2, 3])
+def test_gate_mix_of_a_shared_input_equals_the_composed_chain_bitwise(n_experts):
+    """Two gates and the experts all read one input, as in the mixture core:
+    the input's gradient adds their contributions in the chain's order."""
+
+    def grads(mix):
+        rng = np.random.default_rng(10 + n_experts)
+        x = ad.Parameter(rng.normal(size=(6, 3)), "x")
+        layers = [(ad.Parameter(rng.normal(size=(3, 4)), f"w{e}"), ad.Parameter(rng.normal(size=4), f"b{e}"))
+                  for e in range(n_experts)]
+        gates = [(ad.Parameter(rng.normal(size=(3, n_experts)), f"g{t}"), ad.Parameter(np.zeros(n_experts), f"c{t}"))
+                 for t in range(2)]
+        experts = [ad.linear(x, w, b, slope=0.01) for w, b in layers]
+        mixed = ad.concat([mix(ad.linear(x, w, b), experts) for w, b in gates], axis=1)
+        ad.backward(ad.reduce_sum(ad.mul(mixed, rng.normal(size=mixed.shape))))
+        params = [x, *(p for pair in layers + gates for p in pair)]
+        return [mixed.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+    assert grads(ad.gate_mix) == grads(composed_gate_mix)
+
+
+@pytest.mark.parametrize("n_experts", [1, 2, 3])
+def test_gate_mix_gradients_match_finite_differences(n_experts):
+    rng = np.random.default_rng(20 + n_experts)
+    gate = ad.Parameter(rng.normal(size=(4, n_experts)), "gate")
+    experts = [ad.Parameter(rng.normal(size=(4, 3)), f"e{e}") for e in range(n_experts)]
+    upstream = ad.Tensor(rng.normal(size=(4, 3)))
+    ad.zero_grads([gate, *experts])
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.gate_mix(gate, experts), upstream)), [gate, *experts],
+                       ad.backward)
+
+
+def test_gate_mix_shapes_are_checked():
+    with pytest.raises(ad.ShapeError, match="gate_mix needs"):
+        ad.gate_mix(np.ones((3, 3)), [np.ones((3, 2))] * 2)
+    with pytest.raises(ad.ShapeError, match="gate_mix needs"):
+        ad.gate_mix(np.ones((3, 2)), [np.ones((3, 2)), np.ones((2, 2))])
+    with pytest.raises(ad.ShapeError, match="gate_mix needs"):
+        ad.gate_mix(np.ones(2), [np.ones((1, 2))] * 2)
 
 
 def test_fused_loss_shapes_are_checked():

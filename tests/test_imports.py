@@ -1,9 +1,12 @@
 """No `iakrec` module imports a name it never uses. The one allowance is a
 name that the benchmark's traced run patches on that module
-(`perfbench.layers.trace_targets`): it is bound there only to be wrapped."""
+(`perfbench.layers.trace_targets`): it is bound there only to be wrapped.
+No code in `src/iakrec` is kept alive by the tests alone: every public
+function and method is referenced by the package or the benchmark."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,57 @@ def test_the_check_sees_a_dead_config_key():
     toy = ast.parse('DEFAULTS: dict[str, tuple[str, str]] = {\n    "a.read": ("1", "a.dead"),\n'
                     '    "a.dead": ("2", "never read"),\n}\n\ndef f(cfg):\n    return cfg.get_int("a.read")\n')
     assert {"a.read", "a.dead"} - _strings_read(toy) == {"a.dead"}
+
+
+def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Each public function of a module, at any depth: module functions,
+    methods and the closures defined inside them."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is referenced under `node`: read or bound as a
+    name, read as an attribute, imported, or spelled as a string constant
+    (as `getattr` or a patch target spells it)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rpartition(".")[2] for alias in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) -> list[str]:
+    """`module:line name` of each public def in `defining` that nothing in
+    `referring` references outside the def itself."""
+    total = sum((_references(tree) for tree in referring), Counter())
+    return [f"{stem}:{node.lineno} {node.name}" for stem, tree in defining.items() for node in _public_defs(tree)
+            if total[node.name] - _references(node)[node.name] <= 0]
+
+
+def test_every_public_def_has_a_reference_outside_the_tests():
+    """A public function or method that only the tests call belongs in their
+    reference modules, not in the package."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unreferenced(trees, [*trees.values(), *bench]) == []
+
+
+def test_the_check_sees_a_def_only_its_own_body_or_a_test_references():
+    toy = ast.parse("import os.path\nfrom .x import helper as h\n\n"
+                    "def used(a):\n    return h(a)\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+                    "def named():\n    def inner():\n        pass\n\nclass Box:\n    def shown(self):\n        return self.hidden\n\n"
+                    "    def hidden(self):\n        return 1\n\n    def spare(self):\n        return 2\n\n"
+                    "    def _private(self):\n        return 3\n\nPATCHED = 'named'\nused(os.path)\n")
+    test = ast.parse("from toy import Box\n\ndef test_spare():\n    assert Box().spare() == 2\n")
+    assert sorted(node.name for node in _public_defs(toy)) == ["hidden", "inner", "named", "recursive", "shown",
+                                                               "spare", "used"]
+    assert sorted(_unreferenced({"toy": toy}, [toy])) == ["toy:11 inner", "toy:15 shown", "toy:21 spare",
+                                                          "toy:7 recursive"]
+    assert sorted(_unreferenced({"toy": toy}, [toy, test])) == ["toy:11 inner", "toy:15 shown", "toy:7 recursive"]
