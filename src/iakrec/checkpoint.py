@@ -14,11 +14,19 @@ Layout (all integers little-endian):
 Round-trips are bit-exact: raw float64 bytes are stored untouched. A save
 goes through `write_atomic`, so an interrupted save never leaves a partial
 file under the target name.
+
+A load maps the file read-only instead of reading it, so each byte is
+touched once, by the copy `restore` makes. A file that cannot be mapped (an
+empty file, a character device such as /dev/null) is read into memory and
+parsed the same way. Because every save replaces the file by a rename, a
+mapped old file is never changed under a reader; a file truncated in place
+by another process while its arrays are alive is not supported.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -80,9 +88,15 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_dige
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     """Returns (named parameter arrays, stored config digest). The arrays are
     read-only views of the file's bytes, possibly unaligned: `restore` makes
-    the one writable float64 copy. Any malformed or truncated file raises
-    CheckpointError."""
-    blob = Path(path).read_bytes()
+    the one writable float64 copy. The views hold a read-only mapping of the
+    file, which lives as long as any of them is referenced; a file that
+    cannot be mapped is read whole instead. Any malformed or truncated file
+    (a repeated parameter name included) raises CheckpointError."""
+    with open(path, "rb") as f:
+        try:
+            blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, or one mmap refuses
+            blob = f.read()
     try:
         return _parse(blob, path)
     except CheckpointError:
@@ -91,7 +105,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from e
 
 
-def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], str]:
+def _parse(blob: bytes | mmap.mmap, path) -> tuple[dict[str, np.ndarray], str]:
     if blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     off = 8
@@ -111,6 +125,8 @@ def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], str]:
         off += 2
         name = blob[off : off + nlen].decode("utf-8")
         off += nlen
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
         (ndim,) = struct.unpack_from("<B", blob, off)
         off += 1
         dims = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()

@@ -22,12 +22,15 @@ train rows it selects (`period=*` expands to one selector per period in the
 data), and runs the frozen backbone once per selected row, however many
 selectors share it.
 
-`eval`, `finetune` and `serve` start from the saved arrays: the model (and
-each stored adapter) is built without drawing an init, its parameters left
-zero, and `restore` copies each checkpoint array into it once. A restored
-model therefore does not depend on `model.seed`. A checkpoint that is missing
-a parameter, has a wrong shape or holds NaN or Inf is a data error (exit 5)
-naming the parameter, raised before `serve` reads its first request.
+`eval`, `finetune` and `serve` start from the saved arrays: the checkpoint
+is mapped, not read, the model (and each stored adapter) is built without
+drawing an init, its tables and weights left as read-only zero views, and
+`restore` copies each checkpoint array into it once. A restored model therefore does
+not depend on `model.seed`, and no command holds the loaded arrays (nor the
+file's mapping) once it is restored. A checkpoint that is missing a
+parameter, stores one twice, has a wrong shape or holds NaN or Inf is a data
+error (exit 5) naming the parameter, raised before `serve` reads its first
+request.
 """
 
 from __future__ import annotations
@@ -158,11 +161,14 @@ def cmd_pretrain(args) -> int:
 
 
 def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
+    """The frozen model restored from `ckpt_path` and the adapters stored
+    beside it ({} for a pretrain checkpoint). The loaded arrays die on
+    return, so no caller keeps the checkpoint's mapping alive."""
     arrays, _ = load_checkpoint(ckpt_path)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=None)
     model.restore(arrays)
     model.set_trainable(False)
-    return model, arrays
+    return model, adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
 
 
 def cmd_finetune(args) -> int:
@@ -195,8 +201,7 @@ def cmd_eval(args) -> int:
     _, test = _load_split(args, cfg)
     if not test:
         raise DatasetError("test split is empty; check datagen.split_ratio")
-    model, arrays = _restore_backbone(cfg, ckpt)
-    adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
+    model, adapters = _restore_backbone(cfg, ckpt)
     seed = cfg.get_int("train.seed")
     split = SplitPass(model, encode_records(test, cfg.feature_space()))
     p_ctr, p_ctcvr = split.zero_shot()
@@ -224,8 +229,7 @@ def cmd_eval(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
-    model, arrays = _restore_backbone(cfg, ckpt)
-    adapters = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
+    model, adapters = _restore_backbone(cfg, ckpt)
     router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))
     # the bytes under a text stdin, so `serve` decodes each line on its own
     return serve(router, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout)

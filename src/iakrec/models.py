@@ -61,21 +61,24 @@ def encode_records(dataset: Dataset, space: FeatureSpace) -> Dataset:
 
 class ZeroInit:
     """The init generator of a model or adapter that `restore` will fill:
-    every draw is zeros (`np.zeros` is calloc: pages never written are never
-    allocated), so building one draws no random numbers."""
+    every draw is a read-only zero view (`np.broadcast_to` of one scalar),
+    so building one draws no random numbers and allocates no table. A
+    parameter built from it is read-only until `restore` gives it its own
+    array."""
 
     @staticmethod
     def normal(loc: float, scale: float, size) -> np.ndarray:
-        return np.zeros(size)
+        return np.broadcast_to(0.0, size)
 
     @staticmethod
     def standard_normal(size) -> np.ndarray:
-        return np.zeros(size)
+        return np.broadcast_to(0.0, size)
 
 
 def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroInit:
     """The parameter-init generator of `seed`, or `ZeroInit` when seed is None
-    (a build that a checkpoint restore fills)."""
+    (a build that a checkpoint restore fills; its drawn parameters are
+    read-only zeros until then)."""
     if seed is None:
         return ZeroInit()
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
@@ -388,7 +391,9 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     """A model of `config.kind` over `space`. A seed draws its init (the same
     draws for the same seed); seed=None draws nothing and leaves every
     parameter zero for `restore` to fill, so a restored model does not depend
-    on any seed."""
+    on any seed. Until that restore, its drawn parameters (every table and
+    weight; biases are plain zeros) are read-only views that allocate
+    nothing."""
     config.validate()
     return MODEL_KINDS[config.kind](config, space, seed)
 

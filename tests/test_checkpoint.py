@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from iakrec.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, 
 from iakrec.iak import IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, build_model
 from iakrec.router import adapters_from_arrays
+
+from checkpoint_reference import checkpoint_bytes
 
 
 def _params():
@@ -83,3 +86,67 @@ def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
         flags = p.data.flags
         assert p.data.dtype == np.float64 and flags.owndata and flags.writeable and flags.aligned, p.name
         assert p.data.tobytes() == arrays[p.name].tobytes()
+
+
+def test_a_parameter_stored_twice_is_rejected_by_name(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(checkpoint_bytes([("a", [1.0]), ("b", [3.0])]))
+    assert sorted(load_checkpoint(path)[0]) == ["a", "b"]
+    path.write_bytes(checkpoint_bytes([("a", [1.0]), ("b", [3.0]), ("a", [2.0])]))
+    with pytest.raises(CheckpointError, match="'a' is stored twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_the_null_device_raises_checkpoint_error():
+    """The null device cannot be mapped, so it is read and parsed like any
+    other file. (An empty file and a file of only the magic, which also
+    cannot be mapped or hold no header, are offsets 0 and 8 of the
+    truncation test.)"""
+    with pytest.raises(CheckpointError):
+        load_checkpoint(os.devnull)
+
+
+def test_loaded_arrays_survive_a_save_over_their_file(tmp_path):
+    """A save replaces the file by a rename, so arrays mapped from the old
+    file keep its values while the new file holds the new ones."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _params(), "old")
+    arrays, _ = load_checkpoint(path)
+    new = {k: np.asarray(v) + 1.0 for k, v in _params().items()}
+    save_checkpoint(path, new, "new")
+    for name, want in _params().items():
+        assert arrays[name].tobytes() == np.asarray(want).tobytes(), name
+    reloaded, digest = load_checkpoint(path)
+    assert digest == "new" and all(reloaded[k].tobytes() == v.tobytes() for k, v in new.items())
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_one_copy(tmp_path):
+    """Loading maps the file, a seed=None build holds read-only zero views,
+    and the restore is the one place a table is allocated: once."""
+    space = FeatureSpace(n_users=200_000, n_items=500, n_scenes=2, n_regions=3, n_periods=3)
+    cfg = ModelConfig(kind="base")
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, build_model(cfg, space, seed=1).named_parameters())
+    size = path.stat().st_size
+    (arrays, _), load_peak = _traced_peak(lambda: load_checkpoint(path))
+    assert load_peak < size / 100
+    blank, build_peak = _traced_peak(lambda: build_model(cfg, space, seed=None))
+    table = blank.embeddings.rows[0].data
+    assert table.nbytes > size / 2 and build_peak < table.nbytes / 4
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    _, restore_peak = _traced_peak(lambda: blank.restore(arrays))
+    payload = sum(a.nbytes for a in arrays.values())
+    assert payload <= restore_peak < 1.25 * payload
+    assert blank.embeddings.rows[0].data.tobytes() == arrays["user_emb.rows"].tobytes()

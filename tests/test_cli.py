@@ -3,25 +3,30 @@
 violation. Each case runs `main(argv)` in its own working directory."""
 
 import csv
+import gc
 import io
 import json
 import os
 import stat
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iakrec import datagen
-from iakrec.checkpoint import save_checkpoint
+from iakrec import cli, datagen
+from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _restore_backbone, main
 from iakrec.config import RunConfig
+from iakrec.evals import SplitPass
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
 from iakrec.autodiff import Tensor
 from iakrec.iak import IAKAdapter, adapted_prediction
 from iakrec.models import MODEL_KINDS, build_model
-from iakrec.router import adapters_from_arrays
+
+from checkpoint_reference import checkpoint_bytes
 
 TINY_CFG = """\
 datagen.n_users = 30
@@ -305,10 +310,15 @@ def test_non_utf8_line_exits_5_at_its_line(workdir, capsys):
 
 
 @pytest.mark.parametrize("case, code", [("data", EXIT_PATH), ("checkpoint", EXIT_PATH), ("backbone", EXIT_PATH),
-                                        ("config", EXIT_PATH), ("config-not-utf8", EXIT_CONFIG)])
+                                        ("config", EXIT_PATH), ("config-not-utf8", EXIT_CONFIG),
+                                        ("checkpoint-missing", EXIT_PATH), ("checkpoint-devnull", EXIT_SCHEMA)])
 def test_input_that_cannot_be_read_exits_with_one_line(workdir, capsys, case, code):
-    """A directory given for an input file exits 4 and a config file that is
-    not UTF-8 exits 3, each with a one-line message and no run directory."""
+    """A directory given for an input file or a missing checkpoint exits 4,
+    a config file that is not UTF-8 exits 3, and the null device as a
+    checkpoint (it cannot be mapped, so it is read, and holds no header)
+    exits 5, each with a one-line message and no run directory."""
+    if case == "checkpoint-devnull" and not os.path.exists(os.devnull):
+        pytest.skip("no null device")
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
     _backbone_checkpoint(workdir)
     (workdir / "adir").mkdir()
@@ -317,6 +327,8 @@ def test_input_that_cannot_be_read_exits_with_one_line(workdir, capsys, case, co
     args = {
         "data": ["pretrain", "--data", "adir"],
         "checkpoint": ["eval", "--data", "data/dataset.jsonl", "--checkpoint", "adir"],
+        "checkpoint-missing": ["eval", "--data", "data/dataset.jsonl", "--checkpoint", "absent.ckpt"],
+        "checkpoint-devnull": ["eval", "--data", "data/dataset.jsonl", "--checkpoint", os.devnull],
         "backbone": ["finetune", "--data", "data/dataset.jsonl", "--backbone", "adir"],
     }.get(case, ["gen-data"])
     before = set(workdir.iterdir())
@@ -397,21 +409,30 @@ def test_forbidden_init_draws_trip_a_seeded_build(forbid_init_draws):
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
-def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, kind, forbid_init_draws):
+def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypatch, kind, forbid_init_draws):
     """Every backbone and adapter parameter restored by `eval`, `finetune`
-    and `serve` is bitwise its checkpoint array, held in its own copy, and
-    the restore draws no init."""
+    and `serve` is bitwise its checkpoint array, held in its own writable
+    copy (no view of the arrays it was restored from), and the restore draws
+    no init."""
     cfg = RunConfig({**TINY_SIZES, "model.kind": kind})
     arrays = _checkpoint_arrays(cfg, seed=3)
     save_checkpoint(tmp_path / "m.ckpt", arrays, cfg.digest())
+    loads = []
+
+    def load(path):
+        loads.append(load_checkpoint(path))
+        return loads[-1]
+
+    monkeypatch.setattr(cli, "load_checkpoint", load)
     forbid_init_draws()
-    model, loaded = _restore_backbone(cfg, tmp_path / "m.ckpt")
-    adapters = adapters_from_arrays(loaded, model.rep_dim, model.n_heads, cfg.iak_config())
+    model, adapters = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    ((loaded, _),) = loads
     restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
     assert model.frozen and sorted(restored) == sorted(arrays)
     assert not any(p.trainable for p in adapters["period=0"].parameters())
     for name, data in restored.items():
         assert data.dtype == np.float64 and data.tobytes() == arrays[name].tobytes(), name
+        assert data.flags.owndata and data.flags.writeable, name
         assert not np.shares_memory(data, loaded[name]), name
 
 
@@ -420,8 +441,8 @@ def test_restored_adapter_scores_record_no_graph(tmp_path):
     of `eval` link no parents: no graph is recorded and no node checked."""
     cfg = RunConfig(TINY_SIZES)
     save_checkpoint(tmp_path / "m.ckpt", _checkpoint_arrays(cfg), cfg.digest())
-    model, arrays = _restore_backbone(cfg, tmp_path / "m.ckpt")
-    (adapter,) = adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config()).values()
+    model, adapters = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    (adapter,) = adapters.values()
     rng = np.random.default_rng(0)
     rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))
     pred = adapted_prediction(model, adapter, rep, logits)
@@ -491,3 +512,70 @@ def test_damaged_checkpoint_exits_5_naming_the_parameter(workdir, monkeypatch, c
     assert err.startswith("iakrec: error:") and repr(name) in err and err.count("\n") == 1
     assert out == "" and stdin.buffer.tell() == 0
     assert set(workdir.iterdir()) == before
+
+
+def test_eval_of_a_checkpoint_storing_a_parameter_twice_exits_5(workdir, capsys):
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    cfg = RunConfig(TINY_SIZES)
+    blocks = list(_checkpoint_arrays(cfg).items())
+    (workdir / "model.ckpt").write_bytes(checkpoint_bytes([*blocks, blocks[0]], cfg.digest()))
+    capsys.readouterr()
+    assert _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "model.ckpt") == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"{blocks[0][0]!r} is stored twice" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "serve"])
+def test_the_loaded_arrays_are_dead_once_restored(workdir, monkeypatch, command):
+    """`eval` and `serve` keep the model and the adapters, not the arrays
+    they were restored from: a served stream would otherwise hold the
+    checkpoint's whole mapping alive."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    cfg = RunConfig(TINY_SIZES)
+    save_checkpoint(workdir / "model.ckpt", _checkpoint_arrays(cfg), cfg.digest())
+    refs, checked = [], []
+
+    def load(path):
+        arrays, digest = load_checkpoint(path)
+        refs.extend(weakref.ref(a) for a in arrays.values())
+        return arrays, digest
+
+    def all_dead():
+        gc.collect()
+        checked.append([r() is None for r in refs])
+
+    def serve(router, stdin, stdout):
+        all_dead()
+        return EXIT_OK
+
+    def split_pass(*args):
+        all_dead()
+        return SplitPass(*args)
+
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    monkeypatch.setattr(cli, "serve", serve)
+    monkeypatch.setattr(cli, "SplitPass", split_pass)
+    args = {"eval": ["--data", "data/dataset.jsonl"], "serve": []}[command]
+    assert _run(workdir, command, *args, "--checkpoint", "model.ckpt") == EXIT_OK
+    assert len(checked) == 1 and len(checked[0]) == len(refs) > 0 and all(checked[0])
+
+
+def test_eval_peak_memory_stays_under_one_and_a_half_checkpoints(workdir, capsys):
+    """An eval whose checkpoint is nearly all embedding table traces under
+    1.5x the checkpoint's size: the file is mapped, the blank model holds no
+    table, and the restore makes the one copy. A second whole-file copy
+    (a read of the file, or zero tables) would put it near 2x or above."""
+    sizes = ["--set", "datagen.n_users=300000", "--set", "datagen.n_days=2", "--set", "datagen.records_per_day=200"]
+    assert _run(workdir, "gen-data", "--outdir", "data", *sizes) == EXIT_OK
+    cfg = RunConfig({**TINY_SIZES, "datagen.n_users": "300000"})
+    save_checkpoint(workdir / "model.ckpt", _checkpoint_arrays(cfg), cfg.digest())
+    size = (workdir / "model.ckpt").stat().st_size
+    assert size > 15e6
+    tracemalloc.start()
+    try:
+        code = _run(workdir, "eval", "--data", "data/dataset.jsonl", "--checkpoint", "model.ckpt", *sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert peak < 1.5 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB checkpoint"
