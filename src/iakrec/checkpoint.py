@@ -1,26 +1,34 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary container of named arrays: the model checkpoints, and the
+column sidecar of a dataset (`datagen.sidecar_path`).
 
-Layout (all integers little-endian):
+Layout of version 2, the one written (all integers little-endian):
     magic           8 bytes  b"RECCKPT1"
-    version         u32
-    digest_len      u16      followed by that many ascii bytes (config digest)
+    version         u32      2
+    digest_len      u16      followed by that many ascii bytes (the digest field:
+                             a config digest, or a sidecar's key)
     n_params        u32
-    per parameter:
+    per block:
         name_len    u16      followed by utf-8 name
+        dtype       3 bytes  b"<f8" (float64) or b"<i8" (int64)
         ndim        u8
         dims        ndim x u64
-        data        prod(dims) x f64 little-endian
+        padding     zero bytes up to the next multiple of 8 from the file start
+        data        prod(dims) x 8 bytes of that dtype, little-endian
 
-Round-trips are bit-exact: raw float64 bytes are stored untouched. A save
-goes through `write_atomic`, so an interrupted save never leaves a partial
-file under the target name.
+Version 1 files are still read. Their blocks have no dtype (every block is
+`<f8`) and no padding, so their data may sit at any offset. Round-trips are
+bit-exact: the raw bytes are stored untouched. An integer array is stored as
+`<i8`, and any other array as `<f8`. A save goes through `write_atomic`, so an
+interrupted save never leaves a partial file under the target name.
 
 A load maps the file read-only instead of reading it, so each byte is
 touched once, by the copy `restore` makes. A file that cannot be mapped (an
 empty file, a character device such as /dev/null) is read into memory and
 parsed the same way. Because every save replaces the file by a rename, a
 mapped old file is never changed under a reader; a file truncated in place
-by another process while its arrays are alive is not supported.
+by another process while its arrays are alive is not supported. The
+container holds no checksum: a reader that needs one keeps it in the digest
+field (as the sidecar does).
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 MAGIC = b"RECCKPT1"
-VERSION = 1
+VERSION = 2
+DTYPES = ("<f8", "<i8")  # the block dtypes of version 2
 
 
 class CheckpointError(ValueError):
@@ -62,36 +71,38 @@ def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_digest: str = "") -> None:
+    """Write `params` as a version-2 file (see the module docstring), with
+    `config_digest` in its digest field."""
     digest = config_digest.encode("ascii")
 
     def write(f: BinaryIO) -> None:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<H", len(digest)))
-        f.write(digest)
-        f.write(struct.pack("<I", len(params)))
+        head = bytearray(MAGIC + struct.pack("<IH", VERSION, len(digest)) + digest + struct.pack("<I", len(params)))
         for name, arr in params.items():
             name_b = name.encode("utf-8")
+            arr = np.asarray(arr)
             # ascontiguousarray would promote 0-d arrays to 1-d; asarray keeps rank
-            arr = np.asarray(arr, dtype="<f8", order="C")
-            f.write(struct.pack("<H", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<Q", d))
+            arr = np.asarray(arr, dtype="<i8" if arr.dtype.kind == "i" else "<f8", order="C")
+            head += struct.pack("<H", len(name_b)) + name_b + arr.dtype.str.encode("ascii")
+            head += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+            # `head` starts 8-aligned (at the file start or after 8-byte data), so
+            # this pads the data to an 8-aligned file offset
+            head += bytes(-len(head) % 8)
+            f.write(head)
             # the C-contiguous array's own buffer: the bytes of `tobytes`, uncopied
             f.write(arr)
+            head = bytearray()
 
     write_atomic(path, write)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
-    """Returns (named parameter arrays, stored config digest). The arrays are
-    read-only views of the file's bytes, possibly unaligned: `restore` makes
-    the one writable float64 copy. The views hold a read-only mapping of the
-    file, which lives as long as any of them is referenced; a file that
-    cannot be mapped is read whole instead. Any malformed or truncated file
-    (a repeated parameter name included) raises CheckpointError."""
+    """Returns (named arrays, stored digest field). The arrays are read-only
+    views of the file's bytes, `<f8` or `<i8` (those of a version-1 file
+    possibly unaligned): `restore` makes the one writable float64 copy. The
+    views hold a read-only mapping of the file, which lives as long as any
+    of them is referenced; a file that cannot be mapped is read whole
+    instead. Any malformed or truncated file (a repeated parameter name and
+    an unknown dtype included) raises CheckpointError."""
     with open(path, "rb") as f:
         try:
             blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -111,7 +122,7 @@ def _parse(blob: bytes | mmap.mmap, path) -> tuple[dict[str, np.ndarray], str]:
     off = 8
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (dlen,) = struct.unpack_from("<H", blob, off)
     off += 2
@@ -127,12 +138,22 @@ def _parse(blob: bytes | mmap.mmap, path) -> tuple[dict[str, np.ndarray], str]:
         off += nlen
         if name in params:
             raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
+        dtype = "<f8"
+        if version != 1:
+            dtype = blob[off : off + 3].decode("ascii")
+            off += 3
+            if dtype not in DTYPES:
+                raise CheckpointError(f"{path}: block {name!r} has unknown dtype {dtype!r}")
         (ndim,) = struct.unpack_from("<B", blob, off)
         off += 1
         dims = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()
         off += 8 * ndim
+        if version != 1:
+            off += -off % 8
         count = math.prod(dims)
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        if 8 * count > len(blob) - off:  # also keeps a damaged dim from overflowing frombuffer
+            raise CheckpointError(f"{path}: truncated or corrupt checkpoint (block {name!r} runs past the end)")
+        data = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
         off += 8 * count
         params[name] = data.reshape(dims)
     if off != len(blob):

@@ -10,12 +10,14 @@ a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation, 1 anything else.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
-with its columns in `dataset.jsonl.cols.npz`, and every command that reads a
-JSONL file loads that sidecar instead of parsing when it holds the sha256 of
-the file's current bytes and the current format version. Any edit to the
-JSONL invalidates it (mtime and size are never trusted); the next read parses
-the file and rewrites the sidecar if the directory is writable. Deleting a
-sidecar is always safe.
+with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
+blocks), and every command that reads a JSONL file maps that sidecar instead
+of parsing when it holds the sha256 of the file's current bytes, the current
+format version and an intact payload. Any edit to the JSONL invalidates it
+(mtime and size are never trusted); the next read parses the file and
+rewrites the sidecar if the directory is writable. Deleting a sidecar is
+always safe, and a `dataset.jsonl.cols.npz` of an older version is never
+read.
 
 `finetune` trains one adapter per `train.finetune_domains` selector on the
 train rows it selects (`period=*` expands to one selector per period in the
@@ -28,9 +30,9 @@ drawing an init, its tables and weights left as read-only zero views, and
 `restore` copies each checkpoint array into it once. A restored model therefore does
 not depend on `model.seed`, and no command holds the loaded arrays (nor the
 file's mapping) once it is restored. A checkpoint that is missing a
-parameter, stores one twice, has a wrong shape or holds NaN or Inf is a data
-error (exit 5) naming the parameter, raised before `serve` reads its first
-request.
+parameter, stores one twice or as int64, has a wrong shape or holds NaN or
+Inf is a data error (exit 5) naming the parameter, raised before `serve`
+reads its first request.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workdir", default=".", help="base directory for inputs and run outputs")
         p.add_argument("--outdir", help="explicit run directory name (must not exist)")
 
-    gen_help = ("write a synthetic dataset as JSONL, with its column sidecar dataset.jsonl.cols.npz; "
+    gen_help = ("write a synthetic dataset as JSONL, with its column sidecar dataset.jsonl.cols; "
                 "the sidecar is keyed by the JSONL's sha256, so any edit invalidates it, and deleting "
                 "it is always safe")
     p = sub.add_parser("gen-data", help=gen_help, description=gen_help)

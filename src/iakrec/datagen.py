@@ -12,7 +12,8 @@ purchase), in file order. Splits, windows and domain selections are row
 masks or positions over it. `InteractionRecord` is the row form at the
 JSONL boundary: the parser validates records, and indexing or iterating a
 `Dataset` yields them. `read_dataset` parses a JSONL file at most once per
-content, keeping its columns in a digest-checked sidecar beside it.
+content, keeping its columns in a digest-checked sidecar beside it; the
+columns of a sidecar hit are read-only views of its mapped bytes.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 TOPICS = ("scene", "region", "period")
 SECONDS_PER_DAY = 86400
 COLUMNS = ("timestamp", "user", "item", "scene", "region", "period", "features", "click", "purchase")
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
+_JSONL_CHUNK = 8192  # rows formatted per `%` of `write_jsonl`
 
 # octile edges of the standard normal, used to bucket latent values into
 # categorical feature ids
@@ -231,11 +233,19 @@ def make_domains(
 
 
 def _calibrate_bias(z: np.ndarray, target: float) -> float:
-    """Bisect the intercept so mean(sigmoid(b + z)) hits the target rate."""
+    """Bisect the intercept so mean(sigmoid(b + z)) hits the target rate.
+    Each step computes 1 / (1 + exp(-(mid + z))) in one buffer, the same
+    operations on each element as that expression, so the same bits."""
     lo, hi = -30.0, 30.0
+    buf = np.empty_like(z)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if np.mean(1.0 / (1.0 + np.exp(-(mid + z)))) < target:
+        np.add(mid, z, out=buf)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        np.add(1.0, buf, out=buf)
+        np.divide(1.0, buf, out=buf)
+        if _mean(buf) < target:
             lo = mid
         else:
             hi = mid
@@ -243,19 +253,33 @@ def _calibrate_bias(z: np.ndarray, target: float) -> float:
 
 
 def _calibrate_scale(raw: np.ndarray, target: float) -> float:
-    """Bisect a multiplier so mean(clip(s*raw, 0, 1)) hits the target."""
+    """Bisect a multiplier so mean(clip(s*raw, 0, 1)) hits the target, each
+    step in one buffer as `_calibrate_bias` does."""
     if raw.size == 0:
         return 1.0
+    buf = np.empty_like(raw)
+
+    def clipped_mean(s: float) -> float:
+        np.multiply(s, raw, out=buf)
+        np.clip(buf, 0.0, 1.0, out=buf)
+        return _mean(buf)
+
     lo, hi = 0.0, 1.0
-    while np.mean(np.clip(hi * raw, 0.0, 1.0)) < target and hi < 1e6:
+    while clipped_mean(hi) < target and hi < 1e6:
         hi *= 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if np.mean(np.clip(mid * raw, 0.0, 1.0)) < target:
+        if clipped_mean(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _mean(x: np.ndarray) -> float:
+    """`np.mean` of a non-empty 1-d float64 array, bit for bit: the same
+    pairwise sum divided by the count, without the wrapper's checks."""
+    return np.add.reduce(x) / x.size
 
 
 def _bucket(values: np.ndarray, scale: float) -> np.ndarray:
@@ -361,18 +385,22 @@ def split_chronological(dataset: Dataset, ratio: tuple[int, int]) -> tuple[Datas
 
 
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """One JSON object per row, formatted straight from the columns, plus the
-    column sidecar of the bytes written (see `read_dataset`)."""
-    feature_text = [",".join(map(str, row)) for row in dataset.features.tolist()]
-    cols = [a.tolist() for a in (dataset.timestamp, dataset.user, dataset.item, dataset.scene, dataset.region,
-                                 dataset.period)]
-    raw = "".join(
-        f'{{"timestamp":{t},"user_id":{u},"item_id":{i},"domain_ids":{{"scene":{s},"region":{r},"period":{p}}},'
-        f'"feature_ids":[{f}],"click":{c},"purchase":{b}}}\n'
-        for t, u, i, s, r, p, f, c, b in zip(*cols, feature_text, dataset.click.tolist(), dataset.purchase.tolist())
-    ).encode("utf-8")
-    Path(path).write_bytes(raw)
-    _store_columns(dataset, path, hashlib.sha256(raw).hexdigest())
+    """One JSON object per row, plus the column sidecar of the bytes written
+    (see `read_dataset`). Rows are formatted `_JSONL_CHUNK` at a time by one
+    `%d` template for the dataset's feature width, applied to the flat list
+    of the chunk's ints: the bytes of writing each int with `str`."""
+    row = (b'{"timestamp":%d,"user_id":%d,"item_id":%d,"domain_ids":{"scene":%d,"region":%d,"period":%d},'
+           b'"feature_ids":[' + b",".join([b"%d"] * dataset.features.shape[1]) + b'],"click":%d,"purchase":%d}\n')
+    table = np.column_stack([dataset.timestamp, dataset.user, dataset.item, dataset.scene, dataset.region,
+                             dataset.period, dataset.features, dataset.click, dataset.purchase])
+    sha = hashlib.sha256()
+    with open(path, "wb") as f:
+        for start in range(0, len(table), _JSONL_CHUNK):
+            chunk = table[start : start + _JSONL_CHUNK]
+            text = (row * len(chunk)) % tuple(chunk.ravel().tolist())
+            f.write(text)
+            sha.update(text)
+    _store_columns(dataset, path, sha.hexdigest())
 
 
 def int64_id(value) -> int:
@@ -458,48 +486,60 @@ def read_jsonl(path: str | Path) -> Dataset:
 
 
 def sidecar_path(path: str | Path) -> Path:
-    """Where the columns of the JSONL file `path` are kept: `<path>.cols.npz`."""
-    return Path(f"{path}.cols.npz")
+    """Where the columns of the JSONL file `path` are kept: `<path>.cols`, a
+    version-2 checkpoint container (see `iakrec.checkpoint`) of one `<i8`
+    block per column. A `<path>.cols.npz` left by sidecar version 1 is never
+    read."""
+    return Path(f"{path}.cols")
+
+
+def _sidecar_key(digest: str, columns) -> str:
+    """The digest field of a sidecar: its format version, the sha256 of its
+    JSONL and the wrapping uint64 sum of every word of its columns. The sum
+    makes any one damaged payload byte a mismatch; a sum costs about a tenth
+    of a `zlib.crc32` over the same bytes."""
+    total = sum(int(np.add.reduce(a.view(np.uint64), axis=None)) for a in columns)
+    return f"{SIDECAR_VERSION}:{digest}:{total % 2**64:016x}"
 
 
 def _store_columns(dataset: Dataset, path: str | Path, digest: str) -> None:
     """Write the sidecar of `path` (atomically) if the directory allows it."""
-    arrays = {"version": np.int64(SIDECAR_VERSION), "sha256": np.array(digest), **dataset.columns()}
+    columns = {c: np.asarray(a, dtype="<i8") for c, a in dataset.columns().items()}
     try:
-        write_atomic(sidecar_path(path), lambda f: np.savez(f, **arrays))
+        save_checkpoint(sidecar_path(path), columns, _sidecar_key(digest, columns.values()))
     except OSError:
         pass  # the sidecar is only a cache
 
 
 def _load_columns(side: Path, digest: str) -> Dataset | None:
-    """The sidecar's dataset if it holds this format version, this digest and
-    a full set of equal-length int64 columns; None for anything else."""
+    """The sidecar's dataset if it holds this format version, this digest, a
+    full set of equal-length `<i8` columns and the payload its key sums;
+    None for anything else. The columns are read-only views of the mapped
+    file."""
     try:
-        with open(side, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if sorted(z.files) != sorted((*COLUMNS, "version", "sha256")):
-                return None
-            if z["version"].tolist() != SIDECAR_VERSION or z["sha256"].tolist() != digest:
-                return None
-            cols = {c: z[c] for c in COLUMNS}
-    # the sidecar is only a cache: whatever makes it unreadable (missing,
-    # truncated, not a zip, a bad array header) sends the reader to the JSONL
-    except Exception:
+        arrays, key = load_checkpoint(side)
+    # the sidecar is only a cache: whatever makes it unreadable (missing, a
+    # directory, truncated, damaged) sends the reader to the JSONL
+    except (OSError, CheckpointError):
         return None
-    n = len(cols["timestamp"])
-    for c, a in cols.items():
-        if a.dtype != np.int64 or a.ndim != (2 if c == "features" else 1) or len(a) != n:
-            return None
-    return Dataset(**cols)
+    if sorted(arrays) != sorted(COLUMNS) or any(
+        a.dtype != np.int64 or a.ndim != (2 if c == "features" else 1) for c, a in arrays.items()
+    ):
+        return None
+    if len({len(a) for a in arrays.values()}) != 1 or key != _sidecar_key(digest, arrays.values()):
+        return None
+    return Dataset(**arrays)
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """The dataset of a JSONL file, parsed at most once per content.
 
-    The file's sha256 keys its sidecar: when the sidecar holds that digest,
-    the current format version and every column, the columns load from it
-    and no line is parsed. Otherwise the JSONL is parsed with every check
-    of `read_jsonl` and the sidecar is rewritten where the directory allows
-    it. A sidecar that cannot be read or does not match is a miss, never an
+    The file's sha256 keys its sidecar (`sidecar_path`): when the sidecar
+    holds that digest, the current format version, every column and the
+    payload its key sums, the columns are mapped from it, as read-only views,
+    and no line is parsed. Otherwise the JSONL is parsed with every check of
+    `read_jsonl` and the sidecar is rewritten where the directory allows it.
+    A sidecar that cannot be read or does not match is a miss, never an
     error, so deleting it is always safe."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()

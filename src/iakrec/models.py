@@ -85,18 +85,21 @@ def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroIni
 
 
 def restore_parameters(params: list[Parameter], arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
-    """Set each parameter to its checkpoint array, copied once as float64. A
-    missing name, a wrong shape or a NaN or Inf entry raises `error` naming
-    the parameter (the check a `Parameter` makes when it is built)."""
+    """Set each parameter to its checkpoint array, copied once. A missing
+    name, a block that is not float64 (an `<i8` one, say), a wrong shape or a
+    NaN or Inf entry raises `error` naming the parameter (the check a
+    `Parameter` makes when it is built)."""
     for p in params:
         arr = arrays.get(p.name)
         if arr is None:
             raise error(f"checkpoint missing parameter {p.name!r}")
+        if arr.dtype != np.float64:
+            raise error(f"checkpoint parameter {p.name!r} is stored as {arr.dtype.str}, not <f8")
         if arr.shape != p.data.shape:
             raise error(f"shape mismatch for {p.name!r}: checkpoint {arr.shape}, model {p.data.shape}")
         if not np.isfinite(arr).all():
             raise error(f"checkpoint parameter {p.name!r} holds NaN or Inf")
-        p.data = np.array(arr, dtype=np.float64)
+        p.data = np.array(arr)
 
 
 def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Reference dataset operations over lists of `InteractionRecord`s, one
 Python object per record: the record-list code that the column operations
 of `iakrec.datagen`, `iakrec.models.encode_records` and
-`iakrec.trainer.mix_domains` replaced. Tests compare the column versions
-against these."""
+`iakrec.trainer.mix_domains` replaced, and the one-row-at-a-time JSONL
+formatter that `iakrec.datagen.write_jsonl` replaced. Tests compare the
+column versions against these."""
 
 from __future__ import annotations
 
@@ -10,6 +11,18 @@ import numpy as np
 
 from iakrec.datagen import SECONDS_PER_DAY, Dataset, DatasetError, InteractionRecord, in_domain
 from iakrec.models import FeatureSpace
+
+
+def jsonl_bytes(dataset: Dataset) -> bytes:
+    """The JSONL of a dataset, one f-string and one `join` per row."""
+    feature_text = [",".join(map(str, row)) for row in dataset.features.tolist()]
+    cols = [a.tolist() for a in (dataset.timestamp, dataset.user, dataset.item, dataset.scene, dataset.region,
+                                 dataset.period)]
+    return "".join(
+        f'{{"timestamp":{t},"user_id":{u},"item_id":{i},"domain_ids":{{"scene":{s},"region":{r},"period":{p}}},'
+        f'"feature_ids":[{f}],"click":{c},"purchase":{b}}}\n'
+        for t, u, i, s, r, p, f, c, b in zip(*cols, feature_text, dataset.click.tolist(), dataset.purchase.tolist())
+    ).encode("utf-8")
 
 
 def split_chronological(

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iakrec.checkpoint import MAGIC, VERSION, CheckpointError, load_checkpoint, save_checkpoint
-from iakrec.iak import IAKAdapter, IAKConfig
-from iakrec.models import FeatureSpace, ModelConfig, build_model
+from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from iakrec.iak import AdapterError, IAKAdapter, IAKConfig
+from iakrec.models import FeatureSpace, ModelConfig, ModelError, build_model
 from iakrec.router import adapters_from_arrays
 
 from checkpoint_reference import checkpoint_bytes
@@ -33,20 +33,23 @@ def test_truncation_at_every_offset_raises_checkpoint_error(tmp_path):
 
 
 def test_each_payload_is_the_bytes_tobytes_gives(tmp_path):
-    """The file is the layout of the module docstring, each array's data the
-    `tobytes` of its little-endian C-order float64 form: a 0-d array, an
-    empty one, a transposed (not C-contiguous) one, float32 and big-endian
-    inputs."""
+    """The file is the version-2 layout of the module docstring, written by
+    hand in `checkpoint_reference`: an integer array's data is the `tobytes`
+    of its little-endian C-order int64 form, any other array's that of its
+    float64 form, each 8-byte aligned. Inputs: a 0-d array, an empty one, a
+    transposed (not C-contiguous) one, float32, big-endian float64 and
+    int64, and int32."""
     rng = np.random.default_rng(1)
     params = {"scalar": np.array(2.5), "empty": np.empty((0, 3)), "t": rng.normal(size=(3, 4)).T,
-              "f32": rng.normal(size=5).astype(np.float32), "be": rng.normal(size=(2, 2)).astype(">f8")}
+              "f32": rng.normal(size=5).astype(np.float32), "be": rng.normal(size=(2, 2)).astype(">f8"),
+              "ids": np.arange(-3, 3).reshape(2, 3).astype(">i8"), "i32": np.array([7, -1], dtype=np.int32)}
     save_checkpoint(tmp_path / "m.ckpt", params, "dg")
-    want = MAGIC + struct.pack("<IH", VERSION, 2) + b"dg" + struct.pack("<I", len(params))
+    assert (tmp_path / "m.ckpt").read_bytes() == checkpoint_bytes(list(params.items()), "dg")
+    arrays, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert [arrays[k].dtype.str for k in params] == ["<f8"] * 5 + ["<i8"] * 2
     for name, arr in params.items():
-        arr = np.asarray(arr, dtype="<f8", order="C")
-        want += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
-        want += struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes()
-    assert (tmp_path / "m.ckpt").read_bytes() == want
+        assert arrays[name].shape == arr.shape and np.array_equal(arrays[name], arr), name
+        assert arrays[name].flags.aligned, name
 
 
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp(tmp_path):
@@ -72,9 +75,10 @@ def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
     model = build_model(model_cfg, space, seed=0)
     adapter = IAKAdapter(model.rep_dim, model.n_heads, iak_cfg, {"period": 1}, seed=0)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {**model.named_parameters(), **adapter.named_parameters()}, "odd")  # odd offsets
+    save_checkpoint(path, {**model.named_parameters(), **adapter.named_parameters()}, "odd")  # padded to 8
     arrays, _ = load_checkpoint(path)
     for arr in arrays.values():
+        assert arr.flags.aligned
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     clone = build_model(model_cfg, space, seed=None)
@@ -150,3 +154,70 @@ def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_one_co
     payload = sum(a.nbytes for a in arrays.values())
     assert payload <= restore_peak < 1.25 * payload
     assert blank.embeddings.rows[0].data.tobytes() == arrays["user_emb.rows"].tobytes()
+
+
+def _model_and_adapter():
+    space = FeatureSpace(n_users=9, n_items=7, n_scenes=2, n_regions=2, n_periods=3)
+    model_cfg, iak_cfg = ModelConfig(kind="base", hidden_sizes=(6, 3)), IAKConfig(d_e=3, decoder_hidden=(4,))
+    model = build_model(model_cfg, space, seed=0)
+    return model, IAKAdapter(model.rep_dim, model.n_heads, iak_cfg, {"period": 1}, seed=0), model_cfg, space, iak_cfg
+
+
+def test_a_hand_written_version_1_file_restores_bit_for_bit(tmp_path):
+    """Version 1 (no dtype tag, no padding, so unaligned data after an odd
+    digest) still loads, and a backbone and an adapter restored from it
+    hold their saved arrays bit for bit."""
+    model, adapter, model_cfg, space, iak_cfg = _model_and_adapter()
+    saved = {**model.named_parameters(), **adapter.named_parameters()}
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(checkpoint_bytes(list(saved.items()), "odd", version=1))
+    arrays, digest = load_checkpoint(path)
+    assert digest == "odd" and not all(a.flags.aligned for a in arrays.values())
+    clone = build_model(model_cfg, space, seed=None)
+    clone.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
+    (restored,) = adapters_from_arrays(arrays, clone.rep_dim, clone.n_heads, iak_cfg).values()
+    got = {**clone.named_parameters(), **restored.named_parameters()}
+    assert sorted(got) == sorted(saved)
+    assert all(got[k].tobytes() == saved[k].tobytes() for k in saved)
+
+
+@pytest.mark.parametrize("name", ["user_emb.rows", "stacked_logits.b", "adapter/period=1/dec_out.w"])
+def test_restore_rejects_an_int64_block_by_name(tmp_path, name):
+    """A `<i8` block where a parameter belongs is the restore's error naming
+    it, never weights cast from ints."""
+    model, adapter, model_cfg, space, iak_cfg = _model_and_adapter()
+    blocks = {**model.named_parameters(), **adapter.named_parameters()}
+    blocks[name] = np.zeros(blocks[name].shape, dtype=np.int64)
+    path = tmp_path / "ints.ckpt"
+    path.write_bytes(checkpoint_bytes(list(blocks.items())))
+    arrays, _ = load_checkpoint(path)
+    assert arrays[name].dtype.str == "<i8"
+    clone = build_model(model_cfg, space, seed=None)
+    backbone = {k: v for k, v in arrays.items() if not k.startswith("adapter/")}
+    if name.startswith("adapter/"):
+        clone.restore(backbone)
+        with pytest.raises(AdapterError, match=f"{name!r} is stored as <i8"):
+            adapters_from_arrays(arrays, clone.rep_dim, clone.n_heads, iak_cfg)
+    else:
+        with pytest.raises(ModelError, match=f"{name!r} is stored as <i8"):
+            clone.restore(backbone)
+
+
+def test_an_unknown_dtype_tag_raises_checkpoint_error_naming_the_block(tmp_path):
+    blob = checkpoint_bytes([("a", [1.0]), ("b", [2.0])])
+    path = tmp_path / "tag.ckpt"
+    path.write_bytes(blob.replace(b"b<f8", b"b<f4"))
+    with pytest.raises(CheckpointError, match="block 'b' has unknown dtype '<f4'"):
+        load_checkpoint(path)
+
+
+def test_a_dimension_past_any_size_raises_checkpoint_error(tmp_path):
+    """A dimension whose product overflows what an array can index is a
+    damaged file, not an OverflowError."""
+    blob = bytearray(checkpoint_bytes([("a", np.zeros((2, 3)))], version=1))
+    dims = blob.index(struct.pack("<2Q", 2, 3))
+    blob[dims + 7] = 0x5A  # the high byte of the first dimension
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="'a' runs past the end"):
+        load_checkpoint(path)

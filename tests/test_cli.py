@@ -280,6 +280,25 @@ def test_pipeline_outputs_do_not_depend_on_the_sidecar(workdir, monkeypatch, par
     assert len(parses) == 4 and side.exists()
 
 
+def test_pipeline_on_read_only_sidecar_columns_matches_parsed_columns(workdir, monkeypatch, parses):
+    """Each command of a pipeline gets the sidecar's mapped columns, all
+    read-only, and writes what a pipeline on freshly parsed (writable)
+    columns writes: no code writes into a `Dataset` column in place."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    read = []
+
+    def read_dataset(path):
+        read.append(datagen.read_dataset(path))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_dataset", read_dataset)
+    mapped = _pipeline(workdir, "mapped")
+    assert parses == [] and len(read) == 3
+    assert not any(a.flags.writeable for dataset in read for a in dataset.columns().values())
+    monkeypatch.setattr(cli, "read_dataset", read_jsonl)
+    assert _pipeline(workdir, "parsed") == mapped and len(parses) == 3
+
+
 def test_bad_line_exits_5_and_writes_no_sidecar(workdir, capsys):
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
     path = workdir / "data" / "dataset.jsonl"
@@ -469,6 +488,8 @@ def _damage(arrays, name, how):
         del arrays[name]
     elif how == "shape":
         arrays[name] = arrays[name][..., :-1]
+    elif how == "int64":  # saved as an `<i8` block
+        arrays[name] = arrays[name].astype(np.int64)
     else:
         arrays[name] = arrays[name].copy()
         arrays[name].flat[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[how]
@@ -488,11 +509,15 @@ def _damage(arrays, name, how):
     ("serve", "adapter/period=0/dec_out.b", "missing"),
     ("finetune", "user_emb.rows", "nan"),
     ("finetune", "stacked_logits.b", "shape"),
+    ("eval", "user_emb.rows", "int64"),
+    ("eval", "adapter/period=0/enc0.mu_w", "int64"),
+    ("serve", "adapter/period=0/dec0.w", "int64"),
+    ("finetune", "stacked_logits.w", "int64"),
 ])
 def test_damaged_checkpoint_exits_5_naming_the_parameter(workdir, monkeypatch, capsys, command, name, how):
-    """A checkpoint array that is missing, of the wrong shape, or holds NaN
-    or Inf is a one-line data error (exit 5) that names the parameter, with
-    no run directory; `serve` reads no request."""
+    """A checkpoint array that is missing, of the wrong shape, holds NaN or
+    Inf, or is stored as int64 is a one-line data error (exit 5) that names
+    the parameter, with no run directory; `serve` reads no request."""
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
     cfg = RunConfig(TINY_SIZES)
     arrays = _checkpoint_arrays(cfg)

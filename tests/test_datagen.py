@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iakrec import datagen
+from iakrec.checkpoint import load_checkpoint
 from iakrec.datagen import (
     Dataset,
     DatasetError,
@@ -29,6 +32,7 @@ from iakrec.evals import kl_empirical
 from iakrec.models import FeatureSpace, encode_records
 
 import records_reference
+from checkpoint_reference import checkpoint_bytes
 
 
 def _config(seed=0, period_shifts=(0.0, 0.0), period_tilts=None, **kw):
@@ -51,6 +55,34 @@ def test_same_seed_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     write_jsonl(generate(_config(seed=4)), a)
     assert a.read_bytes() != b.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-40, 40)),
+       target=st.floats(0.001, 0.999))
+def test_in_place_bisection_gives_the_bits_of_the_plain_expressions(z, target):
+    """`_calibrate_bias` and `_calibrate_scale` step through one buffer; each
+    gives the float of the bisection written as plain numpy expressions."""
+
+    def bias(z, target):
+        lo, hi = -30.0, 30.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.mean(1.0 / (1.0 + np.exp(-(mid + z)))) < target else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def scale(raw, target):
+        lo, hi = 0.0, 1.0
+        while np.mean(np.clip(hi * raw, 0.0, 1.0)) < target and hi < 1e6:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.mean(np.clip(mid * raw, 0.0, 1.0)) < target else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    assert datagen._calibrate_bias(z, target) == bias(z, target)
+    raw = np.abs(z) / 40.0
+    assert datagen._calibrate_scale(raw, target) == scale(raw, target)
 
 
 def test_click_rate_hits_target():
@@ -205,6 +237,9 @@ record_strategy = st.builds(
 )
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class TestJsonl:
     def test_empty_file_reads_as_empty_dataset(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -306,6 +341,43 @@ class TestJsonl:
         write_jsonl(data, p)
         assert read_jsonl(p) == data
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_written_bytes_are_the_reference_formatter(self, data, tmp_path_factory):
+        """`write_jsonl` writes what one f-string per row writes, at feature
+        widths 0-6 with rows padded by -1, ids up to the int64 bounds, and
+        no rows at all."""
+        n, width = data.draw(st.integers(0, 30), "rows"), data.draw(st.integers(0, 6), "width")
+        ids = st.integers(_INT64.min, _INT64.max) | st.sampled_from([_INT64.min, _INT64.max, -1, 0])
+        cols = {c: data.draw(hnp.arrays(np.int64, (n, width) if c == "features" else n, elements=ids), c)
+                for c in datagen.COLUMNS}
+        for row, used in enumerate(data.draw(st.lists(st.integers(0, width), min_size=n, max_size=n), "used")):
+            cols["features"][row, used:] = -1
+        dataset = Dataset(**cols)
+        p = tmp_path_factory.mktemp("oracle") / "data.jsonl"
+        write_jsonl(dataset, p)
+        assert p.read_bytes() == records_reference.jsonl_bytes(dataset)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_written_bytes_at_a_chunk_boundary(self, tmp_path, extra):
+        """A dataset of exactly one chunk and one of a chunk and one row, with
+        the int64 bounds on either side of the boundary."""
+        n = datagen._JSONL_CHUNK + extra
+        base = generate(_config(seed=15, n_days=2, records_per_day=100))
+        dataset = Dataset(**{c: np.resize(a, (n, *a.shape[1:])) for c, a in base.columns().items()})
+        dataset.user[n - 2 : n] = [_INT64.min, _INT64.max]
+        dataset.features[n - 1] = [_INT64.max, -1, -1, -1]
+        write_jsonl(dataset, tmp_path / "data.jsonl")
+        assert (tmp_path / "data.jsonl").read_bytes() == records_reference.jsonl_bytes(dataset)
+
+    def test_empty_dataset_writes_an_empty_file_and_a_hit(self, tmp_path, monkeypatch):
+        empty = Dataset.from_records([])
+        path = tmp_path / "empty.jsonl"
+        write_jsonl(empty, path)
+        assert path.read_bytes() == b"" == records_reference.jsonl_bytes(empty)
+        monkeypatch.setattr(datagen, "_parse_jsonl", None)  # a hit parses nothing
+        assert read_dataset(path) == empty
+
 
 def test_window_by_days():
     data = generate(_config(seed=14, n_days=6))
@@ -353,24 +425,38 @@ class TestSidecar:
         assert len(parses) == 2
         assert read_dataset(path) == got and len(parses) == 2
 
-    def _tamper(self, side, how):
-        with np.load(side) as z:
-            cols = dict(z)
+    def _tamper(self, path, how=None):
+        """Rewrite the sidecar of `path` by hand, with the key the `datagen`
+        docstrings give it (version, JSONL sha256, wrapping uint64 sum of the
+        column words) and one part wrong; `how=None` gets every part right."""
+        side = sidecar_path(path)
+        cols = {c: np.array(a) for c, a in load_checkpoint(side)[0].items()}
+        version, digest = datagen.SIDECAR_VERSION, hashlib.sha256(path.read_bytes()).hexdigest()
         if how == "version":
-            cols["version"] = np.int64(datagen.SIDECAR_VERSION + 1)
+            version += 1
         elif how == "missing_column":
             del cols["purchase"]
         elif how == "wrong_dtype":
-            cols["click"] = cols["click"].astype(np.int32)
+            cols["click"] = cols["click"].astype(np.float64)
         elif how == "short_column":
             cols["item"] = cols["item"][:-1]
         elif how == "digest":
-            cols["sha256"] = np.array("0" * 64)
-        with open(side, "wb") as f:
-            np.savez(f, **cols)
+            digest = "0" * 64
+        words = sum(int(a.view(np.uint64).sum(dtype=np.uint64)) for a in cols.values()) % 2**64
+        if how == "payload":  # an id changed under the key of the original columns
+            cols["user"][len(cols["user"]) // 2] += 1
+        side.write_bytes(checkpoint_bytes(list(cols.items()), f"{version}:{digest}:{words:016x}"))
+
+    def test_hand_written_sidecar_is_a_hit(self, data):
+        """The hand-written key is the real one, so each tampered case of
+        the next test misses for its one wrong part."""
+        path, parses = data
+        self._tamper(path)
+        assert read_dataset(path) == read_jsonl(path)
+        assert len(parses) == 1  # read_jsonl's own parse
 
     @pytest.mark.parametrize("how", ["truncated", "zero_bytes", "garbage", "directory", "version", "missing_column",
-                                     "wrong_dtype", "short_column", "digest"])
+                                     "wrong_dtype", "short_column", "digest", "payload"])
     def test_bad_sidecar_is_a_miss(self, data, how):
         path, parses = data
         side = sidecar_path(path)
@@ -384,12 +470,32 @@ class TestSidecar:
             side.unlink()
             side.mkdir()
         else:
-            self._tamper(side, how)
+            self._tamper(path, how)
         got = read_dataset(path)
         assert len(parses) == 1
         assert got == read_jsonl(path)
         if how != "directory":  # a directory in the way cannot be replaced
             assert read_dataset(path) == got and len(parses) == 2
+
+    def test_hit_columns_are_read_only_views(self, data):
+        path, parses = data
+        got = read_dataset(path)
+        assert parses == []
+        for c, a in got.columns().items():
+            assert not a.flags.writeable and not a.flags.owndata, c
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_a_leftover_npz_sidecar_is_never_read(self, data):
+        """A version-1 `.cols.npz` beside the JSONL, one that version 1 would
+        take for a hit, is ignored: without the current sidecar the file is
+        parsed."""
+        path, parses = data
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        with open(path.with_name(path.name + ".cols.npz"), "wb") as f:
+            np.savez(f, version=np.int64(1), sha256=np.array(digest), **read_jsonl(path).columns())
+        sidecar_path(path).unlink()
+        assert read_dataset(path) == read_jsonl(path) and len(parses) == 3
 
     @settings(max_examples=40, deadline=None)
     @given(cut=st.integers(min_value=0), flip=st.integers(min_value=0))

@@ -2,7 +2,9 @@
 name that the benchmark's traced run patches on that module
 (`perfbench.layers.trace_targets`): it is bound there only to be wrapped.
 No code in `src/iakrec` is kept alive by the tests alone: every public
-function and method is referenced by the package or the benchmark."""
+function and method is referenced by the package or the benchmark. Named
+arrays go to disk in one format, the checkpoint container: no module calls
+numpy's own `savez` or `load`."""
 
 import ast
 import sys
@@ -178,3 +180,32 @@ def test_the_check_sees_a_def_only_its_own_body_or_a_test_references():
     assert sorted(_unreferenced({"toy": toy}, [toy])) == ["toy:11 inner", "toy:15 shown", "toy:21 spare",
                                                           "toy:7 recursive"]
     assert sorted(_unreferenced({"toy": toy}, [toy, test])) == ["toy:11 inner", "toy:15 shown", "toy:7 recursive"]
+
+
+def _numpy_file_io(tree: ast.Module) -> list[str]:
+    """`line name` of each `np.savez*` or `np.load` a module names (through
+    `np` or `numpy`), or imports from numpy."""
+    def banned(name: str) -> bool:
+        return name == "load" or name.startswith("savez")
+
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and banned(node.attr)):
+            out.append(f"{node.lineno} {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            out.extend(f"{node.lineno} numpy.{alias.name}" for alias in node.names if banned(alias.name))
+    return out
+
+
+def test_no_module_uses_numpys_own_file_format():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    found = [f"{name}:{hit}" for name, tree in trees.items() for hit in _numpy_file_io(tree)]
+    assert found == []
+
+
+def test_the_check_sees_numpy_file_io():
+    toy = ast.parse("import numpy as np\nimport numpy\nfrom numpy import load as ld, loadtxt\n\n"
+                    "def f(a, path):\n    np.savez(path, a=a)\n    numpy.savez_compressed(path, a=a)\n"
+                    "    np.save(path, a)\n    return np.load(path), np.loads, ld\n")
+    assert _numpy_file_io(toy) == ["3 numpy.load", "6 np.savez", "7 numpy.savez_compressed", "9 np.load"]
