@@ -7,7 +7,8 @@ run directory under --workdir, together with the exact effective config.
 Exit codes: 0 success, 2 usage, 3 config error (a config file that is not
 UTF-8 included), 4 path error (an input that is missing or cannot be read,
 a directory say, an existing run directory, or any other OSError), 5 data or
-schema violation, 1 anything else.
+schema violation, 1 anything else (a training run or a forward whose values
+overflow to NaN or Inf included, reported on one line).
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -43,6 +44,7 @@ import sys
 import time
 from pathlib import Path
 
+from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
 from .datagen import DatasetError, generate, read_dataset, split_chronological, write_jsonl
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
     except _SCHEMA_ERRORS as e:
         print(f"iakrec: error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except ValueError as e:
+    # NonFiniteError: a run that diverges, or weights that overflow a forward
+    except (ValueError, NonFiniteError) as e:
         print(f"iakrec: error: {e}", file=sys.stderr)
         return 1
 

@@ -9,11 +9,14 @@ and period are drawn per record, region is fixed per user.
 A `Dataset` holds records as int64 numpy columns (timestamp, user, item,
 scene, region, period, an (N, F) features block padded with -1, click and
 purchase), in file order. Splits, windows and domain selections are row
-masks or positions over it. `InteractionRecord` is the row form at the
-JSONL boundary: the parser validates records, and indexing or iterating a
-`Dataset` yields them. `read_dataset` parses a JSONL file at most once per
-content, keeping its columns in a digest-checked sidecar beside it; the
-columns of a sidecar hit are read-only views of its mapped bytes.
+masks or positions over it. A parsed JSONL line and a score request are
+one flat row of ints each, and `Dataset.from_rows` splits a table of such
+rows into columns. `InteractionRecord` is only the row view that indexing
+or iterating a `Dataset` yields, for code that reads a row's fields by name
+(the benchmark's request traffic does). `read_dataset` parses a JSONL file
+at most once per content, keeping its columns in a digest-checked sidecar
+beside it; the columns of a sidecar hit are read-only views of its mapped
+bytes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ class DatasetError(ValueError):
 
 @dataclass
 class InteractionRecord:
-    """One impression: who saw what, where, and what happened."""
+    """One impression: who saw what, where, and what happened. The row view
+    of a `Dataset` (`dataset[i]`, iteration); the package builds datasets
+    from columns or rows of ints, never from these."""
 
     timestamp: int
     user_id: int
@@ -59,22 +64,14 @@ class InteractionRecord:
     click: int
     purchase: int
 
-    def validate(self) -> None:
-        if self.click not in (0, 1) or self.purchase not in (0, 1):
-            raise DatasetError("click and purchase must be 0 or 1")
-        if self.purchase == 1 and self.click == 0:
-            raise DatasetError("purchase without click violates the impression->click->conversion path")
-        missing = [t for t in TOPICS if t not in self.domain_ids]
-        if missing:
-            raise DatasetError(f"domain_ids missing topics: {missing}")
-
 
 @dataclass(eq=False)
 class Dataset:
     """Records as int64 columns, one row per record. `features` is (N, F)
     with F the longest `feature_ids` of the source; shorter rows are padded
-    with -1, the empty slot of the encoding. Indexing with an integer gives
-    an `InteractionRecord` of plain ints, with a slice a `Dataset`."""
+    with -1, the empty slot of the encoding. `from_rows` splits a table of
+    parsed lines into these columns. Indexing with an integer gives an
+    `InteractionRecord` of plain ints, with a slice a `Dataset`."""
 
     timestamp: np.ndarray
     user: np.ndarray
@@ -87,26 +84,13 @@ class Dataset:
     purchase: np.ndarray
 
     @classmethod
-    def from_records(cls, records: list[InteractionRecord]) -> Dataset:
-        width = max((len(r.feature_ids) for r in records), default=0)
-        features = np.full((len(records), width), -1, dtype=np.int64)
-        for j, r in enumerate(records):
-            features[j, : len(r.feature_ids)] = r.feature_ids
-
-        def col(values):
-            return np.array(values, dtype=np.int64)
-
-        return cls(
-            timestamp=col([r.timestamp for r in records]),
-            user=col([r.user_id for r in records]),
-            item=col([r.item_id for r in records]),
-            scene=col([r.domain_ids["scene"] for r in records]),
-            region=col([r.domain_ids["region"] for r in records]),
-            period=col([r.domain_ids["period"] for r in records]),
-            features=features,
-            click=col([r.click for r in records]),
-            purchase=col([r.purchase for r in records]),
-        )
+    def from_rows(cls, table: np.ndarray) -> Dataset:
+        """The dataset of an (N, 8 + F) int64 table, one row per record laid
+        out as `[timestamp, user, item, scene, region, period, click,
+        purchase, *features]`. Each column is a view of the table; indexing
+        the transpose makes them faster than unpacking it does."""
+        col = table.T
+        return cls(col[0], col[1], col[2], col[3], col[4], col[5], table[:, 8:], col[6], col[7])
 
     def columns(self) -> dict[str, np.ndarray]:
         return {c: getattr(self, c) for c in COLUMNS}
@@ -438,9 +422,11 @@ _RECORD_KEYS = ("timestamp", "user_id", "item_id", "domain_ids", "feature_ids", 
 
 
 def _parse_jsonl(raw: bytes, path: str | Path) -> Dataset:
-    """The dataset of a JSONL file's bytes; a bad line, one that is not UTF-8
-    included, raises DatasetError at `path:line`."""
-    records: list[InteractionRecord] = []
+    """The dataset of a JSONL file's bytes: each line one `Dataset.from_rows`
+    row, feature lists padded with -1 to the longest. A bad line, one that is
+    not UTF-8 included, raises DatasetError at `path:line`; the first bad line
+    is the one reported."""
+    rows: list[list[int]] = []
     # bytes split only at \n, \r and \r\n, the line ends of a text-mode read
     for lineno, data in enumerate(raw.splitlines(), start=1):
         try:
@@ -460,28 +446,32 @@ def _parse_jsonl(raw: bytes, path: str | Path) -> Dataset:
         missing = [key for key in _RECORD_KEYS if key not in obj]
         if missing:
             raise DatasetError(f"{path}:{lineno}: missing keys {missing}")
+        # the ids, then the timestamp and labels, are int64s; then the labels
+        # are 0 or 1, with no purchase without a click, and every topic is set
         try:
-            user_id, item_id, domain_ids, feature_ids = id_fields(obj)
-            rec = InteractionRecord(
-                timestamp=int64_id(obj["timestamp"]),
-                user_id=user_id,
-                item_id=item_id,
-                domain_ids=domain_ids,
-                feature_ids=feature_ids,
-                click=int64_id(obj["click"]),
-                purchase=int64_id(obj["purchase"]),
-            )
-            rec.validate()
-        # DatasetError from validate() is a ValueError too
+            user, item, domain_ids, feature_ids = id_fields(obj)
+            timestamp, click, purchase = int64_id(obj["timestamp"]), int64_id(obj["click"]), int64_id(obj["purchase"])
+            if click not in (0, 1) or purchase not in (0, 1):
+                raise DatasetError("click and purchase must be 0 or 1")
+            if purchase > click:
+                raise DatasetError("purchase without click violates the impression->click->conversion path")
+            if missing := [t for t in TOPICS if t not in domain_ids]:
+                raise DatasetError(f"domain_ids missing topics: {missing}")
+        # DatasetError is a ValueError too
         except (TypeError, ValueError, OverflowError) as e:
             raise DatasetError(f"{path}:{lineno}: {e}") from e
-        records.append(rec)
-    return Dataset.from_records(records)
+        rows.append([timestamp, user, item, domain_ids["scene"], domain_ids["region"], domain_ids["period"], click,
+                     purchase, *feature_ids])
+    width = max(map(len, rows), default=8)
+    for row in rows:
+        row += [-1] * (width - len(row))
+    return Dataset.from_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width))
 
 
 def read_jsonl(path: str | Path) -> Dataset:
-    """Parse a JSONL dataset, ignoring any sidecar; a bad line raises
-    DatasetError at `path:line`."""
+    """Parse a JSONL dataset, ignoring any sidecar: each line is checked and
+    becomes one `Dataset.from_rows` row, with no record object made. A bad
+    line raises DatasetError at `path:line`."""
     return _parse_jsonl(Path(path).read_bytes(), path)
 
 

@@ -73,13 +73,11 @@ def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
     """The request as a fitted one-row dataset: the row a recorded impression
     with the same ids gives, at timestamp 0 with labels 0. A topic the
     request leaves out reads as id -1, the out-of-vocab row. The ids are
-    one int64 array, and each column but the fitted features is a view of
-    it."""
+    one `Dataset.from_rows` row, the row layout of a parsed JSONL line."""
     domain = request.domain_ids
     row = np.array([0, request.user_id, request.item_id, domain.get("scene", -1), domain.get("region", -1),
                     domain.get("period", -1), 0, 0, *request.feature_ids], dtype=np.int64)
-    timestamp, user, item, scene, region, period, click, purchase = row[:8, None]
-    return encode_records(Dataset(timestamp, user, item, scene, region, period, row[None, 8:], click, purchase), space)
+    return encode_records(Dataset.from_rows(row[None]), space)
 
 
 class DomainRouter:

@@ -3,7 +3,12 @@ Python object per record: the record-list code that the column operations
 of `iakrec.datagen`, `iakrec.models.encode_records` and
 `iakrec.trainer.mix_domains` replaced, and the one-row-at-a-time JSONL
 formatter that `iakrec.datagen.write_jsonl` replaced. Tests compare the
-column versions against these."""
+column versions against these.
+
+`from_records`, once `Dataset.from_records`, builds a dataset from a record
+list. The package has no use for it since the JSONL parser writes rows of
+ints straight into a `Dataset.from_rows` table; the tests use it to build
+small datasets by hand."""
 
 from __future__ import annotations
 
@@ -23,6 +28,30 @@ def jsonl_bytes(dataset: Dataset) -> bytes:
         f'"feature_ids":[{f}],"click":{c},"purchase":{b}}}\n'
         for t, u, i, s, r, p, f, c, b in zip(*cols, feature_text, dataset.click.tolist(), dataset.purchase.tolist())
     ).encode("utf-8")
+
+
+def from_records(records: list[InteractionRecord]) -> Dataset:
+    """The dataset of a record list, one column at a time, feature rows
+    padded with -1 to the longest."""
+    width = max((len(r.feature_ids) for r in records), default=0)
+    features = np.full((len(records), width), -1, dtype=np.int64)
+    for j, r in enumerate(records):
+        features[j, : len(r.feature_ids)] = r.feature_ids
+
+    def col(values):
+        return np.array(values, dtype=np.int64)
+
+    return Dataset(
+        timestamp=col([r.timestamp for r in records]),
+        user=col([r.user_id for r in records]),
+        item=col([r.item_id for r in records]),
+        scene=col([r.domain_ids["scene"] for r in records]),
+        region=col([r.domain_ids["region"] for r in records]),
+        period=col([r.domain_ids["period"] for r in records]),
+        features=features,
+        click=col([r.click for r in records]),
+        purchase=col([r.purchase for r in records]),
+    )
 
 
 def split_chronological(

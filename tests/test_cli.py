@@ -550,6 +550,29 @@ def test_eval_of_a_checkpoint_storing_a_parameter_twice_exits_5(workdir, capsys)
     assert f"{blocks[0][0]!r} is stored twice" in err and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way to the error
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+def test_non_finite_values_exit_1_with_one_line(workdir, capsys, command):
+    """A run that diverges (pretraining at lr 1e200) and finite weights that
+    overflow a forward (every backbone parameter times 1e100) end in one
+    error line and the "anything else" code, not a traceback, and leave no
+    run directory."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    if command == "pretrain":
+        args = ["--data", "data/dataset.jsonl", "--set", "train.lr=1e200", "--set", "train.batch_size=16"]
+    else:
+        cfg = RunConfig(TINY_SIZES)
+        model = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
+        save_checkpoint(workdir / "model.ckpt", {n: a * 1e100 for n, a in model.named_parameters().items()},
+                        cfg.digest())
+        args = ["--data", "data/dataset.jsonl", "--checkpoint", "model.ckpt"]
+    capsys.readouterr()
+    assert _run(workdir, command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("iakrec: error: non-finite") and err.count("\n") == 1
+    assert not any(p.name.startswith(f"{command}-") for p in workdir.iterdir())
+
+
 @pytest.mark.parametrize("command", ["eval", "serve"])
 def test_the_loaded_arrays_are_dead_once_restored(workdir, monkeypatch, command):
     """`eval` and `serve` keep the model and the adapters, not the arrays

@@ -92,9 +92,12 @@ def test_click_rate_hits_target():
 
 
 def test_purchase_only_after_click():
-    for r in generate(_config(seed=2)):
-        assert not (r.purchase == 1 and r.click == 0)
-        r.validate()
+    """The generator keeps the invariants the parser checks: labels of 0 or
+    1, and no purchase without a click."""
+    data = generate(_config(seed=2))
+    assert set(np.unique(data.click)) <= {0, 1} and set(np.unique(data.purchase)) <= {0, 1}
+    assert not np.any((data.purchase == 1) & (data.click == 0))
+    assert data.purchase.any()
 
 
 def test_purchase_rate_given_click_near_target():
@@ -185,7 +188,7 @@ class TestSplit:
                         feature_ids=[0], click=0, purchase=0,
                     )
                 )
-        return Dataset.from_records(recs * repeat)
+        return records_reference.from_records(recs * repeat)
 
     def test_six_to_one_puts_last_day_in_test(self):
         recs = self._uniform_days(7)
@@ -211,7 +214,7 @@ class TestSplit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError):
-            split_chronological(Dataset.from_records([]), (6, 1))
+            split_chronological(records_reference.from_records([]), (6, 1))
 
     def test_unsorted_rejected(self):
         recs = self._uniform_days(2)[::-1]
@@ -315,6 +318,35 @@ class TestJsonl:
         assert rec.user_id == 3 and type(rec.user_id) is int
         assert rec.feature_ids == [2, -1] and all(type(f) is int for f in rec.feature_ids)
 
+    def test_the_first_bad_line_is_the_one_reported(self, tmp_path):
+        """Lines are checked one at a time: a label error on line 2 is
+        reported before the malformed JSON of line 3."""
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(self.GOOD) + "\n" + json.dumps(dict(self.GOOD, click=2)) + "\n"
+                     + '{"timestamp": 1,\n')
+        with pytest.raises(DatasetError, match=r":2: click and purchase must be 0 or 1"):
+            read_jsonl(p)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"purchase": 2}, "click and purchase must be 0 or 1"),
+        ({"click": 2, "domain_ids": {"scene": 0, "region": 0}}, "click and purchase must be 0 or 1"),
+        ({"click": 0, "purchase": 1}, "purchase without click violates the impression->click->conversion path"),
+        ({"click": 0, "purchase": 1, "domain_ids": {"region": 0}},
+         "purchase without click violates the impression->click->conversion path"),
+        ({"domain_ids": {"region": 0, "device": 3}}, "domain_ids missing topics: ['scene', 'period']"),
+        ({"domain_ids": {"scene": 0, "region": 0, "period": 0, "device": "x"}}, "expected an integer, got str 'x'"),
+    ], ids=["purchase_label", "click_label_and_missing_topic", "purchase_without_click", "purchase_without_click_and_topic", "missing_topics",
+            "bad_extra_topic"])
+    def test_each_check_keeps_its_message(self, tmp_path, change, message):
+        """Each check's message, and on a line that fails two checks, the
+        message of the first: labels, then purchase after click, then
+        topics."""
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(dict(self.GOOD, **change)) + "\n")
+        with pytest.raises(DatasetError) as e:
+            read_jsonl(p)
+        assert str(e.value) == f"{p}:1: {message}"
+
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"timestamp": 1,\n')
@@ -331,7 +363,7 @@ class TestJsonl:
     @given(records=st.lists(record_strategy, max_size=40))
     def test_round_trip_preserves_content(self, records, tmp_path_factory):
         p = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
-        dataset = Dataset.from_records(records)
+        dataset = records_reference.from_records(records)
         write_jsonl(dataset, p)
         assert read_jsonl(p) == dataset
 
@@ -371,7 +403,7 @@ class TestJsonl:
         assert (tmp_path / "data.jsonl").read_bytes() == records_reference.jsonl_bytes(dataset)
 
     def test_empty_dataset_writes_an_empty_file_and_a_hit(self, tmp_path, monkeypatch):
-        empty = Dataset.from_records([])
+        empty = records_reference.from_records([])
         path = tmp_path / "empty.jsonl"
         write_jsonl(empty, path)
         assert path.read_bytes() == b"" == records_reference.jsonl_bytes(empty)
@@ -498,15 +530,18 @@ class TestSidecar:
         assert read_dataset(path) == read_jsonl(path) and len(parses) == 3
 
     @settings(max_examples=40, deadline=None)
-    @given(cut=st.integers(min_value=0), flip=st.integers(min_value=0))
+    @given(cut=st.none() | st.integers(min_value=0), flip=st.integers(min_value=0))
     def test_any_damaged_sidecar_is_a_miss(self, tmp_path_factory, cut, flip):
+        """One byte flipped, then, unless `cut` is None, the file cut short.
+        A flip alone keeps the length, so a flip in the payload is caught by
+        the word sum of the key alone."""
         path = tmp_path_factory.mktemp("side") / "data.jsonl"
         dataset = generate(_config(seed=22, n_days=2, records_per_day=50))
         write_jsonl(dataset, path)
         side = sidecar_path(path)
         raw = bytearray(side.read_bytes())
         raw[flip % len(raw)] ^= 0x5A
-        side.write_bytes(bytes(raw[: cut % (len(raw) + 1)]))
+        side.write_bytes(bytes(raw if cut is None else raw[: cut % (len(raw) + 1)]))
         assert read_dataset(path) == dataset
 
     def test_bad_line_writes_no_sidecar(self, tmp_path):
@@ -554,12 +589,14 @@ class TestDatasetRows:
         with pytest.raises(IndexError):
             data[len(data)]
 
-    def test_from_records_pads_short_feature_rows(self):
-        recs = [InteractionRecord(0, 1, 2, {"scene": 0, "region": 0, "period": 0}, feats, 0, 0)
-                for feats in ([5], [], [1, 2, 3])]
-        data = Dataset.from_records(recs)
+    def test_parser_pads_short_feature_rows(self, tmp_path):
+        p = tmp_path / "ragged.jsonl"
+        p.write_text("".join(json.dumps(dict(TestJsonl.GOOD, timestamp=t, feature_ids=feats)) + "\n"
+                             for t, feats in enumerate(([5], [], [1, 2, 3]))))
+        data = read_jsonl(p)
         assert data.features.tolist() == [[5, -1, -1], [-1, -1, -1], [1, 2, 3]]
         assert data.features.dtype == np.int64
+        assert data.timestamp.tolist() == [0, 1, 2] and data.click.tolist() == [1, 1, 1]
 
 
 # --- column operations against the record-list reference ------------------
@@ -605,7 +642,7 @@ def _assert_same(dataset, records, width):
 def test_column_ops_equal_record_reference(records, sort, ratio, window, selector, n_feature_cols):
     if sort:
         records = sorted(records, key=lambda r: r.timestamp)
-    data = Dataset.from_records(records)
+    data = records_reference.from_records(records)
     width = data.features.shape[1]
 
     try:
@@ -640,7 +677,7 @@ def test_cut_matches_the_reference(stamps, ratio):
     """Stamps at or next to the cut: negative fractional cuts, ties and
     int64 extremes, where float rounding of the cut matters."""
     recs = [InteractionRecord(t, 0, 0, {"scene": 0, "region": 0, "period": 0}, [], 0, 0) for t in stamps]
-    for got, want in zip(split_chronological(Dataset.from_records(recs), ratio),
+    for got, want in zip(split_chronological(records_reference.from_records(recs), ratio),
                          records_reference.split_chronological(recs, ratio)):
         _assert_same(got, want, 0)
 
@@ -650,4 +687,4 @@ def test_unsorted_rows_rejected_like_the_reference():
     with pytest.raises(DatasetError, match="sorted"):
         records_reference.split_chronological(recs, (1, 1))
     with pytest.raises(DatasetError, match="sorted"):
-        split_chronological(Dataset.from_records(recs), (1, 1))
+        split_chronological(records_reference.from_records(recs), (1, 1))

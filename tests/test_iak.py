@@ -21,10 +21,11 @@ from iakrec.iak import (
 )
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import TrainConfig, finetune_all, model_digest
-from iakrec.datagen import Dataset, InteractionRecord
+from iakrec.datagen import InteractionRecord
 
 from adapter_reference import reference_step
 from gradcheck import central_differences, max_rel_err
+from records_reference import from_records
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
 
@@ -56,7 +57,7 @@ def _kl_of(mu, sigma):
 
 def _records(n=8, seed=0, period=1):
     rng = np.random.default_rng(seed)
-    return Dataset.from_records([
+    return from_records([
         InteractionRecord(
             timestamp=i,
             user_id=int(rng.integers(0, 20)),
@@ -342,7 +343,7 @@ class TestFinetuneStep:
 
     def test_mixed_primary_trains_on_another_domains_rows(self):
         backbone = _backbone()
-        train = Dataset.from_records([*_records(period=2), *_records(period=1)])
+        train = from_records([*_records(period=2), *_records(period=1)])
         selectors = {"period=2": {"period": 2}, "period=1": {"period": 1}}
         mixed = TrainConfig(batch_size=4, seed=0, mixing={"period=2": 0.6, "period=1": 0.4})
         res = finetune_all(backbone, train, selectors, mixed, IAKConfig(d_e=4))
@@ -361,7 +362,7 @@ class TestFinetuneStep:
             )
             for i in range(64)
         ]
-        enc = encode_records(Dataset.from_records(records), SPACE)
+        enc = encode_records(from_records(records), SPACE)
         # label by a deterministic function of the backbone's own representation
         rep, base = backbone_cache(backbone, enc)
         click = (rep[:, 0] > np.median(rep[:, 0])).astype(np.float64)

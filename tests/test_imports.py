@@ -135,21 +135,24 @@ def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
 
 
+def _spelled(node: ast.AST) -> str | None:
+    """The name a node refers to: read or bound as a name, read as an
+    attribute, imported, or spelled as a string constant (as `getattr` or a
+    patch target spells it)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
 def _references(node: ast.AST) -> Counter:
-    """How often each name is referenced under `node`: read or bound as a
-    name, read as an attribute, imported, or spelled as a string constant
-    (as `getattr` or a patch target spells it)."""
-    out = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
-            out[n.attr] += 1
-        elif isinstance(n, (ast.Import, ast.ImportFrom)):
-            out.update(alias.name.rpartition(".")[2] for alias in n.names)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out[n.value] += 1
-    return out
+    """How often each name is referenced under `node` (see `_spelled`)."""
+    return Counter(name for n in ast.walk(node) if (name := _spelled(n)) is not None)
 
 
 def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) -> list[str]:
@@ -209,3 +212,41 @@ def test_the_check_sees_numpy_file_io():
                     "def f(a, path):\n    np.savez(path, a=a)\n    numpy.savez_compressed(path, a=a)\n"
                     "    np.save(path, a)\n    return np.load(path), np.loads, ld\n")
     assert _numpy_file_io(toy) == ["3 numpy.load", "6 np.savez", "7 numpy.savez_compressed", "9 np.load"]
+
+
+def _record_objects_built(tree: ast.Module, builder: str | None) -> list[str]:
+    """`line what` of each `InteractionRecord(...)` call outside the function
+    named `builder`, and of each def or reference (see `_spelled`) named
+    `from_records`."""
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == builder
+              for n in ast.walk(f)}
+    out = []
+    for node in ast.walk(tree):
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else _spelled(node)
+        if isinstance(node, ast.Call) and id(node) not in inside and _spelled(node.func) == "InteractionRecord":
+            out.append(f"{node.lineno} InteractionRecord(...)")
+        elif name == "from_records":
+            out.append(f"{node.lineno} from_records")
+    return sorted(out, key=lambda hit: int(hit.split()[0]))
+
+
+def test_no_src_code_builds_record_objects():
+    """A JSONL line is parsed straight into a row of ints, so
+    `InteractionRecord` is only the row view of a `Dataset`: `datagen._record`
+    is the one place that builds one. Datasets are made of record lists only
+    in the tests (`records_reference.from_records`)."""
+    found = [f"{path.name}:{hit}" for path in MODULES
+             for hit in _record_objects_built(ast.parse(path.read_text(encoding="utf-8")),
+                                              "_record" if path.stem == "datagen" else None)]
+    assert found == []
+
+
+def test_the_check_sees_record_objects_built():
+    toy = ast.parse("from . import datagen\nfrom .x import from_records\n\n"
+                    "def _record(*a):\n    return datagen.InteractionRecord(*a)\n\n"
+                    "def parse(rows):\n    recs = [InteractionRecord(*r) for r in rows]\n"
+                    "    return datagen.Dataset.from_records(recs)\n\n"
+                    "class D:\n    def from_records(self, r):\n        return getattr(self, 'from_records')(r)\n")
+    assert _record_objects_built(toy, "_record") == ["2 from_records", "8 InteractionRecord(...)", "9 from_records",
+                                                     "12 from_records", "13 from_records"]
+    assert _record_objects_built(toy, None)[:2] == ["2 from_records", "5 InteractionRecord(...)"]

@@ -14,10 +14,11 @@ from iakrec.models import (
     encode_records,
     task_bce,
 )
-from iakrec.datagen import Dataset, InteractionRecord
+from iakrec.datagen import InteractionRecord
 
 from gradcheck import central_differences, max_rel_err
 from linear_reference import gate_weights
+from records_reference import from_records
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
 
@@ -45,7 +46,7 @@ def _batch(n=6, seed=0):
     for r in records:
         if r.click:
             r.purchase = int(rng.integers(0, 2))
-    return encode_records(Dataset.from_records(records), SPACE)
+    return encode_records(from_records(records), SPACE)
 
 
 @pytest.fixture(params=["shared_bottom", "esmm", "mmoe", "base"])
@@ -56,15 +57,15 @@ def any_model(request):
 
 class TestEncoding:
     def test_extra_feature_columns_are_ignored(self, any_model):
-        a = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 7))]), SPACE)
-        b = encode_records(Dataset.from_records([_record(feats=(1, 2, 3, 4, 5))]), SPACE)
+        a = encode_records(from_records([_record(feats=(1, 2, 3, 4, 7))]), SPACE)
+        b = encode_records(from_records([_record(feats=(1, 2, 3, 4, 5))]), SPACE)
         pa = any_model.forward_full(a).prediction
         pb = any_model.forward_full(b).prediction
         assert pa.p_ctr.data[0, 0] == pb.p_ctr.data[0, 0]
         assert pa.p_ctcvr.data[0, 0] == pb.p_ctcvr.data[0, 0]
 
     def test_out_of_vocab_ids_map_to_row_zero(self, any_model):
-        oov = encode_records(Dataset.from_records([_record(user=9999, item=-3)]), SPACE)
+        oov = encode_records(from_records([_record(user=9999, item=-3)]), SPACE)
         pred = any_model.forward_full(oov).prediction
         assert 0.0 < pred.p_ctr.data[0, 0] < 1.0  # never errors
 
@@ -177,7 +178,7 @@ class TestBaseRecommender:
     def test_all_zero_ids_is_deterministic_oov_path(self):
         model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=5)
         rec = _record(user=0, item=0, scene=0, region=0, period=0, feats=(0, 0, 0, 0))
-        enc = encode_records(Dataset.from_records([rec]), SPACE)
+        enc = encode_records(from_records([rec]), SPACE)
         a = model.forward_full(enc).prediction
         b = model.forward_full(enc).prediction
         assert a.p_ctr.data[0, 0] == b.p_ctr.data[0, 0]
