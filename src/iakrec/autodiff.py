@@ -22,7 +22,15 @@ Gradients are dense arrays, except where `gather_rows` looks up rows of a
 `Parameter` (an embedding table): there backward records the touched rows
 and their gradient rows, and the optimizer updates only those rows. A step
 therefore costs the rows a batch touches, not the size of the table.
-`Parameter.grad` still reads as a dense array, built on read.
+`Parameter.grad` still reads as a dense array, built on read. A dense
+gradient is written once: an intermediate keeps the product its op made,
+and a parameter that an optimizer has laid out takes its first gradient in
+its slot of that optimizer's gradient arena.
+
+The optimizer, decayed Adagrad (`adagrad_decay_step`), lays its parameters
+out once in two arenas, the dense weights and biases as one flat array and
+the equal-width embedding tables as one stacked table, and steps each arena
+in one pass; the bits are those of a step per parameter.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from types import EllipsisType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -77,6 +84,10 @@ class Tensor:
     def _grad_unset(self) -> bool:
         return self.grad is None
 
+    def _grad_buffer(self) -> np.ndarray:
+        """The array a first gradient is written into."""
+        return np.empty_like(self.data)
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -88,12 +99,15 @@ class Parameter(Tensor):
     pairs that `gather_rows` records, so a lookup into a large table never
     allocates a table-sized array."""
 
-    __slots__ = ("name", "trainable", "_dense_grad", "_row_grads")
+    __slots__ = ("name", "trainable", "_dense_grad", "_row_grads", "_grad_slot")
 
     def __init__(self, data, name: str, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
         self.trainable = trainable
+        # where the first dense gradient is written once an optimizer has laid
+        # the parameter out (see `AdagradDecayState`)
+        self._grad_slot: np.ndarray | None = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -120,31 +134,8 @@ class Parameter(Tensor):
         """Accumulate `values[i]` into the gradient of row `rows[i]`."""
         self._row_grads.append((rows, values))
 
-    def touched_grad(self) -> tuple[np.ndarray | EllipsisType, np.ndarray] | None:
-        """(rows, their gradient) for the optimizer, or None when no gradient
-        was recorded. A dense gradient touches every row (`...`); row
-        gradients alone are summed over their unique, sorted rows."""
-        if self._dense_grad is not None:
-            return ..., self.grad
-        if not self._row_grads:
-            return None
-        rows = np.concatenate([r for r, _ in self._row_grads])
-        values = np.concatenate([v for _, v in self._row_grads])
-        width = values.shape[1]
-        n_rows = self.data.shape[0]
-        if n_rows <= rows.size:
-            # a table no longer than the lookup: bin by row id over the whole
-            # table instead of sorting; same bins, same order, same sums
-            touched = np.flatnonzero(np.bincount(rows, minlength=n_rows))
-            bin_of, n_bins = rows, n_rows
-        else:
-            touched, bin_of = np.unique(rows, return_inverse=True)
-            n_bins = touched.size
-        # segment sum as one flat bincount: entry (i, j) lands in bin
-        # bin_of[i] * width + j, summed in recording order
-        bins = (bin_of[:, None] * width + np.arange(width)).reshape(-1)
-        summed = np.bincount(bins, weights=values.reshape(-1), minlength=n_bins * width).reshape(n_bins, width)
-        return touched, summed if n_bins == touched.size else summed[touched]
+    def _grad_buffer(self) -> np.ndarray:
+        return np.empty_like(self.data) if self._grad_slot is None else self._grad_slot
 
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = trainable
@@ -178,14 +169,30 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tenso
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t's gradient. The first one is written in one pass, equal
+    bit for bit to zeros + g: it broadcasts like +=, never aliases g, and
+    turns -0.0 into +0.0. It goes into a fresh array, or into the parameter's
+    slot of its optimizer's gradient arena once one has laid it out.
+
+    An intermediate whose first gradient is a fresh product keeps that
+    product uncopied (`_accum_fresh`), -0.0 and all. A zero's sign there
+    never reaches a stored gradient: a Parameter still takes the + 0.0, and
+    no op divides by a gradient (see the note on signed zeros above the loss
+    terms), so the sign changes no other bit on the way."""
     if not t.requires_grad:
         return
     if t._grad_unset():
-        # one pass into a fresh buffer, equal bit for bit to zeros + g: it
-        # broadcasts like +=, never aliases g, and turns -0.0 into +0.0
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        t.grad = np.add(g, 0.0, out=t._grad_buffer())
     else:
         t.grad += g
+
+
+def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
+    """`_accum` of a product of t's shape that nothing else holds."""
+    if t.requires_grad and t._grad_unset() and not isinstance(t, Parameter) and g.shape == t.data.shape:
+        t.grad = g
+    else:
+        _accum(t, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -278,7 +285,7 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
         if x.requires_grad:
-            _accum(x, gh @ w.data.T)
+            _accum_fresh(x, gh @ w.data.T)
         if w.requires_grad:
             _accum(w, x.data.T @ gh)
         _accum(b, gz.sum(axis=0))
@@ -310,9 +317,9 @@ def gate_mix(gate_logits, experts: Sequence) -> Tensor:
         g_w = np.empty_like(w)
         for k, p in enumerate(parts):
             g_w[:, k : k + 1] = _unbroadcast(g * p.data, (g.shape[0], 1))
-            _accum(p, g * w[:, k : k + 1])
+            _accum_fresh(p, g * w[:, k : k + 1])
         if gate.requires_grad:
-            _accum(gate, w * (g_w - (g_w * w).sum(axis=1, keepdims=True)))
+            _accum_fresh(gate, w * (g_w - (g_w * w).sum(axis=1, keepdims=True)))
 
     return _make(mixed, (*parts[:-1], gate, parts[-1]), backward, "gate_mix")
 
@@ -617,24 +624,227 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 # optimizer
 # ---------------------------------------------------------------------------
 
+# Decayed Adagrad is elementwise per row, so it runs over contiguous arenas
+# rather than parameter by parameter, as table-batched embeddings with a fused
+# optimizer do (Mudigere et al., ISCA 2022). A parameter off the layout's
+# common case (no gradient, rows in the flat arena, a dense gradient in the
+# table) takes the same rule on its own views of the arenas.
+
 
 @dataclass
 class AdagradDecayState:
     """Per-parameter squared-gradient accumulators with exponential decay,
     each parameter's step count, and the step at which each row (index on
-    the leading axis) was last updated."""
+    the leading axis) was last updated, all read by parameter name.
+
+    The first `adagrad_decay_step` lays its trainable parameters out in two
+    arenas (`_Arena`), and the layout holds while the list and the
+    parameters' arrays stay the same. Each parameter's array, accumulator and
+    last-step rows are then views of an arena's, so a parameter that was a
+    view of another array (an `AdapterBank` slab) is one no longer. A
+    changed list, or an array replaced since the layout (by a `restore`), is
+    laid out again from the current arrays before the step."""
 
     decay: float = 0.9999
     epsilon: float = 1e-8
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
     steps: dict[str, int] = field(default_factory=dict)
     last_step: dict[str, np.ndarray] = field(default_factory=dict)
+    _arena: _Arena | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+
+
+def _segment_sum(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unique, sorted `rows` of a table of `n_rows` rows, and the sum of
+    the `values` rows recorded for each, added in recording order."""
+    width = values.shape[1]
+    if n_rows <= rows.size:
+        # a table no longer than the lookup: bin by row id over the whole
+        # table instead of sorting; same bins, same order, same sums
+        touched = np.flatnonzero(np.bincount(rows, minlength=n_rows))
+        bin_of, n_bins = rows, n_rows
+    else:
+        touched, bin_of = np.unique(rows, return_inverse=True)
+        n_bins = touched.size
+    # one bincount per column: each bin adds its entries in recording order
+    summed = np.empty((n_bins, width))
+    for j in range(width):
+        summed[:, j] = np.bincount(bin_of, weights=values[:, j], minlength=n_bins)
+    return touched, summed if n_bins == touched.size else summed[touched]
+
+
+class _Arena:
+    """The trainable parameters of an optimizer step, laid out in two arenas,
+    each with its accumulators and last-step rows beside it:
+
+    - the table: the parameters that had recorded only row gradients when
+      laid out, 2-d and as wide as the first of them (the embedding tables),
+      are row ranges of one (rows, width) array;
+    - the flat arena: every other parameter is a slice of one 1-d array, and
+      its gradient slot (`Parameter._grad_slot`) the same slice of a gradient
+      array, so the dense gradients that `_accum` writes there sit side by
+      side.
+
+    Members are in list order, as are their rows in each arena."""
+
+    def __init__(self, params: list[Parameter], state: AdagradDecayState):
+        if len({p.name for p in params}) != len(params):
+            raise ValueError("adagrad_decay_step needs parameters with distinct names")
+        looked_up = [p._dense_grad is None and bool(p._row_grads) and p.data.ndim == 2 for p in params]
+        width = next((p.data.shape[1] for p, rows_only in zip(params, looked_up) if rows_only), 0)
+        self.params = params
+        self.names = [p.name for p in params]
+        self.in_table = [rows_only and p.data.shape[1] == width for p, rows_only in zip(params, looked_up)]
+        flat = [i for i, t in enumerate(self.in_table) if not t]
+        self.table_index = np.array([i for i, t in enumerate(self.in_table) if t], dtype=np.int64)
+        n_rows = [params[i].data.shape[0] if params[i].data.ndim else 1 for i in flat]
+        self.flat_data = np.empty(sum(params[i].size for i in flat))
+        self.flat_grad = np.empty_like(self.flat_data)
+        self.flat_acc = np.zeros_like(self.flat_data)
+        self.flat_last = np.zeros(sum(n_rows), dtype=np.int64)
+        # the elements of each flat row, and the member it belongs to
+        self.row_width = np.repeat([math.prod(params[i].data.shape[1:]) for i in flat], n_rows).astype(np.int64)
+        self.member_of_row = np.repeat(flat, n_rows).astype(np.int64)
+        self.table_starts = np.cumsum([0] + [params[i].data.shape[0] for i in self.table_index])
+        self.table_data = np.empty((int(self.table_starts[-1]), width))
+        # a member's span: its (first, end) row of the table, or its (first,
+        # end) element and (first, end) row of the flat arena
+        self.spans: list[tuple[int, ...]] = []
+        element = row = table_row = 0
+        for p, in_table in zip(params, self.in_table):
+            if in_table:
+                span = (table_row, table_row + p.data.shape[0])
+                table_row = span[1]
+                data = self.table_data[span[0] : span[1]]
+            else:
+                span = (element, element + p.size, row, row + (p.data.shape[0] if p.data.ndim else 1))
+                element, row = span[1], span[3]
+                data = self.flat_data[span[0] : span[1]].reshape(p.data.shape)
+                p._grad_slot = self.flat_grad[span[0] : span[1]].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data  # the array laid out before is now free
+            self.spans.append(span)
+        # the table's state is allocated once the arrays it replaced are gone
+        self.table_acc = np.zeros_like(self.table_data)
+        self.table_last = np.zeros(len(self.table_data), dtype=np.int64)
+        self.accs: list[np.ndarray] = []
+        self.lasts: list[np.ndarray] = []
+        for p, in_table, span in zip(params, self.in_table, self.spans):
+            if in_table:
+                acc, last = self.table_acc[span[0] : span[1]], self.table_last[span[0] : span[1]]
+            else:
+                acc = self.flat_acc[span[0] : span[1]].reshape(p.data.shape)
+                last = self.flat_last[span[2] : span[3]].reshape(p.data.shape[:1])
+            if p.name in state.accumulators:
+                acc[...] = state.accumulators[p.name]
+                state.accumulators[p.name] = acc
+            if p.name in state.last_step:
+                last[...] = state.last_step[p.name]
+                state.last_step[p.name] = last
+            self.accs.append(acc)
+            self.lasts.append(last)
+        self.views = [p.data for p in params]
+        self.published = [p.name in state.accumulators for p in params]
+        self.t = np.array([state.steps.get(p.name, 0) for p in params], dtype=np.int64)
+        # every member counts every step, so equal counts stay equal
+        self.uniform = bool((self.t == self.t[:1]).all())
+
+    def holds(self, params: list[Parameter]) -> bool:
+        """Whether `params` are the members, each still on its laid-out
+        array."""
+        return len(params) == len(self.params) and all(
+            p is q and p.data is v for p, q, v in zip(params, self.params, self.views))
+
+    def step(self, state: AdagradDecayState, lr: float) -> None:
+        """One `adagrad_decay_step` of the members (see there)."""
+        runs: list[list] = []  # [first element, end, first row, end row, members] of adjacent dense gradients
+        dense: list[tuple[int, np.ndarray]] = []  # a table member's dense gradient
+        rowwise: list[tuple[int, np.ndarray, np.ndarray]] = []  # a flat member's summed row gradients
+        rows, values, in_rows = [], [], []  # the table members' row gradients, on table row ids
+        stepped = []
+        for i, p in enumerate(self.params):
+            if p._dense_grad is None:
+                if not p._row_grads:
+                    continue
+                if self.in_table[i]:
+                    rows += [r + self.spans[i][0] for r, _ in p._row_grads]
+                    values += [v for _, v in p._row_grads]
+                    in_rows.append(i)
+                else:
+                    r = np.concatenate([r for r, _ in p._row_grads])
+                    rowwise.append((i, *_segment_sum(r, np.concatenate([v for _, v in p._row_grads]),
+                                                     p.data.shape[0])))
+            elif self.in_table[i]:
+                dense.append((i, p.grad))
+            else:
+                # row gradients, if any, are folded into the dense one
+                g = p.grad if p._row_grads else p._dense_grad
+                if g is not p._grad_slot:
+                    p._grad_slot[...] = g
+                start, end, first, last = self.spans[i]
+                if runs and runs[-1][1] == start and runs[-1][3] == first:
+                    runs[-1][1], runs[-1][3] = end, last
+                    runs[-1][4].append(i)
+                else:
+                    runs.append([start, end, first, last, [i]])
+            stepped.append(i)
+        if rows:
+            touched, summed = _segment_sum(np.concatenate(rows), np.concatenate(values), len(self.table_data))
+
+        bad = []
+        for start, end, _, _, members in runs:
+            if not np.isfinite(self.flat_grad[start:end]).all():
+                bad += [i for i in members if not np.isfinite(self.params[i]._grad_slot).all()]
+        bad += [i for i, g in dense if not np.isfinite(g).all()]
+        bad += [i for i, _, g in rowwise if not np.isfinite(g).all()]
+        if rows and not np.isfinite(summed).all():
+            bad += [i for i in in_rows
+                    if not np.isfinite(summed[(touched >= self.spans[i][0]) & (touched < self.spans[i][1])]).all()]
+        if bad:
+            raise NonFiniteError(f"non-finite gradient for {self.names[min(bad)]}")
+
+        self.t += 1
+        state.steps.update(zip(self.names, self.t.tolist()))
+        for i in stepped:
+            if not self.published[i]:
+                state.accumulators[self.names[i]], state.last_step[self.names[i]] = self.accs[i], self.lasts[i]
+                self.published[i] = True
+        for start, end, first, last, _ in runs:
+            t = self.t[0] if self.uniform else self.t[self.member_of_row[first:last]]
+            k = t - self.flat_last[first:last]
+            self.flat_last[first:last] = t
+            # the rows' lazy decays, spread over their elements; one value
+            # when they all match, as at every step of a dense parameter
+            if (k == k[:1]).all():
+                decay = state.decay ** k[:1]
+            else:
+                decay = np.repeat(state.decay ** k, self.row_width[first:last])
+            adagrad_update(self.flat_data[start:end], self.flat_acc[start:end], ..., self.flat_grad[start:end],
+                           decay, lr, state.epsilon)
+        for i, g in dense:
+            _step_rows(self.params[i].data, self.accs[i], self.lasts[i], ..., g, self.t[i], state, lr)
+        for i, r, g in rowwise:
+            _step_rows(self.params[i].data, self.accs[i], self.lasts[i], r, g, self.t[i], state, lr)
+        if rows:
+            if self.uniform:
+                t = self.t[0]
+            else:
+                t = self.t[self.table_index[np.searchsorted(self.table_starts, touched, "right") - 1]]
+            _step_rows(self.table_data, self.table_acc, self.table_last, touched, summed, t, state, lr)
+
+
+def _step_rows(data: np.ndarray, acc: np.ndarray, last: np.ndarray, rows, g: np.ndarray, t, state: AdagradDecayState,
+               lr: float) -> None:
+    """`adagrad_update` of `rows` of `data` at step `t` (one per row, or one
+    for all), each row decayed for the steps since its last update."""
+    decay = state.decay ** (t - last[rows])
+    last[rows] = t
+    adagrad_update(data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr, state.epsilon)
 
 
 def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr: float) -> None:
@@ -650,29 +860,23 @@ def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr
     row's next touch (decayed per-coordinate Adagrad, Duchi et al., JMLR
     2011). A dense gradient touches every row at every step, so k = 1, and
     decay**1 == decay exactly: dense parameters follow the dense rule bit
-    for bit. Rows are updated in place. Frozen parameters are left
-    untouched."""
+    for bit. A parameter with both row and dense gradients takes the dense
+    rule. Rows are updated in place. Frozen parameters are left untouched,
+    and one with nothing recorded only counts the step.
+
+    The rule is elementwise per row, so it runs once per arena of `state`'s
+    layout, not once per parameter: one finiteness check and one update over
+    the run of dense gradients in the flat arena, and one segment sum of the
+    row gradients, one power and one row update over the table. The bits
+    equal those of a step per parameter. A non-finite gradient raises
+    `NonFiniteError` naming the first such parameter in list order, and then
+    nothing has moved."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    for p in params:
-        if not p.trainable:
-            continue
-        touched = p.touched_grad()
-        t = state.steps.get(p.name, 0) + 1
-        state.steps[p.name] = t
-        if touched is None:
-            continue
-        rows, g = touched
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for {p.name}")
-        acc = state.accumulators.get(p.name)
-        if acc is None:
-            acc = state.accumulators[p.name] = np.zeros_like(p.data)
-            state.last_step[p.name] = np.zeros(p.data.shape[:1], dtype=np.int64)
-        last = state.last_step[p.name]
-        decay = state.decay ** (t - last[rows])
-        last[rows] = t
-        adagrad_update(p.data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr, state.epsilon)
+    params = [p for p in params if p.trainable]
+    if state._arena is None or not state._arena.holds(params):
+        state._arena = _Arena(params, state)
+    state._arena.step(state, lr)
 
 
 def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float) -> None:
@@ -682,6 +886,18 @@ def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay
         acc[rows] <- decay * acc[rows] + g^2
         data[rows] <- data[rows] - lr * g / (sqrt(acc[rows]) + epsilon)
 
-    `decay` and `lr` are scalars or per-row arrays that broadcast against g."""
-    acc[rows] = decay * acc[rows] + g * g
-    data[rows] = data[rows] - lr * g / (np.sqrt(acc[rows]) + epsilon)
+    `decay` and `lr` are scalars or per-row arrays that broadcast against g.
+    Every row (`...`) is updated in place; otherwise the new accumulator rows
+    are gathered once and reused for the root. Either way the operations and
+    their order are those of the two lines above."""
+    if rows is ...:
+        acc *= decay
+        acc += g * g
+        data -= lr * g / (np.sqrt(acc) + epsilon)
+        return
+    a = decay * acc[rows]
+    a += g * g
+    acc[rows] = a
+    np.sqrt(a, out=a)
+    a += epsilon
+    data[rows] = data[rows] - lr * g / a

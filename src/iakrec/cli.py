@@ -44,6 +44,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
@@ -301,7 +303,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a run that overflows is reported by the finiteness checks on its
+        # way (NonFiniteError below); numpy's warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"iakrec: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -530,13 +530,19 @@ def read_dataset(path: str | Path) -> Dataset:
     and no line is parsed. Otherwise the JSONL is parsed with every check of
     `read_jsonl` and the sidecar is rewritten where the directory allows it.
     A sidecar that cannot be read or does not match is a miss, never an
-    error, so deleting it is always safe."""
-    raw = Path(path).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    error, so deleting it is always safe.
+
+    The check hashes the file as a stream; only a miss reads its bytes
+    whole. The sidecar written then is keyed by the sha256 of the bytes
+    parsed, so a file rewritten between the two reads never gets a sidecar
+    keyed to other bytes."""
+    with open(path, "rb") as f:
+        digest = hashlib.file_digest(f, "sha256").hexdigest()
     dataset = _load_columns(sidecar_path(path), digest)
     if dataset is None:
+        raw = Path(path).read_bytes()
         dataset = _parse_jsonl(raw, path)
-        _store_columns(dataset, path, digest)
+        _store_columns(dataset, path, hashlib.sha256(raw).hexdigest())
     return dataset
 
 

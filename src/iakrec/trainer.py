@@ -84,7 +84,9 @@ def pretrain(
 ) -> list[tuple[int, float, float, float]]:
     """Train the model on the full multi-domain stream. Returns the training
     curve as (step, loss, loss_ctr, loss_ctcvr) rows; ceil(N/B) steps per
-    epoch."""
+    epoch. The first step lays the model's parameters out in the optimizer
+    state's two arenas (see `ad.AdagradDecayState`), so from then on every
+    parameter's array is a view of an arena's; the values are unchanged."""
     config.validate()
     if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")

@@ -15,6 +15,7 @@ import loss_reference
 from linear_reference import (composed_linear, composed_segment_linear, leaky_relu, matmul, segment_add, segment_matmul,
                               softmax)
 from loss_reference import clip, log, reduce_mean, segment_mean, segment_sum, softplus, square, sub
+from optimizer_reference import touched_grad
 
 
 def test_sigmoid_at_zero():
@@ -312,7 +313,8 @@ def test_segment_shapes_are_checked():
 @given(data=st.data())
 def test_touched_grad_paths_agree_bitwise(data):
     # a table no longer than the lookup bins by row id; a longer one sorts.
-    # Padding the same lookups' table past their length switches the path.
+    # Padding the same lookups' table past their length switches the path,
+    # in the optimizer's segment sum and in the reference's alike.
     n_rows = data.draw(st.integers(1, 10), label="n_rows")
     width = data.draw(st.integers(1, 4), label="width")
     chunks = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3), label="chunks")
@@ -329,10 +331,13 @@ def test_touched_grad_paths_agree_bitwise(data):
         p = ad.Parameter(np.zeros((table_rows, width)), "table")
         for rows, values in recorded:
             p.add_row_grad(rows, values)
-        touched.append(p.touched_grad())
-    (rows_a, g_a), (rows_b, g_b) = touched
-    assert rows_a.tobytes() == rows_b.tobytes()
-    assert g_a.tobytes() == g_b.tobytes()
+        touched.append(touched_grad(p))
+        touched.append(ad._segment_sum(np.concatenate([r for r, _ in recorded]),
+                                       np.concatenate([v for _, v in recorded]), table_rows))
+    rows_a, g_a = touched[0]
+    for rows_b, g_b in touched[1:]:
+        assert rows_a.tobytes() == rows_b.tobytes()
+        assert g_a.tobytes() == g_b.tobytes()
     expected = np.zeros((n_rows, width))
     for rows, values in recorded:
         np.add.at(expected, rows, values)
@@ -371,7 +376,7 @@ def test_parameter_first_dense_gradient_is_one_pass(monkeypatch):
 def test_gather_records_rows_and_reads_dense():
     w = ad.Parameter(np.ones((5, 2)), "w")
     ad.backward(ad.reduce_sum(ad.gather_rows(w, np.array([4, 1, 4, 4]))))
-    rows, g = w.touched_grad()
+    rows, g = touched_grad(w)
     np.testing.assert_array_equal(rows, [1, 4])
     np.testing.assert_array_equal(g, [[1, 1], [3, 3]])
     np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [0, 0], [0, 0], [3, 3]])

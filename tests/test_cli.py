@@ -550,7 +550,6 @@ def test_eval_of_a_checkpoint_storing_a_parameter_twice_exits_5(workdir, capsys)
     assert f"{blocks[0][0]!r} is stored twice" in err and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way to the error
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 def test_non_finite_values_exit_1_with_one_line(workdir, capsys, command):
     """A run that diverges (pretraining at lr 1e200) and finite weights that

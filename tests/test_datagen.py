@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +446,24 @@ class TestSidecar:
         path, parses = data
         assert read_dataset(path) == read_jsonl(path)
         assert len(parses) == 1  # read_jsonl's own parse
+
+    def test_a_hit_reads_no_whole_file(self, data, monkeypatch):
+        """A hit hashes the JSONL as a stream; only a miss reads its bytes."""
+        path, parses = data
+        want = read_jsonl(path)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        assert read_dataset(path) == want
+        assert reads == [] and len(parses) == 1
+        sidecar_path(path).unlink()
+        assert read_dataset(path) == want
+        assert reads == [path] and len(parses) == 2
 
     def test_edited_label_is_read_and_sidecar_rewritten(self, data):
         path, parses = data

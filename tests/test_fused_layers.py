@@ -20,6 +20,7 @@ from adapter_reference import reference_step
 from gradcheck import assert_grads_match
 from linear_reference import composed_gate_mix, composed_gather_rows, composed_linear, composed_segment_linear
 from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
+from optimizer_reference import touched_grad
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
 
@@ -231,7 +232,7 @@ def _lookup_step(gather):
     raw = np.array([[0, 2, 1, -1], [6, -1, 3, 0], [2, 2, 9, 1], [5, 0, -1, -1]])
     out = gather(tables, _safe_rows(raw, np.array([6, 3, 4, 2])))
     ad.backward(ad.reduce_sum(ad.mul(out, rng.normal(size=out.shape))))
-    grads = [("dense" if rows is ... else rows.tobytes(), g.tobytes()) for rows, g in (p.touched_grad() for p in params)]
+    grads = [("dense" if rows is ... else rows.tobytes(), g.tobytes()) for rows, g in map(touched_grad, params)]
     ad.adagrad_decay_step(params, ad.AdagradDecayState(), lr=0.05)
     return out.data.tobytes(), grads, [p.data.tobytes() for p in params]
 
