@@ -24,8 +24,8 @@ and their gradient rows, and the optimizer updates only those rows. A step
 therefore costs the rows a batch touches, not the size of the table.
 `Parameter.grad` still reads as a dense array, built on read. A dense
 gradient is written once: an intermediate keeps the product its op made,
-and a parameter that an optimizer has laid out takes its first gradient in
-its slot of that optimizer's gradient arena.
+and a parameter that an optimizer (or an `iak.AdapterBank`) has laid out
+takes its first gradient in its slot of that layout's gradient arena.
 
 The optimizer, decayed Adagrad (`adagrad_decay_step`), lays its parameters
 out once in two arenas, the dense weights and biases as one flat array and
@@ -136,6 +136,14 @@ class Parameter(Tensor):
 
     def _grad_buffer(self) -> np.ndarray:
         return np.empty_like(self.data) if self._grad_slot is None else self._grad_slot
+
+    def _fill_grad_slot(self) -> None:
+        """Put the gradient in its slot, where an arena update reads it: one
+        written elsewhere, row gradients and all, is copied in, and a
+        parameter with nothing recorded fills it with zeros."""
+        g = self.grad
+        if g is not self._grad_slot:
+            self._grad_slot[...] = g
 
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = trainable
@@ -369,22 +377,48 @@ def reduce_sum(a) -> Tensor:
 # offsets[k]:offsets[k + 1]. Each loops over the segments and makes, per
 # segment, the numpy calls its plain counterpart makes on that segment alone
 # (an elementwise step may run once over all rows: same bits), so a
-# segment's values and gradients equal the plain op's bit for bit.
+# segment's values and gradients equal the plain op's bit for bit. An op
+# parses its offsets into `Segments`, or takes them parsed: a caller that
+# cuts the rows of several ops alike parses them once.
 
 
-def _segments(offsets, n_rows: int | None) -> list[tuple[int, int]]:
-    off = np.asarray(offsets, dtype=np.int64)
-    if n_rows is None or off.ndim != 1 or off.size < 2:
-        raise ShapeError(f"segments need a tensor with rows and K + 1 >= 2 offsets, got {off.tolist()}")
-    segs = list(zip(off[:-1].tolist(), off[1:].tolist()))
-    if off[0] != 0 or off[-1] != n_rows or any(s > e for s, e in segs):
-        raise ShapeError(f"segment offsets must rise from 0 to {n_rows}, got {off.tolist()}")
-    return segs
+class Segments:
+    """Parsed segment offsets over `n_rows` rows: iterates the (start, end)
+    of each segment; `counts` holds their row counts, and `unit` says every
+    segment is one row."""
+
+    __slots__ = ("bounds", "counts", "n_rows", "unit")
+
+    def __init__(self, offsets, n_rows: int | None):
+        off = np.asarray(offsets, dtype=np.int64)
+        if n_rows is None or off.ndim != 1 or off.size < 2:
+            raise ShapeError(f"segments need a tensor with rows and K + 1 >= 2 offsets, got {off.tolist()}")
+        self.counts = np.diff(off)
+        if off[0] != 0 or off[-1] != n_rows or (self.counts < 0).any():
+            raise ShapeError(f"segment offsets must rise from 0 to {n_rows}, got {off.tolist()}")
+        self.bounds = list(zip(off[:-1].tolist(), off[1:].tolist()))
+        self.n_rows = n_rows
+        self.unit = bool((self.counts == 1).all())
+
+    def __iter__(self):
+        return iter(self.bounds)
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+
+def _segments(offsets, n_rows: int | None) -> Segments:
+    if isinstance(offsets, Segments):
+        if offsets.n_rows != n_rows:
+            raise ShapeError(f"segments of {offsets.n_rows} rows for a tensor of {n_rows}")
+        return offsets
+    return Segments(offsets, n_rows)
 
 
 def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | None = None) -> Tensor:
     """`linear` per segment: segment k of the (B, m) `x` through matrix k of
-    the (K, m, n) `w` and row k of the (K, n) `b`."""
+    the (K, m, n) `w` and row k of the (K, n) `b`. Each segment's products
+    are written into its rows of one array."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0], w.shape[2]):
         raise ShapeError(f"segment_linear needs (B,m), (K,m,n) and (K,n), got {x.shape}, {w.shape} and {b.shape}")
@@ -393,22 +427,27 @@ def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | 
         raise ShapeError(f"{len(segs)} segments for {w.shape[0]} matrices")
     z = np.empty((x.shape[0], w.shape[2]))
     for k, (s, e) in enumerate(segs):
-        z[s:e] = x.data[s:e] @ w.data[k]
+        np.matmul(x.data[s:e], w.data[k], out=z[s:e])
     if scale is not None:
         z *= scale
-    for k, (s, e) in enumerate(segs):
-        z[s:e] += b.data[k]
+    z += np.repeat(b.data, segs.counts, axis=0)
 
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
         if x.requires_grad:
             gx = np.empty_like(x.data)
             for k, (s, e) in enumerate(segs):
-                gx[s:e] = gh[s:e] @ w.data[k].T
-            _accum(x, gx)
+                np.matmul(gh[s:e], w.data[k].T, out=gx[s:e])
+            _accum_fresh(x, gx)
         if w.requires_grad:
-            _accum(w, np.stack([x.data[s:e].T @ gh[s:e] for s, e in segs]))
-        _accum(b, np.stack([gz[s:e].sum(axis=0) for s, e in segs]))
+            gw = np.empty(w.shape)
+            for k, (s, e) in enumerate(segs):
+                np.matmul(x.data[s:e].T, gh[s:e], out=gw[k])
+            _accum_fresh(w, gw)
+        gb = np.empty(b.shape)
+        for k, (s, e) in enumerate(segs):
+            gz[s:e].sum(axis=0, out=gb[k])
+        _accum_fresh(b, gb)
 
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 
@@ -467,12 +506,12 @@ def gather_rows(tables, rows) -> Tensor:
 # `_segments`) a reduction is per segment of the leading axis.
 
 
-def _spread(g: np.ndarray, segs: list[tuple[int, int]] | None, ndim: int) -> np.ndarray:
+def _spread(g: np.ndarray, segs: Segments | None, ndim: int) -> np.ndarray:
     """The gradient of a (per-segment) total at each entry it sums: `g`
     itself, or segment k's g[k] on each of its rows, shaped to broadcast."""
     if segs is None:
         return g
-    return np.repeat(g, [e - s for s, e in segs]).reshape((-1,) + (1,) * (ndim - 1))
+    return np.repeat(g, segs.counts).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def clipped_bce(p, labels, lo: float, hi: float, offsets=None) -> Tensor:
@@ -490,7 +529,8 @@ def clipped_bce(p, labels, lo: float, hi: float, offsets=None) -> Tensor:
     if segs is None:
         mean = np.asarray(ll.mean())
     else:
-        mean = np.array([ll[s:e].mean() if e > s else 0.0 for s, e in segs])
+        # sum / size is what `mean` computes, without its Python overhead
+        mean = np.array([ll[s:e].sum() / ll[s:e].size if e > s else 0.0 for s, e in segs])
 
     def backward(out: Tensor) -> None:
         g = out.grad * -1.0
@@ -531,7 +571,11 @@ def gaussian_kl(mu, rho, offsets=None, parts: tuple[np.ndarray, np.ndarray] | No
     segs = None if offsets is None else _segments(offsets, mu.shape[0] if mu.data.ndim else None)
 
     def total(a: np.ndarray) -> np.ndarray:
-        return np.asarray(a.sum()) if segs is None else np.array([a[s:e].sum() for s, e in segs])
+        if segs is None:
+            return np.asarray(a.sum())
+        if segs.unit:  # one slab per segment: each row's sum is that slab's
+            return a.reshape(len(a), -1).sum(axis=1)
+        return np.array([a[s:e].sum() for s, e in segs])
 
     sigma, lift = softplus_parts(rho.data) if parts is None else parts
     with np.errstate(divide="ignore"):
@@ -640,10 +684,11 @@ class AdagradDecayState:
     The first `adagrad_decay_step` lays its trainable parameters out in two
     arenas (`_Arena`), and the layout holds while the list and the
     parameters' arrays stay the same. Each parameter's array, accumulator and
-    last-step rows are then views of an arena's, so a parameter that was a
-    view of another array (an `AdapterBank` slab) is one no longer. A
-    changed list, or an array replaced since the layout (by a `restore`), is
-    laid out again from the current arrays before the step."""
+    last-step rows are then views of an arena's. A changed list, or an array
+    replaced since the layout (by a `restore`), is laid out again from the
+    current arrays before the step. An `iak.AdapterBank` keeps only its
+    accumulators here: it lays its adapters out in its own arena and steps
+    that itself, never through `adagrad_decay_step`."""
 
     decay: float = 0.9999
     epsilon: float = 1e-8
@@ -782,10 +827,7 @@ class _Arena:
             elif self.in_table[i]:
                 dense.append((i, p.grad))
             else:
-                # row gradients, if any, are folded into the dense one
-                g = p.grad if p._row_grads else p._dense_grad
-                if g is not p._grad_slot:
-                    p._grad_slot[...] = g
+                p._fill_grad_slot()  # row gradients, if any, are folded into the dense one
                 start, end, first, last = self.spans[i]
                 if runs and runs[-1][1] == start and runs[-1][3] == first:
                     runs[-1][1], runs[-1][3] = end, last
@@ -879,24 +921,28 @@ def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr
     state._arena.step(state, lr)
 
 
-def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float) -> None:
+def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float,
+                   g_sq: np.ndarray | None = None) -> None:
     """The update rule itself, in place on `rows` (an index on the leading
     axis) of `data` and its accumulator `acc`:
 
         acc[rows] <- decay * acc[rows] + g^2
         data[rows] <- data[rows] - lr * g / (sqrt(acc[rows]) + epsilon)
 
-    `decay` and `lr` are scalars or per-row arrays that broadcast against g.
-    Every row (`...`) is updated in place; otherwise the new accumulator rows
-    are gathered once and reused for the root. Either way the operations and
-    their order are those of the two lines above."""
+    `decay` and `lr` are scalars or per-row arrays that broadcast against g;
+    `g_sq` is g * g when the caller already has it. Every row (`...`) is
+    updated in place; otherwise the new accumulator rows are gathered once
+    and reused for the root. Either way the operations and their order are
+    those of the two lines above."""
+    if g_sq is None:
+        g_sq = g * g
     if rows is ...:
         acc *= decay
-        acc += g * g
+        acc += g_sq
         data -= lr * g / (np.sqrt(acc) + epsilon)
         return
     a = decay * acc[rows]
-    a += g * g
+    a += g_sq
     acc[rows] = a
     np.sqrt(a, out=a)
     a += epsilon

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import Dataset, domain_rows
-from .iak import IAKAdapter, adapted_prediction, backbone_cache, encoder_stage
+from .iak import FROZEN_CHUNK, IAKAdapter, adapted_prediction, backbone_cache, encoder_stage
 from .models import MultiTaskModel
 
 DEFAULT_BINS = 10
@@ -155,7 +155,7 @@ def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarra
 
 
 def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarray, logits: np.ndarray,
-                   batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+                   batch_size: int = FROZEN_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """Adapted probabilities, with the encoder's posterior means, from
     `backbone_cache` rows. The correction runs `batch_size` rows at a time,
     so every row equals a single adapted forward over its chunk bit for bit."""
@@ -167,7 +167,8 @@ def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarra
     return p_ctr, p_ctcvr
 
 
-def score_backbone(model: MultiTaskModel, dataset: Dataset, batch_size: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def score_backbone(model: MultiTaskModel, dataset: Dataset,
+                   batch_size: int = FROZEN_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """Zero-shot probabilities of a frozen backbone over a fitted dataset,
     (p_ctr, p_ctcvr)."""
     return _probabilities(model, backbone_cache(model, dataset, batch_size)[1])
@@ -177,7 +178,7 @@ def score_adapted(
     backbone: MultiTaskModel,
     adapter: IAKAdapter,
     dataset: Dataset,
-    batch_size: int = 4096,
+    batch_size: int = FROZEN_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen backbone + adapter probabilities over a fitted dataset: one
     `backbone_cache` pass, corrected over the same `batch_size` chunks."""

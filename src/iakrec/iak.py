@@ -20,8 +20,15 @@ adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
 is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
 which runs it on `ad.segment_linear` with one weight sample per record.
 
+An `AdapterBank` lays its K adapters out in one (K, P) arena, each
+parameter a column range of it, with a gradient and an accumulator block
+beside it, so a bank step ends in one decayed-Adagrad pass over the rows of
+the adapters that stepped; the bits are those of each adapter stepping
+alone.
+
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
-(see `models.encode_records`), the one row type the model reads.
+(see `models.encode_records`), the one row type the model reads, in chunks
+of `FROZEN_CHUNK` rows, as does adapted scoring (`evals.adapted_scores`).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +49,10 @@ from .models import LEAKY_SLOPE, Linear, MultiTaskModel, Prediction, bce_loss, i
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
 _INIT_RHO = math.log(math.expm1(INIT_SIGMA))
+
+# rows per chunk of a batched frozen pass (`backbone_cache` and adapted
+# scoring): its (chunk, width) temporaries then stay inside a 2 MB L2 cache
+FROZEN_CHUNK = 1024
 
 Noise = tuple[np.ndarray, np.ndarray]  # standard-normal draws of encoder weights, then bias
 # `ad.softplus_parts` of the encoder's rho_w, then of its rho_b
@@ -85,9 +97,12 @@ class VariationalLinear:
     def n_entries(self) -> int:
         return self.mu_w.size + self.mu_b.size
 
-    def draw_noise(self, rng: np.random.Generator) -> Noise:
-        """The standard-normal draws of one weight sample."""
-        return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
+    def draw_noise(self, rng: np.random.Generator, out: Noise | None = None) -> Noise:
+        """The standard-normal draws of one weight sample, written into `out`
+        (weights, bias) when given: the same draws either way."""
+        if out is None:
+            return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
+        return rng.standard_normal(out=out[0]), rng.standard_normal(out=out[1])
 
 
 def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
@@ -123,7 +138,7 @@ def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Cal
 
 
 def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
-                 offsets: np.ndarray | None = None, softplus: Softplus | None = None) -> Tensor:
+                 offsets: np.ndarray | ad.Segments | None = None, softplus: Softplus | None = None) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0,1)) of an encoder's entries,
     sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
     one over the bias, totalled over all entries or per segment. Always
@@ -228,7 +243,7 @@ def ib_loss(
     adapter: IAKAdapter | AdapterBank,
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
-    offsets: np.ndarray | None = None,
+    offsets: np.ndarray | ad.Segments | None = None,
     softplus: Softplus | None = None,
 ) -> Tensor:
     """Task cross-entropy plus beta times the per-weight average KL of the
@@ -246,7 +261,8 @@ def ib_loss(
     return loss
 
 
-def backbone_cache(backbone: MultiTaskModel, batch: Dataset, chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
+                   chunk: int = FROZEN_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """Representation and pre-sigmoid head logits of a frozen backbone over a
     fitted dataset, computed `chunk` rows at a time. This is the one
     backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
@@ -267,13 +283,20 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset, chunk: int = 4096) 
 
 
 class AdapterBank:
-    """The adapters of one joint fine-tune, stacked for one autodiff graph
-    per step. Parameter j of adapter k is slab k of the bank's (K, ...)
-    parameter j, and the adapter's own parameter is a view of that slab, so
-    a bank step trains the adapters in place and checkpoints keep their
-    `adapter/<key>/...` names. Every stacked parameter has its Adagrad
-    accumulator beside it; an adapter's slab of it moves only when that
-    adapter steps."""
+    """The adapters of one joint fine-tune, laid out in one arena for one
+    autodiff graph and one optimizer pass per step.
+
+    The arena is a (K, P) block: row k holds adapter k's P parameter entries,
+    and each parameter is a column range of it. The bank's stacked (K, ...)
+    parameter j is a view of its column range, and adapter k's own parameter
+    j a view of row k of that, so a bank step trains the adapters in place
+    and checkpoints keep their `adapter/<key>/...` names. A gradient block
+    and an Adagrad accumulator block of the same layout sit beside it: each
+    stacked parameter takes its first gradient in its columns of the
+    gradient block (`Parameter._grad_slot`), and `opt_state.accumulators`
+    reads its columns of the accumulator block by its name. An adapter's
+    rows move only when that adapter steps. The bank steps its arena itself
+    (`apply_gradients`), never through `ad.adagrad_decay_step`."""
 
     def __init__(self, adapters: Sequence[IAKAdapter], decay: float, epsilon: float):
         if not adapters:
@@ -287,28 +310,40 @@ class AdapterBank:
         self.n_tasks = first.n_tasks
         self.n_encoder_entries = first.n_encoder_entries
         self.scale = first.encoder.scale
-        self.params: list[Parameter] = []
-        for group in zip(*(a.parameters() for a in self.adapters)):
-            stacked = Parameter(np.stack([p.data for p in group]), name="bank/" + group[0].name.rsplit("/", 1)[1])
-            for k, p in enumerate(group):
-                p.data = stacked.data[k]
-            self.params.append(stacked)
+        groups = list(zip(*(a.parameters() for a in self.adapters)))
+        ends = list(accumulate(group[0].size for group in groups))
+        # each parameter's (first, end) column of the arena
+        self.columns = list(zip([0, *ends[:-1]], ends))
+        self.data = np.empty((len(self.adapters), ends[-1]))
+        self.grad = np.empty_like(self.data)
+        self.acc = np.zeros_like(self.data)
         self.opt_state = AdagradDecayState(decay=decay, epsilon=epsilon)
-        self.opt_state.accumulators = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._per_adapter = np.arange(len(self.adapters) + 1)  # one segment per slab
+        self.params: list[Parameter] = []
+        for group, (start, end) in zip(groups, self.columns):
+            stacked_shape = (len(group), *group[0].shape)
+            data = self.data[:, start:end].reshape(stacked_shape)
+            for k, p in enumerate(group):
+                data[k] = p.data
+                p.data = data[k]
+            stacked = Parameter(data, name="bank/" + group[0].name.rsplit("/", 1)[1])
+            stacked._grad_slot = self.grad[:, start:end].reshape(stacked_shape)
+            self.opt_state.accumulators[stacked.name] = self.acc[:, start:end].reshape(stacked_shape)
+            self.params.append(stacked)
+        self._per_adapter = ad.Segments(np.arange(len(self.adapters) + 1), len(self.adapters))  # one per slab
 
     def draw_noise(self, adapters: np.ndarray) -> Noise:
         """Stacked encoder noise: each listed adapter draws from its own
         `sample_rng`, in bank order, exactly the draws of its own weight
-        sample; every other adapter gets zeros and draws nothing."""
+        sample, straight into its slab; every other adapter gets zeros and
+        draws nothing."""
         eps_w = np.zeros(self.params[0].shape)
         eps_b = np.zeros(self.params[1].shape)
         for k in adapters:
             adapter = self.adapters[k]
-            eps_w[k], eps_b[k] = adapter.encoder.draw_noise(adapter.sample_rng)
+            adapter.encoder.draw_noise(adapter.sample_rng, (eps_w[k], eps_b[k]))
         return eps_w, eps_b
 
-    def correction(self, representation: Tensor, offsets: np.ndarray, noise: Noise,
+    def correction(self, representation: Tensor, offsets: np.ndarray | ad.Segments, noise: Noise,
                    softplus: Softplus | None = None) -> Tensor:
         """(B, n_tasks) corrections of rows grouped by adapter, rows
         offsets[k]:offsets[k + 1] through adapter k, with the stacked
@@ -320,22 +355,28 @@ class AdapterBank:
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
         rate lr[k], by the dense decayed-Adagrad rule each would follow
-        alone (`ad.adagrad_update`); every other slab and its accumulator
-        stay as they are. Returns the listed adapters' gradient L2 norms,
-        each the root of its parameters' squared sums added in order."""
-        state = self.opt_state
-        rows = stepped if len(stepped) < len(self.adapters) else slice(None)
-        rate = lr[stepped]
+        alone (`ad.adagrad_update`), in one pass over their arena rows;
+        every other row and its accumulator stay as they are. Returns the
+        listed adapters' gradient L2 norms, each the root of its parameters'
+        squared sums added in order. A non-finite gradient raises
+        `NonFiniteError` naming the first such parameter in order, of the
+        first listed adapter it holds one for, and then nothing has moved."""
+        for p in self.params:
+            p._fill_grad_slot()
+        rows = stepped if len(stepped) < len(self.adapters) else ...
+        g = self.grad[rows]
+        if not np.isfinite(g).all():
+            for j, (start, end) in enumerate(self.columns):
+                finite = np.isfinite(g[:, start:end]).all(axis=1)
+                if not finite.all():
+                    bad = self.adapters[stepped[np.flatnonzero(~finite)[0]]]
+                    raise ad.NonFiniteError(f"non-finite gradient for {bad.parameters()[j].name}")
+        g_sq = g * g
         sq = np.zeros(len(stepped))
-        for j, p in enumerate(self.params):
-            g = p.grad[rows]
-            finite = np.isfinite(g).reshape(len(stepped), -1).all(axis=1)
-            if not finite.all():
-                bad = self.adapters[stepped[np.flatnonzero(~finite)[0]]]
-                raise ad.NonFiniteError(f"non-finite gradient for {bad.parameters()[j].name}")
-            sq += (g * g).reshape(len(stepped), -1).sum(axis=1)
-            ad.adagrad_update(p.data, state.accumulators[p.name], rows, g, state.decay,
-                              rate.reshape((-1,) + (1,) * (g.ndim - 1)), state.epsilon)
+        for start, end in self.columns:
+            sq += g_sq[:, start:end].sum(axis=1)
+        state = self.opt_state
+        ad.adagrad_update(self.data, self.acc, rows, g, state.decay, lr[stepped, None], state.epsilon, g_sq)
         return np.sqrt(sq)
 
     def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:
@@ -364,14 +405,15 @@ def adapter_step_cached(
     _check_inputs(bank, rep.shape, base_logits.shape)
     if np.any(lr < 0):
         raise AdapterError("learning rates must be >= 0")
-    stepped = np.flatnonzero((np.diff(offsets) > 0) & (lr > 0))
+    segs = ad.Segments(offsets, len(rep))  # parsed once for every segment op of the step
+    stepped = np.flatnonzero((segs.counts > 0) & (lr > 0))
     noise = bank.draw_noise(stepped)
     # the weight sample and the KL term read one softplus of rho_w and rho_b
     softplus = tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4])
     ad.zero_grads(bank.params)
-    corr = bank.correction(Tensor(rep), offsets, noise, softplus)
+    corr = bank.correction(Tensor(rep), segs, noise, softplus)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, beta, weights, offsets, softplus)
+    loss = ib_loss(pred, click, purchase, bank, beta, weights, segs, softplus)
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

@@ -401,11 +401,12 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     return MODEL_KINDS[config.kind](config, space, seed)
 
 
-def task_bce(p: Tensor, labels: np.ndarray, offsets: np.ndarray | None = None) -> Tensor:
+def task_bce(p: Tensor, labels: np.ndarray, offsets: np.ndarray | ad.Segments | None = None) -> Tensor:
     """Mean binary cross-entropy of one task over a batch, one
     `ad.clipped_bce` node: probabilities are clamped away from 0 and 1
     before the log. With `offsets` (K + 1 row offsets that cut the batch
-    into K segments) the mean is per segment, one loss per segment."""
+    into K segments, or those parsed, `ad.Segments`) the mean is per
+    segment, one loss per segment."""
     if not np.all((labels == 0) | (labels == 1)):
         raise ModelError("labels must be 0 or 1")
     return ad.clipped_bce(p, labels, PROB_CLAMP, 1.0 - PROB_CLAMP, offsets)
@@ -416,7 +417,7 @@ def bce_loss(
     click: np.ndarray,
     purchase: np.ndarray,
     weights: tuple[float, float] = (1.0, 1.0),
-    offsets: np.ndarray | None = None,
+    offsets: np.ndarray | ad.Segments | None = None,
 ) -> Tensor:
     """Weighted sum of per-task binary cross-entropies, mean over the batch
     (or per segment, see `task_bce`). CTR trains against click, CTCVR

@@ -298,6 +298,19 @@ def test_segment_offsets_are_checked(offsets):
         segment_mean(np.ones((6, 1)), offsets)
 
 
+def test_parsed_segments_stand_for_their_offsets():
+    segs = ad.Segments([0, 2, 2, 5], 5)
+    assert list(segs) == [(0, 2), (2, 2), (2, 5)]
+    assert segs.counts.tolist() == [2, 0, 3] and not segs.unit
+    assert ad.Segments(np.arange(4), 3).unit
+    rng = np.random.default_rng(0)
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 2))
+    parsed = ad.segment_linear(x, w, b, segs, slope=0.01)
+    assert parsed.data.tobytes() == ad.segment_linear(x, w, b, [0, 2, 2, 5], slope=0.01).data.tobytes()
+    with pytest.raises(ad.ShapeError, match="segments of 5 rows"):
+        ad.segment_linear(np.ones((6, 3)), w, b, segs)
+
+
 def test_segment_shapes_are_checked():
     with pytest.raises(ad.ShapeError):
         ad.segment_linear(np.ones((6, 3)), np.ones((2, 4, 2)), np.ones((2, 2)), [0, 3, 6])

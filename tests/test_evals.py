@@ -261,8 +261,9 @@ class TestScoring:
 
 class TestSplitPass:
     """Slices of one full-split pass score like a backbone pass over each
-    slice alone. The split is longer than the 4096-row chunk, so the two
-    sides run the backbone over different chunks."""
+    slice alone. The split is longer than a chunk of the frozen pass
+    (`iak.FROZEN_CHUNK` rows), so the two sides run the backbone over
+    different chunks."""
 
     CFG = RunConfig({"datagen.n_users": "80", "datagen.n_items": "40", "datagen.n_days": "2",
                      "datagen.records_per_day": "3000", "datagen.period_shifts": "0.5,-0.5,0.8"})

@@ -303,7 +303,7 @@ def _gaussian(seed, shape):
     return mu, rho
 
 
-@pytest.mark.parametrize("offsets", [None, [0, 1, 1, 3, 4]], ids=["plain", "segmented"])
+@pytest.mark.parametrize("offsets", [None, [0, 1, 1, 3, 4], [0, 1, 2, 3, 4]], ids=["plain", "segmented", "per_slab"])
 def test_gaussian_kl_equals_the_composed_chain_bitwise(offsets):
     mu, rho = _gaussian(1, (4, 2, 3))
     for u in UPSTREAMS[:-1]:

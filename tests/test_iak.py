@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -403,6 +404,16 @@ def _rng_state(adapter):
     return adapter.sample_rng.bit_generator.state
 
 
+def _some_adapter_steps(step):
+    return any(rows > 0 and rate > 0 for rows, rate in step)
+
+
+@functools.cache
+def _hypothesis_backbone():
+    """One frozen backbone shared by the hypothesis examples."""
+    return _backbone(seed=2)
+
+
 class TestAdapterBank:
     def test_adapters_become_views_of_their_slabs(self):
         backbone = _backbone()
@@ -499,6 +510,132 @@ class TestAdapterBank:
         for k, state in enumerate(states):
             for p, stacked in zip(references[k].parameters(), bank.params):
                 assert bank.opt_state.accumulators[stacked.name][k].tobytes() == state.accumulators[p.name].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        decoder_hidden=st.sampled_from([(), (6, 5)]),
+        beta=st.sampled_from([0.0, 1e-2]),
+        plan=st.integers(1, 4).flatmap(lambda n_adapters: st.lists(
+            st.lists(st.tuples(st.sampled_from([0, 1, 3]), st.sampled_from([0.0, 0.01, 0.05])),
+                     min_size=n_adapters, max_size=n_adapters).filter(_some_adapter_steps),
+            min_size=3, max_size=5)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bank_equals_lone_adapters_over_random_plans(self, decoder_hidden, beta, plan, seed):
+        # each step of `plan` lists (rows, rate) per adapter, at least one
+        # adapter stepping, as in every fine-tuning batch; an adapter with no
+        # rows or a zero rate must match a reference that did not step
+        backbone = _hypothesis_backbone()
+        n_adapters = len(plan[0])
+        make = lambda k: _adapter(backbone, seed=seed + k, period=k, decoder_hidden=decoder_hidden)  # noqa: E731
+        adapters, references = [make(k) for k in range(n_adapters)], [make(k) for k in range(n_adapters)]
+        states = [ad.AdagradDecayState() for _ in range(n_adapters)]
+        bank = _bank(*adapters)
+        data_rng = np.random.default_rng(seed)
+        for step in plan:
+            counts, rates = [c for c, _ in step], np.array([r for _, r in step])
+            n = sum(counts)
+            rep = data_rng.normal(size=(n, backbone.rep_dim))
+            base = data_rng.normal(size=(n, backbone.n_heads))
+            click = data_rng.integers(0, 2, size=n).astype(np.float64)
+            purchase = click * data_rng.integers(0, 2, size=n)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            got = adapter_step_cached(backbone, bank, rep, base, click, purchase, offsets, rates, beta)
+            want = {}
+            for k, (s, e) in enumerate(zip(offsets, offsets[1:])):
+                if e > s and rates[k] > 0:
+                    want[k] = reference_step(backbone, references[k], rep[s:e], base[s:e], click[s:e],
+                                             purchase[s:e], states[k], rates[k], beta)
+            assert got == want
+        for k, (a, r, state) in enumerate(zip(adapters, references, states)):
+            assert _rng_state(a) == _rng_state(r)
+            for p, q, stacked in zip(a.parameters(), r.parameters(), bank.params):
+                assert p.data.tobytes() == q.data.tobytes()
+                want_acc = state.accumulators.get(q.name, np.zeros_like(q.data))
+                assert bank.opt_state.accumulators[stacked.name][k].tobytes() == want_acc.tobytes()
+
+    @pytest.mark.parametrize("n_adapters", [1, 2, 4])
+    def test_bank_step_is_one_optimizer_pass(self, monkeypatch, n_adapters):
+        calls = []
+        update = ad.adagrad_update
+        monkeypatch.setattr(ad, "adagrad_update", lambda *args, **kw: calls.append(1) or update(*args, **kw))
+        backbone = _backbone(seed=3)
+        bank = _bank(*(_adapter(backbone, seed=10 + k, period=k) for k in range(n_adapters)))
+        batch = _batch(n=2 * n_adapters, seed=4)
+        rep, base = backbone_cache(backbone, batch)
+        offsets, rates = np.arange(0, 2 * n_adapters + 1, 2), np.full(n_adapters, 0.02)
+        adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, offsets, rates, 1e-3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-2])
+    def test_every_gradient_lands_in_its_arena_slot(self, beta):
+        # the one-pass update reads the gradient block, so each parameter's
+        # gradient must be written there, not left in a slot from a past step
+        backbone = _backbone(seed=3)
+        bank = _bank(*(_adapter(backbone, seed=10 + k, period=k) for k in range(2)))
+        batch = _batch(n=6, seed=4)
+        rep, base = backbone_cache(backbone, batch)
+        adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, np.array([0, 2, 6]),
+                            np.array([0.02, 0.03]), beta)
+        for p in bank.params:
+            assert p.grad is p._grad_slot
+            assert np.shares_memory(p.grad, bank.grad)
+
+    def test_parameter_with_nothing_recorded_steps_on_zeros(self):
+        # after a real step every slot holds a gradient; a parameter with
+        # nothing recorded since reads as zeros and steps as zeros: it stays
+        # put and its accumulator only decays
+        backbone = _backbone(seed=3)
+        bank = _bank(*(_adapter(backbone, seed=10 + k, period=k) for k in range(2)))
+        batch = _batch(n=6, seed=4)
+        rep, base = backbone_cache(backbone, batch)
+        rates = np.array([0.02, 0.03])
+        adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, np.array([0, 2, 6]), rates, 1e-3)
+        ad.zero_grads(bank.params)
+        for p in bank.params[1:]:
+            p.grad = np.ones_like(p.data)
+        untouched = bank.params[0]
+        before, acc = untouched.data.copy(), bank.opt_state.accumulators[untouched.name].copy()
+        bank.apply_gradients(np.arange(2), rates)
+        assert not untouched.grad.any()
+        assert untouched.data.tobytes() == before.tobytes()
+        assert bank.opt_state.accumulators[untouched.name].tobytes() == (acc * bank.opt_state.decay).tobytes()
+
+    def test_step_in_which_no_adapter_steps_moves_nothing(self):
+        backbone = _backbone(seed=3)
+        adapters = [_adapter(backbone, seed=10 + k, period=k) for k in range(2)]
+        bank = _bank(*adapters)
+        batch = _batch(n=6, seed=4)
+        rep, base = backbone_cache(backbone, batch)
+        before = [model_digest(a.named_parameters()) for a in adapters]
+        got = adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, np.array([0, 2, 6]),
+                                  np.zeros(2), 1e-3)
+        assert got == {}
+        assert [model_digest(a.named_parameters()) for a in adapters] == before
+        assert not bank.acc.any()
+
+    def test_non_finite_gradient_moves_nothing(self):
+        # a NaN in the second adapter's dec0.b gradient, the sixth of eight
+        # parameters, is named, and no parameter or accumulator of either
+        # adapter moves
+        backbone = _backbone(seed=3)
+        adapters = [_adapter(backbone, seed=10 + k, period=k) for k in range(2)]
+        bank = _bank(*adapters)
+        batch = _batch(n=8, seed=4)
+        rep, base = backbone_cache(backbone, batch)
+        offsets, rates = np.array([0, 4, 8]), np.array([0.02, 0.03])
+        adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, offsets, rates, 1e-3)
+        before = [p.data.copy() for p in bank.params]
+        acc_before = {name: acc.copy() for name, acc in bank.opt_state.accumulators.items()}
+        for p in bank.params:
+            p.grad = np.ones_like(p.data)
+        bank.params[5].grad[1, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError, match="adapter/period=1/dec0.b"):
+            bank.apply_gradients(np.arange(2), rates)
+        for p, want in zip(bank.params, before):
+            assert p.data.tobytes() == want.tobytes()
+        for name, acc in bank.opt_state.accumulators.items():
+            assert acc.tobytes() == acc_before[name].tobytes()
 
 
 def test_iak_config_validation():
