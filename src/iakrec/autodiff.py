@@ -25,19 +25,23 @@ therefore costs the rows a batch touches, not the size of the table.
 `Parameter.grad` still reads as a dense array, built on read. A dense
 gradient is written once: an intermediate keeps the product its op made,
 and a parameter that an optimizer (or an `iak.AdapterBank`) has laid out
-takes its first gradient in its slot of that layout's gradient arena.
+takes its first gradient in its slot of that layout's gradient block.
 
-The optimizer, decayed Adagrad (`adagrad_decay_step`), lays its parameters
-out once in two arenas, the dense weights and biases as one flat array and
-the equal-width embedding tables as one stacked table, and steps each arena
-in one pass; the bits are those of a step per parameter.
+The optimizer is decayed Adagrad, and it has one layout for dense
+parameters: an `Arena` of K rows by P columns, a gradient block and an
+accumulator block beside it, stepped in one pass over the rows that step.
+Pretraining (`adagrad_decay_step`) lays its dense weights and biases out as
+a one-row arena at its first step, and its equal-width embedding tables as
+one stacked table that takes one segment sum and one lazy row update per
+step. An `iak.AdapterBank` lays its K adapters out as a K-row arena, each
+row at its own rate. Either way the bits are those of a step per parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -106,7 +110,7 @@ class Parameter(Tensor):
         self.name = name
         self.trainable = trainable
         # where the first dense gradient is written once an optimizer has laid
-        # the parameter out (see `AdagradDecayState`)
+        # the parameter out (see `Arena`)
         self._grad_slot: np.ndarray | None = None
 
     @property
@@ -668,40 +672,40 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 # optimizer
 # ---------------------------------------------------------------------------
 
-# Decayed Adagrad is elementwise per row, so it runs over contiguous arenas
+# Decayed Adagrad is elementwise per row, so it runs over laid-out blocks
 # rather than parameter by parameter, as table-batched embeddings with a fused
-# optimizer do (Mudigere et al., ISCA 2022). A parameter off the layout's
-# common case (no gradient, rows in the flat arena, a dense gradient in the
-# table) takes the same rule on its own views of the arenas.
+# optimizer do (Mudigere et al., ISCA 2022): an `Arena` of dense parameters,
+# stepped in one pass over the rows that step, and, in pretraining, one stacked
+# embedding table, stepped in one pass over the rows a batch touches.
 
 
 @dataclass
 class AdagradDecayState:
-    """Per-parameter squared-gradient accumulators with exponential decay,
-    each parameter's step count, and the step at which each row (index on
-    the leading axis) was last updated, all read by parameter name.
+    """Decayed Adagrad's settings and state: the count of
+    `adagrad_decay_step` steps taken, each parameter's squared-gradient
+    accumulator and, for an embedding table, the step at which each row
+    (index on the leading axis) was last updated, the arrays read by
+    parameter name.
 
-    The first `adagrad_decay_step` lays its trainable parameters out in two
-    arenas (`_Arena`), and the layout holds while the list and the
-    parameters' arrays stay the same. Each parameter's array, accumulator and
-    last-step rows are then views of an arena's. A changed list, or an array
-    replaced since the layout (by a `restore`), is laid out again from the
-    current arrays before the step. An `iak.AdapterBank` keeps only its
-    accumulators here: it lays its adapters out in its own arena and steps
-    that itself, never through `adagrad_decay_step`."""
+    The arrays are views of the blocks the optimizer steps. An `Arena` files
+    its members' accumulators here when it lays them out; the first
+    `adagrad_decay_step` lays its parameters out once (see there) and files
+    the tables' last-step rows too. An `iak.AdapterBank` keeps its arena's
+    accumulators here and steps that arena itself, not through
+    `adagrad_decay_step`."""
 
     decay: float = 0.9999
     epsilon: float = 1e-8
+    step: int = 0
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
-    steps: dict[str, int] = field(default_factory=dict)
     last_step: dict[str, np.ndarray] = field(default_factory=dict)
-    _arena: _Arena | None = field(default=None, init=False, repr=False, compare=False)
+    _layout: _Layout | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def _segment_sum(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -723,202 +727,167 @@ def _segment_sum(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.
     return touched, summed if n_bins == touched.size else summed[touched]
 
 
-class _Arena:
-    """The trainable parameters of an optimizer step, laid out in two arenas,
-    each with its accumulators and last-step rows beside it:
+class Arena:
+    """Parameters laid out as `n_rows` rows by P columns, stepped by dense
+    decayed Adagrad in one pass over the rows that step.
 
-    - the table: the parameters that had recorded only row gradients when
-      laid out, 2-d and as wide as the first of them (the embedding tables),
-      are row ranges of one (rows, width) array;
-    - the flat arena: every other parameter is a slice of one 1-d array, and
-      its gradient slot (`Parameter._grad_slot`) the same slice of a gradient
-      array, so the dense gradients that `_accum` writes there sit side by
-      side.
+    Each member takes a column range of every row. Its array becomes a view
+    of its columns of `data` in its own shape (for more rows than one, its
+    leading axis runs over the rows), and it takes its first gradient in the
+    same columns of `grad` (`Parameter._grad_slot`). The accumulator block
+    `acc` sits beside them, each member's columns filed in
+    `state.accumulators` by its name. Pretraining's dense weights and biases
+    are a one-row arena at one rate; an `iak.AdapterBank`'s adapters are its
+    rows, each at its own rate."""
 
-    Members are in list order, as are their rows in each arena."""
+    def __init__(self, params: Sequence[Parameter], state: AdagradDecayState, n_rows: int = 1):
+        bounds = list(accumulate((p.size // n_rows for p in params), initial=0))
+        self.params = list(params)
+        self.columns = list(zip(bounds, bounds[1:]))  # each member's (first, end) column
+        self.data = np.empty((n_rows, bounds[-1]))
+        self.grad = np.empty_like(self.data)
+        self.acc = np.zeros_like(self.data)
+        for p, (start, end) in zip(self.params, self.columns):
+            data = self.data[:, start:end].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data
+            p._grad_slot = self.grad[:, start:end].reshape(data.shape)
+            state.accumulators[p.name] = self.acc[:, start:end].reshape(data.shape)
+
+    def gradient(self, rows) -> np.ndarray:
+        """The gradient block's `rows` (`...` for all), once every member's
+        gradient is in its slot: a member with nothing recorded steps on
+        zeros, and one with row gradients on them folded into a dense one."""
+        for p in self.params:
+            p._fill_grad_slot()
+        return self.grad[rows]
+
+    def step(self, rows, g: np.ndarray, lr, state: AdagradDecayState, g_sq: np.ndarray | None = None) -> None:
+        """The dense rule (`adagrad_update`) on `rows` of the arena, whose
+        gradient `g` (and its square `g_sq`) `gradient` gave, at rate `lr`:
+        a scalar, or one rate per row that broadcasts against `g`."""
+        adagrad_update(self.data, self.acc, rows, g, state.decay, lr, state.epsilon, g_sq)
+
+
+class _Layout:
+    """The trainable parameters of `adagrad_decay_step`, laid out at its
+    first step. The embedding tables (the 2-d parameters that had recorded
+    only row gradients, as wide as the first of them) are row ranges of one
+    stacked table, with its accumulator and last-step rows beside it. Every
+    other parameter is a member of a one-row `Arena`. Each part keeps list
+    order."""
 
     def __init__(self, params: list[Parameter], state: AdagradDecayState):
         if len({p.name for p in params}) != len(params):
             raise ValueError("adagrad_decay_step needs parameters with distinct names")
         looked_up = [p._dense_grad is None and bool(p._row_grads) and p.data.ndim == 2 for p in params]
         width = next((p.data.shape[1] for p, rows_only in zip(params, looked_up) if rows_only), 0)
+        in_table = [rows_only and p.data.shape[1] == width for p, rows_only in zip(params, looked_up)]
+        tables = [p for p, t in zip(params, in_table) if t]
+        bounds = list(accumulate((p.data.shape[0] for p in tables), initial=0))
         self.params = params
-        self.names = [p.name for p in params]
-        self.in_table = [rows_only and p.data.shape[1] == width for p, rows_only in zip(params, looked_up)]
-        flat = [i for i, t in enumerate(self.in_table) if not t]
-        self.table_index = np.array([i for i, t in enumerate(self.in_table) if t], dtype=np.int64)
-        n_rows = [params[i].data.shape[0] if params[i].data.ndim else 1 for i in flat]
-        self.flat_data = np.empty(sum(params[i].size for i in flat))
-        self.flat_grad = np.empty_like(self.flat_data)
-        self.flat_acc = np.zeros_like(self.flat_data)
-        self.flat_last = np.zeros(sum(n_rows), dtype=np.int64)
-        # the elements of each flat row, and the member it belongs to
-        self.row_width = np.repeat([math.prod(params[i].data.shape[1:]) for i in flat], n_rows).astype(np.int64)
-        self.member_of_row = np.repeat(flat, n_rows).astype(np.int64)
-        self.table_starts = np.cumsum([0] + [params[i].data.shape[0] for i in self.table_index])
-        self.table_data = np.empty((int(self.table_starts[-1]), width))
-        # a member's span: its (first, end) row of the table, or its (first,
-        # end) element and (first, end) row of the flat arena
-        self.spans: list[tuple[int, ...]] = []
-        element = row = table_row = 0
-        for p, in_table in zip(params, self.in_table):
-            if in_table:
-                span = (table_row, table_row + p.data.shape[0])
-                table_row = span[1]
-                data = self.table_data[span[0] : span[1]]
-            else:
-                span = (element, element + p.size, row, row + (p.data.shape[0] if p.data.ndim else 1))
-                element, row = span[1], span[3]
-                data = self.flat_data[span[0] : span[1]].reshape(p.data.shape)
-                p._grad_slot = self.flat_grad[span[0] : span[1]].reshape(p.data.shape)
-            data[...] = p.data
-            p.data = data  # the array laid out before is now free
-            self.spans.append(span)
+        self.dense = Arena([p for p, t in zip(params, in_table) if not t], state)
+        self.tables = list(zip(tables, bounds, bounds[1:]))  # each table and its (first, end) row
+        self.data = np.empty((bounds[-1], width))
+        for p, start, end in zip(tables, bounds, bounds[1:]):
+            self.data[start:end] = p.data
+            p.data = self.data[start:end]  # the array laid out before is now free
         # the table's state is allocated once the arrays it replaced are gone
-        self.table_acc = np.zeros_like(self.table_data)
-        self.table_last = np.zeros(len(self.table_data), dtype=np.int64)
-        self.accs: list[np.ndarray] = []
-        self.lasts: list[np.ndarray] = []
-        for p, in_table, span in zip(params, self.in_table, self.spans):
-            if in_table:
-                acc, last = self.table_acc[span[0] : span[1]], self.table_last[span[0] : span[1]]
-            else:
-                acc = self.flat_acc[span[0] : span[1]].reshape(p.data.shape)
-                last = self.flat_last[span[2] : span[3]].reshape(p.data.shape[:1])
-            if p.name in state.accumulators:
-                acc[...] = state.accumulators[p.name]
-                state.accumulators[p.name] = acc
-            if p.name in state.last_step:
-                last[...] = state.last_step[p.name]
-                state.last_step[p.name] = last
-            self.accs.append(acc)
-            self.lasts.append(last)
+        self.acc = np.zeros_like(self.data)
+        self.last = np.zeros(len(self.data), dtype=np.int64)
+        for p, start, end in zip(tables, bounds, bounds[1:]):
+            state.accumulators[p.name], state.last_step[p.name] = self.acc[start:end], self.last[start:end]
         self.views = [p.data for p in params]
-        self.published = [p.name in state.accumulators for p in params]
-        self.t = np.array([state.steps.get(p.name, 0) for p in params], dtype=np.int64)
-        # every member counts every step, so equal counts stay equal
-        self.uniform = bool((self.t == self.t[:1]).all())
 
-    def holds(self, params: list[Parameter]) -> bool:
-        """Whether `params` are the members, each still on its laid-out
-        array."""
-        return len(params) == len(self.params) and all(
-            p is q and p.data is v for p, q, v in zip(params, self.params, self.views))
+    def check(self, params: list[Parameter]) -> None:
+        """Raise `ValueError` naming a parameter off the layout: the first
+        where the list differs from the laid-out one, one whose array was
+        replaced since, or a table with a dense gradient."""
+        if params != self.params:
+            i = next(i for i, (p, q) in enumerate(zip_longest(params, self.params)) if p is not q)
+            name = (self.params[i] if i < len(self.params) else params[i]).name
+            raise ValueError(f"adagrad_decay_step laid out another parameter list; it differs at {name}")
+        for p, view in zip(params, self.views):
+            if p.data is not view:
+                raise ValueError(f"the array of {p.name} was replaced since adagrad_decay_step laid it out")
+        for p, _, _ in self.tables:
+            if p._dense_grad is not None:
+                raise ValueError(f"{p.name} is laid out as an embedding table but has a dense gradient")
 
     def step(self, state: AdagradDecayState, lr: float) -> None:
-        """One `adagrad_decay_step` of the members (see there)."""
-        runs: list[list] = []  # [first element, end, first row, end row, members] of adjacent dense gradients
-        dense: list[tuple[int, np.ndarray]] = []  # a table member's dense gradient
-        rowwise: list[tuple[int, np.ndarray, np.ndarray]] = []  # a flat member's summed row gradients
-        rows, values, in_rows = [], [], []  # the table members' row gradients, on table row ids
-        stepped = []
-        for i, p in enumerate(self.params):
-            if p._dense_grad is None:
-                if not p._row_grads:
-                    continue
-                if self.in_table[i]:
-                    rows += [r + self.spans[i][0] for r, _ in p._row_grads]
-                    values += [v for _, v in p._row_grads]
-                    in_rows.append(i)
-                else:
-                    r = np.concatenate([r for r, _ in p._row_grads])
-                    rowwise.append((i, *_segment_sum(r, np.concatenate([v for _, v in p._row_grads]),
-                                                     p.data.shape[0])))
-            elif self.in_table[i]:
-                dense.append((i, p.grad))
-            else:
-                p._fill_grad_slot()  # row gradients, if any, are folded into the dense one
-                start, end, first, last = self.spans[i]
-                if runs and runs[-1][1] == start and runs[-1][3] == first:
-                    runs[-1][1], runs[-1][3] = end, last
-                    runs[-1][4].append(i)
-                else:
-                    runs.append([start, end, first, last, [i]])
-            stepped.append(i)
+        """One `adagrad_decay_step` of the laid-out parameters (see there)."""
+        g = self.dense.gradient(...)
+        rows = [r + start for p, start, _ in self.tables for r, _ in p._row_grads]
         if rows:
-            touched, summed = _segment_sum(np.concatenate(rows), np.concatenate(values), len(self.table_data))
-
-        bad = []
-        for start, end, _, _, members in runs:
-            if not np.isfinite(self.flat_grad[start:end]).all():
-                bad += [i for i in members if not np.isfinite(self.params[i]._grad_slot).all()]
-        bad += [i for i, g in dense if not np.isfinite(g).all()]
-        bad += [i for i, _, g in rowwise if not np.isfinite(g).all()]
-        if rows and not np.isfinite(summed).all():
-            bad += [i for i in in_rows
-                    if not np.isfinite(summed[(touched >= self.spans[i][0]) & (touched < self.spans[i][1])]).all()]
-        if bad:
-            raise NonFiniteError(f"non-finite gradient for {self.names[min(bad)]}")
-
-        self.t += 1
-        state.steps.update(zip(self.names, self.t.tolist()))
-        for i in stepped:
-            if not self.published[i]:
-                state.accumulators[self.names[i]], state.last_step[self.names[i]] = self.accs[i], self.lasts[i]
-                self.published[i] = True
-        for start, end, first, last, _ in runs:
-            t = self.t[0] if self.uniform else self.t[self.member_of_row[first:last]]
-            k = t - self.flat_last[first:last]
-            self.flat_last[first:last] = t
-            # the rows' lazy decays, spread over their elements; one value
-            # when they all match, as at every step of a dense parameter
-            if (k == k[:1]).all():
-                decay = state.decay ** k[:1]
-            else:
-                decay = np.repeat(state.decay ** k, self.row_width[first:last])
-            adagrad_update(self.flat_data[start:end], self.flat_acc[start:end], ..., self.flat_grad[start:end],
-                           decay, lr, state.epsilon)
-        for i, g in dense:
-            _step_rows(self.params[i].data, self.accs[i], self.lasts[i], ..., g, self.t[i], state, lr)
-        for i, r, g in rowwise:
-            _step_rows(self.params[i].data, self.accs[i], self.lasts[i], r, g, self.t[i], state, lr)
+            values = [v for p, _, _ in self.tables for _, v in p._row_grads]
+            touched, summed = _segment_sum(np.concatenate(rows), np.concatenate(values), len(self.data))
+        if not np.isfinite(g).all() or rows and not np.isfinite(summed).all():
+            spans = {p.name: (start, end) for p, start, end in self.tables}
+            for p in self.params:  # name the first bad one in list order
+                if p.name not in spans:
+                    bad = not np.isfinite(p._grad_slot).all()
+                else:
+                    start, end = spans[p.name]
+                    bad = bool(rows) and not np.isfinite(summed[(touched >= start) & (touched < end)]).all()
+                if bad:
+                    raise NonFiniteError(f"non-finite gradient for {p.name}")
+        state.step += 1
+        self.dense.step(..., g, lr, state)
         if rows:
-            if self.uniform:
-                t = self.t[0]
-            else:
-                t = self.t[self.table_index[np.searchsorted(self.table_starts, touched, "right") - 1]]
-            _step_rows(self.table_data, self.table_acc, self.table_last, touched, summed, t, state, lr)
+            _step_rows(self.data, self.acc, self.last, touched, summed, state.step, state, lr)
 
 
 def _step_rows(data: np.ndarray, acc: np.ndarray, last: np.ndarray, rows, g: np.ndarray, t, state: AdagradDecayState,
                lr: float) -> None:
-    """`adagrad_update` of `rows` of `data` at step `t` (one per row, or one
-    for all), each row decayed for the steps since its last update."""
+    """`adagrad_update` of `rows` of `data` at step `t`, each row decayed for
+    the steps since its last update."""
     decay = state.decay ** (t - last[rows])
     last[rows] = t
     adagrad_update(data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr, state.epsilon)
 
 
 def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr: float) -> None:
-    """Decayed Adagrad over the rows a gradient touches. At a parameter's
-    step t, for every touched row r:
+    """One step of decayed Adagrad on the trainable `params`. The dense rule
+    updates every entry at every step:
 
-        acc[r] <- decay**(t - last[r]) * acc[r] + g[r]^2
-        p[r]   <- p[r] - lr * g[r] / (sqrt(acc[r]) + eps);   last[r] <- t
+        acc <- decay * acc + g^2
+        p   <- p - lr * g / (sqrt(acc) + eps)
 
-    A row left untouched has g = 0, so the dense rule (acc <- decay*acc + g^2
-    on every row, every step) only decays its accumulator and leaves the row
-    where it is; the power catches those k = t - last[r] decays up on the
-    row's next touch (decayed per-coordinate Adagrad, Duchi et al., JMLR
-    2011). A dense gradient touches every row at every step, so k = 1, and
-    decay**1 == decay exactly: dense parameters follow the dense rule bit
-    for bit. A parameter with both row and dense gradients takes the dense
-    rule. Rows are updated in place. Frozen parameters are left untouched,
-    and one with nothing recorded only counts the step.
+    An embedding table takes it lazily, on the rows a batch touches. A row
+    left untouched has g = 0, so the dense rule only decays its accumulator
+    and leaves the row where it is; at step t a touched row r takes
 
-    The rule is elementwise per row, so it runs once per arena of `state`'s
-    layout, not once per parameter: one finiteness check and one update over
-    the run of dense gradients in the flat arena, and one segment sum of the
-    row gradients, one power and one row update over the table. The bits
-    equal those of a step per parameter. A non-finite gradient raises
-    `NonFiniteError` naming the first such parameter in list order, and then
-    nothing has moved."""
+        acc[r] <- decay**(t - last[r]) * acc[r] + g[r]^2;   last[r] <- t
+
+    which catches those decays up (decayed per-coordinate Adagrad, Duchi et
+    al., JMLR 2011). A step therefore costs the rows a batch touches, not the
+    size of the table. Frozen parameters are left out.
+
+    The first step lays the trainable parameters out (`_Layout`): the
+    embedding tables, the 2-d parameters that recorded only row gradients
+    then, as one stacked table, and every other parameter as a one-row
+    `Arena`. From then on every parameter's array is a view of the layout's,
+    and each step makes two passes, in place:
+
+    - the arena: one finiteness check and one `adagrad_update` of every dense
+      member by the dense rule. A member with nothing recorded steps on
+      zeros, and one with row gradients on them folded into a dense one.
+    - the table: one segment sum of the row gradients, one power and one
+      `adagrad_update` of the touched rows.
+
+    The bits equal those of the same rules stepped one parameter at a time.
+    A later step with another list of trainable parameters, with an array
+    replaced since the layout (by a `restore`), or with a dense gradient on a
+    table raises `ValueError` naming the parameter. A non-finite gradient
+    raises `NonFiniteError` naming the first such parameter in list order.
+    Either way nothing has moved."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     params = [p for p in params if p.trainable]
-    if state._arena is None or not state._arena.holds(params):
-        state._arena = _Arena(params, state)
-    state._arena.step(state, lr)
+    if state._layout is None:
+        state._layout = _Layout(params, state)
+    state._layout.check(params)
+    state._layout.step(state, lr)
 
 
 def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float,

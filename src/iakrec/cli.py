@@ -151,9 +151,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
+    train_config = cfg.train_config()
+    train_config.validate()
     train, _ = _load_split(args, cfg)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=cfg.get_int("model.seed"))
-    curve = pretrain(model, train, cfg.train_config())
+    curve = pretrain(model, train, train_config)
     outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
     save_checkpoint(outdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
@@ -182,10 +184,12 @@ def cmd_finetune(args) -> int:
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
+    train_config = cfg.train_config()
+    train_config.validate()
     train, _ = _load_split(args, cfg)
     model, _ = _restore_backbone(cfg, ckpt)
     selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
-    result = finetune_all(model, train, selectors, cfg.train_config(), cfg.iak_config())
+    result = finetune_all(model, train, selectors, train_config, cfg.iak_config())
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
     params = dict(model.named_parameters())

@@ -20,11 +20,10 @@ adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
 is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
 which runs it on `ad.segment_linear` with one weight sample per record.
 
-An `AdapterBank` lays its K adapters out in one (K, P) arena, each
-parameter a column range of it, with a gradient and an accumulator block
-beside it, so a bank step ends in one decayed-Adagrad pass over the rows of
-the adapters that stepped; the bits are those of each adapter stepping
-alone.
+An `AdapterBank` lays its K adapters out as the K rows of one `ad.Arena`,
+the layout pretraining gives its dense weights, so a bank step ends in one
+decayed-Adagrad pass over the rows of the adapters that stepped, each at its
+own rate; the bits are those of each adapter stepping alone.
 
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
 (see `models.encode_records`), the one row type the model reads, in chunks
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -283,20 +281,20 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
 
 
 class AdapterBank:
-    """The adapters of one joint fine-tune, laid out in one arena for one
-    autodiff graph and one optimizer pass per step.
+    """The adapters of one joint fine-tune, laid out for one autodiff graph
+    and one optimizer pass per step.
 
-    The arena is a (K, P) block: row k holds adapter k's P parameter entries,
-    and each parameter is a column range of it. The bank's stacked (K, ...)
-    parameter j is a view of its column range, and adapter k's own parameter
-    j a view of row k of that, so a bank step trains the adapters in place
-    and checkpoints keep their `adapter/<key>/...` names. A gradient block
-    and an Adagrad accumulator block of the same layout sit beside it: each
-    stacked parameter takes its first gradient in its columns of the
-    gradient block (`Parameter._grad_slot`), and `opt_state.accumulators`
-    reads its columns of the accumulator block by its name. An adapter's
-    rows move only when that adapter steps. The bank steps its arena itself
-    (`apply_gradients`), never through `ad.adagrad_decay_step`."""
+    The bank's stacked (K, ...) parameters are the members of one K-row
+    `ad.Arena`: row k holds adapter k's parameters, each stacked parameter is
+    a view of its column range, and adapter k's own parameter a view of row
+    k of that, so a bank step trains the adapters in place and checkpoints
+    keep their `adapter/<key>/...` names. Each stacked parameter takes its
+    first gradient in its columns of the arena's gradient block, and
+    `opt_state.accumulators` reads its columns of the accumulator block by
+    its name. A step (`apply_gradients`) is one dense decayed-Adagrad pass
+    over the rows of the adapters that step, each at its own rate, the same
+    arena pass that pretraining's dense weights take; every other row and
+    its accumulator stay as they are."""
 
     def __init__(self, adapters: Sequence[IAKAdapter], decay: float, epsilon: float):
         if not adapters:
@@ -311,24 +309,13 @@ class AdapterBank:
         self.n_encoder_entries = first.n_encoder_entries
         self.scale = first.encoder.scale
         groups = list(zip(*(a.parameters() for a in self.adapters)))
-        ends = list(accumulate(group[0].size for group in groups))
-        # each parameter's (first, end) column of the arena
-        self.columns = list(zip([0, *ends[:-1]], ends))
-        self.data = np.empty((len(self.adapters), ends[-1]))
-        self.grad = np.empty_like(self.data)
-        self.acc = np.zeros_like(self.data)
+        self.params = [Parameter(np.stack([p.data for p in group]), name="bank/" + group[0].name.rsplit("/", 1)[1])
+                       for group in groups]
         self.opt_state = AdagradDecayState(decay=decay, epsilon=epsilon)
-        self.params: list[Parameter] = []
-        for group, (start, end) in zip(groups, self.columns):
-            stacked_shape = (len(group), *group[0].shape)
-            data = self.data[:, start:end].reshape(stacked_shape)
-            for k, p in enumerate(group):
-                data[k] = p.data
-                p.data = data[k]
-            stacked = Parameter(data, name="bank/" + group[0].name.rsplit("/", 1)[1])
-            stacked._grad_slot = self.grad[:, start:end].reshape(stacked_shape)
-            self.opt_state.accumulators[stacked.name] = self.acc[:, start:end].reshape(stacked_shape)
-            self.params.append(stacked)
+        self.arena = ad.Arena(self.params, self.opt_state, n_rows=len(self.adapters))
+        for group, stacked in zip(groups, self.params):
+            for p, data in zip(group, stacked.data):
+                p.data = data
         self._per_adapter = ad.Segments(np.arange(len(self.adapters) + 1), len(self.adapters))  # one per slab
 
     def draw_noise(self, adapters: np.ndarray) -> Noise:
@@ -355,28 +342,24 @@ class AdapterBank:
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
         rate lr[k], by the dense decayed-Adagrad rule each would follow
-        alone (`ad.adagrad_update`), in one pass over their arena rows;
-        every other row and its accumulator stay as they are. Returns the
-        listed adapters' gradient L2 norms, each the root of its parameters'
-        squared sums added in order. A non-finite gradient raises
-        `NonFiniteError` naming the first such parameter in order, of the
-        first listed adapter it holds one for, and then nothing has moved."""
-        for p in self.params:
-            p._fill_grad_slot()
+        alone, in one arena pass over their rows. Returns the listed
+        adapters' gradient L2 norms, each the root of its parameters' squared
+        sums added in order. A non-finite gradient raises `NonFiniteError`
+        naming the first such parameter in order, of the first listed adapter
+        it holds one for, and then nothing has moved."""
         rows = stepped if len(stepped) < len(self.adapters) else ...
-        g = self.grad[rows]
+        g = self.arena.gradient(rows)
         if not np.isfinite(g).all():
-            for j, (start, end) in enumerate(self.columns):
+            for j, (start, end) in enumerate(self.arena.columns):
                 finite = np.isfinite(g[:, start:end]).all(axis=1)
                 if not finite.all():
                     bad = self.adapters[stepped[np.flatnonzero(~finite)[0]]]
                     raise ad.NonFiniteError(f"non-finite gradient for {bad.parameters()[j].name}")
         g_sq = g * g
         sq = np.zeros(len(stepped))
-        for start, end in self.columns:
+        for start, end in self.arena.columns:
             sq += g_sq[:, start:end].sum(axis=1)
-        state = self.opt_state
-        ad.adagrad_update(self.data, self.acc, rows, g, state.decay, lr[stepped, None], state.epsilon, g_sq)
+        self.arena.step(rows, g, lr[stepped, None], self.opt_state, g_sq)
         return np.sqrt(sq)
 
     def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:

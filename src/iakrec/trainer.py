@@ -54,6 +54,10 @@ class TrainConfig:
             raise TrainerError("base_lr must be positive")
         if self.epochs < 1:
             raise TrainerError("epochs must be >= 1")
+        try:  # the optimizer state's own check; its messages start with the field name
+            AdagradDecayState(decay=self.adagrad_decay, epsilon=self.adagrad_epsilon)
+        except ValueError as e:
+            raise TrainerError(f"adagrad_{e}") from None
         if self.lr_norms not in ("uniform", "previous"):
             raise TrainerError(f"lr_norms must be uniform or previous, got {self.lr_norms!r}")
         if self.mixing:
@@ -84,9 +88,12 @@ def pretrain(
 ) -> list[tuple[int, float, float, float]]:
     """Train the model on the full multi-domain stream. Returns the training
     curve as (step, loss, loss_ctr, loss_ctcvr) rows; ceil(N/B) steps per
-    epoch. The first step lays the model's parameters out in the optimizer
-    state's two arenas (see `ad.AdagradDecayState`), so from then on every
-    parameter's array is a view of an arena's; the values are unchanged."""
+    epoch. Every step is one `ad.adagrad_decay_step`. The first lays the
+    model's parameters out, the dense weights and biases as a one-row
+    `ad.Arena` and the embedding tables as one stacked table, so from then
+    on every parameter's array is a view of the layout's; the values are
+    unchanged. Each step then makes one pass over the arena and one over the
+    table rows its batch touched."""
     config.validate()
     if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")

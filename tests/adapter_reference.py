@@ -1,6 +1,8 @@
 """Reference fine-tuning: every adapter trained by its own graph and its own
-optimizer state, one adapter step at a time. The bank step must reproduce
-these loops bit for bit; tests compare against them."""
+optimizer state, one adapter step at a time, through the reference optimizer
+(`optimizer_reference`), which shares no optimizer code with the bank. The
+bank step must reproduce these loops bit for bit; tests compare against
+them."""
 
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ from iakrec import autodiff as ad
 from iakrec.autodiff import Tensor
 from iakrec.iak import adapted_prediction, ib_loss
 from iakrec.trainer import SATURATION_LEVEL, FinetuneRow, _batch_indices, dynamic_lr
+
+from optimizer_reference import reference_adagrad_decay_step
 
 
 def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_state, lr, beta,
@@ -26,7 +30,7 @@ def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_sta
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     gnorm = float(np.sqrt(total))
-    ad.adagrad_decay_step(params, opt_state, lr)
+    reference_adagrad_decay_step(params, opt_state, lr)
     return float(loss.data), gnorm
 
 

@@ -1,6 +1,7 @@
 """Reference optimizer: decayed Adagrad stepped one parameter at a time,
-each parameter reading its own touched rows. `ad.adagrad_decay_step` runs
-the same rule once per arena of its state's layout, and must leave every
+each parameter reading its own touched rows, with the rule written out here
+rather than taken from `iakrec.autodiff`. `ad.adagrad_decay_step` and
+`iak.AdapterBank` run the same rule over laid-out arenas, and must leave every
 parameter and every state array where this loop leaves them, bit for bit;
 tests compare against it."""
 
@@ -43,15 +44,14 @@ def touched_grad(p: ad.Parameter) -> tuple[np.ndarray | EllipsisType, np.ndarray
 def reference_adagrad_decay_step(params, state: ad.AdagradDecayState, lr: float) -> None:
     """Drop-in for `ad.adagrad_decay_step`, one parameter at a time in list
     order: the same rule, accumulators and last-step rows allocated per
-    parameter at its first touch."""
+    parameter at its first touch. A parameter with nothing recorded does not
+    move, and its accumulator does not decay."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    state.step += 1
+    t = state.step
     for p in params:
-        if not p.trainable:
-            continue
-        touched = touched_grad(p)
-        t = state.steps.get(p.name, 0) + 1
-        state.steps[p.name] = t
+        touched = touched_grad(p) if p.trainable else None
         if touched is None:
             continue
         rows, g = touched
@@ -64,5 +64,5 @@ def reference_adagrad_decay_step(params, state: ad.AdagradDecayState, lr: float)
         last = state.last_step[p.name]
         decay = state.decay ** (t - last[rows])
         last[rows] = t
-        ad.adagrad_update(p.data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr,
-                          state.epsilon)
+        acc[rows] = decay.reshape(decay.shape + (1,) * (acc.ndim - 1)) * acc[rows] + g * g
+        p.data[rows] = p.data[rows] - lr * g / (np.sqrt(acc[rows]) + state.epsilon)

@@ -590,7 +590,7 @@ class TestLazyDecay:
         for never in (3, 5):
             assert table.data[never].tobytes() == initial[never].tobytes()
             assert state.last_step["table"][never] == 0
-        assert state.last_step["table"][4] == state.steps["table"] == k + 2
+        assert state.last_step["table"][4] == state.step == k + 2
         np.testing.assert_allclose(state.accumulators["table"][4], acc[4], rtol=1e-15, atol=0)
 
     def test_mixed_row_and_dense_gradient_takes_the_dense_rule(self):

@@ -119,6 +119,30 @@ def test_eval_of_empty_test_split_exits_5(workdir, capsys):
     assert not any(p.name.startswith("eval-") for p in workdir.iterdir())
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("setting, message", [
+    ("train.adagrad_decay=1.5", "adagrad_decay must be in (0, 1], got 1.5"),
+    ("train.adagrad_decay=0", "adagrad_decay must be in (0, 1], got 0.0"),
+    ("train.adagrad_epsilon=0", "adagrad_epsilon must be positive, got 0.0"),
+    ("train.adagrad_epsilon=-1e-8", "adagrad_epsilon must be positive, got -1e-08"),
+])
+def test_bad_optimizer_setting_exits_5_before_the_split_is_read(workdir, monkeypatch, capsys, command, setting,
+                                                                message):
+    """A decay outside (0, 1] or an epsilon <= 0 is a train-config error like
+    a bad batch size (exit 5, one line), caught before the split is read, so
+    `finetune` never runs the backbone pass first."""
+    assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
+    args = ["--data", "data/dataset.jsonl"]
+    if command == "finetune":
+        _backbone_checkpoint(workdir)
+        args += ["--backbone", "backbone.ckpt"]
+    monkeypatch.setattr(cli, "_load_split", lambda *a: pytest.fail("the split was read"))
+    capsys.readouterr()
+    assert _run(workdir, command, *args, "--set", setting) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert not any(p.name.startswith(f"{command}-") for p in workdir.iterdir())
+
+
 @pytest.mark.parametrize("keep", [3, 20, -5])  # inside the magic, the header, the last array
 def test_truncated_checkpoint_exits_5(workdir, keep):
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK

@@ -579,7 +579,7 @@ class TestAdapterBank:
                             np.array([0.02, 0.03]), beta)
         for p in bank.params:
             assert p.grad is p._grad_slot
-            assert np.shares_memory(p.grad, bank.grad)
+            assert np.shares_memory(p.grad, bank.arena.grad)
 
     def test_parameter_with_nothing_recorded_steps_on_zeros(self):
         # after a real step every slot holds a gradient; a parameter with
@@ -612,7 +612,7 @@ class TestAdapterBank:
                                   np.zeros(2), 1e-3)
         assert got == {}
         assert [model_digest(a.named_parameters()) for a in adapters] == before
-        assert not bank.acc.any()
+        assert not bank.arena.acc.any()
 
     def test_non_finite_gradient_moves_nothing(self):
         # a NaN in the second adapter's dec0.b gradient, the sixth of eight

@@ -1,8 +1,9 @@
-"""`ad.adagrad_decay_step` runs decayed Adagrad once per arena of its
-state's layout (the dense weights flat, the embedding tables stacked), and
-must leave every parameter and every piece of optimizer state exactly where
-a step per parameter (`optimizer_reference`) leaves them. The contract tests
-here hold for a step per parameter as well."""
+"""`ad.adagrad_decay_step` lays its parameters out at its first step, the
+dense weights and biases as a one-row `ad.Arena` and the embedding tables as
+one stacked table, and steps each in one pass. It must leave every parameter
+and every piece of optimizer state exactly where a step per parameter
+(`optimizer_reference`) leaves them, and fail loudly on a step the layout
+does not fit."""
 
 import copy
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from iakrec import autodiff as ad
 from iakrec.datagen import Dataset
+from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.trainer import pretrain_step
 
@@ -34,21 +36,24 @@ def _batch(n, seed, space=SPACE):
     ), space)
 
 
-def _state_bytes(state, names):
-    """Every piece of `state` by parameter name, as bytes."""
-    return ({n: state.steps.get(n) for n in names},
-            {n: a.tobytes() for n, a in state.accumulators.items()},
-            {n: a.tobytes() for n, a in state.last_step.items()})
+def _state_bytes(state, tables):
+    """The step count, every accumulator and the `tables`' last-step rows, as
+    bytes."""
+    return (state.step, {n: a.tobytes() for n, a in state.accumulators.items()},
+            {n: state.last_step[n].tobytes() for n in tables})
 
 
-# -- the arena against the step per parameter ---------------------------------
+# -- the layout against the step per parameter --------------------------------
 
-SHAPES = {"table": lambda rng: (int(rng.integers(1, 7)), 3), "odd_table": lambda rng: (int(rng.integers(1, 5)), 2),
+SHAPES = {"table": lambda rng: (int(rng.integers(1, 7)), 3),
           "matrix": lambda rng: (int(rng.integers(1, 4)), int(rng.integers(1, 4))),
           "vector": lambda rng: (int(rng.integers(1, 5)),), "scalar": lambda rng: ()}
-# what a parameter records at a step: nothing, rows, a dense gradient through
-# `_accum` or set by hand, or rows and a dense gradient
-MODES = ("none", "rows", "dense", "set", "mixed")
+# what a parameter records at a step, by its kind: a dense one a gradient
+# through `_accum`, one set by hand, or (a matrix) rows beside a gradient
+# through `_accum`; a table a lookup shorter than itself, one at least as
+# long, or (after the first step) nothing
+DENSE_MODES = ("dense", "set", "mixed")
+TABLE_MODES = ("short", "long", "idle")
 
 
 def _values(rng, shape):
@@ -60,69 +65,56 @@ def _values(rng, shape):
 
 
 def _record(p, mode, rng):
-    """Record one step's gradient of kind `mode` into `p`: row lookups are
-    as long as the table or longer (the binned path) or shorter (sorted)."""
+    """Record one step's gradient of kind `mode` into `p`."""
     if mode in ("dense", "mixed"):
         ad._accum(p, _values(rng, p.data.shape))
     elif mode == "set":
         p.grad = _values(rng, p.data.shape)
-    if mode in ("rows", "mixed"):
-        n_rows = p.data.shape[0]
+    n_rows = p.data.shape[0] if p.data.ndim == 2 else 0
+    lengths = {"mixed": (1, 2 * n_rows + 2), "short": (1, max(n_rows, 2)), "long": (n_rows, 2 * n_rows + 2)}
+    if mode in lengths and n_rows:
         for _ in range(int(rng.integers(1, 3))):
-            rows = rng.integers(0, n_rows, int(rng.integers(1, 2 * n_rows + 2)))
+            rows = rng.integers(0, n_rows, int(rng.integers(*lengths[mode])))
             p.add_row_grad(rows, _values(rng, (rows.size, p.data.shape[1])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(kinds=st.lists(st.sampled_from(sorted(SHAPES)), min_size=1, max_size=7),
-       frozen=st.lists(st.booleans(), min_size=7, max_size=7),
-       plan=st.lists(st.lists(st.sampled_from(MODES), min_size=7, max_size=7), min_size=1, max_size=5),
-       restored=st.lists(st.booleans(), min_size=5, max_size=5),
-       toggled=st.lists(st.booleans(), min_size=5, max_size=5),
+       plan=st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
-def test_arena_step_equals_a_step_per_parameter_bitwise(kinds, frozen, plan, restored, toggled, seed):
-    """Random parameter lists (tables, dense weights, biases and scalars;
-    frozen, idle, row, dense and mixed gradients; an array replaced between
-    steps as a restore replaces it; a parameter frozen or unfrozen between
-    steps, so step counts differ) leave every parameter and every state
-    array where the reference leaves them."""
+def test_arena_step_equals_a_step_per_parameter_bitwise(kinds, plan, seed):
+    """Random lists of scalars, vectors, matrices and equal-width tables, with
+    values and gradients holding zeros of both signs, over 1-5 steps. Every
+    dense member records a gradient at every step; a table records lookups
+    shorter or longer than itself, or after the first step none, so its
+    untouched rows catch their decay up later. Every parameter, every
+    accumulator and the tables' last-step rows end where the reference
+    leaves them, bit for bit."""
     rng = np.random.default_rng(seed)
-    params = []
-    for k, kind in enumerate(kinds):
-        shape = SHAPES[kind](rng)
-        rows_only = kind.endswith("table")
-        params.append(ad.Parameter(_values(rng, shape), f"{kind}{k}", trainable=not frozen[k]))
-        if rows_only and plan[0][k] in ("dense", "set"):
-            plan[0][k] = "rows"  # lay most tables out in the table
+    params = [ad.Parameter(_values(rng, SHAPES[kind](rng)), f"{kind}{k}") for k, kind in enumerate(kinds)]
     twins = copy.deepcopy(params)
+    tables = [p.name for p in params if p.name.startswith("table")]
     state, reference = ad.AdagradDecayState(decay=0.9), ad.AdagradDecayState(decay=0.9)
-    names = [p.name for p in params]
     for step, modes in enumerate(plan):
-        if restored[step] and step:
-            k = int(rng.integers(len(params)))
-            params[k].data = twins[k].data = _values(rng, params[k].data.shape)
-        if toggled[step] and step:
-            k = int(rng.integers(len(params)))
-            params[k].set_trainable(not params[k].trainable)
-            twins[k].set_trainable(params[k].trainable)
         ad.zero_grads(params)
         ad.zero_grads(twins)
-        for p, q, mode in zip(params, twins, modes):
-            if mode in ("rows", "mixed") and p.data.ndim != 2:
-                mode = "dense"
-            if p.trainable:
-                draw = rng.integers(2**32)
-                _record(p, mode, np.random.default_rng(draw))
-                _record(q, mode, np.random.default_rng(draw))
+        for p, q, i in zip(params, twins, modes):
+            mode = TABLE_MODES[i] if p.name in tables else DENSE_MODES[i]
+            if mode == "idle" and not step:
+                mode = "long"  # a table is laid out from its first lookup
+            draw = rng.integers(2**32)
+            _record(p, mode, np.random.default_rng(draw))
+            _record(q, mode, np.random.default_rng(draw))
         ad.adagrad_decay_step(params, state, 0.05)
         reference_adagrad_decay_step(twins, reference, 0.05)
         assert [p.data.tobytes() for p in params] == [q.data.tobytes() for q in twins]
-        assert _state_bytes(state, names) == _state_bytes(reference, names)
+        assert _state_bytes(state, tables) == _state_bytes(reference, tables)
+    assert sorted(state.last_step) == sorted(tables)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_pretrain_equals_a_step_per_parameter_bitwise(kind, monkeypatch):
-    """Five pretrain steps of each model kind, through the arena and through
+    """Five pretrain steps of each model kind, through the layout and through
     the reference, leave the same bits and the same state."""
     def train(step_fn):
         model = build_model(ModelConfig(kind=kind), SPACE, seed=3)
@@ -131,8 +123,8 @@ def test_pretrain_equals_a_step_per_parameter_bitwise(kind, monkeypatch):
             m.setattr(ad, "adagrad_decay_step", step_fn)
             for step in range(5):
                 pretrain_step(model, _batch(16 + 40 * (step % 2), step), state, 0.05)
-        names = [p.name for p in model.parameters()]
-        return [p.data.tobytes() for p in model.parameters()], _state_bytes(state, names)
+        tables = [p.name for p in model.parameters() if p.name.endswith("_emb.rows")]
+        return [p.data.tobytes() for p in model.parameters()], _state_bytes(state, tables)
 
     assert train(ad.adagrad_decay_step) == train(reference_adagrad_decay_step)
 
@@ -157,78 +149,132 @@ def test_state_reads_by_parameter_name():
         _gathered(table, [1, 3], rng.normal(size=(2, 2)))
         w.grad, b.grad = rng.normal(size=(3, 2)), rng.normal(size=2)
         ad.adagrad_decay_step([table, w, b, idle], state, lr=0.05)
-    assert state.steps == {"table": 3, "w": 3, "b": 3, "idle": 3}
-    assert set(state.accumulators) == set(state.last_step) == {"table", "w", "b"}
-    assert [state.accumulators[n].shape for n in ("table", "w", "b")] == [(5, 2), (3, 2), (2,)]
+    assert state.step == 3
+    assert set(state.accumulators) == {"table", "w", "b", "idle"} and set(state.last_step) == {"table"}
+    assert [state.accumulators[n].shape for n in ("table", "w", "b", "idle")] == [(5, 2), (3, 2), (2,), (4,)]
     assert state.last_step["table"].tolist() == [0, 3, 0, 3, 0]
-    assert state.last_step["w"].tolist() == [3, 3, 3] and state.last_step["b"].tolist() == [3, 3]
     assert (state.accumulators["w"] > 0).all() and not state.accumulators["table"][[0, 2, 4]].any()
+    assert not state.accumulators["idle"].any()
 
 
-def test_frozen_and_idle_parameters_neither_move_nor_decay_and_a_skipped_one_catches_up():
+def test_a_frozen_parameter_never_moves_and_an_idle_one_steps_on_zeros():
+    """A frozen parameter is left out. A dense parameter with nothing
+    recorded takes the dense rule on a zero gradient: it stays where it is,
+    and its accumulator decays, as it does at every step of the dense rule."""
     decay, lr, eps = 0.5, 0.1, 1e-8
     frozen = ad.Parameter(np.array([1.0, 2.0]), "frozen", trainable=False)
     w = ad.Parameter(np.array([1.0, -1.0]), "w")
     other = ad.Parameter(np.array([3.0]), "other")
     state = ad.AdagradDecayState(decay=decay, epsilon=eps)
     g = np.array([0.5, -2.0])
-    grads = [g, None, None, g]  # w records nothing at steps 2 and 3
-    for step, gw in enumerate(grads, start=1):
+    acc = np.zeros(2)
+    for gw in [g, None, None, g]:  # w records nothing at steps 2 and 3
         ad.zero_grads([frozen, w, other])
         frozen.grad = np.array([9.0, 9.0])
         other.grad = np.array([0.25])
         if gw is not None:
             w.grad = gw.copy()
-        before = w.data.tobytes(), state.accumulators.get("w", np.zeros(2)).tobytes()
+        before = w.data.tobytes()
         ad.adagrad_decay_step([frozen, w, other], state, lr=lr)
+        zero_or_g = np.zeros(2) if gw is None else gw
+        acc = decay * acc + zero_or_g * zero_or_g
         if gw is None:
-            assert (w.data.tobytes(), state.accumulators["w"].tobytes()) == before
-    assert frozen.data.tolist() == [1.0, 2.0] and "frozen" not in state.steps
-    assert state.steps == {"w": 4, "other": 4} and state.last_step["w"].tolist() == [4, 4]
-    # step 4 decays the accumulator for the three steps since step 1
-    acc = decay ** 3 * (g * g) + g * g
-    np.testing.assert_allclose(state.accumulators["w"], acc, rtol=1e-15)
+            assert w.data.tobytes() == before
+        assert state.accumulators["w"].tobytes() == acc.tobytes()
+    assert frozen.data.tolist() == [1.0, 2.0] and "frozen" not in state.accumulators
+    assert state.step == 4 and state.last_step == {}
 
 
-def test_a_parameter_with_row_and_dense_gradients_takes_the_dense_rule_in_a_list():
-    rng = np.random.default_rng(5)
-    table = ad.Parameter(rng.normal(size=(6, 2)), "table")
-    mixed = ad.Parameter(rng.normal(size=(4, 2)), "mixed")
-    state = ad.AdagradDecayState(decay=0.9)
-    for step in range(4):
-        ad.zero_grads([table, mixed])
-        _gathered(table, [0, 5, 5], rng.normal(size=(3, 2)))
-        _gathered(mixed, [2, 2], rng.normal(size=(2, 2)))
-        if step == 0:  # rows only: `mixed` is laid out in the table
-            ad.adagrad_decay_step([table, mixed], state, lr=0.05)
-            continue
-        ad._accum(mixed, rng.normal(size=(4, 2)))
-        g = mixed.grad.copy()
-        acc = 0.9 * state.accumulators["mixed"] + g * g
-        want = mixed.data - 0.05 * g / (np.sqrt(acc) + state.epsilon)
-        ad.adagrad_decay_step([table, mixed], state, lr=0.05)
-        assert mixed.data.tobytes() == want.tobytes()
-        assert state.last_step["mixed"].tolist() == [step + 1] * 4
+def _laid_out():
+    """A weight, a table and a bias laid out by a first step, with a second
+    step's gradients recorded."""
+    rng = np.random.default_rng(4)
+    w = ad.Parameter(rng.normal(size=(2, 2)), "w")
+    table = ad.Parameter(rng.normal(size=(4, 2)), "table")
+    b = ad.Parameter(rng.normal(size=2), "b")
+    state = ad.AdagradDecayState()
+    _gathered(table, [1, 1, 3], rng.normal(size=(3, 2)))
+    w.grad, b.grad = rng.normal(size=(2, 2)), rng.normal(size=2)
+    ad.adagrad_decay_step([w, table, b], state, lr=0.05)
+    ad.zero_grads([w, table, b])
+    _gathered(table, [0, 2], rng.normal(size=(2, 2)))
+    w.grad, b.grad = rng.normal(size=(2, 2)), rng.normal(size=2)
+    return [w, table, b], state
+
+
+def _everything(params, state):
+    """Every parameter's and state array's bytes, and the step count."""
+    return ([p.data.tobytes() for p in params], _state_bytes(state, ["table"]))
+
+
+def _raises_and_nothing_moves(error, match, step_params, params, state):
+    """A step of `step_params` raises `error`, and no array of `params` or of
+    `state` has moved."""
+    before = _everything(params, state)
+    with pytest.raises(error, match=match):
+        ad.adagrad_decay_step(step_params, state, lr=0.05)
+    assert _everything(params, state) == before
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_non_finite_gradient_names_the_first_bad_parameter_in_list_order(bad):
-    """Bad entries in a table (its summed rows), a weight and a bias: the
-    error names the first bad one in the list."""
-    table = ad.Parameter(np.ones((4, 2)), "table")
-    w = ad.Parameter(np.ones((2, 2)), "w")
-    b = ad.Parameter(np.ones(2), "b")
-    state = ad.AdagradDecayState()
-    for step in range(2):  # the second step runs on the layout
-        ad.zero_grads([table, w, b])
-        # two finite rows that overflow once summed
-        table.add_row_grad(np.array([1, 1]), np.full((2, 2), 1e308) if bad <= 0 and step else np.ones((2, 2)))
-        w.grad = np.array([[1.0, np.nan], [1.0, 1.0]]) if bad <= 1 and step else np.ones((2, 2))
-        b.grad = np.array([1.0, -np.inf]) if step else np.ones(2)
-        if not step:
-            ad.adagrad_decay_step([table, w, b], state, lr=0.05)
-    with pytest.raises(ad.NonFiniteError, match=f"non-finite gradient for {['table', 'w', 'b'][bad]}$"):
-        ad.adagrad_decay_step([table, w, b], state, lr=0.05)
+    """Bad entries in a weight, a table (its summed rows) and a bias, the
+    list in that order: the error names the first bad one in the list, a
+    dense parameter ahead of the table or the table ahead of a dense one,
+    and nothing moves."""
+    params, state = _laid_out()
+    w, table, b = params
+    if bad <= 0:
+        w.grad[1, 0] = np.nan
+    if bad <= 1:  # two finite rows that overflow once summed
+        table.add_row_grad(np.array([3, 3]), np.full((2, 2), 1e308))
+    b.grad[1] = -np.inf
+    _raises_and_nothing_moves(ad.NonFiniteError, f"non-finite gradient for {['w', 'table', 'b'][bad]}$",
+                              params, params, state)
+
+
+@pytest.mark.parametrize("change, name", [("dropped", "table"), ("added", "extra"), ("frozen", "b"),
+                                          ("swapped", "w")])
+def test_a_later_step_with_another_list_raises_naming_the_parameter(change, name):
+    """The layout holds one list of trainable parameters: dropping one,
+    adding one, freezing one or reordering the list raises `ValueError`
+    naming the first parameter where the lists differ, and nothing moves."""
+    params, state = _laid_out()
+    w, table, b = params
+    extra = ad.Parameter(np.ones(3), "extra")
+    extra.grad = np.ones(3)
+    step_params = {"dropped": [w, b], "added": [w, table, b, extra], "frozen": params,
+                   "swapped": [table, w, b]}[change]
+    if change == "frozen":
+        b.set_trainable(False)
+    _raises_and_nothing_moves(ValueError, f"differs at {name}$", step_params, params, state)
+
+
+def test_an_array_replaced_since_the_layout_raises_naming_the_parameter():
+    """A `restore` after the layout gives a parameter a new array, which the
+    layout does not hold: the next step raises instead of stepping a stale
+    copy, and nothing moves."""
+    params, state = _laid_out()
+    params[2].data = np.array(params[2].data)
+    _raises_and_nothing_moves(ValueError, "the array of b was replaced", params, params, state)
+
+
+@pytest.mark.parametrize("how", ["accum", "set", "rows and accum"])
+def test_a_dense_gradient_on_a_table_raises_naming_it(how):
+    """A parameter laid out as an embedding table takes row gradients only: a
+    dense one, alone or beside its rows, raises `ValueError` naming it, and
+    nothing moves."""
+    params, state = _laid_out()
+    table = params[1]
+    if how == "set":
+        ad.zero_grads([table])
+        table.grad = np.ones((4, 2))
+    else:
+        if how == "accum":
+            ad.zero_grads([table])
+        ad._accum(table, np.ones((4, 2)))
+    _raises_and_nothing_moves(ValueError, "table is laid out as an embedding table but has a dense gradient",
+                              params, params, state)
 
 
 def test_parameters_of_one_step_need_distinct_names():
@@ -239,39 +285,13 @@ def test_parameters_of_one_step_need_distinct_names():
         ad.adagrad_decay_step([a, b], ad.AdagradDecayState(), 0.05)
 
 
-def test_a_replaced_array_is_stepped_where_it_now_is():
-    """A `restore` after a step gives a parameter a new array: the next step
-    moves that array, from its values, never a stale copy."""
-    rng = np.random.default_rng(2)
-    w = ad.Parameter(rng.normal(size=(3, 2)), "w")
-    b = ad.Parameter(rng.normal(size=2), "b")
-    twins = copy.deepcopy([w, b])
-    state, reference = ad.AdagradDecayState(), ad.AdagradDecayState()
-    grads = [(rng.normal(size=(3, 2)), rng.normal(size=2)) for _ in range(2)]
-    restored = rng.normal(size=(3, 2))
-    for step, (gw, gb) in enumerate(grads):
-        if step:
-            w.data, twins[0].data = np.array(restored), np.array(restored)
-        for params, st_, step_fn in (([w, b], state, ad.adagrad_decay_step),
-                                     (twins, reference, reference_adagrad_decay_step)):
-            params[0].grad, params[1].grad = gw.copy(), gb.copy()
-            step_fn(params, st_, 0.05)
-    assert w.data.tobytes() == twins[0].data.tobytes() and b.data.tobytes() == twins[1].data.tobytes()
-    assert not np.array_equal(w.data, restored)
-    w.data[0, 0] = 7.0  # the parameter's own array is what the step moves
-    ad.zero_grads([w, b])
-    w.grad, b.grad = np.ones((3, 2)), np.ones(2)
-    ad.adagrad_decay_step([w, b], state, 0.05)
-    assert 6.9 < w.data[0, 0] < 7.0
-
-
-# -- the layout: two arenas, every parameter stepped --------------------------
+# -- the layout: one arena and one table, every parameter stepped -------------
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_every_parameter_receives_a_gradient_in_a_pretrain_step(kind):
-    """No parameter of any kind is idle: the flat arena's one update covers
-    every dense weight and bias at every step."""
+    """No parameter of any kind is idle: the arena's one update covers every
+    dense weight and bias at every step."""
     model = build_model(ModelConfig(kind=kind), SPACE, seed=1)
     pretrain_step(model, _batch(32, 1), ad.AdagradDecayState(), 0.05)
     params = model.parameters()
@@ -280,6 +300,9 @@ def test_every_parameter_receives_a_gradient_in_a_pretrain_step(kind):
 
 
 def test_a_base_pretrain_step_makes_one_update_per_arena(monkeypatch):
+    """A pretrain step makes one `adagrad_update` over its one-row arena and
+    one over its table; a step of a 3-adapter bank makes one over its 3-row
+    arena."""
     model = build_model(ModelConfig(kind="base"), SPACE, seed=1)
     state = ad.AdagradDecayState()
     calls = []
@@ -290,4 +313,16 @@ def test_a_base_pretrain_step_makes_one_update_per_arena(monkeypatch):
     for step in range(3):
         calls.clear()
         pretrain_step(model, _batch(32, step), state, 0.05)
-        assert calls == [(n_dense,), (sum(p.data.shape[0] for p in tables), model.config.embed_dim)]
+        assert calls == [(1, n_dense), (sum(p.data.shape[0] for p in tables), model.config.embed_dim)]
+
+    model.set_trainable(False)
+    adapters = [IAKAdapter(model.rep_dim, model.n_heads, IAKConfig(d_e=4, decoder_hidden=(5,)), {"period": k},
+                           seed=k) for k in range(3)]
+    bank = AdapterBank(adapters, decay=state.decay, epsilon=state.epsilon)
+    batch = _batch(12, 7)
+    rep, base = backbone_cache(model, batch)
+    for step in range(2):
+        calls.clear()
+        adapter_step_cached(model, bank, rep, base, batch.click, batch.purchase, np.array([0, 3, 7, 12]),
+                            np.full(3, 0.02), 1e-3)
+        assert calls == [(3, sum(p.size for p in adapters[0].parameters()))]

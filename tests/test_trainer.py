@@ -140,7 +140,8 @@ class TestLazyAdagrad:
         assert np.sum(state.last_step["user_emb.rows"] < 200) > 20
         for p, q in zip(lazy.parameters(), dense.parameters()):
             assert np.max(np.abs(p.data - q.data)) / np.max(np.abs(q.data)) <= 1e-12, p.name
-            behind = state.steps[p.name] - state.last_step[p.name]
+            # a dense parameter steps every step; a table row may be behind
+            behind = state.step - state.last_step.get(p.name, np.full(p.data.shape[:1], state.step))
             caught_up = state.accumulators[p.name] * (decay ** behind).reshape(-1, *[1] * (p.data.ndim - 1))
             assert np.max(np.abs(caught_up - acc[p.name])) / np.max(acc[p.name]) <= 1e-12, p.name
 
