@@ -10,31 +10,33 @@ a frozen forward is checked once, on the scores it ends in (see
 
 The ops are the ones the models and adapters run, and each is as coarse as
 its caller allows: a dense layer is one `linear` (or `segment_linear`)
-node, the lookups into every embedding table are one `gather_rows` node,
-a mixture-of-experts gate (its softmax and the weighted sum of the experts)
-is one `gate_mix` node, and each loss term is one node: the clipped
-cross-entropy `clipped_bce`, the Gaussian KL `gaussian_kl` and the
-reparameterised weight draw `weight_sample`. A fused op equals the chain of
-finer nodes it replaces bit for bit; those chains live with the tests as
-references.
+node, the lookups of a row's ids into the one embedding table are one
+`gather_rows` node, a mixture-of-experts gate (its softmax and the weighted
+sum of the experts) is one `gate_mix` node, and each loss term is one node:
+the clipped cross-entropy `clipped_bce`, the Gaussian KL `gaussian_kl` and
+the reparameterised weight draw `weight_sample`. A fused op equals the
+chain of finer nodes it replaces bit for bit; those chains live with the
+tests as references.
 
 Gradients are dense arrays, except where `gather_rows` looks up rows of a
-`Parameter` (an embedding table): there backward records the touched rows
-and their gradient rows, and the optimizer updates only those rows. A step
-therefore costs the rows a batch touches, not the size of the table.
-`Parameter.grad` still reads as a dense array, built on read. A dense
-gradient is written once: an intermediate keeps the product its op made,
-and a parameter that an optimizer (or an `iak.AdapterBank`) has laid out
-takes its first gradient in its slot of that layout's gradient block.
+`Parameter` (an embedding table): there backward records one pair, the
+looked-up rows and a view of their gradient rows, and the optimizer
+updates only those rows. A step therefore costs the rows a batch touches,
+not the size of the table. `Parameter.grad` still reads as a dense array,
+built on read. A dense gradient is written once: an intermediate keeps the
+product its op made, and a parameter that an optimizer (or an
+`iak.AdapterBank`) has laid out takes its first gradient in its slot of
+that layout's gradient block.
 
 The optimizer is decayed Adagrad, and it has one layout for dense
 parameters: an `Arena` of K rows by P columns, a gradient block and an
 accumulator block beside it, stepped in one pass over the rows that step.
 Pretraining (`adagrad_decay_step`) lays its dense weights and biases out as
-a one-row arena at its first step, and its equal-width embedding tables as
-one stacked table that takes one segment sum and one lazy row update per
-step. An `iak.AdapterBank` lays its K adapters out as a K-row arena, each
-row at its own rate. Either way the bits are those of a step per parameter.
+a one-row arena at its first step. Its embedding table, already one array
+in the model, stays where it is and takes one segment sum and one lazy row
+update per step. An `iak.AdapterBank` lays its K adapters out as a K-row
+arena, each row at its own rate. Either way the bits are those of a step
+per parameter.
 """
 
 from __future__ import annotations
@@ -456,44 +458,29 @@ def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | 
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 
 
-def gather_rows(tables, rows) -> Tensor:
-    """Row lookup into 2-d tables, as one node: with a list of T tables and
-    (B, T) `rows`, row rows[i, t] of table t, the T tables' rows side by
-    side in a (B, total width) output; a single table with 1-d indices
-    gives `table[idx]`. Backward into a Parameter records the touched rows
-    and their gradient rows; into any other tensor it scatter-adds a dense
-    gradient."""
-    idx = np.asarray(rows, dtype=np.int64)
-    if not isinstance(tables, (list, tuple)):
-        if idx.ndim != 1:
-            raise ShapeError("gather_rows indices must be 1-d")
-        tables, idx = [tables], idx[:, None]
-    tables = [_wrap(t) for t in tables]
-    if idx.ndim != 2 or idx.shape[1] != len(tables):
-        raise ShapeError(f"gather_rows needs (B, {len(tables)}) rows for {len(tables)} tables, got {idx.shape}")
-    if any(t.data.ndim != 2 for t in tables):
-        raise ShapeError("gather_rows table must be 2-d")
+def gather_rows(table, rows) -> Tensor:
+    """Row lookup into one 2-d table, as one node: with 1-d `rows`,
+    `table[rows]`; with (B, T) rows, the T rows of each of the B side by
+    side, a (B, T * width) output. Backward records the looked-up rows and
+    their gradient rows, a view of the output's gradient, on the table,
+    which must then be a `Parameter`."""
+    table, idx = _wrap(table), np.asarray(rows, dtype=np.int64)
+    if table.data.ndim != 2 or idx.ndim not in (1, 2):
+        raise ShapeError(f"gather_rows needs a 2-d table and 1-d or 2-d rows, got {table.shape} and {idx.shape}")
+    if table.requires_grad and not isinstance(table, Parameter):
+        raise ShapeError("gather_rows records row gradients, so a table that needs one must be a Parameter")
     if idx.size and idx.min() < 0:  # `take` would wrap a negative row
         raise ShapeError("gather_rows index out of range")
-    cols = list(idx.T)
+    width = table.data.shape[1]
     try:
-        parts = [t.data.take(r, axis=0) for t, r in zip(tables, cols)]
-    except IndexError:  # a row past its table's end
+        looked_up = table.data.take(idx, axis=0).reshape(len(idx), math.prod(idx.shape[1:]) * width)
+    except IndexError:  # a row past the table's end
         raise ShapeError("gather_rows index out of range") from None
 
     def backward(out: Tensor) -> None:
-        ends = list(accumulate(t.data.shape[1] for t in tables))
-        for t, r, s, e in zip(tables, cols, [0, *ends], ends):
-            if not t.requires_grad:
-                continue
-            if isinstance(t, Parameter):
-                t.add_row_grad(r, out.grad[:, s:e])
-            else:
-                dense = np.zeros_like(t.data)
-                np.add.at(dense, r, out.grad[:, s:e])
-                _accum(t, dense)
+        table.add_row_grad(idx.ravel(), out.grad.reshape(-1, width))
 
-    return _make(np.concatenate(parts, axis=1), tables, backward, "gather_rows")
+    return _make(looked_up, (table,), backward, "gather_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +662,9 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 # Decayed Adagrad is elementwise per row, so it runs over laid-out blocks
 # rather than parameter by parameter, as table-batched embeddings with a fused
 # optimizer do (Mudigere et al., ISCA 2022): an `Arena` of dense parameters,
-# stepped in one pass over the rows that step, and, in pretraining, one stacked
-# embedding table, stepped in one pass over the rows a batch touches.
+# stepped in one pass over the rows that step, and, in pretraining, the one
+# embedding table the model keeps all its id tables in, stepped in one pass
+# over the rows a batch touches.
 
 
 @dataclass
@@ -687,12 +675,11 @@ class AdagradDecayState:
     (index on the leading axis) was last updated, the arrays read by
     parameter name.
 
-    The arrays are views of the blocks the optimizer steps. An `Arena` files
-    its members' accumulators here when it lays them out; the first
-    `adagrad_decay_step` lays its parameters out once (see there) and files
-    the tables' last-step rows too. An `iak.AdapterBank` keeps its arena's
-    accumulators here and steps that arena itself, not through
-    `adagrad_decay_step`."""
+    An `Arena` files views of its accumulator block here when it lays its
+    members out; the first `adagrad_decay_step` lays its parameters out once
+    (see there) and files each table's own accumulator and last-step rows
+    too. An `iak.AdapterBank` keeps its arena's accumulators here and steps
+    that arena itself, not through `adagrad_decay_step`."""
 
     decay: float = 0.9999
     epsilon: float = 1e-8
@@ -708,9 +695,12 @@ class AdagradDecayState:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _segment_sum(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unique, sorted `rows` of a table of `n_rows` rows, and the sum of
-    the `values` rows recorded for each, added in recording order."""
+def _segment_sum(table: Parameter) -> tuple[np.ndarray, np.ndarray]:
+    """The unique, sorted rows of `table` that its recorded (rows, values)
+    pairs touch, and the sum of the values rows recorded for each, added in
+    recording order. A single pair (one lookup) is binned as it is."""
+    pairs, n_rows = table._row_grads, len(table.data)
+    rows, values = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
     width = values.shape[1]
     if n_rows <= rows.size:
         # a table no longer than the lookup: bin by row id over the whole
@@ -771,32 +761,20 @@ class Arena:
 
 class _Layout:
     """The trainable parameters of `adagrad_decay_step`, laid out at its
-    first step. The embedding tables (the 2-d parameters that had recorded
-    only row gradients, as wide as the first of them) are row ranges of one
-    stacked table, with its accumulator and last-step rows beside it. Every
-    other parameter is a member of a one-row `Arena`. Each part keeps list
-    order."""
+    first step. An embedding table, a parameter that had recorded only row
+    gradients, keeps its own array, with its accumulator and last-step rows
+    beside it. Every other parameter is a member of a one-row `Arena`. Each
+    part keeps list order."""
 
     def __init__(self, params: list[Parameter], state: AdagradDecayState):
         if len({p.name for p in params}) != len(params):
             raise ValueError("adagrad_decay_step needs parameters with distinct names")
-        looked_up = [p._dense_grad is None and bool(p._row_grads) and p.data.ndim == 2 for p in params]
-        width = next((p.data.shape[1] for p, rows_only in zip(params, looked_up) if rows_only), 0)
-        in_table = [rows_only and p.data.shape[1] == width for p, rows_only in zip(params, looked_up)]
-        tables = [p for p, t in zip(params, in_table) if t]
-        bounds = list(accumulate((p.data.shape[0] for p in tables), initial=0))
+        looked_up = [p._dense_grad is None and bool(p._row_grads) for p in params]
         self.params = params
-        self.dense = Arena([p for p, t in zip(params, in_table) if not t], state)
-        self.tables = list(zip(tables, bounds, bounds[1:]))  # each table and its (first, end) row
-        self.data = np.empty((bounds[-1], width))
-        for p, start, end in zip(tables, bounds, bounds[1:]):
-            self.data[start:end] = p.data
-            p.data = self.data[start:end]  # the array laid out before is now free
-        # the table's state is allocated once the arrays it replaced are gone
-        self.acc = np.zeros_like(self.data)
-        self.last = np.zeros(len(self.data), dtype=np.int64)
-        for p, start, end in zip(tables, bounds, bounds[1:]):
-            state.accumulators[p.name], state.last_step[p.name] = self.acc[start:end], self.last[start:end]
+        self.dense = Arena([p for p, t in zip(params, looked_up) if not t], state)
+        self.tables = [p for p, t in zip(params, looked_up) if t]
+        state.accumulators.update((p.name, np.zeros_like(p.data)) for p in self.tables)
+        state.last_step.update((p.name, np.zeros(len(p.data), dtype=np.int64)) for p in self.tables)
         self.views = [p.data for p in params]
 
     def check(self, params: list[Parameter]) -> None:
@@ -810,40 +788,32 @@ class _Layout:
         for p, view in zip(params, self.views):
             if p.data is not view:
                 raise ValueError(f"the array of {p.name} was replaced since adagrad_decay_step laid it out")
-        for p, _, _ in self.tables:
+        for p in self.tables:
             if p._dense_grad is not None:
                 raise ValueError(f"{p.name} is laid out as an embedding table but has a dense gradient")
 
     def step(self, state: AdagradDecayState, lr: float) -> None:
         """One `adagrad_decay_step` of the laid-out parameters (see there)."""
         g = self.dense.gradient(...)
-        rows = [r + start for p, start, _ in self.tables for r, _ in p._row_grads]
-        if rows:
-            values = [v for p, _, _ in self.tables for _, v in p._row_grads]
-            touched, summed = _segment_sum(np.concatenate(rows), np.concatenate(values), len(self.data))
-        if not np.isfinite(g).all() or rows and not np.isfinite(summed).all():
-            spans = {p.name: (start, end) for p, start, end in self.tables}
+        sums = {p: _segment_sum(p) for p in self.tables if p._row_grads}
+        if not np.isfinite(g).all() or not all(np.isfinite(summed).all() for _, summed in sums.values()):
             for p in self.params:  # name the first bad one in list order
-                if p.name not in spans:
-                    bad = not np.isfinite(p._grad_slot).all()
-                else:
-                    start, end = spans[p.name]
-                    bad = bool(rows) and not np.isfinite(summed[(touched >= start) & (touched < end)]).all()
-                if bad:
+                grad = sums[p][1] if p in sums else p._grad_slot
+                if grad is not None and not np.isfinite(grad).all():
                     raise NonFiniteError(f"non-finite gradient for {p.name}")
         state.step += 1
         self.dense.step(..., g, lr, state)
-        if rows:
-            _step_rows(self.data, self.acc, self.last, touched, summed, state.step, state, lr)
+        for p, (rows, summed) in sums.items():
+            _step_rows(p, rows, summed, state, lr)
 
 
-def _step_rows(data: np.ndarray, acc: np.ndarray, last: np.ndarray, rows, g: np.ndarray, t, state: AdagradDecayState,
-               lr: float) -> None:
-    """`adagrad_update` of `rows` of `data` at step `t`, each row decayed for
-    the steps since its last update."""
-    decay = state.decay ** (t - last[rows])
-    last[rows] = t
-    adagrad_update(data, acc, rows, g, decay.reshape(decay.shape + (1,) * (acc.ndim - 1)), lr, state.epsilon)
+def _step_rows(table: Parameter, rows: np.ndarray, g: np.ndarray, state: AdagradDecayState, lr: float) -> None:
+    """`adagrad_update` of `rows` of `table` at step `state.step`, each row
+    decayed for the steps since its last update."""
+    last = state.last_step[table.name]
+    decay = state.decay ** (state.step - last[rows])
+    last[rows] = state.step
+    adagrad_update(table.data, state.accumulators[table.name], rows, g, decay[:, None], lr, state.epsilon)
 
 
 def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr: float) -> None:
@@ -863,17 +833,18 @@ def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr
     al., JMLR 2011). A step therefore costs the rows a batch touches, not the
     size of the table. Frozen parameters are left out.
 
-    The first step lays the trainable parameters out (`_Layout`): the
-    embedding tables, the 2-d parameters that recorded only row gradients
-    then, as one stacked table, and every other parameter as a one-row
-    `Arena`. From then on every parameter's array is a view of the layout's,
-    and each step makes two passes, in place:
+    The first step lays the trainable parameters out (`_Layout`). A
+    parameter that recorded only row gradients then is an embedding table:
+    it keeps its array, and its accumulator and last-step rows are allocated
+    beside it. Every other parameter becomes a member of a one-row `Arena`,
+    its array a view of the arena's. Each step then steps in place:
 
     - the arena: one finiteness check and one `adagrad_update` of every dense
       member by the dense rule. A member with nothing recorded steps on
       zeros, and one with row gradients on them folded into a dense one.
-    - the table: one segment sum of the row gradients, one power and one
-      `adagrad_update` of the touched rows.
+    - each table that recorded rows (pretraining's one): one segment sum of
+      its row gradients, one power and one `adagrad_update` of the touched
+      rows.
 
     The bits equal those of the same rules stepped one parameter at a time.
     A later step with another list of trainable parameters, with an array

@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 usage, 3 config error (a config file that is not
 UTF-8 included), 4 path error (an input that is missing or cannot be read,
 a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation, 1 anything else (a training run or a forward whose values
-overflow to NaN or Inf included, reported on one line).
+overflow to NaN or Inf included, reported on one line). Each command checks
+the config sections it reads before it opens any input.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -151,10 +152,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
-    train_config = cfg.train_config()
+    model_config, train_config = cfg.model_config(), cfg.train_config()
+    model_config.validate()
     train_config.validate()
     train, _ = _load_split(args, cfg)
-    model = build_model(cfg.model_config(), cfg.feature_space(), seed=cfg.get_int("model.seed"))
+    model = build_model(model_config, cfg.feature_space(), seed=cfg.get_int("model.seed"))
     curve = pretrain(model, train, train_config)
     outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
@@ -181,15 +183,16 @@ def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
 
 def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
+    train_config, iak_config = cfg.train_config(), cfg.iak_config()
+    for config in (cfg.model_config(), train_config, iak_config):
+        config.validate()
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
-    train_config = cfg.train_config()
-    train_config.validate()
     train, _ = _load_split(args, cfg)
     model, _ = _restore_backbone(cfg, ckpt)
     selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
-    result = finetune_all(model, train, selectors, train_config, cfg.iak_config())
+    result = finetune_all(model, train, selectors, train_config, iak_config)
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
     params = dict(model.named_parameters())
@@ -207,6 +210,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
+    cfg.model_config().validate()
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     _, test = _load_split(args, cfg)
     if not test:
@@ -238,6 +242,7 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
+    cfg.model_config().validate()
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     model, adapters = _restore_backbone(cfg, ckpt)
     router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))

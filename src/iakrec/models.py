@@ -4,14 +4,14 @@ composite BaseRecommender used as the pretraining target.
 All model kinds share one scaffold, so comparisons isolate the core between
 the embeddings and the two task towers: the same embedding assembly in (one
 embedding per id column of a row: user, item, scene, region, period and the
-feature columns, looked up as one node) and the same output tail out
-(`MultiTaskModel._output`), which turns the towers' activations into the
-representation that adapters consume and one (B, n_heads) logits tensor;
-only `predict_from_logits` splits heads, after one sigmoid over all of
-them. MMoE and the BaseRecommender mix their experts with one
-`ad.gate_mix` node per task. The model reads one row type, a
-`datagen.Dataset` fitted by `encode_records`: batches, scored splits and a
-served request alike.
+feature columns, all kept in one stacked table and looked up as one node)
+and the same output tail out (`MultiTaskModel._output`), which turns the
+towers' activations into the representation that adapters consume and one
+(B, n_heads) logits tensor; only `predict_from_logits` splits heads, after
+one sigmoid over all of them. MMoE and the BaseRecommender mix their
+experts with one `ad.gate_mix` node per task. The model reads one row type,
+a `datagen.Dataset` fitted by `encode_records`: batches, scored splits and
+a served request alike.
 """
 
 from __future__ import annotations
@@ -84,27 +84,33 @@ def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroIni
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
-def restore_parameters(params: list[Parameter], arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
-    """Set each parameter to its checkpoint array, copied once. A missing
-    name, a block that is not float64 (an `<i8` one, say), a wrong shape or a
-    NaN or Inf entry raises `error` naming the parameter (the check a
+def checkpoint_array(arrays: dict[str, np.ndarray], name: str, shape: tuple, error: type[Exception]) -> np.ndarray:
+    """The checkpoint array stored as `name`, checked against the model's
+    `shape`. A missing name, a block that is not float64 (an `<i8` one, say),
+    a wrong shape or a NaN or Inf entry raises `error` naming it (the check a
     `Parameter` makes when it is built)."""
+    arr = arrays.get(name)
+    if arr is None:
+        raise error(f"checkpoint missing parameter {name!r}")
+    if arr.dtype != np.float64:
+        raise error(f"checkpoint parameter {name!r} is stored as {arr.dtype.str}, not <f8")
+    if arr.shape != shape:
+        raise error(f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"checkpoint parameter {name!r} holds NaN or Inf")
+    return arr
+
+
+def restore_parameters(params: list[Parameter], arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
+    """Set each parameter to its `checkpoint_array`, copied once."""
     for p in params:
-        arr = arrays.get(p.name)
-        if arr is None:
-            raise error(f"checkpoint missing parameter {p.name!r}")
-        if arr.dtype != np.float64:
-            raise error(f"checkpoint parameter {p.name!r} is stored as {arr.dtype.str}, not <f8")
-        if arr.shape != p.data.shape:
-            raise error(f"shape mismatch for {p.name!r}: checkpoint {arr.shape}, model {p.data.shape}")
-        if not np.isfinite(arr).all():
-            raise error(f"checkpoint parameter {p.name!r} holds NaN or Inf")
-        p.data = np.array(arr)
+        p.data = np.array(checkpoint_array(arrays, p.name, p.data.shape, error))
 
 
-def _safe_rows(raw: np.ndarray, vocab: int) -> np.ndarray:
-    """Map raw ids into table rows: row 0 is the shared out-of-vocab slot."""
-    return np.where((raw >= 0) & (raw < vocab), raw + 1, 0)
+def _safe_rows(raw: np.ndarray, vocab: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Map each column's raw ids into its range of the stacked table: an id in
+    [0, vocab) is row raw + first + 1, any other the out-of-vocab row first."""
+    return np.where((raw >= 0) & (raw < vocab), raw + (first + 1), first)
 
 
 class Linear:
@@ -173,8 +179,10 @@ class ModelOutput:
 
 
 class EmbeddingBundle:
-    """The shared embedding assembly every model kind is built on: one table
-    per id column, each with a dedicated out-of-vocab row 0."""
+    """The shared embedding assembly every model kind is built on: one table,
+    `embeddings.rows`, in which each id column (user, item, scene, region,
+    period, then each feature column) owns a range of rows, its out-of-vocab
+    row first. A checkpoint stores each range by its column (`user_emb.rows`)."""
 
     def __init__(self, space: FeatureSpace, dim: int, rng: np.random.Generator):
         self.space = space
@@ -182,23 +190,33 @@ class EmbeddingBundle:
         names = ["user", "item", "scene", "region", "period", *(f"feat{c}" for c in range(space.n_feature_cols))]
         vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
         vocab += [space.n_feature_buckets] * space.n_feature_cols
-        self.rows = [Parameter(rng.normal(0.0, 0.1, size=(v + 1, dim)), f"{n}_emb.rows") for n, v in zip(names, vocab)]
+        bounds = np.cumsum([0] + [v + 1 for v in vocab]).tolist()
+        # one draw gives each range the numbers a draw per range in column order would
+        self.rows = Parameter(rng.normal(0.0, 0.1, size=(bounds[-1], dim)), "embeddings.rows")
+        self.ranges = {f"{n}_emb.rows": (start, end) for n, start, end in zip(names, bounds, bounds[1:])}
         self._vocab = np.array(vocab)
+        self._first = np.array(bounds[:-1])
 
     @property
     def out_dim(self) -> int:
-        return len(self.rows) * self.dim
+        return len(self.ranges) * self.dim
 
     def assemble(self, batch: Dataset) -> Tensor:
-        """The embeddings of every id column of the rows, side by side (user,
-        item, scene, region, period, then each feature column): all ids mapped
-        to table rows at once, then one `ad.gather_rows` node over the
-        tables."""
+        """The embeddings of every id column of the rows, side by side: all
+        ids mapped to table rows at once, then one `ad.gather_rows` node."""
         ids = np.column_stack((batch.user, batch.item, batch.scene, batch.region, batch.period, batch.features))
-        return ad.gather_rows(self.rows, _safe_rows(ids, self._vocab))
+        return ad.gather_rows(self.rows, _safe_rows(ids, self._vocab, self._first))
 
-    def parameters(self) -> list[Parameter]:
-        return list(self.rows)
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        """Each column's range of the table, a view, by its checkpoint name."""
+        return {name: self.rows.data[start:end] for name, (start, end) in self.ranges.items()}
+
+    def restore(self, arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
+        """Fill a new table, range by range, with each `checkpoint_array`."""
+        table = np.empty(self.rows.data.shape)
+        for name, (start, end) in self.ranges.items():
+            table[start:end] = checkpoint_array(arrays, name, (end - start, self.dim), error)
+        self.rows.data = table
 
 
 class MultiTaskModel:
@@ -213,7 +231,7 @@ class MultiTaskModel:
         self.seed = seed
         self.rng = init_generator(seed, 0xB0DE)
         self.embeddings = EmbeddingBundle(space, config.embed_dim, self.rng)
-        self._params: list[Parameter] = list(self.embeddings.parameters())
+        self._params: list[Parameter] = [self.embeddings.rows]
 
     def _register(self, *components) -> None:
         for c in components:
@@ -223,7 +241,8 @@ class MultiTaskModel:
         return list(self._params)
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self._params}
+        """Every array by its checkpoint name: the table's ranges, then the rest."""
+        return {**self.embeddings.named_parameters(), **{p.name: p.data for p in self._params[1:]}}
 
     def set_trainable(self, trainable: bool) -> None:
         for p in self._params:
@@ -244,8 +263,9 @@ class MultiTaskModel:
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from `arrays` (extra names are ignored), one
         copy per array. A model built with seed=None drew no init for this to
-        overwrite. A bad array is a `ModelError` (see `restore_parameters`)."""
-        restore_parameters(self._params, arrays, ModelError)
+        overwrite. A bad array is a `ModelError` (see `checkpoint_array`)."""
+        self.embeddings.restore(arrays, ModelError)
+        restore_parameters(self._params[1:], arrays, ModelError)
 
     def _heads(self, tasks: tuple[str, ...]) -> list[Linear]:
         # one logit layer per task, named `.l0` as when each head was a
@@ -394,7 +414,7 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     """A model of `config.kind` over `space`. A seed draws its init (the same
     draws for the same seed); seed=None draws nothing and leaves every
     parameter zero for `restore` to fill, so a restored model does not depend
-    on any seed. Until that restore, its drawn parameters (every table and
+    on any seed. Until that restore, its drawn parameters (the table and every
     weight; biases are plain zeros) are read-only views that allocate
     nothing."""
     config.validate()

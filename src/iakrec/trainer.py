@@ -89,11 +89,11 @@ def pretrain(
     """Train the model on the full multi-domain stream. Returns the training
     curve as (step, loss, loss_ctr, loss_ctcvr) rows; ceil(N/B) steps per
     epoch. Every step is one `ad.adagrad_decay_step`. The first lays the
-    model's parameters out, the dense weights and biases as a one-row
-    `ad.Arena` and the embedding tables as one stacked table, so from then
-    on every parameter's array is a view of the layout's; the values are
-    unchanged. Each step then makes one pass over the arena and one over the
-    table rows its batch touched."""
+    dense weights and biases out as a one-row `ad.Arena`, so from then on
+    each one's array is a view of the arena's; the values are unchanged. The
+    model's one embedding table keeps its array, and no table is copied.
+    Each step then makes one pass over the arena and one over the table rows
+    its batch touched."""
     config.validate()
     if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")

@@ -1,13 +1,13 @@
 """Reference dense layers, embedding lookups and gates: the chains of nodes
-`ad.linear`, `ad.segment_linear`, the table-list `ad.gather_rows` and
+`ad.linear`, `ad.segment_linear`, the (B, T)-row `ad.gather_rows` and
 `ad.gate_mix` fuse into one. A dense layer is matmul, then mul by the
 scale, then the bias add, then leaky_relu, each its own autodiff node; a
-segment layer does the matmul and the bias add per segment; a lookup over
-several tables is one single-table lookup per table, then concat; a gate is
-a softmax, then per expert a slice of its weights and a mul, summed by
-adds. The fused primitives must equal these bit for bit, values and
-gradients; tests compare against them and patch them in for the fused
-ones."""
+segment layer does the matmul and the bias add per segment; a lookup of T
+id columns is one 1-d lookup per column into its range of the table, then
+concat; a gate is a softmax, then per expert a slice of its weights and a
+mul, summed by adds. The fused primitives must equal these bit for bit,
+values and gradients; tests compare against them and patch them in for the
+fused ones."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from iakrec import autodiff as ad
 
-_gather_rows = ad.gather_rows  # the single-table lookup, kept when a test patches the fused one
+_gather_rows = ad.gather_rows  # the 1-d lookup, kept when a test patches the fused one
 
 
 def matmul(a, b) -> ad.Tensor:
@@ -87,11 +87,12 @@ def composed_segment_linear(x, w, b, offsets, slope=None, scale=None) -> ad.Tens
                   lambda x, b: segment_add(x, b, offsets))
 
 
-def composed_gather_rows(tables, rows) -> ad.Tensor:
-    """Column t of the (B, T) `rows` looked up in table t, one node per
-    table, then concatenated."""
+def composed_gather_rows(table, rows) -> ad.Tensor:
+    """Each column of the (B, T) `rows`, which lie in that column's range of
+    the table, looked up on its own, one node and one recorded row-gradient
+    pair per column, then concatenated."""
     rows = np.asarray(rows)
-    return ad.concat([_gather_rows(t, rows[:, c]) for c, t in enumerate(tables)], axis=1)
+    return ad.concat([_gather_rows(table, rows[:, c]) for c in range(rows.shape[1])], axis=1)
 
 
 def softmax(a, axis: int = -1) -> ad.Tensor:

@@ -208,7 +208,7 @@ def test_mlp_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize(
     "op",
-    ["softmax", "concat", "slice", "gather", "gather_nonleaf", "gather_and_dense",
+    ["softmax", "concat", "slice", "gather", "gather_2d", "gather_and_dense",
      "softplus", "square", "mean_mul"],
 )
 def test_individual_op_gradients(op):
@@ -224,8 +224,8 @@ def test_individual_op_gradients(op):
             return ad.reduce_sum(square(ad.slice_cols(w, 1, 3)))
         if op == "gather":
             return ad.reduce_sum(square(ad.gather_rows(w, np.array([0, 2, 2, 1]))))
-        if op == "gather_nonleaf":
-            return ad.reduce_sum(square(ad.gather_rows(ad.mul(w, 2.0), np.array([3, 1, 1]))))
+        if op == "gather_2d":
+            return ad.reduce_sum(square(ad.gather_rows(w, np.array([[3, 1], [1, 1], [0, 3]]))))
         if op == "gather_and_dense":
             rows = ad.gather_rows(w, np.array([1, 1, 3]))
             return ad.add(ad.reduce_sum(square(rows)), ad.reduce_sum(ad.mul(w, ad.Tensor(rng2))))
@@ -345,8 +345,7 @@ def test_touched_grad_paths_agree_bitwise(data):
         for rows, values in recorded:
             p.add_row_grad(rows, values)
         touched.append(touched_grad(p))
-        touched.append(ad._segment_sum(np.concatenate([r for r, _ in recorded]),
-                                       np.concatenate([v for _, v in recorded]), table_rows))
+        touched.append(ad._segment_sum(p))
     rows_a, g_a = touched[0]
     for rows_b, g_b in touched[1:]:
         assert rows_a.tobytes() == rows_b.tobytes()
@@ -395,10 +394,42 @@ def test_gather_records_rows_and_reads_dense():
     np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [0, 0], [0, 0], [3, 3]])
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (2, 0), ()])
-def test_gather_takes_only_1d_indices(shape):
-    with pytest.raises(ad.ShapeError, match="1-d"):
-        ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64))
+def test_gather_with_2d_rows_records_one_pair_viewing_the_output_gradient():
+    """(B, T) rows give the T looked-up rows of each of the B side by side,
+    and backward records one (rows, values) pair on the table: the rows in
+    (b, t) order and a view of the output's gradient, not a copy."""
+    w = ad.Parameter(np.arange(10.0).reshape(5, 2), "w")
+    rows = np.array([[4, 0, 1], [1, 1, 3]])
+    out = ad.gather_rows(w, rows)
+    np.testing.assert_array_equal(out.data, [[8, 9, 0, 1, 2, 3], [2, 3, 2, 3, 6, 7]])
+    ad.backward(ad.reduce_sum(ad.mul(out, np.arange(12.0).reshape(2, 6))))
+    ((recorded_rows, values),) = w._row_grads
+    np.testing.assert_array_equal(recorded_rows, [4, 0, 1, 1, 1, 3])
+    assert values.shape == (6, 2) and np.shares_memory(values, out.grad)
+    np.testing.assert_array_equal(w.grad, [[2, 3], [18, 21], [0, 0], [10, 11], [0, 1]])
+
+
+@pytest.mark.parametrize("shape, out_shape", [((2, 2), (2, 4)), ((3, 1), (3, 2)), ((2, 0), (2, 0)), ((0,), (0, 2)),
+                                              ((0, 3), (0, 6))])
+def test_gather_takes_1d_or_2d_rows(shape, out_shape):
+    assert ad.gather_rows(np.ones((4, 2)), np.zeros(shape, dtype=np.int64)).shape == out_shape
+
+
+@pytest.mark.parametrize("table_shape, rows_shape", [((4, 2), ()), ((4, 2), (2, 2, 1)), ((4,), (2,)),
+                                                   ((4, 2, 1), (2,))])
+def test_gather_takes_a_2d_table_and_1d_or_2d_rows(table_shape, rows_shape):
+    with pytest.raises(ad.ShapeError, match="needs a 2-d table and 1-d or 2-d rows"):
+        ad.gather_rows(np.ones(table_shape), np.zeros(rows_shape, dtype=np.int64))
+
+
+def test_gather_from_a_table_that_needs_a_gradient_but_is_no_parameter_raises():
+    """Backward records row gradients, which only a `Parameter` holds: an
+    intermediate that needs a gradient is rejected before anything is
+    looked up. A graph-free tensor is looked up as any array."""
+    w = ad.Parameter(np.ones((4, 3)), "w")
+    with pytest.raises(ad.ShapeError, match="must be a Parameter"):
+        ad.gather_rows(ad.mul(w, 2.0), np.array([3, 1, 1]))
+    assert ad.gather_rows(ad.Tensor(np.ones((4, 3))), np.array([3, 1])).shape == (2, 3)
 
 
 @pytest.mark.parametrize("row", [-1, 4, -5, 2**40])
@@ -406,8 +437,7 @@ def test_gather_rejects_a_row_outside_its_table(row):
     with pytest.raises(ad.ShapeError, match="index out of range"):
         ad.gather_rows(np.ones((4, 2)), np.array([0, row, 3]))
     with pytest.raises(ad.ShapeError, match="index out of range"):
-        ad.gather_rows([np.ones((9, 2)), np.ones((4, 3))], np.array([[8, 3], [1, row]]))
-    assert ad.gather_rows([np.ones((9, 2)), np.ones((4, 3))], np.empty((0, 2), dtype=np.int64)).shape == (0, 5)
+        ad.gather_rows(np.ones((4, 2)), np.array([[3, 3], [1, row]]))
 
 
 def _bad_tensor(bad, requires_grad=True):
@@ -416,6 +446,15 @@ def _bad_tensor(bad, requires_grad=True):
     t = ad.Tensor(np.ones((2, 2)), requires_grad=requires_grad)
     t.data[0, 1] = bad  # past the constructor's own check
     return t
+
+
+def _as_table(t):
+    """A `Parameter` holding t's data, NaN or Inf included, trainable when t
+    records a graph: `gather_rows` looks up only Parameters that need a
+    gradient."""
+    table = ad.Parameter(np.zeros(t.shape), "table", trainable=t.requires_grad)
+    table.data = t.data
+    return table
 
 
 PRIMITIVES = {
@@ -435,7 +474,7 @@ PRIMITIVES = {
     "slice_cols": lambda x: ad.slice_cols(x, 1, 2),
     "sum": ad.reduce_sum,
     "mean": reduce_mean,
-    "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
+    "gather_rows": lambda x: ad.gather_rows(_as_table(x), np.array([[0, 1], [1, 1]])),
     "linear": lambda x: ad.linear(x, np.ones((2, 3)), np.ones(3), slope=0.01, scale=0.5),
     "segment_linear": lambda x: ad.segment_linear(x, np.ones((2, 2, 3)), np.ones((2, 3)), [0, 1, 2], 0.01, 0.5),
     "segment_sum": lambda x: segment_sum(x, [0, 2]),

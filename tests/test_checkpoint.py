@@ -69,7 +69,9 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp(tmp_path):
 
 def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
     """A loaded array is a read-only view of the file's bytes; a restored
-    backbone or adapter parameter owns writable, aligned float64 data."""
+    backbone or adapter parameter (the backbone's one table among them)
+    owns writable, aligned float64 data, and every named array holds its
+    loaded bytes."""
     space = FeatureSpace(n_users=9, n_items=7, n_scenes=2, n_regions=2, n_periods=3)
     model_cfg, iak_cfg = ModelConfig(kind="base", hidden_sizes=(6, 3)), IAKConfig(d_e=3, decoder_hidden=(4,))
     model = build_model(model_cfg, space, seed=0)
@@ -84,12 +86,12 @@ def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
     clone = build_model(model_cfg, space, seed=None)
     clone.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
     (restored,) = adapters_from_arrays(arrays, clone.rep_dim, clone.n_heads, iak_cfg).values()
-    params = clone.parameters() + restored.parameters()
-    assert len(params) == len(arrays)
-    for p in params:
+    named = {**clone.named_parameters(), **restored.named_parameters()}
+    assert sorted(named) == sorted(arrays)
+    assert all(named[name].tobytes() == arrays[name].tobytes() for name in arrays)
+    for p in clone.parameters() + restored.parameters():
         flags = p.data.flags
         assert p.data.dtype == np.float64 and flags.owndata and flags.writeable and flags.aligned, p.name
-        assert p.data.tobytes() == arrays[p.name].tobytes()
 
 
 def test_a_parameter_stored_twice_is_rejected_by_name(tmp_path):
@@ -146,14 +148,14 @@ def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_one_co
     (arrays, _), load_peak = _traced_peak(lambda: load_checkpoint(path))
     assert load_peak < size / 100
     blank, build_peak = _traced_peak(lambda: build_model(cfg, space, seed=None))
-    table = blank.embeddings.rows[0].data
+    table = blank.named_parameters()["user_emb.rows"]
     assert table.nbytes > size / 2 and build_peak < table.nbytes / 4
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
     _, restore_peak = _traced_peak(lambda: blank.restore(arrays))
     payload = sum(a.nbytes for a in arrays.values())
     assert payload <= restore_peak < 1.25 * payload
-    assert blank.embeddings.rows[0].data.tobytes() == arrays["user_emb.rows"].tobytes()
+    assert blank.named_parameters()["user_emb.rows"].tobytes() == arrays["user_emb.rows"].tobytes()
 
 
 def _model_and_adapter():
@@ -179,6 +181,29 @@ def test_a_hand_written_version_1_file_restores_bit_for_bit(tmp_path):
     got = {**clone.named_parameters(), **restored.named_parameters()}
     assert sorted(got) == sorted(saved)
     assert all(got[k].tobytes() == saved[k].tobytes() for k in saved)
+
+
+def test_a_file_in_the_backbone_block_order_restores_and_saves_back_byte_for_byte(tmp_path):
+    """A backbone checkpoint written by hand in the block order backbones
+    are saved in (one table per id column, `user_emb.rows` to
+    `feat3_emb.rows`, each its vocabulary plus an out-of-vocab row, then the
+    dense weights and biases) restores into a blank build, and
+    `save_checkpoint` of the restored model writes the file back byte for
+    byte."""
+    model, _, model_cfg, space, _ = _model_and_adapter()
+    rng = np.random.default_rng(5)
+    columns = [("user", space.n_users), ("item", space.n_items), ("scene", space.n_scenes),
+               ("region", space.n_regions), ("period", space.n_periods)]
+    columns += [(f"feat{c}", space.n_feature_buckets) for c in range(space.n_feature_cols)]
+    blocks = [(f"{name}_emb.rows", rng.normal(size=(vocab + 1, model_cfg.embed_dim))) for name, vocab in columns]
+    blocks += [(p.name, rng.normal(size=p.data.shape)) for p in model.parameters() if not p.name.endswith("rows")]
+    blob = checkpoint_bytes(blocks, "digest")
+    (tmp_path / "hand.ckpt").write_bytes(blob)
+    arrays, digest = load_checkpoint(tmp_path / "hand.ckpt")
+    clone = build_model(model_cfg, space, seed=None)
+    clone.restore(arrays)
+    save_checkpoint(tmp_path / "again.ckpt", clone.named_parameters(), digest)
+    assert (tmp_path / "again.ckpt").read_bytes() == blob
 
 
 @pytest.mark.parametrize("name", ["user_emb.rows", "stacked_logits.b", "adapter/period=1/dec_out.w"])

@@ -143,6 +143,31 @@ def test_bad_optimizer_setting_exits_5_before_the_split_is_read(workdir, monkeyp
     assert not any(p.name.startswith(f"{command}-") for p in workdir.iterdir())
 
 
+# every input named is missing, so opening any of them first would be exit 4
+MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
+                  "finetune": ["--data", "missing.jsonl", "--backbone", "missing.ckpt"],
+                  "eval": ["--data", "missing.jsonl", "--checkpoint", "missing.ckpt"],
+                  "serve": ["--checkpoint", "missing.ckpt"]}
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("pretrain", "model.kind=nope", "unknown model kind 'nope'"),
+    ("finetune", "model.kind=nope", "unknown model kind 'nope'"),
+    ("finetune", "iak.d_e=0", "d_e must be >= 1"),
+    ("eval", "model.n_experts=0", "n_experts must be >= 1"),
+    ("serve", "model.hidden_sizes=4,0", "hidden sizes must be positive"),
+])
+def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workdir, capsys, command, setting,
+                                                                          message):
+    """Each command checks the config sections it reads (`model.*`, and in
+    `finetune` also `iak.*`) before it opens an input: a bad value is a
+    one-line data error (exit 5), not the path error of the missing
+    inputs, and `finetune` never runs a backbone pass first."""
+    assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
 @pytest.mark.parametrize("keep", [3, 20, -5])  # inside the magic, the header, the last array
 def test_truncated_checkpoint_exits_5(workdir, keep):
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
@@ -453,10 +478,10 @@ def test_forbidden_init_draws_trip_a_seeded_build(forbid_init_draws):
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypatch, kind, forbid_init_draws):
-    """Every backbone and adapter parameter restored by `eval`, `finetune`
-    and `serve` is bitwise its checkpoint array, held in its own writable
-    copy (no view of the arrays it was restored from), and the restore draws
-    no init."""
+    """Every backbone and adapter array restored by `eval`, `finetune` and
+    `serve` is bitwise its checkpoint array, held in writable memory that
+    its parameter owns (the backbone's table holds its ranges; no view of
+    the arrays it was restored from), and the restore draws no init."""
     cfg = RunConfig({**TINY_SIZES, "model.kind": kind})
     arrays = _checkpoint_arrays(cfg, seed=3)
     save_checkpoint(tmp_path / "m.ckpt", arrays, cfg.digest())
@@ -475,8 +500,10 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypat
     assert not any(p.trainable for p in adapters["period=0"].parameters())
     for name, data in restored.items():
         assert data.dtype == np.float64 and data.tobytes() == arrays[name].tobytes(), name
-        assert data.flags.owndata and data.flags.writeable, name
+        assert data.flags.writeable, name
         assert not np.shares_memory(data, loaded[name]), name
+    for p in model.parameters() + adapters["period=0"].parameters():
+        assert p.data.flags.owndata and p.data.flags.writeable, p.name
 
 
 def test_restored_adapter_scores_record_no_graph(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from iakrec import autodiff as ad
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from iakrec.models import FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
+from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
 from iakrec.datagen import Dataset
 from iakrec.router import DomainRouter, ScoreRequest
 from iakrec.trainer import pretrain_step
@@ -34,7 +34,7 @@ def composed(monkeypatch):
 
 @pytest.fixture
 def composed_lookups(monkeypatch):
-    """Run the embedding assembly as one lookup node per table plus concat."""
+    """Run the embedding assembly as one lookup node per id column plus concat."""
     monkeypatch.setattr(ad, "gather_rows", composed_gather_rows)
 
 
@@ -89,9 +89,9 @@ def test_pretrain_step_is_fused_and_equals_the_composed_layers(graph_sizes, requ
     fused = _pretrain_step()
     request.getfixturevalue("composed")
     assert _pretrain_step() == fused
-    # 54 nodes fused; the composed layers add a bias node per dense layer and
+    # 46 nodes fused; the composed layers add a bias node per dense layer and
     # an activation node per hidden layer
-    assert graph_sizes == [54, 73]
+    assert graph_sizes == [46, 65]
 
 
 def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
@@ -99,7 +99,7 @@ def test_pretrain_step_equals_the_composed_losses(graph_sizes, request):
     request.getfixturevalue("composed_losses")
     assert _pretrain_step() == fused
     # each task's cross-entropy is one node in place of nine
-    assert graph_sizes == [54, 70]
+    assert graph_sizes == [46, 62]
 
 
 def test_pretrain_step_equals_the_composed_lookups(graph_sizes, request):
@@ -107,7 +107,7 @@ def test_pretrain_step_equals_the_composed_lookups(graph_sizes, request):
     request.getfixturevalue("composed_lookups")
     assert _pretrain_step() == fused
     # the embedding assembly is one node in place of nine lookups and a concat
-    assert graph_sizes == [54, 63]
+    assert graph_sizes == [46, 55]
 
 
 @pytest.mark.parametrize("n_experts", [2, 3])
@@ -222,25 +222,44 @@ def test_lone_adapter_step_equals_the_composed_losses(request, beta):
 
 
 def _lookup_step(gather):
-    """Output bytes, gradients and post-step parameter bytes of one Adagrad
-    step through `gather` over three Parameter tables and a non-Parameter
-    one (a product of a Parameter). The rows come from raw ids holding an
-    out-of-vocab id, a -1 pad and a repeated id."""
+    """The number of row-gradient pairs recorded, then the output's bytes,
+    the summed gradient of the touched rows and the table's bytes after one
+    Adagrad step, of a lookup through `gather` into one table of four
+    column ranges. The rows come from raw ids holding an out-of-vocab id, a
+    -1 pad and a repeated id."""
     rng = np.random.default_rng(8)
-    params = [ad.Parameter(rng.normal(size=(v + 1, d)), f"t{k}") for k, (v, d) in enumerate([(6, 3), (3, 2), (4, 3), (2, 2)])]
-    tables = [params[0], params[1], ad.mul(params[2], 2.0), params[3]]
+    vocab = np.array([6, 3, 4, 2])
+    first = np.concatenate(([0], np.cumsum(vocab + 1)[:-1]))
+    table = ad.Parameter(rng.normal(size=(int((vocab + 1).sum()), 3)), "table")
     raw = np.array([[0, 2, 1, -1], [6, -1, 3, 0], [2, 2, 9, 1], [5, 0, -1, -1]])
-    out = gather(tables, _safe_rows(raw, np.array([6, 3, 4, 2])))
+    out = gather(table, _safe_rows(raw, vocab, first))
     ad.backward(ad.reduce_sum(ad.mul(out, rng.normal(size=out.shape))))
-    grads = [("dense" if rows is ... else rows.tobytes(), g.tobytes()) for rows, g in map(touched_grad, params)]
-    ad.adagrad_decay_step(params, ad.AdagradDecayState(), lr=0.05)
-    return out.data.tobytes(), grads, [p.data.tobytes() for p in params]
+    n_pairs = len(table._row_grads)
+    rows, g = touched_grad(table)
+    ad.adagrad_decay_step([table], ad.AdagradDecayState(), lr=0.05)
+    return n_pairs, (out.data.tobytes(), rows.tobytes(), g.tobytes(), table.data.tobytes())
 
 
-def test_table_list_gather_rows_equals_per_table_lookups_and_concat_bitwise():
-    fused = _lookup_step(ad.gather_rows)
-    assert fused == _lookup_step(composed_gather_rows)
-    assert [rows == "dense" for rows, _ in fused[1]] == [False, False, True, False]
+def test_gather_rows_equals_a_lookup_per_column_and_concat_bitwise():
+    (fused_pairs, fused), (composed_pairs, composed) = _lookup_step(ad.gather_rows), _lookup_step(composed_gather_rows)
+    assert fused == composed
+    assert (fused_pairs, composed_pairs) == (1, 4)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_a_pretrain_step_makes_one_lookup_whose_gradient_the_table_holds_uncopied(kind, monkeypatch):
+    """One pretrain step of each kind calls `ad.gather_rows` once, and the
+    table then holds one row-gradient pair whose values share memory with
+    that lookup's output gradient."""
+    lookups = []
+    gather = ad.gather_rows
+    monkeypatch.setattr(ad, "gather_rows", lambda *a: lookups.append(gather(*a)) or lookups[-1])
+    model = build_model(ModelConfig(kind=kind), SPACE, seed=1)
+    pretrain_step(model, _batch(64, 1), ad.AdagradDecayState(), 0.05)
+    (out,) = lookups
+    ((rows, values),) = model.embeddings.rows._row_grads
+    assert rows.shape == (64 * 9,) and values.shape == (64 * 9, model.config.embed_dim)
+    assert np.shares_memory(values, out.grad)
 
 
 def test_assemble_is_one_lookup_node_equal_to_a_lookup_per_id_column():
@@ -249,12 +268,17 @@ def test_assemble_is_one_lookup_node_equal_to_a_lookup_per_id_column():
     batch = encode_records(_batch(30, 2), space)  # user ids 20 and 21 are out of vocab; two -1 feature pads
     emb = model.embeddings
     columns = [batch.user, batch.item, batch.scene, batch.region, batch.period, *batch.features.T]
+    names = ["user", "item", "scene", "region", "period", *(f"feat{c}" for c in range(space.n_feature_cols))]
     vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
     vocab += [space.n_feature_buckets] * space.n_feature_cols
-    per_column = ad.concat([ad.gather_rows(t, _safe_rows(c, v)) for t, c, v in zip(emb.rows, columns, vocab)])
+    # each column's ids looked up in its own range, a view of the table whose
+    # row 0 is the out-of-vocab row
+    ranges = model.named_parameters()
+    per_column = ad.concat([ad.gather_rows(ranges[f"{n}_emb.rows"], np.where((c >= 0) & (c < v), c + 1, 0))
+                            for n, c, v in zip(names, columns, vocab)])
     out = emb.assemble(batch)
     assert out.data.tobytes() == per_column.data.tobytes()
-    assert out._parents == tuple(emb.parameters())
+    assert out._parents == (emb.rows,)
     assert (batch.user >= 20).any() and (batch.features[:, 4:] == -1).all()
 
 

@@ -276,22 +276,39 @@ PARAMETER_NAMES = {
 
 @pytest.mark.parametrize("kind", sorted(PARAMETER_NAMES))
 def test_parameter_names_and_order_are_pinned(kind):
-    """The ordered (name, shape) list of each kind at a small config. A
-    checkpoint or an experiment's cached backbone stores its arrays by these
-    names, so one written by an earlier build loads only while they hold."""
+    """The ordered (name, shape) list of each kind's checkpoint arrays at a
+    small config. A checkpoint or an experiment's cached backbone stores its
+    arrays by these names, so one written by an earlier build loads only
+    while they hold. The parameters are the one stacked table, which the
+    embedding names are ranges of in order, then the dense ones."""
     space = FeatureSpace(n_users=5, n_items=4, n_scenes=2, n_regions=2, n_periods=3, n_feature_buckets=3,
                          n_feature_cols=2)
     model = build_model(ModelConfig(kind=kind, hidden_sizes=(4, 2), embed_dim=3), space, seed=0)
-    assert [(p.name, p.data.shape) for p in model.parameters()] == PARAMETER_NAMES[kind]
+    named = model.named_parameters()
+    assert [(name, a.shape) for name, a in named.items()] == PARAMETER_NAMES[kind]
+    table, *dense = model.parameters()
+    assert (table.name, table.data.shape) == ("embeddings.rows", (29, 3)) and table is model.embeddings.rows
+    assert [(p.name, p.data.shape) for p in dense] == PARAMETER_NAMES[kind][len(_EMBEDDINGS):]
+    # each name is a view of its range: writes through the views tile the table
+    for k, (name, (n_rows, _)) in enumerate(_EMBEDDINGS):
+        named[name][...] = k
+    sizes = [n_rows for _, (n_rows, _) in _EMBEDDINGS]
+    assert table.data.tolist() == [[k] * 3 for k, n in enumerate(sizes) for _ in range(n)]
 
 
 def test_seeded_build_draws_its_init():
-    """A seed draws the init it always drew: the user table is the first
-    draw of the model's own generator, bit for bit."""
+    """A seed draws the init it always drew: each column's range of the
+    table is the next draw of the model's own generator in column order, as
+    when each was a table of its own, and the first dense weight after them
+    draws what it drew after the nine tables, bit for bit."""
     model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=6)
     rng = np.random.default_rng(np.random.SeedSequence([6, 0xB0DE]))
-    want = rng.normal(0.0, 0.1, size=(SPACE.n_users + 1, model.config.embed_dim))
-    assert model.embeddings.rows[0].data.tobytes() == want.tobytes()
+    tables = [a for name, a in model.named_parameters().items() if name.endswith("_emb.rows")]
+    assert len(tables) == 9 and tables[0].shape == (SPACE.n_users + 1, model.config.embed_dim)
+    for table in tables:
+        assert table.tobytes() == rng.normal(0.0, 0.1, size=table.shape).tobytes()
+    w = model.core.experts[0].layers[0].w.data
+    assert w.tobytes() == rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape).tobytes()
 
 
 def test_unseeded_build_is_zero_until_restored(any_model):

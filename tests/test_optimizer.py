@@ -1,9 +1,9 @@
 """`ad.adagrad_decay_step` lays its parameters out at its first step, the
-dense weights and biases as a one-row `ad.Arena` and the embedding tables as
-one stacked table, and steps each in one pass. It must leave every parameter
-and every piece of optimizer state exactly where a step per parameter
-(`optimizer_reference`) leaves them, and fail loudly on a step the layout
-does not fit."""
+dense weights and biases as a one-row `ad.Arena` and each embedding table
+(pretraining's one) where it is, and steps each in one pass. It must leave
+every parameter and every piece of optimizer state exactly where a step per
+parameter (`optimizer_reference`) leaves them, and fail loudly on a step the
+layout does not fit."""
 
 import copy
 
@@ -21,8 +21,8 @@ from iakrec.trainer import pretrain_step
 from optimizer_reference import reference_adagrad_decay_step, touched_grad
 
 SPACE = FeatureSpace(n_users=30, n_items=20, n_scenes=2, n_regions=3, n_periods=3)
-# parameters per kind: 9 embedding tables plus the dense weights and biases
-N_PARAMS = {"shared_bottom": 23, "esmm": 25, "mmoe": 33, "base": 31}
+# parameters per kind: the one embedding table plus the dense weights and biases
+N_PARAMS = {"shared_bottom": 15, "esmm": 17, "mmoe": 25, "base": 23}
 
 
 def _batch(n, seed, space=SPACE):
@@ -45,7 +45,7 @@ def _state_bytes(state, tables):
 
 # -- the layout against the step per parameter --------------------------------
 
-SHAPES = {"table": lambda rng: (int(rng.integers(1, 7)), 3),
+SHAPES = {"table": lambda rng: (int(rng.integers(1, 7)), int(rng.integers(1, 4))),
           "matrix": lambda rng: (int(rng.integers(1, 4)), int(rng.integers(1, 4))),
           "vector": lambda rng: (int(rng.integers(1, 5)),), "scalar": lambda rng: ()}
 # what a parameter records at a step, by its kind: a dense one a gradient
@@ -83,12 +83,12 @@ def _record(p, mode, rng):
        plan=st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 def test_arena_step_equals_a_step_per_parameter_bitwise(kinds, plan, seed):
-    """Random lists of scalars, vectors, matrices and equal-width tables, with
-    values and gradients holding zeros of both signs, over 1-5 steps. Every
-    dense member records a gradient at every step; a table records lookups
-    shorter or longer than itself, or after the first step none, so its
-    untouched rows catch their decay up later. Every parameter, every
-    accumulator and the tables' last-step rows end where the reference
+    """Random lists of scalars, vectors, matrices and tables of 1-3 columns,
+    with values and gradients holding zeros of both signs, over 1-5 steps.
+    Every dense member records a gradient at every step; a table records one
+    or two lookups shorter or longer than itself, or after the first step
+    none, so its untouched rows catch their decay up later. Every parameter,
+    every accumulator and the tables' last-step rows end where the reference
     leaves them, bit for bit."""
     rng = np.random.default_rng(seed)
     params = [ad.Parameter(_values(rng, SHAPES[kind](rng)), f"{kind}{k}") for k, kind in enumerate(kinds)]
@@ -123,8 +123,7 @@ def test_pretrain_equals_a_step_per_parameter_bitwise(kind, monkeypatch):
             m.setattr(ad, "adagrad_decay_step", step_fn)
             for step in range(5):
                 pretrain_step(model, _batch(16 + 40 * (step % 2), step), state, 0.05)
-        tables = [p.name for p in model.parameters() if p.name.endswith("_emb.rows")]
-        return [p.data.tobytes() for p in model.parameters()], _state_bytes(state, tables)
+        return [p.data.tobytes() for p in model.parameters()], _state_bytes(state, ["embeddings.rows"])
 
     assert train(ad.adagrad_decay_step) == train(reference_adagrad_decay_step)
 
@@ -285,7 +284,7 @@ def test_parameters_of_one_step_need_distinct_names():
         ad.adagrad_decay_step([a, b], ad.AdagradDecayState(), 0.05)
 
 
-# -- the layout: one arena and one table, every parameter stepped -------------
+# -- the layout: one arena and the one table, every parameter stepped ---------
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
@@ -308,12 +307,11 @@ def test_a_base_pretrain_step_makes_one_update_per_arena(monkeypatch):
     calls = []
     update = ad.adagrad_update
     monkeypatch.setattr(ad, "adagrad_update", lambda data, *a: calls.append(data.shape) or update(data, *a))
-    tables = [p for p in model.parameters() if p.name.endswith("_emb.rows")]
-    n_dense = sum(p.size for p in model.parameters()) - sum(p.size for p in tables)
+    table, *dense = model.parameters()
     for step in range(3):
         calls.clear()
         pretrain_step(model, _batch(32, step), state, 0.05)
-        assert calls == [(1, n_dense), (sum(p.data.shape[0] for p in tables), model.config.embed_dim)]
+        assert calls == [(1, sum(p.size for p in dense)), table.data.shape]
 
     model.set_trainable(False)
     adapters = [IAKAdapter(model.rep_dim, model.n_heads, IAKConfig(d_e=4, decoder_hidden=(5,)), {"period": k},
