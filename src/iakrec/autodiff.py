@@ -59,7 +59,9 @@ class NonFiniteError(FloatingPointError):
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    # a broadcast scalar (every stride 0, as `models.ZeroInit` draws) is one
+    # value, checked as such rather than through a table-sized bool array
+    if not np.isfinite(arr.flat[0] if arr.size and not any(arr.strides) else arr).all():
         raise NonFiniteError("tensor data contains NaN or Inf")
     return arr
 

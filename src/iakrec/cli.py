@@ -7,9 +7,10 @@ run directory under --workdir, together with the exact effective config.
 Exit codes: 0 success, 2 usage, 3 config error (a config file that is not
 UTF-8 included), 4 path error (an input that is missing or cannot be read,
 a directory say, an existing run directory, or any other OSError), 5 data or
-schema violation, 1 anything else (a training run or a forward whose values
-overflow to NaN or Inf included, reported on one line). Each command checks
-the config sections it reads before it opens any input.
+schema violation (a config value that parses but is out of range, NaN
+included, naming its field), 1 anything else (a training run or a forward
+whose values overflow to NaN or Inf included, reported on one line). Each
+command checks the config sections it reads before it opens any input.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -155,8 +156,9 @@ def cmd_pretrain(args) -> int:
     model_config, train_config = cfg.model_config(), cfg.train_config()
     model_config.validate()
     train_config.validate()
-    train, _ = _load_split(args, cfg)
+    # built first: a bad seed is an error before the data is read
     model = build_model(model_config, cfg.feature_space(), seed=cfg.get_int("model.seed"))
+    train, _ = _load_split(args, cfg)
     curve = pretrain(model, train, train_config)
     outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")

@@ -200,15 +200,10 @@ class RunConfig:
 
     # section builders ------------------------------------------------------
     def generator_config(self) -> GeneratorConfig:
-        shift_mags = {
-            "scene": self.get_float_list("datagen.scene_shifts"),
-            "region": self.get_float_list("datagen.region_shifts"),
-            "period": self.get_float_list("datagen.period_shifts"),
-        }
-        tilt_mags = {
-            "scene": self.get_float_list("datagen.scene_tilts"),
-            "region": self.get_float_list("datagen.region_tilts"),
-            "period": self.get_float_list("datagen.period_tilts"),
+        magnitudes = {
+            "scene": (self.get_float_list("datagen.scene_shifts"), self.get_float_list("datagen.scene_tilts")),
+            "region": (self.get_float_list("datagen.region_shifts"), self.get_float_list("datagen.region_tilts")),
+            "period": (self.get_float_list("datagen.period_shifts"), self.get_float_list("datagen.period_tilts")),
         }
         latent_dim = self.get_int("datagen.latent_dim")
         seed = self.get_int("datagen.seed")
@@ -219,7 +214,7 @@ class RunConfig:
             latent_dim=latent_dim,
             target_click_rate=self.get_float("datagen.target_click_rate"),
             target_purchase_rate_given_click=self.get_float("datagen.target_purchase_rate_given_click"),
-            domains=make_domains(shift_mags, tilt_mags, latent_dim, seed),
+            domains=make_domains(magnitudes, latent_dim, seed),
             seed=seed,
             records_per_day=self.get_int("datagen.records_per_day"),
         )

@@ -4,7 +4,8 @@ Interactions follow a latent-factor click model: each user and item carries a
 latent vector, and a record's click probability is a sigmoid of their inner
 product after the record's domains modulate the user side and tilt the item
 side. Purchases happen only on clicked impressions. Domain assignment: scene
-and period are drawn per record, region is fixed per user.
+and period are drawn per record, region is fixed per user. A domain's id is
+its row in its topic's shift and tilt tables (`GeneratorConfig.domains`).
 
 A `Dataset` holds records as int64 numpy columns (timestamp, user, item,
 scene, region, period, an (N, F) features block padded with -1, click and
@@ -126,33 +127,26 @@ def _record(timestamp, user, item, scene, region, period, features, click, purch
                              features, click, purchase)
 
 
-@dataclass
-class DomainSpec:
-    topic: str
-    id: int
-    preference_shift: np.ndarray
-    item_popularity_tilt: np.ndarray
-
-    def validate(self, latent_dim: int) -> None:
-        if self.topic not in TOPICS:
-            raise DatasetError(f"unknown topic {self.topic!r}")
-        for name, vec in (("preference_shift", self.preference_shift), ("item_popularity_tilt", self.item_popularity_tilt)):
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (latent_dim,):
-                raise DatasetError(f"{name} of {self.topic}={self.id} must have shape ({latent_dim},)")
-            if not np.isfinite(arr).all():
-                raise DatasetError(f"{name} of {self.topic}={self.id} contains non-finite values")
+def _check_draw_settings(latent_dim: int, seed: int) -> None:
+    if latent_dim < 1:
+        raise DatasetError(f"latent_dim must be >= 1, got {latent_dim}")
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
 class GeneratorConfig:
+    """What `generate` draws from. `domains` maps each topic in TOPICS to its
+    (shifts, tilts): two (n, latent_dim) float arrays whose row i is the
+    preference shift and item popularity tilt of domain i, whose id is i."""
+
     n_users: int
     n_items: int
     n_days: int
     latent_dim: int = 16
     target_click_rate: float = 0.06
     target_purchase_rate_given_click: float = 0.15
-    domains: list[DomainSpec] = field(default_factory=list)
+    domains: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     seed: int = 0
     records_per_day: int = 0  # 0 means one impression per user per day on average
 
@@ -161,33 +155,37 @@ class GeneratorConfig:
             raise DatasetError("degenerate config: need at least one user and one item")
         if self.n_days < 2:
             raise DatasetError("n_days must be >= 2 so a chronological split is possible")
+        if self.records_per_day < 0:
+            raise DatasetError(f"records_per_day must be >= 0, got {self.records_per_day}")
+        _check_draw_settings(self.latent_dim, self.seed)
         for rate in (self.target_click_rate, self.target_purchase_rate_given_click):
             if not 0.0 < rate < 1.0:
                 raise DatasetError(f"rates must lie in (0,1), got {rate}")
         for topic in TOPICS:
-            if not any(d.topic == topic for d in self.domains):
+            shifts, tilts = self.domains.get(topic, ((), ()))
+            if not len(shifts):
                 raise DatasetError(f"at least one domain required for topic {topic!r}")
-        for d in self.domains:
-            d.validate(self.latent_dim)
+            for name, table in (("preference_shift", shifts), ("item_popularity_tilt", tilts)):
+                if np.shape(table) != (len(shifts), self.latent_dim):
+                    raise DatasetError(f"{name} of {topic} must have shape ({len(shifts)}, {self.latent_dim})")
+                finite = np.isfinite(table).all(axis=1)
+                if not finite.all():
+                    raise DatasetError(f"{name} of {topic}={int(np.argmin(finite))} contains non-finite values")
 
-    def topic_ids(self, topic: str) -> list[int]:
-        return sorted(d.id for d in self.domains if d.topic == topic)
 
-
-def make_domains(
-    shift_magnitudes: dict[str, list[float]],
-    tilt_magnitudes: dict[str, list[float]],
-    latent_dim: int,
-    seed: int,
-) -> list[DomainSpec]:
-    """Build DomainSpecs from per-domain signed magnitudes.
+def make_domains(magnitudes: dict[str, tuple[list[float], list[float]]], latent_dim: int,
+                 seed: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The `GeneratorConfig.domains` tables of per-domain signed magnitudes,
+    `{topic: (shift magnitudes, tilt magnitudes)}` for every topic in TOPICS.
 
     Each topic draws one shared direction per vector kind; a domain's vector
     is its magnitude times a mix of that shared direction and a private
     per-domain one. Same-sign magnitudes therefore make domains within a
     topic correlated, opposite signs make the shared component cancel in
     the pooled distribution, and |magnitude| sets how far a domain sits
-    from it; the private component keeps each domain's shift full-rank."""
+    from it; the private component keeps each domain's shift full-rank.
+    Draws: a topic's two shared directions, then each domain's two own."""
+    _check_draw_settings(latent_dim, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     shared_frac = 0.75  # weight of the shared within-topic direction
 
@@ -195,25 +193,18 @@ def make_domains(
         v = rng.normal(size=latent_dim)
         return v / np.linalg.norm(v)
 
-    specs: list[DomainSpec] = []
+    tables = {}
     for topic in TOPICS:
-        shifts = shift_magnitudes.get(topic, [0.0])
-        tilts = tilt_magnitudes.get(topic, [0.0] * len(shifts))
+        shifts, tilts = magnitudes[topic]
         if len(tilts) != len(shifts):
             raise DatasetError(f"{topic}: shift and tilt lists must have equal length")
-        s_shared, t_shared = unit(), unit()
-        for i, (s_mag, t_mag) in enumerate(zip(shifts, tilts)):
-            s_dir = np.sqrt(shared_frac) * s_shared + np.sqrt(1 - shared_frac) * unit()
-            t_dir = np.sqrt(shared_frac) * t_shared + np.sqrt(1 - shared_frac) * unit()
-            specs.append(
-                DomainSpec(
-                    topic=topic,
-                    id=i,
-                    preference_shift=s_mag * s_dir,
-                    item_popularity_tilt=t_mag * t_dir,
-                )
-            )
-    return specs
+        shared = unit(), unit()
+        table = np.empty((2, len(shifts), latent_dim))  # shifts, tilts
+        for i, mags in enumerate(zip(shifts, tilts)):
+            for kind in (0, 1):
+                table[kind, i] = mags[kind] * (np.sqrt(shared_frac) * shared[kind] + np.sqrt(1 - shared_frac) * unit())
+        tables[topic] = (table[0], table[1])
+    return tables
 
 
 def _calibrate_bias(z: np.ndarray, target: float) -> float:
@@ -280,19 +271,6 @@ def generate(config: GeneratorConfig) -> Dataset:
     users = rng.normal(0.0, latent_scale, size=(config.n_users, k))
     items = rng.normal(0.0, latent_scale, size=(config.n_items, k))
 
-    scene_ids = config.topic_ids("scene")
-    region_ids = config.topic_ids("region")
-    period_ids = config.topic_ids("period")
-    by_topic = {(d.topic, d.id): d for d in config.domains}
-    shift = {
-        t: np.stack([by_topic[(t, i)].preference_shift for i in ids])
-        for t, ids in (("scene", scene_ids), ("region", region_ids), ("period", period_ids))
-    }
-    tilt = {
-        t: np.stack([by_topic[(t, i)].item_popularity_tilt for i in ids])
-        for t, ids in (("scene", scene_ids), ("region", region_ids), ("period", period_ids))
-    }
-
     per_day = config.records_per_day if config.records_per_day > 0 else config.n_users
     n = per_day * config.n_days
     day = np.repeat(np.arange(config.n_days), per_day)
@@ -302,19 +280,21 @@ def generate(config: GeneratorConfig) -> Dataset:
 
     u_idx = rng.integers(0, config.n_users, size=n)
     i_idx = rng.integers(0, config.n_items, size=n)
-    home_region = rng.integers(0, len(region_ids), size=config.n_users)
-    scene_pos = rng.integers(0, len(scene_ids), size=n)
-    period_pos = rng.integers(0, len(period_ids), size=n)
-    region_pos = home_region[u_idx]
+    shift, tilt = ({t: config.domains[t][j] for t in TOPICS} for j in (0, 1))
+    n_regions, n_periods = len(shift["region"]), len(shift["period"])
+    home_region = rng.integers(0, n_regions, size=config.n_users)
+    scene = rng.integers(0, len(shift["scene"]), size=n)
+    period = rng.integers(0, n_periods, size=n)
+    region = home_region[u_idx]
 
-    modulation = 1.0 + shift["scene"][scene_pos] + shift["region"][region_pos] + shift["period"][period_pos]
-    tilt_vec = tilt["scene"][scene_pos] + tilt["region"][region_pos] + tilt["period"][period_pos]
+    modulation = 1.0 + shift["scene"][scene] + shift["region"][region] + shift["period"][period]
+    tilt_vec = tilt["scene"][scene] + tilt["region"][region] + tilt["period"][period]
     z = np.einsum("nk,nk->n", users[u_idx] * modulation, items[i_idx])
     z += np.einsum("nk,nk->n", tilt_vec, items[i_idx])
 
     # per (scene, region, period) cell calibration keeps base click rates
     # equal across domains, so shifts change rankings rather than volumes
-    cell = (scene_pos * len(region_ids) + region_pos) * len(period_ids) + period_pos
+    cell = (scene * n_regions + region) * n_periods + period
     p_click = np.empty(n)
     for c in np.unique(cell):
         m = cell == c
@@ -340,9 +320,9 @@ def generate(config: GeneratorConfig) -> Dataset:
         timestamp=ts,
         user=u_idx,
         item=i_idx,
-        scene=np.asarray(scene_ids, dtype=np.int64)[scene_pos],
-        region=np.asarray(region_ids, dtype=np.int64)[region_pos],
-        period=np.asarray(period_ids, dtype=np.int64)[period_pos],
+        scene=scene,
+        region=region,
+        period=period,
         features=np.stack([feat0, feat1, feat2, feat3], axis=1),
         click=click,
         purchase=purchase,

@@ -70,8 +70,10 @@ class IAKConfig:
     def validate(self) -> None:
         if self.d_e < 1:
             raise AdapterError("d_e must be >= 1")
-        if self.beta < 0:
-            raise AdapterError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise AdapterError(f"beta must be finite and >= 0, got {self.beta}")
+        if any(h < 1 for h in self.decoder_hidden):
+            raise AdapterError(f"decoder_hidden widths must be >= 1, got {self.decoder_hidden}")
 
 
 class VariationalLinear:

@@ -81,6 +81,8 @@ def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroIni
     read-only zeros until then)."""
     if seed is None:
         return ZeroInit()
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
@@ -159,6 +161,10 @@ class ModelConfig:
             raise ModelError("hidden sizes must be positive")
         if len(self.loss_weights) != 2:
             raise ModelError("exactly two tasks are supported (ctr, ctcvr)")
+        if not all(0 <= w < np.inf for w in self.loss_weights):
+            raise ModelError(f"loss_weights must be finite and >= 0, got {self.loss_weights}")
+        if self.embed_dim < 1:
+            raise ModelError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
 
 @dataclass

@@ -50,10 +50,14 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise TrainerError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise TrainerError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise TrainerError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.epochs < 1:
             raise TrainerError("epochs must be >= 1")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
+        if self.finetune_window_days < 0:
+            raise TrainerError(f"finetune_window_days must be >= 0, got {self.finetune_window_days}")
         try:  # the optimizer state's own check; its messages start with the field name
             AdagradDecayState(decay=self.adagrad_decay, epsilon=self.adagrad_epsilon)
         except ValueError as e:
@@ -61,6 +65,8 @@ class TrainConfig:
         if self.lr_norms not in ("uniform", "previous"):
             raise TrainerError(f"lr_norms must be uniform or previous, got {self.lr_norms!r}")
         if self.mixing:
+            if bad := {k: w for k, w in self.mixing.items() if not 0 <= w < np.inf}:
+                raise TrainerError(f"mixing weights must be finite and >= 0, got {bad}")
             total = sum(self.mixing.values())
             if abs(total - 1.0) > 1e-9:
                 raise TrainerError(f"mixing weights must sum to 1, got {total}")

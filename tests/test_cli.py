@@ -143,6 +143,17 @@ def test_bad_optimizer_setting_exits_5_before_the_split_is_read(workdir, monkeyp
     assert not any(p.name.startswith(f"{command}-") for p in workdir.iterdir())
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["datagen.scene_tilts=0,0,0"], "scene: shift and tilt lists must have equal length"),
+    (["datagen.region_shifts=", "datagen.region_tilts="], "at least one domain required for topic 'region'"),
+    (["datagen.period_shifts=0,nan,0"], "preference_shift of period=1 contains non-finite values"),
+], ids=["tilts-of-another-length", "empty-topic", "nan-shift"])
+def test_a_bad_domain_list_exits_5_naming_it(workdir, capsys, settings, message):
+    assert _run(workdir, "gen-data", *(a for s in settings for a in ("--set", s))) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
 # every input named is missing, so opening any of them first would be exit 4
 MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
                   "finetune": ["--data", "missing.jsonl", "--backbone", "missing.ckpt"],
@@ -165,6 +176,35 @@ def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workd
     inputs, and `finetune` never runs a backbone pass first."""
     assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command, setting, field", [
+    ("finetune", "train.lr=nan", "base_lr"),
+    ("finetune", "iak.beta=nan", "beta"),
+    ("finetune", "iak.decoder_hidden=0", "decoder_hidden"),
+    ("finetune", "iak.decoder_hidden=-2", "decoder_hidden"),
+    ("gen-data", "datagen.records_per_day=-5", "records_per_day"),
+    ("finetune", "train.finetune_window_days=-2", "finetune_window_days"),
+    ("pretrain", "model.embed_dim=0", "embed_dim"),
+    ("finetune", "model.embed_dim=0", "embed_dim"),
+    ("pretrain", "model.embed_dim=-1", "embed_dim"),
+    ("gen-data", "datagen.latent_dim=0", "latent_dim"),
+    ("gen-data", "datagen.latent_dim=-1", "latent_dim"),
+    ("gen-data", "datagen.seed=-1", "seed"),
+    ("pretrain", "model.seed=-1", "seed"),
+    ("pretrain", "train.seed=-1", "seed"),
+    ("finetune", "train.mixing=period=0:1.5,period=1:-0.5", "mixing"),
+    ("finetune", "train.mixing=period=0:nan", "mixing"),
+    ("pretrain", "model.loss_weights=1,nan", "loss_weights"),
+])
+def test_an_out_of_range_or_nan_setting_exits_5_naming_its_field(workdir, capsys, command, setting, field):
+    """A value that parses but is out of range, NaN included, is a one-line
+    data error (exit 5) that names its field, raised before any input is
+    opened: not a run that silently trains on it, nor numpy's own error."""
+    assert _run(workdir, command, *MISSING_INPUTS.get(command, []), "--set", setting) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"iakrec: error: {field} ") and err.count("\n") == 1, err
     assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 from iakrec import datagen
 from iakrec.checkpoint import load_checkpoint
+from iakrec.config import RunConfig
 from iakrec.datagen import (
     Dataset,
     DatasetError,
-    DomainSpec,
     GeneratorConfig,
     InteractionRecord,
     SECONDS_PER_DAY,
@@ -35,12 +36,17 @@ from iakrec.models import FeatureSpace, encode_records
 import records_reference
 from checkpoint_reference import checkpoint_bytes
 
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.session import WORKLOADS  # noqa: E402
+
 
 def _config(seed=0, period_shifts=(0.0, 0.0), period_tilts=None, **kw):
     period_tilts = list(period_tilts) if period_tilts is not None else [0.0] * len(period_shifts)
     domains = make_domains(
-        {"scene": [0.0], "region": [0.0], "period": list(period_shifts)},
-        {"scene": [0.0], "region": [0.0], "period": period_tilts},
+        {"scene": ([0.0], [0.0]), "region": ([0.0], [0.0]), "period": (list(period_shifts), period_tilts)},
         latent_dim=kw.pop("latent_dim", 16),
         seed=seed,
     )
@@ -136,13 +142,53 @@ def test_degenerate_config_rejected():
     with pytest.raises(DatasetError):
         _config(target_click_rate=1.5).validate()
     with pytest.raises(DatasetError):
-        GeneratorConfig(n_users=5, n_items=5, n_days=3, domains=[]).validate()
+        GeneratorConfig(n_users=5, n_items=5, n_days=3, domains={}).validate()
+
+
+# about 100 records: the default domain lists, and uneven topics (one scene
+# with a tilt, three regions, two periods, every shift and tilt nonzero) in
+# 5 latent dimensions
+_PINNED_SIZES = {"datagen.n_users": "20", "datagen.n_items": "15", "datagen.n_days": "2",
+                 "datagen.records_per_day": "50"}
+_UNEVEN_DOMAINS = {"datagen.latent_dim": "5", "datagen.scene_shifts": "0.7", "datagen.scene_tilts": "-0.9",
+                   "datagen.region_shifts": "0.4,-1.2,0.8", "datagen.region_tilts": "0.3,0.6,-0.2",
+                   "datagen.period_shifts": "1.5,-0.5", "datagen.period_tilts": "-0.8,0.4"}
+
+
+@pytest.mark.parametrize("domains, digest", [
+    ({}, "f7f38d4b78d373d67fce7e89734d1864ffc942eab9d491e9eaa7a1c33495b84b"),
+    (_UNEVEN_DOMAINS, "78f510050aba68993bebf776e1e95455bc9b48440453608ea86ec9dc5debac4b"),
+], ids=["default", "uneven"])
+def test_generated_bytes_are_pinned(tmp_path, domains, digest):
+    """The generator's output, JSONL bytes and all, is fixed by its config:
+    a rewrite of the generator that keeps these digests keeps its draws, its
+    arithmetic and its id columns."""
+    cfg = RunConfig(overrides={**_PINNED_SIZES, **domains})
+    write_jsonl(generate(cfg.generator_config()), tmp_path / "d.jsonl")
+    assert hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("settings", [{}, *(w.settings for w in WORKLOADS.values())], ids=["default", *WORKLOADS])
+def test_generated_domain_ids_are_the_rows_of_the_feature_space(settings):
+    """A topic's vocabulary in the model is the length of its topic's tables,
+    and the generator draws every id of it and no other, so generated data
+    never reaches an out-of-vocab row. The workloads' domain lists are kept,
+    their sizes shrunk."""
+    cfg = RunConfig(overrides={**settings, "datagen.n_users": "200", "datagen.n_items": "50",
+                               "datagen.n_days": "2", "datagen.records_per_day": "400"})
+    space, gen = cfg.feature_space(), cfg.generator_config()
+    data = generate(gen)
+    for topic, n in (("scene", space.n_scenes), ("region", space.n_regions), ("period", space.n_periods)):
+        assert [len(table) for table in gen.domains[topic]] == [n, n], topic
+        assert np.array_equal(np.unique(data.domain(topic)), np.arange(n)), topic
 
 
 def test_shift_vectors_must_be_finite():
-    spec = DomainSpec("scene", 0, np.array([np.inf] * 16), np.zeros(16))
-    with pytest.raises(DatasetError):
-        spec.validate(16)
+    config = _config()
+    shifts, tilts = config.domains["scene"]
+    config.domains["scene"] = (np.full_like(shifts, np.inf), tilts)
+    with pytest.raises(DatasetError, match="preference_shift of scene=0 contains non-finite values"):
+        config.validate()
 
 
 def _decile_click_distribution(item_ids, clicks, decile_of=None, n_deciles=10):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,23 @@ def test_seeded_build_draws_its_init():
         assert table.tobytes() == rng.normal(0.0, 0.1, size=table.shape).tobytes()
     w = model.core.experts[0].layers[0].w.data
     assert w.tobytes() == rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape).tobytes()
+
+
+def test_unseeded_build_checks_its_zero_table_through_one_value():
+    """A seed=None build at 500k users and 100k items traces under 0.5 MB:
+    its table is a broadcast zero, checked through its one value, not through
+    a table-sized bool array (4.8 MB here). A broadcast NaN is still caught."""
+    space = FeatureSpace(n_users=500_000, n_items=100_000, n_scenes=2, n_regions=6, n_periods=3)
+    build_model(ModelConfig(), space, seed=None)
+    tracemalloc.start()
+    try:
+        build_model(ModelConfig(), space, seed=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, f"peak {peak / 1e6:.2f} MB"
+    with pytest.raises(ad.NonFiniteError):
+        ad.Parameter(np.broadcast_to(np.nan, (600_052, 8)), name="table")
 
 
 def test_unseeded_build_is_zero_until_restored(any_model):

@@ -41,8 +41,7 @@ SPACE = FeatureSpace(n_users=120, n_items=60, n_scenes=2, n_regions=1, n_periods
 
 def _dataset(seed=0, n_days=4, per_day=800):
     domains = make_domains(
-        {"scene": [0.0, 0.8], "region": [0.0], "period": [0.0, 0.8]},
-        {"scene": [0.0, 0.4], "region": [0.0], "period": [0.0, 0.4]},
+        {"scene": ([0.0, 0.8], [0.0, 0.4]), "region": ([0.0], [0.0]), "period": ([0.0, 0.8], [0.0, 0.4])},
         latent_dim=16,
         seed=seed,
     )
@@ -402,8 +401,7 @@ FIVE = ["period=0", "period=1", "period=2", "scene=0", "scene=1"]
 @pytest.fixture(scope="module")
 def five_domains():
     domains = make_domains(
-        {"scene": [0.0, 0.8], "region": [0.0], "period": [0.0, 0.8, -0.5]},
-        {"scene": [0.0, 0.4], "region": [0.0], "period": [0.0, 0.4, 0.2]},
+        {"scene": ([0.0, 0.8], [0.0, 0.4]), "region": ([0.0], [0.0]), "period": ([0.0, 0.8, -0.5], [0.0, 0.4, 0.2])},
         latent_dim=16,
         seed=5,
     )
