@@ -693,8 +693,8 @@ class AdagradDecayState:
     def __post_init__(self):
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 def _segment_sum(table: Parameter) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,10 @@ bit-exact: the raw bytes are stored untouched. An integer array is stored as
 `<i8`, and any other array as `<f8`. A save goes through `write_atomic`, so an
 interrupted save never leaves a partial file under the target name.
 
-A load maps the file read-only instead of reading it, so each byte is
-touched once, by the copy `restore` makes. A file that cannot be mapped (an
+A load maps the file read-only instead of reading it. A model's `restore`
+keeps its embedding table, nearly all of a checkpoint's bytes, as the
+mapped block itself (read by its checks and lookups, never copied) and
+copies only the small arrays. A file that cannot be mapped (an
 empty file, a character device such as /dev/null) is read into memory and
 parsed the same way. Because every save replaces the file by a rename, a
 mapped old file is never changed under a reader; a file truncated in place
@@ -98,11 +100,11 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_dige
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     """Returns (named arrays, stored digest field). The arrays are read-only
     views of the file's bytes, `<f8` or `<i8` (those of a version-1 file
-    possibly unaligned): `restore` makes the one writable float64 copy. The
-    views hold a read-only mapping of the file, which lives as long as any
-    of them is referenced; a file that cannot be mapped is read whole
-    instead. Any malformed or truncated file (a repeated parameter name and
-    an unknown dtype included) raises CheckpointError."""
+    possibly unaligned). The views hold a read-only mapping of the file,
+    which lives as long as any of them is referenced (a restored model's
+    table is one); a file that cannot be mapped is read whole instead. Any
+    malformed or truncated file (a repeated parameter name and an unknown
+    dtype included) raises CheckpointError."""
     with open(path, "rb") as f:
         try:
             blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)

@@ -29,13 +29,18 @@ selectors share it.
 
 `eval`, `finetune` and `serve` start from the saved arrays: the checkpoint
 is mapped, not read, the model (and each stored adapter) is built without
-drawing an init, its tables and weights left as read-only zero views, and
-`restore` copies each checkpoint array into it once. A restored model therefore does
-not depend on `model.seed`, and no command holds the loaded arrays (nor the
-file's mapping) once it is restored. A checkpoint that is missing a
-parameter, stores one twice or as int64, has a wrong shape or holds NaN or
-Inf is a data error (exit 5) naming the parameter, raised before `serve`
-reads its first request.
+drawing an init, its table and weights left as read-only zero views, and
+`restore` fills it. The embedding table becomes the checkpoint's
+`embeddings.rows` block itself, read-only and uncopied, so the model holds
+the file's mapping for as long as it lives (safe, as every save replaces a
+file by a rename); every other array is copied into the model once, and no
+other loaded array outlives the restore. A restored model therefore does
+not depend on `model.seed`. A checkpoint that is missing a parameter
+(one written with a table block per id column, `user_emb.rows` and so on,
+lacks `embeddings.rows`), stores one twice or as int64, has a wrong shape
+or holds NaN or Inf is a data error (exit 5) naming the parameter (and for
+the table the row and column range of the first bad entry), raised before
+`serve` reads its first request.
 """
 
 from __future__ import annotations
@@ -174,8 +179,9 @@ def cmd_pretrain(args) -> int:
 
 def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
     """The frozen model restored from `ckpt_path` and the adapters stored
-    beside it ({} for a pretrain checkpoint). The loaded arrays die on
-    return, so no caller keeps the checkpoint's mapping alive."""
+    beside it ({} for a pretrain checkpoint). The table block, and with it
+    the checkpoint's mapping, lives as long as the model; every other
+    loaded array dies on return."""
     arrays, _ = load_checkpoint(ckpt_path)
     model = build_model(cfg.model_config(), cfg.feature_space(), seed=None)
     model.restore(arrays)

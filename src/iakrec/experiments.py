@@ -31,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig
 from .datagen import Dataset, domain_key, domain_topic, generate, parse_domain_key, split_chronological
 from .evals import SplitPass, encoder_mi, report_from_scores, score_label_decile_kl
-from .models import FeatureSpace, MultiTaskModel, build_model, encode_records
+from .models import FeatureSpace, ModelError, MultiTaskModel, build_model, encode_records
 from .trainer import finetune_all, pretrain
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
@@ -83,13 +83,19 @@ class ExperimentContext:
         return self.cfg.feature_space()
 
     def pretrained(self, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
-        """Backbone for (kind, seed), pretrained once and cached on disk."""
+        """Backbone for (kind, seed), pretrained once and cached on disk. A
+        cache file that does not restore (one saved in an older block
+        layout, say) is an `ExperimentError` naming the file to delete."""
         digest = self.cfg.digest(_BACKBONE_KEYS)
         path = self.cache_dir / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
         model_cfg = replace(self.cfg.model_config(), kind=kind)
         if path.exists():
             model = build_model(model_cfg, self.space(), seed=None)
-            model.restore(load_checkpoint(path)[0])
+            try:
+                model.restore(load_checkpoint(path)[0])
+            except (CheckpointError, ModelError) as e:
+                msg = f"cached backbone {path} does not restore; delete it to pretrain again ({e})"
+                raise ExperimentError(msg) from e
         else:
             model = build_model(model_cfg, self.space(), seed=seed)
             pretrain(model, train, replace(self.cfg.train_config(), seed=seed))

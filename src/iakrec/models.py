@@ -17,6 +17,7 @@ a served request alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class ZeroInit:
     """The init generator of a model or adapter that `restore` will fill:
     every draw is a read-only zero view (`np.broadcast_to` of one scalar),
     so building one draws no random numbers and allocates no table. A
-    parameter built from it is read-only until `restore` gives it its own
-    array."""
+    parameter built from it is read-only until `restore` sets it: a dense
+    weight to its own copy, the embedding table to the checkpoint's block
+    itself, which stays read-only."""
 
     @staticmethod
     def normal(loc: float, scale: float, size) -> np.ndarray:
@@ -86,11 +88,16 @@ def init_generator(seed: int | None, salt: int) -> np.random.Generator | ZeroIni
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
-def checkpoint_array(arrays: dict[str, np.ndarray], name: str, shape: tuple, error: type[Exception]) -> np.ndarray:
+def checkpoint_array(arrays: dict[str, np.ndarray], name: str, shape: tuple, error: type[Exception],
+                     locate: Callable[[np.ndarray], str] | None = None) -> np.ndarray:
     """The checkpoint array stored as `name`, checked against the model's
     `shape`. A missing name, a block that is not float64 (an `<i8` one, say),
     a wrong shape or a NaN or Inf entry raises `error` naming it (the check a
-    `Parameter` makes when it is built)."""
+    `Parameter` makes when it is built). The finiteness check is one sum
+    that allocates nothing, since a NaN or Inf never sums back to a finite
+    value; only a sum that is not finite (a bad entry, or finite entries
+    that overflow) is checked entry by entry. On a bad entry `locate(arr)`
+    says where it is, in parentheses after the name."""
     arr = arrays.get(name)
     if arr is None:
         raise error(f"checkpoint missing parameter {name!r}")
@@ -98,8 +105,11 @@ def checkpoint_array(arrays: dict[str, np.ndarray], name: str, shape: tuple, err
         raise error(f"checkpoint parameter {name!r} is stored as {arr.dtype.str}, not <f8")
     if arr.shape != shape:
         raise error(f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {shape}")
-    if not np.isfinite(arr).all():
-        raise error(f"checkpoint parameter {name!r} holds NaN or Inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(arr.sum()) or np.isfinite(arr).all()
+    if not finite:
+        where = "" if locate is None else f" ({locate(arr)})"
+        raise error(f"checkpoint parameter {name!r} holds NaN or Inf{where}")
     return arr
 
 
@@ -188,7 +198,9 @@ class EmbeddingBundle:
     """The shared embedding assembly every model kind is built on: one table,
     `embeddings.rows`, in which each id column (user, item, scene, region,
     period, then each feature column) owns a range of rows, its out-of-vocab
-    row first. A checkpoint stores each range by its column (`user_emb.rows`)."""
+    row first. A checkpoint stores the table as one block of that name; each
+    range keeps its column's name (`user_emb.rows`), by which errors place a
+    row."""
 
     def __init__(self, space: FeatureSpace, dim: int, rng: np.random.Generator):
         self.space = space
@@ -213,16 +225,11 @@ class EmbeddingBundle:
         ids = np.column_stack((batch.user, batch.item, batch.scene, batch.region, batch.period, batch.features))
         return ad.gather_rows(self.rows, _safe_rows(ids, self._vocab, self._first))
 
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        """Each column's range of the table, a view, by its checkpoint name."""
-        return {name: self.rows.data[start:end] for name, (start, end) in self.ranges.items()}
-
-    def restore(self, arrays: dict[str, np.ndarray], error: type[Exception]) -> None:
-        """Fill a new table, range by range, with each `checkpoint_array`."""
-        table = np.empty(self.rows.data.shape)
-        for name, (start, end) in self.ranges.items():
-            table[start:end] = checkpoint_array(arrays, name, (end - start, self.dim), error)
-        self.rows.data = table
+    def locate(self, table: np.ndarray) -> str:
+        """The row of `table`'s first NaN or Inf and the column range it lies in."""
+        row = int(np.argmin(np.isfinite(table).all(axis=1)))
+        name = next(name for name, (_, end) in self.ranges.items() if row < end)
+        return f"row {row}, in {name!r}"
 
 
 class MultiTaskModel:
@@ -247,8 +254,8 @@ class MultiTaskModel:
         return list(self._params)
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        """Every array by its checkpoint name: the table's ranges, then the rest."""
-        return {**self.embeddings.named_parameters(), **{p.name: p.data for p in self._params[1:]}}
+        """Every array by its checkpoint name: the table, then the rest."""
+        return {p.name: p.data for p in self._params}
 
     def set_trainable(self, trainable: bool) -> None:
         for p in self._params:
@@ -267,10 +274,24 @@ class MultiTaskModel:
         return len(TASKS)
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every parameter from `arrays` (extra names are ignored), one
-        copy per array. A model built with seed=None drew no init for this to
-        overwrite. A bad array is a `ModelError` (see `checkpoint_array`)."""
-        self.embeddings.restore(arrays, ModelError)
+        """Set every parameter from `arrays` (extra names are ignored). The
+        table becomes the checked `embeddings.rows` array itself, read-only
+        (a writable one through a read-only view): nothing is allocated or
+        copied, and a table from a mapped checkpoint holds the file's mapping
+        as long as the model lives. It is only ever gathered with `take`, so
+        where its bytes live changes no bit. Every other parameter gets its
+        own copy: they are small and feed BLAS, whose code path may depend on
+        alignment. A bad array is a `ModelError` (see `checkpoint_array`); a
+        NaN or Inf in the table is placed by its row and column range. A
+        model built with seed=None drew no init for this to overwrite.
+
+        A restored table cannot be trained: a pretraining that starts from a
+        checkpoint must first give the table a writable copy."""
+        rows = self.embeddings.rows
+        rows.data = checkpoint_array(arrays, rows.name, rows.data.shape, ModelError, self.embeddings.locate)
+        if rows.data.flags.writeable:  # an in-memory array, not a loaded one
+            rows.data = rows.data.view()
+            rows.data.flags.writeable = False
         restore_parameters(self._params[1:], arrays, ModelError)
 
     def _heads(self, tasks: tuple[str, ...]) -> list[Linear]:
@@ -422,7 +443,7 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     parameter zero for `restore` to fill, so a restored model does not depend
     on any seed. Until that restore, its drawn parameters (the table and every
     weight; biases are plain zeros) are read-only views that allocate
-    nothing."""
+    nothing; after it, the table is the checkpoint's read-only block."""
     config.validate()
     return MODEL_KINDS[config.kind](config, space, seed)
 

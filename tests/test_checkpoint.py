@@ -67,11 +67,12 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
-def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
-    """A loaded array is a read-only view of the file's bytes; a restored
-    backbone or adapter parameter (the backbone's one table among them)
-    owns writable, aligned float64 data, and every named array holds its
-    loaded bytes."""
+def test_loaded_arrays_are_read_only_and_restore_copies_all_but_the_table(tmp_path):
+    """A loaded array is a read-only view of the file's bytes. A restored
+    backbone's table is its loaded block itself, still read-only; every
+    other backbone or adapter parameter owns writable, aligned float64 data
+    that shares no memory with the file. Every named array holds its loaded
+    bytes."""
     space = FeatureSpace(n_users=9, n_items=7, n_scenes=2, n_regions=2, n_periods=3)
     model_cfg, iak_cfg = ModelConfig(kind="base", hidden_sizes=(6, 3)), IAKConfig(d_e=3, decoder_hidden=(4,))
     model = build_model(model_cfg, space, seed=0)
@@ -89,9 +90,12 @@ def test_loaded_arrays_are_read_only_and_restore_makes_the_one_copy(tmp_path):
     named = {**clone.named_parameters(), **restored.named_parameters()}
     assert sorted(named) == sorted(arrays)
     assert all(named[name].tobytes() == arrays[name].tobytes() for name in arrays)
-    for p in clone.parameters() + restored.parameters():
+    table, *dense = clone.parameters()
+    assert table.data is arrays["embeddings.rows"] and not table.data.flags.writeable
+    for p in dense + restored.parameters():
         flags = p.data.flags
         assert p.data.dtype == np.float64 and flags.owndata and flags.writeable and flags.aligned, p.name
+        assert not np.shares_memory(p.data, arrays[p.name]), p.name
 
 
 def test_a_parameter_stored_twice_is_rejected_by_name(tmp_path):
@@ -137,9 +141,10 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_one_copy(tmp_path):
+def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_only_the_dense_arrays(tmp_path):
     """Loading maps the file, a seed=None build holds read-only zero views,
-    and the restore is the one place a table is allocated: once."""
+    and the restore copies the dense arrays alone: the table stays the
+    loaded block, so no step allocates a table, nor a quarter of one."""
     space = FeatureSpace(n_users=200_000, n_items=500, n_scenes=2, n_regions=3, n_periods=3)
     cfg = ModelConfig(kind="base")
     path = tmp_path / "big.ckpt"
@@ -148,14 +153,14 @@ def test_a_load_allocates_no_payload_a_blank_build_no_table_and_a_restore_one_co
     (arrays, _), load_peak = _traced_peak(lambda: load_checkpoint(path))
     assert load_peak < size / 100
     blank, build_peak = _traced_peak(lambda: build_model(cfg, space, seed=None))
-    table = blank.named_parameters()["user_emb.rows"]
-    assert table.nbytes > size / 2 and build_peak < table.nbytes / 4
+    table = blank.named_parameters()["embeddings.rows"]
+    assert table.nbytes > 0.9 * size and build_peak < table.nbytes / 4
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
     _, restore_peak = _traced_peak(lambda: blank.restore(arrays))
-    payload = sum(a.nbytes for a in arrays.values())
-    assert payload <= restore_peak < 1.25 * payload
-    assert blank.named_parameters()["user_emb.rows"].tobytes() == arrays["user_emb.rows"].tobytes()
+    dense = sum(a.nbytes for name, a in arrays.items() if name != "embeddings.rows")
+    assert dense <= restore_peak < table.nbytes / 4
+    assert blank.named_parameters()["embeddings.rows"] is arrays["embeddings.rows"]
 
 
 def _model_and_adapter():
@@ -185,18 +190,18 @@ def test_a_hand_written_version_1_file_restores_bit_for_bit(tmp_path):
 
 def test_a_file_in_the_backbone_block_order_restores_and_saves_back_byte_for_byte(tmp_path):
     """A backbone checkpoint written by hand in the block order backbones
-    are saved in (one table per id column, `user_emb.rows` to
-    `feat3_emb.rows`, each its vocabulary plus an out-of-vocab row, then the
-    dense weights and biases) restores into a blank build, and
-    `save_checkpoint` of the restored model writes the file back byte for
-    byte."""
+    are saved in (one table block, `embeddings.rows`: the id columns' ranges
+    `user_emb.rows` to `feat3_emb.rows` stacked in that order, each its
+    vocabulary plus an out-of-vocab row; then the dense weights and biases)
+    restores into a blank build, and `save_checkpoint` of the restored model
+    writes the file back byte for byte."""
     model, _, model_cfg, space, _ = _model_and_adapter()
     rng = np.random.default_rng(5)
-    columns = [("user", space.n_users), ("item", space.n_items), ("scene", space.n_scenes),
-               ("region", space.n_regions), ("period", space.n_periods)]
-    columns += [(f"feat{c}", space.n_feature_buckets) for c in range(space.n_feature_cols)]
-    blocks = [(f"{name}_emb.rows", rng.normal(size=(vocab + 1, model_cfg.embed_dim))) for name, vocab in columns]
-    blocks += [(p.name, rng.normal(size=p.data.shape)) for p in model.parameters() if not p.name.endswith("rows")]
+    vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
+    vocab += [space.n_feature_buckets] * space.n_feature_cols
+    ranges = [rng.normal(size=(v + 1, model_cfg.embed_dim)) for v in vocab]
+    blocks = [("embeddings.rows", np.concatenate(ranges))]
+    blocks += [(p.name, rng.normal(size=p.data.shape)) for p in model.parameters()[1:]]
     blob = checkpoint_bytes(blocks, "digest")
     (tmp_path / "hand.ckpt").write_bytes(blob)
     arrays, digest = load_checkpoint(tmp_path / "hand.ckpt")
@@ -206,7 +211,7 @@ def test_a_file_in_the_backbone_block_order_restores_and_saves_back_byte_for_byt
     assert (tmp_path / "again.ckpt").read_bytes() == blob
 
 
-@pytest.mark.parametrize("name", ["user_emb.rows", "stacked_logits.b", "adapter/period=1/dec_out.w"])
+@pytest.mark.parametrize("name", ["embeddings.rows", "stacked_logits.b", "adapter/period=1/dec_out.w"])
 def test_restore_rejects_an_int64_block_by_name(tmp_path, name):
     """A `<i8` block where a parameter belongs is the restore's error naming
     it, never weights cast from ints."""

@@ -1,16 +1,19 @@
 import csv
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
 from iakrec import experiments
+from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
 from iakrec.experiments import (
     CSV_HEADER,
     EXPERIMENT_KINDS,
     ExperimentContext,
+    ExperimentError,
     expand_domain_selectors,
     experiment_rows,
     write_rows,
@@ -162,6 +165,23 @@ def test_backbone_cache_keys_on_what_pretraining_reads(tmp_path):
         after = cached_after(key, value)
         assert len(after) == len(names) + 1 and set(names) < set(after), key
         names = after
+
+
+def test_a_cached_backbone_that_does_not_restore_is_named(tmp_path):
+    """A cache file that no longer restores (here one without the one table
+    block, as a cache written in the layout with a block per id column is)
+    is an `ExperimentError`, exit 5 from the CLI, that names the file to
+    delete."""
+    ctx = ExperimentContext(RunConfig(TINY), tmp_path)
+    train = ctx.dataset()[0]
+    ctx.pretrained("base", 0, train)
+    (path,) = ctx.cache_dir.iterdir()
+    arrays, digest = load_checkpoint(path)
+    save_checkpoint(path, {k: v for k, v in arrays.items() if k != "embeddings.rows"}, digest)
+    message = f"cached backbone {path} does not restore; delete it to pretrain again "
+    message += "(checkpoint missing parameter 'embeddings.rows')"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        ctx.pretrained("base", 0, train)
 
 
 def _cli(tmp_path, capsys, values):

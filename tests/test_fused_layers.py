@@ -273,7 +273,7 @@ def test_assemble_is_one_lookup_node_equal_to_a_lookup_per_id_column():
     vocab += [space.n_feature_buckets] * space.n_feature_cols
     # each column's ids looked up in its own range, a view of the table whose
     # row 0 is the out-of-vocab row
-    ranges = model.named_parameters()
+    ranges = {name: emb.rows.data[start:end] for name, (start, end) in emb.ranges.items()}
     per_column = ad.concat([ad.gather_rows(ranges[f"{n}_emb.rows"], np.where((c >= 0) & (c < v), c + 1, 0))
                             for n, c, v in zip(names, columns, vocab)])
     out = emb.assemble(batch)

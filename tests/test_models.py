@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from iakrec import autodiff as ad
+from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.models import (
     FeatureSpace,
     ModelConfig,
@@ -255,9 +257,11 @@ def test_checkpoint_restore_round_trip(tmp_path):
     )
 
 
-_EMBEDDINGS = [("user_emb.rows", (6, 3)), ("item_emb.rows", (5, 3)), ("scene_emb.rows", (3, 3)),
-               ("region_emb.rows", (3, 3)), ("period_emb.rows", (4, 3)), ("feat0_emb.rows", (4, 3)),
-               ("feat1_emb.rows", (4, 3))]
+_EMBEDDINGS = [("embeddings.rows", (29, 3))]
+# each id column's range of the table, (first row, end), its out-of-vocab row first
+_RANGES = {"user_emb.rows": (0, 6), "item_emb.rows": (6, 11), "scene_emb.rows": (11, 14),
+           "region_emb.rows": (14, 17), "period_emb.rows": (17, 21), "feat0_emb.rows": (21, 25),
+           "feat1_emb.rows": (25, 29)}
 _MOE = [("expert0.l0.w", (21, 4)), ("expert0.l0.b", (4,)), ("expert0.l1.w", (4, 2)), ("expert0.l1.b", (2,)),
         ("expert1.l0.w", (21, 4)), ("expert1.l0.b", (4,)), ("expert1.l1.w", (4, 2)), ("expert1.l1.b", (2,)),
         ("gate_ctr.w", (21, 2)), ("gate_ctr.b", (2,)), ("gate_ctcvr.w", (21, 2)), ("gate_ctcvr.b", (2,))]
@@ -280,21 +284,18 @@ def test_parameter_names_and_order_are_pinned(kind):
     """The ordered (name, shape) list of each kind's checkpoint arrays at a
     small config. A checkpoint or an experiment's cached backbone stores its
     arrays by these names, so one written by an earlier build loads only
-    while they hold. The parameters are the one stacked table, which the
-    embedding names are ranges of in order, then the dense ones."""
+    while they hold. The parameters are the one stacked table, then the
+    dense ones; the table's column ranges tile it in order."""
     space = FeatureSpace(n_users=5, n_items=4, n_scenes=2, n_regions=2, n_periods=3, n_feature_buckets=3,
                          n_feature_cols=2)
     model = build_model(ModelConfig(kind=kind, hidden_sizes=(4, 2), embed_dim=3), space, seed=0)
     named = model.named_parameters()
     assert [(name, a.shape) for name, a in named.items()] == PARAMETER_NAMES[kind]
     table, *dense = model.parameters()
-    assert (table.name, table.data.shape) == ("embeddings.rows", (29, 3)) and table is model.embeddings.rows
+    assert table.name == "embeddings.rows" and table is model.embeddings.rows
     assert [(p.name, p.data.shape) for p in dense] == PARAMETER_NAMES[kind][len(_EMBEDDINGS):]
-    # each name is a view of its range: writes through the views tile the table
-    for k, (name, (n_rows, _)) in enumerate(_EMBEDDINGS):
-        named[name][...] = k
-    sizes = [n_rows for _, (n_rows, _) in _EMBEDDINGS]
-    assert table.data.tolist() == [[k] * 3 for k, n in enumerate(sizes) for _ in range(n)]
+    assert all(named[p.name] is p.data for p in model.parameters())
+    assert model.embeddings.ranges == _RANGES
 
 
 def test_seeded_build_draws_its_init():
@@ -304,10 +305,11 @@ def test_seeded_build_draws_its_init():
     draws what it drew after the nine tables, bit for bit."""
     model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=6)
     rng = np.random.default_rng(np.random.SeedSequence([6, 0xB0DE]))
-    tables = [a for name, a in model.named_parameters().items() if name.endswith("_emb.rows")]
-    assert len(tables) == 9 and tables[0].shape == (SPACE.n_users + 1, model.config.embed_dim)
-    for table in tables:
-        assert table.tobytes() == rng.normal(0.0, 0.1, size=table.shape).tobytes()
+    table = model.named_parameters()["embeddings.rows"]
+    ranges = list(model.embeddings.ranges.values())
+    assert len(ranges) == 9 and ranges[0] == (0, SPACE.n_users + 1) and ranges[-1][1] == len(table)
+    for start, end in ranges:
+        assert table[start:end].tobytes() == rng.normal(0.0, 0.1, size=(end - start, table.shape[1])).tobytes()
     w = model.core.experts[0].layers[0].w.data
     assert w.tobytes() == rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape).tobytes()
 
@@ -339,3 +341,60 @@ def test_unseeded_build_is_zero_until_restored(any_model):
     restored, original = blank.forward_full(batch).prediction, any_model.forward_full(batch).prediction
     assert restored.p_ctr.data.tobytes() == original.p_ctr.data.tobytes()
     assert restored.p_ctcvr.data.tobytes() == original.p_ctcvr.data.tobytes()
+
+
+def test_a_restored_table_is_read_only_and_scores_as_a_writable_copy(tmp_path):
+    """A table restored from a file is the loaded block, read-only, and a
+    frozen forward over it equals, bit for bit, one over a writable,
+    aligned copy of it. One restored from in-memory arrays is a read-only
+    view of them, and the model they came from stays writable."""
+    model = build_model(ModelConfig(kind="base", hidden_sizes=(12, 6)), SPACE, seed=6)
+    save_checkpoint(tmp_path / "m.ckpt", model.named_parameters(), "digest")
+    arrays, _ = load_checkpoint(tmp_path / "m.ckpt")
+    restored, copied = (build_model(model.config, SPACE, seed=None) for _ in range(2))
+    restored.restore(arrays)
+    table = restored.embeddings.rows.data
+    assert table is arrays["embeddings.rows"] and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    copied.restore(arrays)
+    copied.embeddings.rows.data = np.array(table)
+    assert copied.embeddings.rows.data.flags.writeable and copied.embeddings.rows.data.flags.aligned
+    batch = _batch(40, 3)
+    for m in (restored, copied):
+        m.set_trainable(False)
+    outs = [m.forward_full(batch) for m in (restored, copied)]
+    assert outs[0].logits.data.tobytes() == outs[1].logits.data.tobytes()
+    assert outs[0].representation.data.tobytes() == outs[1].representation.data.tobytes()
+    blank = build_model(model.config, SPACE, seed=None)
+    blank.restore(model.named_parameters())
+    assert not blank.embeddings.rows.data.flags.writeable and model.embeddings.rows.data.flags.writeable
+    assert np.shares_memory(blank.embeddings.rows.data, model.embeddings.rows.data)
+
+
+@pytest.mark.parametrize("row", [0, 5, 6, 20, 28])
+def test_a_nan_or_inf_in_the_table_is_placed_by_its_row_and_column_range(row):
+    """The restore's error for a non-finite table entry names the block,
+    the row of its first bad entry and the column range that row lies in;
+    a later bad entry does not move it."""
+    space = FeatureSpace(n_users=5, n_items=4, n_scenes=2, n_regions=2, n_periods=3, n_feature_buckets=3,
+                         n_feature_cols=2)
+    cfg = ModelConfig(hidden_sizes=(4, 2), embed_dim=3)
+    arrays = build_model(cfg, space, seed=0).named_parameters()
+    table = arrays["embeddings.rows"] = arrays["embeddings.rows"].copy()
+    table[row, 1], table[28, 2] = np.nan, -np.inf
+    (name,) = (n for n, (start, end) in _RANGES.items() if start <= row < end)
+    message = f"checkpoint parameter 'embeddings.rows' holds NaN or Inf (row {row}, in {name!r})"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build_model(cfg, space, seed=None).restore(arrays)
+
+
+def test_a_table_whose_finite_entries_overflow_their_sum_restores():
+    """The finiteness check sums the table; finite entries whose sum
+    overflows are checked entry by entry, pass, and warn of nothing."""
+    model = build_model(ModelConfig(hidden_sizes=(4, 2)), SPACE, seed=0)
+    arrays = {**model.named_parameters(), "embeddings.rows": np.full(model.embeddings.rows.data.shape, 1e308)}
+    arrays["embeddings.rows"][::2] *= -1.0  # partial sums of both signs overflow, to inf and to -inf
+    blank = build_model(model.config, SPACE, seed=None)
+    blank.restore(arrays)
+    assert blank.named_parameters()["embeddings.rows"].tobytes() == arrays["embeddings.rows"].tobytes()

@@ -381,7 +381,7 @@ class TestNonFiniteScores:
     def test_serve_writes_an_error_for_a_non_finite_score_and_answers_the_next_line(self, lazy):
         backbone = _backbone()
         router = DomainRouter(backbone, {"period=0": _adapter(backbone, 0, seed=1, nudge=0.05)}, lazy_activation=lazy)
-        backbone.named_parameters()["user_emb.rows"][1 + 3] = np.nan  # user 3's row, past restore's check
+        backbone.named_parameters()["embeddings.rows"][1 + 3] = np.nan  # user 3's row, past restore's check
         out = io.StringIO()
         assert serve(router, self._lines((3, 0), (2, 0), (3, 1)), out) == 0
         first, second, third = (json.loads(l) for l in out.getvalue().splitlines())

@@ -168,7 +168,7 @@ class TestLazyAdagrad:
         assert model.embeddings.rows.data is table
         # the graph's activations scale with the batch (about 2.4 MB at 128
         # rows); a later step must not add anything table-sized to them
-        assert traced_step() < model.named_parameters()["user_emb.rows"].nbytes / 2
+        assert traced_step() < table[slice(*model.embeddings.ranges["user_emb.rows"])].nbytes / 2
 
 
 class TestDynamicLR:
