@@ -1,7 +1,7 @@
 """Versioned binary container of named arrays: the model checkpoints, and the
 column sidecar of a dataset (`datagen.sidecar_path`).
 
-Layout of version 2, the one written (all integers little-endian):
+Layout of version 2, the only one written or read (all integers little-endian):
     magic           8 bytes  b"RECCKPT1"
     version         u32      2
     digest_len      u16      followed by that many ascii bytes (the digest field:
@@ -15,11 +15,10 @@ Layout of version 2, the one written (all integers little-endian):
         padding     zero bytes up to the next multiple of 8 from the file start
         data        prod(dims) x 8 bytes of that dtype, little-endian
 
-Version 1 files are still read. Their blocks have no dtype (every block is
-`<f8`) and no padding, so their data may sit at any offset. Round-trips are
-bit-exact: the raw bytes are stored untouched. An integer array is stored as
-`<i8`, and any other array as `<f8`. A save goes through `write_atomic`, so an
-interrupted save never leaves a partial file under the target name.
+Round-trips are bit-exact: the raw bytes are stored untouched. An integer
+array is stored as `<i8`, and any other array as `<f8`. A save goes through
+`write_atomic`, so an interrupted save never leaves a partial file under the
+target name.
 
 A load maps the file read-only instead of reading it. A model's `restore`
 keeps its embedding table, nearly all of a checkpoint's bytes, as the
@@ -47,7 +46,7 @@ import numpy as np
 
 MAGIC = b"RECCKPT1"
 VERSION = 2
-DTYPES = ("<f8", "<i8")  # the block dtypes of version 2
+DTYPES = ("<f8", "<i8")  # the block dtypes
 
 
 class CheckpointError(ValueError):
@@ -99,12 +98,12 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config_dige
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     """Returns (named arrays, stored digest field). The arrays are read-only
-    views of the file's bytes, `<f8` or `<i8` (those of a version-1 file
-    possibly unaligned). The views hold a read-only mapping of the file,
-    which lives as long as any of them is referenced (a restored model's
-    table is one); a file that cannot be mapped is read whole instead. Any
-    malformed or truncated file (a repeated parameter name and an unknown
-    dtype included) raises CheckpointError."""
+    views of the file's bytes, `<f8` or `<i8`. The views hold a read-only
+    mapping of the file, which lives as long as any of them is referenced (a
+    restored model's table is one); a file that cannot be mapped is read
+    whole instead. Any malformed or truncated file (a repeated parameter
+    name, an unknown dtype and any version but 2 included, the unpadded
+    version 1 of older releases too) raises CheckpointError."""
     with open(path, "rb") as f:
         try:
             blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -124,7 +123,7 @@ def _parse(blob: bytes | mmap.mmap, path) -> tuple[dict[str, np.ndarray], str]:
     off = 8
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (dlen,) = struct.unpack_from("<H", blob, off)
     off += 2
@@ -140,18 +139,15 @@ def _parse(blob: bytes | mmap.mmap, path) -> tuple[dict[str, np.ndarray], str]:
         off += nlen
         if name in params:
             raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
-        dtype = "<f8"
-        if version != 1:
-            dtype = blob[off : off + 3].decode("ascii")
-            off += 3
-            if dtype not in DTYPES:
-                raise CheckpointError(f"{path}: block {name!r} has unknown dtype {dtype!r}")
+        dtype = blob[off : off + 3].decode("ascii")
+        off += 3
+        if dtype not in DTYPES:
+            raise CheckpointError(f"{path}: block {name!r} has unknown dtype {dtype!r}")
         (ndim,) = struct.unpack_from("<B", blob, off)
         off += 1
         dims = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()
         off += 8 * ndim
-        if version != 1:
-            off += -off % 8
+        off += -off % 8
         count = math.prod(dims)
         if 8 * count > len(blob) - off:  # also keeps a damaged dim from overflowing frombuffer
             raise CheckpointError(f"{path}: truncated or corrupt checkpoint (block {name!r} runs past the end)")

@@ -10,7 +10,8 @@ a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation (a config value that parses but is out of range, NaN
 included, naming its field), 1 anything else (a training run or a forward
 whose values overflow to NaN or Inf included, reported on one line). Each
-command checks the config sections it reads before it opens any input.
+command checks the config sections it reads before it opens any input, and
+`experiment` checks every condition's before it draws data or pretrains.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -27,20 +28,21 @@ train rows it selects (`period=*` expands to one selector per period in the
 data), and runs the frozen backbone once per selected row, however many
 selectors share it.
 
-`eval`, `finetune` and `serve` start from the saved arrays: the checkpoint
-is mapped, not read, the model (and each stored adapter) is built without
-drawing an init, its table and weights left as read-only zero views, and
-`restore` fills it. The embedding table becomes the checkpoint's
-`embeddings.rows` block itself, read-only and uncopied, so the model holds
-the file's mapping for as long as it lives (safe, as every save replaces a
-file by a rename); every other array is copied into the model once, and no
-other loaded array outlives the restore. A restored model therefore does
-not depend on `model.seed`. A checkpoint that is missing a parameter
-(one written with a table block per id column, `user_emb.rows` and so on,
-lacks `embeddings.rows`), stores one twice or as int64, has a wrong shape
-or holds NaN or Inf is a data error (exit 5) naming the parameter (and for
-the table the row and column range of the first bad entry), raised before
-`serve` reads its first request.
+`eval`, `finetune` and `serve` start from the saved arrays of a version-2
+checkpoint (a version-1 file is a data error, exit 5): the file is mapped,
+not read, the model (and each stored adapter) is built without drawing an
+init, its table and weights left as read-only zero views, and `restore`
+fills it. The embedding table becomes the checkpoint's `embeddings.rows`
+block itself, read-only and uncopied, so the model holds the file's mapping
+for as long as it lives (safe, as every save replaces a file by a rename);
+every other array is copied into the model once, and no other loaded array
+outlives the restore. A restored model therefore does not depend on
+`model.seed`. A checkpoint that is missing a parameter (one written with a
+table block per id column, `user_emb.rows` and so on, lacks
+`embeddings.rows`), stores one twice or as int64, has a wrong shape or holds
+NaN or Inf is a data error (exit 5) naming the parameter (and for the table
+the row and column range of the first bad entry), raised before `serve`
+reads its first request.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .datagen import DatasetError, generate, read_dataset, split_chronological, write_jsonl
+from .datagen import DatasetError, expand_domain_selectors, generate, read_dataset, split_chronological, write_jsonl
 # not called here, but perfbench/layers.py traces them by these names
 from .datagen import filter_by_domain, read_jsonl  # noqa: F401
 from .evals import MetricError, SplitPass, report_from_scores
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
-from .experiments import EXPERIMENT_KINDS, ExperimentError, expand_domain_selectors, experiment_rows, write_rows
+from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, write_rows
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
@@ -218,7 +220,8 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    cfg.model_config().validate()
+    for config in (cfg.model_config(), cfg.iak_config()):
+        config.validate()
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     _, test = _load_split(args, cfg)
     if not test:
@@ -250,7 +253,8 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
-    cfg.model_config().validate()
+    for config in (cfg.model_config(), cfg.iak_config()):
+        config.validate()
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     model, adapters = _restore_backbone(cfg, ckpt)
     router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))

@@ -10,18 +10,20 @@ its row in its topic's shift and tilt tables (`GeneratorConfig.domains`).
 A `Dataset` holds records as int64 numpy columns (timestamp, user, item,
 scene, region, period, an (N, F) features block padded with -1, click and
 purchase), in file order. Splits, windows and domain selections are row
-masks or positions over it. A parsed JSONL line and a score request are
-one flat row of ints each, and `Dataset.from_rows` splits a table of such
-rows into columns. `InteractionRecord` is only the row view that indexing
-or iterating a `Dataset` yields, for code that reads a row's fields by name
-(the benchmark's request traffic does). `read_dataset` parses a JSONL file
-at most once per content, keeping its columns in a digest-checked sidecar
-beside it; the columns of a sidecar hit are read-only views of its mapped
-bytes.
+masks or positions over it. Domain selectors live here alone; `domain_mask`
+matches records and a request's fitted row alike. A parsed JSONL line and a
+score request are one flat row of ints each, and `Dataset.from_rows` splits
+a table of such rows into columns. `InteractionRecord` is only the row view
+that indexing or iterating a `Dataset` yields, for code that reads a row's
+fields by name (the benchmark's request traffic does). `read_dataset` parses
+a JSONL file at most once per content, keeping its columns in a
+digest-checked sidecar beside it; the columns of a sidecar hit are read-only
+views of its mapped bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -554,22 +556,25 @@ def parse_domain_key(key: str) -> dict[str, int]:
     return out
 
 
-def in_domain(domain_ids: dict[str, int], selector: dict[str, int]) -> bool:
-    """True when every topic of the selector carries the selector's id. A
-    plain loop: it runs once per request per adapter, and all() over a
-    generator costs twice as much."""
-    for topic, i in selector.items():
-        if domain_ids.get(topic) != i:
-            return False
-    return True
-
-
 def domain_mask(dataset: Dataset, selector: dict[str, int]) -> np.ndarray:
-    """Boolean mask of the rows a selector matches."""
-    mask = np.ones(len(dataset), dtype=bool)
-    for topic, i in selector.items():
-        mask &= dataset.domain(topic) == i
-    return mask
+    """Boolean mask of the rows a selector matches, begun from the first
+    topic's match: on a request's one row an all-True start costs more."""
+    masks = [dataset.domain(topic) == i for topic, i in selector.items()]
+    return functools.reduce(operator.and_, masks) if masks else np.ones(len(dataset), dtype=bool)
+
+
+def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict[str, int]]:
+    """Selectors by canonical key: an entry like `period=*` expands over the
+    ids present in the data, and explicit keys pass through."""
+    out: dict[str, dict[str, int]] = {}
+    for entry in spec:
+        topic, _, value = entry.partition("=")
+        if value == "*":
+            sels = [{domain_topic(topic): i} for i in np.unique(dataset.domain(topic)).tolist()]
+        else:
+            sels = [parse_domain_key(entry)]
+        out.update((domain_key(sel), sel) for sel in sels)
+    return out
 
 
 def filter_by_domain(dataset: Dataset, selector: dict[str, int]) -> Dataset:

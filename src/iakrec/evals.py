@@ -91,6 +91,13 @@ def _mi_from_joint(joint: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
 
 
+def check_bins(bins: int) -> int:
+    """`bins` if a binned estimate can use it, else MetricError."""
+    if bins < 2:
+        raise MetricError("bins must be >= 2")
+    return bins
+
+
 def binned_mi(samples_x, samples_y, bins: int = DEFAULT_BINS) -> float:
     """Plug-in mutual information in nats over equal-frequency bins.
 
@@ -100,8 +107,7 @@ def binned_mi(samples_x, samples_y, bins: int = DEFAULT_BINS) -> float:
     y = np.asarray(samples_y, dtype=np.float64)
     if x.size == 0 or y.size == 0:
         raise MetricError("empty input")
-    if bins < 2:
-        raise MetricError("bins must be >= 2")
+    check_bins(bins)
     if len(x) != len(y):
         raise MetricError("sample vectors must have equal length")
     xs = x if x.ndim == 1 else x.mean(axis=1)

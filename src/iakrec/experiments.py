@@ -33,8 +33,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig
-from .datagen import Dataset, domain_key, domain_topic, generate, parse_domain_key, split_chronological
-from .evals import SplitPass, encoder_mi, report_from_scores, score_label_decile_kl
+from .datagen import Dataset, domain_key, expand_domain_selectors, generate, parse_domain_key, split_chronological
+from .evals import SplitPass, check_bins, encoder_mi, report_from_scores, score_label_decile_kl
 from .models import FeatureSpace, ModelError, MultiTaskModel, build_model, encode_records
 from .trainer import finetune_all, pretrain
 
@@ -104,23 +104,6 @@ class ExperimentContext:
         return model
 
 
-def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict[str, int]]:
-    """Expand entries like `period=*` over the ids present in the data;
-    explicit keys pass through."""
-    out: dict[str, dict[str, int]] = {}
-    for entry in spec:
-        topic, _, value = entry.partition("=")
-        if value == "*":
-            topic = domain_topic(topic)
-            for i in np.unique(dataset.domain(topic)).tolist():
-                sel = {topic: i}
-                out[domain_key(sel)] = sel
-        else:
-            sel = parse_domain_key(entry)
-            out[domain_key(sel)] = sel
-    return out
-
-
 # (label, --set overrides to fine-tune under, or None for the zero-shot backbone)
 Condition = tuple[str, dict[str, str] | None]
 
@@ -131,16 +114,12 @@ def _grid(key: str, read: Callable[[RunConfig, str], list], setting: str, label:
     return lambda cfg: [(label.format(v), {setting: str(v)}) for v in read(cfg, key)]
 
 
-def _canonical(key: str) -> str:
-    return domain_key(parse_domain_key(key))
-
-
 def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
     primary = cfg.get("eval.overlap_primary")
     weights = cfg.get_weight_map("eval.overlap_weights")
     if not primary or not weights:
         raise ExperimentError("overlap needs eval.overlap_primary and eval.overlap_weights")
-    if _canonical(primary) not in weights:
+    if domain_key(parse_domain_key(primary)) not in weights:
         raise ExperimentError("overlap weights must include the primary domain")
     mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": cfg.get("eval.overlap_weights")}
     return [("isolated", {"train.finetune_domains": primary}), ("mixed", mixed)]
@@ -159,48 +138,54 @@ KINDS = {
     "window_sweep": Kind(_grid("eval.windows", RunConfig.get_int_list, "train.finetune_window_days", "window={}")),
     "de_sweep": Kind(_grid("eval.de_grid", RunConfig.get_int_list, "iak.d_e", "d_e={}")),
     "beta_sweep": Kind(_grid("eval.betas", RunConfig.get_float_list, "iak.beta", "beta={:g}"), with_mi=True),
-    "overlap": Kind(_overlap_conditions, report=lambda cfg: _canonical(cfg.get("eval.overlap_primary"))),
+    "overlap": Kind(_overlap_conditions,
+                    report=lambda cfg: domain_key(parse_domain_key(cfg.get("eval.overlap_primary")))),
     "baseline_compare": Kind(lambda cfg: [("zero_shot", None), ("iak", {})], compare_kinds=True, with_kl=True),
 }
 EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
-    """Every row of one experiment kind, summary rows last."""
+    """Every row of one experiment kind, summary rows last. Each setting a
+    row reads is checked before the data is drawn or a backbone pretrained."""
     if kind not in KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
     spec = KINDS[kind]
-    conditions = spec.conditions(cfg)  # a bad grid fails here, before any pretraining
+    conditions = spec.conditions(cfg)
+    model_kinds = cfg.get_list("eval.baseline_kinds") if spec.compare_kinds else [cfg.get("model.kind")]
+    seeds = cfg.get_int_list("eval.seeds")
+    bins = check_bins(cfg.get_int("eval.mi_bins")) if spec.with_mi else None
+    report = spec.report(cfg) if spec.report else None
+    runs = {(model_kind, seed): [RunConfig(cfg.values, {**(overrides or {}), "model.kind": model_kind,
+                                                        "train.seed": str(seed)}) for _, overrides in conditions]
+            for model_kind in model_kinds for seed in seeds}
+    for run in (run for group in runs.values() for run in group):
+        for config in (run.model_config(), run.train_config(), run.iak_config()):
+            config.validate()
     ctx = ExperimentContext(cfg, Path(workdir))
     train, test = ctx.dataset()
     test = encode_records(test, ctx.space())
-    model_kinds = cfg.get_list("eval.baseline_kinds") if spec.compare_kinds else [cfg.get("model.kind")]
-    report = spec.report(cfg) if spec.report else None
     rows = []
-    for model_kind in model_kinds:
+    for (model_kind, seed), group in runs.items():
         prefix = f"kind={model_kind}:" if spec.compare_kinds else ""
-        for seed in cfg.get_int_list("eval.seeds"):
-            backbone = ctx.pretrained(model_kind, seed, train)
-            split = SplitPass(backbone, test)
-            for label, overrides in conditions:
-                if overrides is None:
-                    adapters = None
-                    domains = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
-                else:
-                    run = RunConfig(cfg.values, {**overrides, "model.kind": model_kind, "train.seed": str(seed)})
-                    selectors = expand_domain_selectors(run.get_list("train.finetune_domains"), train)
-                    adapters = finetune_all(backbone, train, selectors, run.train_config(), run.iak_config()).adapters
-                    domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
-                for key, idx, sub in split.slices(domains):
-                    p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
-                    rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
-                    row = Row(prefix + label, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
-                    if spec.with_mi:
-                        bins = cfg.get_int("eval.mi_bins")
-                        row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=bins, seed=seed)
-                    if spec.with_kl:
-                        row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
-                    rows.append(row)
+        backbone = ctx.pretrained(model_kind, seed, train)
+        split = SplitPass(backbone, test)
+        for (label, overrides), run in zip(conditions, group):
+            selectors = expand_domain_selectors(run.get_list("train.finetune_domains"), train)
+            if overrides is None:
+                adapters, domains = None, selectors
+            else:
+                adapters = finetune_all(backbone, train, selectors, run.train_config(), run.iak_config()).adapters
+                domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
+            for key, idx, sub in split.slices(domains):
+                p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
+                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
+                row = Row(prefix + label, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
+                if spec.with_mi:
+                    row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=bins, seed=seed)
+                if spec.with_kl:
+                    row.score_label_kl = score_label_decile_kl(p_ctr, sub.click, sub.item)
+                rows.append(row)
     return rows + _mean_rows(rows)
 
 

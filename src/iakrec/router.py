@@ -1,12 +1,14 @@
 """Parallel inference over deployed adapters with indicator-based domain
 activation, plus a line-oriented JSON scoring loop.
 
-Adapters score with their encoders' posterior means, and the response is exactly the
-output of the most specific adapter whose selector matches the request's
-domain ids. A request carries the id columns of a recorded row and becomes
-a one-row `datagen.Dataset` fitted by `models.encode_records`, the row type
-the model reads, so it is scored as eval scores that row, up to the
-rounding of a one-row product against a chunked one. Requests from domains
+A request carries the id columns of a recorded row and becomes a one-row
+`datagen.Dataset` fitted by `models.encode_records`, the row type the model
+reads, so it is scored as eval scores that row, up to the rounding of a
+one-row product against a chunked one. The response is exactly the output
+of the most specific adapter (ties by key) that `datagen.domain_mask`
+matches on that row, the rule that slices each adapter's train and eval
+rows: a topic the request leaves out reads -1 and is matched like any row.
+Adapters score with their encoders' posterior means. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). The router freezes the backbone and every adapter it
 deploys, so scoring records no autodiff graph: each op computes its value,
@@ -33,7 +35,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .datagen import Dataset, id_fields, in_domain, parse_domain_key
+from .datagen import Dataset, domain_mask, id_fields, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
 from .models import FeatureSpace, MultiTaskModel, encode_records
 
@@ -71,9 +73,9 @@ def request_from_json(obj) -> ScoreRequest:
 
 def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
     """The request as a fitted one-row dataset: the row a recorded impression
-    with the same ids gives, at timestamp 0 with labels 0. A topic the
-    request leaves out reads as id -1, the out-of-vocab row. The ids are
-    one `Dataset.from_rows` row, the row layout of a parsed JSONL line."""
+    with the same ids gives, at timestamp 0 with labels 0. A topic it leaves
+    out reads as id -1, for the model and the adapter match alike. The ids
+    are one `Dataset.from_rows` row, the layout of a parsed JSONL line."""
     domain = request.domain_ids
     row = np.array([0, request.user_id, request.item_id, domain.get("scene", -1), domain.get("region", -1),
                     domain.get("period", -1), 0, 0, *request.feature_ids], dtype=np.int64)
@@ -105,15 +107,16 @@ class DomainRouter:
         # most specific first, ties in key order, so the first match is the one
         self._by_specificity = sorted(self.adapters, key=lambda k: (-len(self.adapters[k].domain_key), k))
 
-    def _select(self, domain_ids: dict[str, int]) -> str | None:
-        """Most-specific matching adapter; ties break on the sorted key so
-        selection is deterministic."""
-        return next((k for k in self._by_specificity if in_domain(domain_ids, self.adapters[k].domain_key)), None)
+    def _select(self, row: Dataset) -> str | None:
+        """The most specific adapter whose selector `datagen.domain_mask`
+        matches on the request's fitted row; ties break on the sorted key."""
+        return next((k for k in self._by_specificity if domain_mask(row, self.adapters[k].domain_key)[0]), None)
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         t0 = time.perf_counter_ns()
-        out = self.backbone.forward_full(encode_request(request, self.space))
-        selected = self._select(request.domain_ids)
+        row = encode_request(request, self.space)
+        out = self.backbone.forward_full(row)
+        selected = self._select(row)
         if self.lazy_activation:
             evaluated = [selected] if selected is not None else []
         else:

@@ -2,7 +2,7 @@
 `iakrec.checkpoint` docstring, with no check of their blocks: tests use it
 to build files that `save_checkpoint` would not write, such as one that
 stores a name twice, one with an `<i8` block where a parameter belongs, or
-a version-1 file."""
+a file of the older version 1, which the loader rejects."""
 
 from __future__ import annotations
 

@@ -8,13 +8,17 @@ column versions against these.
 `from_records`, once `Dataset.from_records`, builds a dataset from a record
 list. The package has no use for it since the JSONL parser writes rows of
 ints straight into a `Dataset.from_rows` table; the tests use it to build
-small datasets by hand."""
+small datasets by hand.
+
+`in_domain`, once `datagen.in_domain`, matches one record's (or one score
+request's) `domain_ids` against a selector. It is the oracle for
+`datagen.domain_mask` over records and for the adapter a router picks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from iakrec.datagen import SECONDS_PER_DAY, Dataset, DatasetError, InteractionRecord, in_domain
+from iakrec.datagen import SECONDS_PER_DAY, Dataset, DatasetError, InteractionRecord
 from iakrec.models import FeatureSpace
 
 
@@ -69,6 +73,13 @@ def split_chronological(
     train = [r for r in dataset if r.timestamp <= cut]
     test = dataset[len(train):]
     return train, test
+
+
+def in_domain(domain_ids: dict[str, int], selector: dict[str, int]) -> bool:
+    """True when every topic of the selector carries the selector's id in
+    `domain_ids`: the per-record matcher that `iakrec.datagen.domain_mask`
+    replaced, for records and for score requests alike."""
+    return all(domain_ids.get(topic) == i for topic, i in selector.items())
 
 
 def filter_by_domain(dataset: list[InteractionRecord], selector: dict[str, int]) -> list[InteractionRecord]:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from iakrec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from iakrec.cli import EXIT_OK, EXIT_SCHEMA, main
+from iakrec.config import RunConfig
 from iakrec.iak import AdapterError, IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, ModelError, build_model
 from iakrec.router import adapters_from_arrays
@@ -170,22 +172,26 @@ def _model_and_adapter():
     return model, IAKAdapter(model.rep_dim, model.n_heads, iak_cfg, {"period": 1}, seed=0), model_cfg, space, iak_cfg
 
 
-def test_a_hand_written_version_1_file_restores_bit_for_bit(tmp_path):
-    """Version 1 (no dtype tag, no padding, so unaligned data after an odd
-    digest) still loads, and a backbone and an adapter restored from it
-    hold their saved arrays bit for bit."""
-    model, adapter, model_cfg, space, iak_cfg = _model_and_adapter()
+def test_a_version_1_file_is_rejected_by_eval(tmp_path, capsys):
+    """Version 1 (no dtype tag, no padding) is no longer read: `iakrec eval`
+    of a hand-written version-1 file holding a backbone's and an adapter's
+    arrays exits 5 with one line naming the version, and writes no run
+    directory."""
+    sizes = {"datagen.n_users": "30", "datagen.n_items": "20", "datagen.n_days": "2",
+             "datagen.records_per_day": "60", "model.hidden_sizes": "6,3"}
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in sizes.items()), encoding="utf-8")
+    common = ["--config", str(tmp_path / "run.cfg"), "--workdir", str(tmp_path)]
+    assert main(["gen-data", *common, "--outdir", "data"]) == EXIT_OK
+    cfg = RunConfig(sizes)
+    model = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
+    adapter = IAKAdapter(model.rep_dim, model.n_heads, cfg.iak_config(), {"period": 1}, seed=0)
     saved = {**model.named_parameters(), **adapter.named_parameters()}
     path = tmp_path / "v1.ckpt"
-    path.write_bytes(checkpoint_bytes(list(saved.items()), "odd", version=1))
-    arrays, digest = load_checkpoint(path)
-    assert digest == "odd" and not all(a.flags.aligned for a in arrays.values())
-    clone = build_model(model_cfg, space, seed=None)
-    clone.restore({k: v for k, v in arrays.items() if not k.startswith("adapter/")})
-    (restored,) = adapters_from_arrays(arrays, clone.rep_dim, clone.n_heads, iak_cfg).values()
-    got = {**clone.named_parameters(), **restored.named_parameters()}
-    assert sorted(got) == sorted(saved)
-    assert all(got[k].tobytes() == saved[k].tobytes() for k in saved)
+    path.write_bytes(checkpoint_bytes(list(saved.items()), cfg.digest(), version=1))
+    capsys.readouterr()
+    assert main(["eval", *common, "--data", "data/dataset.jsonl", "--checkpoint", "v1.ckpt"]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"iakrec: error: {path}: unsupported checkpoint version 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg", "v1.ckpt"]
 
 
 def test_a_file_in_the_backbone_block_order_restores_and_saves_back_byte_for_byte(tmp_path):
@@ -244,7 +250,7 @@ def test_an_unknown_dtype_tag_raises_checkpoint_error_naming_the_block(tmp_path)
 def test_a_dimension_past_any_size_raises_checkpoint_error(tmp_path):
     """A dimension whose product overflows what an array can index is a
     damaged file, not an OverflowError."""
-    blob = bytearray(checkpoint_bytes([("a", np.zeros((2, 3)))], version=1))
+    blob = bytearray(checkpoint_bytes([("a", np.zeros((2, 3)))]))
     dims = blob.index(struct.pack("<2Q", 2, 3))
     blob[dims + 7] = 0x5A  # the high byte of the first dimension
     path = tmp_path / "huge.ckpt"

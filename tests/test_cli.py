@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import sys
 import tracemalloc
@@ -170,14 +171,16 @@ MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
     ("finetune", "model.kind=nope", "unknown model kind 'nope'"),
     ("finetune", "iak.d_e=0", "d_e must be >= 1"),
     ("eval", "model.n_experts=0", "n_experts must be >= 1"),
+    ("eval", "iak.d_e=0", "d_e must be >= 1"),
     ("serve", "model.hidden_sizes=4,0", "hidden sizes must be positive"),
+    ("serve", "iak.d_e=0", "d_e must be >= 1"),
 ])
 def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workdir, capsys, command, setting,
                                                                           message):
     """Each command checks the config sections it reads (`model.*`, and in
-    `finetune` also `iak.*`) before it opens an input: a bad value is a
-    one-line data error (exit 5), not the path error of the missing
-    inputs, and `finetune` never runs a backbone pass first."""
+    `finetune`, `eval` and `serve` also `iak.*`) before it opens an input: a
+    bad value is a one-line data error (exit 5), not the path error of the
+    missing inputs, and `finetune` never runs a backbone pass first."""
     assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"iakrec: error: {message}\n"
     assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
@@ -594,27 +597,68 @@ PIPELINE_SHA256 = {
 }
 
 
-def test_the_pipeline_writes_pinned_bits(workdir):
-    """Every bit the tiny pipeline writes is pinned: a change that moves a
-    score, a loss, a weight or the order of a checkpoint's bytes fails here.
-    The pins hold for one numpy and BLAS build; another may round a matrix
-    product differently, and only that is a reason to re-pin."""
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """The tiny pipeline at TINY_CFG, run once for the pinned-bits tests."""
+    workdir = tmp_path_factory.mktemp("pinned")
+    (workdir / "run.cfg").write_text(TINY_CFG, encoding="utf-8")
     data = "data/dataset.jsonl"
     assert _run(workdir, "gen-data", "--outdir", "data") == EXIT_OK
     assert _run(workdir, "pretrain", "--data", data, "--outdir", "pre") == EXIT_OK
     assert _run(workdir, "finetune", "--data", data, "--backbone", "pre/backbone.ckpt", "--outdir", "ft") == EXIT_OK
     assert _run(workdir, "eval", "--data", data, "--checkpoint", "ft/finetuned.ckpt", "--outdir", "ev") == EXIT_OK
+    return workdir
+
+
+def test_the_pipeline_writes_pinned_bits(pinned_run):
+    """Every bit the tiny pipeline writes is pinned: a change that moves a
+    score, a loss, a weight or the order of a checkpoint's bytes fails here.
+    The pins hold for one numpy and BLAS build; another may round a matrix
+    product differently, and only that is a reason to re-pin."""
     got = {}
     for name in PIPELINE_SHA256:
         h = hashlib.sha256()
         if name.endswith(".ckpt"):
-            for arr in load_checkpoint(workdir / name)[0].values():
+            for arr in load_checkpoint(pinned_run / name)[0].values():
                 h.update(arr.tobytes())
         else:
-            h.update((workdir / name).read_bytes())
+            h.update((pinned_run / name).read_bytes())
         got[name] = h.hexdigest()
     assert got == PIPELINE_SHA256
-    assert (workdir / "ev" / "report.csv").read_bytes().count(b"iak:") > 0
+    assert (pinned_run / "ev" / "report.csv").read_bytes().count(b"iak:") > 0
+
+
+def _request_line(user=1, **domain_ids):
+    return json.dumps({"user_id": user, "item_id": 2, "domain_ids": domain_ids, "feature_ids": [1, 3]}).encode() + b"\n"
+
+
+# a request for each trained period (the adapters of `period=*`), an untrained
+# period, a request without `period`, an out-of-vocab user and a malformed line
+SERVE_STREAM = b"".join([
+    *(_request_line(scene=0, region=1, period=p) for p in (0, 1, 2)),
+    _request_line(scene=1, region=0, period=3),
+    _request_line(scene=1, region=2),
+    _request_line(user=10**6, scene=0, region=0, period=1),
+    b'{"user_id": 1\n',
+])
+SERVED = ["period=0", "period=1", "period=2", "zero_shot", "zero_shot", "period=1", None]
+# sha256 of what `serve` writes for SERVE_STREAM on the pinned run's finetuned
+# checkpoint, with each `"latency_micros": N` field cut out
+SERVE_SHA256 = "7161bbfc00f1024e5ff42f4175804341a23f84e66b47c6f088a78958aacbbf5f"
+
+
+@pytest.mark.parametrize("lazy", ["false", "true"], ids=["eager", "lazy"])
+def test_serve_writes_pinned_bits(pinned_run, monkeypatch, capsys, lazy):
+    """Every byte `serve` writes but the latencies is pinned, in both
+    activation modes: a change that moves a served score, an adapter pick or
+    an error reply fails here."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(SERVE_STREAM), encoding="utf-8"))
+    capsys.readouterr()
+    assert _run(pinned_run, "serve", "--checkpoint", "ft/finetuned.ckpt", "--set",
+                f"router.lazy_activation={lazy}") == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert [json.loads(line).get("served_by") for line in out.splitlines()] == SERVED
+    assert hashlib.sha256(re.sub(rb', "latency_micros": \d+', b"", out)).hexdigest() == SERVE_SHA256
 
 
 def test_a_checkpoint_with_a_table_block_per_id_column_exits_5_naming_the_table(workdir, capsys):

@@ -7,14 +7,14 @@ import pytest
 
 from iakrec import experiments
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
-from iakrec.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
+from iakrec.datagen import expand_domain_selectors
 from iakrec.experiments import (
     CSV_HEADER,
     EXPERIMENT_KINDS,
     ExperimentContext,
     ExperimentError,
-    expand_domain_selectors,
     experiment_rows,
     write_rows,
 )
@@ -213,6 +213,25 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         run("experiment", "--kind", "no_such_kind")
     assert e.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind, setting, code, message", [
+    ("de_sweep", "eval.de_grid=10,0", EXIT_SCHEMA, "error: d_e must be >= 1"),
+    ("window_sweep", "eval.seeds=0,-1", EXIT_SCHEMA, "error: seed must be >= 0, got -1"),
+    ("beta_sweep", "eval.betas=0.001,-1", EXIT_SCHEMA, "error: beta must be finite and >= 0, got -1.0"),
+    ("beta_sweep", "eval.mi_bins=1", EXIT_SCHEMA, "error: bins must be >= 2"),
+    ("beta_sweep", "eval.mi_bins=x", EXIT_CONFIG, "config error: eval.mi_bins: expected integer, got 'x'"),
+    ("baseline_compare", "eval.baseline_kinds=base,bogus", EXIT_SCHEMA, "error: unknown model kind 'bogus'"),
+])
+def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
+                                                                          message):
+    """`iakrec experiment` checks every setting a row reads (the seeds, the
+    MI bins, the model kinds, and each condition's model, train and adapter
+    configs) before it pretrains: a bad one exits with its one line and
+    leaves no cached backbone and no run directory."""
+    run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0"})
+    assert run("experiment", "--kind", kind, "--set", setting) == (code, [], [f"iakrec: {message}"])
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from iakrec.autodiff import NonFiniteError
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.config import RunConfig
-from iakrec.datagen import generate, parse_domain_key
+from iakrec.datagen import TOPICS, domain_key, domain_mask, generate, parse_domain_key
 from iakrec.evals import SplitPass
 from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records
@@ -23,6 +23,8 @@ from iakrec.router import (
     request_from_json,
     serve,
 )
+
+import records_reference
 
 SPACE = FeatureSpace(n_users=30, n_items=20, n_scenes=2, n_regions=2, n_periods=3)
 
@@ -148,6 +150,57 @@ class TestRouteScore:
         rev = [router.score(r) for r in reversed(reqs)]
         for a, b in zip(fwd, reversed(rev)):
             assert (a.p_ctr, a.p_ctcvr, a.served_by) == (b.p_ctr, b.p_ctcvr, b.served_by)
+
+
+class TestOneMatcher:
+    """The adapter a request reaches is picked by `datagen.domain_mask` on
+    the request's fitted row, the rule that slices each adapter's train and
+    eval rows: a topic the request leaves out is id -1 there."""
+
+    def test_a_request_without_period_reaches_the_period_minus_1_adapter(self):
+        backbone = _backbone(seed=6)
+        adapters = {"period=-1": _adapter(backbone, -1, seed=7, nudge=0.1),
+                    "period=0": _adapter(backbone, 0, seed=8, nudge=-0.2)}
+        request = ScoreRequest(user_id=3, item_id=4, domain_ids={"scene": 0, "region": 1}, feature_ids=[1, 2, 3, 4])
+        row = encode_request(request, SPACE)
+        assert row.period.tolist() == [-1] and domain_mask(row, {"period": -1}).tolist() == [True]
+        for lazy in (False, True):
+            router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+            resp, explicit = router.score(request), router.score(_request(period=-1, scene=0, region=1))
+            assert resp.served_by == explicit.served_by == "period=-1"
+            assert (resp.p_ctr, resp.p_ctcvr) == (explicit.p_ctr, explicit.p_ctcvr)
+
+
+@functools.lru_cache(maxsize=1)
+def _matcher_backbone():
+    return _backbone(seed=11)
+
+
+def _oracle_pick(domain_ids: dict[str, int], keys: list[str]) -> str:
+    """The most specific key (ties by key) whose selector
+    `records_reference.in_domain` matches, each missing topic read as -1."""
+    ids = {topic: domain_ids.get(topic, -1) for topic in TOPICS}
+    matched = [k for k in keys if records_reference.in_domain(ids, parse_domain_key(k))]
+    return min(matched, key=lambda k: (-len(parse_domain_key(k)), k), default="zero_shot")
+
+
+_selector = st.dictionaries(st.sampled_from(TOPICS), st.integers(-1, 2), min_size=1, max_size=3)
+# each topic held or left out, plus a key that is not a topic
+_domain_ids = st.dictionaries(st.sampled_from([*TOPICS, "market"]), st.integers(-1, 2), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(selectors=st.lists(_selector, min_size=1, max_size=4, unique_by=domain_key),
+       requests=st.lists(_domain_ids, min_size=1, max_size=8))
+def test_the_router_serves_through_the_adapter_the_oracle_picks(selectors, requests):
+    backbone = _matcher_backbone()
+    adapters = {domain_key(sel): IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=2, decoder_hidden=(3,)),
+                                            sel, seed=i) for i, sel in enumerate(selectors)}
+    for lazy in (False, True):
+        router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+        for domain_ids in requests:
+            resp = router.score(ScoreRequest(user_id=1, item_id=2, domain_ids=domain_ids, feature_ids=[1]))
+            assert resp.served_by == _oracle_pick(domain_ids, list(adapters)), (lazy, domain_ids)
 
 
 class TestOneBackbonePass:

@@ -12,12 +12,12 @@ from iakrec.datagen import (
     GeneratorConfig,
     domain_key,
     domain_rows,
+    expand_domain_selectors,
     filter_by_domain,
     generate,
     make_domains,
     parse_domain_key,
 )
-from iakrec.experiments import expand_domain_selectors
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records, task_bce
 from iakrec.trainer import (
