@@ -24,26 +24,25 @@ looked-up rows and a view of their gradient rows, and the optimizer
 updates only those rows. A step therefore costs the rows a batch touches,
 not the size of the table. `Parameter.grad` still reads as a dense array,
 built on read. A dense gradient is written once: an intermediate keeps the
-product its op made, and a parameter that an optimizer (or an
-`iak.AdapterBank`) has laid out takes its first gradient in its slot of
-that layout's gradient block.
+product its op made, and a parameter that an optimizer has laid out takes
+its first gradient in its slot of that layout's gradient block.
 
-The optimizer is decayed Adagrad, and it has one layout for dense
-parameters: an `Arena` of K rows by P columns, a gradient block and an
-accumulator block beside it, stepped in one pass over the rows that step.
-Pretraining (`adagrad_decay_step`) lays its dense weights and biases out as
-a one-row arena at its first step. Its embedding table, already one array
-in the model, stays where it is and takes one segment sum and one lazy row
-update per step. An `iak.AdapterBank` lays its K adapters out as a K-row
-arena, each row at its own rate. Either way the bits are those of a step
-per parameter.
+The optimizer is decayed Adagrad (`AdagradDecay`), and its owner lays it out
+once, before the first forward: the trainable dense parameters as the rows
+of one arena, a gradient block and an accumulator block beside them, and at
+most one embedding table, which stays where it is. Pretraining's arena is
+one row beside the model's one table; an `iak.AdapterBank`'s is one row per
+adapter, each at its own rate, with no table. `adagrad_decay_step` is the
+one step for both: one pass over the arena rows that step, and one segment
+sum and one lazy row update of the table. Either way the bits are those of a
+step per parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -114,14 +113,15 @@ class Parameter(Tensor):
         self.name = name
         self.trainable = trainable
         # where the first dense gradient is written once an optimizer has laid
-        # the parameter out (see `Arena`)
+        # the parameter out (see `AdagradDecay`)
         self._grad_slot: np.ndarray | None = None
 
     @property
     def grad(self) -> np.ndarray:
         """Dense gradient, built on read: the recorded row gradients are
         folded into it (zeros when nothing was recorded). Once read, the
-        gradient is dense, and the optimizer touches every row this step."""
+        gradient is dense, so `adagrad_decay_step` refuses to step an
+        embedding table read this way."""
         if self._dense_grad is None:
             self._dense_grad = np.zeros_like(self.data)
         for rows, values in self._row_grads:
@@ -147,8 +147,8 @@ class Parameter(Tensor):
 
     def _fill_grad_slot(self) -> None:
         """Put the gradient in its slot, where an arena update reads it: one
-        written elsewhere, row gradients and all, is copied in, and a
-        parameter with nothing recorded fills it with zeros."""
+        written elsewhere is copied in, and a parameter with nothing
+        recorded fills it with zeros."""
         g = self.grad
         if g is not self._grad_slot:
             self._grad_slot[...] = g
@@ -663,38 +663,66 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 
 # Decayed Adagrad is elementwise per row, so it runs over laid-out blocks
 # rather than parameter by parameter, as table-batched embeddings with a fused
-# optimizer do (Mudigere et al., ISCA 2022): an `Arena` of dense parameters,
-# stepped in one pass over the rows that step, and, in pretraining, the one
-# embedding table the model keeps all its id tables in, stepped in one pass
-# over the rows a batch touches.
+# optimizer do (Mudigere et al., ISCA 2022): an arena of dense parameters,
+# stepped in one pass over the rows that step, and at most one embedding
+# table, stepped where it is in one pass over the rows a batch touches.
 
 
-@dataclass
-class AdagradDecayState:
-    """Decayed Adagrad's settings and state: the count of
-    `adagrad_decay_step` steps taken, each parameter's squared-gradient
-    accumulator and, for an embedding table, the step at which each row
-    (index on the leading axis) was last updated, the arrays read by
-    parameter name.
+def check_adagrad_settings(decay: float, epsilon: float) -> None:
+    """Raise `ValueError` unless `decay` is in (0, 1] and `epsilon` is finite
+    and positive. Each message starts with the setting's name."""
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
-    An `Arena` files views of its accumulator block here when it lays its
-    members out; the first `adagrad_decay_step` lays its parameters out once
-    (see there) and files each table's own accumulator and last-step rows
-    too. An `iak.AdapterBank` keeps its arena's accumulators here and steps
-    that arena itself, not through `adagrad_decay_step`."""
 
-    decay: float = 0.9999
-    epsilon: float = 1e-8
-    step: int = 0
-    accumulators: dict[str, np.ndarray] = field(default_factory=dict)
-    last_step: dict[str, np.ndarray] = field(default_factory=dict)
-    _layout: _Layout | None = field(default=None, init=False, repr=False, compare=False)
+class AdagradDecay:
+    """Decayed Adagrad, laid out once by the owner of its parameters before
+    their first forward, and stepped by `adagrad_decay_step`.
 
-    def __post_init__(self):
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+    `params` are the parameters that train. `table`, if given, must be one of
+    them: the embedding table. It keeps its own array, and its accumulator
+    and the step at which each row was last updated (`last_step`) sit beside
+    it. Every other parameter is a member of an arena of `n_rows` rows by P
+    columns. A member takes a column range of every row. Its array becomes a
+    view of its columns of `data` in its own shape (for more rows than one,
+    its leading axis runs over the rows), and it takes its first gradient in
+    the same columns of `grad` (`Parameter._grad_slot`). The accumulator
+    block `acc` sits beside them. Pretraining lays its dense weights and
+    biases out as a one-row arena beside its table; an `iak.AdapterBank` lays
+    its K adapters out as the K rows, with no table.
+
+    `accumulators` reads each parameter's accumulator by its name.
+    `names[j][k]` is the name of the parameter that row k of member j holds
+    (by default the member's own, for every row), and a non-finite gradient
+    there is reported under it."""
+
+    def __init__(self, params: Sequence[Parameter], decay: float, epsilon: float, n_rows: int = 1,
+                 table: Parameter | None = None, names: Sequence[Sequence[str]] | None = None):
+        check_adagrad_settings(decay, epsilon)
+        self.decay, self.epsilon, self.step = decay, epsilon, 0
+        if table is not None and not any(p is table for p in params):
+            raise ValueError(f"table {table.name} is not one of the parameters")
+        self.table = table
+        self.params = [p for p in params if p is not table]
+        self.names = names or [[p.name] * n_rows for p in self.params]
+        bounds = list(accumulate((p.size // n_rows for p in self.params), initial=0))
+        self.columns = list(zip(bounds, bounds[1:]))  # each member's (first, end) column
+        self.data = np.empty((n_rows, bounds[-1]))
+        self.grad = np.empty_like(self.data)
+        self.acc = np.zeros_like(self.data)
+        self.accumulators: dict[str, np.ndarray] = {}
+        for p, (start, end) in zip(self.params, self.columns):
+            data = self.data[:, start:end].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data
+            p._grad_slot = self.grad[:, start:end].reshape(data.shape)
+            self.accumulators[p.name] = self.acc[:, start:end].reshape(data.shape)
+        self.last_step: np.ndarray | None = None
+        if self.table is not None:
+            self.accumulators[table.name] = np.zeros_like(table.data)
+            self.last_step = np.zeros(len(table.data), dtype=np.int64)
 
 
 def _segment_sum(table: Parameter) -> tuple[np.ndarray, np.ndarray]:
@@ -719,148 +747,65 @@ def _segment_sum(table: Parameter) -> tuple[np.ndarray, np.ndarray]:
     return touched, summed if n_bins == touched.size else summed[touched]
 
 
-class Arena:
-    """Parameters laid out as `n_rows` rows by P columns, stepped by dense
-    decayed Adagrad in one pass over the rows that step.
-
-    Each member takes a column range of every row. Its array becomes a view
-    of its columns of `data` in its own shape (for more rows than one, its
-    leading axis runs over the rows), and it takes its first gradient in the
-    same columns of `grad` (`Parameter._grad_slot`). The accumulator block
-    `acc` sits beside them, each member's columns filed in
-    `state.accumulators` by its name. Pretraining's dense weights and biases
-    are a one-row arena at one rate; an `iak.AdapterBank`'s adapters are its
-    rows, each at its own rate."""
-
-    def __init__(self, params: Sequence[Parameter], state: AdagradDecayState, n_rows: int = 1):
-        bounds = list(accumulate((p.size // n_rows for p in params), initial=0))
-        self.params = list(params)
-        self.columns = list(zip(bounds, bounds[1:]))  # each member's (first, end) column
-        self.data = np.empty((n_rows, bounds[-1]))
-        self.grad = np.empty_like(self.data)
-        self.acc = np.zeros_like(self.data)
-        for p, (start, end) in zip(self.params, self.columns):
-            data = self.data[:, start:end].reshape(p.data.shape)
-            data[...] = p.data
-            p.data = data
-            p._grad_slot = self.grad[:, start:end].reshape(data.shape)
-            state.accumulators[p.name] = self.acc[:, start:end].reshape(data.shape)
-
-    def gradient(self, rows) -> np.ndarray:
-        """The gradient block's `rows` (`...` for all), once every member's
-        gradient is in its slot: a member with nothing recorded steps on
-        zeros, and one with row gradients on them folded into a dense one."""
-        for p in self.params:
-            p._fill_grad_slot()
-        return self.grad[rows]
-
-    def step(self, rows, g: np.ndarray, lr, state: AdagradDecayState, g_sq: np.ndarray | None = None) -> None:
-        """The dense rule (`adagrad_update`) on `rows` of the arena, whose
-        gradient `g` (and its square `g_sq`) `gradient` gave, at rate `lr`:
-        a scalar, or one rate per row that broadcasts against `g`."""
-        adagrad_update(self.data, self.acc, rows, g, state.decay, lr, state.epsilon, g_sq)
-
-
-class _Layout:
-    """The trainable parameters of `adagrad_decay_step`, laid out at its
-    first step. An embedding table, a parameter that had recorded only row
-    gradients, keeps its own array, with its accumulator and last-step rows
-    beside it. Every other parameter is a member of a one-row `Arena`. Each
-    part keeps list order."""
-
-    def __init__(self, params: list[Parameter], state: AdagradDecayState):
-        if len({p.name for p in params}) != len(params):
-            raise ValueError("adagrad_decay_step needs parameters with distinct names")
-        looked_up = [p._dense_grad is None and bool(p._row_grads) for p in params]
-        self.params = params
-        self.dense = Arena([p for p, t in zip(params, looked_up) if not t], state)
-        self.tables = [p for p, t in zip(params, looked_up) if t]
-        state.accumulators.update((p.name, np.zeros_like(p.data)) for p in self.tables)
-        state.last_step.update((p.name, np.zeros(len(p.data), dtype=np.int64)) for p in self.tables)
-        self.views = [p.data for p in params]
-
-    def check(self, params: list[Parameter]) -> None:
-        """Raise `ValueError` naming a parameter off the layout: the first
-        where the list differs from the laid-out one, one whose array was
-        replaced since, or a table with a dense gradient."""
-        if params != self.params:
-            i = next(i for i, (p, q) in enumerate(zip_longest(params, self.params)) if p is not q)
-            name = (self.params[i] if i < len(self.params) else params[i]).name
-            raise ValueError(f"adagrad_decay_step laid out another parameter list; it differs at {name}")
-        for p, view in zip(params, self.views):
-            if p.data is not view:
-                raise ValueError(f"the array of {p.name} was replaced since adagrad_decay_step laid it out")
-        for p in self.tables:
-            if p._dense_grad is not None:
-                raise ValueError(f"{p.name} is laid out as an embedding table but has a dense gradient")
-
-    def step(self, state: AdagradDecayState, lr: float) -> None:
-        """One `adagrad_decay_step` of the laid-out parameters (see there)."""
-        g = self.dense.gradient(...)
-        sums = {p: _segment_sum(p) for p in self.tables if p._row_grads}
-        if not np.isfinite(g).all() or not all(np.isfinite(summed).all() for _, summed in sums.values()):
-            for p in self.params:  # name the first bad one in list order
-                grad = sums[p][1] if p in sums else p._grad_slot
-                if grad is not None and not np.isfinite(grad).all():
-                    raise NonFiniteError(f"non-finite gradient for {p.name}")
-        state.step += 1
-        self.dense.step(..., g, lr, state)
-        for p, (rows, summed) in sums.items():
-            _step_rows(p, rows, summed, state, lr)
-
-
-def _step_rows(table: Parameter, rows: np.ndarray, g: np.ndarray, state: AdagradDecayState, lr: float) -> None:
-    """`adagrad_update` of `rows` of `table` at step `state.step`, each row
-    decayed for the steps since its last update."""
-    last = state.last_step[table.name]
-    decay = state.decay ** (state.step - last[rows])
-    last[rows] = state.step
-    adagrad_update(table.data, state.accumulators[table.name], rows, g, decay[:, None], lr, state.epsilon)
-
-
-def adagrad_decay_step(params: Iterable[Parameter], state: AdagradDecayState, lr: float) -> None:
-    """One step of decayed Adagrad on the trainable `params`. The dense rule
-    updates every entry at every step:
+def adagrad_decay_step(opt: AdagradDecay, lr, rows=...) -> np.ndarray:
+    """One step of decayed Adagrad on the parameters `opt` laid out. The
+    dense rule updates every entry at every step:
 
         acc <- decay * acc + g^2
         p   <- p - lr * g / (sqrt(acc) + eps)
 
-    An embedding table takes it lazily, on the rows a batch touches. A row
-    left untouched has g = 0, so the dense rule only decays its accumulator
-    and leaves the row where it is; at step t a touched row r takes
+    The arena takes it on `rows` (an index on its leading axis, `...` for
+    every row), at rate `lr`: a scalar, or one rate per stepped row that
+    broadcasts against their gradient. Every other row and its accumulator
+    stay as they are. A member with nothing recorded steps on zeros: it
+    stays where it is, and its accumulator decays.
+
+    The table takes the rule lazily, on the rows a batch touches. A row left
+    untouched has g = 0, so the dense rule only decays its accumulator and
+    leaves the row where it is; at step t a touched row r takes
 
         acc[r] <- decay**(t - last[r]) * acc[r] + g[r]^2;   last[r] <- t
 
     which catches those decays up (decayed per-coordinate Adagrad, Duchi et
     al., JMLR 2011). A step therefore costs the rows a batch touches, not the
-    size of the table. Frozen parameters are left out.
+    size of the table.
 
-    The first step lays the trainable parameters out (`_Layout`). A
-    parameter that recorded only row gradients then is an embedding table:
-    it keeps its array, and its accumulator and last-step rows are allocated
-    beside it. Every other parameter becomes a member of a one-row `Arena`,
-    its array a view of the arena's. Each step then steps in place:
-
-    - the arena: one finiteness check and one `adagrad_update` of every dense
-      member by the dense rule. A member with nothing recorded steps on
-      zeros, and one with row gradients on them folded into a dense one.
-    - each table that recorded rows (pretraining's one): one segment sum of
-      its row gradients, one power and one `adagrad_update` of the touched
-      rows.
-
-    The bits equal those of the same rules stepped one parameter at a time.
-    A later step with another list of trainable parameters, with an array
-    replaced since the layout (by a `restore`), or with a dense gradient on a
-    table raises `ValueError` naming the parameter. A non-finite gradient
-    raises `NonFiniteError` naming the first such parameter in list order.
-    Either way nothing has moved."""
-    if lr <= 0.0:
+    A step puts every member's gradient in its slot and sums the table's row
+    gradients; a table holding a dense gradient raises `ValueError`. A
+    non-finite gradient raises `NonFiniteError` naming the first bad
+    parameter: the table first, then, in the first stepped row with a bad
+    entry, its first bad member (see `AdagradDecay.names`). Either way
+    nothing has moved. Otherwise it makes one `adagrad_update` of the arena
+    rows and one of the touched table rows. The bits equal those of the same
+    rules stepped one parameter at a time. Returns the squared gradient of
+    the stepped arena rows."""
+    if np.any(np.less_equal(lr, 0.0)):
         raise ValueError(f"learning rate must be positive, got {lr}")
-    params = [p for p in params if p.trainable]
-    if state._layout is None:
-        state._layout = _Layout(params, state)
-    state._layout.check(params)
-    state._layout.step(state, lr)
+    table = opt.table
+    if table is not None and table._dense_grad is not None:
+        raise ValueError(f"{table.name} holds a dense gradient; a table records only row gradients")
+    for p in opt.params:
+        p._fill_grad_slot()
+    g = opt.grad[rows]
+    touched = _segment_sum(table) if table is not None and table._row_grads else None
+    if touched is not None and not np.isfinite(touched[1]).all():
+        raise NonFiniteError(f"non-finite gradient for {table.name}")
+    if not np.isfinite(g).all():
+        bad = ~np.isfinite(g)
+        i = np.flatnonzero(bad.any(axis=1))[0]
+        col = np.flatnonzero(bad[i])[0]
+        j = next(j for j, (start, end) in enumerate(opt.columns) if start <= col < end)
+        k = np.arange(len(opt.data))[rows][i]  # the arena row of stepped row i
+        raise NonFiniteError(f"non-finite gradient for {opt.names[j][k]}")
+    opt.step += 1
+    g_sq = g * g
+    adagrad_update(opt.data, opt.acc, rows, g, opt.decay, lr, opt.epsilon, g_sq)
+    if touched is not None:
+        t_rows, t_g = touched
+        decay = opt.decay ** (opt.step - opt.last_step[t_rows])
+        opt.last_step[t_rows] = opt.step
+        adagrad_update(table.data, opt.accumulators[table.name], t_rows, t_g, decay[:, None], lr, opt.epsilon)
+    return g_sq
 
 
 def adagrad_update(data: np.ndarray, acc: np.ndarray, rows, g: np.ndarray, decay, lr, epsilon: float,

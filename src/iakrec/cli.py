@@ -58,7 +58,8 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .datagen import DatasetError, expand_domain_selectors, generate, read_dataset, split_chronological, write_jsonl
+from .datagen import (DatasetError, expand_domain_selectors, generate, parse_domain_selectors, read_dataset,
+                      split_chronological, write_jsonl)
 # not called here, but perfbench/layers.py traces them by these names
 from .datagen import filter_by_domain, read_jsonl  # noqa: F401
 from .evals import MetricError, SplitPass, report_from_scores
@@ -196,12 +197,14 @@ def cmd_finetune(args) -> int:
     train_config, iak_config = cfg.train_config(), cfg.iak_config()
     for config in (cfg.model_config(), train_config, iak_config):
         config.validate()
+    domains = cfg.get_list("train.finetune_domains")
+    parse_domain_selectors(domains)  # a bad entry is an error before any input is opened
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, cfg)
     model, _ = _restore_backbone(cfg, ckpt)
-    selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
+    selectors = expand_domain_selectors(domains, train)
     result = finetune_all(model, train, selectors, train_config, iak_config)
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")

@@ -563,16 +563,23 @@ def domain_mask(dataset: Dataset, selector: dict[str, int]) -> np.ndarray:
     return functools.reduce(operator.and_, masks) if masks else np.ones(len(dataset), dtype=bool)
 
 
+def parse_domain_selectors(spec: list[str]) -> list[str | dict[str, int]]:
+    """Each entry of a selector list, read without the data: the topic of a
+    `topic=*` entry, else the selector of an explicit key. A bad entry raises
+    DatasetError, so a command checks its list before it opens any input."""
+    out: list[str | dict[str, int]] = []
+    for entry in spec:
+        topic, _, value = entry.partition("=")
+        out.append(domain_topic(topic) if value == "*" else parse_domain_key(entry))
+    return out
+
+
 def expand_domain_selectors(spec: list[str], dataset: Dataset) -> dict[str, dict[str, int]]:
     """Selectors by canonical key: an entry like `period=*` expands over the
     ids present in the data, and explicit keys pass through."""
     out: dict[str, dict[str, int]] = {}
-    for entry in spec:
-        topic, _, value = entry.partition("=")
-        if value == "*":
-            sels = [{domain_topic(topic): i} for i in np.unique(dataset.domain(topic)).tolist()]
-        else:
-            sels = [parse_domain_key(entry)]
+    for entry in parse_domain_selectors(spec):
+        sels = [{entry: i} for i in np.unique(dataset.domain(entry)).tolist()] if isinstance(entry, str) else [entry]
         out.update((domain_key(sel), sel) for sel in sels)
     return out
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig
-from .datagen import Dataset, domain_key, expand_domain_selectors, generate, parse_domain_key, split_chronological
+from .datagen import (Dataset, domain_key, expand_domain_selectors, generate, parse_domain_key, parse_domain_selectors,
+                      split_chronological)
 from .evals import SplitPass, check_bins, encoder_mi, report_from_scores, score_label_decile_kl
 from .models import FeatureSpace, ModelError, MultiTaskModel, build_model, encode_records
 from .trainer import finetune_all, pretrain
@@ -162,6 +163,7 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
     for run in (run for group in runs.values() for run in group):
         for config in (run.model_config(), run.train_config(), run.iak_config()):
             config.validate()
+        parse_domain_selectors(run.get_list("train.finetune_domains"))
     ctx = ExperimentContext(cfg, Path(workdir))
     train, test = ctx.dataset()
     test = encode_records(test, ctx.space())

@@ -20,10 +20,11 @@ adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
 is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
 which runs it on `ad.segment_linear` with one weight sample per record.
 
-An `AdapterBank` lays its K adapters out as the K rows of one `ad.Arena`,
-the layout pretraining gives its dense weights, so a bank step ends in one
-decayed-Adagrad pass over the rows of the adapters that stepped, each at its
-own rate; the bits are those of each adapter stepping alone.
+An `AdapterBank` lays its K adapters out as the K rows of one
+`ad.AdagradDecay` arena, and a bank step is one `ad.adagrad_decay_step`,
+the step pretraining takes: one decayed-Adagrad pass over the rows of the
+adapters that stepped, each at its own rate. The bits are those of each
+adapter stepping alone.
 
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
 (see `models.encode_records`), the one row type the model reads, in chunks
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdagradDecayState, Parameter, Tensor
+from .autodiff import Parameter, Tensor
 from .datagen import Dataset, domain_key
 from .models import LEAKY_SLOPE, Linear, MultiTaskModel, Prediction, bce_loss, init_generator, restore_parameters
 
@@ -284,19 +285,19 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
 
 class AdapterBank:
     """The adapters of one joint fine-tune, laid out for one autodiff graph
-    and one optimizer pass per step.
+    and one optimizer step per batch.
 
-    The bank's stacked (K, ...) parameters are the members of one K-row
-    `ad.Arena`: row k holds adapter k's parameters, each stacked parameter is
-    a view of its column range, and adapter k's own parameter a view of row
-    k of that, so a bank step trains the adapters in place and checkpoints
-    keep their `adapter/<key>/...` names. Each stacked parameter takes its
-    first gradient in its columns of the arena's gradient block, and
-    `opt_state.accumulators` reads its columns of the accumulator block by
-    its name. A step (`apply_gradients`) is one dense decayed-Adagrad pass
-    over the rows of the adapters that step, each at its own rate, the same
-    arena pass that pretraining's dense weights take; every other row and
-    its accumulator stay as they are."""
+    The bank's stacked (K, ...) parameters are the members of a K-row
+    `ad.AdagradDecay` arena, built with the bank: row k holds adapter k's
+    parameters, each stacked parameter is a view of its column range, and
+    adapter k's own parameter a view of row k of that. A bank step therefore
+    trains the adapters in place, and checkpoints keep their
+    `adapter/<key>/...` names. Each stacked parameter takes its first
+    gradient in its columns of the arena's gradient block, and
+    `opt.accumulators` reads its columns of the accumulator block by its
+    name. A step (`apply_gradients`) is one `ad.adagrad_decay_step` over the
+    rows of the adapters that step, each at its own rate; every other row
+    and its accumulator stay as they are."""
 
     def __init__(self, adapters: Sequence[IAKAdapter], decay: float, epsilon: float):
         if not adapters:
@@ -313,8 +314,8 @@ class AdapterBank:
         groups = list(zip(*(a.parameters() for a in self.adapters)))
         self.params = [Parameter(np.stack([p.data for p in group]), name="bank/" + group[0].name.rsplit("/", 1)[1])
                        for group in groups]
-        self.opt_state = AdagradDecayState(decay=decay, epsilon=epsilon)
-        self.arena = ad.Arena(self.params, self.opt_state, n_rows=len(self.adapters))
+        self.opt = ad.AdagradDecay(self.params, decay, epsilon, n_rows=len(self.adapters),
+                                   names=[[p.name for p in group] for group in groups])
         for group, stacked in zip(groups, self.params):
             for p, data in zip(group, stacked.data):
                 p.data = data
@@ -343,25 +344,15 @@ class AdapterBank:
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
-        rate lr[k], by the dense decayed-Adagrad rule each would follow
-        alone, in one arena pass over their rows. Returns the listed
-        adapters' gradient L2 norms, each the root of its parameters' squared
-        sums added in order. A non-finite gradient raises `NonFiniteError`
-        naming the first such parameter in order, of the first listed adapter
-        it holds one for, and then nothing has moved."""
+        rate lr[k], in one `ad.adagrad_decay_step` over their rows (a
+        non-finite gradient raises there, naming the adapter's parameter,
+        and nothing moves). Returns the listed adapters' gradient L2 norms,
+        each the root of its parameters' squared sums added in order."""
         rows = stepped if len(stepped) < len(self.adapters) else ...
-        g = self.arena.gradient(rows)
-        if not np.isfinite(g).all():
-            for j, (start, end) in enumerate(self.arena.columns):
-                finite = np.isfinite(g[:, start:end]).all(axis=1)
-                if not finite.all():
-                    bad = self.adapters[stepped[np.flatnonzero(~finite)[0]]]
-                    raise ad.NonFiniteError(f"non-finite gradient for {bad.parameters()[j].name}")
-        g_sq = g * g
+        g_sq = ad.adagrad_decay_step(self.opt, lr[stepped, None], rows)
         sq = np.zeros(len(stepped))
-        for start, end in self.arena.columns:
+        for start, end in self.opt.columns:
             sq += g_sq[:, start:end].sum(axis=1)
-        self.arena.step(rows, g, lr[stepped, None], self.opt_state, g_sq)
         return np.sqrt(sq)
 
     def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:

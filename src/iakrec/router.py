@@ -1,5 +1,5 @@
-"""Parallel inference over deployed adapters with indicator-based domain
-activation, plus a line-oriented JSON scoring loop.
+"""Inference over deployed adapters with indicator-based domain activation,
+scoring one request at a time, plus a line-oriented JSON scoring loop.
 
 A request carries the id columns of a recorded row and becomes a one-row
 `datagen.Dataset` fitted by `models.encode_records`, the row type the model

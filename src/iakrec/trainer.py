@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdagradDecayState
 from .datagen import Dataset, domain_key, domain_rows, parse_domain_key, window_by_days
 from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from .models import MultiTaskModel, encode_records, task_bce
@@ -58,8 +57,8 @@ class TrainConfig:
             raise TrainerError(f"seed must be >= 0, got {self.seed}")
         if self.finetune_window_days < 0:
             raise TrainerError(f"finetune_window_days must be >= 0, got {self.finetune_window_days}")
-        try:  # the optimizer state's own check; its messages start with the field name
-            AdagradDecayState(decay=self.adagrad_decay, epsilon=self.adagrad_epsilon)
+        try:  # the optimizer's own check; its messages start with the setting's name
+            ad.check_adagrad_settings(self.adagrad_decay, self.adagrad_epsilon)
         except ValueError as e:
             raise TrainerError(f"adagrad_{e}") from None
         if self.lr_norms not in ("uniform", "previous"):
@@ -94,36 +93,44 @@ def pretrain(
 ) -> list[tuple[int, float, float, float]]:
     """Train the model on the full multi-domain stream. Returns the training
     curve as (step, loss, loss_ctr, loss_ctcvr) rows; ceil(N/B) steps per
-    epoch. Every step is one `ad.adagrad_decay_step`. The first lays the
-    dense weights and biases out as a one-row `ad.Arena`, so from then on
-    each one's array is a view of the arena's; the values are unchanged. The
-    model's one embedding table keeps its array, and no table is copied.
-    Each step then makes one pass over the arena and one over the table rows
-    its batch touched."""
+    epoch. The optimizer is built before the first forward, from the model's
+    trainable parameters (`pretrain_optimizer`); a frozen one never moves.
+    Every step is one `ad.adagrad_decay_step`: one pass over the dense
+    weights and biases, laid out as a one-row arena (each one's array is
+    from then on a view of the arena's; the values are unchanged), and one
+    over the rows its batch touched of the model's one embedding table,
+    which keeps its array."""
     config.validate()
     if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")
     encoded = encode_records(dataset, model.space)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E7]))
-    opt = AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon)
+    opt = pretrain_optimizer(model, config)
     curve = []
     for step, idx in enumerate(_batch_indices(len(encoded), config.batch_size, config.epochs, rng), start=1):
         curve.append((step, *pretrain_step(model, encoded.take(idx), opt, config.base_lr)))
     return curve
 
 
-def pretrain_step(model: MultiTaskModel, batch: Dataset, opt: AdagradDecayState, lr: float) -> tuple[float, float, float]:
-    """One optimizer step of every parameter on one batch. Returns (loss,
-    loss_ctr, loss_ctcvr)."""
-    params = model.parameters()
+def pretrain_optimizer(model: MultiTaskModel, config: TrainConfig) -> ad.AdagradDecay:
+    """The decayed-Adagrad optimizer of the model's trainable parameters, its
+    embedding table, when it trains, stepped where it is."""
+    rows = model.embeddings.rows
+    return ad.AdagradDecay([p for p in model.parameters() if p.trainable], config.adagrad_decay,
+                           config.adagrad_epsilon, table=rows if rows.trainable else None)
+
+
+def pretrain_step(model: MultiTaskModel, batch: Dataset, opt: ad.AdagradDecay, lr: float) -> tuple[float, float, float]:
+    """One optimizer step of the trainable parameters on one batch. Returns
+    (loss, loss_ctr, loss_ctcvr)."""
     weights = model.config.loss_weights
-    ad.zero_grads(params)
+    ad.zero_grads(model.parameters())
     pred = model.forward_full(batch).prediction
     l_ctr = task_bce(pred.p_ctr, batch.click)
     l_ctcvr = task_bce(pred.p_ctcvr, batch.purchase)
     loss = ad.add(ad.mul(l_ctr, weights[0]), ad.mul(l_ctcvr, weights[1]))
     ad.backward(loss)
-    ad.adagrad_decay_step(params, opt, lr)
+    ad.adagrad_decay_step(opt, lr)
     return float(loss.data), float(l_ctr.data), float(l_ctcvr.data)
 
 

@@ -13,7 +13,7 @@ from iakrec.autodiff import Tensor
 from iakrec.iak import adapted_prediction, ib_loss
 from iakrec.trainer import SATURATION_LEVEL, FinetuneRow, _batch_indices, dynamic_lr
 
-from optimizer_reference import reference_adagrad_decay_step
+from optimizer_reference import ReferenceState, reference_adagrad_decay_step
 
 
 def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_state, lr, beta,
@@ -41,7 +41,7 @@ def reference_joint(backbone, cache, positions, adapters, config, iak_config, rn
     their own."""
     keys = sorted(positions)
     rep, base, click, purchase = cache
-    opts = {k: ad.AdagradDecayState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon) for k in keys}
+    opts = {k: ReferenceState(decay=config.adagrad_decay, epsilon=config.adagrad_epsilon) for k in keys}
     # (domain, cache row) of every stream entry, domains in key order
     tagged = np.concatenate([
         np.stack([np.full(len(positions[k]), ki), positions[k]], axis=1)

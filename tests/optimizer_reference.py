@@ -1,12 +1,14 @@
 """Reference optimizer: decayed Adagrad stepped one parameter at a time,
-each parameter reading its own touched rows, with the rule written out here
-rather than taken from `iakrec.autodiff`. `ad.adagrad_decay_step` and
-`iak.AdapterBank` run the same rule over laid-out arenas, and must leave every
-parameter and every state array where this loop leaves them, bit for bit;
-tests compare against it."""
+each parameter reading its own touched rows, with the rule and its state
+written out here rather than taken from `iakrec.autodiff`.
+`ad.adagrad_decay_step` runs the same rule over the two layouts the package
+builds, pretraining's one-row arena beside its one table and an adapter
+bank's K-row arena, and must leave every parameter and every state array
+where this loop leaves them, bit for bit; tests compare against it."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from types import EllipsisType
 
 import numpy as np
@@ -41,9 +43,22 @@ def touched_grad(p: ad.Parameter) -> tuple[np.ndarray | EllipsisType, np.ndarray
     return touched, summed if n_bins == touched.size else summed[touched]
 
 
-def reference_adagrad_decay_step(params, state: ad.AdagradDecayState, lr: float) -> None:
-    """Drop-in for `ad.adagrad_decay_step`, one parameter at a time in list
-    order: the same rule, accumulators and last-step rows allocated per
+@dataclass
+class ReferenceState:
+    """The reference's settings and state: the count of steps taken, and
+    each parameter's squared-gradient accumulator and the step at which each
+    of its rows (index on the leading axis) was last updated, by name."""
+
+    decay: float = 0.9999
+    epsilon: float = 1e-8
+    step: int = 0
+    accumulators: dict[str, np.ndarray] = field(default_factory=dict)
+    last_step: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def reference_adagrad_decay_step(params, state: ReferenceState, lr: float) -> None:
+    """The rule of `ad.adagrad_decay_step`, one parameter at a time in list
+    order, frozen ones left out: the same rule, accumulators and last-step rows allocated per
     parameter at its first touch. A parameter with nothing recorded does not
     move, and its accumulator does not decay."""
     if lr <= 0.0:

@@ -545,62 +545,78 @@ def test_computation_record_visits_each_node_once():
     assert w.grad[0] == 4.0
 
 
+DECAY, EPSILON = 0.9999, 1e-8  # the default settings
+
+
 class TestAdagradDecay:
     def test_zero_gradient_is_fixed_point(self):
         w = ad.Parameter(np.array([1.0, -2.0]), "w")
-        state = ad.AdagradDecayState()
+        opt = ad.AdagradDecay([w], DECAY, EPSILON)
         before = w.data.copy()
-        ad.adagrad_decay_step([w], state, lr=0.005)
+        ad.adagrad_decay_step(opt, 0.005)
         np.testing.assert_array_equal(w.data, before)
 
     def test_single_scalar_step_matches_hand_evaluation(self):
         # acc = 1*0 + 1 = 1; step = 0.005*1/(sqrt(1)+eps)
         w = ad.Parameter(np.array([1.0]), "w")
+        opt = ad.AdagradDecay([w], decay=1.0, epsilon=1e-300)
         w.grad = np.array([1.0])
-        state = ad.AdagradDecayState(decay=1.0, epsilon=1e-300)
-        ad.adagrad_decay_step([w], state, lr=0.005)
+        ad.adagrad_decay_step(opt, 0.005)
         assert w.data[0] == pytest.approx(1.0 - 0.005, abs=1e-12)
 
     def test_identical_params_stay_identical(self):
         a = ad.Parameter(np.array([0.5]), "a")
         b = ad.Parameter(np.array([0.5]), "b")
-        state = ad.AdagradDecayState()
+        opt = ad.AdagradDecay([a, b], DECAY, EPSILON)
         for _ in range(17):
             a.grad = np.array([0.3])
             b.grad = np.array([0.3])
-            ad.adagrad_decay_step([a, b], state, lr=0.01)
+            ad.adagrad_decay_step(opt, 0.01)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_frozen_parameter_never_moves(self):
+        # the owner lays out its trainable parameters only
         w = ad.Parameter(np.array([1.0]), "w", trainable=False)
-        state = ad.AdagradDecayState()
-        w.grad = np.array([5.0])
+        v = ad.Parameter(np.array([2.0]), "v")
+        opt = ad.AdagradDecay([p for p in (w, v) if p.trainable], DECAY, EPSILON)
+        w.grad, v.grad = np.array([5.0]), np.array([5.0])
         before = w.data.tobytes()
         for _ in range(10):
-            ad.adagrad_decay_step([w], state, lr=0.1)
-        assert w.data.tobytes() == before
+            ad.adagrad_decay_step(opt, 0.1)
+        assert w.data.tobytes() == before and v.data[0] < 2.0
 
     def test_accumulator_non_decreasing_without_decay(self):
         w = ad.Parameter(np.array([1.0]), "w")
-        state = ad.AdagradDecayState(decay=1.0)
+        opt = ad.AdagradDecay([w], decay=1.0, epsilon=EPSILON)
         prev = 0.0
         for g in (0.5, 0.1, 0.9):
             w.grad = np.array([g])
-            ad.adagrad_decay_step([w], state, lr=0.01)
-            acc = state.accumulators["w"][0]
+            ad.adagrad_decay_step(opt, 0.01)
+            acc = opt.accumulators["w"][0]
             assert acc >= prev
             prev = acc
 
     def test_rejects_non_finite_gradient(self):
         w = ad.Parameter(np.array([1.0]), "w")
+        opt = ad.AdagradDecay([w], DECAY, EPSILON)
         w.grad = np.array([np.inf])
         with pytest.raises(ad.NonFiniteError):
-            ad.adagrad_decay_step([w], ad.AdagradDecayState(), lr=0.01)
+            ad.adagrad_decay_step(opt, 0.01)
 
     def test_rejects_non_positive_lr(self):
         w = ad.Parameter(np.array([1.0]), "w")
         with pytest.raises(ValueError):
-            ad.adagrad_decay_step([w], ad.AdagradDecayState(), lr=0.0)
+            ad.adagrad_decay_step(ad.AdagradDecay([w], DECAY, EPSILON), 0.0)
+
+    @pytest.mark.parametrize("decay, epsilon, message", [
+        (0.0, 1e-8, "decay must be in (0, 1], got 0.0"),
+        (1.5, 1e-8, "decay must be in (0, 1], got 1.5"),
+        (0.9, 0.0, "epsilon must be finite and positive, got 0.0"),
+        (0.9, np.inf, "epsilon must be finite and positive, got inf"),
+    ])
+    def test_rejects_bad_settings(self, decay, epsilon, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ad.AdagradDecay([ad.Parameter(np.ones(1), "w")], decay, epsilon)
 
 
 class TestLazyDecay:
@@ -610,7 +626,7 @@ class TestLazyDecay:
         rng = np.random.default_rng(11)
         table = ad.Parameter(rng.normal(size=(6, 3)), "table")
         initial = table.data.copy()
-        state = ad.AdagradDecayState(decay=self.DECAY, epsilon=self.EPS)
+        opt = ad.AdagradDecay([table], self.DECAY, self.EPS, table=table)
         acc = np.zeros((6, 3))  # the dense rule's accumulator
         k = 7
         schedule = [[4, 0]] + [[0, 1, 1]] * k + [[4, 2, 4]]
@@ -621,31 +637,16 @@ class TestLazyDecay:
             acc = self.DECAY * acc + g * g
             ad.zero_grads([table])
             ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, np.array(rows)), ad.Tensor(weights))))
-            ad.adagrad_decay_step([table], state, lr=self.LR)
+            ad.adagrad_decay_step(opt, self.LR)
             if step == 0:
                 row4 = table.data[4].tobytes()
             elif step <= k:
                 assert table.data[4].tobytes() == row4
         for never in (3, 5):
             assert table.data[never].tobytes() == initial[never].tobytes()
-            assert state.last_step["table"][never] == 0
-        assert state.last_step["table"][4] == state.step == k + 2
-        np.testing.assert_allclose(state.accumulators["table"][4], acc[4], rtol=1e-15, atol=0)
-
-    def test_mixed_row_and_dense_gradient_takes_the_dense_rule(self):
-        rng = np.random.default_rng(5)
-        w = ad.Parameter(rng.normal(size=(4, 2)), "w")
-        state = ad.AdagradDecayState(decay=self.DECAY, epsilon=self.EPS)
-        acc = np.zeros((4, 2))
-        for _ in range(5):
-            ad.zero_grads([w])
-            rows = ad.gather_rows(w, np.array([2, 2]))
-            ad.backward(ad.add(ad.reduce_sum(square(rows)), ad.reduce_sum(ad.mul(w, 0.5))))
-            g = w.grad.copy()
-            acc = self.DECAY * acc + g * g
-            expected = w.data - self.LR * g / (np.sqrt(acc) + self.EPS)
-            ad.adagrad_decay_step([w], state, lr=self.LR)
-            assert w.data.tobytes() == expected.tobytes()
+            assert opt.last_step[never] == 0
+        assert opt.last_step[4] == opt.step == k + 2
+        np.testing.assert_allclose(opt.accumulators["table"][4], acc[4], rtol=1e-15, atol=0)
 
     def test_dense_parameters_follow_the_dense_rule_bitwise(self):
         # the `_train_toy` model, 50 steps, each checked against the dense rule
@@ -653,7 +654,7 @@ class TestLazyDecay:
         w = ad.Parameter(rng.normal(size=(3, 1)), "w")
         x = rng.normal(size=(20, 3))
         y = ad.Tensor((x @ np.array([[1.0], [-2.0], [0.5]]) > 0).astype(float))
-        state = ad.AdagradDecayState()
+        opt = ad.AdagradDecay([w], DECAY, EPSILON)
         acc = np.zeros((3, 1))
         for _ in range(50):
             ad.zero_grads([w])
@@ -661,11 +662,11 @@ class TestLazyDecay:
             ll = ad.add(ad.mul(y, log(p)), ad.mul(sub(1.0, y), log(sub(1.0, p))))
             ad.backward(ad.mul(reduce_mean(ll), -1.0))
             g = w.grad.copy()
-            acc = state.decay * acc + g * g
-            expected = w.data - 0.05 * g / (np.sqrt(acc) + state.epsilon)
-            ad.adagrad_decay_step([w], state, lr=0.05)
+            acc = opt.decay * acc + g * g
+            expected = w.data - 0.05 * g / (np.sqrt(acc) + opt.epsilon)
+            ad.adagrad_decay_step(opt, 0.05)
             assert w.data.tobytes() == expected.tobytes()
-            assert state.accumulators["w"].tobytes() == acc.tobytes()
+            assert opt.accumulators["w"].tobytes() == acc.tobytes()
 
 
 def _train_toy(seed):
@@ -673,14 +674,14 @@ def _train_toy(seed):
     w = ad.Parameter(rng.normal(size=(3, 1)), "w")
     x = rng.normal(size=(20, 3))
     y = (x @ np.array([[1.0], [-2.0], [0.5]]) > 0).astype(float)
-    state = ad.AdagradDecayState()
+    opt = ad.AdagradDecay([w], DECAY, EPSILON)
     for _ in range(25):
         ad.zero_grads([w])
         p = clip(ad.sigmoid(matmul(ad.Tensor(x), w)), 1e-12, 1 - 1e-12)
         yd = ad.Tensor(y)
         ll = ad.add(ad.mul(yd, log(p)), ad.mul(sub(1.0, yd), log(sub(1.0, p))))
         ad.backward(ad.mul(reduce_mean(ll), -1.0))
-        ad.adagrad_decay_step([w], state, lr=0.05)
+        ad.adagrad_decay_step(opt, 0.05)
     return w.data.tobytes()
 
 

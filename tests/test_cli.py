@@ -257,6 +257,20 @@ def test_bad_finetune_domain_exits_5(workdir, capsys, entry, named):
     assert not any(p.name.startswith("finetune-") for p in workdir.iterdir())
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("period=x", "bad domain key part 'period=x': the id must be an integer"),
+    ("city=*", "unknown domain topic 'city'; topics are scene, region, period"),
+])
+def test_bad_finetune_domain_exits_5_before_any_input_is_opened(workdir, capsys, entry, message):
+    """The fine-tune domains are checked with the rest of the config, before
+    the dataset or the backbone is looked for: with both missing, a bad
+    entry is still the error."""
+    assert _run(workdir, "finetune", "--data", "missing.jsonl", "--backbone", "missing.ckpt",
+                "--set", f"train.finetune_domains={entry}") == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
 def test_mixing_keys_read_however_they_are_spelled(workdir, capsys):
     """`train.mixing` names domains as `train.finetune_domains` does:
     `period=00` is `period=0`. Two keys naming one domain, or a key that

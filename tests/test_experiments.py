@@ -222,12 +222,16 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     ("beta_sweep", "eval.mi_bins=1", EXIT_SCHEMA, "error: bins must be >= 2"),
     ("beta_sweep", "eval.mi_bins=x", EXIT_CONFIG, "config error: eval.mi_bins: expected integer, got 'x'"),
     ("baseline_compare", "eval.baseline_kinds=base,bogus", EXIT_SCHEMA, "error: unknown model kind 'bogus'"),
+    ("de_sweep", "train.finetune_domains=period=x", EXIT_SCHEMA,
+     "error: bad domain key part 'period=x': the id must be an integer"),
+    ("de_sweep", "train.finetune_domains=city=*", EXIT_SCHEMA,
+     "error: unknown domain topic 'city'; topics are scene, region, period"),
 ])
 def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
                                                                           message):
     """`iakrec experiment` checks every setting a row reads (the seeds, the
     MI bins, the model kinds, and each condition's model, train and adapter
-    configs) before it pretrains: a bad one exits with its one line and
+    configs and fine-tune domains) before it pretrains: a bad one exits with its one line and
     leaves no cached backbone and no run directory."""
     run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0"})
     assert run("experiment", "--kind", kind, "--set", setting) == (code, [], [f"iakrec: {message}"])

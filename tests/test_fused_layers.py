@@ -14,13 +14,13 @@ from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, 
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
 from iakrec.datagen import Dataset
 from iakrec.router import DomainRouter, ScoreRequest
-from iakrec.trainer import pretrain_step
+from iakrec.trainer import TrainConfig, pretrain_optimizer, pretrain_step
 
 from adapter_reference import reference_step
 from gradcheck import assert_grads_match
 from linear_reference import composed_gate_mix, composed_gather_rows, composed_linear, composed_segment_linear
 from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
-from optimizer_reference import touched_grad
+from optimizer_reference import ReferenceState, touched_grad
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
 
@@ -81,7 +81,7 @@ def _pretrain_step(kind="base", n_experts=2):
     """(losses, parameter bytes) after one step of a default-sized model, by
     default the BaseRecommender."""
     model = build_model(ModelConfig(kind=kind, n_experts=n_experts), SPACE, seed=1)
-    losses = pretrain_step(model, _batch(64, 1), ad.AdagradDecayState(), 0.05)
+    losses = pretrain_step(model, _batch(64, 1), pretrain_optimizer(model, TrainConfig()), 0.05)
     return losses, {n: v.tobytes() for n, v in model.named_parameters().items()}
 
 
@@ -202,7 +202,7 @@ def _lone_steps(beta):
     adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, beta=beta, decoder_hidden=(6,)),
                          {"period": 1}, seed=5)
     adapter.decoder_out.w.data[:] = np.random.default_rng(6).normal(size=adapter.decoder_out.w.shape)
-    state = ad.AdagradDecayState()
+    state = ReferenceState()
     outs = []
     for step in range(2):
         batch = _batch(9, 7 + step)
@@ -236,7 +236,7 @@ def _lookup_step(gather):
     ad.backward(ad.reduce_sum(ad.mul(out, rng.normal(size=out.shape))))
     n_pairs = len(table._row_grads)
     rows, g = touched_grad(table)
-    ad.adagrad_decay_step([table], ad.AdagradDecayState(), lr=0.05)
+    ad.adagrad_decay_step(ad.AdagradDecay([table], 0.9999, 1e-8, table=table), 0.05)
     return n_pairs, (out.data.tobytes(), rows.tobytes(), g.tobytes(), table.data.tobytes())
 
 
@@ -255,7 +255,7 @@ def test_a_pretrain_step_makes_one_lookup_whose_gradient_the_table_holds_uncopie
     gather = ad.gather_rows
     monkeypatch.setattr(ad, "gather_rows", lambda *a: lookups.append(gather(*a)) or lookups[-1])
     model = build_model(ModelConfig(kind=kind), SPACE, seed=1)
-    pretrain_step(model, _batch(64, 1), ad.AdagradDecayState(), 0.05)
+    pretrain_step(model, _batch(64, 1), pretrain_optimizer(model, TrainConfig()), 0.05)
     (out,) = lookups
     ((rows, values),) = model.embeddings.rows._row_grads
     assert rows.shape == (64 * 9,) and values.shape == (64 * 9, model.config.embed_dim)

@@ -26,6 +26,7 @@ from iakrec.datagen import InteractionRecord
 
 from adapter_reference import reference_step
 from gradcheck import central_differences, max_rel_err
+from optimizer_reference import ReferenceState
 from records_reference import from_records
 
 SPACE = FeatureSpace(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
@@ -73,8 +74,8 @@ def _records(n=8, seed=0, period=1):
 
 
 def _bank(*adapters):
-    """A bank at the optimizer's default decay and epsilon."""
-    return AdapterBank(adapters, decay=ad.AdagradDecayState.decay, epsilon=ad.AdagradDecayState.epsilon)
+    """A bank at the default decay and epsilon."""
+    return AdapterBank(adapters, decay=TrainConfig.adagrad_decay, epsilon=TrainConfig.adagrad_epsilon)
 
 
 def _bank_step(backbone, bank, rep, base, click, purchase, lr, beta):
@@ -447,7 +448,7 @@ class TestAdapterBank:
         adapter = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden)
         reference = _adapter(backbone, seed=4, decoder_hidden=decoder_hidden)
         bank = _bank(adapter)
-        state = ad.AdagradDecayState()
+        state = ReferenceState()
         for step in range(6):
             batch = _batch(n=9 + step, seed=step)
             rep, base = backbone_cache(backbone, batch)
@@ -482,7 +483,7 @@ class TestAdapterBank:
         backbone = _backbone(seed=3)
         make = lambda k: _adapter(backbone, seed=10 + k, period=k)  # noqa: E731
         adapters, references = [make(k) for k in range(3)], [make(k) for k in range(3)]
-        states = [ad.AdagradDecayState() for _ in range(3)]
+        states = [ReferenceState() for _ in range(3)]
         bank = _bank(*adapters)
         plan = [  # (rows per adapter, rate per adapter)
             ([4, 3, 5], [0.02, 0.03, 0.04]),
@@ -509,7 +510,7 @@ class TestAdapterBank:
                 assert _rng_state(a) == _rng_state(r)
         for k, state in enumerate(states):
             for p, stacked in zip(references[k].parameters(), bank.params):
-                assert bank.opt_state.accumulators[stacked.name][k].tobytes() == state.accumulators[p.name].tobytes()
+                assert bank.opt.accumulators[stacked.name][k].tobytes() == state.accumulators[p.name].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -529,7 +530,7 @@ class TestAdapterBank:
         n_adapters = len(plan[0])
         make = lambda k: _adapter(backbone, seed=seed + k, period=k, decoder_hidden=decoder_hidden)  # noqa: E731
         adapters, references = [make(k) for k in range(n_adapters)], [make(k) for k in range(n_adapters)]
-        states = [ad.AdagradDecayState() for _ in range(n_adapters)]
+        states = [ReferenceState() for _ in range(n_adapters)]
         bank = _bank(*adapters)
         data_rng = np.random.default_rng(seed)
         for step in plan:
@@ -552,7 +553,7 @@ class TestAdapterBank:
             for p, q, stacked in zip(a.parameters(), r.parameters(), bank.params):
                 assert p.data.tobytes() == q.data.tobytes()
                 want_acc = state.accumulators.get(q.name, np.zeros_like(q.data))
-                assert bank.opt_state.accumulators[stacked.name][k].tobytes() == want_acc.tobytes()
+                assert bank.opt.accumulators[stacked.name][k].tobytes() == want_acc.tobytes()
 
     @pytest.mark.parametrize("n_adapters", [1, 2, 4])
     def test_bank_step_is_one_optimizer_pass(self, monkeypatch, n_adapters):
@@ -579,7 +580,7 @@ class TestAdapterBank:
                             np.array([0.02, 0.03]), beta)
         for p in bank.params:
             assert p.grad is p._grad_slot
-            assert np.shares_memory(p.grad, bank.arena.grad)
+            assert np.shares_memory(p.grad, bank.opt.grad)
 
     def test_parameter_with_nothing_recorded_steps_on_zeros(self):
         # after a real step every slot holds a gradient; a parameter with
@@ -595,11 +596,11 @@ class TestAdapterBank:
         for p in bank.params[1:]:
             p.grad = np.ones_like(p.data)
         untouched = bank.params[0]
-        before, acc = untouched.data.copy(), bank.opt_state.accumulators[untouched.name].copy()
+        before, acc = untouched.data.copy(), bank.opt.accumulators[untouched.name].copy()
         bank.apply_gradients(np.arange(2), rates)
         assert not untouched.grad.any()
         assert untouched.data.tobytes() == before.tobytes()
-        assert bank.opt_state.accumulators[untouched.name].tobytes() == (acc * bank.opt_state.decay).tobytes()
+        assert bank.opt.accumulators[untouched.name].tobytes() == (acc * bank.opt.decay).tobytes()
 
     def test_step_in_which_no_adapter_steps_moves_nothing(self):
         backbone = _backbone(seed=3)
@@ -612,7 +613,7 @@ class TestAdapterBank:
                                   np.zeros(2), 1e-3)
         assert got == {}
         assert [model_digest(a.named_parameters()) for a in adapters] == before
-        assert not bank.arena.acc.any()
+        assert not bank.opt.acc.any()
 
     def test_non_finite_gradient_moves_nothing(self):
         # a NaN in the second adapter's dec0.b gradient, the sixth of eight
@@ -626,7 +627,7 @@ class TestAdapterBank:
         offsets, rates = np.array([0, 4, 8]), np.array([0.02, 0.03])
         adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, offsets, rates, 1e-3)
         before = [p.data.copy() for p in bank.params]
-        acc_before = {name: acc.copy() for name, acc in bank.opt_state.accumulators.items()}
+        acc_before = {name: acc.copy() for name, acc in bank.opt.accumulators.items()}
         for p in bank.params:
             p.grad = np.ones_like(p.data)
         bank.params[5].grad[1, 0] = np.nan
@@ -634,7 +635,7 @@ class TestAdapterBank:
             bank.apply_gradients(np.arange(2), rates)
         for p, want in zip(bank.params, before):
             assert p.data.tobytes() == want.tobytes()
-        for name, acc in bank.opt_state.accumulators.items():
+        for name, acc in bank.opt.accumulators.items():
             assert acc.tobytes() == acc_before[name].tobytes()
 
 

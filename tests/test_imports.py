@@ -2,7 +2,7 @@
 name that the benchmark's traced run patches on that module
 (`perfbench.layers.trace_targets`): it is bound there only to be wrapped.
 No code in `src/iakrec` is kept alive by the tests alone: every public
-function and method is referenced by the package or the benchmark. Named
+function, method and class is referenced by the package or the benchmark. Named
 arrays go to disk in one format, the checkpoint container: no module calls
 numpy's own `savez` or `load`."""
 
@@ -128,11 +128,11 @@ def test_the_check_sees_a_dead_config_key():
     assert {"a.read", "a.dead"} - _strings_read(toy) == {"a.dead"}
 
 
-def _public_defs(tree: ast.Module) -> list[ast.FunctionDef]:
-    """Each public function of a module, at any depth: module functions,
-    methods and the closures defined inside them."""
-    return [node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+def _public_defs(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    """Each public function and class of a module, at any depth: module
+    functions, methods, the closures defined inside them and classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in ast.walk(tree) if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
 def _spelled(node: ast.AST) -> str | None:
@@ -164,8 +164,9 @@ def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) 
 
 
 def test_every_public_def_has_a_reference_outside_the_tests():
-    """A public function or method that only the tests call belongs in their
-    reference modules, not in the package."""
+    """A public function or method that only the tests call, or a class that
+    only the tests construct or name, belongs in their reference modules,
+    not in the package."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert _unreferenced(trees, [*trees.values(), *bench]) == []
@@ -176,13 +177,16 @@ def test_the_check_sees_a_def_only_its_own_body_or_a_test_references():
                     "def used(a):\n    return h(a)\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
                     "def named():\n    def inner():\n        pass\n\nclass Box:\n    def shown(self):\n        return self.hidden\n\n"
                     "    def hidden(self):\n        return 1\n\n    def spare(self):\n        return 2\n\n"
-                    "    def _private(self):\n        return 3\n\nPATCHED = 'named'\nused(os.path)\n")
+                    "    def _private(self):\n        return 3\n\nPATCHED = 'named'\nused(os.path)\n\n"
+                    "class Base:\n    pass\n\nclass Leaf(Base):\n    kind = 'Leaf'\n\nclass _Hidden:\n    pass\n")
     test = ast.parse("from toy import Box\n\ndef test_spare():\n    assert Box().spare() == 2\n")
-    assert sorted(node.name for node in _public_defs(toy)) == ["hidden", "inner", "named", "recursive", "shown",
-                                                               "spare", "used"]
-    assert sorted(_unreferenced({"toy": toy}, [toy])) == ["toy:11 inner", "toy:15 shown", "toy:21 spare",
-                                                          "toy:7 recursive"]
-    assert sorted(_unreferenced({"toy": toy}, [toy, test])) == ["toy:11 inner", "toy:15 shown", "toy:7 recursive"]
+    assert sorted(node.name for node in _public_defs(toy)) == ["Base", "Box", "Leaf", "hidden", "inner", "named",
+                                                               "recursive", "shown", "spare", "used"]
+    # Box only a test names, Leaf only its own body: neither is referenced
+    assert sorted(_unreferenced({"toy": toy}, [toy])) == ["toy:11 inner", "toy:14 Box", "toy:15 shown",
+                                                          "toy:21 spare", "toy:33 Leaf", "toy:7 recursive"]
+    assert sorted(_unreferenced({"toy": toy}, [toy, test])) == ["toy:11 inner", "toy:15 shown", "toy:33 Leaf",
+                                                                "toy:7 recursive"]
 
 
 def _numpy_file_io(tree: ast.Module) -> list[str]:

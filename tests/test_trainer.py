@@ -29,6 +29,7 @@ from iakrec.trainer import (
     mix_domains,
     model_digest,
     pretrain,
+    pretrain_optimizer,
     pretrain_step,
 )
 
@@ -120,12 +121,12 @@ class TestLazyAdagrad:
         cfg = ModelConfig(kind="base", hidden_sizes=(12, 6))
         lazy, dense = build_model(cfg, space, seed=4), build_model(cfg, space, seed=4)
         decay, lr, eps = 0.95, 0.05, 1e-8
-        state = ad.AdagradDecayState(decay=decay, epsilon=eps)
+        opt = pretrain_optimizer(lazy, TrainConfig(adagrad_decay=decay, adagrad_epsilon=eps))
         acc = {p.name: np.zeros_like(p.data) for p in dense.parameters()}
         rng = np.random.default_rng(0)
         for _ in range(200):
             batch = _random_batch(rng, space, 16)
-            pretrain_step(lazy, batch, state, lr)
+            pretrain_step(lazy, batch, opt, lr)
             # the dense rule: every row of every parameter, every step
             ad.zero_grads(dense.parameters())
             pred = dense.forward_full(batch).prediction
@@ -137,38 +138,39 @@ class TestLazyAdagrad:
                 p.data = p.data - lr * g / (np.sqrt(acc[p.name]) + eps)
         # rows left behind by the last steps, so the catch-up is exercised
         users = slice(*lazy.embeddings.ranges["user_emb.rows"])
-        assert np.sum(state.last_step["embeddings.rows"][users] < 200) > 20
+        assert np.sum(opt.last_step[users] < 200) > 20
         for p, q in zip(lazy.parameters(), dense.parameters()):
             assert np.max(np.abs(p.data - q.data)) / np.max(np.abs(q.data)) <= 1e-12, p.name
             # a dense parameter steps every step; a table row may be behind
-            behind = state.step - state.last_step.get(p.name, np.full(p.data.shape[:1], state.step))
-            caught_up = state.accumulators[p.name] * (decay ** behind).reshape(-1, *[1] * (p.data.ndim - 1))
+            behind = opt.step - (opt.last_step if p is opt.table else np.full(p.data.shape[:1], opt.step))
+            caught_up = opt.accumulators[p.name] * (decay ** behind).reshape(-1, *[1] * (p.data.ndim - 1))
             assert np.max(np.abs(caught_up - acc[p.name])) / np.max(acc[p.name]) <= 1e-12, p.name
 
     def test_step_memory_is_independent_of_the_user_table(self):
         space = FeatureSpace(n_users=200_000, n_items=500, n_scenes=2, n_regions=3, n_periods=3)
         model = build_model(ModelConfig(kind="base"), space, seed=1)
-        state = ad.AdagradDecayState()
         rng = np.random.default_rng(2)
+        table = model.embeddings.rows.data
 
-        def traced_step():
-            batch = _random_batch(rng, space, 128)
+        def traced(fn, *args):
+            """`fn(*args)` and the peak of the memory it allocated."""
             tracemalloc.start()
             try:
-                pretrain_step(model, batch, state, 0.05)
-                return tracemalloc.get_traced_memory()[1]
+                return fn(*args), tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        table = model.embeddings.rows.data
-        # the first step allocates the optimizer state (the table's
-        # accumulator, a table's worth, and its last-step rows, an eighth of
-        # one) beside the activations, and copies no table
-        assert traced_step() < 1.5 * table.nbytes
+        # the optimizer's state is allocated once, before the first step: the
+        # table's accumulator (a table's worth) and its last-step rows (an
+        # eighth of one); no table is copied
+        opt, peak = traced(pretrain_optimizer, model, TrainConfig())
+        assert peak < 1.5 * table.nbytes
         assert model.embeddings.rows.data is table
         # the graph's activations scale with the batch (about 2.4 MB at 128
-        # rows); a later step must not add anything table-sized to them
-        assert traced_step() < table[slice(*model.embeddings.ranges["user_emb.rows"])].nbytes / 2
+        # rows); no step adds anything table-sized to them
+        for _ in range(2):
+            _, peak = traced(pretrain_step, model, _random_batch(rng, space, 128), opt, 0.05)
+            assert peak < table[slice(*model.embeddings.ranges["user_emb.rows"])].nbytes / 2
 
 
 class TestDynamicLR:
