@@ -48,7 +48,6 @@ reads its first request.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -58,18 +57,17 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .datagen import (DatasetError, expand_domain_selectors, generate, parse_domain_selectors, read_dataset,
-                      split_chronological, write_jsonl)
+from .datagen import DatasetError, expand_domain_selectors, generate, read_dataset, split_chronological, write_jsonl
 # not called here, but perfbench/layers.py traces them by these names
 from .datagen import filter_by_domain, read_jsonl  # noqa: F401
-from .evals import MetricError, SplitPass, report_from_scores
+from .evals import MetricError, SplitPass, report_from_scores, write_csv
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
 from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, write_rows
 from .iak import AdapterError
 from .models import ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
-from .trainer import TrainerError, finetune_all, pretrain
+from .trainer import TrainerError, check_finetune_domains, finetune_all, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,11 +169,7 @@ def cmd_pretrain(args) -> int:
     outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
     save_checkpoint(outdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
-    with open(outdir / "pretrain_curve.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("step", "loss", "loss_ctr", "loss_ctcvr"))
-        for step, loss, l_ctr, l_ctcvr in curve:
-            w.writerow((step, repr(loss), repr(l_ctr), repr(l_ctcvr)))
+    write_csv(outdir / "pretrain_curve.csv", ("step", "loss", "loss_ctr", "loss_ctcvr"), curve)
     print(outdir / "backbone.ckpt")
     return EXIT_OK
 
@@ -198,7 +192,7 @@ def cmd_finetune(args) -> int:
     for config in (cfg.model_config(), train_config, iak_config):
         config.validate()
     domains = cfg.get_list("train.finetune_domains")
-    parse_domain_selectors(domains)  # a bad entry is an error before any input is opened
+    check_finetune_domains(domains, train_config.mixing)  # a bad entry is an error before any input is opened
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
@@ -212,11 +206,9 @@ def cmd_finetune(args) -> int:
     for adapter in result.adapters.values():
         params.update(adapter.named_parameters())
     save_checkpoint(outdir / "finetuned.ckpt", params, cfg.digest())
-    with open(outdir / "finetune_curve.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("step", "domain", "n_batch", "loss", "grad_norm", "lr_effective", "lr_saturated"))
-        for r in result.curve:
-            w.writerow((r.step, r.domain, r.n_batch, repr(r.loss), repr(r.grad_norm), repr(r.lr_effective), r.lr_saturated))
+    header = ("step", "domain", "n_batch", "loss", "grad_norm", "lr_effective", "lr_saturated")
+    rows = [(r.step, r.domain, r.n_batch, r.loss, r.grad_norm, r.lr_effective, r.lr_saturated) for r in result.curve]
+    write_csv(outdir / "finetune_curve.csv", header, rows)
     print(outdir / "finetuned.ckpt")
     return EXIT_OK
 
@@ -240,17 +232,11 @@ def cmd_eval(args) -> int:
         reports.append(report_from_scores(ap_ctr, ap_ctcvr, sub, f"test:{key}", f"iak:{key}", seed))
     outdir = _make_outdir(args, "eval", seed)
     cfg.echo(outdir / "effective.cfg")
-    with open(outdir / "report.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("dataset", "model", "ctr_auc", "ctcvr_auc", "n_pos_ctr", "n_neg_ctr", "n_pos_ctcvr", "n_neg_ctcvr", "seed"))
-        for r in reports:
-            w.writerow(
-                (r.dataset_id, r.model_id,
-                 "" if r.ctr_auc is None else repr(r.ctr_auc),
-                 "" if r.ctcvr_auc is None else repr(r.ctcvr_auc),
-                 r.n_pos_ctr, r.n_neg_ctr, r.n_pos_ctcvr, r.n_neg_ctcvr, r.seed)
-            )
-    print(outdir / "report.csv")
+    header = ("dataset", "model", "ctr_auc", "ctcvr_auc", "n_pos_ctr", "n_neg_ctr", "n_pos_ctcvr", "n_neg_ctcvr",
+              "seed")
+    rows = [(r.dataset_id, r.model_id, r.ctr_auc, r.ctcvr_auc, r.n_pos_ctr, r.n_neg_ctr, r.n_pos_ctcvr, r.n_neg_ctcvr,
+             r.seed) for r in reports]
+    print(write_csv(outdir / "report.csv", header, rows))
     return EXIT_OK
 
 

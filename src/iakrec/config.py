@@ -75,8 +75,11 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "eval.de_grid": ("10,30,50,80,100", "encoder dimensions for de_sweep"),
     "eval.betas": ("0,0.001,0.1,10", "regularizer weights for beta_sweep"),
     "eval.mi_bins": ("10", "bins used by the MI diagnostic"),
-    "eval.overlap_primary": ("", "primary domain key for the overlap experiment"),
-    "eval.overlap_weights": ("", "mixing weights for the overlap experiment"),
+    "eval.overlap_weights": (
+        "",
+        "mixing weights for the overlap experiment; its highest-weighted key (the first listed on a tie) is the "
+        "domain overlap reports",
+    ),
     "eval.baseline_kinds": ("shared_bottom,esmm,mmoe,base", "model kinds for baseline_compare"),
 }
 

@@ -1,4 +1,5 @@
-"""Ranking metrics, information-theoretic diagnostics, and model scoring.
+"""Ranking metrics, information-theoretic diagnostics, model scoring, and
+the one CSV writer of every report and curve.
 
 AUC uses the rank statistic with average ranks for ties. Mutual information
 and KL are plug-in estimators over binned samples: crude, but sufficient for
@@ -14,9 +15,11 @@ however many adapters or grid values are scored against it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import csv
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -144,6 +147,9 @@ def kl_empirical(p_hist, q_hist, smooth: float = KL_SMOOTH) -> float:
 
 @dataclass
 class EvalReport:
+    """One scored slice: a row of `report.csv` and of every experiment CSV.
+    An AUC is None where the slice holds one class, and a diagnostic where
+    it was not computed; either is an empty cell."""
     dataset_id: str
     model_id: str
     ctr_auc: float | None
@@ -152,7 +158,22 @@ class EvalReport:
     n_neg_ctr: int
     n_pos_ctcvr: int
     n_neg_ctcvr: int
-    seed: int
+    seed: int | str  # "mean" on a summary row
+    domain: str = ""
+    encoder_mi: float | None = None
+    score_label_kl: float | None = None
+
+
+def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> Path:
+    """Write `header` and then `rows` as one CSV, the one writer of every
+    report and curve: None is an empty cell, a float the `repr` of a Python
+    float, and any other cell is written as it is. Returns the path."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+    return Path(path)
 
 
 def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ Kinds:
     window_sweep     fine-tune on the last {1,3,5,7,...} days, AUC per window
     de_sweep         encoder dimension grid
     beta_sweep       regularizer grid, with the encoder MI diagnostic
-    overlap          isolated vs weighted cross-domain fine-tuning
+    overlap          isolated vs weighted cross-domain fine-tuning of the
+                     highest-weighted domain of eval.overlap_weights (the
+                     first listed on a tie), the one its mixed stream trains
     baseline_compare zero-shot vs adapted AUC for each model kind, with the
                      score-label KL diagnostic
 
@@ -16,15 +18,15 @@ backbone. One runner serves every kind: for each (model kind, seed) it scores
 the test split once with the backbone, then fine-tunes each condition the way
 `iakrec finetune` does, so any row can be rerun as `iakrec finetune --set ...
 --set train.seed=<seed>` on the cached backbone, followed by `iakrec eval`.
-Every row is (condition, seed, domain); summary rows carry seed="mean".
-Pretrained backbones are cached on disk keyed by the digest of the settings
-pretraining reads plus the model kind and seed, so repeated runs and
-different kinds over the same base setup reuse them.
+Every row is the `evals.EvalReport` of one (condition, seed, domain) slice,
+written by `evals.write_csv` as `eval` writes `report.csv`; summary rows
+carry seed="mean". Pretrained backbones are cached on disk keyed by the
+digest of the settings pretraining reads plus the model kind and seed, so
+repeated runs and different kinds over the same base setup reuse them.
 """
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,11 +35,10 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import DEFAULTS, RunConfig
-from .datagen import (Dataset, domain_key, expand_domain_selectors, generate, parse_domain_key, parse_domain_selectors,
-                      split_chronological)
-from .evals import SplitPass, check_bins, encoder_mi, report_from_scores, score_label_decile_kl
-from .models import FeatureSpace, ModelError, MultiTaskModel, build_model, encode_records
-from .trainer import finetune_all, pretrain
+from .datagen import Dataset, expand_domain_selectors, generate, split_chronological
+from .evals import EvalReport, SplitPass, check_bins, encoder_mi, report_from_scores, score_label_decile_kl, write_csv
+from .models import ModelError, MultiTaskModel, build_model, encode_records
+from .trainer import check_finetune_domains, finetune_all, mixing_primary, pretrain
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
 
@@ -54,55 +55,28 @@ class ExperimentError(ValueError):
     pass
 
 
-@dataclass
-class Row:
-    condition: str
-    seed: str
-    domain: str
-    ctr_auc: float | None
-    ctcvr_auc: float | None
-    encoder_mi: float | None = None
-    score_label_kl: float | None = None
-
-
-@dataclass
-class ExperimentContext:
-    cfg: RunConfig
-    workdir: Path
-
-    @property
-    def cache_dir(self) -> Path:
-        d = self.workdir / "cache"
-        d.mkdir(parents=True, exist_ok=True)
-        return d
-
-    def dataset(self) -> tuple[Dataset, Dataset]:
-        data = generate(self.cfg.generator_config())
-        return split_chronological(data, self.cfg.get_ratio("datagen.split_ratio"))
-
-    def space(self) -> FeatureSpace:
-        return self.cfg.feature_space()
-
-    def pretrained(self, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
-        """Backbone for (kind, seed), pretrained once and cached on disk. A
-        cache file that does not restore (one saved in an older block
-        layout, say) is an `ExperimentError` naming the file to delete."""
-        digest = self.cfg.digest(_BACKBONE_KEYS)
-        path = self.cache_dir / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
-        model_cfg = replace(self.cfg.model_config(), kind=kind)
-        if path.exists():
-            model = build_model(model_cfg, self.space(), seed=None)
-            try:
-                model.restore(load_checkpoint(path)[0])
-            except (CheckpointError, ModelError) as e:
-                msg = f"cached backbone {path} does not restore; delete it to pretrain again ({e})"
-                raise ExperimentError(msg) from e
-        else:
-            model = build_model(model_cfg, self.space(), seed=seed)
-            pretrain(model, train, replace(self.cfg.train_config(), seed=seed))
-            save_checkpoint(path, model.named_parameters(), digest)
-        model.set_trainable(False)
-        return model
+def pretrained(cfg: RunConfig, workdir: Path, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
+    """Backbone for (kind, seed), pretrained once and cached under
+    `<workdir>/cache`, which is made only to save one. A cache file that does
+    not restore (one saved in an older block layout, say) is an
+    `ExperimentError` naming the file to delete."""
+    digest = cfg.digest(_BACKBONE_KEYS)
+    path = Path(workdir) / "cache" / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
+    model_cfg = replace(cfg.model_config(), kind=kind)
+    if path.exists():
+        model = build_model(model_cfg, cfg.feature_space(), seed=None)
+        try:
+            model.restore(load_checkpoint(path)[0])
+        except (CheckpointError, ModelError) as e:
+            msg = f"cached backbone {path} does not restore; delete it to pretrain again ({e})"
+            raise ExperimentError(msg) from e
+    else:
+        model = build_model(model_cfg, cfg.feature_space(), seed=seed)
+        pretrain(model, train, replace(cfg.train_config(), seed=seed))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(path, model.named_parameters(), digest)
+    model.set_trainable(False)
+    return model
 
 
 # (label, --set overrides to fine-tune under, or None for the zero-shot backbone)
@@ -116,14 +90,13 @@ def _grid(key: str, read: Callable[[RunConfig, str], list], setting: str, label:
 
 
 def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
-    primary = cfg.get("eval.overlap_primary")
+    """The primary domain of eval.overlap_weights (`mixing_primary`, the one
+    the mixed stream trains) fine-tuned alone, then on the weighted stream."""
     weights = cfg.get_weight_map("eval.overlap_weights")
-    if not primary or not weights:
-        raise ExperimentError("overlap needs eval.overlap_primary and eval.overlap_weights")
-    if domain_key(parse_domain_key(primary)) not in weights:
-        raise ExperimentError("overlap weights must include the primary domain")
+    if not weights:
+        raise ExperimentError("overlap needs eval.overlap_weights")
     mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": cfg.get("eval.overlap_weights")}
-    return [("isolated", {"train.finetune_domains": primary}), ("mixed", mixed)]
+    return [("isolated", {"train.finetune_domains": mixing_primary(weights)}), ("mixed", mixed)]
 
 
 @dataclass(frozen=True)
@@ -139,14 +112,13 @@ KINDS = {
     "window_sweep": Kind(_grid("eval.windows", RunConfig.get_int_list, "train.finetune_window_days", "window={}")),
     "de_sweep": Kind(_grid("eval.de_grid", RunConfig.get_int_list, "iak.d_e", "d_e={}")),
     "beta_sweep": Kind(_grid("eval.betas", RunConfig.get_float_list, "iak.beta", "beta={:g}"), with_mi=True),
-    "overlap": Kind(_overlap_conditions,
-                    report=lambda cfg: domain_key(parse_domain_key(cfg.get("eval.overlap_primary")))),
+    "overlap": Kind(_overlap_conditions, report=lambda cfg: mixing_primary(cfg.get_weight_map("eval.overlap_weights"))),
     "baseline_compare": Kind(lambda cfg: [("zero_shot", None), ("iak", {})], compare_kinds=True, with_kl=True),
 }
 EXPERIMENT_KINDS = tuple(KINDS)
 
 
-def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
+def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport]:
     """Every row of one experiment kind, summary rows last. Each setting a
     row reads is checked before the data is drawn or a backbone pretrained."""
     if kind not in KINDS:
@@ -161,16 +133,16 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
                                                         "train.seed": str(seed)}) for _, overrides in conditions]
             for model_kind in model_kinds for seed in seeds}
     for run in (run for group in runs.values() for run in group):
-        for config in (run.model_config(), run.train_config(), run.iak_config()):
+        train_config = run.train_config()
+        for config in (run.model_config(), train_config, run.iak_config()):
             config.validate()
-        parse_domain_selectors(run.get_list("train.finetune_domains"))
-    ctx = ExperimentContext(cfg, Path(workdir))
-    train, test = ctx.dataset()
-    test = encode_records(test, ctx.space())
+        check_finetune_domains(run.get_list("train.finetune_domains"), train_config.mixing)
+    train, test = split_chronological(generate(cfg.generator_config()), cfg.get_ratio("datagen.split_ratio"))
+    test = encode_records(test, cfg.feature_space())
     rows = []
     for (model_kind, seed), group in runs.items():
         prefix = f"kind={model_kind}:" if spec.compare_kinds else ""
-        backbone = ctx.pretrained(model_kind, seed, train)
+        backbone = pretrained(cfg, workdir, model_kind, seed, train)
         split = SplitPass(backbone, test)
         for (label, overrides), run in zip(conditions, group):
             selectors = expand_domain_selectors(run.get_list("train.finetune_domains"), train)
@@ -181,8 +153,8 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
                 domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
             for key, idx, sub in split.slices(domains):
                 p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
-                rep = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
-                row = Row(prefix + label, str(seed), key, rep.ctr_auc, rep.ctcvr_auc)
+                row = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
+                row.domain = key
                 if spec.with_mi:
                     row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=bins, seed=seed)
                 if spec.with_kl:
@@ -191,48 +163,31 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[Row]:
     return rows + _mean_rows(rows)
 
 
-def _mean_rows(rows: list[Row]) -> list[Row]:
-    groups: dict[tuple[str, str], list[Row]] = {}
+_MEANS = ("ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
+_COUNTS = ("n_pos_ctr", "n_neg_ctr", "n_pos_ctcvr", "n_neg_ctcvr")
+
+
+def _mean_rows(rows: list[EvalReport]) -> list[EvalReport]:
+    """One summary row per (condition, domain), in that order, with seed
+    "mean": each score and diagnostic is the mean over the seeds that define
+    it (None if none does), and each count is summed."""
+    groups: dict[tuple[str, str], list[EvalReport]] = {}
     for r in rows:
-        groups.setdefault((r.condition, r.domain), []).append(r)
+        groups.setdefault((r.model_id, r.domain), []).append(r)
 
     def mean_of(vals):
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    out = []
-    for (condition, domain), grp in sorted(groups.items()):
-        out.append(
-            Row(
-                condition,
-                "mean",
-                domain,
-                mean_of([g.ctr_auc for g in grp]),
-                mean_of([g.ctcvr_auc for g in grp]),
-                mean_of([g.encoder_mi for g in grp]),
-                mean_of([g.score_label_kl for g in grp]),
-            )
-        )
-    return out
+    return [EvalReport(grp[0].dataset_id, condition, seed="mean", domain=domain,
+                       **{f: mean_of([getattr(g, f) for g in grp]) for f in _MEANS},
+                       **{f: sum(getattr(g, f) for g in grp) for f in _COUNTS})
+            for (condition, domain), grp in sorted(groups.items())]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
-
-
-def write_rows(kind: str, rows: list[Row], outdir: Path) -> Path:
+def write_rows(kind: str, rows: list[EvalReport], outdir: Path) -> Path:
     """Write `<outdir>/<kind>.csv`; returns its path."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{kind}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                (kind, r.condition, r.seed, r.domain, _fmt(r.ctr_auc), _fmt(r.ctcvr_auc),
-                 _fmt(r.encoder_mi), _fmt(r.score_label_kl))
-            )
-    return path
+    return write_csv(outdir / f"{kind}.csv", CSV_HEADER, [
+        (kind, r.model_id, r.seed, r.domain, r.ctr_auc, r.ctcvr_auc, r.encoder_mi, r.score_label_kl) for r in rows])

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .datagen import Dataset, domain_key, domain_rows, parse_domain_key, window_by_days
+from .datagen import Dataset, domain_key, domain_rows, parse_domain_key, parse_domain_selectors, window_by_days
 from .iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from .models import MultiTaskModel, encode_records, task_bce
 
@@ -178,6 +178,22 @@ class FinetuneResult:
 Cache = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def check_finetune_domains(spec: list[str], mixing: dict[str, float]) -> None:
+    """The fine-tune selector list and mixing map, checked without the data:
+    a bad entry raises DatasetError, and a mixing key that no entry can
+    select (neither an explicit key nor of a topic a `topic=*` entry
+    expands) raises TrainerError naming it."""
+    selectable = {e if isinstance(e, str) else domain_key(e) for e in parse_domain_selectors(spec)}
+    if outside := sorted(k for k in mixing if k not in selectable and k.partition("=")[0] not in selectable):
+        raise TrainerError(f"mixing references domains outside train.finetune_domains: {outside}")
+
+
+def mixing_primary(mixing: dict[str, float]) -> str | None:
+    """The domain whose stream a mixing map reroutes: the highest-weighted
+    key, the first listed on a tie; None for no mixing."""
+    return max(mixing, key=mixing.__getitem__) if mixing else None
+
+
 def mix_domains(
     positions: dict[str, np.ndarray],
     weights: dict[str, float],
@@ -225,9 +241,10 @@ def finetune_all(
     labels; "previous" feeds last-step gradient magnitudes in, which couples
     the shares (the softmax can then saturate; saturation is flagged in the
     curve rows). A mixing map, whose every key must be a selected domain,
-    reroutes the highest-weighted (primary) domain's stream through
-    weighted cross-domain sampling; that stream is then shuffled into
-    batches like any one-domain stream and trained at the base rate."""
+    reroutes its primary domain's stream (`mixing_primary`: the highest
+    weight, the first listed on a tie) through weighted cross-domain
+    sampling; that stream is then shuffled into batches like any one-domain
+    stream and trained at the base rate."""
     config.validate()
     iak_config.validate()
     selected = {}
@@ -255,13 +272,13 @@ def finetune_all(
     }
     shared_rng = np.random.default_rng(seeds[-1])
 
-    mixing_primary = max(config.mixing, key=lambda k: config.mixing[k]) if config.mixing else None
-    plain = {k: v for k, v in positions.items() if k != mixing_primary}
+    primary = mixing_primary(config.mixing)
+    plain = {k: v for k, v in positions.items() if k != primary}
     curve = _finetune_joint(backbone, cache, plain, adapters, config, iak_config, shared_rng) if plain else []
-    if mixing_primary is not None:
-        stream = mix_domains(positions, config.mixing, shared_rng, config.epochs * len(positions[mixing_primary]))
+    if primary is not None:
+        stream = mix_domains(positions, config.mixing, shared_rng, config.epochs * len(positions[primary]))
         curve += _finetune_joint(  # the stream already spans every epoch
-            backbone, cache, {mixing_primary: stream}, adapters,
+            backbone, cache, {primary: stream}, adapters,
             replace(config, epochs=1), iak_config, shared_rng, start_step=curve[-1].step if curve else 0,
         )
     return FinetuneResult(adapters, curve)

@@ -271,6 +271,23 @@ def test_bad_finetune_domain_exits_5_before_any_input_is_opened(workdir, capsys,
     assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("domains, mixing, named", [
+    ("period=*", "scene=0:1", "['scene=0']"),
+    ("period=0,scene=*", "period=0:0.5,period=1:0.3,region=2:0.2", "['period=1', 'region=2']"),
+])
+def test_a_mixing_key_outside_the_finetune_domains_exits_5_before_any_input_is_opened(workdir, capsys, domains,
+                                                                                       mixing, named):
+    """A mixing key that no `train.finetune_domains` entry can select (it is
+    neither an explicit key nor of a topic a `topic=*` entry expands) is a
+    data error naming it, raised with the rest of the config: with the
+    dataset and the backbone both missing, it is still the error."""
+    assert _run(workdir, "finetune", *MISSING_INPUTS["finetune"], "--set", f"train.finetune_domains={domains}",
+                "--set", f"train.mixing={mixing}") == EXIT_SCHEMA
+    message = f"iakrec: error: mixing references domains outside train.finetune_domains: {named}\n"
+    assert capsys.readouterr().err == message
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
 def test_mixing_keys_read_however_they_are_spelled(workdir, capsys):
     """`train.mixing` names domains as `train.finetune_domains` does:
     `period=00` is `period=0`. Two keys naming one domain, or a key that

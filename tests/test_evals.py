@@ -19,6 +19,7 @@ from iakrec.evals import (
     score_adapted,
     score_backbone,
     score_label_decile_kl,
+    write_csv,
 )
 from iakrec.autodiff import Tensor
 from iakrec.iak import IAKAdapter, IAKConfig
@@ -209,6 +210,14 @@ def test_report_from_scores():
     assert rep.ctcvr_auc is None  # no purchase positives
     assert rep.n_pos_ctr == 2 and rep.n_neg_ctr == 8
     assert rep.seed == 3
+
+
+def test_write_csv_cells(tmp_path):
+    """None is an empty cell, a float (a numpy one too) the repr of a Python
+    float, and any other cell is written as it is."""
+    rows = [(1, "a,b", None, 0.1, np.float64(1 / 3), 1e-300, np.int64(7), True)]
+    path = write_csv(tmp_path / "t.csv", ("i", "s", "none", "f", "np", "tiny", "n", "flag"), rows)
+    assert path.read_bytes() == b'i,s,none,f,np,tiny,n,flag\r\n1,"a,b",,0.1,0.3333333333333333,1e-300,7,True\r\n'
 
 
 class TestScoring:

@@ -1,25 +1,19 @@
 import csv
+import hashlib
 import itertools
 import re
 from pathlib import Path
 
 import pytest
 
-from iakrec import experiments
+from iakrec import experiments, trainer
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
-from iakrec.datagen import expand_domain_selectors
-from iakrec.experiments import (
-    CSV_HEADER,
-    EXPERIMENT_KINDS,
-    ExperimentContext,
-    ExperimentError,
-    experiment_rows,
-    write_rows,
-)
+from iakrec.datagen import expand_domain_selectors, generate, split_chronological
+from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentError, experiment_rows, pretrained, write_rows
 from iakrec.models import MODEL_KINDS, build_model
-from iakrec.trainer import finetune_all
+from iakrec.trainer import _finetune_joint, finetune_all, mix_domains
 
 TINY = {
     "datagen.n_users": "60",
@@ -38,7 +32,6 @@ TINY = {
     "eval.de_grid": "2,4",
     "eval.betas": "0,0.1",
     "eval.baseline_kinds": "esmm,base",
-    "eval.overlap_primary": "period=0",
     "eval.overlap_weights": "period=0:0.7,period=1:0.3",
 }
 SEEDS = ["0", "1"]
@@ -74,6 +67,11 @@ def reports(tmp_path_factory):
     return out
 
 
+def _split(cfg):
+    """The (train, test) split an experiment draws at `cfg`."""
+    return split_chronological(generate(cfg.generator_config()), cfg.get_ratio("datagen.split_ratio"))
+
+
 def _rows(blob: bytes) -> list[list[str]]:
     return list(csv.reader(blob.decode("utf-8").splitlines()))
 
@@ -99,6 +97,24 @@ def test_rows_per_condition_seed_and_domain(kind, reports):
 def test_two_runs_write_identical_csvs(kind, reports):
     first, second = reports[kind]
     assert first == second
+
+
+# sha256 of each kind's CSV at TINY. The pins hold for one numpy and BLAS
+# build; another may round a matrix product differently, and only that is a
+# reason to re-pin.
+EXPERIMENT_SHA256 = {
+    "window_sweep": "e72fc3dbb0c7d486bda3b1636e358a7b6f290b7a37ea6cd1d21a86ab1a0f7fea",
+    "de_sweep": "8ebc2457a9c6410ac338ba48fa9fdd11738db20ede70d6ad897bc68cc6dcde05",
+    "beta_sweep": "f11d34b37c0d604fdf5234510288354efb2f63006f6008d6d2c977931e21ff27",
+    "overlap": "305f4dcb76749616b17c4c154811881060bbb359524f6dd85dec236df0ea8aeb",
+    "baseline_compare": "67c09a094ed08563310b51f9916a7f0cd805382d072a2e5e1673169858720183",
+}
+
+
+def test_every_kind_writes_pinned_bits(reports):
+    """Every byte of each kind's CSV is pinned: a change that moves a score,
+    a diagnostic, a cell's spelling or a row's order fails here."""
+    assert {kind: hashlib.sha256(blobs[0]).hexdigest() for kind, blobs in reports.items()} == EXPERIMENT_SHA256
 
 
 def test_diagnostic_columns(reports):
@@ -135,7 +151,7 @@ def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "forward_full", counted)
     cfg = RunConfig(TINY)
     _run(kind, cfg, tmp_path / "run", tmp_path)
-    _, test = ExperimentContext(cfg, tmp_path).dataset()
+    _, test = _split(cfg)
     backbones = len(cfg.get_list("eval.baseline_kinds")) if kind == "baseline_compare" else 1
     assert scored == [len(test)] * backbones * len(SEEDS)
 
@@ -153,9 +169,9 @@ def test_backbone_cache_keys_on_what_pretraining_reads(tmp_path):
     pretraining reads writes a new one."""
 
     def cached_after(key, value):
-        ctx = ExperimentContext(RunConfig({**TINY, key: value}), tmp_path)
-        ctx.pretrained("base", 0, ctx.dataset()[0])
-        return sorted(p.name for p in ctx.cache_dir.iterdir())
+        cfg = RunConfig({**TINY, key: value})
+        pretrained(cfg, tmp_path, "base", 0, _split(cfg)[0])
+        return sorted(p.name for p in (tmp_path / "cache").iterdir())
 
     names = cached_after("eval.seeds", "0")
     assert len(names) == 1
@@ -172,16 +188,16 @@ def test_a_cached_backbone_that_does_not_restore_is_named(tmp_path):
     block, as a cache written in the layout with a block per id column is)
     is an `ExperimentError`, exit 5 from the CLI, that names the file to
     delete."""
-    ctx = ExperimentContext(RunConfig(TINY), tmp_path)
-    train = ctx.dataset()[0]
-    ctx.pretrained("base", 0, train)
-    (path,) = ctx.cache_dir.iterdir()
+    cfg = RunConfig(TINY)
+    train = _split(cfg)[0]
+    pretrained(cfg, tmp_path, "base", 0, train)
+    (path,) = (tmp_path / "cache").iterdir()
     arrays, digest = load_checkpoint(path)
     save_checkpoint(path, {k: v for k, v in arrays.items() if k != "embeddings.rows"}, digest)
     message = f"cached backbone {path} does not restore; delete it to pretrain again "
     message += "(checkpoint missing parameter 'embeddings.rows')"
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
-        ctx.pretrained("base", 0, train)
+        pretrained(cfg, tmp_path, "base", 0, train)
 
 
 def _cli(tmp_path, capsys, values):
@@ -199,7 +215,7 @@ def _cli(tmp_path, capsys, values):
 
 
 def test_experiment_command_exit_codes(tmp_path, capsys):
-    run = _cli(tmp_path, capsys, {k: v for k, v in TINY.items() if k != "eval.overlap_primary"})
+    run = _cli(tmp_path, capsys, {k: v for k, v in TINY.items() if k != "eval.overlap_weights"})
     code, out, _ = run("experiment", "--kind", "de_sweep", "--set", "eval.seeds=0")
     assert code == EXIT_OK
     (path,) = map(Path, out)
@@ -208,7 +224,7 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     before = set(tmp_path.iterdir())
     code, out, err = run("experiment", "--kind", "overlap")
     assert (code, out) == (EXIT_SCHEMA, [])
-    assert err == ["iakrec: error: overlap needs eval.overlap_primary and eval.overlap_weights"]
+    assert err == ["iakrec: error: overlap needs eval.overlap_weights"]
     assert set(tmp_path.iterdir()) == before  # no run directory
     with pytest.raises(SystemExit) as e:
         run("experiment", "--kind", "no_such_kind")
@@ -238,6 +254,16 @@ def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def test_a_mixing_key_outside_the_finetune_domains_exits_before_any_backbone_is_pretrained(tmp_path, capsys):
+    """`train.mixing` is checked against `train.finetune_domains` (here the
+    default `period=*`) with the other settings, so a key neither selects is
+    its one line, with no cached backbone and no run directory."""
+    run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0"})
+    message = "iakrec: error: mixing references domains outside train.finetune_domains: ['scene=0']"
+    assert run("experiment", "--kind", "de_sweep", "--set", "train.mixing=scene=0:1") == (EXIT_SCHEMA, [], [message])
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
     """A de_sweep row is `finetune --set iak.d_e=... --set train.seed=...` on
     the cached backbone, then `eval`, to the last digit."""
@@ -261,8 +287,53 @@ def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
 
 
 def test_overlap_reads_a_domain_key_however_it_is_spelled(tmp_path, reports):
-    odd = {**TINY, "eval.overlap_primary": "period=00", "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
+    odd = {**TINY, "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
     assert _run("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]
+
+
+@pytest.mark.parametrize("weights", ["period=0:0.3,period=1:0.7", "period=1:0.5,period=0:0.5"])
+def test_overlap_reports_the_domain_its_mixed_stream_trains(tmp_path, monkeypatch, weights):
+    """The overlap kind reports the highest-weighted domain of its weights,
+    the first listed on a tie: the adapter whose stream `mix_domains`
+    draws, fine-tuned alone in the isolated condition."""
+    trained, drawn = [], []  # (domains, whether a mixed stream was just drawn) of each joint run
+
+    def mix(*args, **kwargs):
+        drawn.append(True)
+        return mix_domains(*args, **kwargs)
+
+    def joint(backbone, cache, positions, *args, **kwargs):
+        trained.append((sorted(positions), bool(drawn)))
+        drawn.clear()
+        return _finetune_joint(backbone, cache, positions, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mix_domains", mix)
+    monkeypatch.setattr(trainer, "_finetune_joint", joint)
+    rows = experiment_rows("overlap", RunConfig({**TINY, "eval.seeds": "0", "eval.overlap_weights": weights}),
+                           tmp_path)
+    assert {(r.model_id, r.domain) for r in rows} == {("isolated", "period=1"), ("mixed", "period=1")}
+    assert trained == [(["period=1"], False), (["period=0"], False), (["period=1"], True)]
+
+
+def test_an_undefined_auc_is_an_empty_cell_in_every_row(tmp_path, capsys):
+    """A slice with one class (no purchase in the test split) has no CTCVR
+    AUC: `eval`'s report.csv and an experiment CSV, its mean rows included,
+    write an empty cell, while the CTR AUC and the counts are written."""
+    values = {**TINY, "datagen.target_purchase_rate_given_click": "1e-6", "eval.de_grid": "2"}
+    assert not _split(RunConfig(values))[1].purchase.any()
+    run = _cli(tmp_path, capsys, values)
+    code, out, _ = run("experiment", "--kind", "de_sweep")
+    assert code == EXIT_OK
+    header, *rows = _rows(Path(out[0]).read_bytes())
+    assert [r[2] for r in rows] == ["0", "0", "0", "1", "1", "1", "mean", "mean", "mean"]
+    assert {r[header.index("ctcvr_auc")] for r in rows} == {""}
+    assert "" not in {r[header.index("ctr_auc")] for r in rows}
+    _, (data,), _ = run("gen-data")
+    _, (backbone,), _ = run("pretrain", "--data", data)
+    _, (report,), _ = run("eval", "--data", data, "--checkpoint", backbone)
+    header, row = _rows(Path(report).read_bytes())
+    assert row[header.index("ctcvr_auc")] == "" and row[header.index("n_pos_ctcvr")] == "0"
+    assert float(row[header.index("ctr_auc")]) > 0
 
 
 def test_mixed_stream_steps_follow_the_plain_stream(tmp_path):
@@ -270,9 +341,8 @@ def test_mixed_stream_steps_follow_the_plain_stream(tmp_path):
     its step numbers go on from their last step."""
     cfg = RunConfig({**TINY, "train.finetune_domains": "period=*,scene=0",
                      "train.mixing": "period=0:0.7,period=1:0.3"})
-    ctx = ExperimentContext(cfg, tmp_path)
-    train, _ = ctx.dataset()
-    backbone = build_model(cfg.model_config(), ctx.space(), seed=0)
+    train, _ = _split(cfg)
+    backbone = build_model(cfg.model_config(), cfg.feature_space(), seed=0)
     selectors = expand_domain_selectors(cfg.get_list("train.finetune_domains"), train)
     curve = finetune_all(backbone, train, selectors, cfg.train_config(), cfg.iak_config()).curve
     plain = [row.step for row in curve if row.domain != "period=0"]

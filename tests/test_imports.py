@@ -4,7 +4,8 @@ name that the benchmark's traced run patches on that module
 No code in `src/iakrec` is kept alive by the tests alone: every public
 function, method and class is referenced by the package or the benchmark. Named
 arrays go to disk in one format, the checkpoint container: no module calls
-numpy's own `savez` or `load`."""
+numpy's own `savez` or `load`. Tables go to disk through one writer,
+`evals.write_csv`: no other module imports `csv`."""
 
 import ast
 import sys
@@ -216,6 +217,25 @@ def test_the_check_sees_numpy_file_io():
                     "def f(a, path):\n    np.savez(path, a=a)\n    numpy.savez_compressed(path, a=a)\n"
                     "    np.save(path, a)\n    return np.load(path), np.loads, ld\n")
     assert _numpy_file_io(toy) == ["3 numpy.load", "6 np.savez", "7 numpy.savez_compressed", "9 np.load"]
+
+
+def _module_imports(tree: ast.Module, module: str) -> list[int]:
+    """The line of each import of `module` itself, whatever name binds it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import) and any(alias.name == module for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module))
+
+
+def test_only_evals_imports_csv():
+    found = [f"{path.name}:{line}" for path in MODULES if path.stem != "evals"
+             for line in _module_imports(ast.parse(path.read_text(encoding="utf-8")), "csv")]
+    assert found == []
+
+
+def test_the_check_sees_a_csv_import():
+    toy = ast.parse("import csv\nimport os, csv as c\nfrom csv import writer\nimport csvkit\n"
+                    "from . import csv as local\nfrom .csv import writer as w\n")
+    assert _module_imports(toy, "csv") == [1, 2, 3]
 
 
 def _record_objects_built(tree: ast.Module, builder: str | None) -> list[str]:
