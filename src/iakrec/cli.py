@@ -10,8 +10,9 @@ a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation (a config value that parses but is out of range, NaN
 included, naming its field), 1 anything else (a training run or a forward
 whose values overflow to NaN or Inf included, reported on one line). Each
-command checks the config sections it reads before it opens any input, and
-`experiment` checks every condition's before it draws data or pretrains.
+command reads and checks every setting it uses (the vocabulary sizes and the
+split ratio included) before it opens any input, and `experiment` checks
+every condition's before it draws data or pretrains.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -64,8 +65,8 @@ from .evals import MetricError, SplitPass, report_from_scores, write_csv
 # not called here, but perfbench/layers.py traces them by these names
 from .evals import score_adapted, score_backbone  # noqa: F401
 from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, write_rows
-from .iak import AdapterError
-from .models import ModelError, build_model, encode_records
+from .iak import AdapterError, IAKConfig
+from .models import FeatureSpace, ModelConfig, ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
 from .trainer import TrainerError, check_finetune_domains, finetune_all, pretrain
 
@@ -137,12 +138,12 @@ def _resolve_input(args, path_str: str, what: str) -> Path:
     return p
 
 
-def _load_split(args, cfg: RunConfig):
+def _load_split(args, ratio: tuple[int, int]):
     data_path = _resolve_input(args, args.data, "dataset")
     dataset = read_dataset(data_path)
     if not dataset:
         raise DatasetError(f"dataset is empty: {data_path}")
-    return split_chronological(dataset, cfg.get_ratio("datagen.split_ratio"))
+    return split_chronological(dataset, ratio)
 
 
 def cmd_gen_data(args) -> int:
@@ -162,9 +163,10 @@ def cmd_pretrain(args) -> int:
     model_config, train_config = cfg.model_config(), cfg.train_config()
     model_config.validate()
     train_config.validate()
-    # built first: a bad seed is an error before the data is read
+    ratio = cfg.split_ratio()
+    # built first: a bad seed or vocabulary size is an error before the data is read
     model = build_model(model_config, cfg.feature_space(), seed=cfg.get_int("model.seed"))
-    train, _ = _load_split(args, cfg)
+    train, _ = _load_split(args, ratio)
     curve = pretrain(model, train, train_config)
     outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
     cfg.echo(outdir / "effective.cfg")
@@ -174,30 +176,39 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _restore_backbone(cfg: RunConfig, ckpt_path: Path):
+def _model_settings(cfg: RunConfig) -> tuple[ModelConfig, FeatureSpace, IAKConfig]:
+    """The checked `model.*`, vocabulary and `iak.*` settings of a command
+    that restores a checkpoint, read before it opens any input."""
+    model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
+    model_config.validate()
+    iak_config.validate()
+    return model_config, space, iak_config
+
+
+def _restore_backbone(ckpt_path: Path, model_config: ModelConfig, space: FeatureSpace, iak_config: IAKConfig):
     """The frozen model restored from `ckpt_path` and the adapters stored
     beside it ({} for a pretrain checkpoint). The table block, and with it
     the checkpoint's mapping, lives as long as the model; every other
     loaded array dies on return."""
     arrays, _ = load_checkpoint(ckpt_path)
-    model = build_model(cfg.model_config(), cfg.feature_space(), seed=None)
+    model = build_model(model_config, space, seed=None)
     model.restore(arrays)
     model.set_trainable(False)
-    return model, adapters_from_arrays(arrays, model.rep_dim, model.n_heads, cfg.iak_config())
+    return model, adapters_from_arrays(arrays, model.rep_dim, model.n_heads, iak_config)
 
 
 def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
-    train_config, iak_config = cfg.train_config(), cfg.iak_config()
-    for config in (cfg.model_config(), train_config, iak_config):
-        config.validate()
+    model_config, space, iak_config = _model_settings(cfg)
+    train_config, ratio = cfg.train_config(), cfg.split_ratio()
+    train_config.validate()
     domains = cfg.get_list("train.finetune_domains")
     check_finetune_domains(domains, train_config.mixing)  # a bad entry is an error before any input is opened
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
-    train, _ = _load_split(args, cfg)
-    model, _ = _restore_backbone(cfg, ckpt)
+    train, _ = _load_split(args, ratio)
+    model, _ = _restore_backbone(ckpt, model_config, space, iak_config)
     selectors = expand_domain_selectors(domains, train)
     result = finetune_all(model, train, selectors, train_config, iak_config)
     outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
@@ -215,15 +226,14 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    for config in (cfg.model_config(), cfg.iak_config()):
-        config.validate()
+    model_config, space, iak_config = _model_settings(cfg)
+    ratio, seed = cfg.split_ratio(), cfg.get_int("train.seed")
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
-    _, test = _load_split(args, cfg)
+    _, test = _load_split(args, ratio)
     if not test:
         raise DatasetError("test split is empty; check datagen.split_ratio")
-    model, adapters = _restore_backbone(cfg, ckpt)
-    seed = cfg.get_int("train.seed")
-    split = SplitPass(model, encode_records(test, cfg.feature_space()))
+    model, adapters = _restore_backbone(ckpt, model_config, space, iak_config)
+    split = SplitPass(model, encode_records(test, space))
     p_ctr, p_ctcvr = split.zero_shot()
     reports = [report_from_scores(p_ctr, p_ctcvr, split.dataset, "test", "zero_shot", seed)]
     for key, idx, sub in split.slices({key: a.domain_key for key, a in adapters.items()}):
@@ -242,11 +252,11 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
-    for config in (cfg.model_config(), cfg.iak_config()):
-        config.validate()
+    model_config, space, iak_config = _model_settings(cfg)
+    lazy = cfg.get_bool("router.lazy_activation")
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
-    model, adapters = _restore_backbone(cfg, ckpt)
-    router = DomainRouter(model, adapters, lazy_activation=cfg.get_bool("router.lazy_activation"))
+    model, adapters = _restore_backbone(ckpt, model_config, space, iak_config)
+    router = DomainRouter(model, adapters, lazy_activation=lazy)
     # the bytes under a text stdin, so `serve` decodes each line on its own
     return serve(router, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout)
 

@@ -12,7 +12,7 @@ import hashlib
 from collections.abc import Iterable
 from pathlib import Path
 
-from .datagen import DatasetError, GeneratorConfig, domain_key, make_domains, parse_domain_key
+from .datagen import DatasetError, GeneratorConfig, check_split_ratio, domain_key, make_domains, parse_domain_key
 from .iak import IAKConfig
 from .models import FeatureSpace, ModelConfig
 from .trainer import TrainConfig
@@ -221,6 +221,10 @@ class RunConfig:
             seed=seed,
             records_per_day=self.get_int("datagen.records_per_day"),
         )
+
+    def split_ratio(self) -> tuple[int, int]:
+        """The train:test ratio, checked (see `datagen.check_split_ratio`)."""
+        return check_split_ratio(self.get_ratio("datagen.split_ratio"))
 
     def feature_space(self) -> FeatureSpace:
         return FeatureSpace(

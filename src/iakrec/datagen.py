@@ -331,14 +331,21 @@ def generate(config: GeneratorConfig) -> Dataset:
     )
 
 
+def check_split_ratio(ratio: tuple[int, int]) -> tuple[int, int]:
+    """`ratio` if it is a train:test ratio a:b that can cut a timeline: both
+    parts >= 0 and not both 0."""
+    a, b = ratio
+    if a < 0 or b < 0 or a + b == 0:
+        raise DatasetError(f"invalid split ratio {a}:{b}")
+    return ratio
+
+
 def split_chronological(dataset: Dataset, ratio: tuple[int, int]) -> tuple[Dataset, Dataset]:
     """Cut the timeline at the ratio point: first a/(a+b) of the time span is
     train, the rest test. Records exactly at the cut go to train."""
     if not dataset:
         raise DatasetError("cannot split an empty dataset")
-    a, b = ratio
-    if a < 0 or b < 0 or a + b == 0:
-        raise DatasetError(f"invalid split ratio {a}:{b}")
+    a, b = check_split_ratio(ratio)
     ts = dataset.timestamp
     if np.any(ts[1:] < ts[:-1]):
         raise DatasetError("dataset must be sorted by timestamp before splitting")

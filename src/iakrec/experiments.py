@@ -137,7 +137,8 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
         for config in (run.model_config(), train_config, run.iak_config()):
             config.validate()
         check_finetune_domains(run.get_list("train.finetune_domains"), train_config.mixing)
-    train, test = split_chronological(generate(cfg.generator_config()), cfg.get_ratio("datagen.split_ratio"))
+    ratio = cfg.split_ratio()
+    train, test = split_chronological(generate(cfg.generator_config()), ratio)
     test = encode_records(test, cfg.feature_space())
     rows = []
     for (model_kind, seed), group in runs.items():

@@ -10,11 +10,14 @@ initial state.
 means, or a reparameterised sample, one `ad.weight_sample` node per weight
 and bias, when a training step passes noise), the scaled affine map and
 leaky ReLU, then the decoder layers. Every layer is one dense-layer
-primitive, in one of two forms. A lone `IAKAdapter` passes
-`ad.linear`: eval and serving score one adapter at a time with the means
-(`adapted_prediction`). An `AdapterBank` passes `ad.segment_linear` over its
-stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
-batch through one autodiff graph, rows grouped by adapter. The segment form
+primitive, in one of two forms. A lone `IAKAdapter` passes `ad.linear` and
+only ever reads its posterior means: eval and serving score one adapter at
+a time (`adapted_prediction`). An `AdapterBank` passes `ad.segment_linear`
+over its stacked (K, ...) parameters: fine-tuning trains the adapters of a
+joint batch through one autodiff graph, rows grouped by adapter. The bank
+alone owns the training stage, the variational information bottleneck: it
+draws each stepped adapter's weight sample (`draw_noise`) and builds the
+encoder KL (`encoder_kl`) and the loss (`ib_loss`). The segment form
 repeats, per adapter, the numpy calls of the one-adapter graph, so every
 adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
 is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
@@ -94,17 +97,6 @@ class VariationalLinear:
     def parameters(self) -> list[Parameter]:
         return [self.mu_w, self.mu_b, self.rho_w, self.rho_b]
 
-    @property
-    def n_entries(self) -> int:
-        return self.mu_w.size + self.mu_b.size
-
-    def draw_noise(self, rng: np.random.Generator, out: Noise | None = None) -> Noise:
-        """The standard-normal draws of one weight sample, written into `out`
-        (weights, bias) when given: the same draws either way."""
-        if out is None:
-            return rng.standard_normal(self.mu_w.shape), rng.standard_normal(self.mu_b.shape)
-        return rng.standard_normal(out=out[0]), rng.standard_normal(out=out[1])
-
 
 def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
                   noise: Noise | None = None, softplus: Softplus | None = None) -> Tensor:
@@ -136,16 +128,6 @@ def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Cal
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
         x = linear(x, w_l, b_l, slope=LEAKY_SLOPE)
     return linear(x, decoder[-2], decoder[-1])
-
-
-def _gaussian_kl(mu_w: Tensor, mu_b: Tensor, rho_w: Tensor, rho_b: Tensor,
-                 offsets: np.ndarray | ad.Segments | None = None, softplus: Softplus | None = None) -> Tensor:
-    """Closed-form KL(N(mu, sigma^2) || N(0,1)) of an encoder's entries,
-    sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
-    one over the bias, totalled over all entries or per segment. Always
-    >= 0."""
-    sp_w, sp_b = (None, None) if softplus is None else softplus
-    return ad.add(ad.gaussian_kl(mu_w, rho_w, offsets, sp_w), ad.gaussian_kl(mu_b, rho_b, offsets, sp_b))
 
 
 class IAKAdapter:
@@ -200,17 +182,10 @@ class IAKAdapter:
         is an `AdapterError` (see `models.restore_parameters`)."""
         restore_parameters(self.parameters(), arrays, AdapterError)
 
-    @property
-    def n_encoder_entries(self) -> int:
-        return self.encoder.n_entries
-
-    def correction(self, representation: Tensor, noise: Noise | None = None) -> Tensor:
-        """Per-task logit corrections, (B, n_tasks): the posterior means, or
-        one weight sample drawn as `noise` for the whole batch."""
-        return adapter_graph(representation, self._params, self.encoder.scale, ad.linear, noise)
-
-    def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:
-        return _gaussian_kl(*self.encoder.parameters(), softplus=softplus)
+    def correction(self, representation: Tensor) -> Tensor:
+        """Per-task logit corrections, (B, n_tasks), with the encoder's
+        posterior means."""
+        return adapter_graph(representation, self._params, self.encoder.scale, ad.linear)
 
 
 def adapted_prediction(
@@ -218,15 +193,13 @@ def adapted_prediction(
     adapter: IAKAdapter,
     representation: Tensor,
     base_logits: Tensor,
-    noise: Noise | None = None,
 ) -> Prediction:
     """Prediction from a backbone output corrected by an adapter: the (B,
     n_heads) base logits plus the adapter's additive correction, with the
-    encoder's posterior means unless `noise` gives a weight sample. Eval and
-    serving score through it; a zero correction reproduces the backbone
-    bit-for-bit."""
+    encoder's posterior means. Eval and serving score through it; a zero
+    correction reproduces the backbone bit-for-bit."""
     _check_inputs(adapter, representation.shape, base_logits.shape)
-    corr = adapter.correction(representation, noise)
+    corr = adapter.correction(representation)
     return backbone.predict_from_logits(ad.add(base_logits, corr))
 
 
@@ -241,24 +214,24 @@ def ib_loss(
     prediction: Prediction,
     click: np.ndarray,
     purchase: np.ndarray,
-    adapter: IAKAdapter | AdapterBank,
+    bank: AdapterBank,
+    segs: ad.Segments,
+    softplus: Softplus,
     beta: float,
     weights: tuple[float, float] = (1.0, 1.0),
-    offsets: np.ndarray | ad.Segments | None = None,
-    softplus: Softplus | None = None,
 ) -> Tensor:
-    """Task cross-entropy plus beta times the per-weight average KL of the
-    encoder posterior to its standard-normal prior: one `ad.clipped_bce`
-    node per task and one `ad.gaussian_kl` node per encoder parameter pair.
-    For a bank, `offsets` group the rows by adapter, the cross-entropy is a
-    per-adapter mean and the loss is one entry per adapter. `softplus`, when
-    given, holds the `ad.softplus_parts` of the encoder's rho_w and rho_b
-    that the step's weight sample computed."""
+    """(K,) loss of a bank step, one entry per adapter: the task
+    cross-entropy over the adapter's rows (`segs` group the rows by adapter)
+    plus beta times the per-weight average KL of its encoder posterior to the
+    standard-normal prior. One `ad.clipped_bce` node per task and one
+    `ad.gaussian_kl` node per encoder parameter pair, which read the
+    `ad.softplus_parts` of the stacked rho_w and rho_b that the step's weight
+    sample computed."""
     if beta < 0:
         raise AdapterError("beta must be >= 0")
-    loss = bce_loss(prediction, click, purchase, weights, offsets)
+    loss = bce_loss(prediction, click, purchase, weights, segs)
     if beta > 0:
-        loss = ad.add(loss, ad.mul(adapter.encoder_kl(softplus), beta / adapter.n_encoder_entries))
+        loss = ad.add(loss, ad.mul(bank.encoder_kl(softplus), beta / bank.n_encoder_entries))
     return loss
 
 
@@ -309,7 +282,7 @@ class AdapterBank:
         self.adapters = list(adapters)
         self.rep_dim = first.rep_dim
         self.n_tasks = first.n_tasks
-        self.n_encoder_entries = first.n_encoder_entries
+        self.n_encoder_entries = first.encoder.mu_w.size + first.encoder.mu_b.size
         self.scale = first.encoder.scale
         groups = list(zip(*(a.parameters() for a in self.adapters)))
         self.params = [Parameter(np.stack([p.data for p in group]), name="bank/" + group[0].name.rsplit("/", 1)[1])
@@ -322,15 +295,16 @@ class AdapterBank:
         self._per_adapter = ad.Segments(np.arange(len(self.adapters) + 1), len(self.adapters))  # one per slab
 
     def draw_noise(self, adapters: np.ndarray) -> Noise:
-        """Stacked encoder noise: each listed adapter draws from its own
-        `sample_rng`, in bank order, exactly the draws of its own weight
-        sample, straight into its slab; every other adapter gets zeros and
+        """Stacked encoder noise: each listed adapter, in bank order, draws
+        one weight sample from its own `sample_rng`, its weights and then its
+        bias, straight into its slab; every other adapter gets zeros and
         draws nothing."""
         eps_w = np.zeros(self.params[0].shape)
         eps_b = np.zeros(self.params[1].shape)
         for k in adapters:
-            adapter = self.adapters[k]
-            adapter.encoder.draw_noise(adapter.sample_rng, (eps_w[k], eps_b[k]))
+            rng = self.adapters[k].sample_rng
+            rng.standard_normal(out=eps_w[k])
+            rng.standard_normal(out=eps_b[k])
         return eps_w, eps_b
 
     def correction(self, representation: Tensor, offsets: np.ndarray | ad.Segments, noise: Noise,
@@ -355,9 +329,13 @@ class AdapterBank:
             sq += g_sq[:, start:end].sum(axis=1)
         return np.sqrt(sq)
 
-    def encoder_kl(self, softplus: Softplus | None = None) -> Tensor:
-        """(K,) encoder KL of every adapter."""
-        return _gaussian_kl(*self.params[:4], self._per_adapter, softplus)
+    def encoder_kl(self, softplus: Softplus) -> Tensor:
+        """(K,) KL(N(mu, sigma^2) || N(0,1)) of each adapter's encoder entries,
+        sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
+        one over the bias, reading their `softplus` parts. Always >= 0."""
+        mu_w, mu_b, rho_w, rho_b = self.params[:4]
+        return ad.add(ad.gaussian_kl(mu_w, rho_w, self._per_adapter, softplus[0]),
+                      ad.gaussian_kl(mu_b, rho_b, self._per_adapter, softplus[1]))
 
 
 def adapter_step_cached(
@@ -389,7 +367,7 @@ def adapter_step_cached(
     ad.zero_grads(bank.params)
     corr = bank.correction(Tensor(rep), segs, noise, softplus)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, beta, weights, segs, softplus)
+    loss = ib_loss(pred, click, purchase, bank, segs, softplus, beta, weights)
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

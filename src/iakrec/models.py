@@ -38,7 +38,9 @@ class ModelError(ValueError):
 
 @dataclass
 class FeatureSpace:
-    """Vocabulary sizes for the id universe a model is built against."""
+    """Vocabulary sizes for the id universe a model is built against. A size
+    of 0 makes every id of its column out of vocabulary; a negative size is
+    a `ModelError`."""
 
     n_users: int
     n_items: int
@@ -47,6 +49,11 @@ class FeatureSpace:
     n_periods: int
     n_feature_buckets: int = 8
     n_feature_cols: int = 4
+
+    def __post_init__(self) -> None:
+        for name, size in vars(self).items():
+            if size < 0:
+                raise ModelError(f"{name} must be >= 0, got {size}")
 
 
 def encode_records(dataset: Dataset, space: FeatureSpace) -> Dataset:

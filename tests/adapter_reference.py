@@ -2,7 +2,13 @@
 optimizer state, one adapter step at a time, through the reference optimizer
 (`optimizer_reference`), which shares no optimizer code with the bank. The
 bank step must reproduce these loops bit for bit; tests compare against
-them."""
+them.
+
+The package trains adapters only as a bank (`iak.AdapterBank`), and a lone
+`iak.IAKAdapter` scores only with its posterior means. The one-adapter
+training forms live here: the weight sample (`lone_noise`), the sampled
+correction (`lone_correction`), the encoder KL (`lone_encoder_kl`) and the
+information-bottleneck loss (`lone_ib_loss`)."""
 
 from __future__ import annotations
 
@@ -10,21 +16,53 @@ import numpy as np
 
 from iakrec import autodiff as ad
 from iakrec.autodiff import Tensor
-from iakrec.iak import adapted_prediction, ib_loss
+from iakrec.iak import adapter_graph
+from iakrec.models import bce_loss
 from iakrec.trainer import SATURATION_LEVEL, FinetuneRow, _batch_indices, dynamic_lr
 
 from optimizer_reference import ReferenceState, reference_adagrad_decay_step
 
 
+def lone_noise(adapter, rng):
+    """The standard-normal draws of one weight sample of the adapter's
+    encoder from `rng`: its weights, then its bias."""
+    enc = adapter.encoder
+    return rng.standard_normal(enc.mu_w.shape), rng.standard_normal(enc.mu_b.shape)
+
+
+def lone_correction(adapter, representation, noise) -> Tensor:
+    """(B, n_tasks) corrections of one adapter with one weight sample `noise`
+    (weights, bias) for the whole batch: `iak.adapter_graph` on `ad.linear`."""
+    return adapter_graph(representation, adapter.parameters(), adapter.encoder.scale, ad.linear, noise)
+
+
+def lone_encoder_kl(adapter) -> Tensor:
+    """KL of one adapter's encoder posterior to the standard-normal prior:
+    the total `ad.gaussian_kl` of its weights plus that of its bias."""
+    enc = adapter.encoder
+    return ad.add(ad.gaussian_kl(enc.mu_w, enc.rho_w), ad.gaussian_kl(enc.mu_b, enc.rho_b))
+
+
+def lone_ib_loss(prediction, click, purchase, adapter, beta, weights=(1.0, 1.0)) -> Tensor:
+    """Scalar loss of one adapter: the task cross-entropy over every row plus
+    beta times the per-weight average encoder KL."""
+    loss = bce_loss(prediction, click, purchase, weights)
+    if beta > 0:
+        enc = adapter.encoder
+        loss = ad.add(loss, ad.mul(lone_encoder_kl(adapter), beta / (enc.mu_w.size + enc.mu_b.size)))
+    return loss
+
+
 def reference_step(backbone, adapter, rep, base_logits, click, purchase, opt_state, lr, beta,
                    weights=(1.0, 1.0)) -> tuple[float, float]:
-    """One adapter-only optimizer step from cached backbone outputs. Returns
-    (loss, gradient L2 norm)."""
+    """One adapter-only optimizer step from cached backbone outputs, with one
+    weight sample from the adapter's `sample_rng`. Returns (loss, gradient L2
+    norm)."""
     params = adapter.parameters()
     ad.zero_grads(params)
-    pred = adapted_prediction(backbone, adapter, Tensor(rep), Tensor(base_logits),
-                              adapter.encoder.draw_noise(adapter.sample_rng))
-    loss = ib_loss(pred, click, purchase, adapter, beta, weights)
+    corr = lone_correction(adapter, Tensor(rep), lone_noise(adapter, adapter.sample_rng))
+    pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
+    loss = lone_ib_loss(pred, click, purchase, adapter, beta, weights)
     ad.backward(loss)
     total = 0.0
     for p in params:

@@ -20,7 +20,8 @@ import pytest
 
 from iakrec import cli, datagen
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
-from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _restore_backbone, main
+from iakrec.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _model_settings, _restore_backbone,
+                        main)
 from iakrec.config import RunConfig
 from iakrec.evals import SplitPass
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
@@ -174,15 +175,39 @@ MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
     ("eval", "iak.d_e=0", "d_e must be >= 1"),
     ("serve", "model.hidden_sizes=4,0", "hidden sizes must be positive"),
     ("serve", "iak.d_e=0", "d_e must be >= 1"),
+    ("pretrain", "datagen.n_users=-1", "n_users must be >= 0, got -1"),
+    ("finetune", "datagen.n_items=-5", "n_items must be >= 0, got -5"),
+    ("eval", "datagen.n_users=-5", "n_users must be >= 0, got -5"),
+    ("serve", "datagen.n_users=-1", "n_users must be >= 0, got -1"),
+    ("pretrain", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
+    ("finetune", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
+    ("eval", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
 ])
 def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workdir, capsys, command, setting,
                                                                           message):
-    """Each command checks the config sections it reads (`model.*`, and in
-    `finetune`, `eval` and `serve` also `iak.*`) before it opens an input: a
-    bad value is a one-line data error (exit 5), not the path error of the
-    missing inputs, and `finetune` never runs a backbone pass first."""
+    """Each command checks the config sections it reads (`model.*`, the
+    vocabulary sizes, the split ratio of a command that reads the dataset,
+    and in `finetune`, `eval` and `serve` also `iak.*`) before it opens an
+    input: a bad value is a one-line data error (exit 5), not the path error
+    of the missing inputs, and `finetune` never runs a backbone pass first.
+    A negative vocabulary size would otherwise build a model with an empty
+    id range."""
     assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"iakrec: error: {message}\n"
+    assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("pretrain", "datagen.split_ratio=6-1", "datagen.split_ratio: expected a:b ratio, got '6-1'"),
+    ("eval", "train.seed=x", "train.seed: expected integer, got 'x'"),
+    ("serve", "router.lazy_activation=maybe", "router.lazy_activation: expected true/false, got 'maybe'"),
+])
+def test_an_unparsable_setting_exits_3_before_any_input_is_opened(workdir, capsys, command, setting, message):
+    """Each command parses every setting it reads before it opens an input:
+    a value that does not parse is a config error (exit 3), not the path
+    error of the missing inputs."""
+    assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"iakrec: config error: {message}\n"
     assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
 
 
@@ -572,7 +597,7 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "load_checkpoint", load)
     forbid_init_draws()
-    model, adapters = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    model, adapters = _restore_backbone(tmp_path / "m.ckpt", *_model_settings(cfg))
     ((loaded, _),) = loads
     restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
     assert model.frozen and sorted(restored) == sorted(arrays)
@@ -591,7 +616,7 @@ def test_restored_adapter_scores_record_no_graph(tmp_path):
     of `eval` link no parents: no graph is recorded and no node checked."""
     cfg = RunConfig(TINY_SIZES)
     save_checkpoint(tmp_path / "m.ckpt", _checkpoint_arrays(cfg), cfg.digest())
-    model, adapters = _restore_backbone(cfg, tmp_path / "m.ckpt")
+    model, adapters = _restore_backbone(tmp_path / "m.ckpt", *_model_settings(cfg))
     (adapter,) = adapters.values()
     rng = np.random.default_rng(0)
     rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))
@@ -690,6 +715,29 @@ def test_serve_writes_pinned_bits(pinned_run, monkeypatch, capsys, lazy):
     out = capsys.readouterr().out.encode()
     assert [json.loads(line).get("served_by") for line in out.splitlines()] == SERVED
     assert hashlib.sha256(re.sub(rb', "latency_micros": \d+', b"", out)).hexdigest() == SERVE_SHA256
+
+
+def test_eval_and_serve_read_only_the_posterior_means(pinned_run, tmp_path, monkeypatch, capsys):
+    """Eval and serving score each adapter with its encoder's posterior
+    means: shifting every `enc0.rho_w` and `rho_b` block of the finetuned
+    checkpoint, the posterior scales fine-tuning samples with, leaves
+    `report.csv` and every byte `serve` writes but the latencies as they
+    are."""
+    arrays, digest = load_checkpoint(pinned_run / "ft" / "finetuned.ckpt")
+    rho = [name for name in arrays if re.fullmatch(r"adapter/[^/]+/enc0\.rho_[wb]", name)]
+    assert len(rho) == 6  # rho_w and rho_b of the three `period=*` adapters
+    save_checkpoint(tmp_path / "shifted.ckpt", {n: a + 1.5 if n in rho else a for n, a in arrays.items()}, digest)
+    (tmp_path / "run.cfg").write_text(TINY_CFG, encoding="utf-8")
+    assert _run(tmp_path, "eval", "--data", str(pinned_run / "data" / "dataset.jsonl"), "--checkpoint",
+                "shifted.ckpt", "--outdir", "ev") == EXIT_OK
+    assert (tmp_path / "ev" / "report.csv").read_bytes() == (pinned_run / "ev" / "report.csv").read_bytes()
+    served = []
+    for workdir, ckpt in ((pinned_run, "ft/finetuned.ckpt"), (tmp_path, "shifted.ckpt")):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(SERVE_STREAM), encoding="utf-8"))
+        capsys.readouterr()
+        assert _run(workdir, "serve", "--checkpoint", ckpt) == EXIT_OK
+        served.append(re.sub(r', "latency_micros": \d+', "", capsys.readouterr().out))
+    assert served[0] == served[1] and served[0].count("served_by") == len(SERVED) - 1
 
 
 def test_a_checkpoint_with_a_table_block_per_id_column_exits_5_naming_the_table(workdir, capsys):

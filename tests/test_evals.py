@@ -26,6 +26,8 @@ from iakrec.iak import IAKAdapter, IAKConfig
 from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
 from iakrec.router import ZERO_SHOT, DomainRouter, ScoreRequest, encode_request
 
+from adapter_reference import lone_correction
+
 
 def brute_force_auc(scores, labels):
     """O(n^2) oracle: fraction of (pos, neg) pairs ranked correctly, ties
@@ -194,7 +196,8 @@ class TestDiagnostics:
         draws = np.random.default_rng(5)  # the channel's draws: every weight sample, then every bias sample
         eps_w = draws.standard_normal((64, 32, 7))
         eps_b = draws.standard_normal((64, 7))
-        ran = np.concatenate([adapter.correction(Tensor(rep[i:i + 1]), (eps_w[i], eps_b[i])).data for i in range(64)])
+        ran = np.concatenate([lone_correction(adapter, Tensor(rep[i:i + 1]), (eps_w[i], eps_b[i])).data
+                              for i in range(64)])
         np.testing.assert_allclose(channel, ran, rtol=1e-12, atol=1e-14)
 
 

@@ -242,13 +242,15 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
      "error: bad domain key part 'period=x': the id must be an integer"),
     ("de_sweep", "train.finetune_domains=city=*", EXIT_SCHEMA,
      "error: unknown domain topic 'city'; topics are scene, region, period"),
+    ("de_sweep", "datagen.split_ratio=0:0", EXIT_SCHEMA, "error: invalid split ratio 0:0"),
 ])
 def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
                                                                           message):
     """`iakrec experiment` checks every setting a row reads (the seeds, the
-    MI bins, the model kinds, and each condition's model, train and adapter
-    configs and fine-tune domains) before it pretrains: a bad one exits with its one line and
-    leaves no cached backbone and no run directory."""
+    MI bins, the model kinds, the split ratio, and each condition's model,
+    train and adapter configs and fine-tune domains) before it pretrains: a
+    bad one exits with its one line and leaves no cached backbone and no run
+    directory."""
     run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0"})
     assert run("experiment", "--kind", kind, "--set", setting) == (code, [], [f"iakrec: {message}"])
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -16,7 +16,7 @@ from iakrec.datagen import Dataset
 from iakrec.router import DomainRouter, ScoreRequest
 from iakrec.trainer import TrainConfig, pretrain_optimizer, pretrain_step
 
-from adapter_reference import reference_step
+from adapter_reference import lone_encoder_kl, reference_step
 from gradcheck import assert_grads_match
 from linear_reference import composed_gate_mix, composed_gather_rows, composed_linear, composed_segment_linear
 from loss_reference import composed_clipped_bce, composed_gaussian_kl, composed_weight_sample
@@ -196,7 +196,8 @@ def test_eager_score_graph_at_the_default_shapes(monkeypatch):
 
 def _lone_steps(beta):
     """(loss and norm of each step, parameter bytes) of two steps of one
-    adapter trained alone through `ib_loss`."""
+    adapter trained alone through the reference step (its one-adapter IB
+    loss, `adapter_reference.lone_ib_loss`)."""
     backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=2)
     backbone.set_trainable(False)
     adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, beta=beta, decoder_hidden=(6,)),
@@ -483,9 +484,9 @@ def test_an_underflowing_sigma_raises_in_the_lone_and_the_bank_kl():
     adapters = [IAKAdapter(6, 2, IAKConfig(d_e=3), {"period": k}, seed=k) for k in range(2)]
     adapters[0].encoder.rho_b.data[1] = -750.0
     with pytest.raises(ad.NonFiniteError, match="output of gaussian_kl"):
-        adapters[0].encoder_kl()
-    assert np.isfinite(adapters[1].encoder_kl().data)
+        lone_encoder_kl(adapters[0])
+    assert np.isfinite(lone_encoder_kl(adapters[1]).data)
     bank = AdapterBank(adapters[1:], decay=0.9999, epsilon=1e-8)
     bank.params[2].data[0, 2, 1] = -750.0  # adapter 1's rho_w, through the bank's stacked slab
     with pytest.raises(ad.NonFiniteError, match="output of gaussian_kl"):
-        bank.encoder_kl()
+        bank.encoder_kl(tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4]))

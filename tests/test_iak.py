@@ -20,11 +20,11 @@ from iakrec.iak import (
     backbone_cache,
     ib_loss,
 )
-from iakrec.models import FeatureSpace, ModelConfig, build_model, encode_records
+from iakrec.models import FeatureSpace, ModelConfig, Prediction, bce_loss, build_model, encode_records
 from iakrec.trainer import TrainConfig, finetune_all, model_digest
 from iakrec.datagen import InteractionRecord
 
-from adapter_reference import reference_step
+from adapter_reference import lone_correction, lone_noise, reference_step
 from gradcheck import central_differences, max_rel_err
 from optimizer_reference import ReferenceState
 from records_reference import from_records
@@ -46,15 +46,17 @@ def gaussian_kl_quadrature(mu: float, sigma: float) -> float:
 
 
 def _kl_of(mu, sigma):
-    """Encoder KL of an adapter whose one encoder weight is pinned to exact
-    (mu, sigma)."""
+    """Encoder KL, through a one-adapter bank, of an adapter whose one
+    encoder weight is pinned to exact (mu, sigma)."""
     adapter = IAKAdapter(1, 2, IAKConfig(d_e=1, decoder_hidden=()), {"period": 1}, seed=0)
     vl = adapter.encoder
     vl.mu_w.data[:] = mu
     vl.rho_w.data[:] = math.log(math.expm1(sigma))
     vl.mu_b.data[:] = 0.0
     vl.rho_b.data[:] = math.log(math.expm1(1.0))  # bias entry at the prior
-    return float(adapter.encoder_kl().data)
+    bank = _bank(adapter)
+    (kl,) = bank.encoder_kl(_softplus(bank)).data
+    return float(kl)
 
 
 def _records(n=8, seed=0, period=1):
@@ -76,6 +78,19 @@ def _records(n=8, seed=0, period=1):
 def _bank(*adapters):
     """A bank at the default decay and epsilon."""
     return AdapterBank(adapters, decay=TrainConfig.adagrad_decay, epsilon=TrainConfig.adagrad_epsilon)
+
+
+def _softplus(bank):
+    """The `ad.softplus_parts` of a bank's stacked rho_w and rho_b."""
+    return tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4])
+
+
+def _one_adapter_loss(pred, click, purchase, adapter, beta, weights=(1.0, 1.0)):
+    """`ib_loss` of a one-adapter bank over every row, offsets [0, n]: its
+    one entry."""
+    bank = _bank(adapter)
+    segs = ad.Segments([0, len(click)], len(click))
+    return ib_loss(pred, click, purchase, bank, segs, _softplus(bank), beta, weights)
 
 
 def _bank_step(backbone, bank, rep, base, click, purchase, lr, beta):
@@ -120,7 +135,7 @@ class TestEncoderSample:
         adapter.encoder.rho_w.data[:] = -745.0  # softplus underflows to 0
         adapter.encoder.rho_b.data[:] = -745.0
         rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
-        sampled = adapter.correction(rep, adapter.encoder.draw_noise(np.random.default_rng(3)))
+        sampled = lone_correction(adapter, rep, lone_noise(adapter, np.random.default_rng(3)))
         assert sampled.data.tobytes() == adapter.correction(rep).data.tobytes()
 
     def test_means_correction_reads_mu_exactly(self):
@@ -141,7 +156,7 @@ class TestEncoderSample:
         adapter.decoder_out.w.data[:] = 0.3
         rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
         zeros = (np.zeros_like(adapter.encoder.mu_w.data), np.zeros_like(adapter.encoder.mu_b.data))
-        assert adapter.correction(rep, zeros).data.tobytes() == adapter.correction(rep).data.tobytes()
+        assert lone_correction(adapter, rep, zeros).data.tobytes() == adapter.correction(rep).data.tobytes()
 
     def test_sample_mean_converges_to_mu(self):
         # 10^5 reparameterised weight draws w = mu + softplus(rho) * noise
@@ -161,7 +176,7 @@ class TestEncoderSample:
         adapter.decoder_out.w.data[:] = 1.0
         rep = ad.Tensor(np.ones((1, 1)))
         for i in range(1000):
-            got = adapter.correction(rep, (eps[i:i + 1], np.zeros(1))).data[0, 0]
+            got = lone_correction(adapter, rep, (eps[i:i + 1], np.zeros(1))).data[0, 0]
             assert got == draws[i] + 10.0
 
     def test_initial_sigma_is_configured_value(self):
@@ -267,16 +282,12 @@ class TestIBLoss:
         backbone = _backbone()
         adapter = _adapter(backbone)
         batch = _batch()
-        from iakrec.models import bce_loss
-
         pred = _adapted(backbone, adapter, batch)
         plain = bce_loss(pred, batch.click, batch.purchase)
-        combined = ib_loss(pred, batch.click, batch.purchase, adapter, beta=0.0)
-        assert float(plain.data) == float(combined.data)
+        (combined,) = _one_adapter_loss(pred, batch.click, batch.purchase, adapter, beta=0.0).data
+        assert float(combined) == float(plain.data)
 
     def test_perfect_prediction_at_prior_vanishes(self):
-        from iakrec.models import Prediction
-
         click = np.array([1.0, 0.0])
         purchase = np.array([0.0, 0.0])
         pred = Prediction(p_ctr=ad.Tensor(click.reshape(-1, 1)), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
@@ -287,13 +298,11 @@ class TestIBLoss:
         vl.mu_b.data[:] = 0.0
         vl.rho_w.data[:] = math.log(math.expm1(1.0))
         vl.rho_b.data[:] = math.log(math.expm1(1.0))
-        loss = ib_loss(pred, click, purchase, adapter, beta=1.0)
-        assert float(loss.data) <= 1e-11
+        (loss,) = _one_adapter_loss(pred, click, purchase, adapter, beta=1.0).data
+        assert float(loss) <= 1e-11
 
     def test_hand_composed_value(self):
         # every encoder entry at per-entry KL 0.5 (mu=1, sigma=1), bce = ln 2
-        from iakrec.models import Prediction
-
         click = np.array([1.0, 0.0])
         purchase = np.array([0.0, 0.0])
         pred = Prediction(p_ctr=ad.Tensor([[0.5], [0.5]]), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
@@ -304,22 +313,32 @@ class TestIBLoss:
         vl.mu_b.data[:] = 1.0
         vl.rho_w.data[:] = math.log(math.expm1(1.0))
         vl.rho_b.data[:] = math.log(math.expm1(1.0))
-        loss = ib_loss(pred, click, purchase, adapter, beta=1.0, weights=(1.0, 0.0))
-        assert float(loss.data) == pytest.approx(math.log(2) + 0.5, rel=1e-12)
+        (loss,) = _one_adapter_loss(pred, click, purchase, adapter, beta=1.0, weights=(1.0, 0.0)).data
+        assert float(loss) == pytest.approx(math.log(2) + 0.5, rel=1e-12)
+
+    def test_negative_beta_rejected(self):
+        pred = Prediction(p_ctr=ad.Tensor([[0.5]]), p_ctcvr=ad.Tensor([[0.5]]))
+        with pytest.raises(AdapterError, match="beta must be >= 0"):
+            _one_adapter_loss(pred, np.ones(1), np.zeros(1), _adapter(_backbone()), beta=-1.0)
 
     def test_gradients_through_reparameterized_sample(self):
+        # the bank's loss of one adapter's rows, with one weight sample fixed
+        # across evaluations, differentiates like its finite differences
         backbone = _backbone()
-        adapter = _adapter(backbone, d_e=3, decoder_hidden=(4,))
+        bank = _bank(_adapter(backbone, d_e=3, decoder_hidden=(4,)))
         batch = _batch(5, seed=2)
         out = backbone.forward_full(batch)
         rep = ad.Tensor(out.representation.data)
         base_logits = ad.Tensor(out.logits.data)
-        params = adapter.parameters()
-        noise = adapter.encoder.draw_noise(np.random.default_rng(77))  # fixed eps across evals
+        params = bank.params
+        segs = ad.Segments([0, 5], 5)
+        bank.adapters[0].sample_rng = np.random.default_rng(77)
+        noise = bank.draw_noise(np.arange(1))
 
         def loss_fn():
-            pred = adapted_prediction(backbone, adapter, rep, base_logits, noise)
-            return ib_loss(pred, batch.click, batch.purchase, adapter, beta=0.01)
+            softplus = _softplus(bank)
+            pred = backbone.predict_from_logits(ad.add(base_logits, bank.correction(rep, segs, noise, softplus)))
+            return ad.reduce_sum(ib_loss(pred, batch.click, batch.purchase, bank, segs, softplus, beta=0.01))
 
         ad.zero_grads(params)
         ad.backward(loss_fn())
@@ -466,10 +485,10 @@ class TestAdapterBank:
         rng = np.random.default_rng(5)
         for a in adapters:
             a.decoder_out.w.data[:] = rng.normal(size=a.decoder_out.w.shape)
-        want_noise = [a.encoder.draw_noise(np.random.default_rng(a.seed)) for a in adapters]
+        want_noise = [lone_noise(a, np.random.default_rng(a.seed)) for a in adapters]
         offsets = np.array([0, 4, 4, 11])  # adapter 1 has no rows
         rep = rng.normal(size=(11, backbone.rep_dim))
-        want = [a.correction(ad.Tensor(rep[s:e]), n).data
+        want = [lone_correction(a, ad.Tensor(rep[s:e]), n).data
                 for a, n, s, e in zip(adapters, want_noise, offsets, offsets[1:])]
         bank = _bank(*adapters)
         for a in adapters:

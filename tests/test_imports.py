@@ -5,7 +5,9 @@ No code in `src/iakrec` is kept alive by the tests alone: every public
 function, method and class is referenced by the package or the benchmark. Named
 arrays go to disk in one format, the checkpoint container: no module calls
 numpy's own `savez` or `load`. Tables go to disk through one writer,
-`evals.write_csv`: no other module imports `csv`."""
+`evals.write_csv`: no other module imports `csv`. Only the adapter graph, its
+encoder stage and the bank's correction take a weight sample: a lone adapter
+scores with its posterior means."""
 
 import ast
 import sys
@@ -274,3 +276,47 @@ def test_the_check_sees_record_objects_built():
     assert _record_objects_built(toy, "_record") == ["2 from_records", "8 InteractionRecord(...)", "9 from_records",
                                                      "12 from_records", "13 from_records"]
     assert _record_objects_built(toy, None)[:2] == ["2 from_records", "5 InteractionRecord(...)"]
+
+
+# the functions of `src/iakrec` that may take a parameter named `noise`
+NOISE_TAKERS = {"iak.encoder_stage", "iak.adapter_graph", "iak.AdapterBank.correction"}
+
+
+def _noise_takers(tree: ast.Module, module: str) -> list[str]:
+    """`module.qualname` of each function, method, closure or lambda with a
+    parameter named `noise`, sorted."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                if any(p.arg == "noise" for p in params):
+                    out.append(name)
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, f"{module}.")
+    return sorted(out)
+
+
+def test_only_the_bank_path_takes_a_weight_sample():
+    """Fine-tuning draws weight samples through the `AdapterBank` alone: eval
+    and serving score a lone `IAKAdapter` with its posterior means, and the
+    one-adapter sampled forms live in `tests/adapter_reference.py`."""
+    found = [name for path in MODULES
+             for name in _noise_takers(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert [name for name in found if name not in NOISE_TAKERS] == []
+
+
+def test_the_check_sees_a_noise_parameter():
+    toy = ast.parse("def f(x, noise=None):\n    def inner(*, noise):\n        pass\n\n"
+                    "class A:\n    def m(self, noise):\n        pass\n\n    def n(self, x):\n"
+                    "        return lambda noise: noise\n\n    class B:\n        def k(self, **noise):\n"
+                    "            pass\n\ndef g(rng):\n    noise = rng.normal()\n    return noise\n")
+    assert _noise_takers(toy, "toy") == ["toy.A.B.k", "toy.A.m", "toy.A.n.<lambda>", "toy.f", "toy.f.inner"]

@@ -73,6 +73,24 @@ class TestEncoding:
         assert 0.0 < pred.p_ctr.data[0, 0] < 1.0  # never errors
 
 
+@pytest.mark.parametrize("field", ["n_users", "n_items", "n_scenes", "n_feature_cols"])
+def test_a_negative_vocabulary_size_is_rejected_naming_it(field):
+    sizes = dict(n_users=20, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
+    with pytest.raises(ModelError, match=f"^{field} must be >= 0, got -1$"):
+        FeatureSpace(**{**sizes, field: -1})
+
+
+def test_a_zero_vocabulary_reads_every_id_out_of_vocab():
+    """With no users, the user range is its one out-of-vocab row, which every
+    user id reads: the scores do not depend on the user."""
+    space = FeatureSpace(n_users=0, n_items=15, n_scenes=2, n_regions=3, n_periods=3)
+    model = build_model(ModelConfig(hidden_sizes=(6,)), space, seed=0)
+    assert model.embeddings.ranges["user_emb.rows"] == (0, 1)
+    scores = [model.forward_full(encode_records(from_records([_record(user=u)]), space)).prediction.p_ctr.data
+              for u in (-1, 0, 7)]
+    assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+
+
 class TestForwardContracts:
     def test_outputs_in_unit_interval(self, any_model):
         pred = any_model.forward_full(_batch()).prediction
