@@ -9,10 +9,11 @@ UTF-8 included), 4 path error (an input that is missing or cannot be read,
 a directory say, an existing run directory, or any other OSError), 5 data or
 schema violation (a config value that parses but is out of range, NaN
 included, naming its field), 1 anything else (a training run or a forward
-whose values overflow to NaN or Inf included, reported on one line). Each
-command reads and checks every setting it uses (the vocabulary sizes and the
-split ratio included) before it opens any input, and `experiment` checks
-every condition's before it draws data or pretrains.
+whose values overflow to NaN or Inf included, reported on one line). A
+setting is checked where its config is built (each section config checks
+itself when built and is frozen), so each command builds every section it
+reads, and the split ratio, before it opens any input, and `experiment`
+builds every condition's before it draws data or pretrains.
 
 A dataset is parsed at most once. `gen-data` writes `dataset.jsonl` together
 with its columns in `dataset.jsonl.cols` (a checkpoint container of int64
@@ -160,29 +161,18 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_cfg(args)
-    model_config, train_config = cfg.model_config(), cfg.train_config()
-    model_config.validate()
-    train_config.validate()
+    model_config, space, train_config = cfg.model_config(), cfg.feature_space(), cfg.train_config()
     ratio = cfg.split_ratio()
-    # built first: a bad seed or vocabulary size is an error before the data is read
-    model = build_model(model_config, cfg.feature_space(), seed=cfg.get_int("model.seed"))
+    # built first: a bad model seed is an error before the data is read
+    model = build_model(model_config, space, seed=cfg.get_int("model.seed"))
     train, _ = _load_split(args, ratio)
     curve = pretrain(model, train, train_config)
-    outdir = _make_outdir(args, "pretrain", cfg.get_int("train.seed"))
+    outdir = _make_outdir(args, "pretrain", train_config.seed)
     cfg.echo(outdir / "effective.cfg")
     save_checkpoint(outdir / "backbone.ckpt", model.named_parameters(), cfg.digest())
     write_csv(outdir / "pretrain_curve.csv", ("step", "loss", "loss_ctr", "loss_ctcvr"), curve)
     print(outdir / "backbone.ckpt")
     return EXIT_OK
-
-
-def _model_settings(cfg: RunConfig) -> tuple[ModelConfig, FeatureSpace, IAKConfig]:
-    """The checked `model.*`, vocabulary and `iak.*` settings of a command
-    that restores a checkpoint, read before it opens any input."""
-    model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
-    model_config.validate()
-    iak_config.validate()
-    return model_config, space, iak_config
 
 
 def _restore_backbone(ckpt_path: Path, model_config: ModelConfig, space: FeatureSpace, iak_config: IAKConfig):
@@ -199,9 +189,8 @@ def _restore_backbone(ckpt_path: Path, model_config: ModelConfig, space: Feature
 
 def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
-    model_config, space, iak_config = _model_settings(cfg)
+    model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
     train_config, ratio = cfg.train_config(), cfg.split_ratio()
-    train_config.validate()
     domains = cfg.get_list("train.finetune_domains")
     check_finetune_domains(domains, train_config.mixing)  # a bad entry is an error before any input is opened
     if not args.backbone:
@@ -211,7 +200,7 @@ def cmd_finetune(args) -> int:
     model, _ = _restore_backbone(ckpt, model_config, space, iak_config)
     selectors = expand_domain_selectors(domains, train)
     result = finetune_all(model, train, selectors, train_config, iak_config)
-    outdir = _make_outdir(args, "finetune", cfg.get_int("train.seed"))
+    outdir = _make_outdir(args, "finetune", train_config.seed)
     cfg.echo(outdir / "effective.cfg")
     params = dict(model.named_parameters())
     for adapter in result.adapters.values():
@@ -226,8 +215,8 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    model_config, space, iak_config = _model_settings(cfg)
-    ratio, seed = cfg.split_ratio(), cfg.get_int("train.seed")
+    model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
+    ratio, seed = cfg.split_ratio(), cfg.train_config().seed
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     _, test = _load_split(args, ratio)
     if not test:
@@ -252,7 +241,7 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
-    model_config, space, iak_config = _model_settings(cfg)
+    model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
     lazy = cfg.get_bool("router.lazy_activation")
     ckpt = _resolve_input(args, args.checkpoint, "checkpoint")
     model, adapters = _restore_backbone(ckpt, model_config, space, iak_config)
@@ -263,8 +252,9 @@ def cmd_serve(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_cfg(args)
+    seed = cfg.train_config().seed
     rows = experiment_rows(args.kind, cfg, Path(args.workdir))
-    outdir = _make_outdir(args, f"experiment-{args.kind}", cfg.get_int("train.seed"))
+    outdir = _make_outdir(args, f"experiment-{args.kind}", seed)
     cfg.echo(outdir / "effective.cfg")
     print(write_rows(args.kind, rows, outdir))
     return EXIT_OK

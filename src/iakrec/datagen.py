@@ -136,7 +136,7 @@ def _check_draw_settings(latent_dim: int, seed: int) -> None:
         raise DatasetError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     """What `generate` draws from. `domains` maps each topic in TOPICS to its
     (shifts, tilts): two (n, latent_dim) float arrays whose row i is the
@@ -152,7 +152,7 @@ class GeneratorConfig:
     seed: int = 0
     records_per_day: int = 0  # 0 means one impression per user per day on average
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_users <= 0 or self.n_items <= 0:
             raise DatasetError("degenerate config: need at least one user and one item")
         if self.n_days < 2:
@@ -266,7 +266,6 @@ def _bucket(values: np.ndarray, scale: float) -> np.ndarray:
 def generate(config: GeneratorConfig) -> Dataset:
     """Deterministic for a fixed seed; per-domain-cell intercepts are
     calibrated so every cell's expected click rate equals the target."""
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
     k = config.latent_dim
     latent_scale = (4.0 / k) ** 0.25  # inner products get variance ~4

@@ -27,8 +27,9 @@ repeated runs and different kinds over the same base setup reuse them.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,8 @@ def pretrained(cfg: RunConfig, workdir: Path, kind: str, seed: int, train: Datas
     `ExperimentError` naming the file to delete."""
     digest = cfg.digest(_BACKBONE_KEYS)
     path = Path(workdir) / "cache" / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
-    model_cfg = replace(cfg.model_config(), kind=kind)
+    run = RunConfig(cfg.values, {"model.kind": kind, "train.seed": str(seed)})
+    model_cfg = run.model_config()
     if path.exists():
         model = build_model(model_cfg, cfg.feature_space(), seed=None)
         try:
@@ -72,7 +74,7 @@ def pretrained(cfg: RunConfig, workdir: Path, kind: str, seed: int, train: Datas
             raise ExperimentError(msg) from e
     else:
         model = build_model(model_cfg, cfg.feature_space(), seed=seed)
-        pretrain(model, train, replace(cfg.train_config(), seed=seed))
+        pretrain(model, train, run.train_config())
         path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(path, model.named_parameters(), digest)
     model.set_trainable(False)
@@ -129,14 +131,16 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
     seeds = cfg.get_int_list("eval.seeds")
     bins = check_bins(cfg.get_int("eval.mi_bins")) if spec.with_mi else None
     report = spec.report(cfg) if spec.report else None
-    runs = {(model_kind, seed): [RunConfig(cfg.values, {**(overrides or {}), "model.kind": model_kind,
-                                                        "train.seed": str(seed)}) for _, overrides in conditions]
-            for model_kind in model_kinds for seed in seeds}
-    for run in (run for group in runs.values() for run in group):
-        train_config = run.train_config()
-        for config in (run.model_config(), train_config, run.iak_config()):
-            config.validate()
-        check_finetune_domains(run.get_list("train.finetune_domains"), train_config.mixing)
+    runs = {}  # (model kind, seed) -> each condition's fine-tune domains, train and adapter configs
+    for model_kind, seed in itertools.product(model_kinds, seeds):
+        group = runs[model_kind, seed] = []
+        for _, overrides in conditions:
+            run = RunConfig(cfg.values, {**(overrides or {}), "model.kind": model_kind, "train.seed": str(seed)})
+            run.model_config()  # built only to be checked: `pretrained` builds the backbone's
+            train_config, iak_config = run.train_config(), run.iak_config()
+            domains = run.get_list("train.finetune_domains")
+            check_finetune_domains(domains, train_config.mixing)
+            group.append((domains, train_config, iak_config))
     ratio = cfg.split_ratio()
     train, test = split_chronological(generate(cfg.generator_config()), ratio)
     test = encode_records(test, cfg.feature_space())
@@ -145,12 +149,12 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
         prefix = f"kind={model_kind}:" if spec.compare_kinds else ""
         backbone = pretrained(cfg, workdir, model_kind, seed, train)
         split = SplitPass(backbone, test)
-        for (label, overrides), run in zip(conditions, group):
-            selectors = expand_domain_selectors(run.get_list("train.finetune_domains"), train)
+        for (label, overrides), (domains, train_config, iak_config) in zip(conditions, group):
+            selectors = expand_domain_selectors(domains, train)
             if overrides is None:
                 adapters, domains = None, selectors
             else:
-                adapters = finetune_all(backbone, train, selectors, run.train_config(), run.iak_config()).adapters
+                adapters = finetune_all(backbone, train, selectors, train_config, iak_config).adapters
                 domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
             for key, idx, sub in split.slices(domains):
                 p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)

@@ -65,13 +65,13 @@ class AdapterError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class IAKConfig:
     d_e: int = 50  # encoder output width
     beta: float = 1e-3
     decoder_hidden: tuple[int, ...] = (32,)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d_e < 1:
             raise AdapterError("d_e must be >= 1")
         if not 0 <= self.beta < math.inf:
@@ -143,7 +143,6 @@ class IAKAdapter:
         selector: dict[str, int],
         seed: int | None,
     ):
-        config.validate()
         self.config = config
         self.rep_dim = rep_dim
         self.n_tasks = n_tasks
@@ -227,8 +226,6 @@ def ib_loss(
     `ad.gaussian_kl` node per encoder parameter pair, which read the
     `ad.softplus_parts` of the stacked rho_w and rho_b that the step's weight
     sample computed."""
-    if beta < 0:
-        raise AdapterError("beta must be >= 0")
     loss = bce_loss(prediction, click, purchase, weights, segs)
     if beta > 0:
         loss = ad.add(loss, ad.mul(bank.encoder_kl(softplus), beta / bank.n_encoder_entries))

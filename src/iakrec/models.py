@@ -36,7 +36,7 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpace:
     """Vocabulary sizes for the id universe a model is built against. A size
     of 0 makes every id of its column out of vocabulary; a negative size is
@@ -161,7 +161,7 @@ class MLP:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     kind: str = "base"
     hidden_sizes: tuple[int, ...] = (64, 32, 16)
@@ -169,7 +169,7 @@ class ModelConfig:
     loss_weights: tuple[float, float] = (1.0, 1.0)
     embed_dim: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("shared_bottom", "esmm", "mmoe", "base"):
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.n_experts < 1:
@@ -245,7 +245,6 @@ class MultiTaskModel:
     kind = "abstract"
 
     def __init__(self, config: ModelConfig, space: FeatureSpace, seed: int | None):
-        config.validate()
         self.config = config
         self.space = space
         self.seed = seed
@@ -451,7 +450,6 @@ def build_model(config: ModelConfig, space: FeatureSpace, seed: int | None) -> M
     on any seed. Until that restore, its drawn parameters (the table and every
     weight; biases are plain zeros) are read-only views that allocate
     nothing; after it, the table is the checkpoint's read-only block."""
-    config.validate()
     return MODEL_KINDS[config.kind](config, space, seed)
 
 

@@ -31,7 +31,7 @@ class TrainerError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 1024
     epochs: int = 1
@@ -46,7 +46,7 @@ class TrainConfig:
     # which couples domains through their shares
     lr_norms: str = "uniform"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise TrainerError("batch_size must be >= 1")
         if not 0 < self.base_lr < np.inf:
@@ -100,7 +100,6 @@ def pretrain(
     from then on a view of the arena's; the values are unchanged), and one
     over the rows its batch touched of the model's one embedding table,
     which keeps its array."""
-    config.validate()
     if not dataset:
         raise TrainerError("cannot pretrain on an empty dataset")
     encoded = encode_records(dataset, model.space)
@@ -182,7 +181,9 @@ def check_finetune_domains(spec: list[str], mixing: dict[str, float]) -> None:
     """The fine-tune selector list and mixing map, checked without the data:
     a bad entry raises DatasetError, and a mixing key that no entry can
     select (neither an explicit key nor of a topic a `topic=*` entry
-    expands) raises TrainerError naming it."""
+    expands) raises TrainerError naming it, as does an empty list."""
+    if not spec:
+        raise TrainerError("train.finetune_domains names no domain")
     selectable = {e if isinstance(e, str) else domain_key(e) for e in parse_domain_selectors(spec)}
     if outside := sorted(k for k in mixing if k not in selectable and k.partition("=")[0] not in selectable):
         raise TrainerError(f"mixing references domains outside train.finetune_domains: {outside}")
@@ -245,8 +246,6 @@ def finetune_all(
     weight, the first listed on a tie) through weighted cross-domain
     sampling; that stream is then shuffled into batches like any one-domain
     stream and trained at the base rate."""
-    config.validate()
-    iak_config.validate()
     selected = {}
     for selector in selectors.values():
         rows = domain_rows(train, selector)

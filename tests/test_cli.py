@@ -20,8 +20,7 @@ import pytest
 
 from iakrec import cli, datagen
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
-from iakrec.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _model_settings, _restore_backbone,
-                        main)
+from iakrec.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE, _restore_backbone, main)
 from iakrec.config import RunConfig
 from iakrec.evals import SplitPass
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
@@ -182,16 +181,18 @@ MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
     ("pretrain", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
     ("finetune", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
     ("eval", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
+    ("eval", "train.seed=-1", "seed must be >= 0, got -1"),
 ])
 def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workdir, capsys, command, setting,
                                                                           message):
     """Each command checks the config sections it reads (`model.*`, the
     vocabulary sizes, the split ratio of a command that reads the dataset,
-    and in `finetune`, `eval` and `serve` also `iak.*`) before it opens an
-    input: a bad value is a one-line data error (exit 5), not the path error
-    of the missing inputs, and `finetune` never runs a backbone pass first.
-    A negative vocabulary size would otherwise build a model with an empty
-    id range."""
+    `train.*` in all but `serve`, and in `finetune`, `eval` and `serve` also
+    `iak.*`) before it opens an input: a bad value is a one-line data error
+    (exit 5), not the path error of the missing inputs, and `finetune` never
+    runs a backbone pass first. A negative vocabulary size would otherwise
+    build a model with an empty id range, and a negative `eval` seed would
+    be written into every report row."""
     assert _run(workdir, command, *MISSING_INPUTS[command], "--set", setting) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"iakrec: error: {message}\n"
     assert [p.name for p in workdir.iterdir()] == ["run.cfg"]
@@ -285,6 +286,7 @@ def test_bad_finetune_domain_exits_5(workdir, capsys, entry, named):
 @pytest.mark.parametrize("entry, message", [
     ("period=x", "bad domain key part 'period=x': the id must be an integer"),
     ("city=*", "unknown domain topic 'city'; topics are scene, region, period"),
+    ("", "train.finetune_domains names no domain"),
 ])
 def test_bad_finetune_domain_exits_5_before_any_input_is_opened(workdir, capsys, entry, message):
     """The fine-tune domains are checked with the rest of the config, before
@@ -597,7 +599,7 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "load_checkpoint", load)
     forbid_init_draws()
-    model, adapters = _restore_backbone(tmp_path / "m.ckpt", *_model_settings(cfg))
+    model, adapters = _restore_backbone(tmp_path / "m.ckpt", cfg.model_config(), cfg.feature_space(), cfg.iak_config())
     ((loaded, _),) = loads
     restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
     assert model.frozen and sorted(restored) == sorted(arrays)
@@ -616,7 +618,7 @@ def test_restored_adapter_scores_record_no_graph(tmp_path):
     of `eval` link no parents: no graph is recorded and no node checked."""
     cfg = RunConfig(TINY_SIZES)
     save_checkpoint(tmp_path / "m.ckpt", _checkpoint_arrays(cfg), cfg.digest())
-    model, adapters = _restore_backbone(tmp_path / "m.ckpt", *_model_settings(cfg))
+    model, adapters = _restore_backbone(tmp_path / "m.ckpt", cfg.model_config(), cfg.feature_space(), cfg.iak_config())
     (adapter,) = adapters.values()
     rng = np.random.default_rng(0)
     rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -136,13 +137,13 @@ def test_records_sorted_by_timestamp():
 
 def test_degenerate_config_rejected():
     with pytest.raises(DatasetError):
-        _config(n_users=0).validate()
+        _config(n_users=0)
     with pytest.raises(DatasetError):
-        _config(n_days=1).validate()
+        _config(n_days=1)
     with pytest.raises(DatasetError):
-        _config(target_click_rate=1.5).validate()
+        _config(target_click_rate=1.5)
     with pytest.raises(DatasetError):
-        GeneratorConfig(n_users=5, n_items=5, n_days=3, domains={}).validate()
+        GeneratorConfig(n_users=5, n_items=5, n_days=3, domains={})
 
 
 # about 100 records: the default domain lists, and uneven topics (one scene
@@ -186,9 +187,9 @@ def test_generated_domain_ids_are_the_rows_of_the_feature_space(settings):
 def test_shift_vectors_must_be_finite():
     config = _config()
     shifts, tilts = config.domains["scene"]
-    config.domains["scene"] = (np.full_like(shifts, np.inf), tilts)
+    domains = {**config.domains, "scene": (np.full_like(shifts, np.inf), tilts)}
     with pytest.raises(DatasetError, match="preference_shift of scene=0 contains non-finite values"):
-        config.validate()
+        dataclasses.replace(config, domains=domains)
 
 
 def _decile_click_distribution(item_ids, clicks, decile_of=None, n_deciles=10):

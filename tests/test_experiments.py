@@ -243,6 +243,8 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     ("de_sweep", "train.finetune_domains=city=*", EXIT_SCHEMA,
      "error: unknown domain topic 'city'; topics are scene, region, period"),
     ("de_sweep", "datagen.split_ratio=0:0", EXIT_SCHEMA, "error: invalid split ratio 0:0"),
+    ("de_sweep", "train.finetune_domains=", EXIT_SCHEMA, "error: train.finetune_domains names no domain"),
+    ("de_sweep", "train.seed=-1", EXIT_SCHEMA, "error: seed must be >= 0, got -1"),
 ])
 def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
                                                                           message):
@@ -291,6 +293,14 @@ def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
 def test_overlap_reads_a_domain_key_however_it_is_spelled(tmp_path, reports):
     odd = {**TINY, "eval.overlap_weights": "period=00:0.7,period=1:3e-1"}
     assert _run("overlap", RunConfig(odd), tmp_path / "run", tmp_path).read_bytes() == reports["overlap"][0]
+
+
+def test_baseline_compare_never_reads_the_base_model_kind(tmp_path, reports):
+    """baseline_compare builds and checks the model section of each kind it
+    pretrains, never the base `model.kind`, so a base kind that no model
+    has changes nothing."""
+    cfg = RunConfig({**TINY, "model.kind": "nope"})
+    assert _run("baseline_compare", cfg, tmp_path / "run", tmp_path).read_bytes() == reports["baseline_compare"][0]
 
 
 @pytest.mark.parametrize("weights", ["period=0:0.3,period=1:0.7", "period=1:0.5,period=0:0.5"])

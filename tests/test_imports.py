@@ -7,7 +7,9 @@ arrays go to disk in one format, the checkpoint container: no module calls
 numpy's own `savez` or `load`. Tables go to disk through one writer,
 `evals.write_csv`: no other module imports `csv`. Only the adapter graph, its
 encoder stage and the bank's correction take a weight sample: a lone adapter
-scores with its posterior means."""
+scores with its posterior means. A setting is checked where its section
+config is built: no module defines or calls a `validate`, and every `*Config`
+dataclass and `FeatureSpace` is frozen, so a built section stays checked."""
 
 import ast
 import sys
@@ -320,3 +322,42 @@ def test_the_check_sees_a_noise_parameter():
                     "        return lambda noise: noise\n\n    class B:\n        def k(self, **noise):\n"
                     "            pass\n\ndef g(rng):\n    noise = rng.normal()\n    return noise\n")
     assert _noise_takers(toy, "toy") == ["toy.A.B.k", "toy.A.m", "toy.A.n.<lambda>", "toy.f", "toy.f.inner"]
+
+
+def _second_checks(tree: ast.Module) -> list[str]:
+    """`line what` of each def of or call to a `validate`, and of each
+    `*Config` or `FeatureSpace` dataclass that is not frozen."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate":
+            out.append(f"{node.lineno} def validate")
+        elif isinstance(node, ast.Call) and _spelled(node.func) == "validate":
+            out.append(f"{node.lineno} validate()")
+        elif isinstance(node, ast.ClassDef) and (node.name.endswith("Config") or node.name == "FeatureSpace"):
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                frozen = call is not None and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                                                  and kw.value.value is True for kw in call.keywords)
+                if _spelled(deco.func if call else deco) == "dataclass" and not frozen:
+                    out.append(f"{node.lineno} {node.name} not frozen")
+    return sorted(out, key=lambda hit: int(hit.split()[0]))
+
+
+def test_a_section_config_is_checked_where_it_is_built():
+    """One settings check: a section config checks itself in `__post_init__`
+    and is frozen, so no caller has a `validate` to remember."""
+    found = [f"{path.name}:{hit}" for path in MODULES
+             for hit in _second_checks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_check_sees_a_second_settings_check():
+    toy = ast.parse("from dataclasses import dataclass\nimport dataclasses\n\n"
+                    "@dataclass\nclass AConfig:\n    def validate(self):\n        pass\n\n"
+                    "@dataclasses.dataclass(frozen=False)\nclass FeatureSpace:\n    pass\n\n"
+                    "@dataclass(frozen=True)\nclass BConfig:\n    pass\n\n"
+                    "@dataclass\nclass Kind:\n    pass\n\n"
+                    "class RunConfig:\n    pass\n\n"
+                    "def f(cfg):\n    cfg.validate()\n    return validate(cfg)\n")
+    assert _second_checks(toy) == ["5 AConfig not frozen", "6 def validate", "10 FeatureSpace not frozen",
+                                   "25 validate()", "26 validate()"]

@@ -253,11 +253,11 @@ class TestBCELoss:
 
 def test_model_config_validation():
     with pytest.raises(ModelError):
-        ModelConfig(kind="nope").validate()
+        ModelConfig(kind="nope")
     with pytest.raises(ModelError):
-        ModelConfig(n_experts=0).validate()
+        ModelConfig(n_experts=0)
     with pytest.raises(ModelError):
-        ModelConfig(hidden_sizes=(0,)).validate()
+        ModelConfig(hidden_sizes=(0,))
 
 
 def test_checkpoint_restore_round_trip(tmp_path):

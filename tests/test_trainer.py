@@ -374,9 +374,8 @@ class TestFinetuneAll:
         assert sorted(res.adapters) == ["scene=0", "scene=1"]
 
     def test_mixing_weights_validated(self):
-        cfg = TrainConfig(mixing={"scene=0": 0.7, "scene=1": 0.7})
         with pytest.raises(TrainerError):
-            cfg.validate()
+            TrainConfig(mixing={"scene=0": 0.7, "scene=1": 0.7})
 
     def test_previous_norms_mode_couples_shares(self):
         # with gradient-reciprocal W the rate shares react to actual grad
@@ -393,7 +392,7 @@ class TestFinetuneAll:
 
     def test_lr_norms_value_validated(self):
         with pytest.raises(TrainerError):
-            TrainConfig(lr_norms="sometimes").validate()
+            TrainConfig(lr_norms="sometimes")
 
 
 SPACE5 = FeatureSpace(n_users=90, n_items=40, n_scenes=2, n_regions=1, n_periods=3)
