@@ -4,7 +4,11 @@ Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
 gradients. float64 throughout. An op whose output records a graph (some
 input requires a gradient) raises on a NaN/Inf in that output. A
-graph-free op, one over frozen parameters and plain data, is not checked:
+graph-free op, one over frozen parameters and plain data, builds no
+backward: each op a frozen forward runs (`linear`, `gate_mix`, `concat`,
+`gather_rows`, `add`, `mul`, `sigmoid`, `slice_cols`) checks its inputs,
+computes its value and returns it as a bare `Tensor` (`_graph_free`) before
+it builds a backward closure or a parents tuple. Its output is not checked:
 a frozen forward is checked once, on the scores it ends in (see
 `models.MultiTaskModel.predict_from_logits`).
 
@@ -166,11 +170,22 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _graph_free(data: np.ndarray) -> Tensor:
+    """An op output that records no graph: `data` alone, with no parents and
+    no backward, unchecked. The ops of a frozen forward return through here
+    when no input requires a gradient, before any backward bookkeeping."""
+    out = Tensor.__new__(Tensor)
+    out._bind(data, False)
+    return out
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None], op: str) -> Tensor:
     """Build an op output node; prunes the graph when no parent needs grad.
     An output that records a graph is checked for NaN/Inf here, the only
     check it gets (the array method skips the Python-level dispatch of
-    `np.all`); a graph-free output is returned unchecked."""
+    `np.all`); a graph-free output is returned unchecked. The ops of a
+    frozen forward never reach here graph-free: they return through
+    `_graph_free` and build no backward."""
     out = Tensor.__new__(Tensor)
     out._bind(data, False)
     for p in parents:
@@ -228,22 +243,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
+    data = a.data + b.data
+    if not (a.requires_grad or b.requires_grad):
+        return _graph_free(data)
 
     def backward(out: Tensor) -> None:
         _accum(a, _unbroadcast(out.grad, a.shape))
         _accum(b, _unbroadcast(out.grad, b.shape))
 
-    return _make(a.data + b.data, (a, b), backward, "add")
+    return _make(data, (a, b), backward, "add")
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
+    data = a.data * b.data
+    if not (a.requires_grad or b.requires_grad):
+        return _graph_free(data)
 
     def backward(out: Tensor) -> None:
         _accum(a, _unbroadcast(out.grad * b.data, a.shape))
         _accum(b, _unbroadcast(out.grad * a.data, b.shape))
 
-    return _make(a.data * b.data, (a, b), backward, "mul")
+    return _make(data, (a, b), backward, "mul")
 
 
 def sigmoid(a) -> Tensor:
@@ -253,6 +274,8 @@ def sigmoid(a) -> Tensor:
     y = np.tanh(0.5 * a.data)
     y += 1.0
     y *= 0.5
+    if not a.requires_grad:
+        return _graph_free(y)
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad * out.data * (1.0 - out.data))
@@ -297,6 +320,9 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     if scale is not None:
         z *= scale
     z += bd
+    h = z if slope is None else _leaky(z, slope)
+    if not (x.requires_grad or w.requires_grad or b.requires_grad):
+        return _graph_free(h)
 
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
@@ -306,7 +332,7 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
             _accum(w, x.data.T @ gh)
         _accum(b, gz.sum(axis=0))
 
-    return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "linear")
+    return _make(h, (x, w, b), backward, "linear")
 
 
 def gate_mix(gate_logits, experts: Sequence) -> Tensor:
@@ -327,6 +353,8 @@ def gate_mix(gate_logits, experts: Sequence) -> Tensor:
     mixed = w[:, 0:1] * parts[0].data
     for k in range(1, len(parts)):
         mixed = mixed + w[:, k : k + 1] * parts[k].data
+    if not (gate.requires_grad or any(p.requires_grad for p in parts)):
+        return _graph_free(mixed)
 
     def backward(out: Tensor) -> None:
         g = out.grad
@@ -344,6 +372,9 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     parts = [_wrap(t) for t in tensors]
     if not parts:
         raise ShapeError("concat of zero tensors")
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    if not any(p.requires_grad for p in parts):
+        return _graph_free(data)
     widths = [p.shape[axis] for p in parts]
 
     def backward(out: Tensor) -> None:
@@ -354,19 +385,22 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
             _accum(p, out.grad[tuple(sl)])
             offset += w
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, backward, "concat")
+    return _make(data, parts, backward, "concat")
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2-d tensor: a copy when it records a graph,
+    a view of `a` when it records none."""
     a = _wrap(a)
     if a.data.ndim != 2:
         raise ShapeError(f"slice_cols needs a 2-d tensor, got shape {a.shape}")
+    if not a.requires_grad:
+        return _graph_free(a.data[:, start:stop])
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[:, start:stop] = out.grad
-            _accum(a, g)
+        g = np.zeros_like(a.data)
+        g[:, start:stop] = out.grad
+        _accum(a, g)
 
     return _make(a.data[:, start:stop].copy(), (a,), backward, "slice_cols")
 
@@ -478,6 +512,8 @@ def gather_rows(table, rows) -> Tensor:
         looked_up = table.data.take(idx, axis=0).reshape(len(idx), math.prod(idx.shape[1:]) * width)
     except IndexError:  # a row past the table's end
         raise ShapeError("gather_rows index out of range") from None
+    if not table.requires_grad:
+        return _graph_free(looked_up)
 
     def backward(out: Tensor) -> None:
         table.add_row_grad(idx.ravel(), out.grad.reshape(-1, width))

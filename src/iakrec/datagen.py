@@ -28,9 +28,10 @@ import hashlib
 import json
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -140,7 +141,9 @@ def _check_draw_settings(latent_dim: int, seed: int) -> None:
 class GeneratorConfig:
     """What `generate` draws from. `domains` maps each topic in TOPICS to its
     (shifts, tilts): two (n, latent_dim) float arrays whose row i is the
-    preference shift and item popularity tilt of domain i, whose id is i."""
+    preference shift and item popularity tilt of domain i, whose id is i.
+    The config keeps a read-only mapping of read-only float64 copies of
+    those tables, the ones its check read."""
 
     n_users: int
     n_items: int
@@ -148,7 +151,7 @@ class GeneratorConfig:
     latent_dim: int = 16
     target_click_rate: float = 0.06
     target_purchase_rate_given_click: float = 0.15
-    domains: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    domains: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     seed: int = 0
     records_per_day: int = 0  # 0 means one impression per user per day on average
 
@@ -163,6 +166,7 @@ class GeneratorConfig:
         for rate in (self.target_click_rate, self.target_purchase_rate_given_click):
             if not 0.0 < rate < 1.0:
                 raise DatasetError(f"rates must lie in (0,1), got {rate}")
+        domains = {}
         for topic in TOPICS:
             shifts, tilts = self.domains.get(topic, ((), ()))
             if not len(shifts):
@@ -173,6 +177,10 @@ class GeneratorConfig:
                 finite = np.isfinite(table).all(axis=1)
                 if not finite.all():
                     raise DatasetError(f"{name} of {topic}={int(np.argmin(finite))} contains non-finite values")
+            domains[topic] = tuple(np.array(t, dtype=np.float64) for t in (shifts, tilts))
+            for table in domains[topic]:
+                table.flags.writeable = False
+        object.__setattr__(self, "domains", MappingProxyType(domains))
 
 
 def make_domains(magnitudes: dict[str, tuple[list[float], list[float]]], latent_dim: int,

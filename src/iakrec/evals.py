@@ -38,8 +38,10 @@ class MetricError(ValueError):
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(values, kind="mergesort")
+    """1-based ranks with ties averaged. Every entry of a tie group takes
+    the group's average, so the order a sort leaves ties in changes no rank:
+    numpy's default sort gives the ranks a stable one does, bit for bit."""
+    order = np.argsort(values)
     sv = values[order]
     n = len(values)
     starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
@@ -301,7 +303,7 @@ def score_label_decile_kl(
     item_ids = np.asarray(item_ids)
     n_items = int(item_ids.max()) + 1
     impressions = np.bincount(item_ids, minlength=n_items)
-    order = np.argsort(impressions, kind="mergesort")
+    order = np.argsort(impressions, kind="mergesort")  # stable: the tie order assigns the deciles
     decile_of = np.empty(n_items, dtype=np.int64)
     for d, chunk in enumerate(np.array_split(order, n_deciles)):
         decile_of[chunk] = d

@@ -239,8 +239,10 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
     backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
     these, so computing them once per train row, over the union of every
     domain's rows, avoids re-running the backbone every epoch or for a row
-    that two domains share. The pass records no graph: `predict_from_logits`
-    checks each chunk's logits, which a non-finite representation reaches."""
+    that two domains share. The pass records no graph, so no op checks its
+    outputs: each chunk's `.prediction` is read, and building it
+    (`predict_from_logits`) checks that chunk's logits, which a non-finite
+    representation reaches, before they are cached."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))
@@ -248,6 +250,7 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
     for start in range(0, len(batch), chunk):
         rows = slice(start, start + chunk)
         out = backbone.forward_full(batch[rows])
+        out.prediction  # the chunk's check: raises NonFiniteError on a NaN or Inf logit
         rep[rows] = out.representation.data
         base[rows] = out.logits.data
     return rep, base

@@ -17,6 +17,7 @@ a served request alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -196,9 +197,17 @@ class Prediction:
 
 @dataclass
 class ModelOutput:
+    """A forward's outputs. `prediction` is built from the logits by
+    `predict` the first time it is read, then kept: a request an adapter
+    serves never builds the zero-shot prediction."""
+
     logits: Tensor  # (B, n_heads) pre-sigmoid, one column per head
     representation: Tensor  # (B, rep_dim)
-    prediction: Prediction
+    predict: Callable[[Tensor], Prediction]
+
+    @cached_property
+    def prediction(self) -> Prediction:
+        return self.predict(self.logits)
 
 
 class EmbeddingBundle:
@@ -311,10 +320,10 @@ class MultiTaskModel:
 
     def _output(self, penults: list[Tensor]) -> ModelOutput:
         """The output tail every kind shares: the tower activations side by
-        side are the representation, and `_logits` scores them."""
+        side are the representation, and `_logits` scores them; the
+        prediction is built on read (see `ModelOutput`)."""
         rep = ad.concat(penults, axis=1)
-        logits = self._logits(penults, rep)
-        return ModelOutput(logits, rep, self.predict_from_logits(logits))
+        return ModelOutput(self._logits(penults, rep), rep, self.predict_from_logits)
 
     def _logits(self, penults: list[Tensor], rep: Tensor) -> Tensor:
         """(B, n_heads) logits, each task's head on its own tower."""

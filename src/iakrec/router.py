@@ -11,18 +11,21 @@ rows: a topic the request leaves out reads -1 and is matched like any row.
 Adapters score with their encoders' posterior means. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). The router freezes the backbone and every adapter it
-deploys, so scoring records no autodiff graph: each op computes its value,
-links no parents and is not checked for NaN/Inf on its own. Each
-prediction's logits are checked once instead
-(`MultiTaskModel.predict_from_logits`): a non-finite score raises
+deploys, so scoring records no autodiff graph: each op checks its inputs,
+computes its value and returns it graph-free, with no parents, no backward
+and no NaN/Inf check of its own. Each prediction's logits are checked once
+instead (`MultiTaskModel.predict_from_logits`): a non-finite score raises
 `NonFiniteError`, and `serve` answers it as an error on that line.
 
 Every request runs the backbone once. In the default eager mode every
-deployed adapter then corrects that one output;
-lazy activation applies only the selected adapter, so with K adapters
-deployed it saves K-1 small adapter MLPs per request (all K for a zero-shot
-request, which reads the backbone's own prediction). The outputs are
-bitwise identical.
+deployed adapter then corrects that one output, so with K adapters deployed
+an eager request costs one graph-free backbone pass plus K adapter
+corrections, each ending in its own prediction (a sigmoid and two column
+views). The backbone's own prediction is built only when it is read
+(`models.ModelOutput`), that is for a zero-shot request alone. Lazy
+activation applies only the selected adapter, so it saves K-1 small adapter
+MLPs per request (all K for a zero-shot request). The outputs are bitwise
+identical.
 """
 
 from __future__ import annotations

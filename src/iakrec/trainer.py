@@ -13,7 +13,9 @@ dynamic rate."""
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -40,13 +42,15 @@ class TrainConfig:
     adagrad_epsilon: float = 1e-8
     seed: int = 0
     finetune_window_days: int = 0  # 0 = use the whole span
-    mixing: dict[str, float] = field(default_factory=dict)
+    mixing: Mapping[str, float] = field(default_factory=dict)  # kept as a read-only copy
     # "uniform" keeps adapters bit-independent of each other's labels;
     # "previous" feeds last-step gradient magnitudes into the rate softmax,
     # which couples domains through their shares
     lr_norms: str = "uniform"
 
     def __post_init__(self) -> None:
+        # a read-only copy, so the weights checked below are the ones a fine-tune reads
+        object.__setattr__(self, "mixing", MappingProxyType(dict(self.mixing)))
         if self.batch_size < 1:
             raise TrainerError("batch_size must be >= 1")
         if not 0 < self.base_lr < np.inf:

@@ -525,6 +525,67 @@ def test_a_graph_free_op_returns_a_non_finite_output_unchecked(op):
     assert np.isnan(out.data).any() and not out.requires_grad and out._parents == ()
 
 
+# each op a frozen forward runs: its tensor inputs, then the op over them
+_FROZEN_INPUTS = np.random.default_rng(12).normal(size=(6, 4, 3))
+FROZEN_FORWARD = {
+    "add": ((_FROZEN_INPUTS[0], _FROZEN_INPUTS[1, 0]), ad.add),
+    "mul": ((_FROZEN_INPUTS[0], _FROZEN_INPUTS[1]), ad.mul),
+    "sigmoid": ((_FROZEN_INPUTS[0],), ad.sigmoid),
+    "linear": ((_FROZEN_INPUTS[0], _FROZEN_INPUTS[1, :3], _FROZEN_INPUTS[2, 0]),
+               lambda x, w, b: ad.linear(x, w, b, slope=0.01, scale=0.5)),
+    "gate_mix": ((_FROZEN_INPUTS[0, :, :2], _FROZEN_INPUTS[1], _FROZEN_INPUTS[2]),
+                 lambda gate, e0, e1: ad.gate_mix(gate, [e0, e1])),
+    "concat": ((_FROZEN_INPUTS[0], _FROZEN_INPUTS[1, :, :2]), lambda a, b: ad.concat([a, b])),
+    "gather_rows": ((_FROZEN_INPUTS[0],), lambda table: ad.gather_rows(table, np.array([[3, 0], [1, 1]]))),
+    "slice_cols": ((_FROZEN_INPUTS[0],), lambda a: ad.slice_cols(a, 1, 3)),
+}
+
+
+def _frozen_op(op, trainable=None):
+    """The output of `op` over its inputs as Parameters, only the input at
+    position `trainable` (if any) needing a gradient."""
+    arrays, run = FROZEN_FORWARD[op]
+    return run(*(ad.Parameter(a, f"in{i}", trainable=i == trainable) for i, a in enumerate(arrays)))
+
+
+@pytest.mark.parametrize("op", sorted(FROZEN_FORWARD))
+def test_a_graph_free_op_gives_the_recording_ops_bits_and_no_graph(op):
+    free = _frozen_op(op)
+    assert free._parents == () and free._backward is None and not free.requires_grad
+    for k in range(len(FROZEN_FORWARD[op][0])):
+        recorded = _frozen_op(op, trainable=k)
+        assert recorded.requires_grad and recorded._backward is not None, (op, k)
+        assert (free.shape, free.data.tobytes()) == (recorded.shape, recorded.data.tobytes()), (op, k)
+
+
+def test_a_graph_free_column_slice_is_a_view_and_a_recording_one_a_copy():
+    a = ad.Parameter(np.arange(12.0).reshape(3, 4), "a", trainable=False)
+    assert np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
+    a.set_trainable(True)
+    assert not np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
+
+
+FROZEN = ad.Tensor(np.ones((4, 2)))
+GRAPH_FREE_ERRORS = {
+    "linear_shape": (lambda: ad.linear(FROZEN, np.ones((3, 2)), np.ones(2)), ad.ShapeError, "linear needs"),
+    "linear_slope": (lambda: ad.linear(FROZEN, np.ones((2, 2)), np.ones(2), slope=1.5), ValueError,
+                     "slope must be in"),
+    "gate_mix_shape": (lambda: ad.gate_mix(FROZEN, [FROZEN]), ad.ShapeError, "gate_mix needs"),
+    "gather_rows_negative": (lambda: ad.gather_rows(FROZEN, np.array([0, -1])), ad.ShapeError,
+                             "index out of range"),
+    "gather_rows_past_the_end": (lambda: ad.gather_rows(FROZEN, np.array([4])), ad.ShapeError, "index out of range"),
+    "concat_of_nothing": (lambda: ad.concat([]), ad.ShapeError, "concat of zero tensors"),
+    "slice_cols_ndim": (lambda: ad.slice_cols(np.ones(3), 0, 1), ad.ShapeError, "needs a 2-d tensor"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_FREE_ERRORS))
+def test_a_graph_free_op_still_checks_its_inputs(case):
+    call, error, message = GRAPH_FREE_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_tensor_rejects_a_non_finite_scalar_and_accepts_an_empty_array(bad):
     with pytest.raises(ad.NonFiniteError, match="tensor data contains NaN or Inf"):

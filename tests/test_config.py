@@ -2,12 +2,13 @@
 config starts from; the section dataclasses state them first. The two must
 agree, so a run with no file and no `--set` builds exactly the dataclass
 defaults that code constructing a section directly (the benchmark's fixtures,
-say) gets. A section checks itself when it is built and is frozen, so a
-section that exists has been checked."""
+say) gets. A section checks itself when it is built and is frozen, nested
+settings included, so a section that exists has been checked."""
 
 import re
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 from iakrec.config import RunConfig
@@ -65,3 +66,38 @@ def test_replace_checks_as_construction_does(section):
         type(config)(**{**{f.name: getattr(config, f.name) for f in fields(config)}, name: bad})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         replace(config, **{name: bad})
+
+
+def test_a_built_sections_nested_settings_cannot_be_changed():
+    """`TrainConfig.mixing` and `GeneratorConfig.domains` hold read-only
+    copies, so what the check read is what a run reads: the mapping, a shift
+    table and the caller's own dict can neither change the config."""
+    weights = {"period=0": 1.0}
+    train = TrainConfig(mixing=weights)
+    weights["period=1"] = -5.0
+    assert dict(train.mixing) == {"period=0": 1.0}
+    with pytest.raises(TypeError):
+        train.mixing["period=1"] = -5.0
+    generator = RunConfig().generator_config()
+    shifts, tilts = generator.domains["scene"]
+    with pytest.raises(TypeError):
+        generator.domains["scene"] = (shifts, tilts)
+    for table in (shifts, tilts):
+        assert table.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = np.inf
+    assert np.isfinite(shifts).all()
+
+
+def test_replace_checks_the_nested_settings_it_is_given():
+    """`dataclasses.replace` copies and checks nested settings as
+    construction does, from the read-only copies or from new values."""
+    train = TrainConfig(mixing={"period=0": 1.0})
+    assert replace(train, seed=3).mixing == {"period=0": 1.0}
+    with pytest.raises(TrainerError, match=r"^mixing weights must be finite and >= 0, got \{'period=1': -5.0\}$"):
+        replace(train, mixing={**train.mixing, "period=1": -5.0})
+    generator = RunConfig().generator_config()
+    assert replace(generator, seed=1).domains["scene"][0].tobytes() == generator.domains["scene"][0].tobytes()
+    shifts, tilts = generator.domains["scene"]
+    with pytest.raises(DatasetError, match="^preference_shift of scene=0 contains non-finite values$"):
+        replace(generator, domains={**generator.domains, "scene": (np.full_like(shifts, np.inf), tilts)})

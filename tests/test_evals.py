@@ -87,6 +87,31 @@ class TestAUC:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_stable_sort_rank_statistic_bitwise(self, data):
+        """`auc` ranks with numpy's default sort; a stable sort gives the
+        same average ranks, and so the same AUC bit for bit, under heavy
+        ties and zeros of either sign."""
+        n = data.draw(st.integers(min_value=2, max_value=3000))
+        values = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        scores = rng.choice(np.array(values), size=n)
+        labels = rng.integers(0, 2, size=n)
+        order = np.argsort(scores, kind="mergesort")
+        sv = scores[order]
+        starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+        ends = np.concatenate((starts[1:], [n]))
+        ranks = np.empty(n)
+        ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+        n_pos = int(labels.sum())
+        if n_pos in (0, n):
+            assert auc(scores, labels) is None
+        else:
+            want = (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+            assert auc(scores, labels).hex() == want.hex()
+
+
 class TestBinnedMI:
     def test_independent_uniform_is_near_zero(self):
         rng = np.random.default_rng(0)

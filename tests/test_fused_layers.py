@@ -13,6 +13,7 @@ from iakrec import autodiff as ad
 from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
 from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
 from iakrec.datagen import Dataset
+from iakrec.evals import SplitPass
 from iakrec.router import DomainRouter, ScoreRequest
 from iakrec.trainer import TrainConfig, pretrain_optimizer, pretrain_step
 
@@ -169,29 +170,67 @@ def test_bank_step_graph_at_the_default_adapter_shape(graph_sizes, request):
     assert graph_sizes == [28, 66]
 
 
-def test_eager_score_graph_at_the_default_shapes(monkeypatch):
+# every op a forward can run, each counted once per output it makes
+OPS = ("add", "mul", "sigmoid", "linear", "gate_mix", "concat", "slice_cols", "gather_rows", "reduce_sum",
+       "segment_linear", "clipped_bce", "gaussian_kl", "weight_sample")
+
+
+@pytest.mark.parametrize("domain_ids, served_by, n_ops, n_sigmoids", [
+    ({"scene": 1, "region": 0, "period": 2}, "a2", 50, 5),
+    ({"scene": 5, "region": 0, "period": 7}, "zero_shot", 53, 6),
+], ids=["adapted", "zero_shot"])
+def test_eager_score_graph_at_the_default_shapes(monkeypatch, domain_ids, served_by, n_ops, n_sigmoids):
     """One eager `router.score` of the default backbone through 5 default
-    adapters makes 53 nodes: 18 for the backbone and 7 per adapter (its
+    adapters makes 15 op outputs for the backbone and 7 per adapter (its
     three layers, the logit add, and a sigmoid and two column slices for
-    its prediction)."""
+    its prediction). The backbone's own prediction (3 more) is built only
+    for a zero-shot request, which reads it."""
     backbone = build_model(ModelConfig(), SPACE, seed=1)
     selectors = [{"period": k} for k in range(3)] + [{"scene": k} for k in range(2)]
     adapters = {f"a{k}": IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(), sel, seed=k)
                 for k, sel in enumerate(selectors)}
     router = DomainRouter(backbone, adapters)
-    request = ScoreRequest(user_id=3, item_id=4, domain_ids={"scene": 1, "region": 0, "period": 2},
-                           feature_ids=[1, 2, 3, 4])
+    request = ScoreRequest(user_id=3, item_id=4, domain_ids=domain_ids, feature_ids=[1, 2, 3, 4])
     made = []
+
+    def counted(name, op):
+        def run(*args, **kwargs):
+            made.append(name)
+            return op(*args, **kwargs)
+        return run
+
+    for name in OPS:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    assert router.score(request).served_by == served_by
+    assert len(made) == n_ops
+    assert made.count("gate_mix") == 2 and made.count("sigmoid") == n_sigmoids
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_a_frozen_forward_builds_no_graph_node(monkeypatch, kind):
+    """Eager serving (an adapted and a zero-shot request) and a scored split
+    (its `backbone_cache` pass, zero-shot and adapted slices) run only
+    graph-free ops: no op reaches `_make` without a parent that needs a
+    gradient, so none builds a backward."""
+    backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=1)
+    config = IAKConfig(d_e=4, decoder_hidden=(6,))
+    adapters = {f"period={k}": IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": k}, seed=k)
+                for k in range(2)}
+    router = DomainRouter(backbone, adapters)
     make = ad._make
 
-    def counted(*args):
-        made.append(args[-1])
-        return make(*args)
+    def recording_only(data, parents, backward, op):
+        assert any(p.requires_grad for p in parents), f"{op} built a node that records no graph"
+        return make(data, parents, backward, op)
 
-    monkeypatch.setattr(ad, "_make", counted)
-    router.score(request)
-    assert len(made) == 53
-    assert made.count("gate_mix") == 2 and made.count("sigmoid") == 6
+    monkeypatch.setattr(ad, "_make", recording_only)
+    for period, served_by in ((1, "period=1"), (7, "zero_shot")):
+        request = ScoreRequest(user_id=3, item_id=4, domain_ids={"scene": 1, "region": 0, "period": period},
+                               feature_ids=[1, 2, 3, 4])
+        assert router.score(request).served_by == served_by
+    split = SplitPass(backbone, _batch(9, 3))
+    split.zero_shot()
+    split.adapted(adapters["period=1"], slice(None))
 
 
 def _lone_steps(beta):

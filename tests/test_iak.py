@@ -22,7 +22,7 @@ from iakrec.iak import (
 )
 from iakrec.models import FeatureSpace, ModelConfig, Prediction, bce_loss, build_model, encode_records
 from iakrec.trainer import TrainConfig, finetune_all, model_digest
-from iakrec.datagen import InteractionRecord
+from iakrec.datagen import Dataset, InteractionRecord
 
 from adapter_reference import lone_correction, lone_noise, reference_step
 from gradcheck import central_differences, max_rel_err
@@ -356,6 +356,18 @@ class TestFinetuneStep:
         backbone.set_trainable(True)
         with pytest.raises(AdapterError):
             backbone_cache(backbone, _batch())
+
+    def test_a_nan_logit_in_any_chunk_raises(self):
+        """The pass records no graph, so no op checks its outputs; each
+        chunk's logits are checked as its prediction is read. A NaN in the
+        table row of a user that only the last chunk looks up raises."""
+        backbone = _backbone()
+        records = _records()
+        batch = encode_records(Dataset(**{**vars(records), "user": np.array([0] * 7 + [5])}), SPACE)
+        backbone.embeddings.rows.data[1 + 5] = np.nan  # user 5's row, past the constructor's check
+        assert np.isfinite(backbone_cache(backbone, batch[:4], chunk=4)[1]).all()
+        with pytest.raises(ad.NonFiniteError, match="non-finite logits"):
+            backbone_cache(backbone, batch, chunk=4)
 
     def test_mixed_primary_trains_on_another_domains_rows(self):
         backbone = _backbone()
