@@ -115,6 +115,8 @@ def binned_mi(samples_x, samples_y, bins: int = DEFAULT_BINS) -> float:
     check_bins(bins)
     if len(x) != len(y):
         raise MetricError("sample vectors must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise MetricError("non-finite samples")
     xs = x if x.ndim == 1 else x.mean(axis=1)
     if y.ndim == 1:
         return _mi_from_joint(histogram2d(xs, y, bins))

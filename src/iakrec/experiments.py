@@ -11,25 +11,25 @@ Kinds:
     baseline_compare zero-shot vs adapted AUC for each model kind, with the
                      score-label KL diagnostic
 
-Each kind is one entry of `KINDS`: its conditions, the backbones it
-pretrains, the domains it reports and its diagnostic. A condition is a label
-plus the `--set` overrides it fine-tunes under, or None for the zero-shot
-backbone. One runner serves every kind: for each (model kind, seed) it scores
-the test split once with the backbone, then fine-tunes each condition the way
-`iakrec finetune` does, so any row can be rerun as `iakrec finetune --set ...
---set train.seed=<seed>` on the cached backbone, followed by `iakrec eval`.
-Every row is the `evals.EvalReport` of one (condition, seed, domain) slice,
-written by `evals.write_csv` as `eval` writes `report.csv`; summary rows
-carry seed="mean". Pretrained backbones are cached on disk keyed by the
-digest of the settings pretraining reads plus the model kind and seed, so
-repeated runs and different kinds over the same base setup reuse them.
+Each kind is one entry of `KINDS`: its conditions, the domains it reports
+and its diagnostic. A condition is a label, the `--set` overrides its
+backbone pretrains under, and those it fine-tunes under (None for the
+zero-shot backbone). Backbone overrides name pretraining settings; the data
+is drawn once, from the base settings. The one runner groups conditions by
+backbone, the digest of the keys pretraining reads, and for each (backbone,
+seed) pretrains or restores it once, scores the test split once, and
+fine-tunes each condition the way `iakrec finetune` does: under the base
+settings, its backbone overrides, then its fine-tune overrides. So a row is
+`iakrec finetune --set ... --set train.seed=<seed>` on the cached
+`backbone-<digest>-s<seed>.ckpt`, then `iakrec eval`: the `evals.EvalReport`
+of one (condition, seed, domain) slice, written by `evals.write_csv` as
+`eval` writes `report.csv`. Summary rows carry seed="mean".
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,10 @@ from .trainer import check_finetune_domains, finetune_all, mixing_primary, pretr
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
 
-# the keys pretraining reads; the model kind is in the cache file name and the
-# seed is the `eval.seeds` entry
+# the keys pretraining reads; the seed is the `eval.seeds` entry
 _BACKBONE_KEYS = (
     *(k for k in DEFAULTS if k.startswith("datagen.")),
-    "model.hidden_sizes", "model.n_experts", "model.embed_dim", "model.loss_weights",
+    "model.kind", "model.hidden_sizes", "model.n_experts", "model.embed_dim", "model.loss_weights",
     "train.batch_size", "train.epochs", "train.lr", "train.adagrad_decay", "train.adagrad_epsilon",
 )
 
@@ -56,39 +55,38 @@ class ExperimentError(ValueError):
     pass
 
 
-def pretrained(cfg: RunConfig, workdir: Path, kind: str, seed: int, train: Dataset) -> MultiTaskModel:
-    """Backbone for (kind, seed), pretrained once and cached under
-    `<workdir>/cache`, which is made only to save one. A cache file that does
-    not restore (one saved in an older block layout, say) is an
-    `ExperimentError` naming the file to delete."""
-    digest = cfg.digest(_BACKBONE_KEYS)
-    path = Path(workdir) / "cache" / f"backbone-{kind}-{digest[:12]}-s{seed}.ckpt"
-    run = RunConfig(cfg.values, {"model.kind": kind, "train.seed": str(seed)})
-    model_cfg = run.model_config()
-    if path.exists():
-        model = build_model(model_cfg, cfg.feature_space(), seed=None)
+def pretrained(run: RunConfig, workdir: Path, seed: int, train: Dataset) -> MultiTaskModel:
+    """The backbone `run` pretrains at `seed`, cached under `<workdir>/cache`
+    (made only to save one) by the digest of the keys pretraining reads. A
+    cache file that does not restore (one saved in an older block layout,
+    say) is an `ExperimentError` naming the file to delete."""
+    digest = run.digest(_BACKBONE_KEYS)
+    path = Path(workdir) / "cache" / f"backbone-{digest[:12]}-s{seed}.ckpt"
+    cached = path.exists()
+    model = build_model(run.model_config(), run.feature_space(), seed=None if cached else seed)
+    if cached:
         try:
             model.restore(load_checkpoint(path)[0])
         except (CheckpointError, ModelError) as e:
             msg = f"cached backbone {path} does not restore; delete it to pretrain again ({e})"
             raise ExperimentError(msg) from e
     else:
-        model = build_model(model_cfg, cfg.feature_space(), seed=seed)
-        pretrain(model, train, run.train_config())
+        pretrain(model, train, replace(run.train_config(), seed=seed))
         path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(path, model.named_parameters(), digest)
     model.set_trainable(False)
     return model
 
 
-# (label, --set overrides to fine-tune under, or None for the zero-shot backbone)
-Condition = tuple[str, dict[str, str] | None]
+# (label, --set overrides its backbone pretrains under, --set overrides to
+# fine-tune under or None for the zero-shot backbone)
+Condition = tuple[str, dict[str, str], dict[str, str] | None]
 
 
 def _grid(key: str, read: Callable[[RunConfig, str], list], setting: str, label: str):
     """One condition per value of the grid at `key`, read with its typed
     accessor: `setting` set to that value."""
-    return lambda cfg: [(label.format(v), {setting: str(v)}) for v in read(cfg, key)]
+    return lambda cfg: [(label.format(v), {}, {setting: str(v)}) for v in read(cfg, key)]
 
 
 def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
@@ -98,13 +96,12 @@ def _overlap_conditions(cfg: RunConfig) -> list[Condition]:
     if not weights:
         raise ExperimentError("overlap needs eval.overlap_weights")
     mixed = {"train.finetune_domains": ",".join(sorted(weights)), "train.mixing": cfg.get("eval.overlap_weights")}
-    return [("isolated", {"train.finetune_domains": mixing_primary(weights)}), ("mixed", mixed)]
+    return [("isolated", {}, {"train.finetune_domains": mixing_primary(weights)}), ("mixed", {}, mixed)]
 
 
 @dataclass(frozen=True)
 class Kind:
     conditions: Callable[[RunConfig], list[Condition]]
-    compare_kinds: bool = False  # pretrain each of eval.baseline_kinds, labelled `kind=<k>:`; else model.kind
     report: Callable[[RunConfig], str] | None = None  # the one domain to report; else every fine-tuned one
     with_mi: bool = False  # encoder MI diagnostic
     with_kl: bool = False  # score-label KL diagnostic
@@ -115,41 +112,46 @@ KINDS = {
     "de_sweep": Kind(_grid("eval.de_grid", RunConfig.get_int_list, "iak.d_e", "d_e={}")),
     "beta_sweep": Kind(_grid("eval.betas", RunConfig.get_float_list, "iak.beta", "beta={:g}"), with_mi=True),
     "overlap": Kind(_overlap_conditions, report=lambda cfg: mixing_primary(cfg.get_weight_map("eval.overlap_weights"))),
-    "baseline_compare": Kind(lambda cfg: [("zero_shot", None), ("iak", {})], compare_kinds=True, with_kl=True),
+    "baseline_compare": Kind(lambda cfg: [(f"kind={k}:{label}", {"model.kind": k}, overrides)
+                                          for k in cfg.get_list("eval.baseline_kinds")
+                                          for label, overrides in (("zero_shot", None), ("iak", {}))], with_kl=True),
 }
 EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport]:
     """Every row of one experiment kind, summary rows last. Each setting a
-    row reads is checked before the data is drawn or a backbone pretrained."""
+    row reads is checked before the data is drawn or a backbone pretrained,
+    and a condition or a seed given twice is an error."""
     if kind not in KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
     spec = KINDS[kind]
     conditions = spec.conditions(cfg)
-    model_kinds = cfg.get_list("eval.baseline_kinds") if spec.compare_kinds else [cfg.get("model.kind")]
     seeds = cfg.get_int_list("eval.seeds")
+    for what, entries in (("condition", [label for label, _, _ in conditions]), ("eval.seeds entry", seeds)):
+        if twice := [e for i, e in enumerate(entries) if e in entries[:i]]:
+            raise ExperimentError(f"{what} {twice[0]!r} is given twice")
     bins = check_bins(cfg.get_int("eval.mi_bins")) if spec.with_mi else None
     report = spec.report(cfg) if spec.report else None
-    runs = {}  # (model kind, seed) -> each condition's fine-tune domains, train and adapter configs
-    for model_kind, seed in itertools.product(model_kinds, seeds):
-        group = runs[model_kind, seed] = []
-        for _, overrides in conditions:
-            run = RunConfig(cfg.values, {**(overrides or {}), "model.kind": model_kind, "train.seed": str(seed)})
-            run.model_config()  # built only to be checked: `pretrained` builds the backbone's
-            train_config, iak_config = run.train_config(), run.iak_config()
-            domains = run.get_list("train.finetune_domains")
-            check_finetune_domains(domains, train_config.mixing)
-            group.append((domains, train_config, iak_config))
+    runs = {}  # (backbone digest, seed) in order of first appearance -> (its run config, its conditions)
+    for label, backbone_overrides, overrides in conditions:
+        pre = RunConfig(cfg.values, backbone_overrides)
+        run = RunConfig(pre.values, overrides)
+        run.model_config()  # built only to be checked: `pretrained` builds the backbone's
+        train_config, iak_config = run.train_config(), run.iak_config()
+        domains = run.get_list("train.finetune_domains")
+        check_finetune_domains(domains, train_config.mixing)
+        for seed in seeds:
+            _, group = runs.setdefault((pre.digest(_BACKBONE_KEYS), seed), (pre, []))
+            group.append((label, overrides, domains, replace(train_config, seed=seed), iak_config))
     ratio = cfg.split_ratio()
     train, test = split_chronological(generate(cfg.generator_config()), ratio)
     test = encode_records(test, cfg.feature_space())
     rows = []
-    for (model_kind, seed), group in runs.items():
-        prefix = f"kind={model_kind}:" if spec.compare_kinds else ""
-        backbone = pretrained(cfg, workdir, model_kind, seed, train)
+    for (_, seed), (pre, group) in runs.items():
+        backbone = pretrained(pre, workdir, seed, train)
         split = SplitPass(backbone, test)
-        for (label, overrides), (domains, train_config, iak_config) in zip(conditions, group):
+        for label, overrides, domains, train_config, iak_config in group:
             selectors = expand_domain_selectors(domains, train)
             if overrides is None:
                 adapters, domains = None, selectors
@@ -158,7 +160,7 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
                 domains = {key: a.domain_key for key, a in adapters.items() if report in (None, key)}
             for key, idx, sub in split.slices(domains):
                 p_ctr, p_ctcvr = split.zero_shot(idx) if adapters is None else split.adapted(adapters[key], idx)
-                row = report_from_scores(p_ctr, p_ctcvr, sub, "test", prefix + label, seed)
+                row = report_from_scores(p_ctr, p_ctcvr, sub, "test", label, seed)
                 row.domain = key
                 if spec.with_mi:
                     row.encoder_mi = encoder_mi(adapters[key], split.rep[idx], bins=bins, seed=seed)

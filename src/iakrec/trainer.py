@@ -249,7 +249,8 @@ def finetune_all(
     reroutes its primary domain's stream (`mixing_primary`: the highest
     weight, the first listed on a tie) through weighted cross-domain
     sampling; that stream is then shuffled into batches like any one-domain
-    stream and trained at the base rate."""
+    stream and trained at the base rate. The adapters come back frozen, so
+    scoring with them records no graph."""
     selected = {}
     for selector in selectors.values():
         rows = domain_rows(train, selector)
@@ -284,6 +285,8 @@ def finetune_all(
             backbone, cache, {primary: stream}, adapters,
             replace(config, epochs=1), iak_config, shared_rng, start_step=curve[-1].step if curve else 0,
         )
+    for adapter in adapters.values():
+        adapter.set_trainable(False)
     return FinetuneResult(adapters, curve)
 
 

@@ -153,6 +153,14 @@ class TestBinnedMI:
         with pytest.raises(MetricError):
             binned_mi([], [])
 
+    def test_non_finite_rejected(self):
+        # a frozen encoder's outputs are not checked op by op, so the MI
+        # diagnostic checks what it bins
+        x = np.arange(20.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(MetricError, match="^non-finite samples$"):
+                binned_mi(x, np.where(x == 7, bad, x))
+
     def test_constant_signal_carries_no_information(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=1000)

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from iakrec import autodiff as ad
 from iakrec import experiments, trainer
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from iakrec.config import ConfigError, RunConfig
 from iakrec.datagen import expand_domain_selectors, generate, split_chronological
-from iakrec.experiments import CSV_HEADER, EXPERIMENT_KINDS, ExperimentError, experiment_rows, pretrained, write_rows
+from iakrec.experiments import (CSV_HEADER, EXPERIMENT_KINDS, KINDS, ExperimentError, Kind, experiment_rows, pretrained,
+                                write_rows)
 from iakrec.models import MODEL_KINDS, build_model
 from iakrec.trainer import _finetune_joint, finetune_all, mix_domains
 
@@ -126,34 +128,88 @@ def test_diagnostic_columns(reports):
             assert (r[col["score_label_kl"]] != "") == (kind == "baseline_compare")
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch):
-    """Outside pretraining and fine-tuning, the backbone runs once over the
-    test split per (model kind, seed), whatever the grid or the domains."""
-    training, scored = [], []
+@pytest.fixture
+def training(monkeypatch):
+    """The stack of `pretrain` and `finetune_all` calls the experiment runner
+    is inside: empty while it scores or diagnoses."""
+    stack = []
 
     def flagged(fn):
         def run(*args, **kwargs):
-            training.append(fn)
+            stack.append(fn)
             try:
                 return fn(*args, **kwargs)
             finally:
-                training.pop()
+                stack.pop()
         return run
 
     for name in ("pretrain", "finetune_all"):
         monkeypatch.setattr(experiments, name, flagged(getattr(experiments, name)))
+    return stack
+
+
+def _backbone_digest(cfg, backbone_overrides):
+    return RunConfig(cfg.values, backbone_overrides).digest(experiments._BACKBONE_KEYS)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_one_test_pass_per_backbone(kind, tmp_path, monkeypatch, training):
+    """Outside pretraining and fine-tuning, the backbone runs once over the
+    test split per (backbone, seed), whatever the grid or the domains: once
+    per seed for each backbone group the kind's conditions form."""
+    scored, backbones = [], []
     for cls in MODEL_KINDS.values():
         def counted(self, batch, forward=cls.forward_full):
             if not training:
                 scored.append(len(batch))
             return forward(self, batch)
         monkeypatch.setattr(cls, "forward_full", counted)
+
+    def counted_pretrained(run, workdir, seed, train):
+        backbones.append((run.digest(experiments._BACKBONE_KEYS), seed))
+        return pretrained(run, workdir, seed, train)
+
+    monkeypatch.setattr(experiments, "pretrained", counted_pretrained)
     cfg = RunConfig(TINY)
     _run(kind, cfg, tmp_path / "run", tmp_path)
     _, test = _split(cfg)
-    backbones = len(cfg.get_list("eval.baseline_kinds")) if kind == "baseline_compare" else 1
-    assert scored == [len(test)] * backbones * len(SEEDS)
+    groups = list(dict.fromkeys(_backbone_digest(cfg, backbone) for _, backbone, _ in KINDS[kind].conditions(cfg)))
+    assert backbones == [(digest, int(seed)) for digest in groups for seed in SEEDS]
+    assert scored == [len(test)] * len(backbones)
+
+
+def test_conditions_that_name_one_backbone_pretrain_it_once(tmp_path, monkeypatch):
+    """Two conditions whose backbone overrides give one backbone (here the
+    base kind, named or not) share one pretraining and one cache file; a
+    condition whose overrides change a key pretraining reads gets its own.
+    Each file is named by its backbone's digest."""
+    pretrains = []
+    monkeypatch.setattr(experiments, "pretrain", lambda *args: pretrains.append(trainer.pretrain(*args)))
+    conditions = [("a", {}, None), ("b", {"model.kind": "base"}, {}), ("c", {"train.lr": "0.01"}, {})]
+    monkeypatch.setitem(KINDS, "grouped", Kind(lambda cfg: conditions))
+    cfg = RunConfig({**TINY, "eval.seeds": "0"})
+    rows = experiment_rows("grouped", cfg, tmp_path)
+    assert len(pretrains) == 2
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert names == sorted(f"backbone-{_backbone_digest(cfg, o)[:12]}-s0.ckpt" for o in ({}, {"train.lr": "0.01"}))
+    assert [r.model_id for r in rows if r.seed == 0] == ["a"] * 3 + ["b"] * 3 + ["c"] * 3
+
+
+@pytest.mark.parametrize("kind", ["de_sweep", "beta_sweep"])
+def test_scoring_and_diagnostics_record_no_graph(kind, tmp_path, monkeypatch, training):
+    """The adapters `finetune_all` hands the runner are frozen, so no op that
+    scores a slice or runs the MI diagnostic records a graph."""
+    recorded, make_op = [], ad._make
+
+    def make(data, parents, backward, op):
+        out = make_op(data, parents, backward, op)
+        if out.requires_grad and not training:
+            recorded.append(op)
+        return out
+
+    monkeypatch.setattr(ad, "_make", make)
+    rows = experiment_rows(kind, RunConfig({**TINY, "eval.seeds": "0"}), tmp_path)
+    assert len(rows) == 12 and recorded == []
 
 
 @pytest.mark.parametrize("kind, key", [("window_sweep", "eval.windows"), ("de_sweep", "eval.de_grid"),
@@ -170,14 +226,14 @@ def test_backbone_cache_keys_on_what_pretraining_reads(tmp_path):
 
     def cached_after(key, value):
         cfg = RunConfig({**TINY, key: value})
-        pretrained(cfg, tmp_path, "base", 0, _split(cfg)[0])
+        pretrained(cfg, tmp_path, 0, _split(cfg)[0])
         return sorted(p.name for p in (tmp_path / "cache").iterdir())
 
     names = cached_after("eval.seeds", "0")
     assert len(names) == 1
     for key, value in [("train.lr_norms", "previous"), ("model.seed", "7"), ("iak.beta", "0.5")]:
         assert cached_after(key, value) == names, key
-    for key, value in [("train.lr", "0.01"), ("model.hidden_sizes", "6,3")]:
+    for key, value in [("train.lr", "0.01"), ("model.hidden_sizes", "6,3"), ("model.kind", "esmm")]:
         after = cached_after(key, value)
         assert len(after) == len(names) + 1 and set(names) < set(after), key
         names = after
@@ -190,14 +246,14 @@ def test_a_cached_backbone_that_does_not_restore_is_named(tmp_path):
     delete."""
     cfg = RunConfig(TINY)
     train = _split(cfg)[0]
-    pretrained(cfg, tmp_path, "base", 0, train)
+    pretrained(cfg, tmp_path, 0, train)
     (path,) = (tmp_path / "cache").iterdir()
     arrays, digest = load_checkpoint(path)
     save_checkpoint(path, {k: v for k, v in arrays.items() if k != "embeddings.rows"}, digest)
     message = f"cached backbone {path} does not restore; delete it to pretrain again "
     message += "(checkpoint missing parameter 'embeddings.rows')"
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
-        pretrained(cfg, tmp_path, "base", 0, train)
+        pretrained(cfg, tmp_path, 0, train)
 
 
 def _cli(tmp_path, capsys, values):
@@ -245,14 +301,20 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     ("de_sweep", "datagen.split_ratio=0:0", EXIT_SCHEMA, "error: invalid split ratio 0:0"),
     ("de_sweep", "train.finetune_domains=", EXIT_SCHEMA, "error: train.finetune_domains names no domain"),
     ("de_sweep", "train.seed=-1", EXIT_SCHEMA, "error: seed must be >= 0, got -1"),
+    ("window_sweep", "eval.windows=1,1", EXIT_SCHEMA, "error: condition 'window=1' is given twice"),
+    ("de_sweep", "eval.de_grid=2,2", EXIT_SCHEMA, "error: condition 'd_e=2' is given twice"),
+    ("beta_sweep", "eval.betas=0,0.0", EXIT_SCHEMA, "error: condition 'beta=0' is given twice"),
+    ("baseline_compare", "eval.baseline_kinds=base,base", EXIT_SCHEMA,
+     "error: condition 'kind=base:zero_shot' is given twice"),
+    ("de_sweep", "eval.seeds=1,0,1", EXIT_SCHEMA, "error: eval.seeds entry 1 is given twice"),
 ])
 def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
                                                                           message):
     """`iakrec experiment` checks every setting a row reads (the seeds, the
     MI bins, the model kinds, the split ratio, and each condition's model,
-    train and adapter configs and fine-tune domains) before it pretrains: a
-    bad one exits with its one line and leaves no cached backbone and no run
-    directory."""
+    train and adapter configs and fine-tune domains) before it pretrains,
+    and a condition or a seed given twice is an error: a bad one exits with
+    its one line and leaves no cached backbone and no run directory."""
     run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0"})
     assert run("experiment", "--kind", kind, "--set", setting) == (code, [], [f"iakrec: {message}"])
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
@@ -268,10 +330,17 @@ def test_a_mixing_key_outside_the_finetune_domains_exits_before_any_backbone_is_
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
-def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
-    """A de_sweep row is `finetune --set iak.d_e=... --set train.seed=...` on
-    the cached backbone, then `eval`, to the last digit."""
-    run = _cli(tmp_path, capsys, {**TINY, "eval.seeds": "0", "eval.de_grid": "2"})
+@pytest.mark.parametrize("kind, condition, backbone, finetune", [
+    ("de_sweep", "d_e=2", {}, {"iak.d_e": "2"}),
+    ("baseline_compare", "kind=esmm:iak", {"model.kind": "esmm"}, {}),
+])
+def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys, kind, condition, backbone, finetune):
+    """An experiment row is `finetune --set <backbone and fine-tune
+    overrides> --set train.seed=<seed>` on the row's cached backbone, then
+    `eval`, to the last digit: a de_sweep row and a baseline_compare row
+    whose backbone is another model kind."""
+    values = {**TINY, "eval.seeds": "0", "eval.de_grid": "2", "eval.baseline_kinds": "esmm"}
+    run = _cli(tmp_path, capsys, values)
 
     def output(*args):
         code, out, _ = run(*args)
@@ -279,13 +348,14 @@ def test_experiment_row_is_the_cli_pipeline(tmp_path, capsys):
         (path,) = out
         return path
 
-    sweep = _rows(Path(output("experiment", "--kind", "de_sweep")).read_bytes())
+    rows = _rows(Path(output("experiment", "--kind", kind)).read_bytes())
     data = output("gen-data")
-    (backbone,) = (tmp_path / "cache").glob("backbone-base-*-s0.ckpt")
-    d_e = ("--set", "iak.d_e=2", "--set", "train.seed=0")
-    finetuned = output("finetune", "--data", data, "--backbone", str(backbone), *d_e)
-    report = _rows(Path(output("eval", "--data", data, "--checkpoint", finetuned, *d_e)).read_bytes())
-    expected = {r[3]: (r[4], r[5]) for r in sweep[1:] if r[1:3] == ["d_e=2", "0"]}
+    digest = _backbone_digest(RunConfig(values), backbone)
+    cached = tmp_path / "cache" / f"backbone-{digest[:12]}-s0.ckpt"
+    sets = [a for k, v in {**backbone, **finetune, "train.seed": "0"}.items() for a in ("--set", f"{k}={v}")]
+    finetuned = output("finetune", "--data", data, "--backbone", str(cached), *sets)
+    report = _rows(Path(output("eval", "--data", data, "--checkpoint", finetuned, *sets)).read_bytes())
+    expected = {r[3]: (r[4], r[5]) for r in rows[1:] if r[1:3] == [condition, "0"]}
     adapted = {r[1].removeprefix("iak:"): (r[2], r[3]) for r in report[1:] if r[1].startswith("iak:")}
     assert len(expected) == 3 and adapted == expected
 
