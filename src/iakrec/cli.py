@@ -69,7 +69,7 @@ from .experiments import EXPERIMENT_KINDS, ExperimentError, experiment_rows, wri
 from .iak import AdapterError, IAKConfig
 from .models import FeatureSpace, ModelConfig, ModelError, build_model, encode_records
 from .router import DomainRouter, RequestError, adapters_from_arrays, serve
-from .trainer import TrainerError, check_finetune_domains, finetune_all, pretrain
+from .trainer import TrainerError, finetune_all, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,10 +149,9 @@ def _load_split(args, ratio: tuple[int, int]):
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
-    if args.seed is not None:
-        cfg.values["datagen.seed"] = str(args.seed)
-    dataset = generate(cfg.generator_config())
-    outdir = _make_outdir(args, "gen-data", cfg.get_int("datagen.seed"))
+    generator_config = cfg.generator_config()
+    dataset = generate(generator_config)
+    outdir = _make_outdir(args, "gen-data", generator_config.seed)
     cfg.echo(outdir / "effective.cfg")
     write_jsonl(dataset, outdir / "dataset.jsonl")
     print(outdir / "dataset.jsonl")
@@ -191,14 +190,12 @@ def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
     model_config, space, iak_config = cfg.model_config(), cfg.feature_space(), cfg.iak_config()
     train_config, ratio = cfg.train_config(), cfg.split_ratio()
-    domains = cfg.get_list("train.finetune_domains")
-    check_finetune_domains(domains, train_config.mixing)  # a bad entry is an error before any input is opened
     if not args.backbone:
         raise PathError("backbone checkpoint required (--backbone)")
     ckpt = _resolve_input(args, args.backbone, "backbone checkpoint")
     train, _ = _load_split(args, ratio)
     model, _ = _restore_backbone(ckpt, model_config, space, iak_config)
-    selectors = expand_domain_selectors(domains, train)
+    selectors = expand_domain_selectors(train_config.finetune_domains, train)
     result = finetune_all(model, train, selectors, train_config, iak_config)
     outdir = _make_outdir(args, "finetune", train_config.seed)
     cfg.echo(outdir / "effective.cfg")
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "it is always safe")
     p = sub.add_parser("gen-data", help=gen_help, description=gen_help)
     common(p)
-    p.add_argument("--seed", type=int, help="override datagen.seed")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="train a backbone on the chronological train split")

@@ -263,6 +263,7 @@ class RunConfig:
             adagrad_epsilon=self.get_float("train.adagrad_epsilon"),
             seed=self.get_int("train.seed"),
             finetune_window_days=self.get_int("train.finetune_window_days"),
+            finetune_domains=tuple(self.get_list("train.finetune_domains")),
             mixing=self.get_weight_map("train.mixing"),
             lr_norms=self.get("train.lr_norms"),
         )

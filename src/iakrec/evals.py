@@ -8,9 +8,10 @@ rather than absolute values.
 
 A scored split is one `datagen.Dataset` fitted by `models.encode_records`,
 the row type the model reads; its label columns are the ones the reports
-count. The frozen backbone runs over it once (`SplitPass`): its zero-shot
-slices, every adapter's rows and the encoder MI diagnostic read that pass,
-however many adapters or grid values are scored against it.
+count. `SplitPass` is its one scorer: the frozen backbone runs over it once,
+and its zero-shot slices, every adapter's rows and the encoder MI diagnostic
+read that pass, however many adapters or grid values are scored against it.
+`score_backbone` and `score_adapted` are one `SplitPass` each.
 """
 
 from __future__ import annotations
@@ -180,29 +181,11 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) 
     return Path(path)
 
 
-def _probabilities(model: MultiTaskModel, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred = model.predict_from_logits(Tensor(logits))
-    return pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
-
-
-def adapted_scores(backbone: MultiTaskModel, adapter: IAKAdapter, rep: np.ndarray, logits: np.ndarray,
-                   batch_size: int = FROZEN_CHUNK) -> tuple[np.ndarray, np.ndarray]:
-    """Adapted probabilities, with the encoder's posterior means, from
-    `backbone_cache` rows. The correction runs `batch_size` rows at a time,
-    so every row equals a single adapted forward over its chunk bit for bit."""
-    p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
-    for start in range(0, len(rep), batch_size):
-        rows = slice(start, start + batch_size)
-        pred = adapted_prediction(backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]))
-        p_ctr[rows], p_ctcvr[rows] = pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
-    return p_ctr, p_ctcvr
-
-
 def score_backbone(model: MultiTaskModel, dataset: Dataset,
                    batch_size: int = FROZEN_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """Zero-shot probabilities of a frozen backbone over a fitted dataset,
     (p_ctr, p_ctcvr)."""
-    return _probabilities(model, backbone_cache(model, dataset, batch_size)[1])
+    return SplitPass(model, dataset, batch_size).zero_shot()
 
 
 def score_adapted(
@@ -212,24 +195,35 @@ def score_adapted(
     batch_size: int = FROZEN_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen backbone + adapter probabilities over a fitted dataset: one
-    `backbone_cache` pass, corrected over the same `batch_size` chunks."""
-    return adapted_scores(backbone, adapter, *backbone_cache(backbone, dataset, batch_size), batch_size)
+    backbone pass, corrected over the same `batch_size` chunks."""
+    return SplitPass(backbone, dataset, batch_size).adapted(adapter)
 
 
 class SplitPass:
-    """One frozen-backbone pass over a scored split, a fitted dataset: the
-    representation and head logits of every row, which each zero-shot or
-    adapted slice reads."""
+    """The one scorer of a split, a fitted dataset: one frozen-backbone pass
+    (`backbone_cache`, `chunk` rows at a time) gives the representation and
+    head logits of every row, which each zero-shot or adapted slice reads.
+    The zero-shot prediction is built from the cached logits; an adapter's
+    correction runs `chunk` rows of its slice at a time, with the encoder's
+    posterior means, so every row equals a single adapted forward over its
+    chunk bit for bit."""
 
-    def __init__(self, backbone: MultiTaskModel, dataset: Dataset):
-        self.backbone, self.dataset = backbone, dataset
-        self.rep, self.logits = backbone_cache(backbone, dataset)
+    def __init__(self, backbone: MultiTaskModel, dataset: Dataset, chunk: int = FROZEN_CHUNK):
+        self.backbone, self.dataset, self.chunk = backbone, dataset, chunk
+        self.rep, self.logits = backbone_cache(backbone, dataset, chunk)
 
     def zero_shot(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        return _probabilities(self.backbone, self.logits[idx])
+        pred = self.backbone.predict_from_logits(Tensor(self.logits[idx]))
+        return pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
 
-    def adapted(self, adapter: IAKAdapter, idx) -> tuple[np.ndarray, np.ndarray]:
-        return adapted_scores(self.backbone, adapter, self.rep[idx], self.logits[idx])
+    def adapted(self, adapter: IAKAdapter, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        rep, logits = self.rep[idx], self.logits[idx]
+        p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
+        for start in range(0, len(rep), self.chunk):
+            rows = slice(start, start + self.chunk)
+            pred = adapted_prediction(self.backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]))
+            p_ctr[rows], p_ctcvr[rows] = pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
+        return p_ctr, p_ctcvr
 
     def slices(self, selectors: dict[str, dict[str, int]]) -> Iterator[tuple[str, np.ndarray, Dataset]]:
         """(key, row positions, rows) of each selector in key order, skipping

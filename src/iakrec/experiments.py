@@ -39,7 +39,7 @@ from .config import DEFAULTS, RunConfig
 from .datagen import Dataset, expand_domain_selectors, generate, split_chronological
 from .evals import EvalReport, SplitPass, check_bins, encoder_mi, report_from_scores, score_label_decile_kl, write_csv
 from .models import ModelError, MultiTaskModel, build_model, encode_records
-from .trainer import check_finetune_domains, finetune_all, mixing_primary, pretrain
+from .trainer import finetune_all, mixing_primary, pretrain
 
 CSV_HEADER = ("experiment", "condition", "seed", "domain", "ctr_auc", "ctcvr_auc", "encoder_mi", "score_label_kl")
 
@@ -122,13 +122,15 @@ EXPERIMENT_KINDS = tuple(KINDS)
 def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport]:
     """Every row of one experiment kind, summary rows last. Each setting a
     row reads is checked before the data is drawn or a backbone pretrained,
-    and a condition or a seed given twice is an error."""
+    and no condition or seed, or one given twice, is an error."""
     if kind not in KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
     spec = KINDS[kind]
     conditions = spec.conditions(cfg)
     seeds = cfg.get_int_list("eval.seeds")
     for what, entries in (("condition", [label for label, _, _ in conditions]), ("eval.seeds entry", seeds)):
+        if not entries:
+            raise ExperimentError(f"{kind} has no {what} to run")
         if twice := [e for i, e in enumerate(entries) if e in entries[:i]]:
             raise ExperimentError(f"{what} {twice[0]!r} is given twice")
     bins = check_bins(cfg.get_int("eval.mi_bins")) if spec.with_mi else None
@@ -139,11 +141,9 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
         run = RunConfig(pre.values, overrides)
         run.model_config()  # built only to be checked: `pretrained` builds the backbone's
         train_config, iak_config = run.train_config(), run.iak_config()
-        domains = run.get_list("train.finetune_domains")
-        check_finetune_domains(domains, train_config.mixing)
         for seed in seeds:
             _, group = runs.setdefault((pre.digest(_BACKBONE_KEYS), seed), (pre, []))
-            group.append((label, overrides, domains, replace(train_config, seed=seed), iak_config))
+            group.append((label, overrides, replace(train_config, seed=seed), iak_config))
     ratio = cfg.split_ratio()
     train, test = split_chronological(generate(cfg.generator_config()), ratio)
     test = encode_records(test, cfg.feature_space())
@@ -151,8 +151,8 @@ def experiment_rows(kind: str, cfg: RunConfig, workdir: Path) -> list[EvalReport
     for (_, seed), (pre, group) in runs.items():
         backbone = pretrained(pre, workdir, seed, train)
         split = SplitPass(backbone, test)
-        for label, overrides, domains, train_config, iak_config in group:
-            selectors = expand_domain_selectors(domains, train)
+        for label, overrides, train_config, iak_config in group:
+            selectors = expand_domain_selectors(train_config.finetune_domains, train)
             if overrides is None:
                 adapters, domains = None, selectors
             else:

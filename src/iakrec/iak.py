@@ -31,7 +31,7 @@ adapter stepping alone.
 
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
 (see `models.encode_records`), the one row type the model reads, in chunks
-of `FROZEN_CHUNK` rows, as does adapted scoring (`evals.adapted_scores`).
+of `FROZEN_CHUNK` rows, as does adapted scoring (`evals.SplitPass`).
 """
 
 from __future__ import annotations
@@ -348,10 +348,10 @@ def adapter_step_cached(
     offsets: np.ndarray,
     lr: np.ndarray,
     beta: float,
-    weights: tuple[float, float] = (1.0, 1.0),
 ) -> dict[int, tuple[float, float]]:
     """One optimizer step of a bank's adapters from cached backbone outputs,
-    through one autodiff graph. The rows are grouped by adapter: rows
+    through one autodiff graph, on the task loss weighted by the backbone's
+    `loss_weights`. The rows are grouped by adapter: rows
     offsets[k]:offsets[k + 1] are adapter k's, and adapter k steps at rate
     lr[k]. An adapter with no rows or a zero rate draws no noise, does not
     step, and its Adagrad state does not decay. Returns (loss, gradient L2
@@ -367,7 +367,7 @@ def adapter_step_cached(
     ad.zero_grads(bank.params)
     corr = bank.correction(Tensor(rep), segs, noise, softplus)
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, segs, softplus, beta, weights)
+    loss = ib_loss(pred, click, purchase, bank, segs, softplus, beta, backbone.config.loss_weights)
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

@@ -35,6 +35,13 @@ class TrainerError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training settings, checked when built. `finetune_domains` is the
+    fine-tune selector list, checked without the data: a bad entry raises
+    DatasetError, and a mixing key that no entry can select (neither an
+    explicit key nor of a topic a `topic=*` entry expands) raises
+    TrainerError naming it, as does an empty list. `finetune_all` takes the
+    list expanded over the data (`datagen.expand_domain_selectors`)."""
+
     batch_size: int = 1024
     epochs: int = 1
     base_lr: float = 0.005
@@ -42,6 +49,7 @@ class TrainConfig:
     adagrad_epsilon: float = 1e-8
     seed: int = 0
     finetune_window_days: int = 0  # 0 = use the whole span
+    finetune_domains: tuple[str, ...] = ("period=*",)
     mixing: Mapping[str, float] = field(default_factory=dict)  # kept as a read-only copy
     # "uniform" keeps adapters bit-independent of each other's labels;
     # "previous" feeds last-step gradient magnitudes into the rate softmax,
@@ -73,6 +81,11 @@ class TrainConfig:
             total = sum(self.mixing.values())
             if abs(total - 1.0) > 1e-9:
                 raise TrainerError(f"mixing weights must sum to 1, got {total}")
+        if not self.finetune_domains:
+            raise TrainerError("train.finetune_domains names no domain")
+        selectable = {e if isinstance(e, str) else domain_key(e) for e in parse_domain_selectors(self.finetune_domains)}
+        if outside := sorted(k for k in self.mixing if k not in selectable and k.partition("=")[0] not in selectable):
+            raise TrainerError(f"mixing references domains outside train.finetune_domains: {outside}")
 
 
 def model_digest(params: dict[str, np.ndarray]) -> str:
@@ -179,18 +192,6 @@ class FinetuneResult:
 
 # representation, head logits, click and purchase of each cached row
 Cache = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def check_finetune_domains(spec: list[str], mixing: dict[str, float]) -> None:
-    """The fine-tune selector list and mixing map, checked without the data:
-    a bad entry raises DatasetError, and a mixing key that no entry can
-    select (neither an explicit key nor of a topic a `topic=*` entry
-    expands) raises TrainerError naming it, as does an empty list."""
-    if not spec:
-        raise TrainerError("train.finetune_domains names no domain")
-    selectable = {e if isinstance(e, str) else domain_key(e) for e in parse_domain_selectors(spec)}
-    if outside := sorted(k for k in mixing if k not in selectable and k.partition("=")[0] not in selectable):
-        raise TrainerError(f"mixing references domains outside train.finetune_domains: {outside}")
 
 
 def mixing_primary(mixing: dict[str, float]) -> str | None:
@@ -315,7 +316,6 @@ def _finetune_joint(
     prev_norms = np.ones(len(keys))
     rows: list[FinetuneRow] = []
     step = start_step
-    weights = backbone.config.loss_weights
     for sel in _batch_indices(len(stream), config.batch_size, config.epochs, rng):
         # group the batch by domain, each domain's rows kept in batch order
         tags = domain_of[sel]
@@ -329,7 +329,7 @@ def _finetune_joint(
         step += 1
         per_adapter = adapter_step_cached(
             backbone, bank, rep[grouped], base[grouped], click[grouped], purchase[grouped],
-            offsets, lr_hat, iak_config.beta, weights=weights,
+            offsets, lr_hat, iak_config.beta,
         )
         new_norms = prev_norms.copy()
         for ki, (loss, gnorm) in per_adapter.items():

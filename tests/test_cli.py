@@ -55,11 +55,18 @@ def test_gen_data_exits_0(workdir):
     assert (workdir / "data" / "effective.cfg").exists()
 
 
-@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["gen-data", "--no-such-flag"], ["pretrain"]])
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["gen-data", "--no-such-flag"], ["pretrain"],
+                                  ["gen-data", "--seed", "1"]])
 def test_usage_error_exits_2(argv):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == EXIT_USAGE
+
+
+def test_gen_data_names_its_run_by_the_generator_seed(workdir):
+    assert _run(workdir, "gen-data", "--set", "datagen.seed=3") == EXIT_OK
+    (run,) = [p for p in workdir.iterdir() if p.is_dir()]
+    assert run.name.startswith("gen-data-") and run.name.endswith("-seed3")
 
 
 @pytest.mark.parametrize("key", ["no.such_key", "train.joint", "iak.sample_mode"])
@@ -182,6 +189,8 @@ MISSING_INPUTS = {"pretrain": ["--data", "missing.jsonl"],
     ("finetune", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
     ("eval", "datagen.split_ratio=0:0", "invalid split ratio 0:0"),
     ("eval", "train.seed=-1", "seed must be >= 0, got -1"),
+    ("pretrain", "train.finetune_domains=", "train.finetune_domains names no domain"),
+    ("eval", "train.finetune_domains=city=*", "unknown domain topic 'city'; topics are scene, region, period"),
 ])
 def test_a_bad_model_or_adapter_setting_exits_5_before_any_input_is_opened(workdir, capsys, command, setting,
                                                                           message):

@@ -41,6 +41,7 @@ SECTIONS = {
     "space": (RunConfig().feature_space(), "n_items", -5, ModelError, "n_items must be >= 0, got -5"),
     "iak": (IAKConfig(), "beta", -1.0, AdapterError, "beta must be finite and >= 0, got -1.0"),
     "train": (TrainConfig(), "seed", -1, TrainerError, "seed must be >= 0, got -1"),
+    "train_domains": (TrainConfig(), "finetune_domains", (), TrainerError, "train.finetune_domains names no domain"),
     "generator": (RunConfig().generator_config(), "n_days", 1, DatasetError,
                   "n_days must be >= 2 so a chronological split is possible"),
 }
@@ -66,6 +67,15 @@ def test_replace_checks_as_construction_does(section):
         type(config)(**{**{f.name: getattr(config, f.name) for f in fields(config)}, name: bad})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         replace(config, **{name: bad})
+
+
+def test_a_mixing_key_outside_the_finetune_domains_is_rejected_when_built():
+    """`TrainConfig` checks its mixing keys against its fine-tune domains
+    (by default `period=*`), so no scene can be mixed unless it is listed."""
+    message = "mixing references domains outside train.finetune_domains: ['scene=0']"
+    with pytest.raises(TrainerError, match=f"^{re.escape(message)}$"):
+        TrainConfig(mixing={"scene=0": 1.0})
+    assert TrainConfig(mixing={"scene=0": 1.0}, finetune_domains=("scene=*",)).mixing == {"scene=0": 1.0}
 
 
 def test_a_built_sections_nested_settings_cannot_be_changed():

@@ -307,6 +307,9 @@ def test_experiment_command_exit_codes(tmp_path, capsys):
     ("baseline_compare", "eval.baseline_kinds=base,base", EXIT_SCHEMA,
      "error: condition 'kind=base:zero_shot' is given twice"),
     ("de_sweep", "eval.seeds=1,0,1", EXIT_SCHEMA, "error: eval.seeds entry 1 is given twice"),
+    ("window_sweep", "eval.seeds=", EXIT_SCHEMA, "error: window_sweep has no eval.seeds entry to run"),
+    ("de_sweep", "eval.de_grid=", EXIT_SCHEMA, "error: de_sweep has no condition to run"),
+    ("baseline_compare", "eval.baseline_kinds=", EXIT_SCHEMA, "error: baseline_compare has no condition to run"),
 ])
 def test_a_bad_experiment_setting_exits_before_any_backbone_is_pretrained(tmp_path, capsys, kind, setting, code,
                                                                           message):

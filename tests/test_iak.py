@@ -538,6 +538,23 @@ class TestAdapterBank:
             for p, stacked in zip(references[k].parameters(), bank.params):
                 assert bank.opt.accumulators[stacked.name][k].tobytes() == state.accumulators[p.name].tobytes()
 
+    def test_bank_step_trains_on_its_backbones_loss_weights(self):
+        # the task weights come from the backbone, so a direct call trains as
+        # fine-tuning does, not at (1, 1)
+        config = ModelConfig(kind="base", hidden_sizes=(10, 5), loss_weights=(2.0, 0.5))
+        backbone = build_model(config, SPACE, seed=3)
+        backbone.set_trainable(False)
+        adapter, reference, state = _adapter(backbone, seed=10), _adapter(backbone, seed=10), ReferenceState()
+        bank = _bank(adapter)
+        for step in range(3):
+            batch = _batch(n=9, seed=30 + step)
+            rep, base = backbone_cache(backbone, batch)
+            got = _bank_step(backbone, bank, rep, base, batch.click, batch.purchase, 0.05, 1e-3)
+            want = reference_step(backbone, reference, rep, base, batch.click, batch.purchase, state, 0.05, 1e-3,
+                                  weights=backbone.config.loss_weights)
+            assert got == want
+        assert model_digest(adapter.named_parameters()) == model_digest(reference.named_parameters())
+
     @settings(max_examples=40, deadline=None)
     @given(
         decoder_hidden=st.sampled_from([(), (6, 5)]),

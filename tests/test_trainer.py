@@ -293,8 +293,8 @@ class TestFinetuneAll:
         losses = []
         for idx in _batch_indices(len(enc), config.batch_size, config.epochs, np.random.default_rng(order_seed)):
             (loss, _), = adapter_step_cached(model, bank, rep[idx], base[idx], enc.click[idx], enc.purchase[idx],
-                                             np.array([0, len(idx)]), np.array([config.base_lr]), iak_config.beta,
-                                             weights=model.config.loss_weights).values()
+                                             np.array([0, len(idx)]), np.array([config.base_lr]),
+                                             iak_config.beta).values()
             losses.append(loss)
         assert model_digest(res.adapters["scene=0"].named_parameters()) == model_digest(adapter.named_parameters())
         assert [row.loss for row in res.curve] == losses
@@ -369,7 +369,8 @@ class TestFinetuneAll:
     def test_mixing_trains_primary_on_mixed_stream(self):
         data = _dataset()
         model = _backbone()
-        cfg = TrainConfig(batch_size=256, seed=6, mixing={"scene=0": 0.7, "scene=1": 0.3})
+        cfg = TrainConfig(batch_size=256, seed=6, finetune_domains=tuple(SCENES),
+                          mixing={"scene=0": 0.7, "scene=1": 0.3})
         res = finetune_all(model, data, SCENES, cfg, IAKConfig(d_e=6))
         assert sorted(res.adapters) == ["scene=0", "scene=1"]
 
@@ -470,6 +471,7 @@ class TestBankEqualsReference:
 
     def test_mixing(self, monkeypatch, five_domains):
         data, train = five_domains
-        config = TrainConfig(batch_size=64, seed=6, mixing={"scene=0": 0.6, "period=0": 0.4})
+        config = TrainConfig(batch_size=64, seed=6, finetune_domains=tuple(FIVE),
+                             mixing={"scene=0": 0.6, "period=0": 0.4})
         bank, ref = self._both(monkeypatch, data, train, "esmm", config, IAKConfig(d_e=5, decoder_hidden=()))
         self._assert_equal(bank, ref)
