@@ -4,13 +4,16 @@ Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
 gradients. float64 throughout. An op whose output records a graph (some
 input requires a gradient) raises on a NaN/Inf in that output. A
-graph-free op, one over frozen parameters and plain data, builds no
-backward: each op a frozen forward runs (`linear`, `gate_mix`, `concat`,
+graph-free op, one over frozen parameters and plain data, runs only its
+arithmetic: each op a frozen forward runs (`linear`, `gate_mix`, `concat`,
 `gather_rows`, `add`, `mul`, `sigmoid`, `slice_cols`) checks its inputs,
 computes its value and returns it as a bare `Tensor` (`_graph_free`) before
-it builds a backward closure or a parents tuple. Its output is not checked:
-a frozen forward is checked once, on the scores it ends in (see
-`models.MultiTaskModel.predict_from_logits`).
+it builds a backward closure or a parents tuple. A graph-free `linear`
+applies its activation in place, since no backward keeps the
+pre-activation. Its output is not checked: a frozen forward is checked
+once, on the scores it ends in (see
+`models.MultiTaskModel.predict_from_logits`). In a graph, a dense layer
+whose bias is frozen computes no bias gradient.
 
 The ops are the ones the models and adapters run, and each is as coarse as
 its caller allows: a dense layer is one `linear` (or `segment_linear`)
@@ -283,13 +286,13 @@ def sigmoid(a) -> Tensor:
     return _make(y, (a,), backward, "sigmoid")
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
+def _leaky(z: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """Leaky ReLU, branch-free: bit for bit `np.where(z >= 0, z, slope * z)`,
     which holds for a slope in [0, 1] (a -0.0 slope would flip a zero's
-    sign)."""
+    sign). `out=z` applies it in place, where nothing keeps `z`."""
     if not 0.0 <= slope <= 1.0 or math.copysign(1.0, slope) < 0.0:
         raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
-    return np.maximum(z, slope * z)
+    return np.maximum(z, slope * z, out=out)
 
 
 def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
@@ -320,9 +323,9 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     if scale is not None:
         z *= scale
     z += bd
-    h = z if slope is None else _leaky(z, slope)
     if not (x.requires_grad or w.requires_grad or b.requires_grad):
-        return _graph_free(h)
+        # no backward reads z, so the activation overwrites it
+        return _graph_free(z if slope is None else _leaky(z, slope, out=z))
 
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
@@ -330,9 +333,10 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
             _accum_fresh(x, gh @ w.data.T)
         if w.requires_grad:
             _accum(w, x.data.T @ gh)
-        _accum(b, gz.sum(axis=0))
+        if b.requires_grad:
+            _accum(b, gz.sum(axis=0))
 
-    return _make(h, (x, w, b), backward, "linear")
+    return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "linear")
 
 
 def gate_mix(gate_logits, experts: Sequence) -> Tensor:
@@ -348,7 +352,12 @@ def gate_mix(gate_logits, experts: Sequence) -> Tensor:
     a = gate.data
     if a.ndim != 2 or a.shape[1] != len(parts) or any(p.data.shape[0] != a.shape[0] for p in parts):
         raise ShapeError(f"gate_mix needs (B, {len(parts)}) gate logits and (B, H) experts, got {gate.shape}")
-    e = np.exp(a - a.max(axis=1, keepdims=True))
+    # the row max as a fold over the columns: exact for any E, and far
+    # cheaper than numpy's reduction over a short axis
+    row_max = a[:, 0:1]
+    for k in range(1, a.shape[1]):
+        row_max = np.maximum(row_max, a[:, k : k + 1])
+    e = np.exp(a - row_max)
     w = e / e.sum(axis=1, keepdims=True)
     mixed = w[:, 0:1] * parts[0].data
     for k in range(1, len(parts)):
@@ -486,10 +495,11 @@ def segment_linear(x, w, b, offsets, slope: float | None = None, scale: float | 
             for k, (s, e) in enumerate(segs):
                 np.matmul(x.data[s:e].T, gh[s:e], out=gw[k])
             _accum_fresh(w, gw)
-        gb = np.empty(b.shape)
-        for k, (s, e) in enumerate(segs):
-            gz[s:e].sum(axis=0, out=gb[k])
-        _accum_fresh(b, gb)
+        if b.requires_grad:
+            gb = np.empty(b.shape)
+            for k, (s, e) in enumerate(segs):
+                gz[s:e].sum(axis=0, out=gb[k])
+            _accum_fresh(b, gb)
 
     return _make(z if slope is None else _leaky(z, slope), (x, w, b), backward, "segment_linear")
 

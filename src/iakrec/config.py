@@ -66,7 +66,8 @@ DEFAULTS: dict[str, tuple[str, str]] = {
     "router.lazy_activation": (
         "false",
         "apply only the selected adapter to the request's one backbone output, skipping the other "
-        "deployed adapters' MLPs; outputs are bitwise identical either way "
+        "deployed adapters' MLPs; either way only the served output is predicted and checked, so "
+        "every output line is identical "
         "(the key stays while the serving benchmark reads it to measure the eager path)",
     ),
     # evaluation / experiments

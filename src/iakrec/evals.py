@@ -221,7 +221,7 @@ class SplitPass:
         p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
         for start in range(0, len(rep), self.chunk):
             rows = slice(start, start + self.chunk)
-            pred = adapted_prediction(self.backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows]))
+            pred = adapted_prediction(self.backbone, adapter, Tensor(rep[rows]), Tensor(logits[rows])).prediction
             p_ctr[rows], p_ctcvr[rows] = pred.p_ctr.data[:, 0], pred.p_ctcvr.data[:, 0]
         return p_ctr, p_ctcvr
 

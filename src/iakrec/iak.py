@@ -11,8 +11,9 @@ means, or a reparameterised sample, one `ad.weight_sample` node per weight
 and bias, when a training step passes noise), the scaled affine map and
 leaky ReLU, then the decoder layers. Every layer is one dense-layer
 primitive, in one of two forms. A lone `IAKAdapter` passes `ad.linear` and
-only ever reads its posterior means: eval and serving score one adapter at
-a time (`adapted_prediction`). An `AdapterBank` passes `ad.segment_linear`
+only ever reads its posterior means: eval and serving correct a backbone
+output with one adapter at a time (`adapted_prediction`), whose prediction
+is built only when it is read. An `AdapterBank` passes `ad.segment_linear`
 over its stacked (K, ...) parameters: fine-tuning trains the adapters of a
 joint batch through one autodiff graph, rows grouped by adapter. The bank
 alone owns the training stage, the variational information bottleneck: it
@@ -46,7 +47,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import LEAKY_SLOPE, Linear, MultiTaskModel, Prediction, bce_loss, init_generator, restore_parameters
+from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, Prediction, bce_loss, init_generator,
+                     restore_parameters)
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -192,14 +194,16 @@ def adapted_prediction(
     adapter: IAKAdapter,
     representation: Tensor,
     base_logits: Tensor,
-) -> Prediction:
-    """Prediction from a backbone output corrected by an adapter: the (B,
-    n_heads) base logits plus the adapter's additive correction, with the
-    encoder's posterior means. Eval and serving score through it; a zero
-    correction reproduces the backbone bit-for-bit."""
+) -> ModelOutput:
+    """A backbone output corrected by an adapter: the (B, n_heads) base
+    logits plus the adapter's additive correction, with the encoder's
+    posterior means. Its prediction is built from those logits when it is
+    read (`models.ModelOutput`), so an eager router that corrects with every
+    deployed adapter builds only the served one. Eval and serving score
+    through it; a zero correction reproduces the backbone bit-for-bit."""
     _check_inputs(adapter, representation.shape, base_logits.shape)
     corr = adapter.correction(representation)
-    return backbone.predict_from_logits(ad.add(base_logits, corr))
+    return ModelOutput(ad.add(base_logits, corr), representation, backbone.predict_from_logits)
 
 
 def _check_inputs(adapter: IAKAdapter | AdapterBank, rep_shape: tuple[int, ...], logits_shape: tuple[int, ...]) -> None:

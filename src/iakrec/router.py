@@ -19,13 +19,16 @@ instead (`MultiTaskModel.predict_from_logits`): a non-finite score raises
 
 Every request runs the backbone once. In the default eager mode every
 deployed adapter then corrects that one output, so with K adapters deployed
-an eager request costs one graph-free backbone pass plus K adapter
-corrections, each ending in its own prediction (a sigmoid and two column
-views). The backbone's own prediction is built only when it is read
-(`models.ModelOutput`), that is for a zero-shot request alone. Lazy
-activation applies only the selected adapter, so it saves K-1 small adapter
-MLPs per request (all K for a zero-shot request). The outputs are bitwise
-identical.
+an eager request costs one graph-free backbone pass, K adapter corrections
+(each its dense layers and a logit add) and one prediction: the
+finiteness check, a sigmoid and two column views of the output it serves.
+A prediction is built only when it is read (`models.ModelOutput`, which
+`iak.adapted_prediction` returns too), so the served adapter's is built,
+or the backbone's for a zero-shot request. Lazy activation applies only the
+selected adapter, so it saves K-1 adapter corrections per request (all K
+for a zero-shot request). Since only the served output is checked, the two
+modes give identical outputs in every case, an adapter whose logits
+overflow included: it fails the requests it serves alone.
 """
 
 from __future__ import annotations
@@ -123,12 +126,10 @@ class DomainRouter:
         if self.lazy_activation:
             evaluated = [selected] if selected is not None else []
         else:
-            evaluated = list(self.adapters)
-        results = {
-            key: adapted_prediction(self.backbone, self.adapters[key], out.representation, out.logits)
-            for key in evaluated
-        }
-        pred = out.prediction if selected is None else results[selected]
+            evaluated = self.adapters
+        adapted = {key: adapted_prediction(self.backbone, self.adapters[key], out.representation, out.logits)
+                   for key in evaluated}
+        pred = (out if selected is None else adapted[selected]).prediction
         latency = (time.perf_counter_ns() - t0) // 1000
         return ScoreResponse(
             p_ctr=float(pred.p_ctr.data[0, 0]),

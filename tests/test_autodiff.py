@@ -100,6 +100,48 @@ def test_linear_equals_the_composed_chain_bitwise(slope, scale):
 
 @pytest.mark.parametrize("scale", [None, 0.2])
 @pytest.mark.parametrize("slope", [None, 0.01])
+def test_a_graph_free_linear_equals_the_graph_path_bitwise(slope, scale):
+    """A graph-free layer applies its activation in place over its
+    pre-activation; its values are the recording layer's, bit for bit, at
+    the kink and on signed zeros. (A bad slope raising on the graph-free
+    path: `test_leaky_slope_outside_unit_interval_is_rejected`.)"""
+    for seed in range(4):
+        x, w, b, _ = _linear_case(seed)
+        frozen = [ad.Parameter(a, n, trainable=False) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
+        free = ad.linear(*frozen, slope=slope, scale=scale)
+        assert free._parents == () and not free.requires_grad
+        recorded = ad.linear(ad.Parameter(x, "x"), *frozen[1:], slope=slope, scale=scale)
+        assert recorded.requires_grad and free.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
+@pytest.mark.parametrize("segmented", [False, True], ids=["linear", "segment_linear"])
+def test_a_frozen_bias_takes_no_gradient_and_leaves_x_and_w_theirs(segmented, slope, scale):
+    """A dense layer whose bias is frozen computes no bias gradient: the
+    bias's stays unset, and x and w take the bits they take beside a
+    trainable bias."""
+    x, w, b, upstream = _linear_case(5)
+    offsets = [0, 2, 2, 5]
+    if segmented:
+        w, b = np.stack([w, -w, 2 * w]), np.stack([b, -b, b])
+
+    def grads(bias_trainable):
+        xt, wt, bt = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(b, "b", trainable=bias_trainable)
+        if segmented:
+            out = ad.segment_linear(xt, wt, bt, offsets, slope=slope, scale=scale)
+        else:
+            out = ad.linear(xt, wt, bt, slope=slope, scale=scale)
+        ad.backward(ad.reduce_sum(ad.mul(out, upstream)))
+        return [out.data.tobytes(), xt.grad.tobytes(), wt.grad.tobytes()], bt
+
+    trained, _ = grads(True)
+    frozen, bias = grads(False)
+    assert frozen == trained and bias._grad_unset()
+
+
+@pytest.mark.parametrize("scale", [None, 0.2])
+@pytest.mark.parametrize("slope", [None, 0.01])
 def test_segment_linear_equals_the_composed_chain_bitwise(slope, scale):
     x, _, _, upstream = _linear_case(3)
     rng = np.random.default_rng(8)

@@ -631,7 +631,7 @@ def test_restored_adapter_scores_record_no_graph(tmp_path):
     (adapter,) = adapters.values()
     rng = np.random.default_rng(0)
     rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))
-    pred = adapted_prediction(model, adapter, rep, logits)
+    pred = adapted_prediction(model, adapter, rep, logits).prediction
     assert [p._parents for p in (pred.p_ctr, pred.p_ctcvr)] == [(), ()]
 
 

@@ -110,7 +110,7 @@ def _step(backbone, bank, batch, lr, beta):
 def _adapted(backbone, adapter, batch):
     """Adapted prediction (posterior means) of one backbone pass over `batch`."""
     out = backbone.forward_full(batch)
-    return adapted_prediction(backbone, adapter, out.representation, out.logits)
+    return adapted_prediction(backbone, adapter, out.representation, out.logits).prediction
 
 
 def _batch(n=8, seed=0, period=1):

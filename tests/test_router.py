@@ -83,7 +83,8 @@ class TestRouteScore:
         resp = router.score(req)
         assert resp.served_by == "period=1"
         out = router.backbone.forward_full(encode_request(req, SPACE))
-        pred = adapted_prediction(router.backbone, router.adapters["period=1"], out.representation, out.logits)
+        adapter = router.adapters["period=1"]
+        pred = adapted_prediction(router.backbone, adapter, out.representation, out.logits).prediction
         assert resp.p_ctr == float(pred.p_ctr.data[0, 0])
         assert resp.p_ctcvr == float(pred.p_ctcvr.data[0, 0])
 
@@ -235,6 +236,31 @@ class TestOneBackbonePass:
             assert (eager.p_ctr.hex(), eager.p_ctcvr.hex()) == (lazy.p_ctr.hex(), lazy.p_ctcvr.hex())
         assert [responses[False, n].served_by for n in self.REQUESTS] == ["period=1", "zero_shot", "period=0"]
 
+    def test_eager_corrects_with_every_adapter_and_lazy_with_the_served_one_at_most(self, monkeypatch):
+        """Eager serving still runs all K deployed adapters' corrections per
+        request, though it predicts only the served output; lazy runs the
+        served adapter's alone, and none for a zero-shot request."""
+        backbone = _backbone()
+        adapters = {f"period={p}": _adapter(backbone, p, seed=p + 1, nudge=0.05 * (p + 1)) for p in (0, 1)}
+        corrected = []
+        correction = IAKAdapter.correction
+
+        def counted(self, representation):
+            corrected.append(self)
+            return correction(self, representation)
+
+        monkeypatch.setattr(IAKAdapter, "correction", counted)
+        for lazy in (False, True):
+            router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+            for name, req in self.REQUESTS.items():
+                corrected.clear()
+                resp = router.score(req)
+                if not lazy:
+                    want = list(adapters.values())
+                else:
+                    want = [] if resp.served_by == "zero_shot" else [adapters[resp.served_by]]
+                assert corrected == want, (lazy, name)
+
 
 class TestFrozenAdapters:
     """The router freezes the adapters it deploys, so a score records no
@@ -267,9 +293,10 @@ class TestFrozenAdapters:
             for name, req in self.REQUESTS.items():
                 built.clear()
                 resp = router.score(req)
-                n_adapted = len(adapters) if not lazy else int(resp.served_by != "zero_shot")
-                # the zero-shot prediction is built only when it is served
-                assert len(built) == n_adapted + (resp.served_by == "zero_shot"), (lazy, name)
+                # one prediction in either mode: the served adapter's, or the zero-shot one
+                assert len(built) == 1, (lazy, name)
+                assert (float(built[0].p_ctr.data[0, 0]), float(built[0].p_ctcvr.data[0, 0])) == (
+                    resp.p_ctr, resp.p_ctcvr), (lazy, name)
                 for pred in built:
                     for t in (pred.p_ctr, pred.p_ctcvr, pred.p_cvr):
                         assert t is None or (t._parents == () and not t.requires_grad), (lazy, name)
@@ -277,7 +304,8 @@ class TestFrozenAdapters:
                 out = backbone.forward_full(encode_request(req, SPACE))
                 want = out.prediction
                 if resp.served_by != "zero_shot":
-                    want = adapted_prediction(backbone, twins[resp.served_by], out.representation, out.logits)
+                    twin = twins[resp.served_by]
+                    want = adapted_prediction(backbone, twin, out.representation, out.logits).prediction
                     assert want.p_ctr._parents != ()  # the twin still records its graph
                 assert (resp.p_ctr.hex(), resp.p_ctcvr.hex()) == (
                     float(want.p_ctr.data[0, 0]).hex(), float(want.p_ctcvr.data[0, 0]).hex()), (lazy, name)
@@ -441,6 +469,33 @@ class TestNonFiniteScores:
         first, second, third = (json.loads(l) for l in out.getvalue().splitlines())
         assert first == {"error": self.NON_FINITE, "line": 1} and third == {"error": self.NON_FINITE, "line": 3}
         assert second["served_by"] == "period=0" and np.isfinite([second["p_ctr"], second["p_ctcvr"]]).all()
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_an_overflowing_adapter_fails_only_the_requests_it_serves(self, lazy):
+        """An adapter whose weights are finite, so they pass restore's check,
+        but whose logits overflow answers the requests it serves with an
+        error line, in both modes; a request another adapter serves gets
+        the score it got before, although eager still runs the overflowing
+        correction. `serve` runs here as the CLI runs it, with numpy's
+        overflow warnings off."""
+        backbone = _backbone()
+        adapters = {"period=0": _adapter(backbone, 0, seed=1, nudge=0.05),
+                    "period=1": _adapter(backbone, 1, seed=2, nudge=-0.08)}
+        router = DomainRouter(backbone, adapters, lazy_activation=lazy)
+
+        def answers():
+            out = io.StringIO()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert serve(router, self._lines((3, 1), (3, 0), (3, 2)), out) == 0
+            return [{k: v for k, v in json.loads(l).items() if k != "latency_micros"}
+                    for l in out.getvalue().splitlines()]
+
+        before = answers()
+        adapters["period=0"].decoder_out.w.data[:] = 1e308
+        served, failed, zero_shot = answers()
+        assert served == before[0] and served["served_by"] == "period=1"
+        assert failed == {"error": self.NON_FINITE, "line": 2}
+        assert zero_shot == before[2] and zero_shot["served_by"] == "zero_shot"
 
 
 class TestCheckpointRoundTrip:
