@@ -264,13 +264,16 @@ def report_from_scores(
 def encoder_channel_outputs(adapter: IAKAdapter, rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Encoder outputs with a fresh weight sample per record: the stochastic
     channel whose input-output mutual information the compression diagnostic
-    tracks. It is `iak.encoder_stage` on `ad.segment_linear`, one segment
-    and one weight sample per record."""
+    tracks. Each record's sample is one `ad.weight_sample` draw (every
+    weight sample from `rng`, then every bias sample), and the channel is
+    `iak.encoder_stage` on `ad.segment_linear`, one segment and one weight
+    sample per record."""
     vl = adapter.encoder
     b = len(rep)
-    noise = rng.standard_normal((b, *vl.mu_w.shape)), rng.standard_normal((b, *vl.mu_b.shape))
+    w = ad.weight_sample(vl.mu_w, vl.rho_w, rng.standard_normal((b, *vl.mu_w.shape)))
+    bias = ad.weight_sample(vl.mu_b, vl.rho_b, rng.standard_normal((b, *vl.mu_b.shape)))
     per_record = np.arange(b + 1)
-    return encoder_stage(Tensor(rep), vl.parameters(), vl.scale, partial(ad.segment_linear, offsets=per_record), noise).data
+    return encoder_stage(Tensor(rep), w, bias, vl.scale, partial(ad.segment_linear, offsets=per_record)).data
 
 
 def encoder_mi(

@@ -6,23 +6,26 @@ standard-normal prior, and decodes additive per-task logit corrections. A
 zero decoder output reproduces the backbone exactly, which is also the
 initial state.
 
-`adapter_graph` is the one adapter forward: encoder weights (the posterior
-means, or a reparameterised sample, one `ad.weight_sample` node per weight
-and bias, when a training step passes noise), the scaled affine map and
-leaky ReLU, then the decoder layers. Every layer is one dense-layer
-primitive, in one of two forms. A lone `IAKAdapter` passes `ad.linear` and
-only ever reads its posterior means: eval and serving correct a backbone
-output with one adapter at a time (`adapted_prediction`), whose prediction
-is built only when it is read. An `AdapterBank` passes `ad.segment_linear`
-over its stacked (K, ...) parameters: fine-tuning trains the adapters of a
-joint batch through one autodiff graph, rows grouped by adapter. The bank
-alone owns the training stage, the variational information bottleneck: it
-draws each stepped adapter's weight sample (`draw_noise`) and builds the
-encoder KL (`encoder_kl`) and the loss (`ib_loss`). The segment form
+`adapter_graph` is the one adapter forward, shared by fine-tuning, eval
+and serving. It reads its rows and the weights it is given: the encoder's
+weight and bias (`encoder_stage`, the scaled affine map and leaky ReLU),
+then each decoder layer's. Every layer is one dense-layer primitive, in one
+of two forms. A lone `IAKAdapter` passes `ad.linear` and its encoder's
+posterior means: eval and serving correct a backbone output with one
+adapter at a time (`adapted_prediction`), whose prediction is built only
+when it is read. An `AdapterBank` passes `ad.segment_linear` over its
+stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
+batch through one autodiff graph, rows grouped by adapter. The segment form
 repeats, per adapter, the numpy calls of the one-adapter graph, so every
-adapter trains exactly as it would alone. Its first stage, `encoder_stage`,
-is also the channel of the MI diagnostic (`evals.encoder_channel_outputs`),
-which runs it on `ad.segment_linear` with one weight sample per record.
+adapter trains exactly as it would alone.
+
+The bank alone owns the training stage, the knowledge compression that the
+variational information bottleneck approximates: `AdapterBank.sample` draws
+each stepped adapter's encoder weight sample, `AdapterBank.encoder_kl`
+builds the encoder KL from the same softplus of rho, and
+`adapter_step_cached` writes the loss. `encoder_stage` is also the channel
+of the MI diagnostic (`evals.encoder_channel_outputs`), which runs it on
+`ad.segment_linear` with one weight sample per record.
 
 An `AdapterBank` lays its K adapters out as the K rows of one
 `ad.AdagradDecay` arena, and a bank step is one `ad.adagrad_decay_step`,
@@ -47,7 +50,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, Prediction, bce_loss, init_generator,
+from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, bce_loss, init_generator,
                      restore_parameters)
 
 # rho value at which softplus(rho) equals the initial posterior scale
@@ -58,7 +61,6 @@ _INIT_RHO = math.log(math.expm1(INIT_SIGMA))
 # scoring): its (chunk, width) temporaries then stay inside a 2 MB L2 cache
 FROZEN_CHUNK = 1024
 
-Noise = tuple[np.ndarray, np.ndarray]  # standard-normal draws of encoder weights, then bias
 # `ad.softplus_parts` of the encoder's rho_w, then of its rho_b
 Softplus = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -100,33 +102,23 @@ class VariationalLinear:
         return [self.mu_w, self.mu_b, self.rho_w, self.rho_b]
 
 
-def encoder_stage(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
-                  noise: Noise | None = None, softplus: Softplus | None = None) -> Tensor:
+def encoder_stage(x: Tensor, w: Tensor, b: Tensor, scale: float, linear: Callable[..., Tensor]) -> Tensor:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
-    + b. `params` are mu_w, mu_b, rho_w and rho_b. The weights are the
-    posterior means, or w = mu + softplus(rho) * noise when `noise` (weights,
-    bias) is given, so gradients reach both mu and rho; `softplus` holds
-    `ad.softplus_parts` of rho_w and rho_b when the caller shares them with
-    the KL term. `linear` is the dense-layer primitive, plain or segment
-    (see `adapter_graph`)."""
-    mu_w, mu_b, rho_w, rho_b = params
-    w, b = mu_w, mu_b
-    if noise is not None:
-        sp_w, sp_b = (None, None) if softplus is None else softplus
-        w, b = ad.weight_sample(mu_w, rho_w, noise[0], sp_w), ad.weight_sample(mu_b, rho_b, noise[1], sp_b)
+    + b, with the encoder weight `w` and bias `b` as given (posterior means,
+    or a weight sample). `linear` is the dense-layer primitive, plain or
+    segment (see `adapter_graph`)."""
     return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
-def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor],
-                  noise: Noise | None = None, softplus: Softplus | None = None) -> Tensor:
+def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor]) -> Tensor:
     """The adapter forward: per-task logit corrections of the rows `x`.
 
-    `params` are the encoder's four (see `encoder_stage`) followed by each
-    decoder layer's weight and bias; one weight sample `noise` serves every
-    row. `linear` is the dense-layer primitive: `ad.linear` for one adapter,
-    `ad.segment_linear` bound to its offsets for a bank."""
-    x = encoder_stage(x, params[:4], scale, linear, noise, softplus)
-    decoder = params[4:]
+    `params` are the encoder's weight and bias (see `encoder_stage`)
+    followed by each decoder layer's weight and bias. `linear` is the
+    dense-layer primitive: `ad.linear` for one adapter, `ad.segment_linear`
+    bound to its offsets for a bank."""
+    x = encoder_stage(x, params[0], params[1], scale, linear)
+    decoder = params[2:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
         x = linear(x, w_l, b_l, slope=LEAKY_SLOPE)
     return linear(x, decoder[-2], decoder[-1])
@@ -163,10 +155,12 @@ class IAKAdapter:
         ]
         # scale 0 draws an all-zero layer, so fine-tuning starts at the backbone
         self.decoder_out = Linear(dims[-1], n_tasks, f"{name}/dec_out", init_rng, scale=0.0)
-        # the parameters in `adapter_graph` order, built once: a bank or a
-        # restore replaces their arrays, never the parameters themselves
+        # the parameters, encoder first, built once: a bank or a restore
+        # replaces their arrays, never the parameters themselves
         self._params = (*self.encoder.parameters(), *(p for layer in self.decoder_hidden for p in layer.parameters()),
                         *self.decoder_out.parameters())
+        # the `adapter_graph` weights: the encoder's posterior means, then the decoder
+        self._means = (*self._params[:2], *self._params[4:])
 
     def parameters(self) -> list[Parameter]:
         return list(self._params)
@@ -186,7 +180,7 @@ class IAKAdapter:
     def correction(self, representation: Tensor) -> Tensor:
         """Per-task logit corrections, (B, n_tasks), with the encoder's
         posterior means."""
-        return adapter_graph(representation, self._params, self.encoder.scale, ad.linear)
+        return adapter_graph(representation, self._means, self.encoder.scale, ad.linear)
 
 
 def adapted_prediction(
@@ -211,29 +205,6 @@ def _check_inputs(adapter: IAKAdapter | AdapterBank, rep_shape: tuple[int, ...],
         raise AdapterError(f"representation width {rep_shape[1]} != adapter rep_dim {adapter.rep_dim}")
     if logits_shape[1] != adapter.n_tasks:
         raise AdapterError("adapter task count does not match backbone heads")
-
-
-def ib_loss(
-    prediction: Prediction,
-    click: np.ndarray,
-    purchase: np.ndarray,
-    bank: AdapterBank,
-    segs: ad.Segments,
-    softplus: Softplus,
-    beta: float,
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> Tensor:
-    """(K,) loss of a bank step, one entry per adapter: the task
-    cross-entropy over the adapter's rows (`segs` group the rows by adapter)
-    plus beta times the per-weight average KL of its encoder posterior to the
-    standard-normal prior. One `ad.clipped_bce` node per task and one
-    `ad.gaussian_kl` node per encoder parameter pair, which read the
-    `ad.softplus_parts` of the stacked rho_w and rho_b that the step's weight
-    sample computed."""
-    loss = bce_loss(prediction, click, purchase, weights, segs)
-    if beta > 0:
-        loss = ad.add(loss, ad.mul(bank.encoder_kl(softplus), beta / bank.n_encoder_entries))
-    return loss
 
 
 def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
@@ -298,27 +269,22 @@ class AdapterBank:
                 p.data = data
         self._per_adapter = ad.Segments(np.arange(len(self.adapters) + 1), len(self.adapters))  # one per slab
 
-    def draw_noise(self, adapters: np.ndarray) -> Noise:
-        """Stacked encoder noise: each listed adapter, in bank order, draws
-        one weight sample from its own `sample_rng`, its weights and then its
-        bias, straight into its slab; every other adapter gets zeros and
-        draws nothing."""
-        eps_w = np.zeros(self.params[0].shape)
-        eps_b = np.zeros(self.params[1].shape)
-        for k in adapters:
+    def sample(self, stepped: np.ndarray) -> tuple[Tensor, Tensor, Softplus]:
+        """A step's encoder weight sample, mu + softplus(rho) * noise: one
+        `ad.weight_sample` node over the stacked weights and one over the
+        biases. Each listed adapter, in bank order, draws its noise from its
+        own `sample_rng`, weights then bias, straight into its slab; every
+        other adapter gets zero noise and draws nothing. Also returns the
+        `ad.softplus_parts` of rho_w and rho_b, which `encoder_kl` shares."""
+        mu_w, mu_b, rho_w, rho_b = self.params[:4]
+        eps_w = np.zeros(mu_w.shape)
+        eps_b = np.zeros(mu_b.shape)
+        for k in stepped:
             rng = self.adapters[k].sample_rng
             rng.standard_normal(out=eps_w[k])
             rng.standard_normal(out=eps_b[k])
-        return eps_w, eps_b
-
-    def correction(self, representation: Tensor, offsets: np.ndarray | ad.Segments, noise: Noise,
-                   softplus: Softplus | None = None) -> Tensor:
-        """(B, n_tasks) corrections of rows grouped by adapter, rows
-        offsets[k]:offsets[k + 1] through adapter k, with the stacked
-        encoder noise of `draw_noise` (and the softplus parts its KL term
-        shares, see `encoder_stage`)."""
-        return adapter_graph(representation, self.params, self.scale, partial(ad.segment_linear, offsets=offsets),
-                             noise, softplus)
+        sp_w, sp_b = ad.softplus_parts(rho_w.data), ad.softplus_parts(rho_b.data)
+        return ad.weight_sample(mu_w, rho_w, eps_w, sp_w), ad.weight_sample(mu_b, rho_b, eps_b, sp_b), (sp_w, sp_b)
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
@@ -336,7 +302,8 @@ class AdapterBank:
     def encoder_kl(self, softplus: Softplus) -> Tensor:
         """(K,) KL(N(mu, sigma^2) || N(0,1)) of each adapter's encoder entries,
         sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
-        one over the bias, reading their `softplus` parts. Always >= 0."""
+        one over the bias, reading the `softplus` parts of the step's weight
+        sample (`sample`). Always >= 0."""
         mu_w, mu_b, rho_w, rho_b = self.params[:4]
         return ad.add(ad.gaussian_kl(mu_w, rho_w, self._per_adapter, softplus[0]),
                       ad.gaussian_kl(mu_b, rho_b, self._per_adapter, softplus[1]))
@@ -354,8 +321,11 @@ def adapter_step_cached(
     beta: float,
 ) -> dict[int, tuple[float, float]]:
     """One optimizer step of a bank's adapters from cached backbone outputs,
-    through one autodiff graph, on the task loss weighted by the backbone's
-    `loss_weights`. The rows are grouped by adapter: rows
+    through one autodiff graph, on the information-bottleneck loss: each
+    adapter's task cross-entropy over its rows, weighted by the backbone's
+    `loss_weights`, plus beta times the per-weight average KL of its encoder
+    posterior (`encoder_kl`, built only when beta > 0), the encoder weights
+    a sample (`AdapterBank.sample`). The rows are grouped by adapter: rows
     offsets[k]:offsets[k + 1] are adapter k's, and adapter k steps at rate
     lr[k]. An adapter with no rows or a zero rate draws no noise, does not
     step, and its Adagrad state does not decay. Returns (loss, gradient L2
@@ -365,13 +335,13 @@ def adapter_step_cached(
         raise AdapterError("learning rates must be >= 0")
     segs = ad.Segments(offsets, len(rep))  # parsed once for every segment op of the step
     stepped = np.flatnonzero((segs.counts > 0) & (lr > 0))
-    noise = bank.draw_noise(stepped)
-    # the weight sample and the KL term read one softplus of rho_w and rho_b
-    softplus = tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4])
+    w, b, softplus = bank.sample(stepped)
     ad.zero_grads(bank.params)
-    corr = bank.correction(Tensor(rep), segs, noise, softplus)
+    corr = adapter_graph(Tensor(rep), (w, b, *bank.params[4:]), bank.scale, partial(ad.segment_linear, offsets=segs))
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
-    loss = ib_loss(pred, click, purchase, bank, segs, softplus, beta, backbone.config.loss_weights)
+    loss = bce_loss(pred, click, purchase, backbone.config.loss_weights, segs)
+    if beta > 0:
+        loss = ad.add(loss, ad.mul(bank.encoder_kl(softplus), beta / bank.n_encoder_entries))
     ad.backward(ad.reduce_sum(loss))
     gnorms = bank.apply_gradients(stepped, lr)
     return {int(k): (float(loss.data[k]), float(gnorm)) for k, gnorm in zip(stepped, gnorms)}

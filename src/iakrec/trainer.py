@@ -38,9 +38,9 @@ class TrainConfig:
     """The training settings, checked when built. `finetune_domains` is the
     fine-tune selector list, checked without the data: a bad entry raises
     DatasetError, and a mixing key that no entry can select (neither an
-    explicit key nor of a topic a `topic=*` entry expands) raises
-    TrainerError naming it, as does an empty list. `finetune_all` takes the
-    list expanded over the data (`datagen.expand_domain_selectors`)."""
+    explicit key nor a one-topic key of a topic a `topic=*` entry expands)
+    raises TrainerError naming it, as does an empty list. `finetune_all`
+    takes the list expanded over the data (`datagen.expand_domain_selectors`)."""
 
     batch_size: int = 1024
     epochs: int = 1
@@ -84,7 +84,8 @@ class TrainConfig:
         if not self.finetune_domains:
             raise TrainerError("train.finetune_domains names no domain")
         selectable = {e if isinstance(e, str) else domain_key(e) for e in parse_domain_selectors(self.finetune_domains)}
-        if outside := sorted(k for k in self.mixing if k not in selectable and k.partition("=")[0] not in selectable):
+        if outside := sorted(k for k in self.mixing
+                             if k not in selectable and ("," in k or k.partition("=")[0] not in selectable)):
             raise TrainerError(f"mixing references domains outside train.finetune_domains: {outside}")
 
 

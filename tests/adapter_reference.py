@@ -6,9 +6,10 @@ them.
 
 The package trains adapters only as a bank (`iak.AdapterBank`), and a lone
 `iak.IAKAdapter` scores only with its posterior means. The one-adapter
-training forms live here: the weight sample (`lone_noise`), the sampled
-correction (`lone_correction`), the encoder KL (`lone_encoder_kl`) and the
-information-bottleneck loss (`lone_ib_loss`)."""
+training forms live here: the noise of a weight sample (`lone_noise`), the
+correction with the weights `ad.weight_sample` draws from it
+(`lone_correction`, through the shared `iak.adapter_graph`), the encoder KL
+(`lone_encoder_kl`) and the information-bottleneck loss (`lone_ib_loss`)."""
 
 from __future__ import annotations
 
@@ -31,9 +32,12 @@ def lone_noise(adapter, rng):
 
 
 def lone_correction(adapter, representation, noise) -> Tensor:
-    """(B, n_tasks) corrections of one adapter with one weight sample `noise`
-    (weights, bias) for the whole batch: `iak.adapter_graph` on `ad.linear`."""
-    return adapter_graph(representation, adapter.parameters(), adapter.encoder.scale, ad.linear, noise)
+    """(B, n_tasks) corrections of one adapter with one weight sample for the
+    whole batch, drawn by `ad.weight_sample` from `noise` (weights, bias):
+    `iak.adapter_graph` on `ad.linear`."""
+    enc = adapter.encoder
+    w, b = ad.weight_sample(enc.mu_w, enc.rho_w, noise[0]), ad.weight_sample(enc.mu_b, enc.rho_b, noise[1])
+    return adapter_graph(representation, (w, b, *adapter.parameters()[4:]), enc.scale, ad.linear)
 
 
 def lone_encoder_kl(adapter) -> Tensor:

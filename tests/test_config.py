@@ -78,6 +78,18 @@ def test_a_mixing_key_outside_the_finetune_domains_is_rejected_when_built():
     assert TrainConfig(mixing={"scene=0": 1.0}, finetune_domains=("scene=*",)).mixing == {"scene=0": 1.0}
 
 
+def test_a_topic_entry_selects_no_key_of_two_topics():
+    """`period=*` expands to one-period selectors only, so it can never
+    select `period=0,scene=1`: that key is rejected when the config is built,
+    not after the data and the backbone are loaded. An explicit entry of the
+    key admits it."""
+    message = "mixing references domains outside train.finetune_domains: ['period=0,scene=1']"
+    with pytest.raises(TrainerError, match=f"^{re.escape(message)}$"):
+        TrainConfig(mixing={"period=0,scene=1": 1.0}, finetune_domains=("period=*",))
+    admitted = TrainConfig(mixing={"period=0,scene=1": 1.0}, finetune_domains=("period=*", "period=0,scene=1"))
+    assert admitted.mixing == {"period=0,scene=1": 1.0}
+
+
 def test_a_built_sections_nested_settings_cannot_be_changed():
     """`TrainConfig.mixing` and `GeneratorConfig.domains` hold read-only
     copies, so what the check read is what a run reads: the mapping, a shift

@@ -16,11 +16,11 @@ from iakrec.iak import (
     INIT_SIGMA,
     VariationalLinear,
     adapted_prediction,
+    adapter_graph,
     adapter_step_cached,
     backbone_cache,
-    ib_loss,
 )
-from iakrec.models import FeatureSpace, ModelConfig, Prediction, bce_loss, build_model, encode_records
+from iakrec.models import FeatureSpace, ModelConfig, bce_loss, build_model, encode_records
 from iakrec.trainer import TrainConfig, finetune_all, model_digest
 from iakrec.datagen import Dataset, InteractionRecord
 
@@ -85,12 +85,24 @@ def _softplus(bank):
     return tuple(ad.softplus_parts(rho.data) for rho in bank.params[2:4])
 
 
-def _one_adapter_loss(pred, click, purchase, adapter, beta, weights=(1.0, 1.0)):
-    """`ib_loss` of a one-adapter bank over every row, offsets [0, n]: its
-    one entry."""
-    bank = _bank(adapter)
-    segs = ad.Segments([0, len(click)], len(click))
-    return ib_loss(pred, click, purchase, bank, segs, _softplus(bank), beta, weights)
+def _step_loss(backbone, adapter, base_logits, click, purchase, beta):
+    """The loss `adapter_step_cached` writes for a one-adapter bank over rows
+    whose cached backbone logits are `base_logits`. The adapter's decoder is
+    at its zero start, so the step's prediction is the backbone's of those
+    logits, whatever the weight sample."""
+    rep = np.zeros((len(click), backbone.rep_dim))
+    loss, _ = _bank_step(backbone, _bank(adapter), rep, np.asarray(base_logits), click, purchase, 0.01, beta)
+    return loss
+
+
+def _bank_forward(bank, rep, offsets, stepped):
+    """(B, n_tasks) corrections of rows grouped by adapter, rows
+    offsets[k]:offsets[k + 1] through adapter k, with the bank's weight
+    sample of the `stepped` adapters, as a bank step runs them; also the
+    sample's softplus parts."""
+    w, b, softplus = bank.sample(stepped)
+    linear = functools.partial(ad.segment_linear, offsets=offsets)
+    return adapter_graph(rep, (w, b, *bank.params[4:]), bank.scale, linear), softplus
 
 
 def _bank_step(backbone, bank, rep, base, click, purchase, lr, beta):
@@ -139,7 +151,7 @@ class TestEncoderSample:
         assert sampled.data.tobytes() == adapter.correction(rep).data.tobytes()
 
     def test_means_correction_reads_mu_exactly(self):
-        # with no noise the graph reads mu_w and mu_b as they are and never rho:
+        # the means forward is given mu_w and mu_b as they are and never reads rho:
         # a NaN rho leaves the correction bitwise equal to the hand-built one
         adapter = IAKAdapter(3, 2, IAKConfig(d_e=2, decoder_hidden=()), {"period": 1}, seed=1)
         adapter.decoder_out.w.data[:] = np.eye(2)
@@ -282,15 +294,16 @@ class TestIBLoss:
         backbone = _backbone()
         adapter = _adapter(backbone)
         batch = _batch()
-        pred = _adapted(backbone, adapter, batch)
-        plain = bce_loss(pred, batch.click, batch.purchase)
-        (combined,) = _one_adapter_loss(pred, batch.click, batch.purchase, adapter, beta=0.0).data
-        assert float(combined) == float(plain.data)
+        plain = bce_loss(_adapted(backbone, adapter, batch), batch.click, batch.purchase)
+        _, base = backbone_cache(backbone, batch)
+        combined = _step_loss(backbone, adapter, base, batch.click, batch.purchase, beta=0.0)
+        assert combined == float(plain.data)
 
     def test_perfect_prediction_at_prior_vanishes(self):
         click = np.array([1.0, 0.0])
         purchase = np.array([0.0, 0.0])
-        pred = Prediction(p_ctr=ad.Tensor(click.reshape(-1, 1)), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
+        # logits of +-40 round the predictions to the labels: sigmoid(40) is 1.0
+        base_logits = np.where(np.stack([click, purchase], axis=1) > 0, 40.0, -40.0)
         backbone = _backbone()
         adapter = _adapter(backbone, d_e=2)
         vl = adapter.encoder
@@ -298,23 +311,23 @@ class TestIBLoss:
         vl.mu_b.data[:] = 0.0
         vl.rho_w.data[:] = math.log(math.expm1(1.0))
         vl.rho_b.data[:] = math.log(math.expm1(1.0))
-        (loss,) = _one_adapter_loss(pred, click, purchase, adapter, beta=1.0).data
-        assert float(loss) <= 1e-11
+        loss = _step_loss(backbone, adapter, base_logits, click, purchase, beta=1.0)
+        assert loss <= 1e-11
 
     def test_hand_composed_value(self):
         # every encoder entry at per-entry KL 0.5 (mu=1, sigma=1), bce = ln 2
         click = np.array([1.0, 0.0])
         purchase = np.array([0.0, 0.0])
-        pred = Prediction(p_ctr=ad.Tensor([[0.5], [0.5]]), p_ctcvr=ad.Tensor(purchase.reshape(-1, 1)))
-        backbone = _backbone()
+        backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5), loss_weights=(1.0, 0.0)), SPACE, seed=0)
+        backbone.set_trainable(False)
         adapter = _adapter(backbone, d_e=3)
         vl = adapter.encoder
         vl.mu_w.data[:] = 1.0
         vl.mu_b.data[:] = 1.0
         vl.rho_w.data[:] = math.log(math.expm1(1.0))
         vl.rho_b.data[:] = math.log(math.expm1(1.0))
-        (loss,) = _one_adapter_loss(pred, click, purchase, adapter, beta=1.0, weights=(1.0, 0.0)).data
-        assert float(loss) == pytest.approx(math.log(2) + 0.5, rel=1e-12)
+        loss = _step_loss(backbone, adapter, np.zeros((2, 2)), click, purchase, beta=1.0)  # p_ctr = 0.5
+        assert loss == pytest.approx(math.log(2) + 0.5, rel=1e-12)
 
     def test_gradients_through_reparameterized_sample(self):
         # the bank's loss of one adapter's rows, with one weight sample fixed
@@ -327,13 +340,13 @@ class TestIBLoss:
         base_logits = ad.Tensor(out.logits.data)
         params = bank.params
         segs = ad.Segments([0, 5], 5)
-        bank.adapters[0].sample_rng = np.random.default_rng(77)
-        noise = bank.draw_noise(np.arange(1))
 
         def loss_fn():
-            softplus = _softplus(bank)
-            pred = backbone.predict_from_logits(ad.add(base_logits, bank.correction(rep, segs, noise, softplus)))
-            return ad.reduce_sum(ib_loss(pred, batch.click, batch.purchase, bank, segs, softplus, beta=0.01))
+            bank.adapters[0].sample_rng = np.random.default_rng(77)  # the same weight sample every evaluation
+            corr, softplus = _bank_forward(bank, rep, segs, np.arange(1))
+            pred = backbone.predict_from_logits(ad.add(base_logits, corr))
+            kl = ad.mul(bank.encoder_kl(softplus), 0.01 / bank.n_encoder_entries)
+            return ad.reduce_sum(ad.add(bce_loss(pred, batch.click, batch.purchase, offsets=segs), kl))
 
         ad.zero_grads(params)
         ad.backward(loss_fn())
@@ -426,6 +439,36 @@ class TestFinetuneStep:
 
         assert run() == run()
 
+    def test_the_sample_and_the_kl_share_one_softplus_of_each_rho(self, monkeypatch):
+        backbone = _backbone(seed=5)
+        bank = _bank(_adapter(backbone, seed=6), _adapter(backbone, seed=7, period=2))
+        batch = _batch(seed=7)
+        rep, base = backbone_cache(backbone, batch)
+        calls = []
+        softplus_parts = ad.softplus_parts
+        monkeypatch.setattr(ad, "softplus_parts", lambda rho: calls.append(rho.shape) or softplus_parts(rho))
+        adapter_step_cached(backbone, bank, rep, base, batch.click, batch.purchase, np.array([0, 3, 8]),
+                            np.array([0.02, 0.03]), 1e-2)
+        assert calls == [bank.params[2].shape, bank.params[3].shape]
+
+    def test_a_step_at_beta_zero_builds_no_kl(self, monkeypatch):
+        # softplus(-750) is 0.0 in float64, so this adapter's KL is infinite:
+        # at beta 0 the step never builds it and runs; at beta > 0 it raises
+        backbone = _backbone()
+        adapter = _adapter(backbone)
+        adapter.encoder.rho_b.data[1] = -750.0
+        bank = _bank(adapter)
+        batch = _batch()
+        rep, base = backbone_cache(backbone, batch)
+        kls = []
+        gaussian_kl = ad.gaussian_kl
+        monkeypatch.setattr(ad, "gaussian_kl", lambda *a: kls.append(a[1].name) or gaussian_kl(*a))
+        loss, _ = _bank_step(backbone, bank, rep, base, batch.click, batch.purchase, 0.02, 0.0)
+        assert math.isfinite(loss) and kls == []
+        with pytest.raises(ad.NonFiniteError, match="output of gaussian_kl"):
+            _bank_step(backbone, bank, rep, base, batch.click, batch.purchase, 0.02, 1e-3)
+        assert kls == ["bank/enc0.rho_w", "bank/enc0.rho_b"]
+
 
 def _rng_state(adapter):
     return adapter.sample_rng.bit_generator.state
@@ -500,7 +543,7 @@ class TestAdapterBank:
         bank = _bank(*adapters)
         for a in adapters:
             a.sample_rng = np.random.default_rng(a.seed)
-        got = bank.correction(ad.Tensor(rep), offsets, bank.draw_noise(np.arange(3))).data
+        got = _bank_forward(bank, ad.Tensor(rep), offsets, np.arange(3))[0].data
         assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_skipped_adapter_neither_steps_nor_decays(self):

@@ -5,11 +5,13 @@ No code in `src/iakrec` is kept alive by the tests alone: every public
 function, method and class is referenced by the package or the benchmark. Named
 arrays go to disk in one format, the checkpoint container: no module calls
 numpy's own `savez` or `load`. Tables go to disk through one writer,
-`evals.write_csv`: no other module imports `csv`. Only the adapter graph, its
-encoder stage and the bank's correction take a weight sample: a lone adapter
-scores with its posterior means. A setting is checked where its section
-config is built: no module defines or calls a `validate`, and every `*Config`
-dataclass and `FeatureSpace` is frozen, so a built section stays checked."""
+`evals.write_csv`: no other module imports `csv`. No function takes weight
+noise: the adapter forward reads the weights it is given, a lone adapter its
+posterior means. The bank's `sample` and the MI channel alone draw a weight
+sample, and the bank's `encoder_kl` alone builds the encoder KL. A setting is
+checked where its section config is built: no module defines or calls a
+`validate`, and every `*Config` dataclass and `FeatureSpace` is frozen, so a
+built section stays checked."""
 
 import ast
 import sys
@@ -281,36 +283,47 @@ def test_the_check_sees_record_objects_built():
 
 
 # the functions of `src/iakrec` that may take a parameter named `noise`
-NOISE_TAKERS = {"iak.encoder_stage", "iak.adapter_graph", "iak.AdapterBank.correction"}
+NOISE_TAKERS: set[str] = set()
+
+
+def _scoped(tree: ast.Module, module: str) -> list[tuple[str, ast.AST]]:
+    """Each node of the tree with the qualified name of the innermost
+    function, method, closure, lambda or class that is or holds it:
+    `module.A.m` for method m of class A, `module` at module level."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                inner = f"{scope}.{getattr(child, 'name', '<lambda>')}"
+            else:
+                inner = scope
+            out.append((inner, child))
+            visit(child, inner)
+
+    visit(tree, module)
+    return out
 
 
 def _noise_takers(tree: ast.Module, module: str) -> list[str]:
     """`module.qualname` of each function, method, closure or lambda with a
     parameter named `noise`, sorted."""
     out = []
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
-                a = child.args
-                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
-                if any(p.arg == "noise" for p in params):
-                    out.append(name)
-                visit(child, f"{name}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            else:
-                visit(child, prefix)
-
-    visit(tree, f"{module}.")
+    for name, node in _scoped(tree, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            if any(p.arg == "noise" for p in params):
+                out.append(name)
     return sorted(out)
 
 
 def test_only_the_bank_path_takes_a_weight_sample():
-    """Fine-tuning draws weight samples through the `AdapterBank` alone: eval
-    and serving score a lone `IAKAdapter` with its posterior means, and the
-    one-adapter sampled forms live in `tests/adapter_reference.py`."""
+    """No function takes weight noise: the adapter forward reads the encoder
+    weights it is given. Fine-tuning draws its weight samples through the
+    `AdapterBank` alone, eval and serving score a lone `IAKAdapter` with its
+    posterior means, and the one-adapter sampled forms live in
+    `tests/adapter_reference.py`."""
     found = [name for path in MODULES
              for name in _noise_takers(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert [name for name in found if name not in NOISE_TAKERS] == []
@@ -322,6 +335,44 @@ def test_the_check_sees_a_noise_parameter():
                     "        return lambda noise: noise\n\n    class B:\n        def k(self, **noise):\n"
                     "            pass\n\ndef g(rng):\n    noise = rng.normal()\n    return noise\n")
     assert _noise_takers(toy, "toy") == ["toy.A.B.k", "toy.A.m", "toy.A.n.<lambda>", "toy.f", "toy.f.inner"]
+
+
+def _users_of(tree: ast.Module, module: str, name: str) -> list[str]:
+    """`module.qualname` of each function, method, closure, lambda or class
+    that reads `name` as a name or an attribute (a call, or a reference
+    such as `partial(ad.name)`), sorted and each once; `module` for a read
+    at module level."""
+    return sorted({scope for scope, node in _scoped(tree, module)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and _spelled(node) == name})
+
+
+def _src_users_of(name: str) -> list[str]:
+    return [user for path in MODULES
+            for user in _users_of(ast.parse(path.read_text(encoding="utf-8")), path.stem, name)]
+
+
+def test_only_the_bank_and_the_mi_channel_draw_a_weight_sample():
+    """The encoder weight sample is formed in two places: a bank step's
+    (`AdapterBank.sample`) and the MI diagnostic's per-record channel."""
+    assert _src_users_of("weight_sample") == ["evals.encoder_channel_outputs", "iak.AdapterBank.sample"]
+
+
+def test_only_the_bank_builds_the_encoder_kl():
+    """The KL term of the information-bottleneck loss is built in one place,
+    from the softplus parts of the step's weight sample."""
+    assert _src_users_of("gaussian_kl") == ["iak.AdapterBank.encoder_kl"]
+
+
+def test_the_check_sees_every_user_of_a_name():
+    toy = ast.parse("from functools import partial\nfrom . import autodiff as ad\n\n"
+                    "def weight_sample(x):\n    return 'weight_sample'\n\n"
+                    "class A:\n    def m(self, x):\n        return ad.weight_sample(x) + ad.weight_sample(x)\n\n"
+                    "    def n(self):\n        def inner(x):\n            return weight_sample(x)\n"
+                    "        return lambda x: inner(x)\n\n"
+                    "    draw = partial(ad.weight_sample, eps=0)\n\n"
+                    "SAMPLE = ad.weight_sample\n")
+    assert _users_of(toy, "toy", "weight_sample") == ["toy", "toy.A", "toy.A.m", "toy.A.n.inner"]
+    assert _users_of(toy, "toy", "gaussian_kl") == []
 
 
 def _second_checks(tree: ast.Module) -> list[str]:
