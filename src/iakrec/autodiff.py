@@ -3,17 +3,17 @@
 Define-by-run: every op computes its value eagerly and links the output to
 its inputs, so a single reverse sweep over the recorded graph yields exact
 gradients. float64 throughout. An op whose output records a graph (some
-input requires a gradient) raises on a NaN/Inf in that output. A
-graph-free op, one over frozen parameters and plain data, runs only its
-arithmetic: each op a frozen forward runs (`linear`, `gate_mix`, `concat`,
-`gather_rows`, `add`, `mul`, `sigmoid`, `slice_cols`) checks its inputs,
-computes its value and returns it as a bare `Tensor` (`_graph_free`) before
-it builds a backward closure or a parents tuple. A graph-free `linear`
-applies its activation in place, since no backward keeps the
-pre-activation. Its output is not checked: a frozen forward is checked
-once, on the scores it ends in (see
-`models.MultiTaskModel.predict_from_logits`). In a graph, a dense layer
-whose bias is frozen computes no bias gradient.
+input requires a gradient) raises on a NaN/Inf in that output. An op over
+inputs that need no gradient records nothing: its output has no parents
+and no backward. In a graph, a dense layer whose bias is frozen computes no
+bias gradient.
+
+A frozen forward runs no op at all. A model or adapter is checked once, when
+it is frozen whole (`Freeze`), and its forward then runs the bare kernels
+(`linear_kernel`, `gate_mix_kernel`, `sigmoid_kernel`,
+`gather_rows_kernel`) on bare arrays. The ops compute their values with the
+same kernels, so the two paths give equal bits by construction; only the
+ops check their inputs on every call.
 
 The ops are the ones the models and adapters run, and each is as coarse as
 its caller allows: a dense layer is one `linear` (or `segment_linear`)
@@ -113,12 +113,13 @@ class Parameter(Tensor):
     pairs that `gather_rows` records, so a lookup into a large table never
     allocates a table-sized array."""
 
-    __slots__ = ("name", "trainable", "_dense_grad", "_row_grads", "_grad_slot")
+    __slots__ = ("name", "trainable", "freeze", "_dense_grad", "_row_grads", "_grad_slot")
 
     def __init__(self, data, name: str, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
         self.trainable = trainable
+        self.freeze = _THAWED
         # where the first dense gradient is written once an optimizer has laid
         # the parameter out (see `AdagradDecay`)
         self._grad_slot: np.ndarray | None = None
@@ -161,34 +162,48 @@ class Parameter(Tensor):
             self._grad_slot[...] = g
 
     def set_trainable(self, trainable: bool) -> None:
+        """Set whether the parameter trains. Setting it trainable also ends
+        the `Freeze` it was frozen under, for every parameter of that."""
         self.trainable = trainable
         self.requires_grad = trainable
         self.grad = None
+        if trainable:
+            self.freeze.held = False
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
+
+
+class Freeze:
+    """The parameters of one model or adapter, frozen whole after the check
+    its owner makes of them (`models.MultiTaskModel.set_trainable`,
+    `iak.IAKAdapter.set_trainable`). Each parameter holds it as `freeze`.
+    It holds until any of them is set trainable again; while it holds, the
+    owner's forward reads them as bare arrays through the kernels."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, params: Iterable[Parameter]):
+        self.held = True
+        for p in params:
+            p.set_trainable(False)
+            p.freeze = self
+
+
+# the `Freeze` of a parameter never frozen whole
+_THAWED = Freeze(())
+_THAWED.held = False
 
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _graph_free(data: np.ndarray) -> Tensor:
-    """An op output that records no graph: `data` alone, with no parents and
-    no backward, unchecked. The ops of a frozen forward return through here
-    when no input requires a gradient, before any backward bookkeeping."""
-    out = Tensor.__new__(Tensor)
-    out._bind(data, False)
-    return out
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None], op: str) -> Tensor:
     """Build an op output node; prunes the graph when no parent needs grad.
     An output that records a graph is checked for NaN/Inf here, the only
     check it gets (the array method skips the Python-level dispatch of
-    `np.all`); a graph-free output is returned unchecked. The ops of a
-    frozen forward never reach here graph-free: they return through
-    `_graph_free` and build no backward."""
+    `np.all`); an output that records none is returned unchecked."""
     out = Tensor.__new__(Tensor)
     out._bind(data, False)
     for p in parents:
@@ -240,6 +255,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+# A kernel is the arithmetic of an op on bare arrays, unchecked. The op
+# computes its value with its kernel after checking its inputs; a frozen
+# forward calls the kernel itself, on inputs checked once, when the model or
+# adapter was frozen whole (`Freeze`).
+
+
+def sigmoid_kernel(a: np.ndarray) -> np.ndarray:
+    """The logistic function in its tanh form, overflow-free and exact:
+    0.5 * (1 + tanh(a / 2)), the last two steps in place."""
+    y = np.tanh(0.5 * a)
+    y += 1.0
+    y *= 0.5
+    return y
+
+
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, slope: float | None = None,
+                  scale: float | None = None) -> np.ndarray:
+    """A dense layer's value: leaky ReLU of (x @ w) * scale + b, no `scale`
+    skipping the product and no `slope` the activation. The activation is
+    `_leaky`'s, unchecked and in place over the pre-activation, so `linear`
+    asks for the pre-activation alone (no slope), which its backward keeps,
+    and activates a copy."""
+    z = x @ w
+    if scale is not None:
+        z *= scale
+    z += b
+    return z if slope is None else np.maximum(z, slope * z, out=z)
+
+
+def gate_mix_kernel(a: np.ndarray, experts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax weights of the (B, E) gate logits `a`, and the mix
+    sum_e w[:, e:e+1] * experts[e] of the E (B, H) expert outputs."""
+    # the row max as a fold over the columns: exact for any E, and far
+    # cheaper than numpy's reduction over a short axis
+    row_max = a[:, 0:1]
+    for k in range(1, a.shape[1]):
+        row_max = np.maximum(row_max, a[:, k : k + 1])
+    e = np.exp(a - row_max)
+    w = e / e.sum(axis=1, keepdims=True)
+    mixed = w[:, 0:1] * experts[0]
+    for k in range(1, len(experts)):
+        mixed = mixed + w[:, k : k + 1] * experts[k]
+    return w, mixed
+
+
+def gather_rows_kernel(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows `idx` (1-d, or (B, T)) of a 2-d table, each row's T side by
+    side: a (B, T * width) array. A row past the end raises `IndexError`
+    and a negative one wraps, so every index must be in range."""
+    return table.take(idx, axis=0).reshape(len(idx), math.prod(idx.shape[1:]) * table.shape[1])
+
+
+# ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
@@ -247,8 +318,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
-    if not (a.requires_grad or b.requires_grad):
-        return _graph_free(data)
 
     def backward(out: Tensor) -> None:
         _accum(a, _unbroadcast(out.grad, a.shape))
@@ -260,8 +329,6 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
-    if not (a.requires_grad or b.requires_grad):
-        return _graph_free(data)
 
     def backward(out: Tensor) -> None:
         _accum(a, _unbroadcast(out.grad * b.data, a.shape))
@@ -272,27 +339,25 @@ def mul(a, b) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    # tanh form is overflow-free and exactly the logistic function:
-    # 0.5 * (1 + tanh(a / 2)), the last two steps in place
-    y = np.tanh(0.5 * a.data)
-    y += 1.0
-    y *= 0.5
-    if not a.requires_grad:
-        return _graph_free(y)
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad * out.data * (1.0 - out.data))
 
-    return _make(y, (a,), backward, "sigmoid")
+    return _make(sigmoid_kernel(a.data), (a,), backward, "sigmoid")
 
 
-def _leaky(z: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Leaky ReLU, branch-free: bit for bit `np.where(z >= 0, z, slope * z)`,
-    which holds for a slope in [0, 1] (a -0.0 slope would flip a zero's
-    sign). `out=z` applies it in place, where nothing keeps `z`."""
+def check_slope(slope: float) -> None:
+    """Raise `ValueError` unless `slope` is a leaky ReLU slope: in [0, 1],
+    and not -0.0 (which would flip a zero's sign)."""
     if not 0.0 <= slope <= 1.0 or math.copysign(1.0, slope) < 0.0:
         raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
-    return np.maximum(z, slope * z, out=out)
+
+
+def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
+    """Leaky ReLU, branch-free: bit for bit `np.where(z >= 0, z, slope * z)`
+    for a slope that `check_slope` passes; any other raises."""
+    check_slope(slope)
+    return np.maximum(z, slope * z)
 
 
 def _leaky_grad(g: np.ndarray, z: np.ndarray, slope: float) -> np.ndarray:
@@ -319,13 +384,7 @@ def linear(x, w, b, slope: float | None = None, scale: float | None = None) -> T
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear needs (B,m), (m,n) and (n,), got {xd.shape}, {wd.shape} and {bd.shape}")
-    z = xd @ wd
-    if scale is not None:
-        z *= scale
-    z += bd
-    if not (x.requires_grad or w.requires_grad or b.requires_grad):
-        # no backward reads z, so the activation overwrites it
-        return _graph_free(z if slope is None else _leaky(z, slope, out=z))
+    z = linear_kernel(xd, wd, bd, scale=scale)
 
     def backward(out: Tensor) -> None:
         gz, gh = _dense_grads(out.grad, z, slope, scale)
@@ -352,18 +411,7 @@ def gate_mix(gate_logits, experts: Sequence) -> Tensor:
     a = gate.data
     if a.ndim != 2 or a.shape[1] != len(parts) or any(p.data.shape[0] != a.shape[0] for p in parts):
         raise ShapeError(f"gate_mix needs (B, {len(parts)}) gate logits and (B, H) experts, got {gate.shape}")
-    # the row max as a fold over the columns: exact for any E, and far
-    # cheaper than numpy's reduction over a short axis
-    row_max = a[:, 0:1]
-    for k in range(1, a.shape[1]):
-        row_max = np.maximum(row_max, a[:, k : k + 1])
-    e = np.exp(a - row_max)
-    w = e / e.sum(axis=1, keepdims=True)
-    mixed = w[:, 0:1] * parts[0].data
-    for k in range(1, len(parts)):
-        mixed = mixed + w[:, k : k + 1] * parts[k].data
-    if not (gate.requires_grad or any(p.requires_grad for p in parts)):
-        return _graph_free(mixed)
+    w, mixed = gate_mix_kernel(a, [p.data for p in parts])
 
     def backward(out: Tensor) -> None:
         g = out.grad
@@ -382,8 +430,6 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    if not any(p.requires_grad for p in parts):
-        return _graph_free(data)
     widths = [p.shape[axis] for p in parts]
 
     def backward(out: Tensor) -> None:
@@ -398,13 +444,10 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
-    """Columns start:stop of a 2-d tensor: a copy when it records a graph,
-    a view of `a` when it records none."""
+    """Columns start:stop of a 2-d tensor, copied."""
     a = _wrap(a)
     if a.data.ndim != 2:
         raise ShapeError(f"slice_cols needs a 2-d tensor, got shape {a.shape}")
-    if not a.requires_grad:
-        return _graph_free(a.data[:, start:stop])
 
     def backward(out: Tensor) -> None:
         g = np.zeros_like(a.data)
@@ -519,11 +562,9 @@ def gather_rows(table, rows) -> Tensor:
         raise ShapeError("gather_rows index out of range")
     width = table.data.shape[1]
     try:
-        looked_up = table.data.take(idx, axis=0).reshape(len(idx), math.prod(idx.shape[1:]) * width)
+        looked_up = gather_rows_kernel(table.data, idx)
     except IndexError:  # a row past the table's end
         raise ShapeError("gather_rows index out of range") from None
-    if not table.requires_grad:
-        return _graph_free(looked_up)
 
     def backward(out: Tensor) -> None:
         table.add_row_grad(idx.ravel(), out.grad.reshape(-1, width))
@@ -802,9 +843,10 @@ def adagrad_decay_step(opt: AdagradDecay, lr, rows=...) -> np.ndarray:
 
     The arena takes it on `rows` (an index on its leading axis, `...` for
     every row), at rate `lr`: a scalar, or one rate per stepped row that
-    broadcasts against their gradient. Every other row and its accumulator
-    stay as they are. A member with nothing recorded steps on zeros: it
-    stays where it is, and its accumulator decays.
+    broadcasts against their gradient. A rate that is not finite and
+    positive, NaN included, raises `ValueError`. Every other row and its
+    accumulator stay as they are. A member with nothing recorded steps on
+    zeros: it stays where it is, and its accumulator decays.
 
     The table takes the rule lazily, on the rows a batch touches. A row left
     untouched has g = 0, so the dense rule only decays its accumulator and
@@ -825,8 +867,8 @@ def adagrad_decay_step(opt: AdagradDecay, lr, rows=...) -> np.ndarray:
     rows and one of the touched table rows. The bits equal those of the same
     rules stepped one parameter at a time. Returns the squared gradient of
     the stepped arena rows."""
-    if np.any(np.less_equal(lr, 0.0)):
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not np.all(np.greater(lr, 0.0) & np.less(lr, math.inf)):  # NaN fails both
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
     table = opt.table
     if table is not None and table._dense_grad is not None:
         raise ValueError(f"{table.name} holds a dense gradient; a table records only row gradients")

@@ -13,7 +13,10 @@ then each decoder layer's. Every layer is one dense-layer primitive, in one
 of two forms. A lone `IAKAdapter` passes `ad.linear` and its encoder's
 posterior means: eval and serving correct a backbone output with one
 adapter at a time (`adapted_prediction`), whose prediction is built only
-when it is read. An `AdapterBank` passes `ad.segment_linear` over its
+when it is read. An adapter frozen whole passes the op's kernel,
+`ad.linear_kernel`, and the arrays of those means instead: its layers were
+checked when it was frozen, so it corrects a frozen backbone's bare arrays
+with no op run. An `AdapterBank` passes `ad.segment_linear` over its
 stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
 batch through one autodiff graph, rows grouped by adapter. The segment form
 repeats, per adapter, the numpy calls of the one-adapter graph, so every
@@ -50,8 +53,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, bce_loss, init_generator,
-                     restore_parameters)
+from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, Value, bce_loss, check_dense,
+                     init_generator, restore_parameters)
 
 # rho value at which softplus(rho) equals the initial posterior scale
 INIT_SIGMA = 0.05
@@ -102,7 +105,7 @@ class VariationalLinear:
         return [self.mu_w, self.mu_b, self.rho_w, self.rho_b]
 
 
-def encoder_stage(x: Tensor, w: Tensor, b: Tensor, scale: float, linear: Callable[..., Tensor]) -> Tensor:
+def encoder_stage(x: Value, w: Value, b: Value, scale: float, linear: Callable[..., Value]) -> Value:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
     + b, with the encoder weight `w` and bias `b` as given (posterior means,
     or a weight sample). `linear` is the dense-layer primitive, plain or
@@ -110,13 +113,14 @@ def encoder_stage(x: Tensor, w: Tensor, b: Tensor, scale: float, linear: Callabl
     return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
-def adapter_graph(x: Tensor, params: Sequence[Tensor], scale: float, linear: Callable[..., Tensor]) -> Tensor:
+def adapter_graph(x: Value, params: Sequence[Value], scale: float, linear: Callable[..., Value]) -> Value:
     """The adapter forward: per-task logit corrections of the rows `x`.
 
     `params` are the encoder's weight and bias (see `encoder_stage`)
     followed by each decoder layer's weight and bias. `linear` is the
     dense-layer primitive: `ad.linear` for one adapter, `ad.segment_linear`
-    bound to its offsets for a bank."""
+    bound to its offsets for a bank, or the kernel `ad.linear_kernel` over
+    the bare arrays of an adapter frozen whole."""
     x = encoder_stage(x, params[0], params[1], scale, linear)
     decoder = params[2:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
@@ -169,35 +173,61 @@ class IAKAdapter:
         return {p.name: p.data for p in self.parameters()}
 
     def set_trainable(self, trainable: bool) -> None:
-        for p in self.parameters():
-            p.set_trainable(trainable)
+        """Make every parameter trainable, or freeze the adapter whole after
+        checking, once, each layer `correction` runs: its weight and bias
+        conform and its slope is in range (`models.check_dense`). A failed
+        check raises and freezes nothing."""
+        if trainable:
+            for p in self._params:
+                p.set_trainable(True)
+            return
+        shapes = [(self.rep_dim, self.config.d_e), *(layer.shape for layer in self.decoder_hidden),
+                  self.decoder_out.shape]
+        slopes = [LEAKY_SLOPE] * (len(shapes) - 1) + [None]  # those `adapter_graph` applies
+        for w, b, shape, slope in zip(self._means[::2], self._means[1::2], shapes, slopes):
+            check_dense(w, b, shape, slope)
+        ad.Freeze(self._params)
+
+    @property
+    def frozen(self) -> bool:
+        """Frozen whole, and no parameter set trainable since."""
+        return self._params[0].freeze.held
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from `arrays`, one copy per array; a bad array
         is an `AdapterError` (see `models.restore_parameters`)."""
         restore_parameters(self.parameters(), arrays, AdapterError)
 
-    def correction(self, representation: Tensor) -> Tensor:
+    def correction(self, representation: Value) -> Value:
         """Per-task logit corrections, (B, n_tasks), with the encoder's
-        posterior means."""
+        posterior means: `adapter_graph` on `ad.linear`, or, for an adapter
+        frozen whole given a bare array, on its kernel, to a bare array."""
+        if self.frozen and type(representation) is np.ndarray:
+            return adapter_graph(representation, [p.data for p in self._means], self.encoder.scale, ad.linear_kernel)
         return adapter_graph(representation, self._means, self.encoder.scale, ad.linear)
 
 
 def adapted_prediction(
     backbone: MultiTaskModel,
     adapter: IAKAdapter,
-    representation: Tensor,
-    base_logits: Tensor,
+    representation: Value,
+    base_logits: Value,
 ) -> ModelOutput:
     """A backbone output corrected by an adapter: the (B, n_heads) base
     logits plus the adapter's additive correction, with the encoder's
     posterior means. Its prediction is built from those logits when it is
     read (`models.ModelOutput`), so an eager router that corrects with every
     deployed adapter builds only the served one. Eval and serving score
-    through it; a zero correction reproduces the backbone bit-for-bit."""
+    through it; a zero correction reproduces the backbone bit-for-bit.
+
+    A frozen backbone's bare arrays through an adapter frozen whole give
+    bare arrays, with no op run: the input widths are checked here, the
+    layers when the adapter was frozen, and the logits when the prediction
+    is built (`MultiTaskModel.predict_from_logits`)."""
     _check_inputs(adapter, representation.shape, base_logits.shape)
     corr = adapter.correction(representation)
-    return ModelOutput(ad.add(base_logits, corr), representation, backbone.predict_from_logits)
+    logits = base_logits + corr if type(corr) is np.ndarray else ad.add(base_logits, corr)
+    return ModelOutput(logits, representation, backbone.predict_from_logits)
 
 
 def _check_inputs(adapter: IAKAdapter | AdapterBank, rep_shape: tuple[int, ...], logits_shape: tuple[int, ...]) -> None:
@@ -214,10 +244,11 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
     backbone pass behind fine-tuning and scoring: fine-tuning only ever reads
     these, so computing them once per train row, over the union of every
     domain's rows, avoids re-running the backbone every epoch or for a row
-    that two domains share. The pass records no graph, so no op checks its
-    outputs: each chunk's `.prediction` is read, and building it
-    (`predict_from_logits`) checks that chunk's logits, which a non-finite
-    representation reaches, before they are cached."""
+    that two domains share. The backbone is frozen whole, so the pass runs
+    on bare arrays and no op checks its outputs: each chunk's `.prediction`
+    is read, and building it (`predict_from_logits`) checks that chunk's
+    logits, which a non-finite representation reaches, before they are
+    cached."""
     if not backbone.frozen:
         raise AdapterError("backbone must be frozen before caching its outputs")
     rep = np.empty((len(batch), backbone.rep_dim))
@@ -226,8 +257,8 @@ def backbone_cache(backbone: MultiTaskModel, batch: Dataset,
         rows = slice(start, start + chunk)
         out = backbone.forward_full(batch[rows])
         out.prediction  # the chunk's check: raises NonFiniteError on a NaN or Inf logit
-        rep[rows] = out.representation.data
-        base[rows] = out.logits.data
+        rep[rows] = out.representation
+        base[rows] = out.logits
     return rep, base
 
 

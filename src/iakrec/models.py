@@ -12,6 +12,14 @@ one sigmoid over all of them. MMoE and the BaseRecommender mix their
 experts with one `ad.gate_mix` node per task. The model reads one row type,
 a `datagen.Dataset` fitted by `encode_records`: batches, scored splits and
 a served request alike.
+
+A forward runs one of two ways, through the same layer objects. In a graph,
+every layer is an `ad` op. A model frozen whole
+(`MultiTaskModel.set_trainable(False)`) has had its layers checked once, as
+it was frozen; its entry, `EmbeddingBundle.assemble`, then returns a bare
+array, and each layer after it passes a bare array on through its op's
+kernel (`ad.linear_kernel`, `ad.gate_mix_kernel`, `ad.sigmoid_kernel`): the
+same arithmetic, so the same bits, with no op run.
 """
 
 from __future__ import annotations
@@ -133,15 +141,48 @@ def _safe_rows(raw: np.ndarray, vocab: np.ndarray, first: np.ndarray) -> np.ndar
     return np.where((raw >= 0) & (raw < vocab), raw + (first + 1), first)
 
 
-class Linear:
-    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator, scale: float | None = None):
-        std = scale if scale is not None else np.sqrt(2.0 / in_dim)
-        self.w = Parameter(rng.normal(0.0, std, size=(in_dim, out_dim)), name=f"{name}.w")
-        self.b = Parameter(np.zeros(out_dim), name=f"{name}.b")
+# what a layer passes on: a graph's tensor, or a frozen forward's bare array
+Value = Tensor | np.ndarray
 
-    def __call__(self, x: Tensor, slope: float | None = None) -> Tensor:
-        """x @ w + b, through a leaky ReLU of `slope` when one is given."""
-        return ad.linear(x, self.w, self.b, slope)
+
+def values(v: Value) -> np.ndarray:
+    """The array a graph output holds, or the bare array itself."""
+    return v if type(v) is np.ndarray else v.data
+
+
+def check_dense(w: Parameter, b: Parameter, shape: tuple[int, int], slope: float | None) -> None:
+    """A dense layer's freeze check, what `ad.linear` checks on every call:
+    the weight is `shape` and the bias its last axis (else `ad.ShapeError`),
+    and the slope is in range (else `ValueError`)."""
+    if w.shape != shape or b.shape != shape[1:]:
+        raise ad.ShapeError(f"{w.name} and {b.name} are {w.shape} and {b.shape}; their layer needs {shape} and "
+                            f"{shape[1:]}")
+    if slope is not None:
+        ad.check_slope(slope)
+
+
+class Linear:
+    """x @ w + b, through a leaky ReLU of `slope` when it has one."""
+
+    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator, scale: float | None = None,
+                 slope: float | None = None):
+        std = scale if scale is not None else np.sqrt(2.0 / in_dim)
+        self.shape = (in_dim, out_dim)
+        self.w = Parameter(rng.normal(0.0, std, size=self.shape), name=f"{name}.w")
+        self.b = Parameter(np.zeros(out_dim), name=f"{name}.b")
+        self.slope = slope
+
+    def __call__(self, x: Value) -> Value:
+        if type(x) is np.ndarray:  # a frozen forward
+            return ad.linear_kernel(x, self.w.data, self.b.data, self.slope)
+        return ad.linear(x, self.w, self.b, self.slope)
+
+    def check(self) -> None:
+        """The layer's freeze check (`check_dense`), against its built shape."""
+        check_dense(self.w, self.b, self.shape, self.slope)
+
+    def dense_layers(self) -> list[Linear]:
+        return [self]
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
@@ -151,12 +192,16 @@ class MLP:
     """Stack of Linear + LeakyReLU, every layer activated."""
 
     def __init__(self, dims: list[int], name: str, rng: np.random.Generator):
-        self.layers = [Linear(d_in, d_out, f"{name}.l{i}", rng) for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
+        self.layers = [Linear(d_in, d_out, f"{name}.l{i}", rng, slope=LEAKY_SLOPE)
+                       for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Value) -> Value:
         for layer in self.layers:
-            x = layer(x, LEAKY_SLOPE)
+            x = layer(x)
         return x
+
+    def dense_layers(self) -> list[Linear]:
+        return self.layers
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -187,23 +232,24 @@ class ModelConfig:
 
 @dataclass
 class Prediction:
-    """Per-task probabilities; for ESMM the chain p_ctcvr = p_ctr * p_cvr
-    holds exactly by construction."""
+    """Per-task (B, 1) probabilities, bare arrays from a frozen forward; for
+    ESMM the chain p_ctcvr = p_ctr * p_cvr holds exactly by construction."""
 
-    p_ctr: Tensor
-    p_ctcvr: Tensor
-    p_cvr: Tensor | None = None
+    p_ctr: Value
+    p_ctcvr: Value
+    p_cvr: Value | None = None
 
 
 @dataclass
 class ModelOutput:
-    """A forward's outputs. `prediction` is built from the logits by
-    `predict` the first time it is read, then kept: a request an adapter
-    serves never builds the zero-shot prediction."""
+    """A forward's outputs, bare arrays from a frozen forward. `prediction`
+    is built from the logits by `predict` the first time it is read, then
+    kept: a request an adapter serves never builds the zero-shot
+    prediction."""
 
-    logits: Tensor  # (B, n_heads) pre-sigmoid, one column per head
-    representation: Tensor  # (B, rep_dim)
-    predict: Callable[[Tensor], Prediction]
+    logits: Value  # (B, n_heads) pre-sigmoid, one column per head
+    representation: Value  # (B, rep_dim)
+    predict: Callable[[Value], Prediction]
 
     @cached_property
     def prediction(self) -> Prediction:
@@ -225,8 +271,9 @@ class EmbeddingBundle:
         vocab = [space.n_users, space.n_items, space.n_scenes, space.n_regions, space.n_periods]
         vocab += [space.n_feature_buckets] * space.n_feature_cols
         bounds = np.cumsum([0] + [v + 1 for v in vocab]).tolist()
+        self.shape = (bounds[-1], dim)
         # one draw gives each range the numbers a draw per range in column order would
-        self.rows = Parameter(rng.normal(0.0, 0.1, size=(bounds[-1], dim)), "embeddings.rows")
+        self.rows = Parameter(rng.normal(0.0, 0.1, size=self.shape), "embeddings.rows")
         self.ranges = {f"{n}_emb.rows": (start, end) for n, start, end in zip(names, bounds, bounds[1:])}
         self._vocab = np.array(vocab)
         self._first = np.array(bounds[:-1])
@@ -235,11 +282,26 @@ class EmbeddingBundle:
     def out_dim(self) -> int:
         return len(self.ranges) * self.dim
 
-    def assemble(self, batch: Dataset) -> Tensor:
+    def assemble(self, batch: Dataset) -> Value:
         """The embeddings of every id column of the rows, side by side: all
-        ids mapped to table rows at once, then one `ad.gather_rows` node."""
+        ids mapped into their ranges of the table at once (`_safe_rows`),
+        then one `ad.gather_rows` node, or its kernel's bare array when the
+        model is frozen whole. This is the forward's one check of its batch:
+        a batch not fitted to the model (`encode_records`) raises
+        `ModelError`."""
+        if batch.features.shape[1] != self.space.n_feature_cols:
+            raise ModelError(f"batch has {batch.features.shape[1]} feature columns, the model "
+                             f"{self.space.n_feature_cols}: fit it with encode_records")
         ids = np.column_stack((batch.user, batch.item, batch.scene, batch.region, batch.period, batch.features))
-        return ad.gather_rows(self.rows, _safe_rows(ids, self._vocab, self._first))
+        rows = _safe_rows(ids, self._vocab, self._first)
+        if self.rows.freeze.held:  # a frozen forward
+            return ad.gather_rows_kernel(self.rows.data, rows)
+        return ad.gather_rows(self.rows, rows)
+
+    def check(self) -> None:
+        """The table's freeze check: it has the rows its ranges need."""
+        if self.rows.shape != self.shape:
+            raise ad.ShapeError(f"{self.rows.name} is {self.rows.shape}; its ranges need {self.shape}")
 
     def locate(self, table: np.ndarray) -> str:
         """The row of `table`'s first NaN or Inf and the column range it lies in."""
@@ -260,10 +322,12 @@ class MultiTaskModel:
         self.rng = init_generator(seed, 0xB0DE)
         self.embeddings = EmbeddingBundle(space, config.embed_dim, self.rng)
         self._params: list[Parameter] = [self.embeddings.rows]
+        self._layers: list[Linear] = []
 
     def _register(self, *components) -> None:
         for c in components:
             self._params.extend(c.parameters())
+            self._layers.extend(c.dense_layers())
 
     def parameters(self) -> list[Parameter]:
         return list(self._params)
@@ -273,12 +337,25 @@ class MultiTaskModel:
         return {p.name: p.data for p in self._params}
 
     def set_trainable(self, trainable: bool) -> None:
-        for p in self._params:
-            p.set_trainable(trainable)
+        """Make every parameter trainable, or freeze the model whole. Freezing
+        first checks, once, what the ops check on every call: the table's
+        shape, and each dense layer's weight, bias and slope (`check_dense`).
+        A failed check raises and freezes nothing. The model's forward then
+        runs on bare arrays until any parameter is set trainable again
+        (`ad.Freeze`)."""
+        if trainable:
+            for p in self._params:
+                p.set_trainable(True)
+            return
+        self.embeddings.check()
+        for layer in self._layers:
+            layer.check()
+        ad.Freeze(self._params)
 
     @property
     def frozen(self) -> bool:
-        return all(not p.trainable for p in self._params)
+        """Frozen whole, and no parameter set trainable since."""
+        return self.embeddings.rows.freeze.held
 
     @property
     def rep_dim(self) -> int:
@@ -318,32 +395,42 @@ class MultiTaskModel:
     def forward_full(self, batch: Dataset) -> ModelOutput:
         raise NotImplementedError
 
-    def _output(self, penults: list[Tensor]) -> ModelOutput:
+    def _output(self, penults: list[Value]) -> ModelOutput:
         """The output tail every kind shares: the tower activations side by
         side are the representation, and `_logits` scores them; the
         prediction is built on read (see `ModelOutput`)."""
-        rep = ad.concat(penults, axis=1)
+        rep = _concat(penults)
         return ModelOutput(self._logits(penults, rep), rep, self.predict_from_logits)
 
-    def _logits(self, penults: list[Tensor], rep: Tensor) -> Tensor:
+    def _logits(self, penults: list[Value], rep: Value) -> Value:
         """(B, n_heads) logits, each task's head on its own tower."""
-        return ad.concat([head(p) for head, p in zip(self.heads, penults)], axis=1)
+        return _concat([head(p) for head, p in zip(self.heads, penults)])
 
-    def predict_from_logits(self, logits: Tensor) -> Prediction:
+    def predict_from_logits(self, logits: Value) -> Prediction:
         """Probabilities of (B, n_heads) logits: one sigmoid over every head,
         then a (B, 1) column per head. Heads are (ctr, ctcvr) for every kind
         except ESMM, whose second head is CVR and whose ctcvr is the exact
         product.
 
-        Graph-free logits (a frozen forward: scoring, eval, `backbone_cache`)
-        were not checked op by op, so a NaN or Inf in them raises
-        `NonFiniteError` here, once per prediction."""
-        if not logits.requires_grad and not np.isfinite(logits.data).all():
+        Bare logits (a frozen forward: scoring, eval, `backbone_cache`) give
+        bare probabilities, the columns views of one sigmoid. No op checked
+        them, so this is their check, once per prediction: logits that are
+        not (B, n_heads) raise `ad.ShapeError`, and a NaN or Inf in them
+        `NonFiniteError`, as it does in logits that record no graph."""
+        bare = type(logits) is np.ndarray
+        data = logits if bare else logits.data
+        if bare and data.shape[1:] != (self.n_heads,):
+            raise ad.ShapeError(f"logits of shape {data.shape} for {self.n_heads} heads")
+        if (bare or not logits.requires_grad) and not np.isfinite(data).all():
             raise ad.NonFiniteError("non-finite logits of a frozen forward")
-        p = ad.sigmoid(logits)
-        p0, p1 = ad.slice_cols(p, 0, 1), ad.slice_cols(p, 1, 2)
+        if bare:
+            p = ad.sigmoid_kernel(logits)
+            p0, p1, mul = p[:, 0:1], p[:, 1:2], np.multiply
+        else:
+            p = ad.sigmoid(logits)
+            p0, p1, mul = ad.slice_cols(p, 0, 1), ad.slice_cols(p, 1, 2), ad.mul
         if self.kind == "esmm":
-            return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=ad.mul(p0, p1))
+            return Prediction(p_ctr=p0, p_cvr=p1, p_ctcvr=mul(p0, p1))
         return Prediction(p_ctr=p0, p_ctcvr=p1)
 
 
@@ -393,14 +480,17 @@ class _MoECore:
         self.experts = [MLP([in_dim, *hs], f"expert{e}", rng) for e in range(config.n_experts)]
         self.gates = [Linear(in_dim, config.n_experts, f"gate_{t}", rng) for t in TASKS]
 
-    def __call__(self, x: Tensor) -> list[Tensor]:
+    def __call__(self, x: Value) -> list[Value]:
         expert_outs = [e(x) for e in self.experts]
+        if type(x) is np.ndarray:  # a frozen forward
+            return [ad.gate_mix_kernel(g(x), expert_outs)[1] for g in self.gates]
         return [ad.gate_mix(g(x), expert_outs) for g in self.gates]
 
+    def dense_layers(self) -> list[Linear]:
+        return [layer for e in self.experts for layer in e.layers] + self.gates
+
     def parameters(self) -> list[Parameter]:
-        out = [p for e in self.experts for p in e.parameters()]
-        out += [p for g in self.gates for p in g.parameters()]
-        return out
+        return [p for layer in self.dense_layers() for p in layer.parameters()]
 
 
 class MMoE(MultiTaskModel):
@@ -439,9 +529,15 @@ class BaseRecommender(MultiTaskModel):
         mixed = self.core(self.embeddings.assemble(batch))
         return self._output([tower(m) for tower, m in zip(self.towers, mixed)])
 
-    def _logits(self, penults: list[Tensor], rep: Tensor) -> Tensor:
+    def _logits(self, penults: list[Value], rep: Value) -> Value:
         """The stacked layer scores every task from the whole representation."""
         return self.stacked(rep)
+
+
+def _concat(parts: list[Value]) -> Value:
+    """The (B, ·) parts side by side: one `ad.concat` node, or on a frozen
+    forward's bare arrays their concatenation."""
+    return np.concatenate(parts, axis=1) if type(parts[0]) is np.ndarray else ad.concat(parts, axis=1)
 
 
 MODEL_KINDS = {

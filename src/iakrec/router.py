@@ -11,15 +11,16 @@ rows: a topic the request leaves out reads -1 and is matched like any row.
 Adapters score with their encoders' posterior means. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). The router freezes the backbone and every adapter it
-deploys, so scoring records no autodiff graph: each op checks its inputs,
-computes its value and returns it graph-free, with no parents, no backward
-and no NaN/Inf check of its own. Each prediction's logits are checked once
-instead (`MultiTaskModel.predict_from_logits`): a non-finite score raises
+deploys, and freezing checks each of their layers once, so scoring runs no
+autodiff op: the forward runs the ops' kernels on bare arrays, with no
+per-call check. The request's row is checked where it enters the backbone
+(`models.EmbeddingBundle.assemble`), and each prediction's logits once
+(`MultiTaskModel.predict_from_logits`): a non-finite score raises
 `NonFiniteError`, and `serve` answers it as an error on that line.
 
 Every request runs the backbone once. In the default eager mode every
 deployed adapter then corrects that one output, so with K adapters deployed
-an eager request costs one graph-free backbone pass, K adapter corrections
+an eager request costs one bare backbone pass, K adapter corrections
 (each its dense layers and a logit add) and one prediction: the
 finiteness check, a sigmoid and two column views of the output it serves.
 A prediction is built only when it is read (`models.ModelOutput`, which
@@ -43,7 +44,7 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .datagen import Dataset, domain_mask, id_fields, parse_domain_key
 from .iak import IAKAdapter, adapted_prediction
-from .models import FeatureSpace, MultiTaskModel, encode_records
+from .models import FeatureSpace, MultiTaskModel, encode_records, values
 
 ZERO_SHOT = "zero_shot"
 
@@ -109,7 +110,8 @@ class DomainRouter:
             if a.rep_dim != backbone.rep_dim or a.n_tasks != backbone.n_heads:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
         for a in self.adapters.values():
-            a.set_trainable(False)
+            if not a.frozen:  # a restored adapter comes checked and frozen (`adapters_from_arrays`)
+                a.set_trainable(False)
         # most specific first, ties in key order, so the first match is the one
         self._by_specificity = sorted(self.adapters, key=lambda k: (-len(self.adapters[k].domain_key), k))
 
@@ -132,8 +134,8 @@ class DomainRouter:
         pred = (out if selected is None else adapted[selected]).prediction
         latency = (time.perf_counter_ns() - t0) // 1000
         return ScoreResponse(
-            p_ctr=float(pred.p_ctr.data[0, 0]),
-            p_ctcvr=float(pred.p_ctcvr.data[0, 0]),
+            p_ctr=float(values(pred.p_ctr)[0, 0]),
+            p_ctcvr=float(values(pred.p_ctcvr)[0, 0]),
             served_by=ZERO_SHOT if selected is None else selected,
             latency_micros=int(latency),
         )

@@ -13,6 +13,7 @@ dynamic rate."""
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -154,13 +155,15 @@ def pretrain_step(model: MultiTaskModel, batch: Dataset, opt: ad.AdagradDecay, l
 def dynamic_lr(n_b: np.ndarray, grad_norms: np.ndarray, lam: float) -> np.ndarray:
     """Per-domain effective learning rates: softmax over active domains of
     sample count times reciprocal gradient magnitude, scaled by the base
-    rate. Domains with no samples in the batch are masked to zero."""
+    rate. Domains with no samples in the batch are masked to zero. A
+    negative or non-finite gradient norm, or a base rate that is not finite
+    and positive, raises `TrainerError`."""
     n_b = np.asarray(n_b, dtype=np.float64)
     grad_norms = np.asarray(grad_norms, dtype=np.float64)
-    if np.any(grad_norms < 0):
-        raise TrainerError("gradient norms must be non-negative")
-    if lam <= 0:
-        raise TrainerError("base learning rate must be positive")
+    if not np.all(np.isfinite(grad_norms) & (grad_norms >= 0)):
+        raise TrainerError("gradient norms must be finite and non-negative")
+    if not 0 < lam < math.inf:  # NaN fails both
+        raise TrainerError(f"base learning rate must be finite and positive, got {lam}")
     active = n_b > 0
     if not np.any(active):
         raise TrainerError("all domains empty in batch")

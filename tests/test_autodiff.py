@@ -101,10 +101,12 @@ def test_linear_equals_the_composed_chain_bitwise(slope, scale):
 @pytest.mark.parametrize("scale", [None, 0.2])
 @pytest.mark.parametrize("slope", [None, 0.01])
 def test_a_graph_free_linear_equals_the_graph_path_bitwise(slope, scale):
-    """A graph-free layer applies its activation in place over its
-    pre-activation; its values are the recording layer's, bit for bit, at
-    the kink and on signed zeros. (A bad slope raising on the graph-free
-    path: `test_leaky_slope_outside_unit_interval_is_rejected`.)"""
+    """A layer over frozen inputs records no graph, and the bare kernel a
+    frozen forward runs applies its activation in place over its
+    pre-activation; both give the recording layer's values bit for bit, at
+    the kink and on signed zeros. (A bad slope raising in the op:
+    `test_leaky_slope_outside_unit_interval_is_rejected`; at freeze:
+    `test_fused_layers.FREEZE_ERRORS`.)"""
     for seed in range(4):
         x, w, b, _ = _linear_case(seed)
         frozen = [ad.Parameter(a, n, trainable=False) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
@@ -112,6 +114,7 @@ def test_a_graph_free_linear_equals_the_graph_path_bitwise(slope, scale):
         assert free._parents == () and not free.requires_grad
         recorded = ad.linear(ad.Parameter(x, "x"), *frozen[1:], slope=slope, scale=scale)
         assert recorded.requires_grad and free.data.tobytes() == recorded.data.tobytes()
+        assert ad.linear_kernel(x, w, b, slope, scale).tobytes() == recorded.data.tobytes()
 
 
 @pytest.mark.parametrize("scale", [None, 0.2])
@@ -600,14 +603,10 @@ def test_a_graph_free_op_gives_the_recording_ops_bits_and_no_graph(op):
         assert (free.shape, free.data.tobytes()) == (recorded.shape, recorded.data.tobytes()), (op, k)
 
 
-def test_a_graph_free_column_slice_is_a_view_and_a_recording_one_a_copy():
-    a = ad.Parameter(np.arange(12.0).reshape(3, 4), "a", trainable=False)
-    assert np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
-    a.set_trainable(True)
-    assert not np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
-
-
 FROZEN = ad.Tensor(np.ones((4, 2)))
+# the input checks of the ops a forward runs, made over inputs that need no
+# gradient as over any other; a frozen forward runs no op, and makes these
+# checks once, at freeze or at its entry (`test_fused_layers.FREEZE_ERRORS`)
 GRAPH_FREE_ERRORS = {
     "linear_shape": (lambda: ad.linear(FROZEN, np.ones((3, 2)), np.ones(2)), ad.ShapeError, "linear needs"),
     "linear_slope": (lambda: ad.linear(FROZEN, np.ones((2, 2)), np.ones(2), slope=1.5), ValueError,
@@ -626,6 +625,13 @@ def test_a_graph_free_op_still_checks_its_inputs(case):
     call, error, message = GRAPH_FREE_ERRORS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_column_slice_is_a_copy_whether_or_not_it_records():
+    a = ad.Parameter(np.arange(12.0).reshape(3, 4), "a", trainable=False)
+    assert not np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
+    a.set_trainable(True)
+    assert not np.shares_memory(ad.slice_cols(a, 1, 3).data, a.data)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -710,6 +716,16 @@ class TestAdagradDecay:
         w = ad.Parameter(np.array([1.0]), "w")
         with pytest.raises(ValueError):
             ad.adagrad_decay_step(ad.AdagradDecay([w], DECAY, EPSILON), 0.0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, np.array([[0.01], [np.nan]]),
+                                    np.array([[np.inf], [0.01]])], ids=["nan", "+inf", "-inf", "nan_row", "inf_row"])
+    def test_rejects_a_non_finite_lr_and_moves_nothing(self, lr):
+        w = ad.Parameter(np.array([[1.0], [2.0]]), "w")
+        opt = ad.AdagradDecay([w], DECAY, EPSILON, n_rows=2)
+        w.grad = np.array([[0.5], [0.25]])
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            ad.adagrad_decay_step(opt, lr)
+        assert w.data.tolist() == [[1.0], [2.0]] and opt.step == 0 and not opt.acc.any()
 
     @pytest.mark.parametrize("decay, epsilon, message", [
         (0.0, 1e-8, "decay must be in (0, 1], got 0.0"),

@@ -24,7 +24,6 @@ from iakrec.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PATH, EXIT_SCHEMA, EXIT_USAGE
 from iakrec.config import RunConfig
 from iakrec.evals import SplitPass
 from iakrec.datagen import read_jsonl, sidecar_path, split_chronological
-from iakrec.autodiff import Tensor
 from iakrec.iak import IAKAdapter, adapted_prediction
 from iakrec.models import MODEL_KINDS, build_model
 
@@ -624,15 +623,16 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypat
 
 def test_restored_adapter_scores_record_no_graph(tmp_path):
     """A restored adapter is frozen where it is built, so the adapted scores
-    of `eval` link no parents: no graph is recorded and no node checked."""
+    of `eval`, over a frozen backbone's bare arrays, are bare arrays: no
+    graph is recorded and no node checked."""
     cfg = RunConfig(TINY_SIZES)
     save_checkpoint(tmp_path / "m.ckpt", _checkpoint_arrays(cfg), cfg.digest())
     model, adapters = _restore_backbone(tmp_path / "m.ckpt", cfg.model_config(), cfg.feature_space(), cfg.iak_config())
     (adapter,) = adapters.values()
     rng = np.random.default_rng(0)
-    rep, logits = Tensor(rng.normal(size=(5, model.rep_dim))), Tensor(rng.normal(size=(5, model.n_heads)))
+    rep, logits = rng.normal(size=(5, model.rep_dim)), rng.normal(size=(5, model.n_heads))
     pred = adapted_prediction(model, adapter, rep, logits).prediction
-    assert [p._parents for p in (pred.p_ctr, pred.p_ctcvr)] == [(), ()]
+    assert [type(p) for p in (pred.p_ctr, pred.p_ctcvr)] == [np.ndarray, np.ndarray]
 
 
 def test_eval_does_not_depend_on_model_seed(workdir):

@@ -4,14 +4,20 @@
 `ad.gather_rows` node, and each task's mixture-of-experts gate is one
 `ad.gate_mix` node. A training step through them must leave every
 parameter bit for bit where the composed chains of nodes leave it, and the
-pretrain, bank and serving graphs must stay fused."""
+pretrain and bank graphs must stay fused. A frozen forward runs no op: it
+runs the ops' kernels on bare arrays, with the graph's bits, its layers
+checked when the model or adapter is frozen and its batch at the entry."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from iakrec import autodiff as ad
-from iakrec.iak import AdapterBank, IAKAdapter, IAKConfig, adapter_step_cached, backbone_cache
-from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, _safe_rows, build_model, encode_records
+from iakrec.iak import (FROZEN_CHUNK, AdapterBank, IAKAdapter, IAKConfig, adapted_prediction, adapter_graph,
+                        adapter_step_cached, backbone_cache)
+from iakrec.models import (MODEL_KINDS, FeatureSpace, ModelConfig, ModelError, ModelOutput, _safe_rows, build_model,
+                           encode_records, values)
 from iakrec.datagen import Dataset
 from iakrec.evals import SplitPass
 from iakrec.router import DomainRouter, ScoreRequest
@@ -170,9 +176,26 @@ def test_bank_step_graph_at_the_default_adapter_shape(graph_sizes, request):
     assert graph_sizes == [28, 66]
 
 
-# every op a forward can run, each counted once per output it makes
+# every op a forward can run, and the kernels a frozen forward runs in their place
 OPS = ("add", "mul", "sigmoid", "linear", "gate_mix", "concat", "slice_cols", "gather_rows", "reduce_sum",
        "segment_linear", "clipped_bce", "gaussian_kl", "weight_sample")
+KERNELS = ("linear_kernel", "gate_mix_kernel", "sigmoid_kernel", "gather_rows_kernel")
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each `ad` function in `names` so that every call appends its name
+    to the returned list."""
+    made = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            made.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    for name in names:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    return made
 
 
 @pytest.mark.parametrize("domain_ids, served_by", [
@@ -181,49 +204,34 @@ OPS = ("add", "mul", "sigmoid", "linear", "gate_mix", "concat", "slice_cols", "g
 ], ids=["adapted", "zero_shot"])
 def test_eager_score_graph_at_the_default_shapes(monkeypatch, domain_ids, served_by):
     """One eager `router.score` of the default backbone through 5 default
-    adapters makes 15 op outputs for the backbone, 4 per adapter (its three
-    layers and the logit add) and 3 for the one prediction it serves (a
-    sigmoid and two column slices), the served adapter's or, for a
-    zero-shot request, the backbone's."""
+    adapters runs no `ad` op at all. It runs the kernels: one lookup, the
+    backbone's 11 dense layers and 2 gates, 3 dense layers per adapter, and
+    one sigmoid for the one prediction it serves, the served adapter's or,
+    for a zero-shot request, the backbone's."""
     backbone = build_model(ModelConfig(), SPACE, seed=1)
     selectors = [{"period": k} for k in range(3)] + [{"scene": k} for k in range(2)]
     adapters = {f"a{k}": IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(), sel, seed=k)
                 for k, sel in enumerate(selectors)}
     router = DomainRouter(backbone, adapters)
     request = ScoreRequest(user_id=3, item_id=4, domain_ids=domain_ids, feature_ids=[1, 2, 3, 4])
-    made = []
-
-    def counted(name, op):
-        def run(*args, **kwargs):
-            made.append(name)
-            return op(*args, **kwargs)
-        return run
-
-    for name in OPS:
-        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    made = _count_calls(monkeypatch, OPS + KERNELS)
     assert router.score(request).served_by == served_by
-    assert len(made) == 15 + 5 * 4 + 3
-    assert made.count("gate_mix") == 2 and made.count("sigmoid") == 1
+    assert sorted(Counter(made).items()) == [("gate_mix_kernel", 2), ("gather_rows_kernel", 1),
+                                             ("linear_kernel", 11 + 5 * 3), ("sigmoid_kernel", 1)]
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_a_frozen_forward_builds_no_graph_node(monkeypatch, kind):
     """Eager serving (an adapted and a zero-shot request) and a scored split
-    (its `backbone_cache` pass, zero-shot and adapted slices) run only
-    graph-free ops: no op reaches `_make` without a parent that needs a
-    gradient, so none builds a backward."""
+    (its `backbone_cache` pass, zero-shot and adapted slices) run no `ad` op
+    at all: the frozen backbone and adapters run their kernels on bare
+    arrays."""
     backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=1)
     config = IAKConfig(d_e=4, decoder_hidden=(6,))
     adapters = {f"period={k}": IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": k}, seed=k)
                 for k in range(2)}
     router = DomainRouter(backbone, adapters)
-    make = ad._make
-
-    def recording_only(data, parents, backward, op):
-        assert any(p.requires_grad for p in parents), f"{op} built a node that records no graph"
-        return make(data, parents, backward, op)
-
-    monkeypatch.setattr(ad, "_make", recording_only)
+    made = _count_calls(monkeypatch, OPS + ("_make",))
     for period, served_by in ((1, "period=1"), (7, "zero_shot")):
         request = ScoreRequest(user_id=3, item_id=4, domain_ids={"scene": 1, "region": 0, "period": period},
                                feature_ids=[1, 2, 3, 4])
@@ -231,6 +239,201 @@ def test_a_frozen_forward_builds_no_graph_node(monkeypatch, kind):
     split = SplitPass(backbone, _batch(9, 3))
     split.zero_shot()
     split.adapted(adapters["period=1"], slice(None))
+    assert made == []
+
+
+def _twins(kind, seed=1):
+    """A model frozen whole and its trainable twin: the same weights, run
+    on bare arrays and through a recorded graph."""
+    frozen, live = (build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=seed) for _ in range(2))
+    frozen.set_trainable(False)
+    return frozen, live
+
+
+def _outputs(out):
+    """The bytes of a forward's logits, representation and probabilities."""
+    pred = out.prediction
+    return [values(v).tobytes() for v in (out.logits, out.representation, pred.p_ctr, pred.p_ctcvr, pred.p_cvr)
+            if v is not None]
+
+
+@pytest.mark.parametrize("rows", [1, 7, FROZEN_CHUNK + 1])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_the_bare_path_equals_the_graph_path_bitwise(kind, rows):
+    """A frozen forward on bare arrays gives the bits of the graph forward of
+    the same weights: logits, representation and every probability, on one
+    row, a few, and one past a chunk, whole and through `backbone_cache`'s
+    chunks."""
+    frozen, live = _twins(kind)
+    batch = _batch(rows, rows)
+    bare, graph = frozen.forward_full(batch), live.forward_full(batch)
+    assert type(bare.logits) is np.ndarray and graph.logits.requires_grad
+    assert _outputs(bare) == _outputs(graph)
+    rep, logits = backbone_cache(frozen, batch)
+    chunks = [live.forward_full(batch[start:start + FROZEN_CHUNK]) for start in range(0, rows, FROZEN_CHUNK)]
+    assert rep.tobytes() == np.concatenate([c.representation.data for c in chunks]).tobytes()
+    assert logits.tobytes() == np.concatenate([c.logits.data for c in chunks]).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, FROZEN_CHUNK + 1])
+def test_a_bare_adapted_prediction_equals_the_adapter_graph_bitwise(rows):
+    """A frozen adapter over bare arrays gives the bits of `adapter_graph` on
+    `ad.linear` over the same weights, recorded, plus the logits' add."""
+    rng = np.random.default_rng(rows)
+    backbone, _ = _twins("esmm")
+    config = IAKConfig(d_e=4, decoder_hidden=(6, 5))
+    adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": 1}, seed=3)
+    adapter.decoder_out.w.data[:] = rng.normal(size=adapter.decoder_out.w.shape)
+    twin = IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": 1}, seed=None)
+    twin.restore(adapter.named_parameters())
+    adapter.set_trainable(False)
+    rep, logits = rng.normal(size=(rows, backbone.rep_dim)), rng.normal(size=(rows, backbone.n_heads))
+    bare = adapted_prediction(backbone, adapter, rep, logits)
+    corr = adapter_graph(ad.Tensor(rep), twin._means, twin.encoder.scale, ad.linear)
+    assert corr.requires_grad
+    graph = ModelOutput(ad.add(ad.Tensor(logits), corr), ad.Tensor(rep), backbone.predict_from_logits)
+    assert type(bare.logits) is np.ndarray and _outputs(bare) == _outputs(graph)
+
+
+def test_a_frozen_prediction_reads_views_of_one_sigmoid_and_a_graph_copies():
+    frozen, live = _twins("base")
+    batch = _batch(5, 1)
+    bare = frozen.forward_full(batch).prediction
+    assert bare.p_ctr.base is bare.p_ctcvr.base is not None
+    graph = live.forward_full(batch).prediction
+    assert not np.shares_memory(graph.p_ctr.data, graph.p_ctcvr.data)
+
+
+@pytest.mark.parametrize("group", ["embeddings.rows", "expert1.l1.w", "gate_ctcvr.b", "stacked_logits.w"])
+def test_a_partly_unfrozen_backbone_records_a_graph_and_the_group_a_gradient(group):
+    """A backbone frozen by a router, then one group set trainable again,
+    leaves the bare path: its forward records a graph, and the group takes
+    a gradient, while the router serves the same scores through that graph.
+    Freezing it whole again goes back to bare arrays."""
+    frozen, _ = _twins("base")
+    config = IAKConfig(d_e=4, decoder_hidden=(6,))
+    router = DomainRouter(frozen, {"period=1": IAKAdapter(frozen.rep_dim, frozen.n_heads, config, {"period": 1},
+                                                          seed=2)})
+    (param,) = [p for p in frozen.parameters() if p.name == group]
+    batch = _batch(6, 2)
+    assert frozen.frozen and type(frozen.forward_full(batch).logits) is np.ndarray
+    request = ScoreRequest(user_id=3, item_id=4, domain_ids={"period": 1}, feature_ids=[1, 2])
+    served = router.score(request)
+    param.set_trainable(True)
+    assert (router.score(request).p_ctr, router.score(request).p_ctcvr) == (served.p_ctr, served.p_ctcvr)
+    assert not frozen.frozen
+    out = frozen.forward_full(batch)
+    assert out.logits.requires_grad and isinstance(out.representation, ad.Tensor)
+    ad.backward(ad.reduce_sum(out.logits))
+    assert np.any(param.grad != 0.0)
+    assert all(not p.requires_grad for p in frozen.parameters() if p is not param)
+    frozen.set_trainable(False)
+    assert frozen.frozen and type(frozen.forward_full(batch).logits) is np.ndarray
+
+
+def test_an_unfrozen_adapter_corrects_through_a_graph():
+    backbone, _ = _twins("base")
+    adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4), {"period": 1}, seed=2)
+    adapter.set_trainable(False)
+    rep, logits = backbone_cache(backbone, _batch(3, 1))
+    assert type(adapted_prediction(backbone, adapter, rep, logits).logits) is np.ndarray
+    adapter.decoder_out.b.set_trainable(True)
+    assert not adapter.frozen and adapted_prediction(backbone, adapter, rep, logits).logits.requires_grad
+
+
+def _small_base():
+    return build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=1)
+
+
+def _freeze_after(mutate):
+    """Build a small BaseRecommender, `mutate` it, then freeze it."""
+    def run():
+        model = _small_base()
+        mutate(model)
+        model.set_trainable(False)
+    return run
+
+
+def _freeze_adapter_after(mutate):
+    def run():
+        adapter = IAKAdapter(6, 2, IAKConfig(d_e=4, decoder_hidden=(5,)), {"period": 1}, seed=1)
+        mutate(adapter)
+        adapter.set_trainable(False)
+    return run
+
+
+def _score(batch=None, logits=None):
+    """Score a frozen small BaseRecommender: a forward over `batch`, or a
+    prediction of bare `logits`."""
+    def run():
+        model = _small_base()
+        model.set_trainable(False)
+        if batch is not None:
+            model.forward_full(batch)
+        else:
+            model.predict_from_logits(logits)
+    return run
+
+
+def _set(param_of, value):
+    return lambda owner: setattr(param_of(owner), "data", value)
+
+
+_UNFITTED = Dataset(**{**vars(_batch(3, 1)), "features": np.zeros((3, 3), dtype=np.int64)})
+# Each input check an op makes on every call (`test_autodiff.GRAPH_FREE_ERRORS`),
+# made by a frozen forward once: when the model or adapter is frozen (a bad
+# slope, weight, bias or table, set after build) or at the entry (the batch's
+# fitted width, the logits a prediction is built from)
+FREEZE_ERRORS = {
+    "linear_shape": (_freeze_after(_set(lambda m: m.core.experts[0].layers[0].w, np.ones((3, 10)))), ad.ShapeError,
+                     r"expert0.l0.w and expert0.l0.b are \(3, 10\) and \(10,\); their layer needs \(72, 10\)"),
+    "linear_bias": (_freeze_after(_set(lambda m: m.towers[1].layers[0].b, np.zeros(1))), ad.ShapeError,
+                    r"tower_ctcvr.l0.b are \(5, 5\) and \(1,\)"),
+    "linear_slope": (_freeze_after(lambda m: setattr(m.core.experts[1].layers[1], "slope", 1.5)), ValueError,
+                     "slope must be in"),
+    "gate_mix_shape": (_freeze_after(_set(lambda m: m.core.gates[0].w, np.ones((72, 3)))), ad.ShapeError,
+                       r"gate_ctr.w and gate_ctr.b are \(72, 3\) and \(2,\); their layer needs \(72, 2\)"),
+    "gather_rows_past_the_end": (_freeze_after(_set(lambda m: m.embeddings.rows, np.zeros((30, 8)))),
+                                 ad.ShapeError, r"embeddings.rows is \(30, 8\); its ranges need \(84, 8\)"),
+    "gather_rows_unfitted_batch": (_score(batch=_UNFITTED), ModelError, "batch has 3 feature columns, the model 4"),
+    "adapter_shape": (_freeze_adapter_after(_set(lambda a: a.decoder_hidden[0].w, np.ones((5, 5)))), ad.ShapeError,
+                      r"dec0.b are \(5, 5\) and \(5,\); their layer needs \(4, 5\)"),
+    "adapter_encoder_shape": (_freeze_adapter_after(_set(lambda a: a.encoder.mu_b, np.zeros(3))), ad.ShapeError,
+                              r"enc0.mu_b are \(6, 4\) and \(3,\)"),
+    "slice_cols_ndim": (_score(logits=np.zeros(3)), ad.ShapeError, r"logits of shape \(3,\) for 2 heads"),
+    "slice_cols_width": (_score(logits=np.zeros((3, 3))), ad.ShapeError, r"logits of shape \(3, 3\) for 2 heads"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FREEZE_ERRORS))
+def test_a_frozen_forward_checks_at_freeze_and_at_the_entry(case):
+    call, error, message = FREEZE_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_failed_freeze_check_freezes_nothing():
+    model = _small_base()
+    model.core.gates[1].slope = -0.0
+    with pytest.raises(ValueError, match="slope must be in"):
+        model.set_trainable(False)
+    assert not model.frozen and all(p.trainable for p in model.parameters())
+
+
+def test_the_entry_maps_every_id_into_the_table():
+    """A frozen forward's lookup is not checked per call: the entry maps a
+    negative id and one past its column's vocabulary to that column's
+    out-of-vocab row (the ids `gather_rows` would reject), as the graph's
+    lookup does."""
+    frozen, live = _twins("base")
+    batch = _batch(40, 5)
+    assert (batch.user < 0).any() and (batch.user >= SPACE.n_users).any()
+    bare = frozen.embeddings.assemble(batch)
+    graph = live.embeddings.assemble(batch)
+    assert type(bare) is np.ndarray and bare.tobytes() == graph.data.tobytes()
+    oov_user = frozen.embeddings.rows.data[frozen.embeddings.ranges["user_emb.rows"][0]]
+    outside = (batch.user < 0) | (batch.user >= SPACE.n_users)
+    assert (bare[outside, :frozen.config.embed_dim] == oov_user).all()
 
 
 def _lone_steps(beta):
@@ -482,6 +685,7 @@ def test_a_graph_free_gate_mix_equals_the_composed_chain_bitwise(n_experts):
     free = ad.gate_mix(gate, frozen)
     assert free._parents == () and not free.requires_grad
     assert free.data.tobytes() == composed_gate_mix(gate, frozen).data.tobytes()
+    assert ad.gate_mix_kernel(logits, experts)[1].tobytes() == free.data.tobytes()
 
 
 @pytest.mark.parametrize("n_experts", [2, 3])

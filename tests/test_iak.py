@@ -239,8 +239,8 @@ class TestIAKForward:
         batch = _batch()
         base = backbone.forward_full(batch).prediction
         pred = _adapted(backbone, adapter, batch)
-        assert pred.p_ctr.data.tobytes() == base.p_ctr.data.tobytes()
-        assert pred.p_ctcvr.data.tobytes() == base.p_ctcvr.data.tobytes()
+        assert pred.p_ctr.data.tobytes() == base.p_ctr.tobytes()
+        assert pred.p_ctcvr.data.tobytes() == base.p_ctcvr.tobytes()
 
     def test_adapters_are_isolated(self):
         backbone = _backbone()
@@ -336,8 +336,8 @@ class TestIBLoss:
         bank = _bank(_adapter(backbone, d_e=3, decoder_hidden=(4,)))
         batch = _batch(5, seed=2)
         out = backbone.forward_full(batch)
-        rep = ad.Tensor(out.representation.data)
-        base_logits = ad.Tensor(out.logits.data)
+        rep = ad.Tensor(out.representation)
+        base_logits = ad.Tensor(out.logits)
         params = bank.params
         segs = ad.Segments([0, 5], 5)
 

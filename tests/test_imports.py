@@ -11,7 +11,9 @@ posterior means. The bank's `sample` and the MI channel alone draw a weight
 sample, and the bank's `encoder_kl` alone builds the encoder KL. A setting is
 checked where its section config is built: no module defines or calls a
 `validate`, and every `*Config` dataclass and `FeatureSpace` is frozen, so a
-built section stays checked."""
+built section stays checked. The bare kernels of `autodiff` run only in
+their graph ops and in the layers of a frozen forward, so there is no
+second, hand-written forward."""
 
 import ast
 import sys
@@ -412,3 +414,39 @@ def test_the_check_sees_a_second_settings_check():
                     "def f(cfg):\n    cfg.validate()\n    return validate(cfg)\n")
     assert _second_checks(toy) == ["5 AConfig not frozen", "6 def validate", "10 FeatureSpace not frozen",
                                    "25 validate()", "26 validate()"]
+
+
+# who may call each bare kernel of `autodiff`: its graph op and the frozen
+# entry points, the layers that pass a frozen forward's bare arrays on
+KERNEL_USERS = {
+    "gate_mix_kernel": ["autodiff.gate_mix", "models._MoECore.__call__"],
+    "gather_rows_kernel": ["autodiff.gather_rows", "models.EmbeddingBundle.assemble"],
+    "linear_kernel": ["autodiff.linear", "iak.IAKAdapter.correction", "models.Linear.__call__"],
+    "sigmoid_kernel": ["autodiff.sigmoid", "models.MultiTaskModel.predict_from_logits"],
+}
+
+
+def _kernel_callers(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Each `*_kernel` function `autodiff` defines, with every function,
+    method, closure or lambda of the modules that reads it (`_users_of`)."""
+    kernels = sorted(name for name in _public_functions(trees["autodiff"]) if name.endswith("_kernel"))
+    return {k: [user for stem, tree in trees.items() for user in _users_of(tree, stem, k)] for k in kernels}
+
+
+def test_only_the_graph_ops_and_the_frozen_entry_points_run_a_kernel():
+    """A frozen forward runs the ops' own kernels, in the layers that also
+    build the graph: no module writes a second forward by hand out of them."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _kernel_callers(trees) == KERNEL_USERS
+
+
+def test_the_check_sees_a_hand_written_forward():
+    engine = ast.parse("def linear_kernel(x, w):\n    return x @ w\n\n"
+                       "def linear(x, w):\n    return _make(linear_kernel(x.data, w.data))\n\n"
+                       "def helper(x):\n    return x\n")
+    models = ast.parse("from . import autodiff as ad\n\nclass Linear:\n    def __call__(self, x):\n"
+                       "        return ad.linear_kernel(x, self.w.data)\n\n"
+                       "def fast_forward(model, x):\n    for w in model.weights:\n"
+                       "        x = ad.linear_kernel(x, w)\n    return x\n")
+    assert _kernel_callers({"autodiff": engine, "models": models}) == {
+        "linear_kernel": ["autodiff.linear", "models.Linear.__call__", "models.fast_forward"]}

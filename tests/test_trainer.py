@@ -203,6 +203,16 @@ class TestDynamicLR:
         with pytest.raises(TrainerError):
             dynamic_lr(np.zeros(3), np.ones(3), 0.005)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.005, np.nan, np.inf])
+    def test_a_base_rate_outside_zero_to_inf_is_rejected(self, lam):
+        with pytest.raises(TrainerError, match="base learning rate must be finite and positive"):
+            dynamic_lr(np.array([1.0, 2.0]), np.array([1.0, 1.0]), lam)
+
+    @pytest.mark.parametrize("norm", [-1.0, np.nan, np.inf])
+    def test_a_negative_or_non_finite_grad_norm_is_rejected(self, norm):
+        with pytest.raises(TrainerError, match="gradient norms must be finite and non-negative"):
+            dynamic_lr(np.array([1.0, 2.0]), np.array([1.0, norm]), 0.005)
+
     def test_zero_grad_norm_is_clamped(self):
         lr = dynamic_lr(np.array([1.0, 1.0]), np.array([0.0, 1e30]), 0.005)
         assert np.isfinite(lr).all()
