@@ -154,7 +154,7 @@ class IAKAdapter:
         self.encoder = VariationalLinear(rep_dim, config.d_e, f"{name}/enc0", init_rng)
         dims = [config.d_e, *config.decoder_hidden]
         self.decoder_hidden = [
-            Linear(d_in, d_out, f"{name}/dec{i}", init_rng)
+            Linear(d_in, d_out, f"{name}/dec{i}", init_rng, slope=LEAKY_SLOPE)
             for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
         ]
         # scale 0 draws an all-zero layer, so fine-tuning starts at the backbone
@@ -181,11 +181,9 @@ class IAKAdapter:
             for p in self._params:
                 p.set_trainable(True)
             return
-        shapes = [(self.rep_dim, self.config.d_e), *(layer.shape for layer in self.decoder_hidden),
-                  self.decoder_out.shape]
-        slopes = [LEAKY_SLOPE] * (len(shapes) - 1) + [None]  # those `adapter_graph` applies
-        for w, b, shape, slope in zip(self._means[::2], self._means[1::2], shapes, slopes):
-            check_dense(w, b, shape, slope)
+        check_dense(self.encoder.mu_w, self.encoder.mu_b, (self.rep_dim, self.config.d_e), LEAKY_SLOPE)
+        for layer in (*self.decoder_hidden, self.decoder_out):
+            layer.check()
         ad.Freeze(self._params)
 
     @property

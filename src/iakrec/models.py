@@ -13,13 +13,17 @@ experts with one `ad.gate_mix` node per task. The model reads one row type,
 a `datagen.Dataset` fitted by `encode_records`: batches, scored splits and
 a served request alike.
 
-A forward runs one of two ways, through the same layer objects. In a graph,
-every layer is an `ad` op. A model frozen whole
+A forward is `EmbeddingBundle.assemble`, then `MultiTaskModel.forward_from`
+on the assembled row: one body for every kind, each giving only its towers'
+inputs. It runs one of two ways, through the same layer objects. In a
+graph, every layer is an `ad` op. A model frozen whole
 (`MultiTaskModel.set_trainable(False)`) has had its layers checked once, as
-it was frozen; its entry, `EmbeddingBundle.assemble`, then returns a bare
-array, and each layer after it passes a bare array on through its op's
-kernel (`ad.linear_kernel`, `ad.gate_mix_kernel`, `ad.sigmoid_kernel`): the
-same arithmetic, so the same bits, with no op run.
+it was frozen; its assembly then returns a bare array, and each layer
+passes a bare array on through its op's kernel (`ad.linear_kernel`,
+`ad.gate_mix_kernel`, `ad.sigmoid_kernel`): the same arithmetic, so the
+same bits, with no op run. `forward_from` chooses the way once, by its row:
+a bare row runs the kernels on a model frozen whole, which checks its
+width, and records a graph on any other; a `Tensor` row runs the graph.
 """
 
 from __future__ import annotations
@@ -393,7 +397,22 @@ class MultiTaskModel:
         return [Linear(d, 1, f"head_{t}.l0", self.rng, scale=np.sqrt(1.0 / d)) for t in tasks]
 
     def forward_full(self, batch: Dataset) -> ModelOutput:
-        raise NotImplementedError
+        """The forward of a fitted batch: its assembled row, then `forward_from`."""
+        return self.forward_from(self.embeddings.assemble(batch))
+
+    def forward_from(self, x: Value) -> ModelOutput:
+        """The forward from an assembled (B, `embeddings.out_dim`) row, the
+        one body of every kind: a tower on each of the kind's
+        `_tower_inputs`, then `_output`. A bare row on a model frozen whole
+        runs the kernels; no op checks it, so a row that is not 2-d and
+        `out_dim` wide raises `ModelError`. A bare row on any other model is
+        a constant `Tensor`, so the forward records a graph."""
+        if type(x) is np.ndarray:
+            if not self.frozen:
+                x = Tensor(x)
+            elif x.ndim != 2 or x.shape[1] != self.embeddings.out_dim:
+                raise ModelError(f"an assembled row is (B, {self.embeddings.out_dim}), got {x.shape}")
+        return self._output([tower(h) for tower, h in zip(self.towers, self._tower_inputs(x))])
 
     def _output(self, penults: list[Value]) -> ModelOutput:
         """The output tail every kind shares: the tower activations side by
@@ -445,9 +464,11 @@ class SharedBottom(MultiTaskModel):
         self.heads = self._heads(TASKS)
         self._register(self.trunk, *self.towers, *self.heads)
 
-    def forward_full(self, batch: Dataset) -> ModelOutput:
-        x = self.trunk(self.embeddings.assemble(batch))
-        return self._output([tower(x) for tower in self.towers])
+    forward_full = MultiTaskModel.forward_full  # bound per kind: perfbench.layers.trace_targets patches it
+
+    def _tower_inputs(self, x: Value) -> list[Value]:
+        h = self.trunk(x)
+        return [h, h]
 
 
 class ESMM(MultiTaskModel):
@@ -464,9 +485,10 @@ class ESMM(MultiTaskModel):
         self.heads = self._heads(("ctr", "cvr"))
         self._register(*self.towers, *self.heads)
 
-    def forward_full(self, batch: Dataset) -> ModelOutput:
-        x = self.embeddings.assemble(batch)
-        return self._output([tower(x) for tower in self.towers])
+    forward_full = MultiTaskModel.forward_full  # bound per kind: perfbench.layers.trace_targets patches it
+
+    def _tower_inputs(self, x: Value) -> list[Value]:
+        return [x, x]
 
 
 class _MoECore:
@@ -504,9 +526,10 @@ class MMoE(MultiTaskModel):
         self.heads = self._heads(TASKS)
         self._register(self.core, *self.towers, *self.heads)
 
-    def forward_full(self, batch: Dataset) -> ModelOutput:
-        mixed = self.core(self.embeddings.assemble(batch))
-        return self._output([tower(m) for tower, m in zip(self.towers, mixed)])
+    forward_full = MultiTaskModel.forward_full  # bound per kind: perfbench.layers.trace_targets patches it
+
+    def _tower_inputs(self, x: Value) -> list[Value]:
+        return self.core(x)
 
 
 class BaseRecommender(MultiTaskModel):
@@ -525,9 +548,10 @@ class BaseRecommender(MultiTaskModel):
         self.stacked = Linear(2 * hs[-1], self.n_heads, "stacked_logits", self.rng, scale=np.sqrt(1.0 / (2 * hs[-1])))
         self._register(self.core, *self.towers, self.stacked)
 
-    def forward_full(self, batch: Dataset) -> ModelOutput:
-        mixed = self.core(self.embeddings.assemble(batch))
-        return self._output([tower(m) for tower, m in zip(self.towers, mixed)])
+    forward_full = MultiTaskModel.forward_full  # bound per kind: perfbench.layers.trace_targets patches it
+
+    def _tower_inputs(self, x: Value) -> list[Value]:
+        return self.core(x)
 
     def _logits(self, penults: list[Value], rep: Value) -> Value:
         """The stacked layer scores every task from the whole representation."""

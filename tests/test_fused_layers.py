@@ -263,12 +263,15 @@ def test_the_bare_path_equals_the_graph_path_bitwise(kind, rows):
     """A frozen forward on bare arrays gives the bits of the graph forward of
     the same weights: logits, representation and every probability, on one
     row, a few, and one past a chunk, whole and through `backbone_cache`'s
-    chunks."""
+    chunks. On either twin, the forward from the assembled row
+    (`forward_from`) gives the bits of the forward of the batch."""
     frozen, live = _twins(kind)
     batch = _batch(rows, rows)
     bare, graph = frozen.forward_full(batch), live.forward_full(batch)
     assert type(bare.logits) is np.ndarray and graph.logits.requires_grad
     assert _outputs(bare) == _outputs(graph)
+    for model, out in ((frozen, bare), (live, graph)):
+        assert _outputs(model.forward_from(model.embeddings.assemble(batch))) == _outputs(out)
     rep, logits = backbone_cache(frozen, batch)
     chunks = [live.forward_full(batch[start:start + FROZEN_CHUNK]) for start in range(0, rows, FROZEN_CHUNK)]
     assert rep.tobytes() == np.concatenate([c.representation.data for c in chunks]).tobytes()
@@ -293,6 +296,42 @@ def test_a_bare_adapted_prediction_equals_the_adapter_graph_bitwise(rows):
     assert corr.requires_grad
     graph = ModelOutput(ad.add(ad.Tensor(logits), corr), ad.Tensor(rep), backbone.predict_from_logits)
     assert type(bare.logits) is np.ndarray and _outputs(bare) == _outputs(graph)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_the_frozen_logits_gradcheck_against_a_trainable_assembled_row(kind):
+    """The gradient an input-side adapter trains on: a frozen backbone's
+    logits, weighted, against its assembled row made a trainable parameter.
+    The forward records a graph, only the row takes a gradient, and the
+    model stays frozen whole."""
+    frozen, _ = _twins(kind)
+    row = ad.Parameter(frozen.embeddings.assemble(_batch(3, 4)), "row")
+    upstream = np.random.default_rng(5).normal(size=(3, frozen.n_heads))
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(frozen.forward_from(row).logits, upstream)), [row], ad.backward)
+    assert np.any(row.grad != 0.0) and frozen.frozen
+    assert all(p._grad_unset() for p in frozen.parameters())
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_a_bare_row_on_a_trainable_model_records_a_graph(kind):
+    """A bare assembled row on a model not frozen whole is a constant of the
+    graph: the forward records one, and every dense weight takes, bit for
+    bit, the gradient the forward of the batch whose row it is gives it."""
+    _, live = _twins(kind)
+    batch = _batch(7, 3)
+    upstream = np.random.default_rng(6).normal(size=(7, live.n_heads))
+    dense = live.parameters()[1:]
+
+    def dense_grads(out):
+        ad.zero_grads(live.parameters())
+        ad.backward(ad.reduce_sum(ad.mul(out.logits, upstream)))
+        return [p.grad.tobytes() for p in dense]
+
+    from_batch = dense_grads(live.forward_full(batch))
+    out = live.forward_from(live.embeddings.assemble(batch).data)
+    assert out.logits.requires_grad
+    assert dense_grads(out) == from_batch
+    assert live.embeddings.rows._grad_unset()
 
 
 def test_a_frozen_prediction_reads_views_of_one_sigmoid_and_a_graph_copies():
@@ -362,14 +401,16 @@ def _freeze_adapter_after(mutate):
     return run
 
 
-def _score(batch=None, logits=None):
-    """Score a frozen small BaseRecommender: a forward over `batch`, or a
-    prediction of bare `logits`."""
+def _score(batch=None, row=None, logits=None):
+    """Score a frozen small BaseRecommender: a forward over `batch` or from a
+    bare assembled `row`, or a prediction of bare `logits`."""
     def run():
         model = _small_base()
         model.set_trainable(False)
         if batch is not None:
             model.forward_full(batch)
+        elif row is not None:
+            model.forward_from(row)
         else:
             model.predict_from_logits(logits)
     return run
@@ -383,7 +424,7 @@ _UNFITTED = Dataset(**{**vars(_batch(3, 1)), "features": np.zeros((3, 3), dtype=
 # Each input check an op makes on every call (`test_autodiff.GRAPH_FREE_ERRORS`),
 # made by a frozen forward once: when the model or adapter is frozen (a bad
 # slope, weight, bias or table, set after build) or at the entry (the batch's
-# fitted width, the logits a prediction is built from)
+# fitted width, the assembled row's shape, the logits a prediction is built from)
 FREEZE_ERRORS = {
     "linear_shape": (_freeze_after(_set(lambda m: m.core.experts[0].layers[0].w, np.ones((3, 10)))), ad.ShapeError,
                      r"expert0.l0.w and expert0.l0.b are \(3, 10\) and \(10,\); their layer needs \(72, 10\)"),
@@ -396,6 +437,8 @@ FREEZE_ERRORS = {
     "gather_rows_past_the_end": (_freeze_after(_set(lambda m: m.embeddings.rows, np.zeros((30, 8)))),
                                  ad.ShapeError, r"embeddings.rows is \(30, 8\); its ranges need \(84, 8\)"),
     "gather_rows_unfitted_batch": (_score(batch=_UNFITTED), ModelError, "batch has 3 feature columns, the model 4"),
+    "row_width": (_score(row=np.zeros((3, 71))), ModelError, r"an assembled row is \(B, 72\), got \(3, 71\)"),
+    "row_ndim": (_score(row=np.zeros(72)), ModelError, r"an assembled row is \(B, 72\), got \(72,\)"),
     "adapter_shape": (_freeze_adapter_after(_set(lambda a: a.decoder_hidden[0].w, np.ones((5, 5)))), ad.ShapeError,
                       r"dec0.b are \(5, 5\) and \(5,\); their layer needs \(4, 5\)"),
     "adapter_encoder_shape": (_freeze_adapter_after(_set(lambda a: a.encoder.mu_b, np.zeros(3))), ad.ShapeError,

@@ -8,12 +8,14 @@ numpy's own `savez` or `load`. Tables go to disk through one writer,
 `evals.write_csv`: no other module imports `csv`. No function takes weight
 noise: the adapter forward reads the weights it is given, a lone adapter its
 posterior means. The bank's `sample` and the MI channel alone draw a weight
-sample, and the bank's `encoder_kl` alone builds the encoder KL. A setting is
-checked where its section config is built: no module defines or calls a
-`validate`, and every `*Config` dataclass and `FeatureSpace` is frozen, so a
-built section stays checked. The bare kernels of `autodiff` run only in
-their graph ops and in the layers of a frozen forward, so there is no
-second, hand-written forward."""
+sample, and the bank's `encoder_kl` alone builds the encoder KL. The
+backbone's forward is one body: only `forward_full` assembles a row and only
+`forward_from` runs a kind's tower inputs. A setting is checked where its
+section config is built: no module defines or calls a `validate`, and every
+`*Config` dataclass and `FeatureSpace` is frozen, so a built section stays
+checked. The bare kernels of `autodiff` run only in their graph ops and in
+the layers of a frozen forward, so there is no second, hand-written
+forward."""
 
 import ast
 import sys
@@ -363,6 +365,14 @@ def test_only_the_bank_builds_the_encoder_kl():
     """The KL term of the information-bottleneck loss is built in one place,
     from the softplus parts of the step's weight sample."""
     assert _src_users_of("gaussian_kl") == ["iak.AdapterBank.encoder_kl"]
+
+
+def test_every_kind_runs_the_one_forward_from_its_assembled_row():
+    """The backbone's forward exists once: only `forward_full` assembles a
+    batch's row, and only `forward_from` runs a kind's tower inputs from it,
+    so no kind has a second, hand-written forward body."""
+    assert _src_users_of("assemble") == ["models.MultiTaskModel.forward_full"]
+    assert _src_users_of("_tower_inputs") == ["models.MultiTaskModel.forward_from"]
 
 
 def test_the_check_sees_every_user_of_a_name():
