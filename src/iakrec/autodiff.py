@@ -176,8 +176,8 @@ class Parameter(Tensor):
 
 class Freeze:
     """The parameters of one model or adapter, frozen whole after the check
-    its owner makes of them (`models.MultiTaskModel.set_trainable`,
-    `iak.IAKAdapter.set_trainable`). Each parameter holds it as `freeze`.
+    its owner makes of them (`models.MultiTaskModel.freeze`,
+    `iak.IAKAdapter.freeze`). Each parameter holds it as `freeze`.
     It holds until any of them is set trainable again; while it holds, the
     owner's forward reads them as bare arrays through the kernels."""
 

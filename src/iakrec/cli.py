@@ -182,7 +182,7 @@ def _restore_backbone(ckpt_path: Path, model_config: ModelConfig, space: Feature
     arrays, _ = load_checkpoint(ckpt_path)
     model = build_model(model_config, space, seed=None)
     model.restore(arrays)
-    model.set_trainable(False)
+    model.freeze()
     return model, adapters_from_arrays(arrays, model.rep_dim, model.n_heads, iak_config)
 
 

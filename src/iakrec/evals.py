@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import Dataset, domain_rows
 from .iak import FROZEN_CHUNK, IAKAdapter, adapted_prediction, backbone_cache, encoder_stage
-from .models import MultiTaskModel, values
+from .models import MultiTaskModel
 
 DEFAULT_BINS = 10
 KL_SMOOTH = 1e-9
@@ -217,14 +217,14 @@ class SplitPass:
         return pred.p_ctr[:, 0], pred.p_ctcvr[:, 0]
 
     def adapted(self, adapter: IAKAdapter, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """An adapter frozen whole scores on bare arrays; any other records
-        a graph, whose values are read."""
+        """The probabilities of an adapter frozen whole (see
+        `iak.adapted_prediction`) over the rows `idx`, read as bare arrays."""
         rep, logits = self.rep[idx], self.logits[idx]
         p_ctr, p_ctcvr = np.empty(len(rep)), np.empty(len(rep))
         for start in range(0, len(rep), self.chunk):
             rows = slice(start, start + self.chunk)
             pred = adapted_prediction(self.backbone, adapter, rep[rows], logits[rows]).prediction
-            p_ctr[rows], p_ctcvr[rows] = values(pred.p_ctr)[:, 0], values(pred.p_ctcvr)[:, 0]
+            p_ctr[rows], p_ctcvr[rows] = pred.p_ctr[:, 0], pred.p_ctcvr[:, 0]
         return p_ctr, p_ctcvr
 
     def slices(self, selectors: dict[str, dict[str, int]]) -> Iterator[tuple[str, np.ndarray, Dataset]]:

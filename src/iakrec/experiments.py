@@ -74,7 +74,7 @@ def pretrained(run: RunConfig, workdir: Path, seed: int, train: Dataset) -> Mult
         pretrain(model, train, replace(run.train_config(), seed=seed))
         path.parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(path, model.named_parameters(), digest)
-    model.set_trainable(False)
+    model.freeze()
     return model
 
 

@@ -10,17 +10,16 @@ initial state.
 and serving. It reads its rows and the weights it is given: the encoder's
 weight and bias (`encoder_stage`, the scaled affine map and leaky ReLU),
 then each decoder layer's. Every layer is one dense-layer primitive, in one
-of two forms. A lone `IAKAdapter` passes `ad.linear` and its encoder's
-posterior means: eval and serving correct a backbone output with one
-adapter at a time (`adapted_prediction`), whose prediction is built only
-when it is read. An adapter frozen whole passes the op's kernel,
-`ad.linear_kernel`, and the arrays of those means instead: its layers were
-checked when it was frozen, so it corrects a frozen backbone's bare arrays
-with no op run. An `AdapterBank` passes `ad.segment_linear` over its
-stacked (K, ...) parameters: fine-tuning trains the adapters of a joint
-batch through one autodiff graph, rows grouped by adapter. The segment form
-repeats, per adapter, the numpy calls of the one-adapter graph, so every
-adapter trains exactly as it would alone.
+of two forms. A lone `IAKAdapter` scores only frozen whole
+(`IAKAdapter.freeze` checks its layers once): eval and serving correct a
+frozen backbone's bare arrays with one adapter at a time
+(`adapted_prediction`) on the op's kernel, `ad.linear_kernel`, with no op
+run, and build the prediction only when it is read. An `AdapterBank` passes
+`ad.segment_linear` over its stacked (K, ...) parameters: fine-tuning
+trains the adapters of a joint batch through one autodiff graph, rows
+grouped by adapter. Both repeat the numpy calls of the one-adapter graph on
+`ad.linear` (the tests' reference), so every adapter trains and scores
+exactly as it would there.
 
 The bank alone owns the training stage, the knowledge compression that the
 variational information bottleneck approximates: `AdapterBank.sample` draws
@@ -108,8 +107,8 @@ class VariationalLinear:
 def encoder_stage(x: Value, w: Value, b: Value, scale: float, linear: Callable[..., Value]) -> Value:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
     + b, with the encoder weight `w` and bias `b` as given (posterior means,
-    or a weight sample). `linear` is the dense-layer primitive, plain or
-    segment (see `adapter_graph`)."""
+    or a weight sample). `linear` is the dense-layer primitive, kernel or
+    segment op (see `adapter_graph`)."""
     return linear(x, w, b, slope=LEAKY_SLOPE, scale=scale)
 
 
@@ -118,9 +117,11 @@ def adapter_graph(x: Value, params: Sequence[Value], scale: float, linear: Calla
 
     `params` are the encoder's weight and bias (see `encoder_stage`)
     followed by each decoder layer's weight and bias. `linear` is the
-    dense-layer primitive: `ad.linear` for one adapter, `ad.segment_linear`
-    bound to its offsets for a bank, or the kernel `ad.linear_kernel` over
-    the bare arrays of an adapter frozen whole."""
+    dense-layer primitive: the kernel `ad.linear_kernel` over the bare
+    arrays of a lone adapter frozen whole (`IAKAdapter.correction`), or
+    `ad.segment_linear` bound to its offsets for a bank. The tests'
+    one-adapter reference passes `ad.linear`, whose values the kernel
+    computes."""
     x = encoder_stage(x, params[0], params[1], scale, linear)
     decoder = params[2:]
     for w_l, b_l in zip(decoder[:-2:2], decoder[1:-2:2]):
@@ -172,15 +173,12 @@ class IAKAdapter:
     def named_parameters(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
-    def set_trainable(self, trainable: bool) -> None:
-        """Make every parameter trainable, or freeze the adapter whole after
-        checking, once, each layer `correction` runs: its weight and bias
-        conform and its slope is in range (`models.check_dense`). A failed
-        check raises and freezes nothing."""
-        if trainable:
-            for p in self._params:
-                p.set_trainable(True)
-            return
+    def freeze(self) -> None:
+        """Freeze the adapter whole after checking, once, each layer
+        `correction` runs: its weight and bias conform and its slope is in
+        range (`models.check_dense`). A failed check raises and freezes
+        nothing. The adapter scores (`adapted_prediction`) while it stays
+        frozen, until any parameter is set trainable again (`ad.Freeze`)."""
         check_dense(self.encoder.mu_w, self.encoder.mu_b, (self.rep_dim, self.config.d_e), LEAKY_SLOPE)
         for layer in (*self.decoder_hidden, self.decoder_out):
             layer.check()
@@ -196,39 +194,40 @@ class IAKAdapter:
         is an `AdapterError` (see `models.restore_parameters`)."""
         restore_parameters(self.parameters(), arrays, AdapterError)
 
-    def correction(self, representation: Value) -> Value:
-        """Per-task logit corrections, (B, n_tasks), with the encoder's
-        posterior means: `adapter_graph` on `ad.linear`, or, for an adapter
-        frozen whole given a bare array, on its kernel, to a bare array."""
-        if self.frozen and type(representation) is np.ndarray:
-            return adapter_graph(representation, [p.data for p in self._means], self.encoder.scale, ad.linear_kernel)
-        return adapter_graph(representation, self._means, self.encoder.scale, ad.linear)
+    def correction(self, representation: np.ndarray) -> np.ndarray:
+        """Per-task logit corrections, (B, n_tasks), of a bare (B, rep_dim)
+        array: `adapter_graph` on `ad.linear_kernel` with the encoder's
+        posterior means, unchecked (see `adapted_prediction`)."""
+        return adapter_graph(representation, [p.data for p in self._means], self.encoder.scale, ad.linear_kernel)
 
 
 def adapted_prediction(
     backbone: MultiTaskModel,
     adapter: IAKAdapter,
-    representation: Value,
-    base_logits: Value,
+    representation: np.ndarray,
+    base_logits: np.ndarray,
 ) -> ModelOutput:
-    """A backbone output corrected by an adapter: the (B, n_heads) base
-    logits plus the adapter's additive correction, with the encoder's
-    posterior means. Its prediction is built from those logits when it is
+    """A frozen backbone's output corrected by an adapter frozen whole: the
+    (B, n_heads) base logits plus the adapter's correction, all bare arrays,
+    with no op run. Its prediction is built from those logits when it is
     read (`models.ModelOutput`), so an eager router that corrects with every
     deployed adapter builds only the served one. Eval and serving score
     through it; a zero correction reproduces the backbone bit-for-bit.
 
-    A frozen backbone's bare arrays through an adapter frozen whole give
-    bare arrays, with no op run: the input widths are checked here, the
-    layers when the adapter was frozen, and the logits when the prediction
-    is built (`MultiTaskModel.predict_from_logits`)."""
+    It is a lone adapter's one scorer and its one check: an adapter not
+    frozen whole, an input not a bare array, or inputs not 2-d with one row
+    count and the adapter's widths raise `AdapterError`. The logits are
+    checked when the prediction is built (`predict_from_logits`)."""
+    if not adapter.frozen or type(representation) is not np.ndarray or type(base_logits) is not np.ndarray:
+        raise AdapterError("an adapter scores frozen whole (IAKAdapter.freeze), on a frozen backbone's bare arrays")
     _check_inputs(adapter, representation.shape, base_logits.shape)
-    corr = adapter.correction(representation)
-    logits = base_logits + corr if type(corr) is np.ndarray else ad.add(base_logits, corr)
-    return ModelOutput(logits, representation, backbone.predict_from_logits)
+    return ModelOutput(base_logits + adapter.correction(representation), representation, backbone.predict_from_logits)
 
 
 def _check_inputs(adapter: IAKAdapter | AdapterBank, rep_shape: tuple[int, ...], logits_shape: tuple[int, ...]) -> None:
+    # 2-d, with one row count: numpy would broadcast one row of logits over every row
+    if len(rep_shape) != 2 or len(logits_shape) != 2 or rep_shape[0] != logits_shape[0]:
+        raise AdapterError(f"representation {rep_shape} and logits {logits_shape} must be 2-d, with one row count")
     if rep_shape[1] != adapter.rep_dim:
         raise AdapterError(f"representation width {rep_shape[1]} != adapter rep_dim {adapter.rep_dim}")
     if logits_shape[1] != adapter.n_tasks:

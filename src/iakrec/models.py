@@ -17,13 +17,16 @@ A forward is `EmbeddingBundle.assemble`, then `MultiTaskModel.forward_from`
 on the assembled row: one body for every kind, each giving only its towers'
 inputs. It runs one of two ways, through the same layer objects. In a
 graph, every layer is an `ad` op. A model frozen whole
-(`MultiTaskModel.set_trainable(False)`) has had its layers checked once, as
-it was frozen; its assembly then returns a bare array, and each layer
-passes a bare array on through its op's kernel (`ad.linear_kernel`,
+(`MultiTaskModel.freeze`) has had its layers checked once, as it was
+frozen; its assembly then returns a bare array, and each layer passes a
+bare array on through its op's kernel (`ad.linear_kernel`,
 `ad.gate_mix_kernel`, `ad.sigmoid_kernel`): the same arithmetic, so the
 same bits, with no op run. `forward_from` chooses the way once, by its row:
 a bare row runs the kernels on a model frozen whole, which checks its
 width, and records a graph on any other; a `Tensor` row runs the graph.
+Scoring (eval, serving, `iak.backbone_cache`) runs only a model frozen
+whole, so it reads bare arrays: besides this module and `autodiff`, only
+`iak.adapted_prediction` tells a bare array from a `Tensor`.
 """
 
 from __future__ import annotations
@@ -147,11 +150,6 @@ def _safe_rows(raw: np.ndarray, vocab: np.ndarray, first: np.ndarray) -> np.ndar
 
 # what a layer passes on: a graph's tensor, or a frozen forward's bare array
 Value = Tensor | np.ndarray
-
-
-def values(v: Value) -> np.ndarray:
-    """The array a graph output holds, or the bare array itself."""
-    return v if type(v) is np.ndarray else v.data
 
 
 def check_dense(w: Parameter, b: Parameter, shape: tuple[int, int], slope: float | None) -> None:
@@ -340,17 +338,12 @@ class MultiTaskModel:
         """Every array by its checkpoint name: the table, then the rest."""
         return {p.name: p.data for p in self._params}
 
-    def set_trainable(self, trainable: bool) -> None:
-        """Make every parameter trainable, or freeze the model whole. Freezing
-        first checks, once, what the ops check on every call: the table's
-        shape, and each dense layer's weight, bias and slope (`check_dense`).
-        A failed check raises and freezes nothing. The model's forward then
-        runs on bare arrays until any parameter is set trainable again
-        (`ad.Freeze`)."""
-        if trainable:
-            for p in self._params:
-                p.set_trainable(True)
-            return
+    def freeze(self) -> None:
+        """Freeze the model whole. This first checks, once, what the ops
+        check on every call: the table's shape, and each dense layer's
+        weight, bias and slope (`check_dense`). A failed check raises and
+        freezes nothing. The model's forward then runs on bare arrays until
+        any parameter is set trainable again (`ad.Freeze`)."""
         self.embeddings.check()
         for layer in self._layers:
             layer.check()

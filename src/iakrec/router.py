@@ -13,10 +13,12 @@ with no adapter fall back to the zero-shot backbone, visibly (`served_by =
 "zero_shot"`). The router freezes the backbone and every adapter it
 deploys, and freezing checks each of their layers once, so scoring runs no
 autodiff op: the forward runs the ops' kernels on bare arrays, with no
-per-call check. The request's row is checked where it enters the backbone
-(`models.EmbeddingBundle.assemble`), and each prediction's logits once
-(`MultiTaskModel.predict_from_logits`): a non-finite score raises
-`NonFiniteError`, and `serve` answers it as an error on that line.
+per-call check. A score raises `AdapterError` if the backbone, or an
+adapter it corrects with, was thawed since. The request's row is checked
+where it enters the backbone (`models.EmbeddingBundle.assemble`), and each
+prediction's logits once (`MultiTaskModel.predict_from_logits`): a
+non-finite score raises `NonFiniteError`, and `serve` answers it as an
+error on that line.
 
 Every request runs the backbone once. In the default eager mode every
 deployed adapter then corrects that one output, so with K adapters deployed
@@ -43,8 +45,8 @@ import numpy as np
 
 from .autodiff import NonFiniteError
 from .datagen import Dataset, domain_mask, id_fields, parse_domain_key
-from .iak import IAKAdapter, adapted_prediction
-from .models import FeatureSpace, MultiTaskModel, encode_records, values
+from .iak import AdapterError, IAKAdapter, adapted_prediction
+from .models import FeatureSpace, MultiTaskModel, encode_records
 
 ZERO_SHOT = "zero_shot"
 
@@ -91,9 +93,9 @@ def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
 
 class DomainRouter:
     """Frozen backbone plus the set of per-domain adapters, immutable after
-    construction. The router freezes the backbone and each adapter it is
-    given, so a score records no graph. Scoring is read-only and safe to
-    share."""
+    construction. Once each adapter it is given fits the backbone, the router
+    freezes the backbone and each adapter, so a score records no graph.
+    Scoring is read-only and safe to share."""
 
     def __init__(
         self,
@@ -101,17 +103,17 @@ class DomainRouter:
         adapters: dict[str, IAKAdapter],
         lazy_activation: bool = False,
     ):
-        backbone.set_trainable(False)
-        self.backbone = backbone
-        self.space = backbone.space
-        self.lazy_activation = lazy_activation
         self.adapters = dict(sorted(adapters.items()))
         for key, a in self.adapters.items():
             if a.rep_dim != backbone.rep_dim or a.n_tasks != backbone.n_heads:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
+        backbone.freeze()
+        self.backbone = backbone
+        self.space = backbone.space
+        self.lazy_activation = lazy_activation
         for a in self.adapters.values():
             if not a.frozen:  # a restored adapter comes checked and frozen (`adapters_from_arrays`)
-                a.set_trainable(False)
+                a.freeze()
         # most specific first, ties in key order, so the first match is the one
         self._by_specificity = sorted(self.adapters, key=lambda k: (-len(self.adapters[k].domain_key), k))
 
@@ -122,6 +124,8 @@ class DomainRouter:
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         t0 = time.perf_counter_ns()
+        if not self.backbone.frozen:
+            raise AdapterError("the router's backbone is no longer frozen whole")
         row = encode_request(request, self.space)
         out = self.backbone.forward_full(row)
         selected = self._select(row)
@@ -134,8 +138,8 @@ class DomainRouter:
         pred = (out if selected is None else adapted[selected]).prediction
         latency = (time.perf_counter_ns() - t0) // 1000
         return ScoreResponse(
-            p_ctr=float(values(pred.p_ctr)[0, 0]),
-            p_ctcvr=float(values(pred.p_ctcvr)[0, 0]),
+            p_ctr=float(pred.p_ctr[0, 0]),
+            p_ctcvr=float(pred.p_ctcvr[0, 0]),
             served_by=ZERO_SHOT if selected is None else selected,
             latency_micros=int(latency),
         )
@@ -187,6 +191,6 @@ def adapters_from_arrays(
     for key in keys:
         adapter = IAKAdapter(rep_dim, n_tasks, iak_config, parse_domain_key(key), seed=None)
         adapter.restore({n: a for n, a in arrays.items() if n.startswith(f"adapter/{key}/")})
-        adapter.set_trainable(False)
+        adapter.freeze()
         adapters[key] = adapter
     return adapters

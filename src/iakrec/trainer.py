@@ -266,7 +266,7 @@ def finetune_all(
     missing = sorted(set(config.mixing) - set(selected))
     if missing:
         raise TrainerError(f"mixing references domains without rows: {missing}")
-    backbone.set_trainable(False)
+    backbone.freeze()
 
     union = np.unique(np.concatenate(list(selected.values())))
     encoded = encode_records(train.take(union), backbone.space)
@@ -291,7 +291,7 @@ def finetune_all(
             replace(config, epochs=1), iak_config, shared_rng, start_step=curve[-1].step if curve else 0,
         )
     for adapter in adapters.values():
-        adapter.set_trainable(False)
+        adapter.freeze()
     return FinetuneResult(adapters, curve)
 
 

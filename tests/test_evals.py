@@ -319,13 +319,14 @@ class TestSplitPass:
         space = self.CFG.feature_space()
         fitted = encode_records(records, space)
         backbone = build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), space, seed=0)
-        backbone.set_trainable(False)
+        backbone.freeze()
         adapters = {}
         for period in (0, 1, 2):
             adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, decoder_hidden=(6,)),
                                  {"period": period}, seed=period + 1)
             adapter.decoder_out.w.data[:] = 0.1 * (period - 1)
             adapter.decoder_out.b.data[:] = 0.05 * (period + 1)
+            adapter.freeze()
             adapters[f"period={period}"] = adapter
         split = SplitPass(backbone, fitted)
         assert len(fitted) > 4096

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from iakrec import autodiff as ad
-from iakrec.iak import (FROZEN_CHUNK, AdapterBank, IAKAdapter, IAKConfig, adapted_prediction, adapter_graph,
-                        adapter_step_cached, backbone_cache)
+from iakrec.iak import (FROZEN_CHUNK, AdapterBank, AdapterError, IAKAdapter, IAKConfig, adapted_prediction,
+                        adapter_graph, adapter_step_cached, backbone_cache)
 from iakrec.models import (MODEL_KINDS, FeatureSpace, ModelConfig, ModelError, ModelOutput, _safe_rows, build_model,
-                           encode_records, values)
+                           encode_records)
 from iakrec.datagen import Dataset
 from iakrec.evals import SplitPass
 from iakrec.router import DomainRouter, ScoreRequest
@@ -132,7 +132,7 @@ def _bank_step(beta, decoder_hidden=(6, 5), steps=2):
     """(losses and norms of each step, bank parameter bytes) of joint steps
     of four adapters: adapter 1 has no rows and adapter 2 a zero rate."""
     backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=2)
-    backbone.set_trainable(False)
+    backbone.freeze()
     config = IAKConfig(d_e=4, beta=beta, decoder_hidden=decoder_hidden)
     adapters = [IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": k}, seed=10 + k) for k in range(4)]
     rng = np.random.default_rng(3)
@@ -246,15 +246,16 @@ def _twins(kind, seed=1):
     """A model frozen whole and its trainable twin: the same weights, run
     on bare arrays and through a recorded graph."""
     frozen, live = (build_model(ModelConfig(kind=kind, hidden_sizes=(10, 5)), SPACE, seed=seed) for _ in range(2))
-    frozen.set_trainable(False)
+    frozen.freeze()
     return frozen, live
 
 
 def _outputs(out):
-    """The bytes of a forward's logits, representation and probabilities."""
+    """The bytes of a forward's logits, representation and probabilities,
+    bare arrays or a graph's."""
     pred = out.prediction
-    return [values(v).tobytes() for v in (out.logits, out.representation, pred.p_ctr, pred.p_ctcvr, pred.p_cvr)
-            if v is not None]
+    return [(v.data if isinstance(v, ad.Tensor) else v).tobytes()
+            for v in (out.logits, out.representation, pred.p_ctr, pred.p_ctcvr, pred.p_cvr) if v is not None]
 
 
 @pytest.mark.parametrize("rows", [1, 7, FROZEN_CHUNK + 1])
@@ -289,7 +290,7 @@ def test_a_bare_adapted_prediction_equals_the_adapter_graph_bitwise(rows):
     adapter.decoder_out.w.data[:] = rng.normal(size=adapter.decoder_out.w.shape)
     twin = IAKAdapter(backbone.rep_dim, backbone.n_heads, config, {"period": 1}, seed=None)
     twin.restore(adapter.named_parameters())
-    adapter.set_trainable(False)
+    adapter.freeze()
     rep, logits = rng.normal(size=(rows, backbone.rep_dim)), rng.normal(size=(rows, backbone.n_heads))
     bare = adapted_prediction(backbone, adapter, rep, logits)
     corr = adapter_graph(ad.Tensor(rep), twin._means, twin.encoder.scale, ad.linear)
@@ -347,8 +348,8 @@ def test_a_frozen_prediction_reads_views_of_one_sigmoid_and_a_graph_copies():
 def test_a_partly_unfrozen_backbone_records_a_graph_and_the_group_a_gradient(group):
     """A backbone frozen by a router, then one group set trainable again,
     leaves the bare path: its forward records a graph, and the group takes
-    a gradient, while the router serves the same scores through that graph.
-    Freezing it whole again goes back to bare arrays."""
+    a gradient, while the router refuses to score. Freezing it whole again
+    goes back to bare arrays, and the router serves the same scores."""
     frozen, _ = _twins("base")
     config = IAKConfig(d_e=4, decoder_hidden=(6,))
     router = DomainRouter(frozen, {"period=1": IAKAdapter(frozen.rep_dim, frozen.n_heads, config, {"period": 1},
@@ -359,25 +360,36 @@ def test_a_partly_unfrozen_backbone_records_a_graph_and_the_group_a_gradient(gro
     request = ScoreRequest(user_id=3, item_id=4, domain_ids={"period": 1}, feature_ids=[1, 2])
     served = router.score(request)
     param.set_trainable(True)
-    assert (router.score(request).p_ctr, router.score(request).p_ctcvr) == (served.p_ctr, served.p_ctcvr)
+    with pytest.raises(AdapterError, match="no longer frozen whole"):
+        router.score(request)
     assert not frozen.frozen
     out = frozen.forward_full(batch)
     assert out.logits.requires_grad and isinstance(out.representation, ad.Tensor)
     ad.backward(ad.reduce_sum(out.logits))
     assert np.any(param.grad != 0.0)
     assert all(not p.requires_grad for p in frozen.parameters() if p is not param)
-    frozen.set_trainable(False)
+    frozen.freeze()
     assert frozen.frozen and type(frozen.forward_full(batch).logits) is np.ndarray
+    assert (router.score(request).p_ctr, router.score(request).p_ctcvr) == (served.p_ctr, served.p_ctcvr)
 
 
-def test_an_unfrozen_adapter_corrects_through_a_graph():
+def test_an_adapter_thawed_since_its_freeze_does_not_score():
+    """An adapter scores only frozen whole: one parameter set trainable
+    again makes scoring raise, on bare arrays or on tensors, until it is
+    frozen again."""
     backbone, _ = _twins("base")
     adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4), {"period": 1}, seed=2)
-    adapter.set_trainable(False)
+    adapter.freeze()
     rep, logits = backbone_cache(backbone, _batch(3, 1))
-    assert type(adapted_prediction(backbone, adapter, rep, logits).logits) is np.ndarray
+    bare = adapted_prediction(backbone, adapter, rep, logits)
+    assert type(bare.logits) is np.ndarray
     adapter.decoder_out.b.set_trainable(True)
-    assert not adapter.frozen and adapted_prediction(backbone, adapter, rep, logits).logits.requires_grad
+    assert not adapter.frozen
+    for inputs in ((rep, logits), (ad.Tensor(rep), ad.Tensor(logits))):
+        with pytest.raises(AdapterError, match="frozen whole"):
+            adapted_prediction(backbone, adapter, *inputs)
+    adapter.freeze()
+    assert adapted_prediction(backbone, adapter, rep, logits).logits.tobytes() == bare.logits.tobytes()
 
 
 def _small_base():
@@ -389,7 +401,7 @@ def _freeze_after(mutate):
     def run():
         model = _small_base()
         mutate(model)
-        model.set_trainable(False)
+        model.freeze()
     return run
 
 
@@ -397,7 +409,7 @@ def _freeze_adapter_after(mutate):
     def run():
         adapter = IAKAdapter(6, 2, IAKConfig(d_e=4, decoder_hidden=(5,)), {"period": 1}, seed=1)
         mutate(adapter)
-        adapter.set_trainable(False)
+        adapter.freeze()
     return run
 
 
@@ -406,7 +418,7 @@ def _score(batch=None, row=None, logits=None):
     bare assembled `row`, or a prediction of bare `logits`."""
     def run():
         model = _small_base()
-        model.set_trainable(False)
+        model.freeze()
         if batch is not None:
             model.forward_full(batch)
         elif row is not None:
@@ -459,7 +471,7 @@ def test_a_failed_freeze_check_freezes_nothing():
     model = _small_base()
     model.core.gates[1].slope = -0.0
     with pytest.raises(ValueError, match="slope must be in"):
-        model.set_trainable(False)
+        model.freeze()
     assert not model.frozen and all(p.trainable for p in model.parameters())
 
 
@@ -484,7 +496,7 @@ def _lone_steps(beta):
     adapter trained alone through the reference step (its one-adapter IB
     loss, `adapter_reference.lone_ib_loss`)."""
     backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=2)
-    backbone.set_trainable(False)
+    backbone.freeze()
     adapter = IAKAdapter(backbone.rep_dim, backbone.n_heads, IAKConfig(d_e=4, beta=beta, decoder_hidden=(6,)),
                          {"period": 1}, seed=5)
     adapter.decoder_out.w.data[:] = np.random.default_rng(6).normal(size=adapter.decoder_out.w.shape)

@@ -120,7 +120,9 @@ def _step(backbone, bank, batch, lr, beta):
 
 
 def _adapted(backbone, adapter, batch):
-    """Adapted prediction (posterior means) of one backbone pass over `batch`."""
+    """Adapted prediction (posterior means) of one backbone pass over `batch`,
+    the adapter frozen whole first, as scoring needs."""
+    adapter.freeze()
     out = backbone.forward_full(batch)
     return adapted_prediction(backbone, adapter, out.representation, out.logits).prediction
 
@@ -131,7 +133,7 @@ def _batch(n=8, seed=0, period=1):
 
 def _backbone(seed=0):
     model = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5)), SPACE, seed=seed)
-    model.set_trainable(False)
+    model.freeze()
     return model
 
 
@@ -148,7 +150,8 @@ class TestEncoderSample:
         adapter.encoder.rho_b.data[:] = -745.0
         rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
         sampled = lone_correction(adapter, rep, lone_noise(adapter, np.random.default_rng(3)))
-        assert sampled.data.tobytes() == adapter.correction(rep).data.tobytes()
+        adapter.freeze()
+        assert sampled.data.tobytes() == adapter.correction(rep.data).tobytes()
 
     def test_means_correction_reads_mu_exactly(self):
         # the means forward is given mu_w and mu_b as they are and never reads rho:
@@ -161,14 +164,17 @@ class TestEncoderSample:
         enc = adapter.encoder
         pre = (x @ enc.mu_w.data) * enc.scale + enc.mu_b.data
         want = np.where(pre >= 0.0, pre, 0.01 * pre) @ np.eye(2) + adapter.decoder_out.b.data
-        assert adapter.correction(ad.Tensor(x)).data.tobytes() == want.tobytes()
+        adapter.freeze()
+        assert adapter.correction(x).tobytes() == want.tobytes()
 
     def test_zero_noise_sample_is_the_means(self):
         adapter = IAKAdapter(3, 2, IAKConfig(d_e=2, decoder_hidden=(4,)), {"period": 1}, seed=1)
         adapter.decoder_out.w.data[:] = 0.3
         rep = ad.Tensor(np.random.default_rng(2).normal(size=(5, 3)))
         zeros = (np.zeros_like(adapter.encoder.mu_w.data), np.zeros_like(adapter.encoder.mu_b.data))
-        assert lone_correction(adapter, rep, zeros).data.tobytes() == adapter.correction(rep).data.tobytes()
+        sampled = lone_correction(adapter, rep, zeros)
+        adapter.freeze()
+        assert sampled.data.tobytes() == adapter.correction(rep.data).tobytes()
 
     def test_sample_mean_converges_to_mu(self):
         # 10^5 reparameterised weight draws w = mu + softplus(rho) * noise
@@ -239,8 +245,8 @@ class TestIAKForward:
         batch = _batch()
         base = backbone.forward_full(batch).prediction
         pred = _adapted(backbone, adapter, batch)
-        assert pred.p_ctr.data.tobytes() == base.p_ctr.tobytes()
-        assert pred.p_ctcvr.data.tobytes() == base.p_ctcvr.tobytes()
+        assert pred.p_ctr.tobytes() == base.p_ctr.tobytes()
+        assert pred.p_ctcvr.tobytes() == base.p_ctcvr.tobytes()
 
     def test_adapters_are_isolated(self):
         backbone = _backbone()
@@ -253,7 +259,7 @@ class TestIAKForward:
         for p in a2.parameters():
             p.data += 1.0
         after = _adapted(backbone, a1, batch)
-        np.testing.assert_array_equal(before.p_ctr.data, after.p_ctr.data)
+        np.testing.assert_array_equal(before.p_ctr, after.p_ctr)
 
     def test_mean_mode_is_deterministic(self):
         backbone = _backbone()
@@ -264,7 +270,7 @@ class TestIAKForward:
         batch = _batch()
         a = _adapted(backbone, adapter, batch)
         b = _adapted(backbone, adapter, batch)
-        assert a.p_ctr.data.tobytes() == b.p_ctr.data.tobytes()
+        assert a.p_ctr.tobytes() == b.p_ctr.tobytes()
 
     def test_means_prediction_draws_no_noise(self):
         # eval and serving consume none of the sample stream fine-tuning draws from
@@ -277,16 +283,45 @@ class TestIAKForward:
     def test_dimension_mismatch_rejected(self):
         backbone = _backbone()
         adapter = _adapter(backbone)
-        wrong_rep = ad.Tensor(np.zeros((4, backbone.rep_dim + 1)))
-        with pytest.raises(AdapterError):
-            adapted_prediction(backbone, adapter, wrong_rep, ad.Tensor(np.zeros((4, 2))))
+        adapter.freeze()
+        wrong_rep = np.zeros((4, backbone.rep_dim + 1))
+        with pytest.raises(AdapterError, match="representation width"):
+            adapted_prediction(backbone, adapter, wrong_rep, np.zeros((4, 2)))
 
     def test_head_count_mismatch_rejected(self):
         backbone = _backbone()
         adapter = _adapter(backbone)
-        rep = ad.Tensor(np.zeros((4, backbone.rep_dim)))
-        with pytest.raises(AdapterError):
-            adapted_prediction(backbone, adapter, rep, ad.Tensor(np.zeros((4, 3))))
+        adapter.freeze()
+        rep = np.zeros((4, backbone.rep_dim))
+        with pytest.raises(AdapterError, match="task count"):
+            adapted_prediction(backbone, adapter, rep, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("shapes", [((10,), (1, 2)), ((5, 10), (2,)), ((5, 10), (1, 2)), ((1, 10), (5, 2))],
+                             ids=["1-d representation", "1-d logits", "one row of logits", "one representation row"])
+    def test_inputs_that_are_not_2d_with_one_row_count_are_rejected(self, shapes):
+        # one row of logits against five representation rows would broadcast
+        # to five corrected rows; a 1-d input has no width to check
+        backbone = _backbone()
+        assert (backbone.rep_dim, backbone.n_heads) == (10, 2)
+        adapter = _adapter(backbone)
+        adapter.freeze()
+        rep, logits = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(AdapterError, match="must be 2-d, with one row count"):
+            adapted_prediction(backbone, adapter, rep, logits)
+        with pytest.raises(AdapterError, match="must be 2-d, with one row count"):
+            adapter_step_cached(backbone, _bank(_adapter(backbone)), rep, logits, np.zeros(5), np.zeros(5),
+                                np.array([0, 5]), np.array([0.01]), 1e-3)
+
+    def test_an_adapter_not_frozen_whole_or_a_tensor_input_is_rejected(self):
+        backbone = _backbone()
+        adapter = _adapter(backbone)
+        rep, logits = backbone_cache(backbone, _batch())
+        with pytest.raises(AdapterError, match="frozen whole"):
+            adapted_prediction(backbone, adapter, rep, logits)
+        adapter.freeze()
+        for inputs in ((ad.Tensor(rep), logits), (rep, ad.Tensor(logits))):
+            with pytest.raises(AdapterError, match="bare arrays"):
+                adapted_prediction(backbone, adapter, *inputs)
 
 
 class TestIBLoss:
@@ -294,7 +329,7 @@ class TestIBLoss:
         backbone = _backbone()
         adapter = _adapter(backbone)
         batch = _batch()
-        plain = bce_loss(_adapted(backbone, adapter, batch), batch.click, batch.purchase)
+        plain = bce_loss(_adapted(backbone, _adapter(backbone), batch), batch.click, batch.purchase)
         _, base = backbone_cache(backbone, batch)
         combined = _step_loss(backbone, adapter, base, batch.click, batch.purchase, beta=0.0)
         assert combined == float(plain.data)
@@ -319,7 +354,7 @@ class TestIBLoss:
         click = np.array([1.0, 0.0])
         purchase = np.array([0.0, 0.0])
         backbone = build_model(ModelConfig(kind="base", hidden_sizes=(10, 5), loss_weights=(1.0, 0.0)), SPACE, seed=0)
-        backbone.set_trainable(False)
+        backbone.freeze()
         adapter = _adapter(backbone, d_e=3)
         vl = adapter.encoder
         vl.mu_w.data[:] = 1.0
@@ -366,7 +401,8 @@ class TestFinetuneStep:
 
     def test_rejects_unfrozen_backbone(self):
         backbone = _backbone()
-        backbone.set_trainable(True)
+        for p in backbone.parameters():
+            p.set_trainable(True)
         with pytest.raises(AdapterError):
             backbone_cache(backbone, _batch())
 
@@ -586,7 +622,7 @@ class TestAdapterBank:
         # fine-tuning does, not at (1, 1)
         config = ModelConfig(kind="base", hidden_sizes=(10, 5), loss_weights=(2.0, 0.5))
         backbone = build_model(config, SPACE, seed=3)
-        backbone.set_trainable(False)
+        backbone.freeze()
         adapter, reference, state = _adapter(backbone, seed=10), _adapter(backbone, seed=10), ReferenceState()
         bank = _bank(adapter)
         for step in range(3):

@@ -15,7 +15,10 @@ section config is built: no module defines or calls a `validate`, and every
 `*Config` dataclass and `FeatureSpace` is frozen, so a built section stays
 checked. The bare kernels of `autodiff` run only in their graph ops and in
 the layers of a frozen forward, so there is no second, hand-written
-forward."""
+forward. Scoring reads only what is frozen whole: besides the engine, only
+`models` and `iak.adapted_prediction` test whether a value is a bare array
+or a `Tensor`, and the adapter forward runs only on the kernel (a lone
+adapter) or the segment op (a bank, the MI channel)."""
 
 import ast
 import sys
@@ -460,3 +463,86 @@ def test_the_check_sees_a_hand_written_forward():
                        "        x = ad.linear_kernel(x, w)\n    return x\n")
     assert _kernel_callers({"autodiff": engine, "models": models}) == {
         "linear_kernel": ["autodiff.linear", "models.Linear.__call__", "models.fast_forward"]}
+
+
+def _array_type_tests(tree: ast.Module, module: str) -> list[str]:
+    """`module.qualname` of each function, method, closure, lambda or class
+    that tests whether a value is an `ndarray` or a `Tensor`: a comparison
+    naming either (`type(v) is np.ndarray`), or an `isinstance` call whose
+    types name either; sorted and each once."""
+    def names_one(node: ast.AST) -> bool:
+        return any(_spelled(n) in ("ndarray", "Tensor") for n in ast.walk(node))
+
+    return sorted({scope for scope, node in _scoped(tree, module)
+                   if (isinstance(node, ast.Compare) and names_one(node))
+                   or (isinstance(node, ast.Call) and _spelled(node.func) == "isinstance" and len(node.args) == 2
+                       and names_one(node.args[1]))})
+
+
+def test_only_the_models_and_the_adapter_scorer_tell_an_array_from_a_tensor():
+    """Scoring runs only what is frozen whole, so eval and serving read bare
+    arrays and never ask: the layers of `models` pass a frozen forward's
+    bare arrays on, `iak.adapted_prediction` refuses anything else, and
+    `autodiff` wraps what it is given."""
+    found = [scope for path in MODULES
+             for scope in _array_type_tests(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert [scope for scope in found if scope.split(".")[0] not in ("autodiff", "models")
+            and scope != "iak.adapted_prediction"] == []
+
+
+def test_the_check_sees_a_test_of_an_arrays_type():
+    toy = ast.parse("import numpy as np\nfrom .autodiff import Tensor\n\n"
+                    "def f(v: np.ndarray) -> np.ndarray:\n    return v if type(v) is np.ndarray else v.data\n\n"
+                    "class A:\n    def m(self, v):\n        return isinstance(v, (int, Tensor))\n\n"
+                    "    def n(self, v):\n        return isinstance(v, int) or v.shape == (2,)\n\n"
+                    "    def k(self, v):\n        return lambda: type(v) != np.ndarray\n\n"
+                    "ARRAY = np.ndarray\n")
+    assert _array_type_tests(toy, "toy") == ["toy.A.k.<lambda>", "toy.A.m", "toy.f"]
+
+
+# the dense-layer primitives the adapter forward runs on in `src/iakrec`: the
+# kernel over a lone adapter's arrays, the segment op for a bank and the MI channel
+ADAPTER_PRIMITIVES = ("ad.linear_kernel", "ad.segment_linear")
+# each adapter forward, with the position of its `linear` parameter
+ADAPTER_FORWARDS = {"adapter_graph": 3, "encoder_stage": 4}
+
+
+def _primitives_passed(tree: ast.Module, module: str) -> list[str]:
+    """`scope primitive` of each call to an adapter forward, the primitive
+    being its `linear` argument (positional or keyword) as written, the
+    function `partial` binds when it is a `partial(...)`; sorted."""
+    out = []
+    for scope, node in _scoped(tree, module):
+        if isinstance(node, ast.Call) and (at := ADAPTER_FORWARDS.get(_spelled(node.func))) is not None:
+            arg = node.args[at] if len(node.args) > at else {kw.arg: kw.value for kw in node.keywords}.get("linear")
+            if isinstance(arg, ast.Call) and _spelled(arg.func) == "partial":
+                arg = arg.args[0]
+            out.append(f"{scope} {'<none>' if arg is None else ast.unparse(arg)}")
+    return sorted(out)
+
+
+def test_the_adapter_forward_runs_on_the_kernel_or_the_segment_op():
+    """A lone adapter scores frozen whole, on `ad.linear_kernel`, and a bank
+    and the MI channel run `ad.segment_linear`: no code in the package runs
+    the adapter forward on `ad.linear`, whose one-adapter graph lives in
+    `tests/adapter_reference.py`. `adapter_graph` passes its own `linear` on
+    to `encoder_stage`."""
+    found = [hit for path in MODULES
+             for hit in _primitives_passed(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert [hit for hit in found if hit.split()[1] not in ADAPTER_PRIMITIVES
+            and hit != "iak.adapter_graph linear"] == []
+    assert len(found) > len(ADAPTER_FORWARDS)
+
+
+def test_the_check_sees_every_primitive_an_adapter_forward_is_passed():
+    toy = ast.parse("from functools import partial\nfrom . import autodiff as ad\n\n"
+                    "def adapter_graph(x, params, scale, linear):\n"
+                    "    return encoder_stage(x, params[0], params[1], scale, linear)\n\n"
+                    "def score(x, p):\n    return adapter_graph(x, p, 1.0, ad.linear)\n\n"
+                    "def step(x, p, segs):\n"
+                    "    return adapter_graph(x, p, 1.0, linear=partial(ad.segment_linear, offsets=segs))\n\n"
+                    "def channel(x, w, b):\n    return encoder_stage(x, w, b, 1.0, ad.linear_kernel)\n\n"
+                    "def broken(x, p):\n    return adapter_graph(x, p, 1.0)\n")
+    assert _primitives_passed(toy, "toy") == ["toy.adapter_graph linear", "toy.broken <none>",
+                                              "toy.channel ad.linear_kernel", "toy.score ad.linear",
+                                              "toy.step ad.segment_linear"]

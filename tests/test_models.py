@@ -380,7 +380,7 @@ def test_a_restored_table_is_read_only_and_scores_as_a_writable_copy(tmp_path):
     assert copied.embeddings.rows.data.flags.writeable and copied.embeddings.rows.data.flags.aligned
     batch = _batch(40, 3)
     for m in (restored, copied):
-        m.set_trainable(False)
+        m.freeze()
     outs = [m.forward_full(batch) for m in (restored, copied)]
     assert outs[0].logits.tobytes() == outs[1].logits.tobytes()
     assert outs[0].representation.tobytes() == outs[1].representation.tobytes()

@@ -411,7 +411,7 @@ def test_a_base_pretrain_step_makes_one_update_per_arena(monkeypatch):
         pretrain_step(model, _batch(32, step), opt, 0.05)
         assert calls == [(1, sum(p.size for p in dense)), table.data.shape]
 
-    model.set_trainable(False)
+    model.freeze()
     adapters, bank = _bank(model, 3)
     batch = _batch(12, 7)
     rep, base = backbone_cache(model, batch)
@@ -444,7 +444,7 @@ def test_pretraining_and_the_bank_update_only_inside_the_one_step(monkeypatch):
     monkeypatch.setattr(ad, "adagrad_update", checked_update)
     model = build_model(ModelConfig(kind="base"), SPACE, seed=1)
     pretrain_step(model, _batch(32, 1), pretrain_optimizer(model, TrainConfig()), 0.05)
-    model.set_trainable(False)
+    model.freeze()
     _, bank = _bank(model, 2)
     batch = _batch(8, 2)
     rep, base = backbone_cache(model, batch)

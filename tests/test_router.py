@@ -12,9 +12,9 @@ from iakrec.checkpoint import load_checkpoint, save_checkpoint
 from iakrec.config import RunConfig
 from iakrec.datagen import TOPICS, domain_key, domain_mask, generate, parse_domain_key
 from iakrec.evals import SplitPass
-from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction
-from iakrec.models import (MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records,
-                           values)
+from iakrec import autodiff as ad
+from iakrec.iak import IAKAdapter, IAKConfig, adapted_prediction, adapter_graph
+from iakrec.models import MODEL_KINDS, FeatureSpace, ModelConfig, MultiTaskModel, build_model, encode_records
 from iakrec.router import (
     DomainRouter,
     RequestError,
@@ -146,6 +146,18 @@ class TestRouteScore:
         with pytest.raises(RequestError):
             DomainRouter(backbone, {"period=0": bad})
 
+    def test_a_rejected_router_freezes_nothing(self):
+        """The adapters are checked against the backbone before anything is
+        frozen, so a rejected router leaves the backbone and every adapter
+        trainable, as a failed freeze does."""
+        backbone = _backbone()
+        good = _adapter(backbone, 1, seed=1)
+        bad = IAKAdapter(backbone.rep_dim, backbone.n_heads + 1, IAKConfig(d_e=4), {"period": 0}, seed=0)
+        with pytest.raises(RequestError, match="'period=0' is not dimension-compatible"):
+            DomainRouter(backbone, {"period=1": good, "period=0": bad})
+        assert not backbone.frozen and not good.frozen
+        assert all(p.trainable for owner in (backbone, good, bad) for p in owner.parameters())
+
     def test_statelessness_under_permutation(self, router):
         reqs = [_request(period=p, user=u) for p in (0, 1, 2) for u in (1, 2, 3)]
         fwd = [router.score(r) for r in reqs]
@@ -265,7 +277,8 @@ class TestOneBackbonePass:
 
 class TestFrozenAdapters:
     """The router freezes the adapters it deploys, so a score records no
-    autodiff graph, and it serves the values a trainable adapter gives."""
+    autodiff graph, and it serves the values the adapter graph of a
+    trainable twin gives."""
 
     REQUESTS = TestOneBackbonePass.REQUESTS
 
@@ -303,13 +316,15 @@ class TestFrozenAdapters:
                         assert t is None or type(t) is np.ndarray, (lazy, name)
 
                 out = backbone.forward_full(encode_request(req, SPACE))
-                want = out.prediction
+                want = out.prediction.p_ctr, out.prediction.p_ctcvr
                 if resp.served_by != "zero_shot":
                     twin = twins[resp.served_by]
-                    want = adapted_prediction(backbone, twin, out.representation, out.logits).prediction
-                    assert want.p_ctr._parents != ()  # the twin still records its graph
+                    corr = adapter_graph(ad.Tensor(out.representation), twin._means, twin.encoder.scale, ad.linear)
+                    assert corr._parents != ()  # the twin still records its graph
+                    pred = backbone.predict_from_logits(ad.add(ad.Tensor(out.logits), corr))
+                    want = pred.p_ctr.data, pred.p_ctcvr.data
                 assert (resp.p_ctr.hex(), resp.p_ctcvr.hex()) == (
-                    float(values(want.p_ctr)[0, 0]).hex(), float(values(want.p_ctcvr)[0, 0]).hex()), (lazy, name)
+                    float(want[0][0, 0]).hex(), float(want[1][0, 0]).hex()), (lazy, name)
         assert all(p.trainable for twin in twins.values() for p in twin.parameters())
 
 
