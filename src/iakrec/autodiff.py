@@ -107,18 +107,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor. Frozen parameters keep an all-zero gradient.
+    """Named tensor that trains while it `requires_grad` (`set_trainable`).
+    Frozen parameters keep an all-zero gradient.
 
     The gradient is held as an optional dense array plus the `(rows, values)`
     pairs that `gather_rows` records, so a lookup into a large table never
     allocates a table-sized array."""
 
-    __slots__ = ("name", "trainable", "freeze", "_dense_grad", "_row_grads", "_grad_slot")
+    __slots__ = ("name", "freeze", "_dense_grad", "_row_grads", "_grad_slot")
 
     def __init__(self, data, name: str, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
-        self.trainable = trainable
         self.freeze = _THAWED
         # where the first dense gradient is written once an optimizer has laid
         # the parameter out (see `AdagradDecay`)
@@ -164,20 +164,19 @@ class Parameter(Tensor):
     def set_trainable(self, trainable: bool) -> None:
         """Set whether the parameter trains. Setting it trainable also ends
         the `Freeze` it was frozen under, for every parameter of that."""
-        self.trainable = trainable
         self.requires_grad = trainable
         self.grad = None
         if trainable:
             self.freeze.held = False
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.requires_grad})"
 
 
 class Freeze:
     """The parameters of one model or adapter, frozen whole after the check
-    its owner makes of them (`models.MultiTaskModel.freeze`,
-    `iak.IAKAdapter.freeze`). Each parameter holds it as `freeze`.
+    its owner makes of them (`models.Part.freeze`, the one freeze of the
+    backbone and of each adapter). Each parameter holds it as `freeze`.
     It holds until any of them is set trainable again; while it holds, the
     owner's forward reads them as bare arrays through the kernels."""
 

@@ -121,17 +121,19 @@ class RunConfig:
     def get(self, key: str) -> str:
         return self.values[key]
 
-    def get_int(self, key: str) -> int:
+    def _converted(self, key: str, convert: type, parts: list[str], expected: str) -> list:
+        """`convert` of each of `parts`, read from the value of `key`; a part
+        it cannot convert is a `ConfigError` saying what was `expected`."""
         try:
-            return int(self.values[key])
+            return [convert(part) for part in parts]
         except ValueError as e:
-            raise ConfigError(f"{key}: expected integer, got {self.values[key]!r}") from e
+            raise ConfigError(f"{key}: expected {expected}, got {self.values[key]!r}") from e
+
+    def get_int(self, key: str) -> int:
+        return self._converted(key, int, [self.values[key]], "integer")[0]
 
     def get_float(self, key: str) -> float:
-        try:
-            return float(self.values[key])
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected number, got {self.values[key]!r}") from e
+        return self._converted(key, float, [self.values[key]], "number")[0]
 
     def get_bool(self, key: str) -> bool:
         v = self.values[key].lower()
@@ -146,26 +148,17 @@ class RunConfig:
         return [part.strip() for part in v.split(",") if part.strip()] if v else []
 
     def get_int_list(self, key: str) -> list[int]:
-        try:
-            return [int(x) for x in self.get_list(key)]
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected integers, got {self.values[key]!r}") from e
+        return self._converted(key, int, self.get_list(key), "integers")
 
     def get_float_list(self, key: str) -> list[float]:
-        try:
-            return [float(x) for x in self.get_list(key)]
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected numbers, got {self.values[key]!r}") from e
+        return self._converted(key, float, self.get_list(key), "numbers")
 
     def get_ratio(self, key: str) -> tuple[int, int]:
         v = self.values[key]
         a, sep, b = v.partition(":")
         if not sep:
             raise ConfigError(f"{key}: expected a:b ratio, got {v!r}")
-        try:
-            return int(a), int(b)
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected integer ratio, got {v!r}") from e
+        return tuple(self._converted(key, int, [a, b], "integer ratio"))
 
     def get_weight_map(self, key: str) -> dict[str, float]:
         """`domain:weight` entries keyed by canonical domain key, the spelling

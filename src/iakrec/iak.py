@@ -10,11 +10,12 @@ initial state.
 and serving. It reads its rows and the weights it is given: the encoder's
 weight and bias (`encoder_stage`, the scaled affine map and leaky ReLU),
 then each decoder layer's. Every layer is one dense-layer primitive, in one
-of two forms. A lone `IAKAdapter` scores only frozen whole
-(`IAKAdapter.freeze` checks its layers once): eval and serving correct a
-frozen backbone's bare arrays with one adapter at a time
-(`adapted_prediction`) on the op's kernel, `ad.linear_kernel`, with no op
-run, and build the prediction only when it is read. An `AdapterBank` passes
+of two forms. A lone `IAKAdapter` is a `models.Part`, like the backbone:
+its `freeze` runs its layer `check` once, before it freezes anything, and
+it scores only frozen whole: eval and serving correct a frozen backbone's
+bare arrays with one adapter at a time (`adapted_prediction`) on the op's
+kernel, `ad.linear_kernel`, with no op run, and build the prediction only
+when it is read. An `AdapterBank` passes
 `ad.segment_linear` over its stacked (K, ...) parameters: fine-tuning
 trains the adapters of a joint batch through one autodiff graph, rows
 grouped by adapter. Both repeat the numpy calls of the one-adapter graph on
@@ -30,10 +31,11 @@ of the MI diagnostic (`evals.encoder_channel_outputs`), which runs it on
 `ad.segment_linear` with one weight sample per record.
 
 An `AdapterBank` lays its K adapters out as the K rows of one
-`ad.AdagradDecay` arena, and a bank step is one `ad.adagrad_decay_step`,
-the step pretraining takes: one decayed-Adagrad pass over the rows of the
-adapters that stepped, each at its own rate. The bits are those of each
-adapter stepping alone.
+`ad.AdagradDecay` arena, naming the stacked encoder and decoder where it
+stacks them. A bank step is one `ad.adagrad_decay_step`, the step
+pretraining takes: one decayed-Adagrad pass over the rows of the adapters
+that stepped, each at its own rate. The bits are those of each adapter
+stepping alone.
 
 `backbone_cache` runs the frozen backbone over a fitted `datagen.Dataset`
 (see `models.encode_records`), the one row type the model reads, in chunks
@@ -52,7 +54,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .datagen import Dataset, domain_key
-from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, Value, bce_loss, check_dense,
+from .models import (LEAKY_SLOPE, Linear, ModelOutput, MultiTaskModel, Part, Value, bce_loss, check_dense,
                      init_generator, restore_parameters)
 
 # rho value at which softplus(rho) equals the initial posterior scale
@@ -100,9 +102,6 @@ class VariationalLinear:
         self.rho_w = Parameter(np.full((in_dim, out_dim), _INIT_RHO), name=f"{name}.rho_w")
         self.rho_b = Parameter(np.full(out_dim, _INIT_RHO), name=f"{name}.rho_b")
 
-    def parameters(self) -> list[Parameter]:
-        return [self.mu_w, self.mu_b, self.rho_w, self.rho_b]
-
 
 def encoder_stage(x: Value, w: Value, b: Value, scale: float, linear: Callable[..., Value]) -> Value:
     """The encoder's output for the rows `x`: leaky ReLU of (x @ w) * `scale`
@@ -129,7 +128,7 @@ def adapter_graph(x: Value, params: Sequence[Value], scale: float, linear: Calla
     return linear(x, decoder[-2], decoder[-1])
 
 
-class IAKAdapter:
+class IAKAdapter(Part):
     """Encoder-decoder adapter bound to one domain selector. The encoder is
     variational; the decoder is an ordinary MLP whose final layer starts at
     zero so fine-tuning begins exactly at the zero-shot backbone."""
@@ -160,39 +159,27 @@ class IAKAdapter:
         ]
         # scale 0 draws an all-zero layer, so fine-tuning starts at the backbone
         self.decoder_out = Linear(dims[-1], n_tasks, f"{name}/dec_out", init_rng, scale=0.0)
-        # the parameters, encoder first, built once: a bank or a restore
-        # replaces their arrays, never the parameters themselves
-        self._params = (*self.encoder.parameters(), *(p for layer in self.decoder_hidden for p in layer.parameters()),
-                        *self.decoder_out.parameters())
-        # the `adapter_graph` weights: the encoder's posterior means, then the decoder
-        self._means = (*self._params[:2], *self._params[4:])
+        # the parameters, built once: a bank or a restore replaces their
+        # arrays, never the parameters themselves. The `adapter_graph`
+        # weights are the encoder's posterior means, then the decoder.
+        enc = self.encoder
+        decoder = [p for layer in (*self.decoder_hidden, self.decoder_out) for p in (layer.w, layer.b)]
+        self._params = (enc.mu_w, enc.mu_b, enc.rho_w, enc.rho_b, *decoder)
+        self._means = (enc.mu_w, enc.mu_b, *decoder)
 
-    def parameters(self) -> list[Parameter]:
-        return list(self._params)
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.parameters()}
-
-    def freeze(self) -> None:
-        """Freeze the adapter whole after checking, once, each layer
-        `correction` runs: its weight and bias conform and its slope is in
-        range (`models.check_dense`). A failed check raises and freezes
-        nothing. The adapter scores (`adapted_prediction`) while it stays
-        frozen, until any parameter is set trainable again (`ad.Freeze`)."""
+    def check(self) -> None:
+        """The adapter's freeze check, of each layer `correction` runs: its
+        weight and bias conform and its slope is in range
+        (`models.check_dense`). The adapter scores (`adapted_prediction`)
+        while it stays frozen."""
         check_dense(self.encoder.mu_w, self.encoder.mu_b, (self.rep_dim, self.config.d_e), LEAKY_SLOPE)
         for layer in (*self.decoder_hidden, self.decoder_out):
             layer.check()
-        ad.Freeze(self._params)
-
-    @property
-    def frozen(self) -> bool:
-        """Frozen whole, and no parameter set trainable since."""
-        return self._params[0].freeze.held
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every parameter from `arrays`, one copy per array; a bad array
         is an `AdapterError` (see `models.restore_parameters`)."""
-        restore_parameters(self.parameters(), arrays, AdapterError)
+        restore_parameters(self._params, arrays, AdapterError)
 
     def correction(self, representation: np.ndarray) -> np.ndarray:
         """Per-task logit corrections, (B, n_tasks), of a bare (B, rep_dim)
@@ -295,6 +282,8 @@ class AdapterBank:
         for group, stacked in zip(groups, self.params):
             for p, data in zip(group, stacked.data):
                 p.data = data
+        # the stacked encoder, then each decoder layer's stacked weight and bias
+        self.mu_w, self.mu_b, self.rho_w, self.rho_b, *self.decoder = self.params
         self._per_adapter = ad.Segments(np.arange(len(self.adapters) + 1), len(self.adapters))  # one per slab
 
     def sample(self, stepped: np.ndarray) -> tuple[Tensor, Tensor, Softplus]:
@@ -304,15 +293,15 @@ class AdapterBank:
         own `sample_rng`, weights then bias, straight into its slab; every
         other adapter gets zero noise and draws nothing. Also returns the
         `ad.softplus_parts` of rho_w and rho_b, which `encoder_kl` shares."""
-        mu_w, mu_b, rho_w, rho_b = self.params[:4]
-        eps_w = np.zeros(mu_w.shape)
-        eps_b = np.zeros(mu_b.shape)
+        eps_w = np.zeros(self.mu_w.shape)
+        eps_b = np.zeros(self.mu_b.shape)
         for k in stepped:
             rng = self.adapters[k].sample_rng
             rng.standard_normal(out=eps_w[k])
             rng.standard_normal(out=eps_b[k])
-        sp_w, sp_b = ad.softplus_parts(rho_w.data), ad.softplus_parts(rho_b.data)
-        return ad.weight_sample(mu_w, rho_w, eps_w, sp_w), ad.weight_sample(mu_b, rho_b, eps_b, sp_b), (sp_w, sp_b)
+        sp_w, sp_b = ad.softplus_parts(self.rho_w.data), ad.softplus_parts(self.rho_b.data)
+        w = ad.weight_sample(self.mu_w, self.rho_w, eps_w, sp_w)
+        return w, ad.weight_sample(self.mu_b, self.rho_b, eps_b, sp_b), (sp_w, sp_b)
 
     def apply_gradients(self, stepped: np.ndarray, lr: np.ndarray) -> np.ndarray:
         """Step the listed adapters on the recorded gradients, adapter k at
@@ -332,9 +321,8 @@ class AdapterBank:
         sigma = softplus(rho): one `ad.gaussian_kl` node over the weights plus
         one over the bias, reading the `softplus` parts of the step's weight
         sample (`sample`). Always >= 0."""
-        mu_w, mu_b, rho_w, rho_b = self.params[:4]
-        return ad.add(ad.gaussian_kl(mu_w, rho_w, self._per_adapter, softplus[0]),
-                      ad.gaussian_kl(mu_b, rho_b, self._per_adapter, softplus[1]))
+        return ad.add(ad.gaussian_kl(self.mu_w, self.rho_w, self._per_adapter, softplus[0]),
+                      ad.gaussian_kl(self.mu_b, self.rho_b, self._per_adapter, softplus[1]))
 
 
 def adapter_step_cached(
@@ -365,7 +353,7 @@ def adapter_step_cached(
     stepped = np.flatnonzero((segs.counts > 0) & (lr > 0))
     w, b, softplus = bank.sample(stepped)
     ad.zero_grads(bank.params)
-    corr = adapter_graph(Tensor(rep), (w, b, *bank.params[4:]), bank.scale, partial(ad.segment_linear, offsets=segs))
+    corr = adapter_graph(Tensor(rep), (w, b, *bank.decoder), bank.scale, partial(ad.segment_linear, offsets=segs))
     pred = backbone.predict_from_logits(ad.add(Tensor(base_logits), corr))
     loss = bce_loss(pred, click, purchase, backbone.config.loss_weights, segs)
     if beta > 0:

@@ -16,10 +16,11 @@ a served request alike.
 A forward is `EmbeddingBundle.assemble`, then `MultiTaskModel.forward_from`
 on the assembled row: one body for every kind, each giving only its towers'
 inputs. It runs one of two ways, through the same layer objects. In a
-graph, every layer is an `ad` op. A model frozen whole
-(`MultiTaskModel.freeze`) has had its layers checked once, as it was
-frozen; its assembly then returns a bare array, and each layer passes a
-bare array on through its op's kernel (`ad.linear_kernel`,
+graph, every layer is an `ad` op. The model, like each adapter, is a
+`Part`: its parameters are listed once, from its one layer list, and its
+`freeze` checks the table and every dense layer once, before it freezes
+anything. A model frozen whole then assembles a bare array, and each layer
+passes a bare array on through its op's kernel (`ad.linear_kernel`,
 `ad.gate_mix_kernel`, `ad.sigmoid_kernel`): the same arithmetic, so the
 same bits, with no op run. `forward_from` chooses the way once, by its row:
 a bare row runs the kernels on a model frozen whole, which checks its
@@ -163,6 +164,39 @@ def check_dense(w: Parameter, b: Parameter, shape: tuple[int, int], slope: float
         ad.check_slope(slope)
 
 
+class Part:
+    """What is frozen and scored whole: the backbone (`MultiTaskModel`) or an
+    adapter (`iak.IAKAdapter`). Its parameters are `_params`, listed once in
+    the checkpoint's block order; each part gives that list, its own
+    `check` and its own `restore`."""
+
+    _params: tuple[Parameter, ...]
+
+    def parameters(self) -> list[Parameter]:
+        return list(self._params)
+
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        """Every array by its checkpoint name, in block order."""
+        return {p.name: p.data for p in self._params}
+
+    def check(self) -> None:
+        """Check, once, what the ops check on every call: raise if any layer
+        the part's forward runs does not conform."""
+        raise NotImplementedError
+
+    def freeze(self) -> None:
+        """Freeze the part whole after its `check`; a failed check raises
+        and freezes nothing. The forward then runs on bare arrays until any
+        parameter is set trainable again (`ad.Freeze`)."""
+        self.check()
+        ad.Freeze(self._params)
+
+    @property
+    def frozen(self) -> bool:
+        """Frozen whole, and no parameter set trainable since."""
+        return self._params[0].freeze.held
+
+
 class Linear:
     """x @ w + b, through a leaky ReLU of `slope` when it has one."""
 
@@ -186,9 +220,6 @@ class Linear:
     def dense_layers(self) -> list[Linear]:
         return [self]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
-
 
 class MLP:
     """Stack of Linear + LeakyReLU, every layer activated."""
@@ -204,9 +235,6 @@ class MLP:
 
     def dense_layers(self) -> list[Linear]:
         return self.layers
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 @dataclass(frozen=True)
@@ -312,7 +340,7 @@ class EmbeddingBundle:
         return f"row {row}, in {name!r}"
 
 
-class MultiTaskModel:
+class MultiTaskModel(Part):
     """The scaffold of every kind: embeddings in, `_output` of its towers out."""
 
     kind = "abstract"
@@ -323,36 +351,19 @@ class MultiTaskModel:
         self.seed = seed
         self.rng = init_generator(seed, 0xB0DE)
         self.embeddings = EmbeddingBundle(space, config.embed_dim, self.rng)
-        self._params: list[Parameter] = [self.embeddings.rows]
-        self._layers: list[Linear] = []
 
     def _register(self, *components) -> None:
-        for c in components:
-            self._params.extend(c.parameters())
-            self._layers.extend(c.dense_layers())
+        """The kind's dense layers, its components' in order, and from them
+        its parameters: the table, then each layer's weight and bias."""
+        self._layers = [layer for c in components for layer in c.dense_layers()]
+        self._params = (self.embeddings.rows, *(p for layer in self._layers for p in (layer.w, layer.b)))
 
-    def parameters(self) -> list[Parameter]:
-        return list(self._params)
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        """Every array by its checkpoint name: the table, then the rest."""
-        return {p.name: p.data for p in self._params}
-
-    def freeze(self) -> None:
-        """Freeze the model whole. This first checks, once, what the ops
-        check on every call: the table's shape, and each dense layer's
-        weight, bias and slope (`check_dense`). A failed check raises and
-        freezes nothing. The model's forward then runs on bare arrays until
-        any parameter is set trainable again (`ad.Freeze`)."""
+    def check(self) -> None:
+        """The model's freeze check: the table's shape, and each dense
+        layer's weight, bias and slope (`check_dense`)."""
         self.embeddings.check()
         for layer in self._layers:
             layer.check()
-        ad.Freeze(self._params)
-
-    @property
-    def frozen(self) -> bool:
-        """Frozen whole, and no parameter set trainable since."""
-        return self.embeddings.rows.freeze.held
 
     @property
     def rep_dim(self) -> int:
@@ -503,9 +514,6 @@ class _MoECore:
 
     def dense_layers(self) -> list[Linear]:
         return [layer for e in self.experts for layer in e.layers] + self.gates
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.dense_layers() for p in layer.parameters()]
 
 
 class MMoE(MultiTaskModel):

@@ -10,15 +10,15 @@ matches on that row, the rule that slices each adapter's train and eval
 rows: a topic the request leaves out reads -1 and is matched like any row.
 Adapters score with their encoders' posterior means. Requests from domains
 with no adapter fall back to the zero-shot backbone, visibly (`served_by =
-"zero_shot"`). The router freezes the backbone and every adapter it
-deploys, and freezing checks each of their layers once, so scoring runs no
-autodiff op: the forward runs the ops' kernels on bare arrays, with no
-per-call check. A score raises `AdapterError` if the backbone, or an
-adapter it corrects with, was thawed since. The request's row is checked
-where it enters the backbone (`models.EmbeddingBundle.assemble`), and each
-prediction's logits once (`MultiTaskModel.predict_from_logits`): a
-non-finite score raises `NonFiniteError`, and `serve` answers it as an
-error on that line.
+"zero_shot"`). The router checks every adapter it deploys before it
+freezes the backbone or any adapter, and each freeze checks its part's
+layers, so scoring runs no autodiff op: the forward runs the ops' kernels
+on bare arrays, with no per-call check. A score raises `AdapterError` if
+the backbone, or an adapter it corrects with, was thawed since. The
+request's row is checked where it enters the backbone
+(`models.EmbeddingBundle.assemble`), and each prediction's logits once
+(`MultiTaskModel.predict_from_logits`): a non-finite score raises
+`NonFiniteError`, and `serve` answers it as an error on that line.
 
 Every request runs the backbone once. In the default eager mode every
 deployed adapter then corrects that one output, so with K adapters deployed
@@ -93,8 +93,9 @@ def encode_request(request: ScoreRequest, space: FeatureSpace) -> Dataset:
 
 class DomainRouter:
     """Frozen backbone plus the set of per-domain adapters, immutable after
-    construction. Once each adapter it is given fits the backbone, the router
-    freezes the backbone and each adapter, so a score records no graph.
+    construction. Once each adapter fits the backbone and passes its layer
+    check, the router freezes the backbone and each adapter, so a score
+    records no graph; a router that any check rejects freezes nothing.
     Scoring is read-only and safe to share."""
 
     def __init__(
@@ -107,13 +108,15 @@ class DomainRouter:
         for key, a in self.adapters.items():
             if a.rep_dim != backbone.rep_dim or a.n_tasks != backbone.n_heads:
                 raise RequestError(f"adapter {key!r} is not dimension-compatible with the backbone")
+        thawed = [a for a in self.adapters.values() if not a.frozen]  # a restored adapter comes checked and frozen
+        for a in thawed:
+            a.check()
         backbone.freeze()
+        for a in thawed:
+            a.freeze()
         self.backbone = backbone
         self.space = backbone.space
         self.lazy_activation = lazy_activation
-        for a in self.adapters.values():
-            if not a.frozen:  # a restored adapter comes checked and frozen (`adapters_from_arrays`)
-                a.freeze()
         # most specific first, ties in key order, so the first match is the one
         self._by_specificity = sorted(self.adapters, key=lambda k: (-len(self.adapters[k].domain_key), k))
 

@@ -134,8 +134,8 @@ def pretrain_optimizer(model: MultiTaskModel, config: TrainConfig) -> ad.Adagrad
     """The decayed-Adagrad optimizer of the model's trainable parameters, its
     embedding table, when it trains, stepped where it is."""
     rows = model.embeddings.rows
-    return ad.AdagradDecay([p for p in model.parameters() if p.trainable], config.adagrad_decay,
-                           config.adagrad_epsilon, table=rows if rows.trainable else None)
+    return ad.AdagradDecay([p for p in model.parameters() if p.requires_grad], config.adagrad_decay,
+                           config.adagrad_epsilon, table=rows if rows.requires_grad else None)
 
 
 def pretrain_step(model: MultiTaskModel, batch: Dataset, opt: ad.AdagradDecay, lr: float) -> tuple[float, float, float]:

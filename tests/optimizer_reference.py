@@ -66,7 +66,7 @@ def reference_adagrad_decay_step(params, state: ReferenceState, lr: float) -> No
     state.step += 1
     t = state.step
     for p in params:
-        touched = touched_grad(p) if p.trainable else None
+        touched = touched_grad(p) if p.requires_grad else None
         if touched is None:
             continue
         rows, g = touched

@@ -687,7 +687,7 @@ class TestAdagradDecay:
         # the owner lays out its trainable parameters only
         w = ad.Parameter(np.array([1.0]), "w", trainable=False)
         v = ad.Parameter(np.array([2.0]), "v")
-        opt = ad.AdagradDecay([p for p in (w, v) if p.trainable], DECAY, EPSILON)
+        opt = ad.AdagradDecay([p for p in (w, v) if p.requires_grad], DECAY, EPSILON)
         w.grad, v.grad = np.array([5.0]), np.array([5.0])
         before = w.data.tobytes()
         for _ in range(10):

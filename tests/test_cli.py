@@ -611,7 +611,7 @@ def test_restore_gives_the_checkpoint_arrays_without_an_init(tmp_path, monkeypat
     ((loaded, _),) = loads
     restored = {**model.named_parameters(), **adapters["period=0"].named_parameters()}
     assert model.frozen and sorted(restored) == sorted(arrays)
-    assert not any(p.trainable for p in adapters["period=0"].parameters())
+    assert not any(p.requires_grad for p in adapters["period=0"].parameters())
     for name, data in restored.items():
         assert data.dtype == np.float64 and data.tobytes() == arrays[name].tobytes(), name
     table, *dense = model.parameters()

@@ -472,7 +472,7 @@ def test_a_failed_freeze_check_freezes_nothing():
     model.core.gates[1].slope = -0.0
     with pytest.raises(ValueError, match="slope must be in"):
         model.freeze()
-    assert not model.frozen and all(p.trainable for p in model.parameters())
+    assert not model.frozen and all(p.requires_grad for p in model.parameters())
 
 
 def test_the_entry_maps_every_id_into_the_table():

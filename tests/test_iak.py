@@ -766,3 +766,26 @@ def test_iak_config_validation():
         IAKConfig(d_e=0)
     with pytest.raises(AdapterError):
         IAKConfig(beta=-1.0)
+
+
+_ENCODER = [("adapter/period=0/enc0.mu_w", (6, 3)), ("adapter/period=0/enc0.mu_b", (3,)),
+            ("adapter/period=0/enc0.rho_w", (6, 3)), ("adapter/period=0/enc0.rho_b", (3,))]
+
+
+@pytest.mark.parametrize("decoder_hidden, decoder", [
+    ((32,), [("adapter/period=0/dec0.w", (3, 32)), ("adapter/period=0/dec0.b", (32,)),
+             ("adapter/period=0/dec_out.w", (32, 2)), ("adapter/period=0/dec_out.b", (2,))]),
+    ((8, 4), [("adapter/period=0/dec0.w", (3, 8)), ("adapter/period=0/dec0.b", (8,)),
+              ("adapter/period=0/dec1.w", (8, 4)), ("adapter/period=0/dec1.b", (4,)),
+              ("adapter/period=0/dec_out.w", (4, 2)), ("adapter/period=0/dec_out.b", (2,))]),
+])
+def test_adapter_parameter_names_and_order_are_pinned(decoder_hidden, decoder):
+    """The ordered (name, shape) list of an adapter's checkpoint arrays: the
+    encoder's posterior (means, then rhos), then each decoder layer's weight
+    and bias, the output layer last. A checkpoint stores an adapter by these
+    names, and a bank stacks its adapters' parameters in this order."""
+    adapter = IAKAdapter(6, 2, IAKConfig(d_e=3, decoder_hidden=decoder_hidden), {"period": 0}, seed=0)
+    assert [(p.name, p.data.shape) for p in adapter.parameters()] == _ENCODER + decoder
+    named = adapter.named_parameters()
+    assert list(named) == [name for name, _ in _ENCODER + decoder]
+    assert all(named[p.name] is p.data for p in adapter.parameters())

@@ -7,11 +7,18 @@ import pytest
 
 from iakrec import autodiff as ad
 from iakrec.checkpoint import load_checkpoint, save_checkpoint
+from iakrec.iak import IAKAdapter, VariationalLinear
 from iakrec.models import (
+    MLP,
+    MODEL_KINDS,
     FeatureSpace,
+    Linear,
     ModelConfig,
     ModelError,
+    MultiTaskModel,
+    Part,
     Prediction,
+    _MoECore,
     bce_loss,
     build_model,
     encode_records,
@@ -173,8 +180,8 @@ class TestMMoE:
 
     def test_identical_experts_make_gates_irrelevant(self):
         model = build_model(ModelConfig(kind="mmoe", hidden_sizes=(12, 6), n_experts=2), SPACE, seed=4)
-        for pa, pb in zip(model.core.experts[0].parameters(), model.core.experts[1].parameters()):
-            pb.data = pa.data.copy()
+        for la, lb in zip(model.core.experts[0].layers, model.core.experts[1].layers):
+            lb.w.data, lb.b.data = la.w.data.copy(), la.b.data.copy()
         batch = _batch()
         base = model.forward_full(batch).prediction
         for g in model.core.gates:
@@ -314,6 +321,21 @@ def test_parameter_names_and_order_are_pinned(kind):
     assert [(p.name, p.data.shape) for p in dense] == PARAMETER_NAMES[kind][len(_EMBEDDINGS):]
     assert all(named[p.name] is p.data for p in model.parameters())
     assert model.embeddings.ranges == _RANGES
+
+
+def test_the_backbone_and_the_adapter_list_their_parameters_through_one_part():
+    """`parameters`, `named_parameters`, `freeze` and `frozen` are defined
+    once, on `Part`, for every model kind and the adapter; each part gives
+    its own `check` and `restore`. A layer or a component lists no
+    parameters of its own: its part lists them from its layers."""
+    for cls in (MultiTaskModel, *MODEL_KINDS.values(), IAKAdapter):
+        assert issubclass(cls, Part)
+        for name in ("parameters", "named_parameters", "freeze", "frozen"):
+            assert getattr(cls, name) is getattr(Part, name), (cls.__name__, name)
+    for cls in (MultiTaskModel, IAKAdapter):
+        assert {"check", "restore"} <= vars(cls).keys(), cls.__name__
+    for cls in (Linear, MLP, _MoECore, VariationalLinear):
+        assert not hasattr(cls, "parameters"), cls.__name__
 
 
 def test_seeded_build_draws_its_init():

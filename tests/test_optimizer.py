@@ -165,7 +165,7 @@ def _assert_twins_equal(got, want):
     table."""
     (model, opt), (twin, reference) = got, want
     assert [p.data.tobytes() for p in model.parameters()] == [p.data.tobytes() for p in twin.parameters()]
-    names = {p.name: p.data for p in model.parameters() if p.trainable}
+    names = {p.name: p.data for p in model.parameters() if p.requires_grad}
     assert _state_bytes(opt, names, opt.table) == _state_bytes(reference, names, opt.table)
 
 
@@ -187,7 +187,7 @@ def test_a_frozen_group_survives_pretrain(frozen):
     got, want = _pretrain_twins("base", freeze=frozen)
     model, opt = got
     group = [(p, q) for p, q in zip(model.parameters(), init.parameters()) if p.name.startswith(frozen)]
-    assert group and all(not p.trainable and p.data.tobytes() == q.data.tobytes() for p, q in group)
+    assert group and all(not p.requires_grad and p.data.tobytes() == q.data.tobytes() for p, q in group)
     assert not any(name.startswith(frozen) for name in opt.accumulators)
     _assert_twins_equal(got, want)
     assert sum(p.data.tobytes() != q.data.tobytes() for p, q in zip(model.parameters(), init.parameters())) == (

@@ -147,16 +147,38 @@ class TestRouteScore:
             DomainRouter(backbone, {"period=0": bad})
 
     def test_a_rejected_router_freezes_nothing(self):
-        """The adapters are checked against the backbone before anything is
-        frozen, so a rejected router leaves the backbone and every adapter
-        trainable, as a failed freeze does."""
-        backbone = _backbone()
-        good = _adapter(backbone, 1, seed=1)
-        bad = IAKAdapter(backbone.rep_dim, backbone.n_heads + 1, IAKConfig(d_e=4), {"period": 0}, seed=0)
-        with pytest.raises(RequestError, match="'period=0' is not dimension-compatible"):
-            DomainRouter(backbone, {"period=1": good, "period=0": bad})
-        assert not backbone.frozen and not good.frozen
-        assert all(p.trainable for owner in (backbone, good, bad) for p in owner.parameters())
+        """Every adapter is checked, against the backbone and then its own
+        layers, before anything is frozen, so a rejected router leaves the
+        backbone and every adapter trainable, as a failed freeze does: an
+        adapter of the wrong task count, and, set after build, a decoder
+        layer's slope out of range and an encoder mean of the wrong shape.
+        The last two sort after the good adapter, which is frozen first when
+        the layer checks run inside each freeze."""
+
+        def wrong_task_count(backbone):
+            return IAKAdapter(backbone.rep_dim, backbone.n_heads + 1, IAKConfig(d_e=4), {"period": 0}, seed=0)
+
+        def slope_out_of_range(backbone):
+            adapter = _adapter(backbone, 2, seed=0)
+            adapter.decoder_hidden[0].slope = 1.5
+            return adapter
+
+        def encoder_mean_of_wrong_shape(backbone):
+            adapter = _adapter(backbone, 2, seed=0)
+            adapter.encoder.mu_w.data = np.zeros((backbone.rep_dim, 5))
+            return adapter
+
+        cases = [("period=0", wrong_task_count, RequestError, "'period=0' is not dimension-compatible"),
+                 ("period=2", slope_out_of_range, ValueError, "slope must be in"),
+                 ("period=2", encoder_mean_of_wrong_shape, ad.ShapeError, "enc0.mu_w")]
+        for key, build_bad, error, match in cases:
+            backbone = _backbone()
+            good = _adapter(backbone, 1, seed=1)
+            bad = build_bad(backbone)
+            with pytest.raises(error, match=match):
+                DomainRouter(backbone, {"period=1": good, key: bad})
+            assert not backbone.frozen and not good.frozen and not bad.frozen, build_bad.__name__
+            assert all(p.requires_grad for owner in (backbone, good, bad) for p in owner.parameters())
 
     def test_statelessness_under_permutation(self, router):
         reqs = [_request(period=p, user=u) for p in (0, 1, 2) for u in (1, 2, 3)]
@@ -284,7 +306,7 @@ class TestFrozenAdapters:
 
     def test_router_freezes_every_adapter_it_deploys(self, router):
         for adapter in router.adapters.values():
-            assert all(p.trainable is False and p.requires_grad is False for p in adapter.parameters())
+            assert adapter.frozen and all(p.requires_grad is False for p in adapter.parameters())
 
     @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
     def test_scoring_records_no_graph_and_serves_a_trainable_adapters_values(self, monkeypatch, kind):
@@ -325,7 +347,7 @@ class TestFrozenAdapters:
                     want = pred.p_ctr.data, pred.p_ctcvr.data
                 assert (resp.p_ctr.hex(), resp.p_ctcvr.hex()) == (
                     float(want[0][0, 0]).hex(), float(want[1][0, 0]).hex()), (lazy, name)
-        assert all(p.trainable for twin in twins.values() for p in twin.parameters())
+        assert all(p.requires_grad for twin in twins.values() for p in twin.parameters())
 
 
 class TestRequestParsing:
